@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI entrypoint, tiered:
 #   0. lint       — scripts/lint.sh (determinism/zero-alloc rules + self-test)
-#   1. build+test — plain build, full ctest
+#   1. build+test — plain build, full ctest, bench/e2e self-test + smoke
 #   2. sanitizers — ASan+UBSan full suite, TSan over every concurrent suite
 #   3. analyzers  — scripts/analyze.sh --tidy-only when clang-tidy exists
 #   4. smoke      — scenario runs with byte-identity determinism checks
@@ -20,6 +20,14 @@ echo "--- lint tier: determinism/zero-alloc rules"
 cmake -B build -S .
 cmake --build build -j"${JOBS}"
 (cd build && ctest --output-on-failure -j"${JOBS}")
+
+echo "--- benchmark harness: self-test and smoke run of bench/e2e"
+# bench/e2e is a standalone CMake project that links bundler_core, so a
+# library signature change can break it while ctest stays green. The smoke
+# run builds it, runs every workload at 1/10 duration and checks digests.
+python3 bench/e2e/run_test.py
+python3 bench/e2e/run.py --smoke > build/e2e_smoke.log 2>&1 ||
+  { cat build/e2e_smoke.log; exit 1; }
 
 if [[ "${CHECK_SKIP_SANITIZERS:-0}" != "1" ]]; then
   echo "--- ASan+UBSan test pass"

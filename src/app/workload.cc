@@ -55,7 +55,7 @@ void PoissonWebWorkload::IssueRequest() {
   params.const_cwnd_pkts = config_.const_cwnd_pkts;
   params.priority = config_.priority;
   params.request_start = now;
-  InlineFunction<void(TimePoint)> on_complete;
+  FlowDoneFn on_complete;
   if (fct_ != nullptr) {
     uint64_t req_id = fct_->RegisterRequest(size, now, config_.priority);
     params.request_id = req_id;
@@ -70,7 +70,7 @@ void PoissonWebWorkload::IssueRequest() {
 
 RequestResponse::RequestResponse(Simulator* sim, FlowTable* flows, Host* server,
                                  Host* client, const TcpFlowParams& params,
-                                 InlineFunction<void(TimePoint)> on_complete)
+                                 FlowDoneFn on_complete)
     : sim_(sim),
       flows_(flows),
       server_(server),
@@ -160,7 +160,7 @@ void IssueSingleRequest(Simulator* sim, FlowTable* flows, Host* server, Host* cl
   params.cc = cc;
   params.priority = priority;
   params.request_start = sim->now();
-  InlineFunction<void(TimePoint)> on_complete;
+  FlowDoneFn on_complete;
   if (fct != nullptr) {
     uint64_t req_id = fct->RegisterRequest(size_bytes, sim->now(), priority);
     params.request_id = req_id;

@@ -65,7 +65,7 @@ inline constexpr uint32_t kRequestBytes = 92;
 class RequestResponse : public PacketHandler {
  public:
   RequestResponse(Simulator* sim, FlowTable* flows, Host* server, Host* client,
-                  const TcpFlowParams& params, InlineFunction<void(TimePoint)> on_complete);
+                  const TcpFlowParams& params, FlowDoneFn on_complete);
   ~RequestResponse() override;
   RequestResponse(const RequestResponse&) = delete;
   RequestResponse& operator=(const RequestResponse&) = delete;
@@ -85,7 +85,7 @@ class RequestResponse : public PacketHandler {
   Host* server_;
   Host* client_;
   TcpFlowParams params_;
-  InlineFunction<void(TimePoint)> on_complete_;
+  FlowDoneFn on_complete_;
   uint64_t request_flow_id_;
   FlowKey request_key_;
   bool started_ = false;

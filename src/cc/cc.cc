@@ -1,5 +1,7 @@
 #include "src/cc/cc.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <new>
 
 #include "src/cc/basic_delay.h"
@@ -61,6 +63,11 @@ static_assert(alignof(Cubic) <= alignof(std::max_align_t));
 static_assert(alignof(NewReno) <= alignof(std::max_align_t));
 static_assert(alignof(BbrHost) <= alignof(std::max_align_t));
 static_assert(alignof(ConstCwnd) <= alignof(std::max_align_t));
+// Every flow embeds this slot, so unused headroom costs memory per flow:
+// keep it within one alignment step of the largest controller.
+static_assert(kHostCcStorageBytes < std::max({sizeof(Cubic), sizeof(NewReno), sizeof(BbrHost),
+                                              sizeof(ConstCwnd)}) +
+                                        alignof(std::max_align_t));
 
 HostCc* MakeHostCcInPlace(HostCcStorage* storage, HostCcType type, double const_cwnd_pkts) {
   void* mem = storage->bytes;

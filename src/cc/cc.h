@@ -90,11 +90,13 @@ const char* BundleCcTypeName(BundleCcType type);
 std::unique_ptr<HostCc> MakeHostCc(HostCcType type, double const_cwnd_pkts = 450.0);
 std::unique_ptr<BundleCc> MakeBundleCc(BundleCcType type, Rate initial_rate);
 
-// Inline storage big enough for any concrete HostCc (static_asserted in
-// cc.cc). Lets a flow embed its controller by value — one fewer heap
-// allocation on the per-flow setup path, which an open-loop web workload
-// exercises thousands of times per simulated second.
-inline constexpr size_t kHostCcStorageBytes = 320;
+// Inline storage big enough for any concrete HostCc, and no bigger: cc.cc
+// static_asserts both that every controller fits and that the slot is the
+// largest one (BbrHost, 184 B) rounded up to the alignment. Lets a flow embed
+// its controller by value — one fewer heap allocation on the per-flow setup
+// path, which an open-loop web workload exercises thousands of times per
+// simulated second — without paying for headroom in every flow.
+inline constexpr size_t kHostCcStorageBytes = 192;
 struct HostCcStorage {
   alignas(alignof(std::max_align_t)) unsigned char bytes[kHostCcStorageBytes];
 };

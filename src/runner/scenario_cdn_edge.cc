@@ -149,10 +149,13 @@ NetBuilder CdnEdgeBuilder(bool managed, CdnEdgeGraph* graph) {
 }
 
 // Windowed per-tenant FCT accounting: base = [1 s, 3 s), flash = [3 s, 5 s),
-// keyed by the flow's start time.
+// keyed by the flow's start time. Each bucket also points at the trial-wide
+// sinks, so a flow's completion callback captures only its bucket and start.
 struct TenantFcts {
   QuantileEstimator base;
   QuantileEstimator flash;
+  QuantileEstimator* agg = nullptr;
+  uint64_t* completed = nullptr;
 };
 
 TrialResult RunTrial(const TrialPoint& point) {
@@ -192,9 +195,13 @@ TrialResult RunTrial(const TrialPoint& point) {
     return rng >> 33;
   };
 
-  std::vector<TenantFcts> per_tenant(kNumTenants);
   QuantileEstimator agg_fct;
   uint64_t flows_created = 0, flows_completed = 0;
+  std::vector<TenantFcts> per_tenant(kNumTenants);
+  for (TenantFcts& f : per_tenant) {
+    f.agg = &agg_fct;
+    f.completed = &flows_completed;
+  }
 
   const TimePoint zero = TimePoint::Zero();
   Host* src = net->host(g.edge);
@@ -225,16 +232,17 @@ TrialResult RunTrial(const TrialPoint& point) {
       const TimePoint start = cursor;
       TcpSender* sender = CreateTcpFlow(
           net->flows(), src, dst, params,
-          [bucket, &agg_fct, &flows_completed, zero, start](TimePoint end) {
+          [bucket, start](TimePoint end) {
+            const TimePoint origin = TimePoint::Zero();
             const double ms = (end - start).ToMillis();
-            ++flows_completed;
-            if (start >= zero + kBaseWindowStart &&
-                start < zero + kFlashWindowStart) {
+            ++*bucket->completed;
+            if (start >= origin + kBaseWindowStart &&
+                start < origin + kFlashWindowStart) {
               bucket->base.Add(ms);
-              agg_fct.Add(ms);
-            } else if (start < zero + kFlashWindowEnd) {
+              bucket->agg->Add(ms);
+            } else if (start < origin + kFlashWindowEnd) {
               bucket->flash.Add(ms);
-              agg_fct.Add(ms);
+              bucket->agg->Add(ms);
             }
           });
       src->sim()->ScheduleAt(start, [sender]() { sender->Start(); });

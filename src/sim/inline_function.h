@@ -4,8 +4,10 @@
 // provider, LambdaHandler's packet sink, monitor packet predicates):
 // std::function would heap-allocate any multi-pointer capture, while this
 // stores it inline and rejects oversized captures at compile time. The
-// capacity is deliberately small (a handful of pointers); to bind more
-// state, park it in the owning object and capture a pointer.
+// capacity is deliberately small (a handful of pointers; 64 bytes unless the
+// second template argument says otherwise — per-flow callbacks use 16, see
+// FlowDoneFn in src/transport/tcp_flow.h); to bind more state, park it in the
+// owning object and capture a pointer.
 //
 // Unlike InlineCallback this type is COPYABLE (monitor specs are copied out
 // of const NetBuilder during Build), so the callable must be
@@ -21,13 +23,13 @@
 
 namespace bundler {
 
-template <typename Sig>
+template <typename Sig, size_t Capacity = 64>
 class InlineFunction;  // only the R(Args...) specialization exists
 
-template <typename R, typename... Args>
-class InlineFunction<R(Args...)> {
+template <typename R, typename... Args, size_t Capacity>
+class InlineFunction<R(Args...), Capacity> {
  public:
-  static constexpr size_t kCapacity = 64;
+  static constexpr size_t kCapacity = Capacity;
 
   InlineFunction() = default;
   InlineFunction(std::nullptr_t) {}  // NOLINT(runtime/explicit): like std::function

@@ -5,22 +5,25 @@
 // retransmit, or retransmitted and in flight (carrying the value of
 // next_seq_ at retransmission time, for Linux-style lost-retransmit
 // detection). Instead of three node-allocating ordered containers, the state
-// lives in a flat ring of per-segment slots indexed by seq: marking is O(1),
-// the cumulative-ACK advance pops exactly the slots it covers (amortized
-// O(1) per segment ever sent, with a pointer-bump fast path while the
-// scoreboard is clean), ordered queries (highest SACKed seq, lowest pending
-// hole) come from cached bounds, and the outstanding-retransmission sweeps
-// walk a small unordered side-list of retransmitted seqs — O(#retx) like
-// the map they replace, not O(window). Ring and side-list both start on
-// inline storage sized for a typical web flow and spill to a doubling heap
-// block only when the window outgrows them, so steady-state loss recovery
-// performs zero heap allocations; `tcp_recovery_churn` in
+// lives in a flat ring of 1-byte per-segment states indexed by seq: marking
+// is O(1), the cumulative-ACK advance pops exactly the states it covers
+// (amortized O(1) per segment ever sent, with a pointer-bump fast path while
+// the scoreboard is clean), and ordered queries (highest SACKed seq, lowest
+// pending hole) come from cached bounds. Retransmit markers are only ever
+// read for kRetxOutstanding seqs, so they live beside those seqs in a small
+// unordered side-list of {seq, marker} pairs rather than in every ring slot;
+// the outstanding-retransmission sweeps walk that list — O(#retx) like the
+// map they replace, not O(window). Ring (32 states) and side-list (8 pairs)
+// both start on inline storage sized for a typical web flow and spill to a
+// doubling heap block only when the window outgrows them, so steady-state
+// loss recovery performs zero heap allocations; `tcp_recovery_churn` in
 // bench/micro_datapath.cc measures exactly that, and
 // tests/sack_scoreboard_test.cc mirrors this structure against a reference
 // std::set/std::map model under randomized loss patterns.
 #ifndef SRC_TRANSPORT_SACK_SCOREBOARD_H_
 #define SRC_TRANSPORT_SACK_SCOREBOARD_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -38,16 +41,16 @@ class SackScoreboard {
   };
 
   SackScoreboard()
-      : slots_(inline_slots_), cap_(kInitialCapacity), retx_seqs_(inline_retx_),
+      : states_(inline_states_), cap_(kInitialCapacity), retx_(inline_retx_),
         retx_cap_(kInitialRetxCapacity) {}
   SackScoreboard(const SackScoreboard&) = delete;
   SackScoreboard& operator=(const SackScoreboard&) = delete;
   ~SackScoreboard() {
-    if (slots_ != inline_slots_) {
-      delete[] slots_;
+    if (states_ != inline_states_) {
+      delete[] states_;
     }
-    if (retx_seqs_ != inline_retx_) {
-      delete[] retx_seqs_;
+    if (retx_ != inline_retx_) {
+      delete[] retx_;
     }
   }
 
@@ -69,13 +72,13 @@ class SackScoreboard {
     if (seq < base_ || seq >= end_) {
       return SegState::kInFlight;
     }
-    return SlotAt(seq).state;
+    return StateAt(seq);
   }
 
   bool IsSacked(int64_t seq) const { return StateOf(seq) == SegState::kSacked; }
 
-  // Marker recorded by MarkRetx; only meaningful for kRetxOutstanding slots.
-  int64_t RetxMarker(int64_t seq) const { return SlotAt(seq).retx_marker; }
+  // Marker recorded by MarkRetx; `seq` must be kRetxOutstanding. O(#retx).
+  int64_t RetxMarker(int64_t seq) const { return retx_[FindRetx(seq)].marker; }
 
   // Grows the window: slots for [end, new_end) enter as kInFlight. Called as
   // new segments are transmitted.
@@ -88,7 +91,7 @@ class SackScoreboard {
     int64_t old_end = end_;
     end_ = new_end;
     for (int64_t s = old_end; s < new_end; ++s) {
-      SlotAt(s) = Slot{0, SegState::kInFlight};
+      StateAt(s) = SegState::kInFlight;
     }
   }
 
@@ -105,7 +108,7 @@ class SackScoreboard {
     // most ACKs arrive with a clean scoreboard.
     if (sacked_count_ != 0 || lost_count_ != 0 || retx_count_ != 0) {
       for (int64_t s = base_; s < new_base; ++s) {
-        SegState st = SlotAt(s).state;
+        SegState st = StateAt(s);
         if (st == SegState::kSacked) {
           --sacked_count_;
         } else if (st == SegState::kLostPending) {
@@ -128,46 +131,48 @@ class SackScoreboard {
     if (sacked_count_ == 0 || seq > highest_sacked_) {
       highest_sacked_ = seq;
     }
-    Slot& sl = SlotAt(seq);
-    if (sl.state == SegState::kLostPending) {
+    SegState& st = StateAt(seq);
+    if (st == SegState::kLostPending) {
       --lost_count_;
-    } else if (sl.state == SegState::kRetxOutstanding) {
+    } else if (st == SegState::kRetxOutstanding) {
       RemoveRetxSeq(seq);
     }
-    if (sl.state != SegState::kSacked) {
+    if (st != SegState::kSacked) {
       ++sacked_count_;
     }
-    sl.state = SegState::kSacked;
+    st = SegState::kSacked;
   }
 
   // Callers only mark untouched in-flight segments lost (revealed holes);
   // retransmitted holes return to lost via the Move* sweeps below.
   void MarkLost(int64_t seq) {
-    Slot& sl = SlotAt(seq);
-    BUNDLER_CHECK(sl.state == SegState::kInFlight);
-    sl.state = SegState::kLostPending;
+    SegState& st = StateAt(seq);
+    BUNDLER_CHECK(st == SegState::kInFlight);
+    st = SegState::kLostPending;
     ++lost_count_;
     NoteLostAt(seq);
   }
 
   // `marker` is next_seq_ at retransmission time. Tolerates seq == end()
   // (the RTO path can nominally re-send the left window edge before any new
-  // data exists there) by extending the window first.
+  // data exists there) by extending the window first. Re-marking an
+  // outstanding seq only refreshes its marker.
   void MarkRetx(int64_t seq, int64_t marker) {
     if (seq >= end_) {
       ExtendTo(seq + 1);
     }
-    Slot& sl = SlotAt(seq);
-    if (sl.state != SegState::kRetxOutstanding) {
-      if (sl.state == SegState::kLostPending) {
-        --lost_count_;
-      } else if (sl.state == SegState::kSacked) {
-        --sacked_count_;
-      }
-      sl.state = SegState::kRetxOutstanding;
-      AppendRetxSeq(seq);
+    SegState& st = StateAt(seq);
+    if (st == SegState::kRetxOutstanding) {
+      retx_[FindRetx(seq)].marker = marker;
+      return;
     }
-    sl.retx_marker = marker;
+    if (st == SegState::kLostPending) {
+      --lost_count_;
+    } else if (st == SegState::kSacked) {
+      --sacked_count_;
+    }
+    st = SegState::kRetxOutstanding;
+    AppendRetx(RetxEntry{seq, marker});
   }
 
   // Lowest kLostPending seq; requires lost_count() > 0. Amortized O(1): the
@@ -175,7 +180,7 @@ class SackScoreboard {
   int64_t FirstLost() {
     BUNDLER_CHECK(lost_count_ > 0);
     int64_t s = lost_scan_ < base_ ? base_ : lost_scan_;
-    while (SlotAt(s).state != SegState::kLostPending) {
+    while (StateAt(s) != SegState::kLostPending) {
       ++s;
     }
     lost_scan_ = s;
@@ -186,8 +191,8 @@ class SackScoreboard {
   // holes to the pending pool ("for hole in retx: lost.insert(hole); clear").
   void MoveAllRetxToLost() {
     for (size_t i = 0; i < retx_count_; ++i) {
-      int64_t s = retx_seqs_[i];
-      SlotAt(s).state = SegState::kLostPending;
+      int64_t s = retx_[i].seq;
+      StateAt(s) = SegState::kLostPending;
       ++lost_count_;
       NoteLostAt(s);
     }
@@ -201,14 +206,13 @@ class SackScoreboard {
   void MoveStaleRetxToLost(int64_t sack_seq) {
     size_t keep = 0;
     for (size_t i = 0; i < retx_count_; ++i) {
-      int64_t s = retx_seqs_[i];
-      Slot& sl = SlotAt(s);
-      if (sl.retx_marker + 3 <= sack_seq) {
-        sl.state = SegState::kLostPending;
+      const RetxEntry e = retx_[i];
+      if (e.marker + 3 <= sack_seq) {
+        StateAt(e.seq) = SegState::kLostPending;
         ++lost_count_;
-        NoteLostAt(s);
+        NoteLostAt(e.seq);
       } else {
-        retx_seqs_[keep++] = s;
+        retx_[keep++] = e;
       }
     }
     retx_count_ = keep;
@@ -218,7 +222,7 @@ class SackScoreboard {
   // this recovery episode); the segments revert to untouched in-flight.
   void ClearRetx() {
     for (size_t i = 0; i < retx_count_; ++i) {
-      SlotAt(retx_seqs_[i]).state = SegState::kInFlight;
+      StateAt(retx_[i].seq) = SegState::kInFlight;
     }
     retx_count_ = 0;
   }
@@ -231,9 +235,9 @@ class SackScoreboard {
       int64_t lo = lost_scan_ < base_ ? base_ : lost_scan_;
       int64_t hi = lost_hi_ >= end_ ? end_ - 1 : lost_hi_;
       for (int64_t s = lo; s <= hi && lost_count_ > 0; ++s) {
-        Slot& sl = SlotAt(s);
-        if (sl.state == SegState::kLostPending) {
-          sl.state = SegState::kInFlight;
+        SegState& st = StateAt(s);
+        if (st == SegState::kLostPending) {
+          st = SegState::kInFlight;
           --lost_count_;
         }
       }
@@ -242,22 +246,23 @@ class SackScoreboard {
   }
 
  private:
-  struct Slot {
-    int64_t retx_marker;
-    SegState state;
+  // A retransmitted seq and the value of next_seq_ when it was resent.
+  struct RetxEntry {
+    int64_t seq;
+    int64_t marker;
   };
 
   size_t Wrap(int64_t offset_from_head) const {
     return (head_ + static_cast<size_t>(offset_from_head)) & (cap_ - 1);
   }
 
-  Slot& SlotAt(int64_t seq) {
+  SegState& StateAt(int64_t seq) {
     BUNDLER_CHECK(seq >= base_ && seq < end_);
-    return slots_[Wrap(seq - base_)];
+    return states_[Wrap(seq - base_)];
   }
-  const Slot& SlotAt(int64_t seq) const {
+  SegState StateAt(int64_t seq) const {
     BUNDLER_CHECK(seq >= base_ && seq < end_);
-    return slots_[Wrap(seq - base_)];
+    return states_[Wrap(seq - base_)];
   }
 
   // The scan hints are conservative bounds, never shrunk eagerly: a stale
@@ -271,41 +276,46 @@ class SackScoreboard {
     }
   }
 
-  // retx_seqs_[0..retx_count_) holds exactly the kRetxOutstanding seqs,
-  // unordered (every consumer's effect is order-independent, and the
-  // ordered map it replaces iterated for effect, not for order).
-  void AppendRetxSeq(int64_t seq) {
+  // retx_[0..retx_count_) holds exactly the kRetxOutstanding seqs with their
+  // markers, unordered (every consumer's effect is order-independent, and
+  // the ordered map it replaces iterated for effect, not for order).
+  void AppendRetx(RetxEntry e) {
     if (retx_count_ == retx_cap_) {
       GrowRetx();
     }
-    retx_seqs_[retx_count_++] = seq;
+    retx_[retx_count_++] = e;
   }
 
-  void RemoveRetxSeq(int64_t seq) {
+  size_t FindRetx(int64_t seq) const {
     for (size_t i = 0; i < retx_count_; ++i) {
-      if (retx_seqs_[i] == seq) {
-        retx_seqs_[i] = retx_seqs_[--retx_count_];
-        return;
+      if (retx_[i].seq == seq) {
+        return i;
       }
     }
     BUNDLER_CHECK(false);  // seq was not outstanding
+    return 0;
+  }
+
+  void RemoveRetxSeq(int64_t seq) {
+    const size_t i = FindRetx(seq);
+    retx_[i] = retx_[--retx_count_];
   }
 
   void Grow(size_t need) {
-    size_t new_cap = cap_;
-    while (new_cap < need) {
-      new_cap *= 2;
-    }
+    BUNDLER_CHECK(need <= kMaxCapacity);
+    // cap_ is a power of two below need, so doubling it until it covers need
+    // lands exactly on bit_ceil(need).
+    const size_t new_cap = std::bit_ceil(need);
     // Amortized doubling past the inline capacity; vetted by alloc benches.
-    Slot* fresh = new Slot[new_cap];  // lint:allow(datapath-heap-alloc)
+    SegState* fresh = new SegState[new_cap];  // lint:allow(datapath-heap-alloc)
     int64_t count = end_ - base_;
     for (int64_t i = 0; i < count; ++i) {
-      fresh[i] = slots_[Wrap(i)];
+      fresh[i] = states_[Wrap(i)];
     }
-    if (slots_ != inline_slots_) {
-      delete[] slots_;
+    if (states_ != inline_states_) {
+      delete[] states_;
     }
-    slots_ = fresh;
+    states_ = fresh;
     cap_ = new_cap;
     head_ = 0;
   }
@@ -313,24 +323,26 @@ class SackScoreboard {
   void GrowRetx() {
     size_t new_cap = retx_cap_ * 2;
     // Amortized doubling past the inline capacity; vetted by alloc benches.
-    int64_t* fresh = new int64_t[new_cap];  // lint:allow(datapath-heap-alloc)
+    RetxEntry* fresh = new RetxEntry[new_cap];  // lint:allow(datapath-heap-alloc)
     for (size_t i = 0; i < retx_count_; ++i) {
-      fresh[i] = retx_seqs_[i];
+      fresh[i] = retx_[i];
     }
-    if (retx_seqs_ != inline_retx_) {
-      delete[] retx_seqs_;
+    if (retx_ != inline_retx_) {
+      delete[] retx_;
     }
-    retx_seqs_ = fresh;
+    retx_ = fresh;
     retx_cap_ = new_cap;
   }
 
   // Both inline footprints are sized for a typical web flow (first 32
-  // segments in flight, first 16 concurrent retransmissions); the ring and
+  // segments in flight, first 8 concurrent retransmissions); the ring and
   // side-list spill to doubling heap blocks only beyond that.
   static constexpr size_t kInitialCapacity = 32;  // power of two (mask indexing)
-  static constexpr size_t kInitialRetxCapacity = 16;
+  static constexpr size_t kInitialRetxCapacity = 8;
+  // Far beyond any simulated window; bounds Grow's doubling loop.
+  static constexpr size_t kMaxCapacity = size_t{1} << 40;
 
-  Slot* slots_;
+  SegState* states_;
   size_t cap_;
   size_t head_ = 0;  // ring index of seq == base_
 
@@ -344,12 +356,12 @@ class SackScoreboard {
   int64_t lost_scan_ = 0;       // no kLostPending below this seq
   int64_t lost_hi_ = -1;        // no kLostPending above this seq
 
-  int64_t* retx_seqs_;
+  RetxEntry* retx_;
   size_t retx_count_ = 0;
   size_t retx_cap_;
 
-  Slot inline_slots_[kInitialCapacity];
-  int64_t inline_retx_[kInitialRetxCapacity];
+  SegState inline_states_[kInitialCapacity];
+  RetxEntry inline_retx_[kInitialRetxCapacity];
 };
 
 }  // namespace bundler

@@ -15,8 +15,7 @@ namespace {
 constexpr TimeDelta kReceiverReclaimLinger = TimeDelta::Seconds(2);
 }  // namespace
 
-TcpReceiver::TcpReceiver(Host* host, uint64_t flow_id,
-                         InlineFunction<void(TimePoint)> on_complete)
+TcpReceiver::TcpReceiver(Host* host, uint64_t flow_id, FlowDoneFn on_complete)
     : host_(host), flow_id_(flow_id), on_complete_(std::move(on_complete)) {
   host_->Register(flow_id_, this);
 }
@@ -492,8 +491,7 @@ void TcpSender::OnAck(const Packet& ack) {
 }
 
 TcpSender* CreateTcpFlow(FlowTable* table, Host* src, Host* dst,
-                         const TcpFlowParams& params,
-                         InlineFunction<void(TimePoint)> on_receiver_complete) {
+                         const TcpFlowParams& params, FlowDoneFn on_receiver_complete) {
   uint64_t flow_id = table->AllocFlowId();
   FlowKey key;
   key.src = src->address();
@@ -514,7 +512,7 @@ TcpSender* CreateTcpFlow(FlowTable* table, Host* src, Host* dst,
 }
 
 TcpSender* StartTcpFlow(FlowTable* table, Host* src, Host* dst, const TcpFlowParams& params,
-                        InlineFunction<void(TimePoint)> on_receiver_complete) {
+                        FlowDoneFn on_receiver_complete) {
   TcpSender* sender = CreateTcpFlow(table, src, dst, params, std::move(on_receiver_complete));
   sender->Start();
   return sender;

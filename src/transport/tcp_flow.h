@@ -27,12 +27,18 @@ struct TcpFlowParams {
   TimePoint request_start;  // when the application issued the request
 };
 
+// Completion callback carried by every flow until its last byte arrives:
+// `fn(now)`. Flows are the simulator's per-unit memory cost, so the slot holds
+// two pointers' worth of capture (e.g. a recorder pointer and a request id);
+// bind anything larger through a pointer to caller-owned state.
+using FlowDoneFn = InlineFunction<void(TimePoint), 16>;
+
 // Receiver half: cumulative ACKing (one ACK per data packet, Linux quickack
 // style), out-of-order buffering, completion detection.
 class TcpReceiver : public PacketHandler {
  public:
   // `on_complete(now)` fires once, when the last byte arrives.
-  TcpReceiver(Host* host, uint64_t flow_id, InlineFunction<void(TimePoint)> on_complete);
+  TcpReceiver(Host* host, uint64_t flow_id, FlowDoneFn on_complete);
 
   void HandlePacket(Packet pkt) override;
 
@@ -49,7 +55,7 @@ class TcpReceiver : public PacketHandler {
   Host* host_;
   uint64_t flow_id_;
   FlowTable* reclaim_ = nullptr;
-  InlineFunction<void(TimePoint)> on_complete_;
+  FlowDoneFn on_complete_;
   int64_t cum_expected_ = 0;
   SeqIntervalSet out_of_order_;  // contiguous runs above the cumulative point
   int64_t bytes_received_ = 0;
@@ -193,12 +199,11 @@ class TcpSender : public PacketHandler {
 // event) to begin. `on_receiver_complete` may be null (e.g. backlogged
 // flows).
 TcpSender* CreateTcpFlow(FlowTable* table, Host* src, Host* dst,
-                         const TcpFlowParams& params,
-                         InlineFunction<void(TimePoint)> on_receiver_complete);
+                         const TcpFlowParams& params, FlowDoneFn on_receiver_complete);
 
 // CreateTcpFlow + immediate Start().
 TcpSender* StartTcpFlow(FlowTable* table, Host* src, Host* dst, const TcpFlowParams& params,
-                        InlineFunction<void(TimePoint)> on_receiver_complete);
+                        FlowDoneFn on_receiver_complete);
 
 }  // namespace bundler
 

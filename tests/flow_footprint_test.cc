@@ -1,0 +1,35 @@
+// Per-flow memory budget. An open-loop web workload keeps every flow it ever
+// started resident unless reclamation is on, so the sizes of the three
+// per-flow transport objects set the simulator's memory cost (the §7.1
+// dumbbell creates ~200k flows in 120 simulated seconds). These are upper
+// bounds: shrinking further is fine, growing past them needs a reason.
+#include <gtest/gtest.h>
+
+#include "src/app/workload.h"
+#include "src/transport/sack_scoreboard.h"
+#include "src/transport/tcp_flow.h"
+
+namespace bundler {
+namespace {
+
+TEST(FlowFootprintTest, TransportObjectsStayWithinBudget) {
+  EXPECT_LE(sizeof(SackScoreboard), 264u);
+  EXPECT_LE(sizeof(TcpSender), 800u);
+  EXPECT_LE(sizeof(TcpReceiver), 112u);
+  EXPECT_LE(sizeof(RequestResponse), 176u);
+}
+
+TEST(FlowFootprintTest, CompletionCallbackHoldsTwoPointers) {
+  // FlowDoneFn: 16 bytes of capture plus invoke/manage pointers.
+  EXPECT_EQ(FlowDoneFn::kCapacity, 16u);
+  EXPECT_LE(sizeof(FlowDoneFn), 32u);
+  int hits = 0;
+  uint64_t id = 7;
+  FlowDoneFn fn = [p = &hits, id](TimePoint) { *p += static_cast<int>(id); };
+  FlowDoneFn copy = fn;
+  copy(TimePoint::Zero());
+  EXPECT_EQ(hits, 7);
+}
+
+}  // namespace
+}  // namespace bundler

@@ -289,6 +289,53 @@ TEST(SackScoreboardTest, RtoAtWindowEdgeExtendsWindow) {
   EXPECT_EQ(sb.RetxMarker(5), 5);
 }
 
+TEST(SackScoreboardTest, RetxSideListSpillKeepsMarkers) {
+  // 12 outstanding retransmissions overflow the 8 inline side-list entries;
+  // each keeps its own marker (seq 10 + i was resent when next_seq_ was 40 + i).
+  SackScoreboard sb;
+  sb.ExtendTo(40);
+  sb.MarkSacked(30);
+  for (int64_t q = 10; q < 30; ++q) {
+    sb.MarkLost(q);
+  }
+  constexpr int64_t kRetx = 12;
+  for (int64_t i = 0; i < kRetx; ++i) {
+    sb.ExtendTo(41 + i);
+    ASSERT_EQ(sb.FirstLost(), 10 + i);
+    sb.MarkRetx(10 + i, 40 + i);
+  }
+  ASSERT_EQ(sb.retx_count(), kRetx);
+  ASSERT_EQ(sb.lost_count(), 20 - kRetx);
+  for (int64_t i = 0; i < kRetx; ++i) {
+    EXPECT_EQ(sb.StateOf(10 + i), SegState::kRetxOutstanding) << "seq " << 10 + i;
+    EXPECT_EQ(sb.RetxMarker(10 + i), 40 + i) << "seq " << 10 + i;
+  }
+
+  // Re-marking an outstanding seq refreshes its marker without adding an
+  // entry: seq 12 (marker 42) now counts as resent at 60.
+  sb.ExtendTo(60);
+  sb.MarkRetx(12, 60);
+  EXPECT_EQ(sb.retx_count(), kRetx);
+  EXPECT_EQ(sb.RetxMarker(12), 60);
+
+  // A SACK for original seq 47 proves every retransmission with
+  // marker + 3 <= 47 was dropped: markers 40..44, i.e. seqs 10, 11, 13, 14.
+  // Seq 12 (refreshed to 60) and seqs 15..21 (markers 45..51) stay outstanding.
+  sb.MoveStaleRetxToLost(47);
+  for (int64_t seq : {10, 11, 13, 14}) {
+    EXPECT_EQ(sb.StateOf(seq), SegState::kLostPending) << "seq " << seq;
+  }
+  EXPECT_EQ(sb.StateOf(12), SegState::kRetxOutstanding);
+  EXPECT_EQ(sb.RetxMarker(12), 60);
+  for (int64_t seq = 15; seq < 10 + kRetx; ++seq) {
+    EXPECT_EQ(sb.StateOf(seq), SegState::kRetxOutstanding) << "seq " << seq;
+    EXPECT_EQ(sb.RetxMarker(seq), seq + 30) << "seq " << seq;
+  }
+  EXPECT_EQ(sb.retx_count(), kRetx - 4);
+  EXPECT_EQ(sb.lost_count(), 20 - kRetx + 4);
+  EXPECT_EQ(sb.FirstLost(), 10);
+}
+
 TEST(SackScoreboardTest, WindowGrowthPreservesState) {
   // Force several ring reallocation cycles with live state in the window.
   SackScoreboard sb;
