@@ -525,14 +525,13 @@ BenchResult BenchSameTimeBurst(const std::string& name) {
 // FlowTable arena reclamation in steady state: a 256-flow working set where
 // each op releases the oldest object and emplaces a replacement — the
 // swap-remove, header fixup, and free-list push/pop cycle of a churny
-// scenario with reclaim enabled. Gated allocation-free: once the arena is
-// warm, create/release recycles blocks instead of growing it.
+// scenario. Gated allocation-free: once the arena is warm, create/release
+// recycles blocks instead of growing it.
 BenchResult BenchFlowReclaimChurn() {
   struct Flowish {
     uint64_t words[48] = {};  // sender-ish footprint, a few size classes up
   };
   FlowTable table;
-  table.EnableReclaim();
   std::vector<Flowish*> live(256);
   for (Flowish*& f : live) {
     f = table.Emplace<Flowish>();
@@ -598,7 +597,6 @@ BenchResult BenchParallelDesFatTree(int workers) {
   }
   ShardChannelSet channels;
   std::unique_ptr<Net> net = b.Build(plan, sims, &channels);
-  net->flows()->EnableReclaim();
 
   // Staggered incast waves onto leaf 0 for the whole run, as in the
   // fat_tree_incast scenario.

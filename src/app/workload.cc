@@ -95,7 +95,7 @@ RequestResponse::~RequestResponse() {
 
 void RequestResponse::SendRequest() {
   retry_timer_ = kInvalidEventId;
-  if (started_ || attempts_ >= kMaxAttempts) {
+  if (attempts_ >= kMaxAttempts) {
     return;
   }
   ++attempts_;
@@ -110,24 +110,22 @@ void RequestResponse::SendRequest() {
 }
 
 void RequestResponse::HandlePacket(Packet pkt) {
-  if (started_ || pkt.type != PacketType::kData) {
+  if (pkt.type != PacketType::kData) {
     return;
   }
-  started_ = true;
   if (retry_timer_ != kInvalidEventId) {
     sim_->Cancel(retry_timer_);
     retry_timer_ = kInvalidEventId;
   }
   StartTcpFlow(flows_, server_, client_, params_, std::move(on_complete_));
-  if (flows_->reclaim_enabled()) {
-    // The handshake glue is dead weight once the data flow exists: vacate the
-    // request flow id (retried requests land in the unclaimed counter) and
-    // self-release off this stack frame. The retry timer is already dead.
-    server_->Unregister(request_flow_id_);
-    FlowTable* table = flows_;
-    RequestResponse* self = this;
-    sim_->Schedule(TimeDelta::Zero(), [table, self]() { table->Release(self); });
-  }
+  // The handshake glue is dead weight once the data flow exists: vacate the
+  // request flow id (retried requests land in the unclaimed counter, so only
+  // the first one starts a response) and self-release off this stack frame.
+  // The retry timer is already dead.
+  server_->Unregister(request_flow_id_);
+  FlowTable* table = flows_;
+  RequestResponse* self = this;
+  sim_->Schedule(TimeDelta::Zero(), [table, self]() { table->Release(self); });
 }
 
 std::vector<TcpSender*> StartBulkFlows(Simulator* sim, FlowTable* flows, Host* server,

@@ -70,10 +70,9 @@ class RequestResponse : public PacketHandler {
   RequestResponse(const RequestResponse&) = delete;
   RequestResponse& operator=(const RequestResponse&) = delete;
 
-  // The request packet arriving at the server.
+  // The request packet arriving at the server: starts the response flow and
+  // releases this object.
   void HandlePacket(Packet pkt) override;
-
-  bool started() const { return started_; }
 
  private:
   static constexpr int kMaxAttempts = 15;
@@ -88,12 +87,13 @@ class RequestResponse : public PacketHandler {
   FlowDoneFn on_complete_;
   uint64_t request_flow_id_;
   FlowKey request_key_;
-  bool started_ = false;
   int attempts_ = 0;
   EventId retry_timer_ = kInvalidEventId;
 };
 
 // `count` backlogged flows from server to client, started at `start`.
+// Backlogged flows never complete, so unlike a finite flow's sender (freed
+// on completion, see CreateTcpFlow) these handles stay valid for the run.
 // Always returns all `count` sender handles (for throughput accounting):
 // sender/receiver pairs are created — ids and ports allocated — immediately,
 // and a `start` in the future only defers the first transmission. (The old

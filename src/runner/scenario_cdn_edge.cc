@@ -184,7 +184,6 @@ TrialResult RunTrial(const TrialPoint& point) {
   Simulator sim;
   BeginTrialObs(&sim);
   std::unique_ptr<Net> net = b.Build(&sim);
-  net->flows()->EnableReclaim();
 
   // Seeded splitmix-style stream for arrival jitter and size tails. The
   // stream is consumed identically in both variants, so managed and

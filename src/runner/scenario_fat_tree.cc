@@ -7,9 +7,9 @@
 // hosts (round-robin) in periodic waves with seeded per-flow start jitter —
 // a classic incast onto leaf 0's downlinks. All flows are created up front
 // with deferred starts, so flow-id assignment is single-threaded and
-// deterministic; only packet events cross shards mid-run. Arena reclamation
-// is enabled: completed senders/receivers release their FlowTable blocks, so
-// the arena footprint is bounded by the in-flight working set, not the total
+// deterministic; only packet events cross shards mid-run. Completed
+// senders/receivers release their FlowTable blocks (flow.releases), so the
+// arena footprint is bounded by the in-flight working set, not the total
 // flow count.
 #include <memory>
 #include <string>
@@ -53,7 +53,6 @@ TrialResult RunTrial(const TrialPoint& point) {
   }
   ShardChannelSet channels;
   std::unique_ptr<Net> net = b.Build(plan, sims, &channels);
-  net->flows()->EnableReclaim();
   BeginTrialObs(sims);
 
   // Seeded start jitter (splitmix-style): spreads each wave's flows over a

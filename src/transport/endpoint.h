@@ -6,9 +6,8 @@
 // Both sit on the per-flow setup path, which under an open-loop web workload
 // runs thousands of times per simulated second: the demux table is an
 // open-addressing FlatMap64 (no node allocation per flow) and FlowTable
-// carves transport objects out of a bump arena (one block allocation per
-// ~hundred flows) instead of one make_unique per object, so steady-state
-// flow churn costs ~zero heap allocations per event.
+// carves transport objects out of an arena whose blocks completed flows hand
+// back, so steady-state flow churn costs ~zero heap allocations per event.
 #ifndef SRC_TRANSPORT_ENDPOINT_H_
 #define SRC_TRANSPORT_ENDPOINT_H_
 
@@ -18,6 +17,13 @@
 #include <mutex>
 #include <new>
 #include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
 
 #include "src/net/node.h"
 #include "src/sim/simulator.h"
@@ -41,6 +47,12 @@ class Host : public PacketHandler {
   void Register(uint64_t flow_id, PacketHandler* handler);
   void Unregister(uint64_t flow_id);
 
+  // TIME_WAIT without a per-flow object. A completed TCP receiver would only
+  // re-ACK the flow's segment count, so it frees itself and the host sends
+  // that ACK for every later data packet of `flow_id`, for the rest of the
+  // run. The demux entry points at one shared sentinel: no memory per flow.
+  void RetireReceiver(uint64_t flow_id);
+
   uint16_t AllocPort();
 
   Simulator* sim() { return sim_; }
@@ -58,22 +70,20 @@ class Host : public PacketHandler {
   uint64_t unclaimed_ = 0;
 };
 
-// Owns transport objects for the lifetime of a scenario and allocates ids.
-// Objects are constructed in bump-arena blocks and destroyed (in reverse
-// construction order) when the table goes away.
+// Owns transport objects and allocates flow ids. Each object is carved from
+// an arena with a 16-byte header and rounded up to a 64-byte size class.
+// Objects free themselves once their flow is done (a completed sender or
+// receiver, a request whose response has started): Release() destroys the
+// object and threads its block onto a per-class free list, so the arena is
+// bounded by the flows in flight rather than by every flow the run created,
+// and a warm arena serves create/release cycles with zero heap allocations.
+// Objects still live when the table goes away (backlogged flows, flows cut
+// off by the end of the run) are destroyed then, in no particular order.
 //
-// Reclamation (opt-in, see EnableReclaim): a long churny run would otherwise
-// grow the arena without bound, one dead sender+receiver pair per completed
-// flow. With reclaim on, each object is carved with a 16-byte header and
-// rounded up to a 64-byte size class; Release() destroys the object and
-// threads its block onto a per-class free list, so steady-state churn recycles
-// blocks instead of growing the arena — zero heap allocations per
-// create/release cycle once the working set is warm. Every table structure is
-// GUARDED_BY(mu_) because in a sharded run flows complete concurrently in
-// different shards; object construction always runs outside the lock (flow
-// constructors send packets and schedule events, and must not hold the table
-// mutex while doing so). Reclaim must be enabled before the first Emplace so
-// every owned object has a header.
+// Every table structure is GUARDED_BY(mu_) because in a sharded run flows
+// complete concurrently in different shards; object construction always runs
+// outside the lock (flow constructors send packets and schedule events, and
+// must not hold the table mutex while doing so).
 class FlowTable {
  public:
   FlowTable() = default;
@@ -81,8 +91,8 @@ class FlowTable {
   FlowTable& operator=(const FlowTable&) = delete;
   ~FlowTable() {
     std::lock_guard<std::mutex> lock(mu_);
-    for (size_t i = owned_.size(); i > 0; --i) {
-      owned_[i - 1].destroy(owned_[i - 1].obj);
+    for (const Owned& o : owned_) {
+      o.destroy(o.obj);
     }
   }
 
@@ -93,21 +103,11 @@ class FlowTable {
 
   template <typename T, typename... Args>
   [[nodiscard]] T* Emplace(Args&&... args) {
-    static_assert(sizeof(T) <= kBlockBytes, "flow object larger than an arena block");
+    static_assert(sizeof(T) + sizeof(ReclaimHeader) <= kBlockBytes,
+                  "flow object larger than an arena block");
     static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
                   "arena blocks are new[]-aligned");
-    if (!reclaim_) {
-      void* mem;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        mem = Allocate(sizeof(T), alignof(T));
-      }
-      T* obj = ::new (mem) T(std::forward<Args>(args)...);
-      std::lock_guard<std::mutex> lock(mu_);
-      owned_.push_back(Owned{obj, [](void* p) { static_cast<T*>(p)->~T(); }});
-      return obj;
-    }
-    void* mem = AllocateReclaimable(sizeof(T));
+    void* mem = Allocate(sizeof(T));
     T* obj = ::new (mem) T(std::forward<Args>(args)...);
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -122,22 +122,16 @@ class FlowTable {
     return owned_.size();
   }
 
-  // --- Arena reclamation (opt-in) ---
-  // Must be called before the first Emplace (headers are laid down at
-  // allocation time). Scenarios that enable it are responsible for only
-  // Releasing objects that no live event still references.
-  void EnableReclaim() {
-    std::lock_guard<std::mutex> lock(mu_);
-    BUNDLER_CHECK_MSG(owned_.empty(),
-                      "EnableReclaim must run before the first Emplace");
-    reclaim_ = true;
-  }
-  bool reclaim_enabled() const { return reclaim_; }
+  // No-op: every table reclaims. Kept only because the benchmark harness
+  // (bench/e2e/bundler_bench.cc), written when reclamation was opt-in, still
+  // calls it; delete it with those calls.
+  void EnableReclaim() {}
 
-  // Destroys an Emplace()d object and recycles its arena block. Only valid
-  // when reclaim is enabled and `obj` came from this table.
+  // Destroys an Emplace()d object and recycles its arena block. The caller
+  // guarantees no live event or handle still references `obj`; under
+  // AddressSanitizer the dead payload is poisoned until reuse, so a stale
+  // handle faults instead of reading a destroyed object.
   void Release(void* obj) {
-    BUNDLER_CHECK(reclaim_);
     std::lock_guard<std::mutex> lock(mu_);
     ReclaimHeader* h = Header(obj);
     BUNDLER_CHECK_MSG(h->magic == kReclaimMagic,
@@ -152,6 +146,7 @@ class FlowTable {
     }
     const size_t cls = h->size_class;
     h->magic = 0;
+    ASAN_POISON_MEMORY_REGION(obj, cls * kGranule);
     // The dead block's first word becomes the free-list link.
     *reinterpret_cast<void**>(h) = free_lists_[cls];
     free_lists_[cls] = h;
@@ -177,9 +172,9 @@ class FlowTable {
     void (*destroy)(void*);
   };
 
-  // Sits immediately before each reclaimable object. 16 bytes keeps the
-  // payload at new[] alignment; the magic doubles as a use-after-release trap
-  // and leaves the first word free for the free-list link once dead.
+  // Sits immediately before each object and is never poisoned. 16 bytes keeps
+  // the payload at new[] alignment; the magic doubles as a use-after-release
+  // trap and leaves the first word free for the free-list link once dead.
   struct ReclaimHeader {
     uint32_t owned_idx;
     uint32_t size_class;
@@ -194,7 +189,9 @@ class FlowTable {
                                             sizeof(ReclaimHeader));
   }
 
-  void* AllocateReclaimable(size_t bytes) {
+  // Returns the payload address of a free block of `bytes`' size class: the
+  // class's free list first, fresh arena space otherwise.
+  void* Allocate(size_t bytes) {
     const size_t cls = (bytes + kGranule - 1) / kGranule;
     std::lock_guard<std::mutex> lock(mu_);
     if (free_lists_.size() <= cls) {
@@ -205,35 +202,29 @@ class FlowTable {
       free_lists_[cls] = *static_cast<void**>(block);
       ++reuses_;
     } else {
-      // Block aligned to new[] alignment so the payload (16 bytes in) still
-      // satisfies the Emplace static_assert's alignment bound.
-      block = Allocate(sizeof(ReclaimHeader) + cls * kGranule,
-                       __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+      // Every carve is 16 + a multiple of 64 bytes from a new[]-aligned
+      // block, so headers and payloads stay at new[] alignment.
+      const size_t carve = sizeof(ReclaimHeader) + cls * kGranule;
+      if (blocks_.empty() || arena_used_ + carve > kBlockBytes) {
+        // Amortized arena growth; steady state recycles via free lists.
+        blocks_.push_back(std::make_unique<unsigned char[]>(kBlockBytes));  // lint:allow(datapath-heap-alloc)
+        arena_used_ = 0;
+      }
+      block = blocks_.back().get() + arena_used_;
+      arena_used_ += carve;
     }
     auto* h = static_cast<ReclaimHeader*>(block);
     h->size_class = static_cast<uint32_t>(cls);
     h->magic = kReclaimMagic;
-    return static_cast<unsigned char*>(block) + sizeof(ReclaimHeader);
-  }
-
-  void* Allocate(size_t bytes, size_t align) REQUIRES(mu_) {
-    size_t at = (arena_used_ + align - 1) & ~(align - 1);
-    if (blocks_.empty() || at + bytes > kBlockBytes) {
-      // Amortized arena growth; steady state recycles via free lists.
-      blocks_.push_back(std::make_unique<unsigned char[]>(kBlockBytes));  // lint:allow(datapath-heap-alloc)
-      at = 0;
-    }
-    arena_used_ = at + bytes;
-    return blocks_.back().get() + at;
+    void* payload = static_cast<unsigned char*>(block) + sizeof(ReclaimHeader);
+    // A recycled payload was poisoned by Release (fresh arena space never is).
+    ASAN_UNPOISON_MEMORY_REGION(payload, cls * kGranule);
+    return payload;
   }
 
   // Large enough for ~100 flows (sender+receiver+glue) per block; a flow
   // object bigger than a block would be a bug worth hearing about loudly.
   static constexpr size_t kBlockBytes = 256 * 1024;
-
-  // Write-once during single-threaded setup (EnableReclaim precedes the first
-  // Emplace by contract), read-only once flows churn — safe unguarded.
-  bool reclaim_ = false;
 
   mutable std::mutex mu_;
   uint64_t next_flow_id_ GUARDED_BY(mu_) = 1;

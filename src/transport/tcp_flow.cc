@@ -8,15 +8,9 @@
 
 namespace bundler {
 
-namespace {
-// How long a completed receiver keeps ACKing before releasing itself when
-// arena reclamation is on. Must comfortably exceed the sender's plausible
-// retransmission timeout for the tail segment (kMinRto with a few backoffs).
-constexpr TimeDelta kReceiverReclaimLinger = TimeDelta::Seconds(2);
-}  // namespace
-
-TcpReceiver::TcpReceiver(Host* host, uint64_t flow_id, FlowDoneFn on_complete)
-    : host_(host), flow_id_(flow_id), on_complete_(std::move(on_complete)) {
+TcpReceiver::TcpReceiver(Host* host, FlowTable* table, uint64_t flow_id,
+                         FlowDoneFn on_complete)
+    : host_(host), table_(table), flow_id_(flow_id), on_complete_(std::move(on_complete)) {
   host_->Register(flow_id_, this);
 }
 
@@ -24,16 +18,12 @@ void TcpReceiver::HandlePacket(Packet pkt) {
   if (pkt.type != PacketType::kData) {
     return;
   }
-  TimePoint now = host_->sim()->now();
   if (pkt.seq == cum_expected_) {
-    bytes_received_ += pkt.size_bytes;
     ++cum_expected_;
     // Drain any contiguous out-of-order segments.
     cum_expected_ = out_of_order_.DrainContiguousFrom(cum_expected_);
   } else if (pkt.seq > cum_expected_) {
-    if (out_of_order_.Insert(pkt.seq)) {
-      bytes_received_ += pkt.size_bytes;
-    }
+    (void)out_of_order_.Insert(pkt.seq);
   }
   // else: duplicate below the cumulative point; still ACK it.
 
@@ -42,28 +32,24 @@ void TcpReceiver::HandlePacket(Packet pkt) {
   ack.request_id = pkt.request_id;
   host_->SendOut(std::move(ack));
 
-  if (!complete_ && pkt.flow_total_pkts > 0 && cum_expected_ >= pkt.flow_total_pkts) {
-    complete_ = true;
+  if (pkt.flow_total_pkts > 0 && cum_expected_ >= pkt.flow_total_pkts) {
     if (on_complete_) {
-      on_complete_(now);
+      on_complete_(host_->sim()->now());
     }
-    if (reclaim_ != nullptr) {
-      // TIME_WAIT analog: the sender's last retransmission may still be in
-      // flight (its previous copy got through but the ACK was lost), so keep
-      // ACKing for a grace period comfortably above the max plausible RTO
-      // before vacating the flow id.
-      FlowTable* table = reclaim_;
-      TcpReceiver* self = this;
-      host_->sim()->Schedule(kReceiverReclaimLinger, [table, self]() {
-        self->host_->Unregister(self->flow_id_);
-        table->Release(self);
-      });
-    }
+    // TIME_WAIT: the sender's final ACKs may still be lost, so its tail
+    // retransmissions must keep drawing ACKs. From here on they can only ever
+    // be ACKed with cum_expected_ == flow_total_pkts, which the host does on
+    // this receiver's behalf for the rest of the run.
+    host_->RetireReceiver(flow_id_);
+    FlowTable* table = table_;
+    TcpReceiver* self = this;
+    host_->sim()->Schedule(TimeDelta::Zero(), [table, self]() { table->Release(self); });
   }
 }
 
-TcpSender::TcpSender(Host* host, uint64_t flow_id, FlowKey key, const TcpFlowParams& params)
-    : host_(host), flow_id_(flow_id), key_(key), params_(params) {
+TcpSender::TcpSender(Host* host, FlowTable* table, uint64_t flow_id, FlowKey key,
+                     const TcpFlowParams& params)
+    : host_(host), table_(table), flow_id_(flow_id), key_(key), params_(params) {
   cc_ = MakeHostCcInPlace(&cc_storage_, params.cc, params.const_cwnd_pkts);
   if (params_.size_bytes < 0) {
     total_pkts_ = 0;
@@ -435,18 +421,15 @@ void TcpSender::OnAck(const Packet& ack) {
         host_->sim()->Cancel(pacing_timer_);
         pacing_timer_ = kInvalidEventId;
       }
-      if (reclaim_ != nullptr) {
-        // Every byte is cumulatively ACKed and every timer above is dead, so
-        // no pending event references this sender. Vacate the flow id now
-        // (straggler dup-ACKs land in the host's unclaimed counter) and
-        // destroy via a zero-delay event so the destructor never runs under
-        // this handler's own stack frame.
-        host_->Unregister(flow_id_);
-        FlowTable* table = reclaim_;
-        TcpSender* self = this;
-        host_->sim()->Schedule(TimeDelta::Zero(),
-                               [table, self]() { table->Release(self); });
-      }
+      // Every byte is cumulatively ACKed and every timer above is dead, so
+      // no pending event references this sender. Vacate the flow id now
+      // (straggler dup-ACKs land in the host's unclaimed counter) and
+      // destroy via a zero-delay event so the destructor never runs under
+      // this handler's own stack frame.
+      host_->Unregister(flow_id_);
+      FlowTable* table = table_;
+      TcpSender* self = this;
+      host_->sim()->Schedule(TimeDelta::Zero(), [table, self]() { table->Release(self); });
       return;
     }
   } else if (ack.seq == cum_acked_) {
@@ -501,14 +484,8 @@ TcpSender* CreateTcpFlow(FlowTable* table, Host* src, Host* dst,
   key.src_port = 80;
   key.dst_port = dst->AllocPort();
   key.protocol = 6;
-  TcpReceiver* receiver =
-      table->Emplace<TcpReceiver>(dst, flow_id, std::move(on_receiver_complete));
-  TcpSender* sender = table->Emplace<TcpSender>(src, flow_id, key, params);
-  if (table->reclaim_enabled()) {
-    receiver->set_reclaim(table);
-    sender->set_reclaim(table);
-  }
-  return sender;
+  (void)table->Emplace<TcpReceiver>(dst, table, flow_id, std::move(on_receiver_complete));
+  return table->Emplace<TcpSender>(src, table, flow_id, key, params);
 }
 
 TcpSender* StartTcpFlow(FlowTable* table, Host* src, Host* dst, const TcpFlowParams& params,

@@ -34,38 +34,34 @@ struct TcpFlowParams {
 using FlowDoneFn = InlineFunction<void(TimePoint), 16>;
 
 // Receiver half: cumulative ACKing (one ACK per data packet, Linux quickack
-// style), out-of-order buffering, completion detection.
+// style), out-of-order buffering, completion detection. When the last byte
+// arrives the receiver fires `on_complete(now)`, hands its flow id to the
+// host's TIME_WAIT acker (Host::RetireReceiver) and releases itself back to
+// `table` through a zero-delay event.
 class TcpReceiver : public PacketHandler {
  public:
-  // `on_complete(now)` fires once, when the last byte arrives.
-  TcpReceiver(Host* host, uint64_t flow_id, FlowDoneFn on_complete);
+  TcpReceiver(Host* host, FlowTable* table, uint64_t flow_id, FlowDoneFn on_complete);
 
   void HandlePacket(Packet pkt) override;
 
-  int64_t cum_expected() const { return cum_expected_; }
-  int64_t bytes_received() const { return bytes_received_; }
-  bool complete() const { return complete_; }
-
-  // Arms self-release into `table` (which must have reclaim enabled): after
-  // completion the receiver lingers for a TIME_WAIT-style grace period — still
-  // ACKing retransmits of the tail — then unregisters and releases itself.
-  void set_reclaim(FlowTable* table) { reclaim_ = table; }
-
  private:
   Host* host_;
+  FlowTable* table_;
   uint64_t flow_id_;
-  FlowTable* reclaim_ = nullptr;
   FlowDoneFn on_complete_;
   int64_t cum_expected_ = 0;
   SeqIntervalSet out_of_order_;  // contiguous runs above the cumulative point
-  int64_t bytes_received_ = 0;
-  bool complete_ = false;
 };
 
-// Sender half.
+// Sender half. A finite flow's sender completes when every byte is
+// cumulatively ACKed: it cancels its timers, vacates its flow id (later
+// dup-ACKs land in the host's unclaimed counter) and releases itself back to
+// `table` through a zero-delay event, so its destructor never runs under its
+// own handler's stack frame. A backlogged sender never completes.
 class TcpSender : public PacketHandler {
  public:
-  TcpSender(Host* host, uint64_t flow_id, FlowKey key, const TcpFlowParams& params);
+  TcpSender(Host* host, FlowTable* table, uint64_t flow_id, FlowKey key,
+            const TcpFlowParams& params);
   ~TcpSender() override;
 
   // Begin transmitting (schedules the first send immediately).
@@ -82,12 +78,6 @@ class TcpSender : public PacketHandler {
   uint64_t retransmits() const { return retransmits_; }
   uint64_t timeouts() const { return timeouts_; }
   TimeDelta srtt() const { return srtt_; }
-
-  // Arms self-release into `table`: on completion (every byte cumulatively
-  // ACKed, all timers cancelled) the sender unregisters and schedules a
-  // zero-delay event that releases it, so destruction never runs under a
-  // live stack frame of its own handler.
-  void set_reclaim(FlowTable* table) { reclaim_ = table; }
 
  private:
   static constexpr auto kMinRto = TimeDelta::Millis(200);
@@ -126,8 +116,8 @@ class TcpSender : public PacketHandler {
   TimeDelta CurrentRto() const;
 
   Host* host_;
+  FlowTable* table_;
   uint64_t flow_id_;
-  FlowTable* reclaim_ = nullptr;
   FlowKey key_;
   TcpFlowParams params_;
   HostCc* cc_;
@@ -197,7 +187,12 @@ class TcpSender : public PacketHandler {
 // Wires up a sender on `src` and receiver on `dst` without transmitting
 // anything; the caller invokes Start() (possibly later, via a scheduled
 // event) to begin. `on_receiver_complete` may be null (e.g. backlogged
-// flows).
+// flows). Both halves live in `table` and free themselves when the flow
+// completes, so the returned handle of a finite flow is valid only until its
+// sender completes (the zero-delay release event after the last ACK); read
+// per-flow results through `on_receiver_complete` or the simulator's tcp.*
+// counters. A backlogged flow never completes: its handle stays valid for as
+// long as the table does.
 TcpSender* CreateTcpFlow(FlowTable* table, Host* src, Host* dst,
                          const TcpFlowParams& params, FlowDoneFn on_receiver_complete);
 

@@ -1,8 +1,8 @@
-// Per-flow memory budget. An open-loop web workload keeps every flow it ever
-// started resident unless reclamation is on, so the sizes of the three
-// per-flow transport objects set the simulator's memory cost (the §7.1
-// dumbbell creates ~200k flows in 120 simulated seconds). These are upper
-// bounds: shrinking further is fine, growing past them needs a reason.
+// Per-flow memory budget. Completed flows free their objects, so the sizes of
+// the three per-flow transport objects times the flows in flight set the
+// simulator's memory cost (the §7.1 dumbbell creates ~200k flows in 120
+// simulated seconds). These are upper bounds: shrinking further is fine,
+// growing past them needs a reason.
 #include <gtest/gtest.h>
 
 #include "src/app/workload.h"

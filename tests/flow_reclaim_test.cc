@@ -1,13 +1,16 @@
 // FlowTable arena-reclamation tests (src/transport/endpoint.h): free-list
 // recycling and swap-remove header fixup at the unit level, misuse death
-// tests, and a TCP integration run over the fat-tree fabric where every
+// tests, a TCP integration run over the fat-tree fabric where every
 // completed flow hands its sender and receiver blocks back to the arena —
-// a second wave of flows must be carved entirely from the free lists.
+// a second wave of flows must be carved entirely from the free lists — and
+// the host-level TIME_WAIT acker that answers for retired receivers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 
+#include "src/net/link.h"
+#include "src/qdisc/fifo.h"
 #include "src/sim/simulator.h"
 #include "src/topo/fat_tree.h"
 #include "src/topo/net_builder.h"
@@ -26,8 +29,6 @@ struct Tracked {
 
 TEST(FlowReclaimTest, ReleaseRecyclesBlocksThroughTheFreeList) {
   FlowTable table;
-  table.EnableReclaim();
-  ASSERT_TRUE(table.reclaim_enabled());
   int live = 0;
   Tracked* a = table.Emplace<Tracked>(&live);
   Tracked* b = table.Emplace<Tracked>(&live);
@@ -68,7 +69,6 @@ TEST(FlowReclaimTest, SizeClassesKeepIndependentFreeLists) {
     char payload[200] = {};
   };
   FlowTable table;
-  table.EnableReclaim();
   int live = 0;
   Tracked* small = table.Emplace<Tracked>(&live);
   Big* big = table.Emplace<Big>(&live);
@@ -86,50 +86,58 @@ TEST(FlowReclaimTest, SizeClassesKeepIndependentFreeLists) {
   EXPECT_EQ(live, 0);
 }
 
-TEST(FlowReclaimTest, LegacyModeOwnsObjectsUntilTableDestruction) {
+TEST(FlowReclaimTest, TableDestroysObjectsStillLive) {
   int live = 0;
   {
     FlowTable table;
+    Tracked* a = table.Emplace<Tracked>(&live);
     (void)table.Emplace<Tracked>(&live);
     (void)table.Emplace<Tracked>(&live);
-    EXPECT_FALSE(table.reclaim_enabled());
+    table.Release(a);
     EXPECT_EQ(live, 2);
   }
   EXPECT_EQ(live, 0);
 }
 
-TEST(FlowReclaimDeathTest, EnableAfterEmplaceDies) {
-  FlowTable table;
-  int live = 0;
-  (void)table.Emplace<Tracked>(&live);
-  EXPECT_DEATH(table.EnableReclaim(), "before the first Emplace");
-}
-
-TEST(FlowReclaimDeathTest, ReleaseWithoutReclaimDies) {
-  FlowTable table;
-  int live = 0;
-  Tracked* t = table.Emplace<Tracked>(&live);
-  EXPECT_DEATH(table.Release(t), "reclaim_");
-}
-
 TEST(FlowReclaimDeathTest, ReleaseOfForeignPointerDies) {
   FlowTable table;
-  table.EnableReclaim();
   uint64_t buf[8] = {};  // leading zeros where the magic header would sit
   EXPECT_DEATH(table.Release(&buf[2]), "does not own");
 }
 
+#if defined(__SANITIZE_ADDRESS__)
+TEST(FlowReclaimDeathTest, ReadAfterReleaseFaultsUnderAsan) {
+  // A released payload stays in the arena; AddressSanitizer poisons it so a
+  // stale handle faults instead of silently reading a dead object.
+  FlowTable table;
+  int live = 0;
+  Tracked* t = table.Emplace<Tracked>(&live);
+  t->payload[0] = 'x';
+  table.Release(t);
+  EXPECT_DEATH(
+      {
+        volatile char c = t->payload[0];
+        (void)c;
+      },
+      "use-after-poison");
+  // Reuse unpoisons the block for its new owner.
+  Tracked* u = table.Emplace<Tracked>(&live);
+  EXPECT_EQ(static_cast<void*>(u), static_cast<void*>(t));
+  EXPECT_EQ(u->payload[0], 0);
+}
+#endif
+
 // Integration: completed TCP flows self-release. The sender frees at
-// completion; the receiver lingers (TIME_WAIT analog, ~2 s) and then frees.
-// A second wave created after the first wave's blocks return must allocate
-// entirely from the free lists — steady-state churn does not grow the arena.
+// completion; the receiver frees when its last byte arrives and leaves its
+// TIME_WAIT to the host. A second wave created after the first wave's blocks
+// return must allocate entirely from the free lists — steady-state churn does
+// not grow the arena.
 TEST(FlowReclaimTest, CompletedTcpFlowsReleaseAndNewFlowsReuse) {
   FatTreeConfig cfg;
   FatTreeGraph g;
   NetBuilder b = FatTreeBuilder(cfg, &g);
   Simulator sim;
   std::unique_ptr<Net> net = b.Build(&sim);
-  net->flows()->EnableReclaim();
 
   auto start_wave = [&](TimePoint base) {
     int n = 0;
@@ -153,8 +161,8 @@ TEST(FlowReclaimTest, CompletedTcpFlowsReleaseAndNewFlowsReuse) {
 
   const int first = start_wave(TimePoint::Zero() + TimeDelta::Millis(1));
   sim.RunUntil(TimePoint::Zero() + TimeDelta::Seconds(3));
-  // First wave fully complete and past the receiver linger: every sender and
-  // receiver released, table empty, arena warm.
+  // First wave fully complete: every sender and receiver released, table
+  // empty, arena warm.
   EXPECT_EQ(net->flows()->releases(), static_cast<uint64_t>(2 * first));
   EXPECT_EQ(net->flows()->size(), 0u);
   const size_t warm_blocks = net->flows()->arena_blocks();
@@ -166,6 +174,59 @@ TEST(FlowReclaimTest, CompletedTcpFlowsReleaseAndNewFlowsReuse) {
   // The entire second wave was carved from recycled blocks.
   EXPECT_EQ(net->flows()->reuses(), static_cast<uint64_t>(2 * second));
   EXPECT_EQ(net->flows()->arena_blocks(), warm_blocks);
+}
+
+// TIME_WAIT: the receiver frees itself the moment its last byte arrives, but
+// the sender can only finish once a final ACK gets back. Every final ACK is
+// lost for 3 s, so the sender keeps retransmitting its tail into the retired
+// flow id long after the receiver is gone; the host must keep answering for
+// it, and the sender must still complete.
+TEST(FlowReclaimTest, RetiredReceiverKeepsAckingTheTail) {
+  Simulator sim;
+  FlowTable flows;
+  Host a(&sim, MakeAddress(1, 1), nullptr);
+  Host b(&sim, MakeAddress(2, 1), nullptr);
+  Link ab(&sim, "ab", Rate::Mbps(48), TimeDelta::Millis(20),
+          std::make_unique<DropTailFifo>(1 << 21), &b);
+  Link ba(&sim, "ba", Rate::Mbps(48), TimeDelta::Millis(20),
+          std::make_unique<DropTailFifo>(1 << 21), &a);
+  a.set_egress(&ab);
+
+  TcpFlowParams params;
+  params.size_bytes = 100'000;
+  const int64_t total = (params.size_bytes + kMssBytes - 1) / kMssBytes;
+  TimePoint first_final_ack = TimePoint::Infinite();
+  int final_acks_dropped = 0;
+  int final_acks_passed = 0;
+  LambdaHandler reverse([&](Packet p) {
+    if (p.type == PacketType::kAck && p.seq == total) {
+      const TimePoint now = sim.now();
+      if (first_final_ack.IsInfinite()) {
+        first_final_ack = now;
+      }
+      if (now < first_final_ack + TimeDelta::Seconds(3)) {
+        ++final_acks_dropped;
+        return;
+      }
+      ++final_acks_passed;
+    }
+    ba.HandlePacket(std::move(p));
+  });
+  b.set_egress(&reverse);
+
+  TimePoint done = TimePoint::Infinite();
+  StartTcpFlow(&flows, &a, &b, params, [&](TimePoint t) { done = t; });
+
+  sim.RunUntil(TimePoint::Zero() + TimeDelta::Seconds(1));
+  ASSERT_FALSE(done.IsInfinite());
+  EXPECT_EQ(flows.size(), 1u) << "receiver released, sender still waiting";
+
+  sim.RunUntil(TimePoint::Zero() + TimeDelta::Seconds(30));
+  EXPECT_GT(final_acks_dropped, 1) << "the sender retransmitted into the blackout";
+  EXPECT_GE(final_acks_passed, 1) << "a retransmission after the blackout drew an ACK";
+  EXPECT_EQ(flows.size(), 0u) << "the sender completed and freed itself";
+  EXPECT_EQ(flows.releases(), 2u);
+  EXPECT_EQ(b.unclaimed_packets(), 0u) << "every retransmission reached the acker";
 }
 
 }  // namespace

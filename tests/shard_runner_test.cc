@@ -71,7 +71,6 @@ RunOutput RunUnsharded() {
   NetBuilder b = FatTreeBuilder(cfg, &g);
   Simulator sim;
   std::unique_ptr<Net> net = b.Build(&sim);
-  net->flows()->EnableReclaim();
   CreateWorkload(net.get(), cfg, g, &out);
   sim.RunUntil(kRunUntil);
   out.events = sim.events_dispatched();
@@ -94,7 +93,6 @@ RunOutput RunSharded(int workers, bool split_run = false) {
   }
   ShardChannelSet channels;
   std::unique_ptr<Net> net = b.Build(plan, sims, &channels);
-  net->flows()->EnableReclaim();
   CreateWorkload(net.get(), cfg, g, &out);
 
   ShardRunner::Options opt;
