@@ -62,7 +62,7 @@ inline EstimateSweepResult RunEstimateSweep(int seeds_per_config = 2,
         };
         std::vector<RawSample> samples;
         const TimePoint warmup = TimePoint::Zero() + TimeDelta::Seconds(5);
-        net.sendbox()->measurement().SetSampleCallback([&](const EpochSample& s) {
+        net.controller()->measurement().SetSampleCallback([&](const EpochSample& s) {
           if (!s.in_order || s.now < warmup) {
             return;
           }

@@ -39,7 +39,7 @@ void Run() {
     bool in_order;
   };
   std::vector<Obs> observations;
-  net.sendbox()->measurement().SetSampleCallback([&](const EpochSample& s) {
+  net.controller()->measurement().SetSampleCallback([&](const EpochSample& s) {
     observations.push_back({s.now.ToSeconds(), s.rtt.ToMillis(), s.in_order});
   });
 

@@ -439,47 +439,6 @@ BenchResult BenchSiteEgressChurn() {
   });
 }
 
-// The refactor's bill for classic single-bundle users: the same
-// paper-default experiment run through the pre-split facade path
-// (net.managed = false, Sendbox owning its own shaper + scheduler) and
-// through the 1-tenant SendboxManager hierarchy (site bucket -> band ->
-// tenant DRR -> bundle, same SFQ inside the bundle). Both simulate the
-// identical workload and duration — long enough (20 simulated seconds,
-// ~10^6 events) that wall time is dominated by the datapath — and min of 5
-// reps suppresses scheduler noise. scripts/bench.sh gates the relative
-// overhead at <= 2%.
-BenchResult BenchSendboxExperiment(const std::string& name, bool managed,
-                                   double* best_sec_out) {
-  double best_sec = 0;
-  uint64_t best_events = 0;
-  double best_allocs = 0;
-  for (int rep = 0; rep < 5; ++rep) {
-    ExperimentConfig cfg = PaperExperimentDefaults(/*bundler_on=*/true, /*seed=*/1);
-    cfg.duration = TimeDelta::Seconds(20);
-    cfg.warmup = TimeDelta::Seconds(1);
-    cfg.net.managed = managed;
-    Experiment e(cfg);
-    uint64_t allocs_before = g_heap_allocs;
-    Clock::time_point start = Clock::now();
-    e.Run();
-    Clock::time_point end = Clock::now();
-    double sec = std::chrono::duration<double>(end - start).count();
-    if (rep == 0 || sec < best_sec) {
-      best_sec = sec;
-      best_events = e.sim()->events_dispatched();
-      best_allocs = static_cast<double>(g_heap_allocs - allocs_before) /
-                    static_cast<double>(best_events);
-    }
-  }
-  *best_sec_out = best_sec;
-  BenchResult r;
-  r.name = name;
-  r.ns_per_op = best_sec / static_cast<double>(best_events) * 1e9;
-  r.ops_per_sec = static_cast<double>(best_events) / best_sec;
-  r.allocs_per_op = best_allocs;
-  return r;
-}
-
 // Batched same-timestamp dispatch vs one-at-a-time head pops over the same
 // workload: each op pushes a 64-event burst at one instant and drains it.
 // StageBatch extracts the whole same-time fragment in one DFS (every hole
@@ -787,8 +746,7 @@ BenchResult BenchEndToEndExperimentTraced(double* records_per_event_out) {
 
 void WriteJson(const std::string& path, const std::vector<BenchResult>& results,
                double speedup, double records_per_event, double disabled_overhead,
-               double burst_speedup, double pdes_speedup, double fault_overhead,
-               double manager_overhead) {
+               double burst_speedup, double pdes_speedup, double fault_overhead) {
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -800,7 +758,6 @@ void WriteJson(const std::string& path, const std::vector<BenchResult>& results,
   std::fprintf(f, "  \"trace_records_per_event\": %.4f,\n", records_per_event);
   std::fprintf(f, "  \"tracing_disabled_overhead_frac\": %.6f,\n", disabled_overhead);
   std::fprintf(f, "  \"fault_disabled_overhead_frac\": %.6f,\n", fault_overhead);
-  std::fprintf(f, "  \"manager_one_tenant_overhead_frac\": %.6f,\n", manager_overhead);
   std::fprintf(f, "  \"benchmarks\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const BenchResult& r = results[i];
@@ -870,12 +827,6 @@ int Run(const std::string& json_path) {
   results.push_back(e2e);
   double records_per_event = 0;
   results.push_back(BenchEndToEndExperimentTraced(&records_per_event));
-  double classic_sec = 0;
-  double managed_sec = 0;
-  results.push_back(BenchSendboxExperiment("sendbox_classic_experiment",
-                                           /*managed=*/false, &classic_sec));
-  results.push_back(BenchSendboxExperiment("sendbox_managed_experiment",
-                                           /*managed=*/true, &managed_sec));
 
   // Tracing-disabled overhead bound: every record the fully-traced run emits
   // corresponds to one branch-only hook execution in an untraced run, so the
@@ -887,11 +838,6 @@ int Run(const std::string& json_path) {
   // simulator event (a packet delivery), each adding the untargeted
   // fast-path delta; scripts/bench.sh gates this at 2%.
   double fault_overhead = fault_added_ns / e2e.ns_per_op;
-  // The 1-tenant facade's cost of living inside the hierarchy: identical
-  // workload + duration, wall time ratio (negative differences clamp — the
-  // hierarchy being faster is not an overhead); scripts/bench.sh gates at 2%.
-  double manager_overhead =
-      std::max(0.0, (managed_sec - classic_sec) / classic_sec);
 
   Table table({"benchmark", "ns/op", "ops/sec", "allocs/op"});
   for (const BenchResult& r : results) {
@@ -919,13 +865,10 @@ int Run(const std::string& json_path) {
   std::printf("fault injection: untargeted hook adds %.1f ns/packet; disabled "
               "overhead bound %.4f%% of end-to-end run\n",
               fault_added_ns, fault_overhead * 100);
-  std::printf("sendbox split: managed 1-tenant %.3f s vs classic %.3f s for "
-              "the same run (overhead %.4f%%)\n",
-              managed_sec, classic_sec, manager_overhead * 100);
 
   if (!json_path.empty()) {
     WriteJson(json_path, results, speedup, records_per_event, disabled_overhead,
-              burst_speedup, pdes_speedup, fault_overhead, manager_overhead);
+              burst_speedup, pdes_speedup, fault_overhead);
   }
   // The engine must not allocate per scheduled event in steady state.
   if (engine.allocs_per_op != 0.0) {

@@ -35,7 +35,7 @@ double MeasureOooFraction(double mbps, double rtt_ms, int paths) {
   const double total_s = 30;
   for (double t = total_s / 2; t <= total_s; t += 1.0) {
     sim.RunUntil(TimePoint::Zero() + TimeDelta::SecondsF(t));
-    sum += net.sendbox()->measurement().OutOfOrderFraction(sim.now());
+    sum += net.controller()->measurement().OutOfOrderFraction(sim.now());
     ++n;
   }
   return sum / n;

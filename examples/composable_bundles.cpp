@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
                                  TimePoint::Zero() + cfg.duration)
                    .Mbps();
     table.AddRow({names[b], std::to_string(b == 2 ? 8 : 1), Table::Num(tputs[b], 1),
-                  BundlerModeName(e.net()->sendbox(b)->mode())});
+                  BundlerModeName(e.net()->controller(b)->mode())});
   }
   table.Print();
 

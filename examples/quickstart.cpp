@@ -48,8 +48,8 @@ RunOutput RunOnce(bool with_bundler, TimeDelta duration, IdealFctCache* ideal) {
   out.p99_slowdown = slowdowns.empty() ? 0 : slowdowns.Quantile(0.99);
   out.median_fct_small_ms = small_fcts.empty() ? 0 : small_fcts.Median() * 1e3;
   out.completed = exp.fct()->completed();
-  out.mode = with_bundler && exp.net()->sendbox() != nullptr
-                 ? BundlerModeName(exp.net()->sendbox()->mode())
+  out.mode = with_bundler && exp.net()->controller() != nullptr
+                 ? BundlerModeName(exp.net()->controller()->mode())
                  : "n/a";
   return out;
 }

@@ -24,12 +24,10 @@
 # the untraced per-event cost) must stay at or below
 # BENCH_MAX_FAULT_OVERHEAD (default 0.02, i.e. 2%).
 #
-# Multi-tenant sendbox gates (PR 10): the site-egress hierarchy's datapath
-# churn (site_egress_churn) joins the allocation-free rows, and the classic
-# 1-tenant facade — now a thin wrapper over a 1-tenant SendboxManager
-# hierarchy — must cost at most BENCH_MAX_MANAGER_OVERHEAD (default 0.02,
-# i.e. 2%) extra wall time vs the pre-split sendbox on the identical
-# paper-default run.
+# Multi-tenant sendbox gate (PR 10): the site-egress hierarchy's datapath
+# churn (site_egress_churn) joins the allocation-free rows. Every bundle
+# rides that hierarchy, so end_to_end_experiment's allocation gate covers
+# the sendbox data plane too.
 #
 # Parallel-DES gates (PR 7): batched same-timestamp dispatch must beat
 # one-at-a-time head pops by BENCH_MIN_BURST_SPEEDUP (default 1.2x), the
@@ -54,7 +52,6 @@ MAX_CHURN_ALLOCS="${BENCH_MAX_CHURN_ALLOCS:-0.001}"
 MAX_TRACE_ALLOCS="${BENCH_MAX_TRACE_ALLOCS:-0.001}"
 MAX_TRACE_OVERHEAD="${BENCH_MAX_TRACE_OVERHEAD:-0.02}"
 MAX_FAULT_OVERHEAD="${BENCH_MAX_FAULT_OVERHEAD:-0.02}"
-MAX_MANAGER_OVERHEAD="${BENCH_MAX_MANAGER_OVERHEAD:-0.02}"
 OUT="${BENCH_OUT:-BENCH_datapath.json}"
 
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
@@ -137,23 +134,6 @@ FAULT_OVERHEAD="$(grep -o '"fault_disabled_overhead_frac": [0-9.]*' "${OUT}" |
 echo "fault-disabled overhead bound: ${FAULT_OVERHEAD} (gate: <= ${MAX_FAULT_OVERHEAD})"
 awk -v o="${FAULT_OVERHEAD}" -v max="${MAX_FAULT_OVERHEAD}" 'BEGIN { exit !(o <= max) }' || {
   echo "bench.sh: FAIL — fault-disabled overhead ${FAULT_OVERHEAD} above gate ${MAX_FAULT_OVERHEAD}" >&2
-  exit 1
-}
-
-# Multi-tenant sendbox gates: the 1-tenant facade must stay within a few
-# percent of the pre-split sendbox (same workload, same duration), and the
-# managed experiment must not reintroduce per-event heap churn.
-MANAGER_OVERHEAD="$(grep -o '"manager_one_tenant_overhead_frac": [0-9.]*' "${OUT}" |
-  grep -o '[0-9.]*$')"
-echo "manager 1-tenant overhead vs classic sendbox: ${MANAGER_OVERHEAD} (gate: <= ${MAX_MANAGER_OVERHEAD})"
-awk -v o="${MANAGER_OVERHEAD}" -v max="${MAX_MANAGER_OVERHEAD}" 'BEGIN { exit !(o <= max) }' || {
-  echo "bench.sh: FAIL — manager 1-tenant overhead ${MANAGER_OVERHEAD} above gate ${MAX_MANAGER_OVERHEAD}" >&2
-  exit 1
-}
-MANAGED_ALLOCS="$(alloc_of sendbox_managed_experiment)"
-echo "sendbox_managed_experiment allocs/event: ${MANAGED_ALLOCS} (gate: <= ${MAX_E2E_ALLOCS})"
-awk -v a="${MANAGED_ALLOCS}" -v max="${MAX_E2E_ALLOCS}" 'BEGIN { exit !(a <= max) }' || {
-  echo "bench.sh: FAIL — sendbox_managed_experiment ${MANAGED_ALLOCS} allocs/event above gate ${MAX_E2E_ALLOCS}" >&2
   exit 1
 }
 

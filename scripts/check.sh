@@ -106,16 +106,18 @@ cmp <(stable build/smoke_ft_s1/fat_tree_incast.json) \
 cmp <(stable build/smoke_ft_s1/fat_tree_incast.csv) \
     <(stable build/smoke_ft_s4/fat_tree_incast.csv)
 
-echo "--- golden byte-identity: the 1-tenant facade must match the pre-split sendbox"
-# tests/golden/ holds fig09/fig10/fig13 outputs pinned before the sendbox was
-# split into BundleController + SiteEgress + SendboxManager. The refactor's
-# core contract is that the classic facade is bit-for-bit unchanged: same
-# seeds, same JSON and CSV, forever. Regenerate the pins ONLY for an
-# intentional, explained behavior change. Regenerated once when completed
-# flows began freeing themselves on every table: each completed web flow adds
-# three zero-delay release events (sender, receiver, request glue), so only
-# the sim.events_dispatched lines moved, plus one fig13 sim.queue_max_heap
-# line (1201 -> 1202); every FCT, throughput and ctr.* line is unchanged.
+echo "--- golden byte-identity: fig09/fig10/fig13 regression pins"
+# tests/golden/ holds fig09/fig10/fig13 outputs of the single bundle data
+# plane (every bundle a BundleController steering its site's SendboxManager
+# -> SiteEgress). They are regression pins: same seeds, same JSON and CSV, so
+# any behavior change shows up here first. Regenerate them ONLY for an
+# intentional, explained change, with scripts/repro.sh as the behavioral
+# guard. Last regenerated when the classic Sendbox and its private shaper
+# were deleted: each bundler cell gained the manager's 8 admit.s10.* /
+# tenant.s10-s100.* counter lines and ~0.2% sim.events_dispatched (early
+# site-bucket wake-ups); every fig09/fig10 FCT, throughput and existing ctr.*
+# line is unchanged, while fig13's 42:42 cell drifted slightly (bundle 1
+# median slowdown 48.44 -> 49.37, 11.04 -> 10.83 Mbit/s).
 for scenario in fig09_fct fig10_cross_traffic fig13_competing_bundles; do
   ./build/bundler_run --scenario "${scenario}" --trials 1 \
     --out build/smoke_golden --quiet > /dev/null

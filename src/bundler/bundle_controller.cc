@@ -42,9 +42,8 @@ BundleController::BundleController(Simulator* sim,
   start_time_ = sim_->now();
 
   // Observability wiring. `obs_name` names every component and counter this
-  // loop owns; a standalone sendbox passes its site pair, a manager passes a
-  // tenant-qualified name, so counter names collide exactly when two
-  // controllers genuinely are the same bundle.
+  // loop owns; the manager passes the bundle's site pair, so counter names
+  // collide exactly when two controllers genuinely are the same bundle.
   obs::Tracer& tracer = sim_->trace();
   obs::CounterRegistry& reg = sim_->counters();
   comp_ = tracer.RegisterComponent("sendbox", obs_name);

@@ -1,15 +1,12 @@
-// Per-bundle control loop, extracted from the sendbox monolith so one site
-// can run hundreds of bundles (the fig15 proxy/edge shape). A
-// BundleController owns everything that decides a bundle's rate — congestion
-// measurements, the bundle congestion-control algorithm, Nimbus elasticity /
-// multipath detection, the PI traffic-passing controller, the feedback
-// watchdog, and epoch sizing — but owns no data plane and no timer: the
-// owner (a standalone Sendbox or a SendboxManager) drives ControlTick() every
-// control_interval and exposes its shaping machinery through the
-// BundleDataplane seam below. Keeping the controller timer-free is what lets
-// a manager run N controllers off one shared periodic tick while the 1-tenant
-// Sendbox facade keeps its historical per-box tick (and with it byte-identical
-// pinned figures).
+// Per-bundle control loop. A BundleController owns everything that decides a
+// bundle's rate — congestion measurements, the bundle congestion-control
+// algorithm, Nimbus elasticity / multipath detection, the PI traffic-passing
+// controller, the feedback watchdog, and epoch sizing — but owns no data
+// plane and no timer: its SendboxManager drives ControlTick() every
+// control_interval and exposes the site's shaping machinery (SiteEgress)
+// through the BundleDataplane seam below. Keeping the controller timer-free
+// is what lets one manager run N controllers off one shared periodic tick,
+// whether the site carries one bundle (every paper figure) or hundreds.
 #ifndef SRC_BUNDLER_BUNDLE_CONTROLLER_H_
 #define SRC_BUNDLER_BUNDLE_CONTROLLER_H_
 
@@ -36,8 +33,8 @@ enum class BundlerMode {
 
 const char* BundlerModeName(BundlerMode mode);
 
-// Everything the control loop needs to know, shared verbatim between the
-// standalone Sendbox (whose Config derives from this) and managed bundles.
+// Everything the control loop needs to know. SendboxConfig (sendbox.h)
+// derives from this and adds the bundle queue's scheduler.
 // Field-by-field semantics are documented where each subsystem lives; the
 // watchdog and robust-elasticity knobs carry their own design notes.
 struct BundleControlConfig {
@@ -181,10 +178,9 @@ class BundleController {
   enum class WatchdogCause { kNone, kStale, kDelay };
 
   // `obs_name` keys every trace component and counter this controller
-  // registers ("s0-s1" for a standalone sendbox, tenant-qualified for
-  // managed bundles). Registration happens here, so the pointers below are
-  // never null afterwards. No events are scheduled: the owner calls
-  // ControlTick() every config.control_interval.
+  // registers (the site pair, "s10-s100"). Registration happens here, so the
+  // pointers below are never null afterwards. No events are scheduled: the
+  // owner calls ControlTick() every config.control_interval.
   BundleController(Simulator* sim, const BundleControlConfig& config,
                    BundleDataplane* dataplane, const std::string& obs_name);
   BundleController(const BundleController&) = delete;
@@ -200,7 +196,7 @@ class BundleController {
   // dataplane seam). Call every config.control_interval.
   void ControlTick();
 
-  // --- Introspection (the Sendbox accessor surface delegates here) ---
+  // --- Introspection ---
   BundlerMode mode() const { return mode_; }
   bool watchdog_degraded() const { return wd_degraded_; }
   WatchdogCause watchdog_cause() const { return wd_cause_; }

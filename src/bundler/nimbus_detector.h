@@ -69,8 +69,8 @@ class NimbusDetector {
 
   void Reset();
 
-  // Observability seam: the owning Sendbox attaches the tracer (component
-  // kind "nimbus") and a registry-owned evaluation counter.
+  // Observability seam: the owning BundleController attaches the tracer
+  // (component kind "nimbus") and a registry-owned evaluation counter.
   void BindObs(obs::Tracer* tracer, uint32_t comp, uint64_t* evals) {
     tracer_ = tracer;
     comp_ = comp;

@@ -37,8 +37,8 @@ class PiController {
   Rate rate() const { return Rate::BitsPerSec(rate_bps_); }
   int64_t TargetQueueBytes() const;
 
-  // Observability seam: the owning Sendbox attaches the tracer (component
-  // kind "pi") and registry-owned update/reset counters.
+  // Observability seam: the owning BundleController attaches the tracer
+  // (component kind "pi") and registry-owned update/reset counters.
   void BindObs(obs::Tracer* tracer, uint32_t comp, uint64_t* updates,
                uint64_t* resets) {
     tracer_ = tracer;

@@ -1,8 +1,5 @@
 #include "src/bundler/sendbox.h"
 
-#include <string>
-#include <utility>
-
 #include "src/qdisc/fifo.h"
 #include "src/qdisc/fq_codel.h"
 #include "src/qdisc/prio.h"
@@ -33,77 +30,6 @@ std::unique_ptr<Qdisc> MakeScheduler(SchedulerType type, int64_t limit_pkts,
   }
   BUNDLER_CHECK(false);
   return nullptr;
-}
-
-namespace {
-std::unique_ptr<Qdisc> BuildScheduler(const Sendbox::Config& config) {
-  if (config.scheduler_factory) {
-    return config.scheduler_factory();
-  }
-  return MakeScheduler(config.scheduler, config.queue_limit_pkts);
-}
-
-std::string SitePairName(const Sendbox::Config& config) {
-  return "s" + std::to_string(config.local_site) + "-s" +
-         std::to_string(config.remote_site);
-}
-}  // namespace
-
-Sendbox::Sendbox(Simulator* sim, const Config& config, PacketHandler* egress)
-    : sim_(sim),
-      config_(config),
-      egress_(egress),
-      shaper_(sim, BuildScheduler(config), config.initial_rate, 2 * kMtuBytes,
-              [this](Packet pkt) { OnBundleEgress(std::move(pkt)); }),
-      // One sendbox per (local, remote) site pair, so the pair names every
-      // component and counter the control loop registers.
-      ctl_(sim, config, this, SitePairName(config)) {
-  BUNDLER_CHECK(sim_ != nullptr);
-  BUNDLER_CHECK(egress_ != nullptr);
-
-  // The facade's own observability: the scheduling queue it wraps.
-  const std::string name = SitePairName(config_);
-  obs::Tracer& tracer = sim_->trace();
-  obs::CounterRegistry& reg = sim_->counters();
-  shaper_.queue()->BindObs(&tracer,
-                           tracer.RegisterComponent("qdisc", "sendbox." + name));
-  const Qdisc::Counters& qc = shaper_.queue()->counters();
-  reg.Expose("qdisc.sendbox." + name + ".enq_pkts", &qc.enq_pkts);
-  reg.Expose("qdisc.sendbox." + name + ".deq_pkts", &qc.deq_pkts);
-  reg.Expose("qdisc.sendbox." + name + ".drop_pkts", &qc.drop_pkts);
-  reg.Expose("qdisc.sendbox." + name + ".mark_pkts", &qc.mark_pkts);
-  // Periodic slot: the engine re-arms it in place every control interval for
-  // the sendbox's lifetime; the id stays valid until the destructor cancels.
-  tick_timer_ = sim_->SchedulePeriodic(config_.control_interval, config_.control_interval,
-                                       [this]() { ctl_.ControlTick(); });
-}
-
-Sendbox::~Sendbox() {
-  if (tick_timer_ != kInvalidEventId) {
-    sim_->Cancel(tick_timer_);
-  }
-}
-
-bool Sendbox::IsBundleData(const Packet& pkt) const {
-  return pkt.type == PacketType::kData && SiteOf(pkt.key.src) == config_.local_site &&
-         SiteOf(pkt.key.dst) == config_.remote_site;
-}
-
-void Sendbox::HandlePacket(Packet pkt) {
-  if (pkt.type == PacketType::kBundlerFeedback && pkt.key.dst == config_.ctl_addr) {
-    ctl_.OnFeedback(pkt);
-    return;
-  }
-  if (IsBundleData(pkt)) {
-    shaper_.Enqueue(std::move(pkt));
-    return;
-  }
-  egress_->HandlePacket(std::move(pkt));
-}
-
-void Sendbox::OnBundleEgress(Packet pkt) {
-  ctl_.OnDataSent(pkt);
-  egress_->HandlePacket(std::move(pkt));
 }
 
 }  // namespace bundler

@@ -1,29 +1,19 @@
-// Sendbox (§4, §6): the source-site middlebox, as a thin 1-bundle facade
-// over the split introduced for multi-tenant operation. Data plane (owned
-// here): classifies packets into the bundle, queues them under the
-// operator's scheduling policy (SFQ by default), and enforces the control
-// plane's rate with a token bucket. Control plane (every 10 ms, CCP-style):
-// an embedded BundleController (src/bundler/bundle_controller.h) derives
-// congestion measurements from receivebox feedback, runs the bundle
-// congestion-control algorithm, superimposes Nimbus pulses, detects
-// buffer-filling cross traffic (switching to a PI-controlled traffic-passing
-// mode, §5.1) and imbalanced multipathing (disabling itself, §5.2), and
-// keeps the epoch size at ~4 boundaries per RTT. The facade keeps its own
-// periodic tick and its own shaper, so pre-split runs stay byte-identical;
-// sites that multiplex many bundles use SendboxManager instead, which drives
-// the same controllers off one shared tick and a hierarchical shaper.
+// Sendbox (§4, §6): the source-site middlebox's per-bundle configuration.
+// Every bundle is one BundleController (src/bundler/bundle_controller.h)
+// steering one bundle queue of a site's SendboxManager
+// (src/bundler/sendbox_manager.h); this header holds what a bundle adds on
+// top of its control loop — the scheduling policy *inside* the bundle (SFQ
+// by default, so short requests bypass bulk) — and the scheduler factory.
+// NetBuilder turns a tenant-less bundle's SendboxConfig into a single-tenant
+// SendboxManager on its source site.
 #ifndef SRC_BUNDLER_SENDBOX_H_
 #define SRC_BUNDLER_SENDBOX_H_
 
 #include <functional>
 #include <memory>
-#include <utility>
-#include <vector>
 
 #include "src/bundler/bundle_controller.h"
-#include "src/net/node.h"
-#include "src/qdisc/token_bucket.h"
-#include "src/sim/simulator.h"
+#include "src/qdisc/qdisc.h"
 
 namespace bundler {
 
@@ -32,73 +22,14 @@ enum class SchedulerType { kFifo, kSfq, kFqCodel, kPrio };
 std::unique_ptr<Qdisc> MakeScheduler(SchedulerType type, int64_t limit_pkts,
                                      uint64_t perturbation = 0);
 
-class Sendbox : public PacketHandler, private BundleDataplane {
- public:
-  // Control knobs are inherited from BundleControlConfig (the per-bundle
-  // control loop's config); the fields declared here are the standalone
-  // data plane's — the scheduling policy of the one queue this facade owns.
-  struct Config : BundleControlConfig {
-    SchedulerType scheduler = SchedulerType::kSfq;
-    int64_t queue_limit_pkts = 4000;
-    // Overrides `scheduler` when set (e.g. custom priority classifiers).
-    std::function<std::unique_ptr<Qdisc>()> scheduler_factory;
-  };
-
-  Sendbox(Simulator* sim, const Config& config, PacketHandler* egress);
-  ~Sendbox() override;
-  Sendbox(const Sendbox&) = delete;
-  Sendbox& operator=(const Sendbox&) = delete;
-
-  // Site-side ingress (bundle data + anything else leaving the site) and
-  // reverse-path control traffic both land here.
-  void HandlePacket(Packet pkt) override;
-
-  using WatchdogEvent = BundleController::WatchdogEvent;
-  using WatchdogCause = BundleController::WatchdogCause;
-
-  BundlerMode mode() const { return ctl_.mode(); }
-  Rate current_rate() const { return shaper_.rate(); }
-  bool watchdog_degraded() const { return ctl_.watchdog_degraded(); }
-  WatchdogCause watchdog_cause() const { return ctl_.watchdog_cause(); }
-  const std::vector<std::pair<TimePoint, WatchdogEvent>>& watchdog_log() const {
-    return ctl_.watchdog_log();
-  }
-  int64_t queue_bytes() const { return shaper_.queue()->bytes(); }
-  int64_t queue_packets() const { return shaper_.queue()->packets(); }
-  uint64_t queue_drops() const { return shaper_.queue()->drops(); }
-  uint32_t epoch_size_pkts() const { return ctl_.epoch_size_pkts(); }
-  int64_t bytes_sent() const { return ctl_.bytes_sent(); }
-
-  MeasurementEngine& measurement() { return ctl_.measurement(); }
-  const NimbusDetector& detector() const { return ctl_.detector(); }
-  Qdisc* scheduler() { return shaper_.queue(); }
-  BundleController& controller() { return ctl_; }
-
-  // (time, mode) transitions since start; used by Fig. 10's shaded regions.
-  const std::vector<std::pair<TimePoint, BundlerMode>>& mode_log() const {
-    return ctl_.mode_log();
-  }
-  // Enforced rate (Mbps) sampled every control tick.
-  const TimeSeries& rate_log() const { return ctl_.rate_log(); }
-  // Sendbox queueing delay estimate (ms) per control tick (queue/rate).
-  const TimeSeries& queue_delay_log() const { return ctl_.queue_delay_log(); }
-
- private:
-  bool IsBundleData(const Packet& pkt) const;
-  void OnBundleEgress(Packet pkt);
-
-  // BundleDataplane seam for the embedded controller.
-  int64_t QueueBytes() const override { return shaper_.queue()->bytes(); }
-  Rate ShapedRate() const override { return shaper_.rate(); }
-  void SetShapedRate(Rate rate) override { shaper_.SetRate(rate); }
-  void SendControl(Packet pkt) override { egress_->HandlePacket(std::move(pkt)); }
-
-  Simulator* sim_;
-  Config config_;
-  PacketHandler* egress_;
-  Shaper shaper_;
-  BundleController ctl_;
-  EventId tick_timer_ = kInvalidEventId;
+// Control knobs are inherited from BundleControlConfig (the per-bundle
+// control loop's config); the fields declared here pick the scheduler of the
+// bundle's own queue.
+struct SendboxConfig : BundleControlConfig {
+  SchedulerType scheduler = SchedulerType::kSfq;
+  int64_t queue_limit_pkts = 4000;
+  // Overrides `scheduler` when set (e.g. custom priority classifiers).
+  std::function<std::unique_ptr<Qdisc>()> scheduler_factory;
 };
 
 }  // namespace bundler

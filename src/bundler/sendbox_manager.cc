@@ -36,7 +36,7 @@ void SendboxManager::Slot::SetShapedRate(Rate rate) {
 
 void SendboxManager::Slot::SendControl(Packet pkt) {
   // Epoch ctl is 40 bytes of control plane: straight to the uplink, never
-  // shaped (the 1-tenant facade does the same).
+  // shaped.
   mgr->egress_handler_->HandlePacket(std::move(pkt));
 }
 
@@ -105,7 +105,7 @@ SendboxManager::SendboxManager(Simulator* sim, const Policy& policy,
     BUNDLER_CHECK_MSG(
         decl.control.control_interval == policy_.control_interval,
         "bundle %zu: control interval differs from the site's shared tick "
-        "(all bundles of a managed site ride one timer)",
+        "(all bundles of a site ride one timer)",
         i);
     max_site = std::max(max_site, decl.control.remote_site);
 
@@ -158,7 +158,7 @@ SendboxManager::SendboxManager(Simulator* sim, const Policy& policy,
     const BundleDecl& decl = bundles[i];
     const SiteId remote = decl.control.remote_site;
     BUNDLER_CHECK_MSG(slot_of_site_[remote] == -1,
-                      "two managed bundles share destination site %u (the "
+                      "two bundles of one site share destination site %u (the "
                       "receivebox ctl address would be ambiguous)",
                       remote);
     if (decls_[i].slot < 0) {
@@ -166,8 +166,17 @@ SendboxManager::SendboxManager(Simulator* sim, const Policy& policy,
     }
     slot_of_site_[remote] = decls_[i].slot;
     Slot& slot = *slots_[static_cast<size_t>(decls_[i].slot)];
+    const std::string pair = PairName(decl.control);
     slot.ctl = std::make_unique<BundleController>(sim_, decl.control, &slot,
-                                                  PairName(decl.control));
+                                                  pair);
+    if (const Qdisc* q = egress_->bundle_qdisc(slot.idx)) {
+      const Qdisc::Counters& qc = q->counters();
+      const std::string prefix = "qdisc.sendbox." + pair;
+      reg.Expose(prefix + ".enq_pkts", &qc.enq_pkts);
+      reg.Expose(prefix + ".deq_pkts", &qc.deq_pkts);
+      reg.Expose(prefix + ".drop_pkts", &qc.drop_pkts);
+      reg.Expose(prefix + ".mark_pkts", &qc.mark_pkts);
+    }
   }
 
   // One shared periodic tick drives every admitted controller, in admission

@@ -1,9 +1,10 @@
-// SendboxManager: one site's multi-tenant bundle control plane. Where the
-// classic Sendbox pairs one control loop with one private shaper, the manager
-// runs N BundleControllers (one per admitted bundle) against a single shared
-// SiteEgress hierarchy (site aggregate -> priority bands -> tenant DRR ->
-// bundle DRR) and drives them all from ONE periodic control tick, so a site
-// can host hundreds of bundles without hundreds of timers.
+// SendboxManager: a site's sendbox. It runs N BundleControllers (one per
+// admitted bundle) against a single shared SiteEgress hierarchy (site
+// aggregate -> priority bands -> tenant DRR -> bundle DRR) and drives them
+// all from ONE periodic control tick, so a site can host hundreds of bundles
+// without hundreds of timers. It is also the only sendbox: NetBuilder gives
+// a tenant-less bundle (every paper figure) a single-tenant manager whose
+// site aggregate is the bundle's max_rate.
 //
 // Admission control runs once at construction, in bundle declaration order:
 // a bundle is admitted while (a) the concurrent-bundle cap has room and
@@ -11,7 +12,8 @@
 // budget. Rejected bundles degrade gracefully — their data passes through
 // unshaped (status quo ante), their feedback is dropped and counted — and
 // every verdict is visible via admit.<site>.* counters and kTenant trace
-// records.
+// records. A bundle with its own qdisc (Policy::bundle_qdisc_factory)
+// publishes that qdisc's counters as qdisc.sendbox.<local>-<remote>.*.
 //
 // Demultiplexing is allocation-free: every per-bundle lookup is a flat
 // remote-site -> slot table index (a bundle's destination site keys both its
@@ -43,7 +45,7 @@ class SendboxManager : public PacketHandler {
     int64_t burst_bytes = 2 * kMtuBytes;
     // Optional per-bundle qdisc (forwarded to SiteEgress::Config): when set,
     // each bundle schedules internally through its own instance (e.g. SFQ,
-    // matching the classic facade) instead of the preallocated FIFO ring.
+    // the SendboxConfig default) instead of the preallocated FIFO ring.
     std::function<std::unique_ptr<Qdisc>()> bundle_qdisc_factory;
     // The single shared control tick period. Every bundle's control config
     // must agree (enforced with a readable CHECK).
@@ -112,8 +114,8 @@ class SendboxManager : public PacketHandler {
  private:
   // BundleDataplane seam for one admitted bundle: rate changes land on the
   // shared hierarchy's per-bundle bucket (deferred kick during the shared
-  // tick), backlog reads come from its ring, epoch ctl bypasses the
-  // hierarchy (control packets are never shaped, as in the 1-tenant facade).
+  // tick), backlog reads come from its queue, epoch ctl bypasses the
+  // hierarchy (control packets are never shaped).
   struct Slot : BundleDataplane {
     SendboxManager* mgr = nullptr;
     size_t idx = 0;  // egress hierarchy index == admission order

@@ -194,8 +194,8 @@ void SiteEgress::SetBundleRate(size_t bundle, Rate rate, bool kick) {
 
 void SiteEgress::Kick() {
   // A rate increase may make a blocked head transmittable earlier than the
-  // armed wakeup; re-evaluate, moving the armed slot in place (same pattern
-  // as Shaper::SetRate).
+  // armed wakeup; re-evaluate, moving the armed slot in place (fresh FIFO
+  // ordering, same as cancel+push, without the churn).
   rearm_pending_ = pending_timer_ != kInvalidEventId;
   Pump();
   if (rearm_pending_) {
@@ -225,6 +225,11 @@ int64_t SiteEgress::bundle_queue_pkts(size_t bundle) const {
 uint64_t SiteEgress::bundle_drops(size_t bundle) const {
   BUNDLER_CHECK(bundle < bundles_.size());
   return bundles_[bundle].drops;
+}
+
+const Qdisc* SiteEgress::bundle_qdisc(size_t bundle) const {
+  BUNDLER_CHECK(bundle < bundles_.size());
+  return bundles_[bundle].qdisc.get();
 }
 
 uint64_t SiteEgress::tenant_tx_bytes(size_t tenant) const {

@@ -6,9 +6,10 @@
 //
 // with nested rate enforcement at every level (site aggregate bucket, an
 // optional per-tenant cap bucket, and a per-bundle bucket set by that
-// bundle's BundleController every control tick). This is the data-plane half
-// of the sendbox split: controllers decide rates, SiteEgress is the one
-// place that moves packets.
+// bundle's BundleController every control tick). This is the sendbox's one
+// data plane: controllers decide rates, SiteEgress is the one place that
+// moves packets. A single-bundle site (every paper figure) is the same
+// machinery with one tenant and one bundle.
 //
 // Invariants the tests pin down:
 //  - Zero allocations per datapath operation: bundle queues are preallocated
@@ -51,7 +52,7 @@ class SiteEgress {
     int64_t per_bundle_queue_pkts = 512;   // drop-tail limit per bundle ring
     // When set, each bundle queues through its own instance from this
     // factory (operator-chosen scheduling *inside* the bundle, e.g. SFQ so
-    // short requests bypass bulk — the classic Sendbox default) instead of
+    // short requests bypass bulk — the SendboxConfig default) instead of
     // the preallocated FIFO ring. The ring stays the default: it is the
     // zero-allocation datapath the scheduler-churn bench gates.
     std::function<std::unique_ptr<Qdisc>()> bundle_qdisc_factory;
@@ -103,6 +104,9 @@ class SiteEgress {
   int64_t bundle_queue_bytes(size_t bundle) const;
   int64_t bundle_queue_pkts(size_t bundle) const;
   uint64_t bundle_drops(size_t bundle) const;
+  // The bundle's own qdisc; nullptr for ring-backed bundles (no
+  // Config::bundle_qdisc_factory).
+  const Qdisc* bundle_qdisc(size_t bundle) const;
   uint64_t tenant_tx_bytes(size_t tenant) const;
   uint64_t tenant_tx_pkts(size_t tenant) const;
   uint64_t forwarded_packets() const { return forwarded_packets_; }
@@ -187,7 +191,7 @@ class SiteEgress {
   int64_t total_backlog_pkts_ = 0;
   uint64_t forwarded_packets_ = 0;
 
-  // Pump wakeup state (the Shaper's rearm-in-place pattern).
+  // Pump wakeup state: one timer slot, moved in place on rate changes.
   EventId pending_timer_ = kInvalidEventId;
   bool rearm_pending_ = false;
   bool in_pump_ = false;

@@ -1,5 +1,5 @@
 // Queue discipline interface. Qdiscs are passive containers: links and the
-// sendbox shaper drive them. A qdisc may drop at enqueue (droptail, or a
+// sendbox's SiteEgress drive them. A qdisc may drop at enqueue (droptail, or a
 // fat-flow victim in sfq/drr/fq_codel) or at dequeue (CoDel); dequeue-time
 // drops are internal, so `Dequeue` can return nullopt even when
 // `packets() > 0` was true before the call.
@@ -7,7 +7,7 @@
 // Observability (PR 6): the public Enqueue/Dequeue are non-virtual template
 // methods that wrap the per-discipline DoEnqueue/DoDequeue with uniform
 // counters (pkts enqueued/dequeued/dropped) and kQdisc trace points, so all
-// six disciplines are instrumented in one place. Owners (Link, Sendbox) call
+// six disciplines are instrumented in one place. Owners (Link, SiteEgress) call
 // BindObs to attach the qdisc to its simulator's tracer; unbound qdiscs
 // (unit tests) skip tracing but still count.
 #ifndef SRC_QDISC_QDISC_H_

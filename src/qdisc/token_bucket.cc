@@ -1,7 +1,6 @@
 #include "src/qdisc/token_bucket.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "src/util/check.h"
 
@@ -56,86 +55,6 @@ void TokenBucket::Consume(int64_t bytes, TimePoint now) {
   // Allowed to go slightly negative when the dequeued packet differs from the
   // peeked one (e.g. SFQ rotated buckets); the deficit is repaid by waiting.
   tokens_ -= static_cast<double>(bytes);
-}
-
-Shaper::Shaper(Simulator* sim, std::unique_ptr<Qdisc> queue, Rate rate, int64_t burst_bytes,
-               InlineFunction<void(Packet)> out)
-    : sim_(sim),
-      queue_(std::move(queue)),
-      bucket_(rate, burst_bytes, sim->now()),
-      out_(std::move(out)) {
-  BUNDLER_CHECK(sim_ != nullptr);
-  BUNDLER_CHECK(queue_ != nullptr);
-  BUNDLER_CHECK(static_cast<bool>(out_));
-}
-
-Shaper::~Shaper() {
-  if (pending_timer_ != kInvalidEventId) {
-    sim_->Cancel(pending_timer_);
-  }
-}
-
-void Shaper::Enqueue(Packet pkt) {
-  pkt.queue_enter = sim_->now();
-  queue_->Enqueue(std::move(pkt), sim_->now());
-  Pump();
-}
-
-void Shaper::SetRate(Rate rate) {
-  bucket_.SetRate(rate, sim_->now());
-  // A rate increase may make the head transmittable earlier than the armed
-  // timer; re-evaluate. The armed slot is kept and moved in place (fresh
-  // FIFO ordering, same as cancel+push, without the churn).
-  rearm_pending_ = pending_timer_ != kInvalidEventId;
-  Pump();
-  if (rearm_pending_) {
-    // The pump no longer needs a wakeup (queue drained or head sendable).
-    sim_->Cancel(pending_timer_);
-    pending_timer_ = kInvalidEventId;
-    rearm_pending_ = false;
-  }
-}
-
-void Shaper::Pump() {
-  if (in_pump_) {
-    return;
-  }
-  in_pump_ = true;
-  TimePoint now = sim_->now();
-  while (true) {
-    const Packet* head = queue_->Peek();
-    if (head == nullptr) {
-      break;
-    }
-    int64_t head_bytes = head->size_bytes;
-    if (!bucket_.CanSend(head_bytes, now)) {
-      TimeDelta wait = bucket_.TimeUntilAvailable(head_bytes, now);
-      if (wait.IsInfinite()) {
-        break;  // rate is zero; SetRate will restart the pump
-      }
-      if (rearm_pending_) {
-        // rearm_pending_ implies the timer is still queued (its callback
-        // clears pending_timer_ before rearm_pending_ can be set), so the
-        // move-in-place cannot miss.
-        BUNDLER_CHECK(sim_->Reschedule(pending_timer_, now + wait));
-        rearm_pending_ = false;
-      } else if (pending_timer_ == kInvalidEventId) {
-        pending_timer_ = sim_->Schedule(wait, [this]() {
-          pending_timer_ = kInvalidEventId;
-          Pump();
-        });
-      }
-      break;
-    }
-    std::optional<Packet> pkt = queue_->Dequeue(now);
-    if (!pkt.has_value()) {
-      break;  // AQM dropped the remainder
-    }
-    bucket_.Consume(pkt->size_bytes, now);
-    ++forwarded_packets_;
-    out_(std::move(*pkt));
-  }
-  in_pump_ = false;
 }
 
 }  // namespace bundler

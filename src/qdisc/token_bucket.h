@@ -2,18 +2,16 @@
 // (§6.1): the bucket is NOT refilled instantaneously when the rate changes,
 // so the sendbox's frequent rate updates do not cause bursts.
 //
-// `TokenBucket` is the passive accounting; `Shaper` drives a Qdisc with it
-// inside the event loop (this is the sendbox data plane's rate enforcement +
-// scheduling stage).
+// `TokenBucket` is passive accounting only. The one component that drives
+// buckets inside the event loop is SiteEgress (src/bundler/site_egress.h),
+// which nests a site, a tenant-cap and a per-bundle bucket.
 #ifndef SRC_QDISC_TOKEN_BUCKET_H_
 #define SRC_QDISC_TOKEN_BUCKET_H_
 
-#include <memory>
+#include <cstdint>
 
-#include "src/qdisc/qdisc.h"
-#include "src/sim/inline_function.h"
-#include "src/sim/simulator.h"
 #include "src/util/rate.h"
+#include "src/util/time.h"
 
 namespace bundler {
 
@@ -43,39 +41,6 @@ class TokenBucket {
   int64_t burst_bytes_;
   double tokens_;
   TimePoint last_refill_;
-};
-
-// Owns a scheduling qdisc and transmits from it at the token-bucket rate.
-// Dequeued packets are handed to `out` (typically the site's egress link).
-class Shaper {
- public:
-  Shaper(Simulator* sim, std::unique_ptr<Qdisc> queue, Rate rate, int64_t burst_bytes,
-         InlineFunction<void(Packet)> out);
-  ~Shaper();
-  Shaper(const Shaper&) = delete;
-  Shaper& operator=(const Shaper&) = delete;
-
-  void Enqueue(Packet pkt);
-  void SetRate(Rate rate);
-  Rate rate() const { return bucket_.rate(); }
-
-  Qdisc* queue() { return queue_.get(); }
-  const Qdisc* queue() const { return queue_.get(); }
-  uint64_t forwarded_packets() const { return forwarded_packets_; }
-
- private:
-  void Pump();
-
-  Simulator* sim_;
-  std::unique_ptr<Qdisc> queue_;
-  TokenBucket bucket_;
-  InlineFunction<void(Packet)> out_;
-  EventId pending_timer_ = kInvalidEventId;
-  // Set by SetRate while the armed wakeup awaits a fresh deadline; Pump
-  // consumes it via Reschedule instead of cancel+push.
-  bool rearm_pending_ = false;
-  bool in_pump_ = false;
-  uint64_t forwarded_packets_ = 0;
 };
 
 }  // namespace bundler

@@ -153,7 +153,8 @@ TrialResult RunTrial(const TrialPoint& point) {
     // the receivebox's send count stays near-nominal because the loss happens
     // in the congested reverse queue between the two.
     r.scalars["feedback_delivered_per_sec"] =
-        static_cast<double>(net->sendbox(0)->measurement().feedback_matched()) /
+        static_cast<double>(
+            net->bundle_controller(0)->measurement().feedback_matched()) /
         kDuration.ToSeconds();
   }
   if (watchdog) {
@@ -161,18 +162,18 @@ TrialResult RunTrial(const TrialPoint& point) {
     // much of the run was spent degraded, and the mean time each degradation
     // lasted (the measured recovery time; an unrecovered tail counts to the
     // end of the run).
-    const auto& log = net->sendbox(0)->watchdog_log();
+    const auto& log = net->bundle_controller(0)->watchdog_log();
     double degrades = 0;
     double resyncs = 0;
     TimeDelta degraded_total = TimeDelta::Zero();
     TimePoint degraded_since;
     bool degraded = false;
     for (const auto& [t, ev] : log) {
-      if (ev == Sendbox::WatchdogEvent::kDegrade) {
+      if (ev == BundleController::WatchdogEvent::kDegrade) {
         ++degrades;
         degraded = true;
         degraded_since = t;
-      } else if (ev == Sendbox::WatchdogEvent::kResync && degraded) {
+      } else if (ev == BundleController::WatchdogEvent::kResync && degraded) {
         ++resyncs;
         degraded = false;
         degraded_total += t - degraded_since;

@@ -17,9 +17,9 @@
 //    buys at the extreme.
 //
 // Both are robustness scenarios, so their bundler arms run with
-// Sendbox::Config::warm_restart on (see sendbox.h: the pinned figures keep
-// it off; graceful degradation without warm recovery would re-collapse the
-// bundle at every re-sync).
+// BundleControlConfig::warm_restart on (see bundle_controller.h: the pinned
+// figures keep it off; graceful degradation without warm recovery would
+// re-collapse the bundle at every re-sync).
 #include <string>
 
 #include "src/app/workload.h"
@@ -138,14 +138,14 @@ TrialResult RunFaultTrial(const Variant& v, const FaultProfileSpec& fault,
   r.scalars["ctl_passed"] = static_cast<double>(fs.passed);
 
   if (v.bundler_on) {
-    Sendbox* sb = net->sendbox(0);
+    BundleController* sb = net->bundle_controller(0);
     r.scalars["feedback_matched_per_sec"] =
         static_cast<double>(sb->measurement().feedback_matched()) /
         kDuration.ToSeconds();
     r.scalars["mode_transitions"] = static_cast<double>(sb->mode_log().size());
   }
   if (v.watchdog) {
-    Sendbox* sb = net->sendbox(0);
+    BundleController* sb = net->bundle_controller(0);
     // Watchdog forensics, straight from the state-machine log: how long after
     // the fault began did the sendbox degrade, how many probes it issued, and
     // how long after feedback could flow again did it re-sync. -1 = never.
@@ -154,15 +154,15 @@ TrialResult RunFaultTrial(const Variant& v, const FaultProfileSpec& fault,
     double probes = 0;
     for (const auto& [t, ev] : sb->watchdog_log()) {
       switch (ev) {
-        case Sendbox::WatchdogEvent::kDegrade:
+        case BundleController::WatchdogEvent::kDegrade:
           if (degrade_ms < 0 && t >= At(kBlackoutStart)) {
             degrade_ms = (t - At(kBlackoutStart)).ToMillis();
           }
           break;
-        case Sendbox::WatchdogEvent::kProbe:
+        case BundleController::WatchdogEvent::kProbe:
           ++probes;
           break;
-        case Sendbox::WatchdogEvent::kResync:
+        case BundleController::WatchdogEvent::kResync:
           if (resync_ms < 0 && t >= At(kBlackoutEnd)) {
             resync_ms = (t - At(kBlackoutEnd)).ToMillis();
           }

@@ -41,14 +41,14 @@ TrialResult RunTrial(const TrialPoint& point) {
   StartBulkFlows(&sim, net.flows(), net.server(), net.client(), 1,
                  HostCcType::kCubic, TimePoint::Zero());
 
-  // Edge queue sampler: the sendbox scheduler at the shaper's current rate
-  // when enabled, else the edge link queue at the (constant) link rate.
+  // Edge queue sampler: the bundle's sendbox qdisc at its current shaped
+  // rate when enabled, else the edge link queue at the (constant) link rate.
   std::unique_ptr<QdiscSampler> edge_sampler;
   if (bundler_on) {
-    Sendbox* sb = net.sendbox();
+    SendboxManager* sb = net.sendbox();
     edge_sampler = std::make_unique<QdiscSampler>(
-        &sim, sb->scheduler(), TimeDelta::Millis(100),
-        [sb]() { return sb->current_rate(); });
+        &sim, sb->egress_hierarchy().bundle_qdisc(0), TimeDelta::Millis(100),
+        [sb]() { return sb->bundle_rate(0); });
   } else {
     Link* edge = net.edge_link(0);
     edge_sampler = std::make_unique<QdiscSampler>(

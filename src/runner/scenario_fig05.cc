@@ -58,7 +58,7 @@ TrialResult RunTrial(const TrialPoint& point) {
   };
   std::vector<RawSample> raw;
   const TimePoint warmup = TimePoint::Zero() + TimeDelta::SecondsF(kWarmupSec);
-  net.sendbox()->measurement().SetSampleCallback([&](const EpochSample& s) {
+  net.controller()->measurement().SetSampleCallback([&](const EpochSample& s) {
     if (!s.in_order || !s.has_rates || s.now < warmup) {
       return;
     }

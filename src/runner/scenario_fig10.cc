@@ -74,7 +74,7 @@ TrialResult RunTrial(const TrialPoint& point) {
   cfg.sendbox.warm_restart = warm;
   // The robust variant additionally gates pass-through exits on bottleneck
   // busyness and scales the quiet-tick requirement on quick re-entry
-  // (Sendbox::Config::robust_elastic_exit) — the ROADMAP fix for phase 2
+  // (BundleControlConfig::robust_elastic_exit) — the ROADMAP fix for phase 2
   // flapping out of pass-through during the cross flow's quiet spells.
   cfg.sendbox.robust_elastic_exit = robust;
   if (point.shards > 0) {
@@ -132,9 +132,9 @@ TrialResult RunTrial(const TrialPoint& point) {
   r.scalars["cross_requests_completed"] = static_cast<double>(cross_fct.completed());
   if (bundler_on) {
     r.scalars["phase2_passthrough_frac"] = PassthroughFraction(
-        net.sendbox()->mode_log(), Sec(kPhaseSeconds), Sec(2 * kPhaseSeconds));
+        net.controller()->mode_log(), Sec(kPhaseSeconds), Sec(2 * kPhaseSeconds));
     r.scalars["mode_transitions"] =
-        static_cast<double>(net.sendbox()->mode_log().size());
+        static_cast<double>(net.controller()->mode_log().size());
   }
   EndTrialObs(&sim, point, &r);
   return r;
@@ -158,7 +158,7 @@ void RegisterFig10CrossTraffic(ScenarioRegistry* registry) {
 
   // Companion scenario for the phase-3 gap: identical timeline, but the
   // sendbox re-seeds its controller from the observed rate when leaving
-  // pass-through (Sendbox::Config::warm_restart). Registered separately so
+  // pass-through (BundleControlConfig::warm_restart). Registered separately so
   // fig10_cross_traffic's pinned output stays byte-identical; compare this
   // file's phase-3 FCT/throughput against fig10's bundler and status_quo
   // cells (README "Dynamic link events" holds the before/after table).

@@ -6,10 +6,9 @@
 // slow start either way); medium-to-long requests gain because they skip
 // window growth.
 //
-// The bundler variants ride the multi-tenant SendboxManager (dumbbell
-// `managed` mode) rather than the classic facade: the proxy's enlarged
-// sendbox buffer becomes the manager's per-bundle ring capacity, exercising
-// the hierarchy's big-queue path on the paper's own workload.
+// The proxy's enlarged sendbox buffer is the bundle's `queue_limit_pkts`:
+// the packet limit of the SFQ that queues the bundle inside its site's
+// SendboxManager.
 #include <string>
 
 #include "src/metrics/fct.h"
@@ -33,7 +32,6 @@ TrialResult RunTrial(const TrialPoint& point) {
                     "unknown fig15 variant '%s'", point.variant.c_str());
 
   ExperimentConfig cfg = PaperExperimentDefaults(bundler_on, point.seed);
-  cfg.net.managed = bundler_on;
   cfg.const_cwnd_pkts = kProxyCwndPkts;
   if (proxy) {
     cfg.host_cc = HostCcType::kConstCwnd;
@@ -82,15 +80,12 @@ void RegisterFig15Proxy(ScenarioRegistry* registry) {
   spec.name = "fig15_proxy";
   spec.summary =
       "Fig 15: idealized TCP proxy (constant 450-packet endhost window, "
-      "enlarged sendbox buffer) vs Bundler vs StatusQuo; bundler variants "
-      "ride the SendboxManager data plane";
+      "enlarged sendbox buffer) vs Bundler vs StatusQuo";
   spec.variants = {"status_quo", "bundler", "bundler_proxy"};
   spec.default_trials = 3;
-  registry->Register(std::move(spec), RunTrial, []() {
-    DumbbellConfig net = PaperExperimentDefaults(true, 1).net;
-    net.managed = true;
-    return BuildAndRenderDot(DumbbellBuilder(net), "fig15_proxy");
-  });
+  registry->Register(
+      std::move(spec), RunTrial,
+      DumbbellTopology(PaperExperimentDefaults(true, 1).net, "fig15_proxy"));
 }
 
 }  // namespace runner

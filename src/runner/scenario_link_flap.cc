@@ -96,7 +96,7 @@ TrialResult RunTrial(const TrialPoint& point) {
   r.scalars["requests_completed"] = static_cast<double>(fct.completed());
   if (bundler_on) {
     r.scalars["mode_transitions"] =
-        static_cast<double>(net->sendbox(0)->mode_log().size());
+        static_cast<double>(net->bundle_controller(0)->mode_log().size());
   }
   EndTrialObs(&sim, point, &r);
   return r;

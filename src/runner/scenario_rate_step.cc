@@ -82,9 +82,10 @@ TrialResult RunTrial(const TrialPoint& point) {
     // Shaped-rate transient around the restore: a controller that re-ramps
     // promptly shows a mean near capacity within a second.
     r.scalars["sendbox_rate_mbps_1s_post_restore"] =
-        net->sendbox(0)->rate_log().MeanInRange(restore, restore + TimeDelta::Seconds(1));
+        net->bundle_controller(0)->rate_log().MeanInRange(
+            restore, restore + TimeDelta::Seconds(1));
     r.scalars["mode_transitions"] =
-        static_cast<double>(net->sendbox(0)->mode_log().size());
+        static_cast<double>(net->bundle_controller(0)->mode_log().size());
   }
   EndTrialObs(&sim, point, &r);
   return r;

@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "src/bundler/sendbox.h"
 #include "src/qdisc/drr.h"
 #include "src/qdisc/fifo.h"
 #include "src/util/check.h"
@@ -114,41 +113,12 @@ NetBuilder DumbbellBuilder(const DumbbellConfig& config, DumbbellGraph* graph) {
   // Bundles (sendbox at each server's egress, receivebox chained at the
   // bottleneck's delivery side, first bundle closest to the link).
   if (config.bundler_enabled) {
-    if (config.managed) {
-      // Each source site hosts exactly one bundle, so the manager form is a
-      // single-tenant hierarchy; the sendbox queue limit becomes the
-      // per-bundle ring capacity and the uncontended edge rate the site's
-      // shaping aggregate.
-      SendboxManager::Policy policy;
-      policy.aggregate_rate = config.edge_rate;
-      policy.per_bundle_queue_pkts = config.sendbox.queue_limit_pkts;
-      policy.control_interval = config.sendbox.control_interval;
-      // Keep the classic facade's intra-bundle scheduling (SFQ by default):
-      // with one bundle per site, the hierarchy adds sharing across sites
-      // but must not flatten the bundle's own queue into FIFO.
-      const Sendbox::Config sb = config.sendbox;
-      policy.bundle_qdisc_factory =
-          sb.scheduler_factory
-              ? sb.scheduler_factory
-              : std::function<std::unique_ptr<Qdisc>()>([sb]() {
-                  return MakeScheduler(sb.scheduler, sb.queue_limit_pkts);
-                });
-      SendboxManager::TenantPolicy tenant;
-      tenant.name = "bundle";
-      for (int i = 0; i < config.num_bundles; ++i) {
-        b.SetSiteEgressPolicy(g.servers[static_cast<size_t>(i)], policy);
-        b.AddTenant(g.servers[static_cast<size_t>(i)], tenant);
-      }
-    }
     for (int i = 0; i < config.num_bundles; ++i) {
       NetBuilder::BundleSpec spec;
       spec.src_site = g.servers[static_cast<size_t>(i)];
       spec.dst_site = g.clients[static_cast<size_t>(i)];
       spec.ingress_edge = g.bottleneck;
       spec.sendbox = config.sendbox;
-      if (config.managed) {
-        spec.tenant = "bundle";
-      }
       b.AddBundle(spec);
     }
   }
@@ -177,8 +147,12 @@ Dumbbell::Dumbbell(Simulator* sim, const DumbbellConfig& config)
   net_ = DumbbellBuilder(config_, &graph_).Build(sim);
 }
 
-Sendbox* Dumbbell::sendbox(int bundle) {
+SendboxManager* Dumbbell::sendbox(int bundle) {
   return config_.bundler_enabled ? net_->sendbox(bundle) : nullptr;
+}
+
+BundleController* Dumbbell::controller(int bundle) {
+  return config_.bundler_enabled ? net_->bundle_controller(bundle) : nullptr;
 }
 
 Receivebox* Dumbbell::receivebox(int bundle) {

@@ -30,14 +30,7 @@ struct DumbbellConfig {
 
   int num_bundles = 1;
   bool bundler_enabled = true;
-  Sendbox::Config sendbox;  // site/address fields are filled in per bundle
-  // Routes every bundle through its source site's SendboxManager (one tenant
-  // per site) instead of a standalone Sendbox facade: same control loop, but
-  // the data plane is the hierarchical site egress and the per-bundle queue
-  // limit maps onto the manager's preallocated ring. The §7 figures keep the
-  // classic facade (pinned goldens); proxy-style scenarios that need big
-  // sendbox buffers at scale set this.
-  bool managed = false;
+  SendboxConfig sendbox;  // site/address fields are filled in per bundle
 
   int num_paths = 1;  // >1 = load-balanced bottleneck (§5.2 / §7.6)
   TimeDelta path_delay_spread = TimeDelta::Zero();  // extra delay per path index
@@ -93,8 +86,12 @@ class Dumbbell {
   Host* cross_server() { return net_->host(graph_.cross_server); }
   Host* cross_client() { return net_->host(graph_.cross_client); }
 
-  // Null when the bundler is disabled.
-  Sendbox* sendbox(int bundle = 0);
+  // Null when the bundler is disabled. Each bundle's sendbox is its source
+  // site's single-bundle SendboxManager, so the bundle is index 0 there
+  // (sendbox(i)->bundle_rate(0), ->egress_hierarchy().bundle_qdisc(0)).
+  SendboxManager* sendbox(int bundle = 0);
+  // Bundle `i`'s control loop (mode, measurement, watchdog, logs).
+  BundleController* controller(int bundle = 0);
   Receivebox* receivebox(int bundle = 0);
 
   // Single-path accessors (CHECK-fail when num_paths > 1).

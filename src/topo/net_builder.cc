@@ -144,15 +144,14 @@ NetBuilder::BundleId NetBuilder::AddBundle(const BundleSpec& spec) {
                     "bundle src and dst are both site '%s'",
                     nodes_[static_cast<size_t>(spec.src_site)].name.c_str());
   for (const BundleSpec& other : bundles_) {
-    // Many bundles may share a source site ONLY when all of them are managed
-    // (they multiplex through one SendboxManager); a standalone sendbox still
-    // claims the site egress exclusively, and mixing the two on one site
-    // would put two shapers in series.
+    // Many bundles may share a source site ONLY when all of them name tenants
+    // (the site's declared policy then governs sharing); a tenant-less bundle
+    // defines its site's whole egress policy, so it must be the only one.
     BUNDLER_CHECK_MSG(other.src_site != spec.src_site ||
                           (!spec.tenant.empty() && !other.tenant.empty()),
-                      "two bundles originate at site '%s' (one sendbox per site "
-                      "egress; declare tenants on both to multiplex them through "
-                      "one SendboxManager)",
+                      "two bundles originate at site '%s' (a tenant-less bundle "
+                      "owns its site's sendbox; declare tenants on both to "
+                      "multiplex them through one SendboxManager)",
                       nodes_[static_cast<size_t>(spec.src_site)].name.c_str());
     // Control addresses are (site, kBundlerCtlHost): a shared destination
     // site would give both receiveboxes the same self_ctl_addr, and the
@@ -162,7 +161,13 @@ NetBuilder::BundleId NetBuilder::AddBundle(const BundleSpec& spec) {
                       "share one control address",
                       nodes_[static_cast<size_t>(spec.dst_site)].name.c_str());
   }
-  if (!spec.tenant.empty()) {
+  if (spec.tenant.empty()) {
+    // The bundle's max_rate becomes its site's aggregate rate.
+    BUNDLER_CHECK_MSG(!spec.sendbox.max_rate.IsZero(),
+                      "tenant-less bundle at site '%s' needs a positive "
+                      "sendbox.max_rate",
+                      nodes_[static_cast<size_t>(spec.src_site)].name.c_str());
+  } else {
     bool declared = false;
     for (const auto& [node, ten] : tenants_) {
       declared = declared || (node == spec.src_site && ten.name == spec.tenant);
@@ -350,20 +355,28 @@ void NetBuilder::Validate() const {
                       nodes_[n].name.c_str(), egress);
   }
 
-  // A managed site (one with declared tenants) owns its egress through the
-  // SendboxManager; a classic bundle's standalone sendbox would put a second
-  // shaper in series with it.
+  // A tenanted site (one with declared tenants) takes its egress policy
+  // from the site declaration; a tenant-less bundle's sendbox config IS its
+  // site's policy, so the two forms cannot meet on one site.
   for (const BundleSpec& bundle : bundles_) {
     if (!bundle.tenant.empty()) {
       continue;
     }
+    const char* site = nodes_[static_cast<size_t>(bundle.src_site)].name.c_str();
     for (const auto& [node, ten] : tenants_) {
       BUNDLER_CHECK_MSG(node != bundle.src_site,
                         "site '%s' declares tenant '%s' but also originates a "
-                        "classic (tenant-less) bundle; a site is either classic "
-                        "or managed, not both",
-                        nodes_[static_cast<size_t>(bundle.src_site)].name.c_str(),
-                        ten.name.c_str());
+                        "tenant-less bundle; a site is either tenant-less or "
+                        "tenanted, not both",
+                        site, ten.name.c_str());
+    }
+    for (const auto& [node, policy] : site_policies_) {
+      (void)policy;
+      BUNDLER_CHECK_MSG(node != bundle.src_site,
+                        "site '%s' sets an egress policy but originates a "
+                        "tenant-less bundle, whose sendbox config is the "
+                        "site's policy",
+                        site);
     }
   }
 }
@@ -557,23 +570,21 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
     }
   }
 
-  // --- Phase 6: sendboxes and sendbox managers, in bundle declaration
-  // order. This is the only construction that schedules events (control
-  // ticks), so declaration order fixes the event-id assignment and with it
-  // byte-level determinism. A classic bundle constructs its standalone
-  // sendbox; the FIRST managed bundle of a site constructs that site's
-  // manager with every bundle the site declares (all later ones are already
-  // covered). ---
+  // --- Phase 6: sendbox managers, in bundle declaration order. This is the
+  // only construction that schedules events (control ticks), so declaration
+  // order fixes the event-id assignment and with it byte-level determinism.
+  // A site's FIRST bundle constructs the site's manager with every bundle the
+  // site declares (all later ones are already covered). ---
   // Completes the builder-filled fields of a bundle's control config.
   auto control_config = [&](const BundleSpec& bundle) {
-    Sendbox::Config sc = bundle.sendbox;
+    BundleControlConfig control = bundle.sendbox;
     const NodeDecl& src = nodes_[static_cast<size_t>(bundle.src_site)];
     const NodeDecl& dst = nodes_[static_cast<size_t>(bundle.dst_site)];
-    sc.local_site = src.site;
-    sc.remote_site = dst.site;
-    sc.ctl_addr = MakeAddress(src.site, kBundlerCtlHost);
-    sc.receivebox_ctl_addr = MakeAddress(dst.site, kBundlerCtlHost);
-    return sc;
+    control.local_site = src.site;
+    control.remote_site = dst.site;
+    control.ctl_addr = MakeAddress(src.site, kBundlerCtlHost);
+    control.receivebox_ctl_addr = MakeAddress(dst.site, kBundlerCtlHost);
+    return control;
   };
   auto build_manager = [&](NodeId site_node) {
     const NodeDecl& src = nodes_[static_cast<size_t>(site_node)];
@@ -600,14 +611,36 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
     };
     std::vector<SendboxManager::BundleDecl> decls;
     for (size_t b = 0; b < bundles_.size(); ++b) {
-      if (bundles_[b].src_site != site_node) {
+      const BundleSpec& bundle = bundles_[b];
+      if (bundle.src_site != site_node) {
         continue;
       }
+      if (bundle.tenant.empty()) {
+        // The site's only bundle (validated): its sendbox config is the
+        // whole site policy. The site bucket runs at max_rate, which the
+        // controller never exceeds, with the bundle bucket's burst, so it
+        // never holds a packet the bundle bucket would pass.
+        const SendboxConfig& sb = bundle.sendbox;
+        policy.aggregate_rate = sb.max_rate;
+        policy.control_interval = sb.control_interval;
+        policy.bundle_qdisc_factory =
+            sb.scheduler_factory
+                ? sb.scheduler_factory
+                : [type = sb.scheduler, limit = sb.queue_limit_pkts]() {
+                    return MakeScheduler(type, limit);
+                  };
+        SendboxManager::TenantPolicy tenant;
+        tenant.name = "s" + std::to_string(src.site) + "-s" +
+                      std::to_string(
+                          nodes_[static_cast<size_t>(bundle.dst_site)].site);
+        tenant.committed_rate = Rate::Zero();  // always admitted
+        site_tenants.push_back(tenant);
+      }
       SendboxManager::BundleDecl decl;
-      decl.tenant = tenant_index(bundles_[b].tenant);
-      decl.class_weight = bundles_[b].class_weight;
-      decl.control = control_config(bundles_[b]);
-      net->managed_slot_[b] = {site_node, static_cast<int>(decls.size())};
+      decl.tenant = bundle.tenant.empty() ? 0 : tenant_index(bundle.tenant);
+      decl.class_weight = bundle.class_weight;
+      decl.control = control_config(bundle);
+      net->bundle_slot_[b] = {site_node, static_cast<int>(decls.size())};
       decls.push_back(std::move(decl));
     }
     EdgeId egress = site_egress[static_cast<size_t>(site_node)];
@@ -619,21 +652,14 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
             net->edge_entries_[static_cast<size_t>(egress)],
             "s" + std::to_string(src.site));
   };
-  net->sendboxes_.resize(bundles_.size());
   net->managers_.resize(nodes_.size());
-  net->managed_slot_.assign(bundles_.size(), {-1, -1});
-  for (size_t b = 0; b < bundles_.size(); ++b) {
-    const BundleSpec& bundle = bundles_[b];
-    if (bundle.tenant.empty()) {
-      EdgeId egress = site_egress[static_cast<size_t>(bundle.src_site)];
-      net->sendboxes_[b] = std::make_unique<Sendbox>(
-          sim_of(bundle.src_site), control_config(bundle),
-          net->edge_entries_[static_cast<size_t>(egress)]);
-    } else if (net->managers_[static_cast<size_t>(bundle.src_site)] == nullptr) {
+  net->bundle_slot_.assign(bundles_.size(), {-1, -1});
+  for (const BundleSpec& bundle : bundles_) {
+    if (net->managers_[static_cast<size_t>(bundle.src_site)] == nullptr) {
       build_manager(bundle.src_site);
     }
   }
-  // Managed sites whose tenants declared no bundles yet still get their
+  // Tenanted sites whose tenants declared no bundles yet still get their
   // manager (admission machinery, counters, and the shared tick exist even
   // when every tenant is idle), after all bundle-driven construction.
   for (const auto& [node, ten] : tenants_) {
@@ -750,15 +776,12 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
         b, dst.name.c_str(), src.name.c_str());
 
     // Feedback addressed to the sendbox control address must reach the
-    // demultiplexing point — the standalone sendbox, or the site's manager
-    // (which fans feedback out to the owning controller) — not the source
-    // host: rewrite the final-hop routers. Managed bundles of one site share
-    // the address and the target, so re-registration is a no-op.
+    // site's manager (which fans feedback out to the owning controller), not
+    // the source host: rewrite the final-hop routers. Bundles of one site
+    // share the address and the target, so re-registration is a no-op.
     Address ctl = MakeAddress(src.site, kBundlerCtlHost);
     PacketHandler* ctl_sink =
-        bundle.tenant.empty()
-            ? static_cast<PacketHandler*>(net->sendboxes_[b].get())
-            : net->managers_[static_cast<size_t>(bundle.src_site)].get();
+        net->managers_[static_cast<size_t>(bundle.src_site)].get();
     for (size_t r = 0; r < nodes_.size(); ++r) {
       if (nodes_[r].kind != NodeKind::kRouter) {
         continue;
@@ -777,8 +800,8 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
 
   // --- Phase 9: link-schedule drivers, in declaration order. Each driver
   // schedules its first event at construction, so this must stay after the
-  // sendboxes (phase 6) to keep schedule-free graphs byte-identical to the
-  // pre-schedule builder. ---
+  // sendbox managers (phase 6) to keep schedule-free graphs byte-identical
+  // to the pre-schedule builder. ---
   net->link_schedules_.reserve(schedules_.size());
   for (const ScheduleDecl& sched : schedules_) {
     net->link_schedules_.push_back(std::make_unique<LinkScheduleDriver>(
@@ -787,23 +810,16 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
         sched.repeat_period));
   }
 
-  // --- Phase 10: host egress (through the sendbox or the site's manager
-  // where one is attached). ---
+  // --- Phase 10: host egress (through the site's manager where one is
+  // attached). ---
   for (size_t n = 0; n < nodes_.size(); ++n) {
     if (nodes_[n].kind != NodeKind::kSite) {
       continue;
     }
     PacketHandler* egress =
-        net->edge_entries_[static_cast<size_t>(site_egress[n])];
-    if (net->managers_[n] != nullptr) {
-      egress = net->managers_[n].get();
-    } else {
-      for (size_t b = 0; b < bundles_.size(); ++b) {
-        if (bundles_[b].src_site == static_cast<NodeId>(n)) {
-          egress = net->sendboxes_[b].get();
-        }
-      }
-    }
+        net->managers_[n] != nullptr
+            ? net->managers_[n].get()
+            : net->edge_entries_[static_cast<size_t>(site_egress[n])];
     net->hosts_[n]->set_egress(egress);
   }
 
@@ -944,10 +960,11 @@ PacketHandler* Net::edge_entry(NetBuilder::EdgeId edge) {
   return edge_entries_[static_cast<size_t>(edge)];
 }
 
-Sendbox* Net::sendbox(NetBuilder::BundleId bundle) {
-  BUNDLER_CHECK_MSG(bundle >= 0 && static_cast<size_t>(bundle) < sendboxes_.size(),
+SendboxManager* Net::sendbox(NetBuilder::BundleId bundle) {
+  BUNDLER_CHECK_MSG(bundle >= 0 && static_cast<size_t>(bundle) < bundle_slot_.size(),
                     "no bundle %d", bundle);
-  return sendboxes_[static_cast<size_t>(bundle)].get();
+  return managers_[static_cast<size_t>(bundle_slot_[static_cast<size_t>(bundle)].first)]
+      .get();
 }
 
 Receivebox* Net::receivebox(NetBuilder::BundleId bundle) {
@@ -959,33 +976,18 @@ Receivebox* Net::receivebox(NetBuilder::BundleId bundle) {
 SendboxManager* Net::manager(NetBuilder::NodeId node) {
   BUNDLER_CHECK_MSG(node >= 0 && static_cast<size_t>(node) < managers_.size() &&
                         managers_[static_cast<size_t>(node)] != nullptr,
-                    "node %d is not a managed site", node);
+                    "node %d is not a sendbox site", node);
   return managers_[static_cast<size_t>(node)].get();
 }
 
-SendboxManager* Net::manager_of_bundle(NetBuilder::BundleId bundle) {
-  BUNDLER_CHECK_MSG(bundle >= 0 && static_cast<size_t>(bundle) < managed_slot_.size(),
-                    "no bundle %d", bundle);
-  const auto [node, slot] = managed_slot_[static_cast<size_t>(bundle)];
-  return node < 0 ? nullptr : managers_[static_cast<size_t>(node)].get();
-}
-
 bool Net::bundle_admitted(NetBuilder::BundleId bundle) {
-  SendboxManager* mgr = manager_of_bundle(bundle);
-  if (mgr == nullptr) {
-    return true;  // classic bundles have no admission gate
-  }
-  return mgr->admitted(
-      static_cast<size_t>(managed_slot_[static_cast<size_t>(bundle)].second));
+  return sendbox(bundle)->admitted(
+      static_cast<size_t>(bundle_slot_[static_cast<size_t>(bundle)].second));
 }
 
 BundleController* Net::bundle_controller(NetBuilder::BundleId bundle) {
-  SendboxManager* mgr = manager_of_bundle(bundle);
-  if (mgr == nullptr) {
-    return &sendboxes_[static_cast<size_t>(bundle)]->controller();
-  }
-  return mgr->controller(
-      static_cast<size_t>(managed_slot_[static_cast<size_t>(bundle)].second));
+  return sendbox(bundle)->controller(
+      static_cast<size_t>(bundle_slot_[static_cast<size_t>(bundle)].second));
 }
 
 QueueDelayMonitor* Net::queue_monitor(NetBuilder::MonitorId id) {

@@ -11,7 +11,7 @@
 // declarations instead of bespoke constructor plumbing.
 //
 // Determinism contract: Build materializes event-scheduling components
-// (sendboxes, then link-schedule drivers) in declaration order, so two
+// (sendbox managers, then link-schedule drivers) in declaration order, so two
 // builders declaring the same graph in the same order drive byte-identical
 // simulations. A graph without link schedules produces exactly the event
 // sequence it did before schedules existed.
@@ -67,23 +67,26 @@ class NetBuilder {
     std::function<std::unique_ptr<Qdisc>()> qdisc_factory;
   };
 
-  // A sendbox-receivebox pair. The sendbox interposes on `src_site`'s egress
-  // edge; the receivebox interposes at the delivery end of `ingress_edge`
-  // (which must lie on the forward route from src to dst). Site, address and
-  // epoch fields of `sendbox` are filled in by the builder.
+  // A sendbox-receivebox pair. The sendbox (a SendboxManager) interposes on
+  // `src_site`'s egress edge; the receivebox interposes at the delivery end
+  // of `ingress_edge` (which must lie on the forward route from src to dst).
+  // Site and address fields of `sendbox` are filled in by the builder.
   //
-  // With `tenant` empty the bundle is classic: the site gets a standalone
-  // Sendbox and may originate only this one bundle. Naming a tenant (declared
-  // earlier via AddTenant on the same source site) makes the bundle MANAGED:
-  // all managed bundles of a site multiplex through one SendboxManager —
-  // shared control tick, hierarchical egress, admission control — and
+  // With `tenant` empty the site may originate only this one bundle and gets
+  // a single-tenant manager built from `sendbox`: one tenant named by the
+  // site pair ("s10-s100"), always admitted, site aggregate = max_rate, the
+  // bundle's control interval, and its scheduler (scheduler_factory, else
+  // MakeScheduler(scheduler, queue_limit_pkts)) as the bundle qdisc. Naming a
+  // tenant (declared earlier via AddTenant on the same source site) instead
+  // multiplexes all of the site's bundles through one manager under the
+  // site's declared policy — admission control, tenant sharing — and
   // `class_weight` sets the bundle's DRR share within its tenant. A site
-  // cannot mix classic and managed bundles.
+  // cannot mix tenant-less and tenanted bundles.
   struct BundleSpec {
     NodeId src_site = -1;
     NodeId dst_site = -1;
     EdgeId ingress_edge = -1;
-    Sendbox::Config sendbox;
+    SendboxConfig sendbox;
     std::string tenant;
     double class_weight = 1.0;
   };
@@ -101,12 +104,12 @@ class NetBuilder {
   BundleId AddBundle(const BundleSpec& spec);
 
   // --- Multi-tenant control plane (src/bundler/sendbox_manager.h) ---
-  // Declares a tenant on `site`, making the site MANAGED: its bundles (which
-  // must each name a declared tenant) ride one SendboxManager. Tenant order
-  // is declaration order; duplicate names on one site CHECK-fail.
+  // Declares a tenant on `site`, making the site TENANTED: its bundles (which
+  // must each name a declared tenant) share the site's SendboxManager. Tenant
+  // order is declaration order; duplicate names on one site CHECK-fail.
   void AddTenant(NodeId site, const SendboxManager::TenantPolicy& policy);
-  // Overrides the managed site's egress policy (aggregate rate, admission
-  // caps, shared tick period). At most once per site; optional — a managed
+  // Overrides the tenanted site's egress policy (aggregate rate, admission
+  // caps, shared tick period). At most once per site; optional — a tenanted
   // site without one uses SendboxManager::Policy defaults.
   void SetSiteEgressPolicy(NodeId site, const SendboxManager::Policy& policy);
 
@@ -262,18 +265,16 @@ class Net {
   // for wires the delivery chain). This is what a site's egress points at.
   PacketHandler* edge_entry(NetBuilder::EdgeId edge);
 
-  // Null when the edge carries no such attachment (managed bundles have a
-  // SendboxManager slot instead of a standalone sendbox).
-  Sendbox* sendbox(NetBuilder::BundleId bundle);
+  // The SendboxManager carrying `bundle` (its source site's sendbox), and
+  // the bundle's receivebox.
+  SendboxManager* sendbox(NetBuilder::BundleId bundle);
   Receivebox* receivebox(NetBuilder::BundleId bundle);
 
-  // The managed site's multiplexer (CHECK-fails when the node is not a
-  // managed site), and per-bundle views that work for classic and managed
-  // bundles alike: a classic bundle is always "admitted" and its controller
-  // is the facade's embedded one; a managed bundle's controller is null when
-  // admission rejected it.
+  // A site's sendbox (CHECK-fails when the node originates no bundle and
+  // declares no tenant), and per-bundle views: whether admission accepted
+  // the bundle (a tenant-less bundle always is) and its control loop (null
+  // when rejected).
   SendboxManager* manager(NetBuilder::NodeId node);
-  SendboxManager* manager_of_bundle(NetBuilder::BundleId bundle);  // null=classic
   bool bundle_admitted(NetBuilder::BundleId bundle);
   BundleController* bundle_controller(NetBuilder::BundleId bundle);
 
@@ -298,11 +299,9 @@ class Net {
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<std::unique_ptr<MultipathLink>> multipaths_;
   std::vector<PacketHandler*> edge_entries_;
-  std::vector<std::unique_ptr<Sendbox>> sendboxes_;
   std::vector<std::unique_ptr<SendboxManager>> managers_;  // by site node id
-  // bundle id -> (site node, declaration slot within that site's manager);
-  // (-1, -1) for classic bundles.
-  std::vector<std::pair<NetBuilder::NodeId, int>> managed_slot_;
+  // bundle id -> (site node, declaration slot within that site's manager).
+  std::vector<std::pair<NetBuilder::NodeId, int>> bundle_slot_;
   std::vector<std::unique_ptr<Receivebox>> receiveboxes_;
   std::vector<std::unique_ptr<QueueDelayMonitor>> queue_monitors_;
   std::vector<std::unique_ptr<RateMeter>> rate_meters_;

@@ -65,8 +65,8 @@ FaultyRun RunWithControlFault(std::function<bool(const Packet&)> drop, double se
   for (auto* s : senders) {
     r.delivered_bytes += s->delivered_bytes();
   }
-  r.sendbox_queue_bytes = net.sendbox()->queue_bytes();
-  r.feedback_matched = net.sendbox()->measurement().feedback_matched();
+  r.sendbox_queue_bytes = net.sendbox()->bundle_queue_bytes(0);
+  r.feedback_matched = net.controller()->measurement().feedback_matched();
   return r;
 }
 
@@ -156,7 +156,7 @@ TEST(FailureInjectionTest, FeedbackReorderingToleratedOnSinglePath) {
   auto senders = StartBulkFlows(&sim, net.flows(), net.server(), net.client(), 4,
                                 HostCcType::kCubic, TimePoint::Zero());
   sim.RunUntil(Sec(20));
-  EXPECT_EQ(net.sendbox()->mode(), BundlerMode::kDelayControl);
+  EXPECT_EQ(net.controller()->mode(), BundlerMode::kDelayControl);
   int64_t total = 0;
   for (auto* s : senders) {
     total += s->delivered_bytes();
@@ -180,7 +180,7 @@ TEST(FailureInjectionTest, MeasurementSurvivesEpochDisagreement) {
   auto senders = StartBulkFlows(&sim, net.flows(), net.server(), net.client(), 4,
                                 HostCcType::kCubic, TimePoint::Zero());
   sim.RunUntil(Sec(20));
-  EXPECT_GT(net.sendbox()->measurement().feedback_matched(), 200u);
+  EXPECT_GT(net.controller()->measurement().feedback_matched(), 200u);
   int64_t total = 0;
   for (auto* s : senders) {
     total += s->delivered_bytes();

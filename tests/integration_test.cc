@@ -106,13 +106,13 @@ TEST(IntegrationTest, PassThroughUnderElasticCrossTrafficAndRecovery) {
   sim.RunUntil(Sec(60));
   // Bundler must have detected the elastic competitor and switched modes.
   bool saw_pass_through = false;
-  for (const auto& [t, m] : net.sendbox()->mode_log()) {
+  for (const auto& [t, m] : net.controller()->mode_log()) {
     if (m == BundlerMode::kPassThrough) {
       saw_pass_through = true;
     }
   }
   EXPECT_TRUE(saw_pass_through);
-  EXPECT_EQ(net.sendbox()->mode(), BundlerMode::kPassThrough);
+  EXPECT_EQ(net.controller()->mode(), BundlerMode::kPassThrough);
 
   // Bundle must keep a reasonable share of the link while competing: >= 25%
   // of capacity (fair share would be ~10/11).
@@ -137,9 +137,9 @@ TEST(IntegrationTest, RecoversDelayControlAfterCrossTrafficLeaves) {
   });
   sim.RunUntil(Sec(120));
   // After the cross flow drains, the sendbox must be back in delay control.
-  EXPECT_EQ(net.sendbox()->mode(), BundlerMode::kDelayControl);
+  EXPECT_EQ(net.controller()->mode(), BundlerMode::kDelayControl);
   bool saw_pass_through = false;
-  for (const auto& [t, m] : net.sendbox()->mode_log()) {
+  for (const auto& [t, m] : net.controller()->mode_log()) {
     saw_pass_through |= (m == BundlerMode::kPassThrough);
   }
   EXPECT_TRUE(saw_pass_through);
@@ -162,7 +162,7 @@ TEST(IntegrationTest, ImbalancedMultipathDisablesRateControl) {
   // The sendbox periodically re-probes delay control from disabled mode, so
   // assert on the dominant behavior: disabled for the large majority of the
   // steady-state interval.
-  const auto& log = net.sendbox()->mode_log();
+  const auto& log = net.controller()->mode_log();
   TimeDelta disabled_time = TimeDelta::Zero();
   for (size_t i = 0; i < log.size(); ++i) {
     TimePoint start = std::max(log[i].first, Sec(10));
@@ -185,11 +185,11 @@ TEST(IntegrationTest, SinglePathNeverTripsMultipathDetector) {
   StartBulkFlows(&sim, net.flows(), net.server(), net.client(), 24, HostCcType::kCubic,
                  TimePoint::Zero());
   sim.RunUntil(Sec(40));
-  EXPECT_EQ(net.sendbox()->mode(), BundlerMode::kDelayControl);
-  for (const auto& [t, m] : net.sendbox()->mode_log()) {
+  EXPECT_EQ(net.controller()->mode(), BundlerMode::kDelayControl);
+  for (const auto& [t, m] : net.controller()->mode_log()) {
     EXPECT_NE(m, BundlerMode::kDisabled);
   }
-  EXPECT_LT(net.sendbox()->measurement().OutOfOrderFraction(sim.now()), 0.01);
+  EXPECT_LT(net.controller()->measurement().OutOfOrderFraction(sim.now()), 0.01);
 }
 
 TEST(IntegrationTest, EqualDelayMultipathIsStillDetected) {
@@ -207,7 +207,7 @@ TEST(IntegrationTest, EqualDelayMultipathIsStillDetected) {
   StartBulkFlows(&sim, net.flows(), net.server(), net.client(), 24, HostCcType::kCubic,
                  TimePoint::Zero());
   sim.RunUntil(Sec(40));
-  const auto& log = net.sendbox()->mode_log();
+  const auto& log = net.controller()->mode_log();
   TimeDelta disabled_time = TimeDelta::Zero();
   for (size_t i = 0; i < log.size(); ++i) {
     TimePoint start = std::max(log[i].first, Sec(10));
@@ -239,8 +239,8 @@ TEST(IntegrationTest, CompetingBundlesBothKeepThroughput) {
   double ratio = std::max(b0.Mbps(), b1.Mbps()) / std::min(b0.Mbps(), b1.Mbps());
   EXPECT_LT(ratio, 1.8);
   // Both keep modest in-network queues (delay control held).
-  EXPECT_EQ(e.net()->sendbox(0)->mode(), BundlerMode::kDelayControl);
-  EXPECT_EQ(e.net()->sendbox(1)->mode(), BundlerMode::kDelayControl);
+  EXPECT_EQ(e.net()->controller(0)->mode(), BundlerMode::kDelayControl);
+  EXPECT_EQ(e.net()->controller(1)->mode(), BundlerMode::kDelayControl);
 }
 
 TEST(IntegrationTest, ExperimentWarmupFilterExcludesEarlyRequests) {

@@ -158,6 +158,31 @@ TEST(NetBuilderValidationTest, TwoBundlesOneSiteEgressDies) {
   EXPECT_DEATH(b.AddBundle(b2), "two bundles originate at site 'a'");
 }
 
+TEST(NetBuilderValidationTest, TenantlessSitePolicyComesOnlyFromItsBundle) {
+  // A tenant-less bundle's sendbox config is its site's egress policy: its
+  // max_rate becomes the site aggregate (zero would stall the site), and a
+  // second, declared policy would be silently overridden.
+  NetBuilder b;
+  NetBuilder::NodeId a = b.AddSite("a", 10);
+  NetBuilder::NodeId c = b.AddSite("c", 100);
+  NetBuilder::NodeId r = b.AddRouter("r");
+  NetBuilder::EdgeId fwd = b.AddLink(a, r, {}, "fwd");
+  b.AddWire(r, c);
+  b.AddWire(c, r);
+  b.AddWire(r, a);
+  NetBuilder::BundleSpec bundle;
+  bundle.src_site = a;
+  bundle.dst_site = c;
+  bundle.ingress_edge = fwd;
+  NetBuilder::BundleSpec unshaped = bundle;
+  unshaped.sendbox.max_rate = Rate::Zero();
+  EXPECT_DEATH(b.AddBundle(unshaped), "needs a positive sendbox.max_rate");
+  b.AddBundle(bundle);
+  b.SetSiteEgressPolicy(a, SendboxManager::Policy());
+  Simulator sim;
+  EXPECT_DEATH(b.Build(&sim), "sets an egress policy but originates a tenant-less");
+}
+
 // --- Routing and plumbing on a hand-declared graph. ---
 
 TEST(NetBuilderTest, RoutesAcrossTwoRoutersAndBundlePlumbingWorks) {
@@ -196,9 +221,40 @@ TEST(NetBuilderTest, RoutesAcrossTwoRoutersAndBundlePlumbingWorks) {
                      HostCcType::kCubic, &fct);
   sim.RunUntil(TimePoint::Zero() + TimeDelta::Seconds(5));
   EXPECT_EQ(fct.completed(), 1u);
-  EXPECT_GT(net->sendbox(0)->bytes_sent(), 200000);
+  EXPECT_GT(net->bundle_controller(0)->bytes_sent(), 200000);
   EXPECT_GT(net->receivebox(0)->bytes_received(), 200000);
   EXPECT_GT(net->receivebox(0)->feedback_sent(), 0u);
+}
+
+// A tenant-less bundle's sendbox is a single-tenant SendboxManager on its
+// source site: always admitted, named by the site pair, and queueing through
+// the bundle's scheduler (SFQ unless scheduler_factory says otherwise).
+TEST(NetBuilderTest, TenantlessBundleRidesSingleTenantManager) {
+  DumbbellConfig cfg;
+  DumbbellGraph g;
+  NetBuilder b = DumbbellBuilder(cfg, &g);
+  Simulator sim;
+  std::unique_ptr<Net> net = b.Build(&sim);
+  SendboxManager* mgr = net->manager(g.servers[0]);
+  EXPECT_EQ(net->sendbox(0), mgr);
+  EXPECT_TRUE(net->bundle_admitted(0));
+  EXPECT_EQ(net->bundle_controller(0), mgr->controller(0));
+  ASSERT_NE(mgr->controller(0), nullptr);
+  EXPECT_EQ(mgr->num_bundles(), 1u);
+  ASSERT_EQ(mgr->num_tenants(), 1u);
+  EXPECT_EQ(mgr->tenant_name(0), "s10-s100");
+  EXPECT_STREQ(mgr->egress_hierarchy().bundle_qdisc(0)->name(), "sfq");
+}
+
+TEST(NetBuilderTest, TenantlessBundleSchedulerFactoryOverridesDefault) {
+  DumbbellConfig cfg;
+  cfg.sendbox.scheduler_factory = [] {
+    return MakeScheduler(SchedulerType::kFifo, 1000);
+  };
+  Simulator sim;
+  std::unique_ptr<Net> net = DumbbellBuilder(cfg).Build(&sim);
+  EXPECT_STREQ(net->sendbox(0)->egress_hierarchy().bundle_qdisc(0)->name(),
+               "droptail_fifo");
 }
 
 TEST(NetBuilderTest, ToDotNamesNodesEdgesAndAttachments) {

@@ -1,4 +1,4 @@
-// Unit tests for the queue disciplines and the token-bucket shaper.
+// Unit tests for the queue disciplines and the token bucket.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -11,7 +11,6 @@
 #include "src/qdisc/prio.h"
 #include "src/qdisc/sfq.h"
 #include "src/qdisc/token_bucket.h"
-#include "src/sim/simulator.h"
 
 namespace bundler {
 namespace {
@@ -334,55 +333,6 @@ TEST(TokenBucketTest, RateChangeDoesNotRefillInstantly) {
   EXPECT_FALSE(tb.CanSend(1500, t));
   // But the new rate applies going forward: 1500 B at 12 MB/s = 125 us.
   EXPECT_NEAR(tb.TimeUntilAvailable(1500, t).ToMicros(), 125.0, 1e-2);
-}
-
-TEST(ShaperTest, EnforcesRate) {
-  Simulator sim;
-  int64_t out_bytes = 0;
-  Shaper shaper(&sim, std::make_unique<DropTailFifo>(1 << 24), Rate::Mbps(12),
-                2 * kMtuBytes, [&](Packet p) { out_bytes += p.size_bytes; });
-  for (int i = 0; i < 1000; ++i) {
-    shaper.Enqueue(MakePkt(1));
-  }
-  sim.RunUntil(TimePoint::Zero() + TimeDelta::Seconds(1));
-  // 12 Mbit/s = 1.5 MB/s (plus the initial burst allowance).
-  EXPECT_NEAR(static_cast<double>(out_bytes), 1.5e6, 0.05e6);
-}
-
-TEST(ShaperTest, RateIncreaseTakesEffectImmediately) {
-  Simulator sim;
-  int64_t out_pkts = 0;
-  Shaper shaper(&sim, std::make_unique<DropTailFifo>(1 << 24), Rate::Kbps(100),
-                2 * kMtuBytes, [&](Packet p) {
-                  (void)p;
-                  ++out_pkts;
-                });
-  for (int i = 0; i < 200; ++i) {
-    shaper.Enqueue(MakePkt(1));
-  }
-  sim.RunUntil(TimePoint::Zero() + TimeDelta::Millis(100));
-  int64_t slow_pkts = out_pkts;
-  shaper.SetRate(Rate::Mbps(96));
-  sim.RunUntil(TimePoint::Zero() + TimeDelta::Millis(150));
-  // At 96 Mbit/s the remaining ~198 packets drain in < 25 ms.
-  EXPECT_EQ(out_pkts, 200);
-  EXPECT_LT(slow_pkts, 10);
-}
-
-TEST(ShaperTest, DrainsCompletely) {
-  Simulator sim;
-  int64_t out_pkts = 0;
-  Shaper shaper(&sim, std::make_unique<DropTailFifo>(1 << 24), Rate::Mbps(96),
-                2 * kMtuBytes, [&](Packet p) {
-                  (void)p;
-                  ++out_pkts;
-                });
-  for (int i = 0; i < 50; ++i) {
-    shaper.Enqueue(MakePkt(1));
-  }
-  sim.RunUntil(TimePoint::Zero() + TimeDelta::Seconds(1));
-  EXPECT_EQ(out_pkts, 50);
-  EXPECT_TRUE(shaper.queue()->Empty());
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
-// Tests for the multi-tenant sendbox split (src/bundler/sendbox_manager.h +
+// Tests for the sendbox (src/bundler/sendbox_manager.h +
 // src/bundler/site_egress.h): admission control accepts/rejects in
-// declaration order for both causes, the nested token buckets (site ->
-// tenant cap -> bundle) never over-send versus an independent reference
-// model, DRR shares out bandwidth by weight within and across priority
-// bands, and one tenant's feedback blackout degrades only that tenant's
-// watchdog while its neighbors keep shaping.
+// declaration order for both causes, a one-bundle site enforces, raises and
+// drains its bundle's rate, the nested token buckets (site -> tenant cap ->
+// bundle) never over-send versus an independent reference model, DRR shares
+// out bandwidth by weight within and across priority bands, a bundle's own
+// qdisc publishes qdisc.sendbox.* counters, and one tenant's feedback
+// blackout degrades only that tenant's watchdog while its neighbors keep
+// shaping.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -15,6 +18,7 @@
 #include "src/app/workload.h"
 #include "src/bundler/sendbox_manager.h"
 #include "src/bundler/site_egress.h"
+#include "src/qdisc/fifo.h"
 #include "src/topo/net_builder.h"
 
 namespace bundler {
@@ -154,6 +158,114 @@ TEST(SendboxManagerTest, RejectedBundlePassesThroughUnshaped) {
   mgr.HandlePacket(std::move(fb));
   EXPECT_EQ(sink.pkts.size(), before);
   EXPECT_EQ(*sim.counters().Counter("admit.mgr.orphan_feedback_pkts"), 1u);
+}
+
+// --- One tenant, one bundle: the sendbox of every paper figure ---
+
+// A one-tenant, one-bundle hierarchy behind an uncontended 1 Gbit/s site
+// bucket, queueing through a drop-tail FIFO: the bundle bucket alone paces.
+struct OneBundleEgress {
+  Simulator sim;
+  int64_t out_pkts = 0;
+  int64_t out_bytes = 0;
+  std::unique_ptr<SiteEgress> egress;
+
+  explicit OneBundleEgress(Rate rate) {
+    SiteEgress::Config config;
+    config.bundle_qdisc_factory = [] {
+      return std::make_unique<DropTailFifo>(1 << 24);
+    };
+    std::vector<SiteEgress::TenantSpec> tenants = {{"t", 1, 1.0, Rate::Zero()}};
+    std::vector<SiteEgress::BundleSpec> bundles = {{0, 1.0, rate}};
+    egress = std::make_unique<SiteEgress>(
+        &sim, config, tenants, bundles,
+        [this](size_t, Packet pkt) {
+          ++out_pkts;
+          out_bytes += pkt.size_bytes;
+        },
+        "one");
+  }
+
+  void Offer(int n) {
+    for (int i = 0; i < n; ++i) {
+      Packet pkt;
+      pkt.type = PacketType::kData;
+      pkt.size_bytes = kMtuBytes;
+      egress->Enqueue(0, std::move(pkt));
+    }
+  }
+};
+
+TEST(SiteEgressTest, OneBundleEnforcesRate) {
+  OneBundleEgress e(Rate::Mbps(12));
+  e.Offer(1000);
+  e.sim.RunUntil(Sec(1.0));
+  // 12 Mbit/s = 1.5 MB/s (plus the initial burst allowance).
+  EXPECT_NEAR(static_cast<double>(e.out_bytes), 1.5e6, 0.05e6);
+}
+
+TEST(SiteEgressTest, OneBundleRateIncreaseTakesEffectImmediately) {
+  OneBundleEgress e(Rate::Kbps(100));
+  e.Offer(200);
+  e.sim.RunUntil(Sec(0.1));
+  const int64_t slow_pkts = e.out_pkts;
+  e.egress->SetBundleRate(0, Rate::Mbps(96));
+  e.sim.RunUntil(Sec(0.15));
+  // At 96 Mbit/s the remaining ~198 packets drain in < 25 ms.
+  EXPECT_EQ(e.out_pkts, 200);
+  EXPECT_LT(slow_pkts, 10);
+}
+
+TEST(SiteEgressTest, OneBundleDrainsCompletely) {
+  OneBundleEgress e(Rate::Mbps(96));
+  e.Offer(50);
+  e.sim.RunUntil(Sec(1.0));
+  EXPECT_EQ(e.out_pkts, 50);
+  EXPECT_TRUE(e.egress->bundle_qdisc(0)->Empty());
+  EXPECT_EQ(e.egress->total_backlog_pkts(), 0);
+}
+
+// --- Per-bundle qdisc observability ---
+
+TEST(SendboxManagerTest, BundleQdiscPublishesSendboxCounters) {
+  // Every bundle with its own qdisc shows up under the sendbox qdisc names
+  // (qdisc.sendbox.<local>-<remote>.*); ring-backed bundles publish none.
+  Simulator sim;
+  Sink sink;
+  SendboxManager::Policy policy;
+  policy.bundle_qdisc_factory = [] {
+    return std::make_unique<DropTailFifo>(4 * kMtuBytes);
+  };
+  std::vector<SendboxManager::TenantPolicy> tenants(1);
+  tenants[0].name = "t";
+  SendboxManager mgr(&sim, policy, tenants, {Decl(0, 10)}, 1,
+                     MakeAddress(1, kBundlerCtlHost), &sink, "mgr");
+  // A burst past the token allowance: 2 leave at once, 4 queue, 4 drop.
+  for (int i = 0; i < 10; ++i) {
+    Packet pkt;
+    pkt.type = PacketType::kData;
+    pkt.key.src = MakeAddress(1, kSiteHost);
+    pkt.key.dst = MakeAddress(10, kSiteHost);
+    pkt.size_bytes = kMtuBytes;
+    mgr.HandlePacket(std::move(pkt));
+  }
+  std::map<std::string, double> ctr;
+  sim.counters().DumpTo(&ctr, "");
+  EXPECT_EQ(ctr.at("qdisc.sendbox.s1-s10.enq_pkts"), 6.0);
+  EXPECT_EQ(ctr.at("qdisc.sendbox.s1-s10.deq_pkts"), 2.0);
+  EXPECT_EQ(ctr.at("qdisc.sendbox.s1-s10.drop_pkts"), 4.0);
+  EXPECT_EQ(ctr.at("qdisc.sendbox.s1-s10.mark_pkts"), 0.0);
+  EXPECT_EQ(sink.pkts.size(), 2u);
+
+  Simulator ring_sim;
+  SendboxManager ring(&ring_sim, SendboxManager::Policy(), tenants,
+                      {Decl(0, 10)}, 1, MakeAddress(1, kBundlerCtlHost), &sink,
+                      "mgr");
+  std::map<std::string, double> ring_ctr;
+  ring_sim.counters().DumpTo(&ring_ctr, "");
+  for (const auto& [name, v] : ring_ctr) {
+    EXPECT_NE(name.rfind("qdisc.", 0), 0u) << name;
+  }
 }
 
 // --- Nested-bucket conformance ---

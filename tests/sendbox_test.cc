@@ -23,9 +23,9 @@ TEST(SendboxTest, MeasuresPathRttViaFeedback) {
   StartBulkFlows(&sim, net.flows(), net.server(), net.client(), 1, HostCcType::kCubic,
                  TimePoint::Zero());
   sim.RunUntil(TimePoint::Zero() + TimeDelta::Seconds(10));
-  ASSERT_TRUE(net.sendbox()->measurement().has_min_rtt());
+  ASSERT_TRUE(net.controller()->measurement().has_min_rtt());
   // Min RTT ~ propagation RTT (50 ms), within serialization noise.
-  EXPECT_NEAR(net.sendbox()->measurement().min_rtt().ToMillis(), 50.0, 5.0);
+  EXPECT_NEAR(net.controller()->measurement().min_rtt().ToMillis(), 50.0, 5.0);
 }
 
 TEST(SendboxTest, RateConvergesNearBottleneck) {
@@ -39,7 +39,7 @@ TEST(SendboxTest, RateConvergesNearBottleneck) {
   sim.RunUntil(TimePoint::Zero() + TimeDelta::Seconds(30));
   // The sendbox rate should sit near the bottleneck capacity: high enough to
   // not lose throughput, low enough to keep in-network queues small.
-  double rate = net.sendbox()->current_rate().Mbps();
+  double rate = net.sendbox()->bundle_rate(0).Mbps();
   EXPECT_GT(rate, 0.7 * 48);
   EXPECT_LT(rate, 1.6 * 48);
   // And the bundle's goodput through the bottleneck is close to capacity.
@@ -66,7 +66,7 @@ TEST(SendboxTest, ShiftsQueueFromBottleneckToItself) {
         TimePoint::Zero() + TimeDelta::Seconds(10),
         TimePoint::Zero() + TimeDelta::Seconds(20));
     double sendbox_ms =
-        bundler_on ? net.sendbox()->queue_delay_log().MeanInRange(
+        bundler_on ? net.controller()->queue_delay_log().MeanInRange(
                          TimePoint::Zero() + TimeDelta::Seconds(10),
                          TimePoint::Zero() + TimeDelta::Seconds(20))
                    : 0.0;
@@ -92,7 +92,7 @@ TEST(SendboxTest, EpochSizeAdaptsAndStaysPowerOfTwo) {
   StartBulkFlows(&sim, net.flows(), net.server(), net.client(), 4, HostCcType::kCubic,
                  TimePoint::Zero());
   sim.RunUntil(TimePoint::Zero() + TimeDelta::Seconds(20));
-  uint32_t n = net.sendbox()->epoch_size_pkts();
+  uint32_t n = net.controller()->epoch_size_pkts();
   EXPECT_TRUE((n & (n - 1)) == 0) << n;
   // At ~96 Mbit/s and 50 ms the formula gives 64 packets.
   EXPECT_GE(n, 16u);
@@ -111,7 +111,7 @@ TEST(SendboxTest, ReceiveboxCountsAndAnswersBoundaries) {
   EXPECT_GT(net.receivebox()->bytes_received(), 10'000'000);
   EXPECT_GT(net.receivebox()->feedback_sent(), 50u);
   // Feedback actually reached the sendbox and matched records.
-  EXPECT_GT(net.sendbox()->measurement().feedback_matched(), 50u);
+  EXPECT_GT(net.controller()->measurement().feedback_matched(), 50u);
 }
 
 TEST(SendboxTest, StaysInDelayControlWithoutCrossTraffic) {
@@ -121,9 +121,9 @@ TEST(SendboxTest, StaysInDelayControlWithoutCrossTraffic) {
   StartBulkFlows(&sim, net.flows(), net.server(), net.client(), 4, HostCcType::kCubic,
                  TimePoint::Zero());
   sim.RunUntil(TimePoint::Zero() + TimeDelta::Seconds(30));
-  EXPECT_EQ(net.sendbox()->mode(), BundlerMode::kDelayControl);
+  EXPECT_EQ(net.controller()->mode(), BundlerMode::kDelayControl);
   // Exactly the initial mode-log entry; no flapping.
-  EXPECT_EQ(net.sendbox()->mode_log().size(), 1u);
+  EXPECT_EQ(net.controller()->mode_log().size(), 1u);
 }
 
 TEST(SendboxTest, NonBundleTrafficPassesThrough) {
@@ -139,24 +139,7 @@ TEST(SendboxTest, NonBundleTrafficPassesThrough) {
   stray.key.dst = MakeAddress(BundleSrcSite(0), 1);
   stray.size_bytes = 100;
   net.sendbox()->HandlePacket(std::move(stray));
-  EXPECT_EQ(net.sendbox()->queue_packets(), 0);
-}
-
-TEST(SendboxTest, SchedulerFactoryOverridesDefault) {
-  Simulator sim;
-  DumbbellConfig cfg;
-  cfg.sendbox.scheduler_factory = [] {
-    return MakeScheduler(SchedulerType::kFifo, 1000);
-  };
-  Dumbbell net(&sim, cfg);
-  EXPECT_STREQ(net.sendbox()->scheduler()->name(), "droptail_fifo");
-}
-
-TEST(SendboxTest, DefaultSchedulerIsSfq) {
-  Simulator sim;
-  DumbbellConfig cfg;
-  Dumbbell net(&sim, cfg);
-  EXPECT_STREQ(net.sendbox()->scheduler()->name(), "sfq");
+  EXPECT_EQ(net.sendbox()->egress_hierarchy().bundle_queue_pkts(0), 0);
 }
 
 TEST(SendboxTest, RateLogTracksControlTicks) {
@@ -167,7 +150,7 @@ TEST(SendboxTest, RateLogTracksControlTicks) {
                  TimePoint::Zero());
   sim.RunUntil(TimePoint::Zero() + TimeDelta::Seconds(2));
   // 10 ms control interval -> ~200 samples in 2 s.
-  EXPECT_NEAR(static_cast<double>(net.sendbox()->rate_log().size()), 200.0, 10.0);
+  EXPECT_NEAR(static_cast<double>(net.controller()->rate_log().size()), 200.0, 10.0);
 }
 
 TEST(SendboxTest, DisabledBundlerIsTransparent) {
@@ -176,6 +159,7 @@ TEST(SendboxTest, DisabledBundlerIsTransparent) {
   cfg.bundler_enabled = false;
   Dumbbell net(&sim, cfg);
   EXPECT_EQ(net.sendbox(), nullptr);
+  EXPECT_EQ(net.controller(), nullptr);
   EXPECT_EQ(net.receivebox(), nullptr);
   // Traffic still flows end to end.
   TimePoint done;

@@ -1,11 +1,12 @@
-// Sendbox feedback watchdog (src/bundler/sendbox.h Config::watchdog): the
-// control-loop survival state machine. A FaultInjector with a feedback-only
-// blackout window sits on the dumbbell's reverse path, and the tests walk the
-// documented lifecycle off the sendbox's watchdog_log(): staleness past
-// `watchdog_timeout` degrades (shaper opened to max_rate, mode machinery
-// frozen), re-probes back off exponentially from `watchdog_probe_initial`,
-// and the first fresh feedback after the outage re-syncs immediately and
-// hands the rate back to the live controller.
+// Sendbox feedback watchdog (BundleControlConfig::watchdog in
+// src/bundler/bundle_controller.h): the control-loop survival state machine.
+// A FaultInjector with a feedback-only blackout window sits on the dumbbell's
+// reverse path, and the tests walk the documented lifecycle off the bundle
+// controller's watchdog_log(): staleness past `watchdog_timeout` degrades
+// (shaper opened to max_rate, mode machinery frozen), re-probes back off
+// exponentially from `watchdog_probe_initial`, and the first fresh feedback
+// after the outage re-syncs immediately and hands the rate back to the live
+// controller.
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -18,7 +19,7 @@
 namespace bundler {
 namespace {
 
-using WdEvent = Sendbox::WatchdogEvent;
+using WdEvent = BundleController::WatchdogEvent;
 
 TimePoint Sec(double s) { return TimePoint::Zero() + TimeDelta::SecondsF(s); }
 
@@ -54,7 +55,7 @@ struct WatchdogRun {
 
   std::vector<std::pair<TimePoint, WdEvent>> Events(WdEvent kind) const {
     std::vector<std::pair<TimePoint, WdEvent>> out;
-    for (const auto& e : net->sendbox()->watchdog_log()) {
+    for (const auto& e : net->controller()->watchdog_log()) {
       if (e.second == kind) {
         out.push_back(e);
       }
@@ -75,8 +76,8 @@ TEST(WatchdogTest, StaleFeedbackDegradesAndOpensShaper) {
   EXPECT_GE(t, kBlackoutStart + 0.5);
   EXPECT_LE(t, kBlackoutStart + 0.6);
   // Graceful degradation == status quo: the shaper is wide open.
-  EXPECT_TRUE(r.net->sendbox()->watchdog_degraded());
-  EXPECT_EQ(r.net->sendbox()->current_rate(), r.cfg.sendbox.max_rate);
+  EXPECT_TRUE(r.net->controller()->watchdog_degraded());
+  EXPECT_EQ(r.net->sendbox()->bundle_rate(0), r.cfg.sendbox.max_rate);
   EXPECT_TRUE(r.Events(WdEvent::kResync).empty());
 }
 
@@ -112,10 +113,10 @@ TEST(WatchdogTest, ResyncsWithinOneEpochAndRestoresControl) {
   const double t = (resyncs[0].first - TimePoint::Zero()).ToSeconds();
   EXPECT_GE(t, kBlackoutEnd);
   EXPECT_LE(t, kBlackoutEnd + 0.2);
-  EXPECT_FALSE(r.net->sendbox()->watchdog_degraded());
+  EXPECT_FALSE(r.net->controller()->watchdog_degraded());
   // Control re-engaged: the live controller shapes near the bottleneck rate
   // again instead of the wide-open degraded rate.
-  EXPECT_LT(r.net->sendbox()->current_rate().bps(),
+  EXPECT_LT(r.net->sendbox()->bundle_rate(0).bps(),
             r.cfg.sendbox.max_rate.bps() / 2);
   EXPECT_EQ(r.Events(WdEvent::kDegrade).size(), 1u);
 }
@@ -125,8 +126,8 @@ TEST(WatchdogTest, NeverDegradesBeforeTheLoopFirstCloses) {
   // not an outage — the endhost stack owns that regime (§4.5 fallback).
   WatchdogRun r(/*watchdog=*/true, 0.0, 60.0);
   r.sim.RunUntil(Sec(20.0));
-  EXPECT_TRUE(r.net->sendbox()->watchdog_log().empty());
-  EXPECT_FALSE(r.net->sendbox()->watchdog_degraded());
+  EXPECT_TRUE(r.net->controller()->watchdog_log().empty());
+  EXPECT_FALSE(r.net->controller()->watchdog_degraded());
 }
 
 TEST(WatchdogTest, UncontrollableDelayDegradesOutOfDelayControl) {
@@ -157,8 +158,8 @@ TEST(WatchdogTest, UncontrollableDelayDegradesOutOfDelayControl) {
                  HostCcType::kCubic, Sec(2.0));
   sim.RunUntil(Sec(15.0));
 
-  std::vector<std::pair<TimePoint, Sendbox::WatchdogEvent>> degrades;
-  for (const auto& e : net.sendbox()->watchdog_log()) {
+  std::vector<std::pair<TimePoint, WdEvent>> degrades;
+  for (const auto& e : net.controller()->watchdog_log()) {
     if (e.second == WdEvent::kDegrade) {
       degrades.push_back(e);
     }
@@ -172,16 +173,17 @@ TEST(WatchdogTest, UncontrollableDelayDegradesOutOfDelayControl) {
   EXPECT_LE(t, 8.0);
   // Still degraded at the end — the reverse congestion never clears — with
   // the delay cause recorded and the shaper wide open.
-  EXPECT_TRUE(net.sendbox()->watchdog_degraded());
-  EXPECT_EQ(net.sendbox()->watchdog_cause(), Sendbox::WatchdogCause::kDelay);
-  EXPECT_EQ(net.sendbox()->current_rate(), cfg.sendbox.max_rate);
+  EXPECT_TRUE(net.controller()->watchdog_degraded());
+  EXPECT_EQ(net.controller()->watchdog_cause(),
+            BundleController::WatchdogCause::kDelay);
+  EXPECT_EQ(net.sendbox()->bundle_rate(0), cfg.sendbox.max_rate);
 }
 
 TEST(WatchdogTest, OffByDefaultRecordsNothing) {
   WatchdogRun r(/*watchdog=*/false);
   r.sim.RunUntil(Sec(12.0));
-  EXPECT_TRUE(r.net->sendbox()->watchdog_log().empty());
-  EXPECT_FALSE(r.net->sendbox()->watchdog_degraded());
+  EXPECT_TRUE(r.net->controller()->watchdog_log().empty());
+  EXPECT_FALSE(r.net->controller()->watchdog_degraded());
 }
 
 }  // namespace
