@@ -439,48 +439,6 @@ BenchResult BenchSiteEgressChurn() {
   });
 }
 
-// Batched same-timestamp dispatch vs one-at-a-time head pops over the same
-// workload: each op pushes a 64-event burst at one instant and drains it.
-// StageBatch extracts the whole same-time fragment in one DFS (every hole
-// descent starts below the root), where repeated PopNext pays a full
-// root-to-leaf sift per event. The speedup between these two rows is the
-// batching win scripts/bench.sh gates (same_time_burst_speedup).
-template <bool kBatched>
-BenchResult BenchSameTimeBurst(const std::string& name) {
-  EventQueue q;
-  static uint64_t ticks = 0;
-  constexpr int kBurst = 64;
-  TimePoint base;
-  // A deep resident backlog of future events, like a loaded simulation: every
-  // serial PopNext must sift the hole from the root through this heap, while
-  // StageBatch removes the same-time fragment deepest-position-first.
-  for (int i = 0; i < 8192; ++i) {
-    (void)q.Push(base + TimeDelta::Seconds(1000) + TimeDelta::Micros(i),
-                 []() { ++ticks; });
-  }
-  int64_t round = 0;
-  BenchResult r = Measure(name, 1 << 12, 1 << 17, [&](uint64_t) {
-    const TimePoint t = base + TimeDelta::Micros(++round);
-    for (int k = 0; k < kBurst; ++k) {
-      (void)q.Push(t, []() { ++ticks; });
-    }
-    if (kBatched) {
-      const size_t n = q.StageBatch(t);
-      for (size_t k = 0; k < n; ++k) {
-        (void)q.DispatchStaged(k);
-      }
-      q.FinishBatch(n);
-    } else {
-      for (int k = 0; k < kBurst; ++k) {
-        TimePoint out;
-        q.PopNext(&out)();
-      }
-    }
-  });
-  g_sink = g_sink + ticks;
-  return r;
-}
-
 // FlowTable arena reclamation in steady state: a 256-flow working set where
 // each op releases the oldest object and emplaces a replacement — the
 // swap-remove, header fixup, and free-list push/pop cycle of a churny
@@ -746,14 +704,13 @@ BenchResult BenchEndToEndExperimentTraced(double* records_per_event_out) {
 
 void WriteJson(const std::string& path, const std::vector<BenchResult>& results,
                double speedup, double records_per_event, double disabled_overhead,
-               double burst_speedup, double pdes_speedup, double fault_overhead) {
+               double pdes_speedup, double fault_overhead) {
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     std::exit(1);
   }
   std::fprintf(f, "{\n  \"schedule_dispatch_speedup_vs_legacy\": %.3f,\n", speedup);
-  std::fprintf(f, "  \"same_time_burst_speedup\": %.3f,\n", burst_speedup);
   std::fprintf(f, "  \"parallel_des_speedup_w4_over_w1\": %.3f,\n", pdes_speedup);
   std::fprintf(f, "  \"trace_records_per_event\": %.4f,\n", records_per_event);
   std::fprintf(f, "  \"tracing_disabled_overhead_frac\": %.6f,\n", disabled_overhead);
@@ -802,12 +759,6 @@ int Run(const std::string& json_path) {
       BenchScheduleCancel<LegacyFunctionQueue>("legacy_function_queue_schedule_cancel"));
   results.push_back(BenchScheduleCancel<EventQueue>("engine_schedule_cancel"));
   results.push_back(BenchPeriodicDispatch());
-  BenchResult burst_serial =
-      BenchSameTimeBurst<false>("same_time_burst_serial");
-  BenchResult burst_batched =
-      BenchSameTimeBurst<true>("same_time_burst_dispatch");
-  results.push_back(burst_serial);
-  results.push_back(burst_batched);
   results.push_back(BenchTcpRecoveryChurn());
   results.push_back(BenchLinkEventRearmChurn());
   results.push_back(BenchFlowReclaimChurn());
@@ -851,10 +802,6 @@ int Run(const std::string& json_path) {
               "(%.2fx events/sec), %.4f vs %.4f allocs/op\n",
               engine.ns_per_op, legacy.ns_per_op, speedup, engine.allocs_per_op,
               legacy.allocs_per_op);
-  double burst_speedup = burst_batched.ops_per_sec / burst_serial.ops_per_sec;
-  std::printf("same-time burst: batched %.1f ns/burst vs serial %.1f ns/burst "
-              "(%.2fx)\n",
-              burst_batched.ns_per_op, burst_serial.ns_per_op, burst_speedup);
   double pdes_speedup = pdes_w4.ops_per_sec / pdes_w1.ops_per_sec;
   std::printf("parallel DES fat tree: %.0f events/sec at 4 workers vs %.0f at "
               "1 (%.2fx)\n",
@@ -868,7 +815,7 @@ int Run(const std::string& json_path) {
 
   if (!json_path.empty()) {
     WriteJson(json_path, results, speedup, records_per_event, disabled_overhead,
-              burst_speedup, pdes_speedup, fault_overhead);
+              pdes_speedup, fault_overhead);
   }
   // The engine must not allocate per scheduled event in steady state.
   if (engine.allocs_per_op != 0.0) {

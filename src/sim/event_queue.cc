@@ -1,7 +1,5 @@
 #include "src/sim/event_queue.h"
 
-#include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "src/util/check.h"
@@ -94,8 +92,8 @@ void EventQueue::SiftDown(uint32_t pos, HeapEntry e) {
 
 void EventQueue::HeapPush(HeapEntry e) {
   heap_.emplace_back();  // placeholder; SiftUp writes the final position
-  if (heap_.size() + staged_pending_ > profile_.max_heap) {
-    profile_.max_heap = heap_.size() + staged_pending_;
+  if (heap_.size() > profile_.max_heap) {
+    profile_.max_heap = heap_.size();
   }
   SiftUp(static_cast<uint32_t>(heap_.size() - 1), e);
 }
@@ -145,7 +143,6 @@ EventId EventQueue::Push(TimePoint time, Callback cb) {
   slot.period = TimeDelta::Zero();
   slot.cb = std::move(cb);
   HeapPush(HeapEntry{time, NextKey(idx)});
-  ++profile_.pushes;
   return IdFor(idx);
 }
 
@@ -157,7 +154,6 @@ EventId EventQueue::PushPeriodic(TimePoint first, TimeDelta period, Callback cb)
   slot.period = period;
   slot.cb = std::move(cb);
   HeapPush(HeapEntry{first, NextKey(idx)});
-  ++profile_.periodic_pushes;
   return IdFor(idx);
 }
 
@@ -171,7 +167,6 @@ bool EventQueue::Cancel(EventId id) {
     case SlotState::kQueued:
       HeapRemoveAt(heap_pos_[idx]);
       FreeSlot(idx);
-      ++profile_.cancels;
       return true;
     case SlotState::kDispatching:
       // Cancelled from inside its own callback: the re-armed heap entry goes
@@ -179,17 +174,7 @@ bool EventQueue::Cancel(EventId id) {
       // callback object itself is live on the dispatch stack).
       HeapRemoveAt(heap_pos_[idx]);
       slot.state = SlotState::kDispatchCancelled;
-      ++profile_.cancels;
       return true;
-    case SlotState::kStaged:
-      // Extracted by an in-progress StageBatch: the heap no longer holds the
-      // entry, so just mark the slot; DispatchStaged frees it when reached.
-      slot.state = SlotState::kStagedCancelled;
-      --staged_pending_;
-      ++profile_.cancels;
-      return true;
-    case SlotState::kStagedCancelled:
-      return false;  // already cancelled while staged
     case SlotState::kDispatchCancelled:
       return false;  // already cancelled during this dispatch
     case SlotState::kFree:
@@ -203,19 +188,8 @@ bool EventQueue::Reschedule(EventId id, TimePoint t) {
   if (idx == kNpos) {
     return false;
   }
-  Slot& slot = slots_[idx];
-  if (slot.state == SlotState::kDispatchCancelled ||
-      slot.state == SlotState::kStagedCancelled) {
+  if (slots_[idx].state == SlotState::kDispatchCancelled) {
     return false;
-  }
-  if (slot.state == SlotState::kStaged) {
-    // Staged but not yet dispatched: re-enter the heap as a brand-new push at
-    // `t`; DispatchStaged sees the state change and skips the staged copy.
-    slot.state = SlotState::kQueued;
-    --staged_pending_;
-    HeapPush(HeapEntry{t, NextKey(idx)});
-    ++profile_.reschedules;
-    return true;
   }
   BUNDLER_CHECK(heap_pos_[idx] != kNpos);
   // Fresh seq: the move is ordered like a brand-new push at `t`.
@@ -226,7 +200,6 @@ bool EventQueue::Reschedule(EventId id, TimePoint t) {
   } else {
     SiftDown(pos, e);
   }
-  ++profile_.reschedules;
   return true;
 }
 
@@ -249,13 +222,10 @@ EventQueue::Callback EventQueue::PopNext(TimePoint* time_out) {
 
 void EventQueue::DispatchHead() {
   BUNDLER_CHECK(!heap_.empty());
-  // Log2 dispatch histogram: bucket by the heap size this pop saw.
-  ++profile_.dispatch_size_log2[std::bit_width(heap_.size())];
   HeapEntry head = heap_[0];
   HeapRemoveAt(0);
   const uint32_t idx = head.slot();
   if (slots_[idx].period.IsZero()) {
-    ++profile_.dispatches_oneshot;
     // One-shot: the slot is freed before the callback runs, so the callback
     // may recycle it by scheduling new events (ids never collide thanks to
     // the generation counter).
@@ -267,7 +237,6 @@ void EventQueue::DispatchHead() {
   // Periodic: re-arm *before* invoking so events the callback schedules for
   // exactly the next firing instant order after the timer itself — the same
   // FIFO order as the classic "re-schedule yourself first" idiom.
-  ++profile_.dispatches_periodic;
   slots_[idx].state = SlotState::kDispatching;
   HeapPush(HeapEntry{head.time + slots_[idx].period, NextKey(idx)});
   // The callback runs from the dispatch stack, not from slot storage: nested
@@ -280,110 +249,6 @@ void EventQueue::DispatchHead() {
   }
   slots_[idx].state = SlotState::kQueued;
   slots_[idx].cb = std::move(cb);
-}
-
-size_t EventQueue::StageBatch(TimePoint t) {
-  BUNDLER_CHECK(!heap_.empty() && heap_[0].time == t);
-  staged_.clear();
-  staged_pos_.clear();
-  // The scratch arrays track the heap's high-water capacity: a batch can
-  // never exceed the heap it was carved from, so growth only happens right
-  // after the heap itself grew — steady-state batching never allocates.
-  if (staged_.capacity() < heap_.size()) {
-    staged_.reserve(heap_.capacity());
-    staged_pos_.reserve(heap_.capacity());
-  }
-  // DFS over the equal-time fragment. The fragment is ancestor-closed (the
-  // heap invariant gives parent.time <= child.time, and t is the minimum), so
-  // descending only into equal-time nodes visits every equal-time entry while
-  // touching at most 4*|fragment|+1 nodes.
-  const uint32_t n = static_cast<uint32_t>(heap_.size());
-  staged_pos_.push_back(0);
-  for (size_t scan = 0; scan < staged_pos_.size(); ++scan) {
-    uint32_t pos = staged_pos_[scan];
-    staged_.push_back(heap_[pos]);
-    uint32_t first_child = pos * 4 + 1;
-    for (uint32_t c = first_child; c < first_child + 4 && c < n; ++c) {
-      if (heap_[c].time == t) {
-        staged_pos_.push_back(c);
-      }
-    }
-  }
-  // Remove the fragment deepest-position-first. Every remaining entry has a
-  // strictly later time, so a removal's hole descent / tail sift-up can never
-  // move a not-yet-removed fragment entry: positions in staged_pos_ stay
-  // valid throughout.
-  std::sort(staged_pos_.begin(), staged_pos_.end(),
-            [](uint32_t a, uint32_t b) { return a > b; });
-  for (uint32_t pos : staged_pos_) {
-    HeapRemoveAt(pos);
-  }
-  for (const HeapEntry& e : staged_) {
-    Slot& slot = slots_[e.slot()];
-    BUNDLER_CHECK(slot.state == SlotState::kQueued);
-    slot.state = SlotState::kStaged;
-  }
-  staged_pending_ = staged_.size();
-  // Seq order = the order repeated DispatchHead calls would have used.
-  std::sort(staged_.begin(), staged_.end(),
-            [](const HeapEntry& a, const HeapEntry& b) { return a.key < b.key; });
-  return staged_.size();
-}
-
-bool EventQueue::DispatchStaged(size_t i) {
-  const HeapEntry e = staged_[i];
-  const uint32_t idx = e.slot();
-  Slot& slot = slots_[idx];
-  if (slot.state == SlotState::kStagedCancelled) {
-    FreeSlot(idx);
-    return false;
-  }
-  if (slot.state != SlotState::kStaged) {
-    return false;  // rescheduled mid-batch; the live entry is back in the heap
-  }
-  // Histogram parity with DispatchHead: there the head is still in the heap
-  // when bucketed, and the other staged entries never left it. staged_pending_
-  // still counts this entry, so the sum reproduces that size exactly.
-  ++profile_.dispatch_size_log2[std::bit_width(heap_.size() + staged_pending_)];
-  --staged_pending_;
-  if (slot.period.IsZero()) {
-    ++profile_.dispatches_oneshot;
-    Callback cb = std::move(slot.cb);
-    FreeSlot(idx);
-    cb();
-    return true;
-  }
-  ++profile_.dispatches_periodic;
-  slot.state = SlotState::kDispatching;
-  HeapPush(HeapEntry{e.time + slot.period, NextKey(idx)});
-  // As in DispatchHead: run from the dispatch stack, slots_ may grow.
-  Callback cb = std::move(slots_[idx].cb);
-  cb();
-  if (slots_[idx].state == SlotState::kDispatchCancelled) {
-    FreeSlot(idx);
-    return true;
-  }
-  slots_[idx].state = SlotState::kQueued;
-  slots_[idx].cb = std::move(cb);
-  return true;
-}
-
-void EventQueue::FinishBatch(size_t dispatched) {
-  // Restore staged events the caller never reached (Stop() mid-batch) with
-  // their original seqs, so resuming dispatches them in the same order.
-  for (size_t i = dispatched; i < staged_.size(); ++i) {
-    const HeapEntry e = staged_[i];
-    Slot& slot = slots_[e.slot()];
-    if (slot.state == SlotState::kStagedCancelled) {
-      FreeSlot(e.slot());
-    } else if (slot.state == SlotState::kStaged) {
-      slot.state = SlotState::kQueued;
-      --staged_pending_;
-      HeapPush(e);
-    }
-  }
-  staged_.clear();
-  staged_pending_ = 0;
 }
 
 }  // namespace bundler

@@ -41,20 +41,10 @@ class EventQueue {
  public:
   using Callback = InlineCallback;
 
-  // Profiling counters for the parallel-DES work: operation mix, peak heap
-  // depth, and a log2 histogram of heap size at dispatch time (bucket i
-  // counts dispatches that popped from a heap of size in [2^(i-1), 2^i)).
-  // Maintained unconditionally — each hook is one or two increments on
-  // operations that already cost a sift.
+  // Peak concurrent pending events, reported per trial as
+  // sim.queue_max_heap.
   struct Profile {
-    uint64_t pushes = 0;            // one-shot Push calls
-    uint64_t periodic_pushes = 0;   // PushPeriodic calls (not re-arms)
-    uint64_t cancels = 0;           // successful Cancels
-    uint64_t reschedules = 0;       // successful Reschedules
-    uint64_t dispatches_oneshot = 0;
-    uint64_t dispatches_periodic = 0;
-    uint64_t max_heap = 0;          // peak concurrent pending events
-    uint64_t dispatch_size_log2[32] = {};
+    uint64_t max_heap = 0;
   };
   const Profile& profile() const { return profile_; }
 
@@ -76,7 +66,6 @@ class EventQueue {
     slot.period = TimeDelta::Zero();
     slot.cb.Emplace(std::forward<F>(f));
     HeapPush(HeapEntry{time, NextKey(idx)});
-    ++profile_.pushes;
     return IdFor(idx);
   }
 
@@ -107,30 +96,6 @@ class EventQueue {
   // time+period (fresh seq) before their callback runs.
   void DispatchHead();
 
-  // Batched same-timestamp dispatch. Events scheduled for one instant form an
-  // ancestor-closed top fragment of the heap (parent.time <= child.time and
-  // the fragment's time is the minimum), so StageBatch collects the whole
-  // fragment in one DFS, removes it deepest-position-first (each hole descent
-  // starts below the root, unlike repeated head pops), and sorts the staged
-  // entries by seq — exactly the order repeated DispatchHead calls would have
-  // produced. The caller then invokes DispatchStaged(0..n-1) and finishes
-  // with FinishBatch(i): any staged events not yet dispatched (the caller
-  // stopped early) are re-queued with their original seqs, so a resumed run
-  // continues identically.
-  //
-  // Events pushed during the batch at the same instant get later seqs and are
-  // picked up by the caller's next StageBatch — again matching the one-at-a-
-  // time order. Cancel/Reschedule of a staged event work mid-batch: Cancel
-  // marks the slot and DispatchStaged skips it; Reschedule re-enters the heap
-  // with a fresh seq (ordered like a brand-new push, same as the contract).
-  [[nodiscard]] size_t StageBatch(TimePoint t);
-  // Invokes staged event `i`; returns false when it was cancelled or
-  // rescheduled after staging (no callback ran — the caller's dispatched-
-  // event accounting must not count it).
-  [[nodiscard]] bool DispatchStaged(size_t i);
-  // `dispatched` = number of leading staged events the caller consumed.
-  void FinishBatch(size_t dispatched);
-
   size_t PendingForTest() const { return heap_.size(); }
 
  private:
@@ -141,8 +106,6 @@ class EventQueue {
     kQueued,
     kDispatching,         // periodic, callback currently running
     kDispatchCancelled,   // cancelled from inside its own dispatch
-    kStaged,              // extracted by StageBatch, not yet dispatched
-    kStagedCancelled,     // cancelled while staged; DispatchStaged skips it
   };
 
   // 16 bytes: the sift loops are cache-bound on the heap array, so seq and
@@ -207,13 +170,6 @@ class EventQueue {
   std::vector<uint32_t> heap_pos_;  // slot -> heap index, kNpos when absent
   uint32_t free_head_ = kNpos;
   uint64_t next_seq_ = 1;
-  // StageBatch scratch (members so steady-state batching never allocates).
-  std::vector<HeapEntry> staged_;
-  std::vector<uint32_t> staged_pos_;
-  // Staged entries not yet consumed (dispatched, cancelled, or rescheduled).
-  // Counted into profile_.max_heap so the peak-pending scalar is identical to
-  // the one-pop-at-a-time engine, where these events were still in the heap.
-  size_t staged_pending_ = 0;
 };
 
 }  // namespace bundler

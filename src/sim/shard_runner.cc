@@ -13,6 +13,9 @@ namespace {
 
 constexpr int64_t kFarFuture = std::numeric_limits<int64_t>::max();
 
+// Events and arrivals dispatched per shard step before republishing.
+constexpr size_t kStepBudget = 256;
+
 // Max-heap inversion for std::push_heap: "a delivers after b". The key is
 // (deliver, sent, channel, seq) — every component simulation-determined, so
 // arrival order is identical for any worker count.
@@ -104,7 +107,7 @@ bool ShardRunner::Step(Shard& s, int64_t until_ns) {
   bool progress = false;
   int64_t tl = 0;
   int64_t ta = 0;
-  for (size_t budget = options_.burst; budget > 0; --budget) {
+  for (size_t budget = kStepBudget; budget > 0; --budget) {
     tl = s.sim->HasPending() ? s.sim->PeekNextTime().nanos() : kFarFuture;
     ta = s.pending.empty() ? kFarFuture : s.pending.front().deliver_ns;
     if (std::min(ta, tl) >= limit) {
@@ -122,7 +125,7 @@ bool ShardRunner::Step(Shard& s, int64_t until_ns) {
         m.dst->HandlePacket(std::move(m.pkt));
       });
     } else {
-      s.sim->DispatchNextBatch();
+      s.sim->DispatchNext();
     }
     progress = true;
   }

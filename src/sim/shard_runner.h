@@ -16,8 +16,8 @@
 //     bound = min over in-channels (C_src + lookahead)
 // because any future upstream send delivers at >= C_src + lookahead. A shard
 // with no in-channels never blocks. A blocked shard still publishes its bound
-// as its clock (the null message), so chains unblock without barriers; burst
-// budgets keep clocks fresh without a coordinator.
+// as its clock (the null message), so chains unblock without barriers; a
+// fixed per-step event budget keeps clocks fresh without a coordinator.
 //
 // Determinism of the merge: boundary arrivals are kept out of the shard's
 // event heap in a local pending min-heap ordered by (deliver, sent, channel,
@@ -43,8 +43,7 @@ namespace bundler {
 class ShardRunner {
  public:
   struct Options {
-    int workers = 1;    // clamped to [1, #shards]
-    size_t burst = 256; // events dispatched per shard step before republishing
+    int workers = 1;  // clamped to [1, #shards]
   };
 
   // `sims[g]` is shard g's simulator; `channels` the boundary rings from the
@@ -85,8 +84,8 @@ class ShardRunner {
   };
 
   // One bounded step of shard g: refresh the bound, drain rings, dispatch up
-  // to `burst` events/arrivals below the bound, republish the clock. Returns
-  // true when any event was dispatched.
+  // to kStepBudget events/arrivals below the bound, republish the clock.
+  // Returns true when any event was dispatched.
   bool Step(Shard& s, int64_t until_ns) REQUIRES(s.owner_role);
   void Worker(int w, TimePoint until);
   void PendingPush(Shard& s, BoundaryMsg m) REQUIRES(s.owner_role);

@@ -19,17 +19,10 @@ bool Simulator::Reschedule(EventId id, TimePoint t) {
   return queue_.Reschedule(id, t);
 }
 
-void Simulator::DispatchNextBatch() {
+void Simulator::DispatchNext() {
   now_ = queue_.NextTime();
-  const size_t n = queue_.StageBatch(now_);
-  size_t i = 0;
-  for (; i < n && !stopped_; ++i) {
-    if (queue_.DispatchStaged(i)) {
-      ++events_dispatched_;
-    }
-  }
-  // Restores any unreached staged events when Stop() fired mid-batch.
-  queue_.FinishBatch(i);
+  queue_.DispatchHead();
+  ++events_dispatched_;
 }
 
 void Simulator::RunUntil(TimePoint until) {
@@ -41,7 +34,7 @@ void Simulator::RunUntil(TimePoint until) {
     if (queue_.NextTime() > until) {
       break;
     }
-    DispatchNextBatch();
+    DispatchNext();
   }
   if (now_ < until) {
     now_ = until;
@@ -56,7 +49,7 @@ void Simulator::RunAll() {
   trace_.Trace(obs::TraceCat::kSim, obs::TraceEv::kSimRunStart, sim_comp_,
                now_);
   while (!stopped_ && !queue_.Empty()) {
-    DispatchNextBatch();
+    DispatchNext();
   }
   trace_.Trace(obs::TraceCat::kSim, obs::TraceEv::kSimRunEnd, sim_comp_, now_,
                events_dispatched_ - start_dispatched, events_dispatched_);

@@ -73,14 +73,15 @@ class Simulator {
   void Stop() { stopped_ = true; }
 
   // --- Parallel-DES hooks (src/sim/shard_runner) -------------------------
-  // A sharded run drives each group's simulator one timestamp-batch at a
-  // time, merging boundary arrivals from peer shards between batches. These
-  // are also usable standalone (tests).
+  // A sharded run drives each group's simulator one event at a time, merging
+  // boundary arrivals from peer shards between events. These are also usable
+  // standalone (tests).
   bool HasPending() const { return !queue_.Empty(); }
   // Time of the earliest pending event; callers must ensure HasPending().
   TimePoint PeekNextTime() const { return queue_.NextTime(); }
-  // Dispatches every event scheduled for the earliest pending time.
-  void DispatchNextBatch();
+  // Advances the clock to the earliest pending event and runs it (FIFO among
+  // events at one instant); callers must ensure HasPending().
+  void DispatchNext();
   // Runs `f` as a synthetic event at `t` (>= now): advances the clock and
   // counts one dispatched event. This is how a boundary packet arrival is
   // delivered — it replaces the propagation-delay event the link would have
@@ -112,7 +113,7 @@ class Simulator {
   const obs::CounterRegistry& counters() const { return counters_; }
   uint32_t sim_comp() const { return sim_comp_; }
 
-  // Event-queue profiling (heap depth, dispatch histogram, operation mix).
+  // Event-queue profiling (peak pending events).
   const EventQueue::Profile& queue_profile() const { return queue_.profile(); }
 
  private:

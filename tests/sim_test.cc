@@ -184,13 +184,17 @@ TEST(EventQueueTest, StaleIdAfterSlotReuseIsNoop) {
 TEST(SimulatorTest, CancelDuringDispatchOfSameInstantEvent) {
   Simulator sim;
   int fired = 0;
+  bool last_fired = false;
   EventId victim = kInvalidEventId;
-  // Both events at the same instant; the first cancels the second while the
-  // dispatch loop is already inside that instant.
+  // Three events at the same instant; the first cancels the second while the
+  // dispatch loop is already inside that instant. The third must still fire.
   sim.Schedule(TimeDelta::Millis(1), [&]() { sim.Cancel(victim); });
   victim = sim.Schedule(TimeDelta::Millis(1), [&]() { ++fired; });
+  sim.Schedule(TimeDelta::Millis(1), [&]() { last_fired = true; });
   sim.RunAll();
   EXPECT_EQ(fired, 0);
+  EXPECT_TRUE(last_fired);
+  EXPECT_EQ(sim.events_dispatched(), 2u);
 }
 
 TEST(SimulatorTest, PeriodicFiresAtFixedCadence) {
@@ -371,60 +375,56 @@ TEST(SimulatorTest, SteadyStateSchedulingDoesNotAllocate) {
       << "the schedule/cancel/dispatch hot path must not touch the heap";
 }
 
-// --- Batched same-timestamp dispatch (the parallel-DES hooks; see
-// EventQueue::StageBatch and Simulator::DispatchNextBatch) ---
+// --- One-at-a-time dispatch: the contract ShardRunner::Step drives through
+// HasPending, PeekNextTime and DispatchNext ---
 
-TEST(SimulatorBatchTest, DispatchNextBatchRunsOneTimestampInFifoOrder) {
+TEST(SimulatorTest, DispatchNextRunsOneEventInFifoOrder) {
   Simulator sim;
   std::vector<int> fired;
+  const TimePoint t5 = TimePoint::Zero() + TimeDelta::Micros(5);
+  const TimePoint t7 = TimePoint::Zero() + TimeDelta::Micros(7);
   sim.Schedule(TimeDelta::Micros(5), [&fired]() { fired.push_back(1); });
   sim.Schedule(TimeDelta::Micros(5), [&fired]() { fired.push_back(2); });
   sim.Schedule(TimeDelta::Micros(7), [&fired]() { fired.push_back(4); });
   sim.Schedule(TimeDelta::Micros(5), [&fired]() { fired.push_back(3); });
   ASSERT_TRUE(sim.HasPending());
-  EXPECT_EQ(sim.PeekNextTime(), TimePoint::Zero() + TimeDelta::Micros(5));
-  sim.DispatchNextBatch();
+  EXPECT_EQ(sim.PeekNextTime(), t5);
+  sim.DispatchNext();
+  EXPECT_EQ(fired, (std::vector<int>{1}));
+  EXPECT_EQ(sim.now(), t5);
+  EXPECT_EQ(sim.events_dispatched(), 1u);
+  EXPECT_EQ(sim.PeekNextTime(), t5);
+  sim.DispatchNext();
+  sim.DispatchNext();
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(sim.now(), TimePoint::Zero() + TimeDelta::Micros(5));
-  sim.DispatchNextBatch();
+  EXPECT_EQ(sim.now(), t5);
+  EXPECT_EQ(sim.PeekNextTime(), t7);
+  sim.DispatchNext();
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(sim.now(), t7);
+  EXPECT_EQ(sim.events_dispatched(), 4u);
   EXPECT_FALSE(sim.HasPending());
 }
 
-TEST(SimulatorBatchTest, EventsPushedDuringBatchAtSameInstantFormNextBatch) {
+TEST(SimulatorTest, ZeroDelayEventRunsAfterQueuedSameInstantPeers) {
   Simulator sim;
   std::vector<int> fired;
+  TimePoint zero_delay_at;
   sim.Schedule(TimeDelta::Micros(5), [&]() {
     fired.push_back(1);
-    sim.Schedule(TimeDelta::Zero(), [&fired]() { fired.push_back(3); });
+    sim.Schedule(TimeDelta::Zero(), [&]() {
+      fired.push_back(3);
+      zero_delay_at = sim.now();
+    });
   });
   sim.Schedule(TimeDelta::Micros(5), [&fired]() { fired.push_back(2); });
-  sim.DispatchNextBatch();
-  // The same-instant event pushed mid-batch waits for the next batch — the
-  // order repeated one-at-a-time dispatch would also have produced.
-  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
-  ASSERT_TRUE(sim.HasPending());
-  EXPECT_EQ(sim.PeekNextTime(), TimePoint::Zero() + TimeDelta::Micros(5));
-  sim.DispatchNextBatch();
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
+  sim.Schedule(TimeDelta::Micros(6), [&fired]() { fired.push_back(4); });
+  sim.RunAll();
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(zero_delay_at, TimePoint::Zero() + TimeDelta::Micros(5));
 }
 
-TEST(SimulatorBatchTest, CancelDuringBatchSkipsStagedPeer) {
-  Simulator sim;
-  std::vector<int> fired;
-  EventId victim;
-  sim.Schedule(TimeDelta::Micros(5), [&]() {
-    fired.push_back(1);
-    sim.Cancel(victim);
-  });
-  victim = sim.Schedule(TimeDelta::Micros(5), [&fired]() { fired.push_back(2); });
-  sim.Schedule(TimeDelta::Micros(5), [&fired]() { fired.push_back(3); });
-  sim.DispatchNextBatch();
-  EXPECT_EQ(fired, (std::vector<int>{1, 3}));
-  EXPECT_FALSE(sim.HasPending());
-}
-
-TEST(SimulatorBatchTest, RescheduleDuringBatchOrdersLikeAFreshPush) {
+TEST(SimulatorTest, PeerRescheduledFromCallbackRunsBehindLaterQueuedEvents) {
   Simulator sim;
   std::vector<int> fired;
   EventId moved;
@@ -435,38 +435,47 @@ TEST(SimulatorBatchTest, RescheduleDuringBatchOrdersLikeAFreshPush) {
   });
   moved = sim.Schedule(TimeDelta::Micros(5), [&fired]() { fired.push_back(2); });
   sim.Schedule(TimeDelta::Micros(6), [&fired]() { fired.push_back(3); });
-  sim.DispatchNextBatch();
-  EXPECT_EQ(fired, (std::vector<int>{1}));
-  sim.DispatchNextBatch();
+  sim.RunAll();
   // The rescheduled event is ordered like a brand-new push at 6us, behind the
   // event that was already queued there.
   EXPECT_EQ(fired, (std::vector<int>{1, 3, 2}));
-  EXPECT_FALSE(sim.HasPending());
+  EXPECT_EQ(sim.events_dispatched(), 3u);
 }
 
-TEST(EventQueueTest, FinishBatchRequeuesUnconsumedStagedEventsInOrder) {
-  EventQueue q;
+TEST(SimulatorTest, StopMidInstantResumesInFifoOrder) {
+  // Five events at one instant, then a later one. With `stop_at` = 1 the 2nd
+  // event stops the run.
+  auto build = [](Simulator* sim, std::vector<int>* fired, int stop_at) {
+    for (int i = 0; i < 5; ++i) {
+      sim->Schedule(TimeDelta::Nanos(100), [sim, fired, i, stop_at]() {
+        fired->push_back(i);
+        if (i == stop_at) {
+          sim->Stop();
+        }
+      });
+    }
+    sim->Schedule(TimeDelta::Nanos(200), [fired]() { fired->push_back(99); });
+  };
+  Simulator sim;
   std::vector<int> fired;
-  for (int i = 0; i < 5; ++i) {
-    (void)q.Push(TimePoint::FromNanos(100), [&fired, i]() { fired.push_back(i); });
-  }
-  (void)q.Push(TimePoint::FromNanos(200), [&fired]() { fired.push_back(99); });
-  ASSERT_EQ(q.StageBatch(TimePoint::FromNanos(100)), 5u);
-  EXPECT_TRUE(q.DispatchStaged(0));
-  EXPECT_TRUE(q.DispatchStaged(1));
-  q.FinishBatch(2);  // the caller stopped early: 2..4 re-enter the heap
+  build(&sim, &fired, 1);
+  sim.RunAll();
   EXPECT_EQ(fired, (std::vector<int>{0, 1}));
-  // The re-queued events keep their original seqs: they drain in the original
-  // FIFO order, ahead of the later-time event.
-  TimePoint t;
-  while (!q.Empty()) {
-    q.PopNext(&t)();
-  }
+  EXPECT_EQ(sim.events_dispatched(), 2u);
+  // Resuming fires the rest of the instant in FIFO order, ahead of the later
+  // event, and the run ends exactly where an uninterrupted one does.
+  sim.RunAll();
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 99}));
+  Simulator uninterrupted;
+  std::vector<int> uninterrupted_fired;
+  build(&uninterrupted, &uninterrupted_fired, -1);
+  uninterrupted.RunAll();
+  EXPECT_EQ(fired, uninterrupted_fired);
+  EXPECT_EQ(sim.events_dispatched(), uninterrupted.events_dispatched());
 }
 
-TEST(SimulatorBatchTest, BatchedRunMatchesEventByEventRun) {
-  // The same randomized schedule driven by DispatchNextBatch and by RunAll
+TEST(SimulatorTest, DispatchNextLoopMatchesRunAll) {
+  // The same randomized schedule driven by a DispatchNext loop and by RunAll
   // must fire in the same order and report the same dispatch count.
   auto build = [](Simulator* sim, std::vector<int>* fired) {
     std::mt19937_64 rng(20260808);
@@ -475,18 +484,18 @@ TEST(SimulatorBatchTest, BatchedRunMatchesEventByEventRun) {
       sim->Schedule(t, [fired, i]() { fired->push_back(i); });
     }
   };
-  Simulator batched;
-  std::vector<int> batched_fired;
-  build(&batched, &batched_fired);
-  while (batched.HasPending()) {
-    batched.DispatchNextBatch();
+  Simulator stepped;
+  std::vector<int> stepped_fired;
+  build(&stepped, &stepped_fired);
+  while (stepped.HasPending()) {
+    stepped.DispatchNext();
   }
   Simulator serial;
   std::vector<int> serial_fired;
   build(&serial, &serial_fired);
   serial.RunAll();
-  EXPECT_EQ(batched_fired, serial_fired);
-  EXPECT_EQ(batched.events_dispatched(), serial.events_dispatched());
+  EXPECT_EQ(stepped_fired, serial_fired);
+  EXPECT_EQ(stepped.events_dispatched(), serial.events_dispatched());
 }
 
 }  // namespace
