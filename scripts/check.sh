@@ -89,6 +89,16 @@ echo "--- determinism: same seeds on 4 threads must match byte-for-byte"
 cmp <(stable build/smoke_t2/fig09_fct.json) <(stable build/smoke_t4/fig09_fct.json)
 cmp <(stable build/smoke_t2/fig09_fct.csv) <(stable build/smoke_t4/fig09_fct.csv)
 
+echo "--- determinism: sec72_other_policies (UDP ping-pong + strict priority), 2 vs 4 threads"
+./build/bundler_run --scenario sec72_other_policies --threads 2 \
+  --out build/smoke_sec72_t2 --quiet
+./build/bundler_run --scenario sec72_other_policies --threads 4 \
+  --out build/smoke_sec72_t4 --quiet > /dev/null
+cmp <(stable build/smoke_sec72_t2/sec72_other_policies.json) \
+    <(stable build/smoke_sec72_t4/sec72_other_policies.json)
+cmp <(stable build/smoke_sec72_t2/sec72_other_policies.csv) \
+    <(stable build/smoke_sec72_t4/sec72_other_policies.csv)
+
 echo "--- parallel DES: --shards 1 vs --shards 4 must be byte-identical"
 # fig09's dumbbell is one indivisible shard (--shards just validates that);
 # fat_tree_incast genuinely partitions into 6 shards run by 4 workers.

@@ -32,6 +32,14 @@
 #            unmanaged site degrades >= 3x; admission rejects the
 #            over-budget tail with explicit counters.
 #
+# The figure claims that follow run each paper-figure scenario at its default
+# trial count, so each value they print is that figure's full measurement
+# (fig10 and fig16 therefore run a second time, at 3 and 2 seeds). Every
+# label carries the paper's number. Where this repo misses the paper, the
+# claim is labelled "gap": it pins the measured value in a band of roughly
+# +-15% instead of asserting the paper's number, and README's "Known gaps vs
+# the paper" lists the same claims.
+#
 # Simulates several minutes of scenario time; check.sh skips it with
 # CHECK_SKIP_REPRO=1.
 set -euo pipefail
@@ -54,15 +62,28 @@ echo "repro.sh: running fig13_competing_bundles (5 seeds, pooled)"
 "${RUN}" --scenario fig13_competing_bundles --trials 5 --threads "${JOBS}" \
   --out "${OUT}" --quiet > /dev/null
 
-python3 - "${OUT}" <<'EOF'
+FIG_OUT="${OUT}/figures"
+for scenario in fig02_queue_shift fig05_rate_estimate fig07_multipath_observe \
+                sec76_multipath_threshold fig10_cross_traffic fig11_web_cross_sweep \
+                fig12_elastic_cross_sweep fig14_sendbox_cc fig15_proxy fig16_wan \
+                sec72_other_policies sec74_endhost_cc; do
+  echo "repro.sh: running ${scenario} (default trials)"
+  "${RUN}" --scenario "${scenario}" --threads "${JOBS}" \
+    --out "${FIG_OUT}" --quiet > /dev/null
+done
+
+python3 - "${OUT}" "${FIG_OUT}" <<'EOF'
 import json, sys
 
-out = sys.argv[1]
+out, fig_out = sys.argv[1], sys.argv[2]
 failures = []
 
-def cells(name):
-    with open(f"{out}/{name}.json") as f:
+def cells(name, d=out):
+    with open(f"{d}/{name}.json") as f:
         return json.load(f)["cells"]
+
+def fig_cells(name):
+    return cells(name, fig_out)
 
 def scalar(cell, key):
     return cell["scalars"][key]["mean"]
@@ -209,6 +230,154 @@ check("tenant admission: rejection counters attribute every rejection",
       + scalar(mng, "ctr.admit.s1.rejected_cap") == scalar(mng, "rejected"),
       f"budget={scalar(mng, 'ctr.admit.s1.rejected_budget'):.0f} "
       f"cap={scalar(mng, 'ctr.admit.s1.rejected_cap'):.0f}")
+
+# --- fig02: the queue shifts from the bottleneck to the sendbox -------------
+f02 = fig_cells("fig02_queue_shift")
+sq_bn = scalar(pick(f02, "status_quo"), "bottleneck_delay_mean_ms")
+sq_edge = scalar(pick(f02, "status_quo"), "edge_delay_mean_ms")
+b_bn = scalar(pick(f02, "bundler"), "bottleneck_delay_mean_ms")
+b_sb = scalar(pick(f02, "bundler"), "edge_delay_mean_ms")
+check("fig02 status quo queues at the bottleneck, the edge idles (paper: Fig. 2)",
+      sq_bn >= 50 and sq_edge <= 1, f"bottleneck {sq_bn:.1f} ms, edge {sq_edge:.1f} ms")
+check("fig02 Bundler drains the bottleneck and holds the queue at the sendbox "
+      "(paper: Fig. 2)",
+      b_bn <= 0.1 * sq_bn and b_sb >= sq_bn,
+      f"bottleneck {b_bn:.1f} ms, sendbox {b_sb:.1f} ms")
+
+# --- fig05/fig06: estimate accuracy, pooled over every cell and seed ---------
+f05 = fig_cells("fig05_rate_estimate")
+def pooled_frac(within, n):
+    return (sum(scalar(c, within) * c["trials"] for c in f05)
+            / sum(scalar(c, n) * c["trials"] for c in f05))
+rate_ok = pooled_frac("rate_within_4", "rate_samples")
+check("fig05 gap: receive-rate estimates within 4 Mbit/s pinned at 62-80% "
+      "(paper: 80%)", 0.62 <= rate_ok <= 0.80, f"{100 * rate_ok:.0f}%")
+rtt_ok = pooled_frac("rtt_within_1p2", "rtt_samples")
+check("fig06 gap: RTT estimates within 1.2 ms pinned at 53-71% (paper: 80%)",
+      0.53 <= rtt_ok <= 0.71, f"{100 * rtt_ok:.0f}%")
+
+# --- fig07 and §7.6: out-of-order feedback exposes multipathing -------------
+f07 = fig_cells("fig07_multipath_observe")[0]
+ooo = scalar(f07, "ooo_frac")
+check("fig07 out-of-order fraction >= 20% on four imbalanced paths "
+      "(paper: multipath >= 20%, threshold 5%)", ooo >= 0.20, f"{100 * ooo:.1f}%")
+lo, hi = scalar(f07, "rtt_ms_p5"), scalar(f07, "rtt_ms_p95")
+check("fig07 observed RTTs span the paths: p5 near the 40 ms base, p95 >= 150 ms "
+      "(paper: per-path RTTs differ)", 40 <= lo <= 45 and hi >= 150,
+      f"{lo:.0f}..{hi:.0f} ms")
+s76 = fig_cells("sec76_multipath_threshold")
+single = max(scalar(c, "ooo_frac_avg") for c in s76 if c["params"]["paths"] == 1)
+multi = min(scalar(c, "ooo_frac_avg") for c in s76 if c["params"]["paths"] > 1)
+check("sec76 a 5% threshold separates single-path (<= 0.4%) from multipath "
+      "(>= 10%) at every rate and RTT (paper: max 0.4%, min 20%)",
+      single <= 0.004 and multi >= 0.10,
+      f"max single-path {100 * single:.2f}%, min multipath {100 * multi:.1f}%")
+
+# --- fig10: phases 1 and 2, pooled over the default 3 seeds ------------------
+f10d = fig_cells("fig10_cross_traffic")
+def phase_p50(cell, phase):
+    return cell["samples"][f"short_fct_phase{phase}_ms"]["median"]
+b1, s1 = phase_p50(pick(f10d, "bundler"), 1), phase_p50(pick(f10d, "status_quo"), 1)
+check("fig10 phase-1 Bundler short-flow FCT p50 <= 0.8x status quo "
+      "(paper: Bundler beats status quo)", b1 <= 0.8 * s1, f"{b1:.0f} vs {s1:.0f} ms")
+b2, s2 = phase_p50(pick(f10d, "bundler"), 2), phase_p50(pick(f10d, "status_quo"), 2)
+check("fig10 phase-2 Bundler short-flow FCT p50 within 25% of status quo "
+      "(paper: ~12% worse)", b2 <= 1.25 * s2, f"{b2:.0f} vs {s2:.0f} ms ({b2 / s2 - 1:+.0%})")
+
+# --- fig11: web-mix cross-traffic sweep ------------------------------------
+f11 = fig_cells("fig11_web_cross_sweep")
+cross = sorted({c["params"]["cross_mbps"] for c in f11})
+def f11_median(variant, x):
+    return pick(f11, variant, cross_mbps=x)["samples"]["slowdown_all"]["median"]
+sq11 = [f11_median("status_quo", x) for x in cross]
+check("fig11 status-quo median slowdown rises with cross load, >= 2x across the "
+      "sweep (paper: steady increase)",
+      all(a <= b for a, b in zip(sq11, sq11[1:])) and sq11[-1] >= 2 * sq11[0],
+      " ".join(f"{v:.2f}" for v in sq11))
+nim = f11_median("bundler_nimbus", cross[-1])
+check("fig11 gap: Bundler/Nimbus at max cross load only matches status quo, "
+      "pinned 0.85-1.05x (paper: Bundler stays low)",
+      0.85 * sq11[-1] <= nim <= 1.05 * sq11[-1], f"{nim:.2f} vs {sq11[-1]:.2f}")
+copa = f11_median("bundler_copa", cross[-1])
+check("fig11 gap: Bundler/Copa over-yields at max cross load, pinned 4.1-5.6 "
+      "(paper: Bundler stays low)", 4.1 <= copa <= 5.6, f"{copa:.2f} vs {sq11[-1]:.2f}")
+
+# --- fig12: bundle throughput against persistent elastic cross flows --------
+f12 = fig_cells("fig12_elastic_cross_sweep")
+flows = sorted({c["params"]["competing_flows"] for c in f12})
+cuts12 = [1 - scalar(pick(f12, "bundler", competing_flows=n), "bundle_tput_mbps")
+          / scalar(pick(f12, "status_quo", competing_flows=n), "bundle_tput_mbps")
+          for n in flows]
+avg12 = sum(cuts12) / len(cuts12)
+check("fig12 gap: average bundle throughput loss vs status quo pinned 23-31% "
+      "(paper: 18%, 12-22%)", 0.23 <= avg12 <= 0.31,
+      f"{100 * avg12:.0f}% (" + " ".join(f"{int(n)}:{100 * c:.0f}%"
+                                       for n, c in zip(flows, cuts12)) + ")")
+
+# --- fig14: the bundle's rate controller ------------------------------------
+f14 = fig_cells("fig14_sendbox_cc")
+def pooled_median(cs, variant, key="slowdown_all"):
+    return pick(cs, variant)["samples"][key]["median"]
+sq14, copa14, bd14, bbr14 = (pooled_median(f14, v) for v in (
+    "status_quo", "bundler_copa", "bundler_basic_delay", "bundler_bbr"))
+check("fig14 Copa and BasicDelay bundles beat status quo by >= 25% "
+      "(paper: both beat status quo)", max(copa14, bd14) <= 0.75 * sq14,
+      f"Copa {copa14:.2f} / BasicDelay {bd14:.2f} vs {sq14:.2f}")
+check("fig14 BasicDelay within 15% of Copa (paper: BasicDelay ~ Copa)",
+      bd14 <= 1.15 * copa14, f"{bd14:.2f} vs {copa14:.2f}")
+check("fig14 gap: a BBR bundle beats status quo, pinned 1.0-1.4 "
+      "(paper: slightly worse than status quo)", 1.0 <= bbr14 <= 1.4,
+      f"{bbr14:.2f} vs {sq14:.2f}")
+
+# --- fig15: the idealized TCP proxy -----------------------------------------
+f15 = fig_cells("fig15_proxy")
+b_s, p_s = (pooled_median(f15, v, "slowdown_small") for v in ("bundler", "bundler_proxy"))
+check("fig15 proxy leaves short-flow median slowdown within 5% "
+      "(paper: no change)", abs(p_s / b_s - 1) <= 0.05, f"{b_s:.2f} vs {p_s:.2f}")
+b_m, p_m = (pooled_median(f15, v, "slowdown_medium") for v in ("bundler", "bundler_proxy"))
+b_l, p_l = (pooled_median(f15, v, "slowdown_large") for v in ("bundler", "bundler_proxy"))
+check("fig15 proxy cuts medium and large median slowdown "
+      "(paper: proxy helps medium/long)", p_m < b_m and p_l < b_l,
+      f"medium {b_m:.2f} -> {p_m:.2f}, large {b_l:.2f} -> {p_l:.2f}")
+
+# --- fig16: bulk throughput across the five WAN paths -----------------------
+f16d = fig_cells("fig16_wan")
+def bulk(variant):
+    return sum(scalar(c, "bulk_goodput_mbps") for c in f16d if c["variant"] == variant)
+tput16 = bulk("bundler") / bulk("status_quo") - 1
+check("fig16 gap: Bundler bulk throughput delta vs status quo pinned -10..-7.5% "
+      "(paper: within 1%)", -0.10 <= tput16 <= -0.075, f"{100 * tput16:+.1f}%")
+
+# --- §7.2: FQ-CoDel and strict priority at the sendbox ----------------------
+s72 = fig_cells("sec72_other_policies")
+def queueing(variant, q):
+    return scalar(pick(s72, variant), f"rtt_ms_{q}") - 50  # above the 50 ms base
+sq50, fq50 = queueing("fq_codel_status_quo", "p50"), queueing("fq_codel_bundler", "p50")
+check("sec72 FQ-CoDel cuts median queueing above the 50 ms base >= 90% "
+      "(paper: 97% lower)", fq50 <= 0.1 * sq50,
+      f"{sq50:.1f} -> {fq50:.1f} ms ({1 - fq50 / sq50:.0%} lower)")
+sq99, fq99 = queueing("fq_codel_status_quo", "p99"), queueing("fq_codel_bundler", "p99")
+cut99 = 1 - fq99 / sq99
+check("sec72 gap: FQ-CoDel p99 queueing cut pinned 62-82% (paper: 89%)",
+      0.62 <= cut99 <= 0.82, f"{sq99:.1f} -> {fq99:.1f} ms ({cut99:.0%} lower)")
+hi_sq = scalar(pick(s72, "prio_status_quo"), "median_slowdown_high")
+hi_b = scalar(pick(s72, "prio_bundler"), "median_slowdown_high")
+check("sec72 strict priority: high-class median slowdown within 5% of ideal and "
+      ">= 40% below status quo (paper: 65% lower)",
+      hi_b <= 1.05 and hi_b <= 0.6 * hi_sq,
+      f"{hi_sq:.2f} -> {hi_b:.2f} ({1 - hi_b / hi_sq:.0%} lower)")
+
+# --- §7.4: endhost congestion control ----------------------------------------
+s74 = fig_cells("sec74_endhost_cc")
+gain74 = {cc: 1 - scalar(pick(s74, f"bundler_{cc}"), "median_slowdown_all")
+          / scalar(pick(s74, f"status_quo_{cc}"), "median_slowdown_all")
+          for cc in ("cubic", "reno", "bbr")}
+detail74 = " / ".join(f"{cc} {100 * g:.0f}%" for cc, g in gain74.items())
+check("sec74 Bundler cuts median FCT >= 25% with Cubic, Reno and BBR endhosts "
+      "(paper: the win holds across endhost stacks)",
+      min(gain74.values()) >= 0.25, detail74)
+check("sec74 gap: BBR-endhost median FCT cut pinned 42-58% (paper: 58%)",
+      0.42 <= gain74["bbr"] <= 0.58, detail74)
 
 if failures:
     print(f"repro.sh: FAIL — {len(failures)} claim(s) out of range")

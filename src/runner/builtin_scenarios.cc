@@ -81,11 +81,13 @@ void RegisterBuiltinScenarios() {
     ScenarioRegistry* registry = &ScenarioRegistry::Global();
     RegisterFig02QueueShift(registry);
     RegisterFig05RateEstimate(registry);
+    RegisterFig07MultipathObserve(registry);
     RegisterFig09Fct(registry);
     RegisterFig10CrossTraffic(registry);
     RegisterFig11WebCrossSweep(registry);
     RegisterFig12ElasticCrossSweep(registry);
     RegisterFig13CompetingBundles(registry);
+    RegisterFig14SendboxCc(registry);
     RegisterFig16Wan(registry);
     RegisterParkingLot(registry);
     RegisterAsymReversePath(registry);
@@ -97,6 +99,9 @@ void RegisterBuiltinScenarios() {
     RegisterFatTreeIncast(registry);
     RegisterCdnEdgeFlashCrowd(registry);
     RegisterFig15Proxy(registry);
+    RegisterSec72OtherPolicies(registry);
+    RegisterSec74EndhostCc(registry);
+    RegisterSec76MultipathThreshold(registry);
     return true;
   }();
   (void)registered;

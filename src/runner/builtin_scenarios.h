@@ -1,7 +1,7 @@
 // Built-in scenarios reproducing the paper's figures on the experiment
 // runner. Registration is explicit (no static initializers) so the link
 // never silently drops a scenario: call RegisterBuiltinScenarios() once at
-// startup from any tool that wants them (bundler_run, benches, tests).
+// startup from any tool that wants them (bundler_run, tests).
 #ifndef SRC_RUNNER_BUILTIN_SCENARIOS_H_
 #define SRC_RUNNER_BUILTIN_SCENARIOS_H_
 
@@ -15,11 +15,6 @@ namespace runner {
 
 // Idempotent: safe to call more than once per process.
 void RegisterBuiltinScenarios();
-
-// fig13_competing_bundles splits this aggregate offered load across its two
-// bundles (`load0_mbps` axis carries bundle 0's share). Exported so the bench
-// wrapper labels offered loads consistently with what the scenario simulates.
-inline constexpr double kFig13AggregateLoadMbps = 84;
 
 // Builds `builder`'s graph into a scratch simulator — running the builder's
 // full validation, so topology providers double as construction smoke tests —
@@ -48,11 +43,13 @@ void AddFctMillis(TrialResult* result, const QuantileEstimator& fct_seconds,
 // RegisterBuiltinScenarios).
 void RegisterFig02QueueShift(ScenarioRegistry* registry);
 void RegisterFig05RateEstimate(ScenarioRegistry* registry);
+void RegisterFig07MultipathObserve(ScenarioRegistry* registry);
 void RegisterFig09Fct(ScenarioRegistry* registry);
 void RegisterFig10CrossTraffic(ScenarioRegistry* registry);
 void RegisterFig11WebCrossSweep(ScenarioRegistry* registry);
 void RegisterFig12ElasticCrossSweep(ScenarioRegistry* registry);
 void RegisterFig13CompetingBundles(ScenarioRegistry* registry);
+void RegisterFig14SendboxCc(ScenarioRegistry* registry);
 void RegisterFig16Wan(ScenarioRegistry* registry);
 void RegisterParkingLot(ScenarioRegistry* registry);
 void RegisterAsymReversePath(ScenarioRegistry* registry);
@@ -64,6 +61,9 @@ void RegisterRateStep(ScenarioRegistry* registry);
 void RegisterFatTreeIncast(ScenarioRegistry* registry);
 void RegisterCdnEdgeFlashCrowd(ScenarioRegistry* registry);
 void RegisterFig15Proxy(ScenarioRegistry* registry);
+void RegisterSec72OtherPolicies(ScenarioRegistry* registry);
+void RegisterSec74EndhostCc(ScenarioRegistry* registry);
+void RegisterSec76MultipathThreshold(ScenarioRegistry* registry);
 
 // Dumbbell scenarios call this when `--shards` is requested: runs the
 // partitioner to confirm the dumbbell's shape is what the serial run assumes.

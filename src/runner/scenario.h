@@ -4,7 +4,7 @@
 // single (variant, sweep point, seed) trial and report its metrics. The
 // TrialRunner expands the spec into a trial plan and executes it (in
 // parallel); the ResultSink aggregates per-cell statistics. Scenarios live in
-// a registry so tools (`bundler_run`), benches, and tests can execute them by
+// a registry so `bundler_run`, `scripts/repro.sh` and tests execute them by
 // name instead of hand-wiring topology + workload + metrics glue per figure.
 #ifndef SRC_RUNNER_SCENARIO_H_
 #define SRC_RUNNER_SCENARIO_H_
@@ -86,7 +86,7 @@ struct Scenario {
 
 class ScenarioRegistry {
  public:
-  // Process-wide registry used by bundler_run, benches, and tests.
+  // Process-wide registry used by bundler_run and tests.
   static ScenarioRegistry& Global();
 
   // CHECK-fails on duplicate names or empty variants.

@@ -17,6 +17,10 @@ namespace bundler {
 namespace runner {
 namespace {
 
+// The two bundles split this aggregate offered load; the `load0_mbps` axis
+// carries bundle 0's share.
+constexpr double kFig13AggregateLoadMbps = 84;
+
 TrialResult RunTrial(const TrialPoint& point) {
   bool bundler_on = point.variant == "bundler";
   BUNDLER_CHECK_MSG(bundler_on || point.variant == "status_quo",

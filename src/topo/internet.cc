@@ -28,18 +28,6 @@ std::vector<WanPathSpec> DefaultWanPaths() {
   };
 }
 
-const char* WanModeName(WanMode mode) {
-  switch (mode) {
-    case WanMode::kBase:
-      return "Base";
-    case WanMode::kStatusQuo:
-      return "StatusQuo";
-    case WanMode::kBundler:
-      return "Bundler";
-  }
-  return "?";
-}
-
 NetBuilder WanPathBuilder(const WanPathSpec& spec, bool bundled, WanGraph* graph) {
   double bdp_bytes = spec.bottleneck_rate.BytesPerSecond() * spec.base_rtt.ToSeconds();
   int64_t buffer_bytes = std::max<int64_t>(

@@ -74,8 +74,6 @@ WanRunResult RunWanPath(const WanPathSpec& spec, WanMode mode, TimeDelta duratio
                         const std::function<void(Simulator*)>& obs_begin = nullptr,
                         const std::function<void(Simulator*)>& obs_end = nullptr);
 
-const char* WanModeName(WanMode mode);
-
 }  // namespace bundler
 
 #endif  // SRC_TOPO_INTERNET_H_

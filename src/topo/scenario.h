@@ -1,6 +1,7 @@
-// Experiment glue shared by benches, examples, and integration tests: a
-// self-contained run (simulator + dumbbell + workloads + FCT recording) and
-// the unloaded-network ideal FCT cache that slowdown metrics divide by.
+// Experiment glue shared by runner scenarios, examples, and integration
+// tests: a self-contained run (simulator + dumbbell + workloads + FCT
+// recording) and the unloaded-network ideal FCT cache that slowdown metrics
+// divide by.
 #ifndef SRC_TOPO_SCENARIO_H_
 #define SRC_TOPO_SCENARIO_H_
 

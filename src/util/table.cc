@@ -21,12 +21,6 @@ std::string Table::Num(double v, int precision) {
   return buf;
 }
 
-std::string Table::Pct(double fraction, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f%%", precision, fraction * 100.0);
-  return buf;
-}
-
 void Table::Print(std::FILE* out) const {
   std::vector<size_t> widths(headers_.size());
   for (size_t c = 0; c < headers_.size(); ++c) {

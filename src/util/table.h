@@ -1,5 +1,5 @@
-// Console table printer for bench output: fixed-width, aligned columns in the
-// style of the paper's reported tables.
+// Console table printer: fixed-width, aligned columns in the style of the
+// paper's reported tables.
 #ifndef SRC_UTIL_TABLE_H_
 #define SRC_UTIL_TABLE_H_
 
@@ -15,9 +15,8 @@ class Table {
 
   Table& AddRow(std::vector<std::string> cells);
 
-  // Convenience formatting helpers for cells.
+  // Fixed-precision number formatting for cells.
   static std::string Num(double v, int precision = 2);
-  static std::string Pct(double fraction, int precision = 1);
 
   void Print(std::FILE* out = stdout) const;
 

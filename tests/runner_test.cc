@@ -289,6 +289,62 @@ TEST(RegistryTest, SweepScenariosRegisteredWithAxes) {
   EXPECT_EQ(fig12->spec.axes[0].name, "competing_flows");
   EXPECT_EQ(fig12->spec.axes[0].values,
             (std::vector<double>{10, 30, 50}));
+
+  // Fig. 5 and Fig. 6 share one delay x rate sweep.
+  const Scenario* fig05 = registry.Find("fig05_rate_estimate");
+  ASSERT_NE(fig05, nullptr);
+  EXPECT_EQ(fig05->spec.variants, (std::vector<std::string>{"bundler"}));
+  ASSERT_EQ(fig05->spec.axes.size(), 2u);
+  EXPECT_EQ(fig05->spec.axes[0].name, "delay_ms");
+  EXPECT_EQ(fig05->spec.axes[0].values, (std::vector<double>{20, 50, 100}));
+  EXPECT_EQ(fig05->spec.axes[1].name, "rate_mbps");
+  EXPECT_EQ(fig05->spec.axes[1].values, (std::vector<double>{24, 48, 96}));
+
+  // fig09, fig14 and §7.4 run one trial body under different variants.
+  const Scenario* fig09 = registry.Find("fig09_fct");
+  ASSERT_NE(fig09, nullptr);
+  EXPECT_EQ(fig09->spec.variants,
+            (std::vector<std::string>{"status_quo", "bundler_sfq", "bundler_fifo",
+                                      "in_network"}));
+  EXPECT_TRUE(fig09->spec.axes.empty());
+  const Scenario* fig14 = registry.Find("fig14_sendbox_cc");
+  ASSERT_NE(fig14, nullptr);
+  EXPECT_EQ(fig14->spec.variants,
+            (std::vector<std::string>{"status_quo", "bundler_copa", "bundler_basic_delay",
+                                      "bundler_bbr"}));
+  EXPECT_TRUE(fig14->spec.axes.empty());
+  EXPECT_EQ(fig14->spec.default_trials, 2);
+  const Scenario* sec74 = registry.Find("sec74_endhost_cc");
+  ASSERT_NE(sec74, nullptr);
+  EXPECT_EQ(sec74->spec.variants,
+            (std::vector<std::string>{"status_quo_cubic", "bundler_cubic",
+                                      "status_quo_reno", "bundler_reno", "status_quo_bbr",
+                                      "bundler_bbr"}));
+  EXPECT_TRUE(sec74->spec.axes.empty());
+
+  // Fig. 7 and §7.6 run one multipath trial body.
+  const Scenario* fig07 = registry.Find("fig07_multipath_observe");
+  ASSERT_NE(fig07, nullptr);
+  EXPECT_EQ(fig07->spec.variants, (std::vector<std::string>{"bundler"}));
+  EXPECT_TRUE(fig07->spec.axes.empty());
+  const Scenario* sec76 = registry.Find("sec76_multipath_threshold");
+  ASSERT_NE(sec76, nullptr);
+  EXPECT_EQ(sec76->spec.variants, (std::vector<std::string>{"bundler"}));
+  ASSERT_EQ(sec76->spec.axes.size(), 3u);
+  EXPECT_EQ(sec76->spec.axes[0].name, "rate_mbps");
+  EXPECT_EQ(sec76->spec.axes[0].values, (std::vector<double>{24, 96}));
+  EXPECT_EQ(sec76->spec.axes[1].name, "rtt_ms");
+  EXPECT_EQ(sec76->spec.axes[1].values, (std::vector<double>{20, 100, 300}));
+  EXPECT_EQ(sec76->spec.axes[2].name, "paths");
+  EXPECT_EQ(sec76->spec.axes[2].values, (std::vector<double>{1, 2, 4, 8, 32}));
+
+  // §7.2's two studies, each a status-quo / Bundler pair.
+  const Scenario* sec72 = registry.Find("sec72_other_policies");
+  ASSERT_NE(sec72, nullptr);
+  EXPECT_EQ(sec72->spec.variants,
+            (std::vector<std::string>{"fq_codel_status_quo", "fq_codel_bundler",
+                                      "prio_status_quo", "prio_bundler"}));
+  EXPECT_TRUE(sec72->spec.axes.empty());
 }
 
 // Full-figure regression: the fig09 scenario at seed 1 must serialize to the

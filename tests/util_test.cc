@@ -237,7 +237,6 @@ TEST(RngTest, WeightedChoice) {
 
 TEST(TableTest, FormatsNumbers) {
   EXPECT_EQ(Table::Num(3.14159, 2), "3.14");
-  EXPECT_EQ(Table::Pct(0.283, 1), "28.3%");
 }
 
 TEST(RingBufferTest, FifoOrderAcrossGrowthAndWraparound) {
