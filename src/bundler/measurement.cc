@@ -32,7 +32,17 @@ void MeasurementEngine::ExpireOld(TimePoint now) {
 
 void MeasurementEngine::PushOooEvent(TimePoint now, bool out_of_order) {
   ooo_events_.emplace_back(now, out_of_order);
+  if (out_of_order) {
+    ++ooo_flagged_;
+  }
+  TrimOooWindow(now);
+}
+
+void MeasurementEngine::TrimOooWindow(TimePoint now) {
   while (!ooo_events_.empty() && now - ooo_events_.front().first > config_.ooo_window) {
+    if (ooo_events_.front().second) {
+      --ooo_flagged_;
+    }
     ooo_events_.pop_front();
   }
 }
@@ -174,19 +184,11 @@ BundleMeasurement MeasurementEngine::Current(TimePoint now) {
 }
 
 double MeasurementEngine::OutOfOrderFraction(TimePoint now) {
-  while (!ooo_events_.empty() && now - ooo_events_.front().first > config_.ooo_window) {
-    ooo_events_.pop_front();
-  }
+  TrimOooWindow(now);
   if (ooo_events_.size() < config_.min_ooo_samples) {
     return 0.0;
   }
-  size_t ooo = 0;
-  for (const auto& [t, is_ooo] : ooo_events_) {
-    if (is_ooo) {
-      ++ooo;
-    }
-  }
-  return static_cast<double>(ooo) / static_cast<double>(ooo_events_.size());
+  return static_cast<double>(ooo_flagged_) / static_cast<double>(ooo_events_.size());
 }
 
 }  // namespace bundler

@@ -55,10 +55,14 @@ class MeasurementEngine {
   bool has_min_rtt() const { return have_rtt_; }
   TimeDelta min_rtt() const { return min_rtt_; }
   TimeDelta srtt() const { return srtt_; }
+  // O(1) amortized: a running count of the window's flagged events.
   double OutOfOrderFraction(TimePoint now);
   // Drop accumulated ordering events; used when the sendbox re-probes delay
   // control so the decision reflects fresh conditions, not status-quo noise.
-  void ResetOooHistory() { ooo_events_.clear(); }
+  void ResetOooHistory() {
+    ooo_events_.clear();
+    ooo_flagged_ = 0;
+  }
 
   uint64_t feedback_matched() const { return feedback_matched_; }
   uint64_t feedback_ignored() const { return feedback_ignored_; }
@@ -91,6 +95,7 @@ class MeasurementEngine {
 
   void ExpireOld(TimePoint now);
   void PushOooEvent(TimePoint now, bool out_of_order);
+  void TrimOooWindow(TimePoint now);
 
   Config config_;
   std::deque<BoundaryRecord> outstanding_;
@@ -108,6 +113,7 @@ class MeasurementEngine {
   TimeDelta srtt_ = TimeDelta::Millis(100);
 
   std::deque<std::pair<TimePoint, bool>> ooo_events_;
+  size_t ooo_flagged_ = 0;  // events in ooo_events_ flagged out of order
 
   int64_t acked_bytes_since_poll_ = 0;
   bool fresh_since_poll_ = false;

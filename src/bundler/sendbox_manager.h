@@ -45,7 +45,7 @@ class SendboxManager : public PacketHandler {
     int64_t burst_bytes = 2 * kMtuBytes;
     // Optional per-bundle qdisc (forwarded to SiteEgress::Config): when set,
     // each bundle schedules internally through its own instance (e.g. SFQ,
-    // the SendboxConfig default) instead of the preallocated FIFO ring.
+    // the SendboxConfig default) instead of the shared-pool FIFO.
     std::function<std::unique_ptr<Qdisc>()> bundle_qdisc_factory;
     // The single shared control tick period. Every bundle's control config
     // must agree (enforced with a readable CHECK).

@@ -68,9 +68,6 @@ SiteEgress::SiteEgress(Simulator* sim, const Config& config,
           &tracer, tracer.RegisterComponent(
                        "qdisc", obs_name + ".b" +
                                     std::to_string(bundles_.size())));
-    } else {
-      bun.queue.slots.resize(
-          static_cast<size_t>(config_.per_bundle_queue_pkts));
     }
     bundles_.push_back(std::move(bun));
   }
@@ -82,25 +79,13 @@ SiteEgress::~SiteEgress() {
   }
 }
 
-const Packet* SiteEgress::RingPeek(const PacketRing& ring) const {
-  return ring.count == 0 ? nullptr : &ring.slots[ring.head];
-}
-
-Packet SiteEgress::RingPop(PacketRing& ring) {
-  Packet pkt = std::move(ring.slots[ring.head]);
-  ring.head = ring.head + 1 == ring.slots.size() ? 0 : ring.head + 1;
-  --ring.count;
-  ring.bytes -= pkt.size_bytes;
-  return pkt;
-}
-
 int64_t SiteEgress::BundleBacklogPkts(const Bundle& bun) const {
   return bun.qdisc != nullptr ? bun.qdisc->packets()
-                              : static_cast<int64_t>(bun.queue.count);
+                              : static_cast<int64_t>(bun.queue.size());
 }
 
 const Packet* SiteEgress::BundleHead(const Bundle& bun) const {
-  return bun.qdisc != nullptr ? bun.qdisc->Peek() : RingPeek(bun.queue);
+  return bun.qdisc != nullptr ? bun.qdisc->Peek() : &pool_.Front(bun.queue);
 }
 
 void SiteEgress::ActivateBundle(size_t b) {
@@ -163,18 +148,15 @@ void SiteEgress::Enqueue(size_t bundle, Packet pkt) {
     Pump();
     return;
   }
-  if (bun.queue.count == bun.queue.slots.size()) {
+  if (static_cast<int64_t>(bun.queue.size()) == config_.per_bundle_queue_pkts) {
     ++bun.drops;
     *ten.ctr_drop += 1;
     return;  // drop-tail; move-only Packet dies here
   }
   pkt.queue_enter = sim_->now();
-  PacketRing& ring = bun.queue;
-  const bool was_backlogged = ring.count > 0;
-  const size_t slot = (ring.head + ring.count) % ring.slots.size();
-  ring.bytes += pkt.size_bytes;
-  ring.slots[slot] = std::move(pkt);
-  ++ring.count;
+  const bool was_backlogged = !bun.queue.empty();
+  bun.queue_bytes += pkt.size_bytes;
+  pool_.PushBack(bun.queue, std::move(pkt));
   ++total_backlog_pkts_;
   *ten.ctr_enq += 1;
   ActivateBundle(bundle);
@@ -214,7 +196,7 @@ Rate SiteEgress::bundle_rate(size_t bundle) const {
 int64_t SiteEgress::bundle_queue_bytes(size_t bundle) const {
   BUNDLER_CHECK(bundle < bundles_.size());
   const Bundle& bun = bundles_[bundle];
-  return bun.qdisc != nullptr ? bun.qdisc->bytes() : bun.queue.bytes;
+  return bun.qdisc != nullptr ? bun.qdisc->bytes() : bun.queue_bytes;
 }
 
 int64_t SiteEgress::bundle_queue_pkts(size_t bundle) const {
@@ -320,7 +302,8 @@ int SiteEgress::ServeTenant(size_t t, TimePoint now) {
           continue;  // AQM dequeue-drop consumed the head; re-peek
         }
       } else {
-        popped = RingPop(bun.queue);
+        popped = pool_.PopFront(bun.queue);
+        bun.queue_bytes -= popped->size_bytes;
         --total_backlog_pkts_;
       }
       Packet pkt = std::move(*popped);

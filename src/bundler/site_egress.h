@@ -12,8 +12,9 @@
 // machinery with one tenant and one bundle.
 //
 // Invariants the tests pin down:
-//  - Zero allocations per datapath operation: bundle queues are preallocated
-//    packet rings, the active-entity lists are index rings
+//  - Zero allocations per datapath operation once warm: FIFO bundles queue
+//    in one shared PacketPool (qdisc/packet_pool.h) that grows only to the
+//    site's peak backlog, the active-entity lists are index rings
 //    (util/index_ring.h), and the pump wakeup reuses one pooled timer slot.
 //  - Deterministic service order: bands scan low index first (strict
 //    priority), tenants and bundles round-robin in activation order with
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "src/net/packet.h"
+#include "src/qdisc/packet_pool.h"
 #include "src/qdisc/qdisc.h"
 #include "src/qdisc/token_bucket.h"
 #include "src/sim/inline_function.h"
@@ -49,12 +51,13 @@ class SiteEgress {
   struct Config {
     Rate aggregate_rate = Rate::Gbps(1);   // site uplink shaping budget
     int64_t burst_bytes = 2 * kMtuBytes;   // every bucket's burst allowance
-    int64_t per_bundle_queue_pkts = 512;   // drop-tail limit per bundle ring
+    int64_t per_bundle_queue_pkts = 512;   // drop-tail limit per FIFO bundle
     // When set, each bundle queues through its own instance from this
     // factory (operator-chosen scheduling *inside* the bundle, e.g. SFQ so
-    // short requests bypass bulk — the SendboxConfig default) instead of
-    // the preallocated FIFO ring. The ring stays the default: it is the
-    // zero-allocation datapath the scheduler-churn bench gates.
+    // short requests bypass bulk — the SendboxConfig default) instead of a
+    // drop-tail FIFO in the egress's shared packet pool. The FIFO stays the
+    // default: it is the zero-allocation datapath the scheduler-churn bench
+    // gates.
     std::function<std::unique_ptr<Qdisc>()> bundle_qdisc_factory;
   };
 
@@ -85,7 +88,7 @@ class SiteEgress {
   SiteEgress& operator=(const SiteEgress&) = delete;
 
   // --- Datapath ---
-  // Queues `pkt` on `bundle`'s ring (drop-tail when full) and pumps.
+  // Queues `pkt` on `bundle`'s queue (drop-tail when full) and pumps.
   void Enqueue(size_t bundle, Packet pkt);
 
   // --- Control plane ---
@@ -104,7 +107,7 @@ class SiteEgress {
   int64_t bundle_queue_bytes(size_t bundle) const;
   int64_t bundle_queue_pkts(size_t bundle) const;
   uint64_t bundle_drops(size_t bundle) const;
-  // The bundle's own qdisc; nullptr for ring-backed bundles (no
+  // The bundle's own qdisc; nullptr for FIFO bundles (no
   // Config::bundle_qdisc_factory).
   const Qdisc* bundle_qdisc(size_t bundle) const;
   uint64_t tenant_tx_bytes(size_t tenant) const;
@@ -113,17 +116,9 @@ class SiteEgress {
   int64_t total_backlog_pkts() const { return total_backlog_pkts_; }
 
  private:
-  // Preallocated move-only packet ring (the per-bundle queue). Fixed
-  // capacity; the datapath never allocates.
-  struct PacketRing {
-    std::vector<Packet> slots;
-    size_t head = 0;
-    size_t count = 0;
-    int64_t bytes = 0;
-  };
-
   struct Bundle {
-    PacketRing queue;             // used when qdisc is null
+    PacketPool::Queue queue;      // in pool_; used when qdisc is null
+    int64_t queue_bytes = 0;
     std::unique_ptr<Qdisc> qdisc; // used when Config::bundle_qdisc_factory set
     TokenBucket bucket;
     size_t tenant = 0;
@@ -167,9 +162,7 @@ class SiteEgress {
         : cap(cap_rate, burst, now) {}
   };
 
-  const Packet* RingPeek(const PacketRing& ring) const;
-  Packet RingPop(PacketRing& ring);
-  // Uniform queue views over ring- and qdisc-backed bundles.
+  // Uniform queue views over FIFO and qdisc-backed bundles.
   int64_t BundleBacklogPkts(const Bundle& bun) const;
   const Packet* BundleHead(const Bundle& bun) const;
   void ActivateBundle(size_t b);
@@ -185,6 +178,7 @@ class SiteEgress {
   TokenBucket site_bucket_;
   std::vector<Tenant> tenants_;
   std::vector<Bundle> bundles_;
+  PacketPool pool_;  // every FIFO bundle's packets
   IndexRing band_ring_[kNumBands];  // active tenants per priority band
   InlineFunction<void(size_t, Packet)> out_;
 

@@ -24,17 +24,15 @@ uint64_t Drr::FlowHash(const Packet& pkt) {
 void Drr::ReleaseSlot(size_t slot) {
   slots_[slot].active = false;
   IndexRingRemove(slots_, rr_, slot);
-  flow_to_slot_.erase(slot_to_flow_[slot]);
-  slot_to_flow_.erase(slot);
+  flow_to_slot_.Erase(slots_[slot].flow);
   free_slots_.push_back(slot);
 }
 
 bool Drr::DoEnqueue(Packet pkt, TimePoint now) {
   (void)now;
-  uint64_t flow = FlowHash(pkt);
-  auto it = flow_to_slot_.find(flow);
-  size_t slot;
-  if (it == flow_to_slot_.end()) {
+  const uint64_t flow = FlowHash(pkt);
+  size_t slot = flow_to_slot_.Find(flow);
+  if (slot == 0) {
     if (!free_slots_.empty()) {
       slot = free_slots_.back();
       free_slots_.pop_back();
@@ -42,15 +40,15 @@ bool Drr::DoEnqueue(Packet pkt, TimePoint now) {
       slot = slots_.size();
       slots_.emplace_back();
     }
-    flow_to_slot_[flow] = slot;
-    slot_to_flow_[slot] = flow;
+    flow_to_slot_.Insert(flow, slot + 1);
+    slots_[slot].flow = flow;
   } else {
-    slot = it->second;
+    --slot;
   }
   FlowQueue& fq = slots_[slot];
   bytes_ += pkt.size_bytes;
   fq.bytes += pkt.size_bytes;
-  fq.queue.push_back(std::move(pkt));
+  pool_.PushBack(fq.queue, std::move(pkt));
   ++packets_;
   if (!fq.active) {
     fq.active = true;
@@ -75,8 +73,7 @@ void Drr::DropFromLongest() {
   }
   BUNDLER_CHECK(longest_bytes >= 0);
   FlowQueue& fq = slots_[longest];
-  BUNDLER_CHECK(!fq.queue.empty());
-  Packet victim = fq.queue.pop_back();
+  Packet victim = pool_.PopBack(fq.queue);
   fq.bytes -= victim.size_bytes;
   bytes_ -= victim.size_bytes;
   --packets_;
@@ -101,7 +98,7 @@ std::optional<Packet> Drr::DoDequeue(TimePoint now) {
       IndexRingPushBack(slots_, rr_, slot);
       continue;
     }
-    Packet pkt = fq.queue.pop_front();
+    Packet pkt = pool_.PopFront(fq.queue);
     fq.bytes -= pkt.size_bytes;
     fq.deficit -= pkt.size_bytes;
     bytes_ -= pkt.size_bytes;
@@ -117,7 +114,7 @@ std::optional<Packet> Drr::DoDequeue(TimePoint now) {
 const Packet* Drr::Peek() const {
   for (size_t slot = rr_.head; slot != kIndexRingNil; slot = slots_[slot].next) {
     if (!slots_[slot].queue.empty()) {
-      return &slots_[slot].queue.front();
+      return &pool_.Front(slots_[slot].queue);
     }
   }
   return nullptr;

@@ -1,17 +1,19 @@
 // Deficit Round Robin with exact per-flow queues (Shreedhar & Varghese).
 // Used as the "In-Network" fair-queueing bottleneck baseline of §7.2 — the
 // configuration the paper argues is not deployable but bounds what Bundler
-// can achieve.
+// can achieve. Flow queues share one PacketPool and the flow -> slot demux is
+// an open-addressing FlatMap64, so a warm DRR allocates nothing per packet or
+// per new flow.
 #ifndef SRC_QDISC_DRR_H_
 #define SRC_QDISC_DRR_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "src/qdisc/packet_pool.h"
 #include "src/qdisc/qdisc.h"
+#include "src/util/flat_map.h"
 #include "src/util/index_ring.h"
-#include "src/util/ring_buffer.h"
 
 namespace bundler {
 
@@ -36,11 +38,11 @@ class Drr : public Qdisc {
   std::optional<Packet> DoDequeue(TimePoint now) override;
 
   // Flow queues link into an intrusive round-robin ring
-  // (src/util/index_ring.h), and the packet queue is a reusable ring buffer.
-  // vector works for slots_ because both are nothrow-movable; slot addresses
-  // are not held across Enqueue (the only growth point).
+  // (src/util/index_ring.h); slot addresses are not held across Enqueue (the
+  // only growth point of slots_).
   struct FlowQueue {
-    RingBuffer<Packet> queue;
+    PacketPool::Queue queue;
+    uint64_t flow = 0;  // FlowHash of the flow holding this slot
     int64_t bytes = 0;
     int64_t deficit = 0;
     bool active = false;
@@ -53,10 +55,10 @@ class Drr : public Qdisc {
   void ReleaseSlot(size_t slot);
 
   Config config_;
-  std::unordered_map<uint64_t, size_t> flow_to_slot_;
+  PacketPool pool_;
+  FlatMap64<size_t> flow_to_slot_;  // FlowHash -> slot + 1 (0 = absent)
   std::vector<FlowQueue> slots_;
   std::vector<size_t> free_slots_;
-  std::unordered_map<size_t, uint64_t> slot_to_flow_;
   IndexRing rr_;
   int64_t bytes_ = 0;
   int64_t packets_ = 0;

@@ -31,7 +31,7 @@ bool FqCodel::DoEnqueue(Packet pkt, TimePoint now) {
   Bucket& b = buckets_[idx];
   bytes_ += pkt.size_bytes;
   b.bytes += pkt.size_bytes;
-  b.queue.push_back(std::move(pkt));
+  pool_.PushBack(b.queue, std::move(pkt));
   ++packets_;
   if (b.list_state == Bucket::ListState::kNone) {
     b.list_state = Bucket::ListState::kNew;
@@ -58,9 +58,8 @@ void FqCodel::DropFromFattest() {
   }
   BUNDLER_CHECK(fattest_bytes >= 0);
   Bucket& b = buckets_[fattest];
-  BUNDLER_CHECK(!b.queue.empty());
   // RFC 8290 drops from the head of the fattest flow to signal earlier.
-  Packet victim = b.queue.pop_front();
+  Packet victim = pool_.PopFront(b.queue);
   b.bytes -= victim.size_bytes;
   bytes_ -= victim.size_bytes;
   --packets_;
@@ -92,7 +91,7 @@ std::optional<Packet> FqCodel::DequeueFromList(IndexRing& list, bool is_new_list
       }
       continue;
     }
-    Packet pkt = b.queue.pop_front();
+    Packet pkt = pool_.PopFront(b.queue);
     b.bytes -= pkt.size_bytes;
     bytes_ -= pkt.size_bytes;
     --packets_;
@@ -128,7 +127,7 @@ const Packet* FqCodel::Peek() const {
   for (const IndexRing* list : {&new_flows_, &old_flows_}) {
     for (size_t idx = list->head; idx != kIndexRingNil; idx = buckets_[idx].next) {
       if (!buckets_[idx].queue.empty()) {
-        return &buckets_[idx].queue.front();
+        return &pool_.Front(buckets_[idx].queue);
       }
     }
   }

@@ -1,6 +1,7 @@
 // FQ-CoDel (RFC 8290): DRR across hashed flow buckets with a CoDel instance
 // per bucket and the new-flow priority list. Evaluated as an alternative
-// sendbox policy in §7.2 (97% lower median end-to-end RTT).
+// sendbox policy in §7.2 (97% lower median end-to-end RTT). Every bucket
+// queues in one shared PacketPool, so queue memory follows the packets held.
 #ifndef SRC_QDISC_FQ_CODEL_H_
 #define SRC_QDISC_FQ_CODEL_H_
 
@@ -8,9 +9,9 @@
 #include <vector>
 
 #include "src/qdisc/codel.h"
+#include "src/qdisc/packet_pool.h"
 #include "src/qdisc/qdisc.h"
 #include "src/util/index_ring.h"
-#include "src/util/ring_buffer.h"
 
 namespace bundler {
 
@@ -37,9 +38,9 @@ class FqCodel : public Qdisc {
 
   // Buckets link into the new/old intrusive rings (src/util/index_ring.h):
   // RFC 8290's two service lists without a list-node allocation per flow
-  // activation, and a reusable packet ring instead of a breathing deque.
+  // activation; each bucket's packets are a queue in the shared pool.
   struct Bucket {
-    RingBuffer<Packet> queue;
+    PacketPool::Queue queue;
     CodelState codel;
     int64_t bytes = 0;
     int64_t deficit = 0;
@@ -53,6 +54,7 @@ class FqCodel : public Qdisc {
   std::optional<Packet> DequeueFromList(IndexRing& list, bool is_new_list, TimePoint now);
 
   Config config_;
+  PacketPool pool_;
   std::vector<Bucket> buckets_;
   IndexRing new_flows_;
   IndexRing old_flows_;

@@ -27,7 +27,7 @@ bool StrictPrio::DoEnqueue(Packet pkt, TimePoint now) {
   }
   b.bytes += pkt.size_bytes;
   bytes_ += pkt.size_bytes;
-  b.queue.push_back(std::move(pkt));
+  pool_.PushBack(b.queue, std::move(pkt));
   ++packets_;
   return true;
 }
@@ -36,7 +36,7 @@ std::optional<Packet> StrictPrio::DoDequeue(TimePoint now) {
   (void)now;
   for (Band& b : bands_) {
     if (!b.queue.empty()) {
-      Packet pkt = b.queue.pop_front();
+      Packet pkt = pool_.PopFront(b.queue);
       b.bytes -= pkt.size_bytes;
       bytes_ -= pkt.size_bytes;
       --packets_;
@@ -49,7 +49,7 @@ std::optional<Packet> StrictPrio::DoDequeue(TimePoint now) {
 const Packet* StrictPrio::Peek() const {
   for (const Band& b : bands_) {
     if (!b.queue.empty()) {
-      return &b.queue.front();
+      return &pool_.Front(b.queue);
     }
   }
   return nullptr;

@@ -1,13 +1,14 @@
 // Strict priority scheduling over a small number of bands; band 0 is served
 // first. §7.2 uses this to give one traffic class 65% lower median FCT.
+// The bands queue in one shared PacketPool.
 #ifndef SRC_QDISC_PRIO_H_
 #define SRC_QDISC_PRIO_H_
 
 #include <vector>
 
+#include "src/qdisc/packet_pool.h"
 #include "src/qdisc/qdisc.h"
 #include "src/sim/inline_function.h"
-#include "src/util/ring_buffer.h"
 
 namespace bundler {
 
@@ -32,10 +33,11 @@ class StrictPrio : public Qdisc {
   std::optional<Packet> DoDequeue(TimePoint now) override;
 
   struct Band {
-    RingBuffer<Packet> queue;  // reusable ring: band churn allocates nothing
+    PacketPool::Queue queue;
     int64_t bytes = 0;
   };
 
+  PacketPool pool_;
   std::vector<Band> bands_;
   int64_t limit_bytes_per_band_;
   Classifier classifier_;

@@ -29,7 +29,7 @@ bool Sfq::DoEnqueue(Packet pkt, TimePoint now) {
   Bucket& b = buckets_[idx];
   bytes_ += pkt.size_bytes;
   b.bytes += pkt.size_bytes;
-  b.queue.push_back(std::move(pkt));
+  pool_.PushBack(b.queue, std::move(pkt));
   ++packets_;
   if (!b.active) {
     b.active = true;
@@ -55,8 +55,7 @@ void Sfq::DropFromLongest() {
   }
   BUNDLER_CHECK(longest_bytes >= 0);
   Bucket& b = buckets_[longest];
-  BUNDLER_CHECK(!b.queue.empty());
-  Packet victim = b.queue.pop_back();
+  Packet victim = pool_.PopBack(b.queue);
   b.bytes -= victim.size_bytes;
   bytes_ -= victim.size_bytes;
   --packets_;
@@ -84,7 +83,7 @@ std::optional<Packet> Sfq::DoDequeue(TimePoint now) {
       IndexRingPushBack(buckets_, rr_, idx);
       continue;
     }
-    Packet pkt = b.queue.pop_front();
+    Packet pkt = pool_.PopFront(b.queue);
     b.bytes -= pkt.size_bytes;
     b.deficit -= pkt.size_bytes;
     bytes_ -= pkt.size_bytes;
@@ -102,7 +101,7 @@ const Packet* Sfq::Peek() const {
   for (size_t idx = rr_.head; idx != kIndexRingNil; idx = buckets_[idx].next) {
     const Bucket& b = buckets_[idx];
     if (!b.queue.empty()) {
-      return &b.queue.front();
+      return &pool_.Front(b.queue);
     }
   }
   return nullptr;

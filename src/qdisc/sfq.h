@@ -2,16 +2,18 @@
 // sendbox scheduling policy. Flows hash (with a perturbation seed) into a
 // fixed set of buckets; buckets are served round-robin with a byte quantum,
 // and overflow drops from the currently longest bucket, which is what bounds
-// any one flow's share of the buffer.
+// any one flow's share of the buffer. Every bucket queues in one shared
+// PacketPool, so queue memory follows the packets held (at most the limit),
+// not the sum of each bucket's high-water mark.
 #ifndef SRC_QDISC_SFQ_H_
 #define SRC_QDISC_SFQ_H_
 
 #include <cstdint>
 #include <vector>
 
+#include "src/qdisc/packet_pool.h"
 #include "src/qdisc/qdisc.h"
 #include "src/util/index_ring.h"
-#include "src/util/ring_buffer.h"
 
 namespace bundler {
 
@@ -42,7 +44,7 @@ class Sfq : public Qdisc {
   // list-of-indices discipline without a node allocation per activation —
   // the sendbox's default scheduler sits on the datapath.
   struct Bucket {
-    RingBuffer<Packet> queue;
+    PacketPool::Queue queue;
     int64_t bytes = 0;
     int64_t deficit = 0;
     bool active = false;
@@ -53,6 +55,7 @@ class Sfq : public Qdisc {
   void DropFromLongest();
 
   Config config_;
+  PacketPool pool_;
   std::vector<Bucket> buckets_;
   IndexRing rr_;  // round-robin order of non-empty buckets
   int64_t bytes_ = 0;

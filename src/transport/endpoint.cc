@@ -6,13 +6,6 @@
 
 namespace bundler {
 
-namespace {
-// The demux value of every retired receiver's flow id. HandlePacket
-// recognises it by address and answers in the receiver's place; it is never
-// invoked.
-SinkHandler g_retired_receiver;
-}  // namespace
-
 Host::Host(Simulator* sim, Address addr, PacketHandler* egress)
     : sim_(sim), addr_(addr), egress_(egress) {
   BUNDLER_CHECK(sim_ != nullptr);
@@ -20,24 +13,26 @@ Host::Host(Simulator* sim, Address addr, PacketHandler* egress)
 
 void Host::HandlePacket(Packet pkt) {
   PacketHandler* handler = flows_.Find(pkt.flow_id);
-  if (handler == &g_retired_receiver) {
-    // A completed receiver's TIME_WAIT: its cumulative point is the flow's
-    // segment count, so re-ACK exactly that (see RetireReceiver).
-    if (pkt.type == PacketType::kData) {
-      Packet ack = MakeAckPacket(pkt, /*ack_src=*/pkt.key.dst, /*ack_dst=*/pkt.key.src);
-      ack.seq = pkt.flow_total_pkts;
-      ack.request_id = pkt.request_id;
-      SendOut(std::move(ack));
-    }
+  if (handler != nullptr) {
+    handler->HandlePacket(std::move(pkt));
     return;
   }
-  if (handler == nullptr) {
-    // Flow already torn down (e.g. a dup-ACK after its sender completed) or
-    // not yet created; drop silently like a closed socket would.
-    ++unclaimed_;
+  if (pkt.type == PacketType::kData && pkt.flow_total_pkts > 0) {
+    // TIME_WAIT without per-flow state. CreateTcpFlow registers a receiver
+    // before the flow's first data packet leaves, so finite-flow data with no
+    // handler belongs to a receiver that completed and unregistered. Its
+    // cumulative point is the flow's segment count: re-ACK exactly that, so
+    // a sender whose final ACKs were lost still completes.
+    Packet ack = MakeAckPacket(pkt, /*ack_src=*/pkt.key.dst, /*ack_dst=*/pkt.key.src);
+    ack.seq = pkt.flow_total_pkts;
+    ack.request_id = pkt.request_id;
+    SendOut(std::move(ack));
     return;
   }
-  handler->HandlePacket(std::move(pkt));
+  // Flow already torn down (e.g. a dup-ACK after its sender completed, or a
+  // retried request whose response already started) or not yet created; drop
+  // silently like a closed socket would.
+  ++unclaimed_;
 }
 
 void Host::SendOut(Packet pkt) {
@@ -52,8 +47,6 @@ void Host::Register(uint64_t flow_id, PacketHandler* handler) {
 }
 
 void Host::Unregister(uint64_t flow_id) { flows_.Erase(flow_id); }
-
-void Host::RetireReceiver(uint64_t flow_id) { flows_.Insert(flow_id, &g_retired_receiver); }
 
 uint16_t Host::AllocPort() {
   uint16_t port = next_port_;

@@ -37,7 +37,10 @@ class Host : public PacketHandler {
  public:
   Host(Simulator* sim, Address addr, PacketHandler* egress);
 
-  // Incoming packets from the network: demux on flow id.
+  // Incoming packets from the network: demux on flow id. A finite flow's
+  // data packet with no handler belongs to a completed receiver, and the host
+  // answers it with the final ACK (stateless TIME_WAIT: see endpoint.cc).
+  // Any other packet with no handler counts as unclaimed.
   void HandlePacket(Packet pkt) override;
 
   // Outgoing path: stamps the IPv4 ID (per-host counter, so retransmissions
@@ -46,12 +49,8 @@ class Host : public PacketHandler {
 
   void Register(uint64_t flow_id, PacketHandler* handler);
   void Unregister(uint64_t flow_id);
-
-  // TIME_WAIT without a per-flow object. A completed TCP receiver would only
-  // re-ACK the flow's segment count, so it frees itself and the host sends
-  // that ACK for every later data packet of `flow_id`, for the rest of the
-  // run. The demux entry points at one shared sentinel: no memory per flow.
-  void RetireReceiver(uint64_t flow_id);
+  // Demux entries: the live flows with a handler on this host.
+  size_t registered_flows() const { return flows_.size(); }
 
   uint16_t AllocPort();
 

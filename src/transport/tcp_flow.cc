@@ -38,9 +38,10 @@ void TcpReceiver::HandlePacket(Packet pkt) {
     }
     // TIME_WAIT: the sender's final ACKs may still be lost, so its tail
     // retransmissions must keep drawing ACKs. From here on they can only ever
-    // be ACKed with cum_expected_ == flow_total_pkts, which the host does on
-    // this receiver's behalf for the rest of the run.
-    host_->RetireReceiver(flow_id_);
+    // be ACKed with cum_expected_ == flow_total_pkts, which the host does for
+    // any finite-flow data with no handler (Host::HandlePacket), so the flow
+    // id leaves the demux with this receiver.
+    host_->Unregister(flow_id_);
     FlowTable* table = table_;
     TcpReceiver* self = this;
     host_->sim()->Schedule(TimeDelta::Zero(), [table, self]() { table->Release(self); });

@@ -35,9 +35,10 @@ using FlowDoneFn = InlineFunction<void(TimePoint), 16>;
 
 // Receiver half: cumulative ACKing (one ACK per data packet, Linux quickack
 // style), out-of-order buffering, completion detection. When the last byte
-// arrives the receiver fires `on_complete(now)`, hands its flow id to the
-// host's TIME_WAIT acker (Host::RetireReceiver) and releases itself back to
-// `table` through a zero-delay event.
+// arrives the receiver fires `on_complete(now)`, unregisters its flow id and
+// releases itself back to `table` through a zero-delay event. Its TIME_WAIT
+// needs no state: the host answers any later data of the flow with the final
+// ACK (Host::HandlePacket).
 class TcpReceiver : public PacketHandler {
  public:
   TcpReceiver(Host* host, FlowTable* table, uint64_t flow_id, FlowDoneFn on_complete);
@@ -186,7 +187,9 @@ class TcpSender : public PacketHandler {
 
 // Wires up a sender on `src` and receiver on `dst` without transmitting
 // anything; the caller invokes Start() (possibly later, via a scheduled
-// event) to begin. `on_receiver_complete` may be null (e.g. backlogged
+// event) to begin. The receiver is registered on `dst` before any data packet
+// can leave, which the host's stateless TIME_WAIT relies on: finite-flow data
+// with no handler is taken for a completed receiver's (Host::HandlePacket). `on_receiver_complete` may be null (e.g. backlogged
 // flows). Both halves live in `table` and free themselves when the flow
 // completes, so the returned handle of a finite flow is valid only until its
 // sender completes (the zero-delay release event after the last ACK); read

@@ -1,10 +1,13 @@
-// Intrusive round-robin list over externally-stored, index-addressed nodes —
-// the service-order discipline of a std::list of indices without a node
-// allocation per activation. Used by the fair-queueing qdiscs (SFQ buckets,
-// DRR flow slots), whose nodes expose `size_t prev, next` members and live in
-// a container indexed by size_t (the container may reallocate; only indices
-// are stored). Keeping the pointer surgery in one place preserves the
-// byte-identical-service-order invariant for every user at once.
+// Intrusive doubly linked list over externally-stored, index-addressed nodes —
+// the discipline of a std::list of indices without a node allocation per
+// insert. Users: the fair-queueing qdiscs' service order (SFQ buckets, DRR
+// flow slots, FQ-CoDel's new/old lists), SiteEgress's active tenant and
+// bundle rings, and PacketPool (src/qdisc/packet_pool.h), where every packet
+// queue is an IndexRing over the pool's slab. Nodes expose `size_t prev,
+// next` members and live in a container indexed by size_t (the container may
+// reallocate; only indices are stored). Keeping the pointer surgery in one
+// place preserves the byte-identical-service-order invariant for every user
+// at once.
 #ifndef SRC_UTIL_INDEX_RING_H_
 #define SRC_UTIL_INDEX_RING_H_
 

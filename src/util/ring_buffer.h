@@ -1,10 +1,13 @@
-// Reusable ring buffer for datapath packet queues. std::deque allocates and
-// frees chunk blocks as a queue breathes, which shows up as residual
-// allocs/event in the end-to-end datapath benchmark; a ring reuses its slots
-// forever and only reallocates on growth (doubling, so growth cost amortizes
-// to zero for steady-state queues). Supports the exact operations qdiscs
-// need: push_back, pop_front, pop_back (drop-from-longest policies trim the
-// tail), front/back peeks, and iteration-free size accounting. T must be
+// Reusable ring buffer for single-queue storage: the DropTailFifo and Codel
+// packet queues, and sample windows (windowed filters, Nimbus history).
+// std::deque allocates and frees chunk blocks as a queue breathes, which
+// shows up as residual allocs/event in the end-to-end datapath benchmark; a
+// ring reuses its slots forever and only reallocates on growth (doubling, so
+// growth cost amortizes to zero for steady-state queues). A ring never
+// shrinks, so its memory is its own high-water mark: right for one queue,
+// wrong for a scheduler's thousand buckets, which share a PacketPool
+// (src/qdisc/packet_pool.h) instead. Supports push_back, pop_front,
+// pop_back, front/back peeks, and iteration-free size accounting. T must be
 // nothrow-move-constructible (Packet is), which also makes RingBuffer itself
 // nothrow-movable — so structs holding one can live in std::vector.
 #ifndef SRC_UTIL_RING_BUFFER_H_

@@ -2,8 +2,9 @@
 // recycling and swap-remove header fixup at the unit level, misuse death
 // tests, a TCP integration run over the fat-tree fabric where every
 // completed flow hands its sender and receiver blocks back to the arena —
-// a second wave of flows must be carved entirely from the free lists — and
-// the host-level TIME_WAIT acker that answers for retired receivers.
+// a second wave of flows must be carved entirely from the free lists — the
+// host demux emptying as flows complete, and the stateless TIME_WAIT: a host
+// answers data of a completed receiver's flow with the final ACK.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -174,6 +175,41 @@ TEST(FlowReclaimTest, CompletedTcpFlowsReleaseAndNewFlowsReuse) {
   // The entire second wave was carved from recycled blocks.
   EXPECT_EQ(net->flows()->reuses(), static_cast<uint64_t>(2 * second));
   EXPECT_EQ(net->flows()->arena_blocks(), warm_blocks);
+}
+
+// The host demux holds live flows only: a completed receiver unregisters
+// (its TIME_WAIT is stateless, see below) and a completed sender vacates its
+// id, so once every flow is done both hosts' tables are empty.
+TEST(FlowReclaimTest, DemuxHoldsOnlyLiveFlows) {
+  Simulator sim;
+  FlowTable flows;
+  Host a(&sim, MakeAddress(1, 1), nullptr);
+  Host b(&sim, MakeAddress(2, 1), nullptr);
+  Link ab(&sim, "ab", Rate::Mbps(48), TimeDelta::Millis(10),
+          std::make_unique<DropTailFifo>(1 << 21), &b);
+  Link ba(&sim, "ba", Rate::Mbps(48), TimeDelta::Millis(10),
+          std::make_unique<DropTailFifo>(1 << 21), &a);
+  a.set_egress(&ab);
+  b.set_egress(&ba);
+
+  constexpr int kFlows = 40;
+  int completed = 0;
+  for (int i = 0; i < kFlows; ++i) {
+    TcpFlowParams params;
+    params.size_bytes = 20'000 + 1'000 * i;
+    TcpSender* sender =
+        CreateTcpFlow(&flows, &a, &b, params, [&](TimePoint) { ++completed; });
+    sim.ScheduleAt(TimePoint::Zero() + TimeDelta::Millis(5 * i),
+                   [sender]() { sender->Start(); });
+  }
+  EXPECT_EQ(a.registered_flows(), static_cast<size_t>(kFlows));
+  EXPECT_EQ(b.registered_flows(), static_cast<size_t>(kFlows));
+
+  sim.RunUntil(TimePoint::Zero() + TimeDelta::Seconds(10));
+  ASSERT_EQ(completed, kFlows);
+  EXPECT_EQ(flows.size(), 0u);
+  EXPECT_EQ(b.registered_flows(), 0u) << "completed receivers left the demux";
+  EXPECT_EQ(a.registered_flows(), 0u) << "completed senders left the demux";
 }
 
 // TIME_WAIT: the receiver frees itself the moment its last byte arrives, but

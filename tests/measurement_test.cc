@@ -233,6 +233,75 @@ TEST(MeasurementTest, OooWindowForgetsOldImbalance) {
   EXPECT_DOUBLE_EQ(eng.OutOfOrderFraction(t + TimeDelta::Seconds(3)), 0.0);
 }
 
+// Feeds ordering events whose flags are known. InvertedPair logs one
+// in-order event then one significant inversion (members sent 40 ms apart,
+// feedback order swapped, 90/91 ms after the first send); InOrder logs one
+// unflagged event 50 ms after its send.
+struct OooFeed {
+  MeasurementEngine* eng = nullptr;
+  uint64_t next_hash = 1;
+
+  static int64_t Bytes(uint64_t h) { return static_cast<int64_t>(h) * kEpochBytes; }
+
+  void InvertedPair(TimePoint sent) {
+    const uint64_t h1 = next_hash++;
+    const uint64_t h2 = next_hash++;
+    eng->OnBoundarySent(h1, sent, Bytes(h1));
+    eng->OnBoundarySent(h2, sent + TimeDelta::Millis(40), Bytes(h2));
+    eng->OnFeedback(h2, Bytes(h2), sent + TimeDelta::Millis(90));
+    eng->OnFeedback(h1, Bytes(h1), sent + TimeDelta::Millis(91));
+  }
+  void InOrder(TimePoint sent) {
+    const uint64_t h = next_hash++;
+    eng->OnBoundarySent(h, sent, Bytes(h));
+    eng->OnFeedback(h, Bytes(h), sent + TimeDelta::Millis(50));
+  }
+};
+
+TEST(MeasurementTest, OooFractionIsExactAsTheWindowExpires) {
+  MeasurementEngine::Config cfg;
+  cfg.min_ooo_samples = 4;
+  cfg.ooo_window = TimeDelta::Seconds(1);
+  MeasurementEngine eng(cfg);
+  OooFeed d{&eng};
+  const TimePoint t0;
+  // Events at 90/91, 150/151, 210/211, 270/271, 330/331 ms (the second of
+  // each pair flagged), then ten unflagged ones at 650..830 ms.
+  for (int i = 0; i < 5; ++i) {
+    d.InvertedPair(t0 + TimeDelta::Millis(60 * i));
+  }
+  for (int i = 0; i < 10; ++i) {
+    d.InOrder(t0 + TimeDelta::Millis(600 + 20 * i));
+  }
+  EXPECT_DOUBLE_EQ(eng.OutOfOrderFraction(t0 + TimeDelta::Millis(950)), 5.0 / 20.0);
+  // Events older than 200 ms leave the window: 3 flagged of 16.
+  EXPECT_DOUBLE_EQ(eng.OutOfOrderFraction(t0 + TimeDelta::Millis(1200)), 3.0 / 16.0);
+  // Older than 280 ms: 1 flagged of 12.
+  EXPECT_DOUBLE_EQ(eng.OutOfOrderFraction(t0 + TimeDelta::Millis(1280)), 1.0 / 12.0);
+  // Only seven unflagged events remain.
+  EXPECT_DOUBLE_EQ(eng.OutOfOrderFraction(t0 + TimeDelta::Millis(1700)), 0.0);
+}
+
+TEST(MeasurementTest, ResetOooHistoryCountsOnlyLaterEvents) {
+  MeasurementEngine::Config cfg;
+  cfg.min_ooo_samples = 4;
+  MeasurementEngine eng(cfg);
+  OooFeed d{&eng};
+  const TimePoint t0;
+  for (int i = 0; i < 5; ++i) {
+    d.InvertedPair(t0 + TimeDelta::Millis(60 * i));
+  }
+  EXPECT_DOUBLE_EQ(eng.OutOfOrderFraction(t0 + TimeDelta::Millis(400)), 0.5);
+  eng.ResetOooHistory();
+  EXPECT_DOUBLE_EQ(eng.OutOfOrderFraction(t0 + TimeDelta::Millis(400)), 0.0);
+  // Six unflagged events and one inverted pair after the reset: 1 of 8.
+  for (int i = 0; i < 6; ++i) {
+    d.InOrder(t0 + TimeDelta::Millis(400 + 20 * i));
+  }
+  d.InvertedPair(t0 + TimeDelta::Millis(600));
+  EXPECT_DOUBLE_EQ(eng.OutOfOrderFraction(t0 + TimeDelta::Millis(700)), 1.0 / 8.0);
+}
+
 TEST(MeasurementTest, SampleCallbackSeesEveryEpoch) {
   MeasurementEngine eng;
   std::vector<EpochSample> seen;

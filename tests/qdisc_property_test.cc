@@ -1,11 +1,12 @@
 // Property tests over every queue discipline: conservation (every enqueued
 // packet is either delivered or counted as a drop), non-negative accounting,
 // empty/limit behavior, and work conservation. Parameterized so each qdisc
-// implementation faces the same invariants. The ring-backed fq_codel and
-// strict-prio rewrites are additionally mirrored step-for-step against
-// reference implementations that keep the pre-rewrite std::deque/std::list
-// storage, pinning byte-identical service order (same DRR rotation, same
-// CoDel drop decisions, same overflow victims).
+// implementation faces the same invariants. The four multi-queue schedulers,
+// whose queues share one PacketPool (src/qdisc/packet_pool.h), are
+// additionally mirrored step-for-step against reference implementations that
+// keep a std::deque per queue and std::list service order, pinning
+// byte-identical service order (same DRR rotation, same CoDel drop
+// decisions, same overflow victims).
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -13,6 +14,7 @@
 #include <list>
 #include <memory>
 #include <string>
+#include <unordered_map>
 
 #include "src/qdisc/codel.h"
 #include "src/qdisc/drr.h"
@@ -61,10 +63,10 @@ std::vector<QdiscCase> AllQdiscs() {
 
 class QdiscPropertyTest : public ::testing::TestWithParam<QdiscCase> {};
 
-Packet RandomPacket(Rng& rng, uint64_t seq) {
+Packet RandomPacket(Rng& rng, uint64_t seq, uint64_t num_flows = 16) {
   Packet p;
   p.id = seq;
-  p.flow_id = rng.NextU64() % 16;
+  p.flow_id = rng.NextU64() % num_flows;
   p.key.src = MakeAddress(1, static_cast<uint16_t>(p.flow_id));
   p.key.dst = MakeAddress(2, 1);
   p.key.src_port = static_cast<uint16_t>(1000 + p.flow_id);
@@ -184,9 +186,9 @@ INSTANTIATE_TEST_SUITE_P(AllQdiscs, QdiscPropertyTest,
                          });
 
 // ---------------------------------------------------------------------------
-// Service-order byte-identity: reference implementations with the
-// pre-rewrite std::deque/std::list storage, mirrored against the ring-backed
-// qdiscs step for step.
+// Service-order byte-identity: reference implementations with a std::deque
+// per queue and std::list service order, mirrored against the pooled qdiscs
+// step for step.
 
 // FqCodel exactly as it stood before the ring sweep (deque buckets, list
 // service order, lazily allocated per-bucket CodelState).
@@ -369,6 +371,286 @@ class RefStrictPrio {
   int64_t limit_bytes_per_band_;
   uint64_t drops_ = 0;
 };
+
+// Sfq with a std::deque per bucket and std::list round-robin order.
+class RefSfq {
+ public:
+  explicit RefSfq(const Sfq::Config& config)
+      : config_(config), buckets_(config.num_buckets) {}
+
+  bool Enqueue(Packet pkt, TimePoint now) {
+    (void)now;
+    size_t idx = BucketFor(pkt);
+    Bucket& b = buckets_[idx];
+    bytes_ += pkt.size_bytes;
+    b.bytes += pkt.size_bytes;
+    b.queue.push_back(std::move(pkt));
+    ++packets_;
+    if (!b.active) {
+      b.active = true;
+      b.deficit = 0;
+      rr_.push_back(idx);
+    }
+    if (packets_ > config_.limit_packets) {
+      DropFromLongest();
+      return false;
+    }
+    return true;
+  }
+
+  std::optional<Packet> Dequeue(TimePoint now) {
+    (void)now;
+    while (!rr_.empty()) {
+      size_t idx = rr_.front();
+      Bucket& b = buckets_[idx];
+      if (b.queue.empty()) {
+        b.active = false;
+        rr_.pop_front();
+        continue;
+      }
+      if (b.deficit <= 0) {
+        b.deficit += config_.quantum_bytes;
+        rr_.pop_front();
+        rr_.push_back(idx);
+        continue;
+      }
+      Packet pkt = std::move(b.queue.front());
+      b.queue.pop_front();
+      b.bytes -= pkt.size_bytes;
+      b.deficit -= pkt.size_bytes;
+      bytes_ -= pkt.size_bytes;
+      --packets_;
+      if (b.queue.empty()) {
+        b.active = false;
+        rr_.pop_front();
+      }
+      return pkt;
+    }
+    return std::nullopt;
+  }
+
+  uint64_t drops() const { return drops_; }
+  int64_t bytes() const { return bytes_; }
+  int64_t packets() const { return packets_; }
+
+ private:
+  struct Bucket {
+    std::deque<Packet> queue;
+    int64_t bytes = 0;
+    int64_t deficit = 0;
+    bool active = false;
+  };
+
+  // Same hash as the real implementation (Sfq::BucketFor).
+  size_t BucketFor(const Packet& pkt) const {
+    const uint64_t fields[] = {config_.perturbation,
+                               pkt.key.src,
+                               pkt.key.dst,
+                               static_cast<uint64_t>(pkt.key.src_port),
+                               static_cast<uint64_t>(pkt.key.dst_port),
+                               static_cast<uint64_t>(pkt.key.protocol)};
+    return Mix64(Fnv1a64Combine(fields, 6)) % config_.num_buckets;
+  }
+
+  // The tail of the bucket holding the most bytes; the first in round-robin
+  // order wins a tie.
+  void DropFromLongest() {
+    auto longest = rr_.begin();
+    for (auto it = rr_.begin(); it != rr_.end(); ++it) {
+      if (buckets_[*it].bytes > buckets_[*longest].bytes) {
+        longest = it;
+      }
+    }
+    Bucket& b = buckets_[*longest];
+    b.bytes -= b.queue.back().size_bytes;
+    bytes_ -= b.queue.back().size_bytes;
+    b.queue.pop_back();
+    --packets_;
+    ++drops_;
+    if (b.queue.empty()) {
+      b.active = false;
+      rr_.erase(longest);
+    }
+  }
+
+  Sfq::Config config_;
+  std::vector<Bucket> buckets_;
+  std::list<size_t> rr_;
+  int64_t bytes_ = 0;
+  int64_t packets_ = 0;
+  uint64_t drops_ = 0;
+};
+
+// Drr with a std::deque per flow, an unordered_map from flow hash to queue
+// and std::list round-robin order. A flow's queue lives only while it is
+// backlogged, as a released DRR slot does.
+class RefDrr {
+ public:
+  explicit RefDrr(const Drr::Config& config) : config_(config) {}
+
+  bool Enqueue(Packet pkt, TimePoint now) {
+    (void)now;
+    const uint64_t flow = FlowHash(pkt);
+    FlowQueue& fq = flows_[flow];
+    bytes_ += pkt.size_bytes;
+    fq.bytes += pkt.size_bytes;
+    fq.queue.push_back(std::move(pkt));
+    ++packets_;
+    if (fq.queue.size() == 1) {
+      rr_.push_back(flow);
+    }
+    if (bytes_ > config_.limit_bytes) {
+      DropFromLongest();
+      return false;
+    }
+    return true;
+  }
+
+  std::optional<Packet> Dequeue(TimePoint now) {
+    (void)now;
+    while (!rr_.empty()) {
+      const uint64_t flow = rr_.front();
+      FlowQueue& fq = flows_.at(flow);
+      if (fq.deficit <= 0) {
+        fq.deficit += config_.quantum_bytes;
+        rr_.pop_front();
+        rr_.push_back(flow);
+        continue;
+      }
+      Packet pkt = std::move(fq.queue.front());
+      fq.queue.pop_front();
+      fq.bytes -= pkt.size_bytes;
+      fq.deficit -= pkt.size_bytes;
+      bytes_ -= pkt.size_bytes;
+      --packets_;
+      if (fq.queue.empty()) {
+        rr_.pop_front();
+        flows_.erase(flow);
+      }
+      return pkt;
+    }
+    return std::nullopt;
+  }
+
+  uint64_t drops() const { return drops_; }
+  int64_t bytes() const { return bytes_; }
+  int64_t packets() const { return packets_; }
+
+ private:
+  struct FlowQueue {
+    std::deque<Packet> queue;
+    int64_t bytes = 0;
+    int64_t deficit = 0;
+  };
+
+  // Same hash as the real implementation (Drr::FlowHash).
+  static uint64_t FlowHash(const Packet& pkt) {
+    const uint64_t fields[] = {pkt.key.src,
+                               pkt.key.dst,
+                               static_cast<uint64_t>(pkt.key.src_port),
+                               static_cast<uint64_t>(pkt.key.dst_port),
+                               static_cast<uint64_t>(pkt.key.protocol)};
+    return Fnv1a64Combine(fields, 5);
+  }
+
+  void DropFromLongest() {
+    auto longest = rr_.begin();
+    for (auto it = rr_.begin(); it != rr_.end(); ++it) {
+      if (flows_.at(*it).bytes > flows_.at(*longest).bytes) {
+        longest = it;
+      }
+    }
+    const uint64_t flow = *longest;
+    FlowQueue& fq = flows_.at(flow);
+    fq.bytes -= fq.queue.back().size_bytes;
+    bytes_ -= fq.queue.back().size_bytes;
+    fq.queue.pop_back();
+    --packets_;
+    ++drops_;
+    if (fq.queue.empty()) {
+      rr_.erase(longest);
+      flows_.erase(flow);
+    }
+  }
+
+  Drr::Config config_;
+  std::unordered_map<uint64_t, FlowQueue> flows_;
+  std::list<uint64_t> rr_;
+  int64_t bytes_ = 0;
+  int64_t packets_ = 0;
+  uint64_t drops_ = 0;
+};
+
+// Mirrors seeded random churn over `q` and `ref` step for step: the same
+// accept verdicts, the same dequeued packet ids and the same drop, byte and
+// packet counters after every step, then the same drain order. Returns the
+// drop count so callers can check that overflow engaged.
+template <typename Q, typename Ref>
+uint64_t MirrorChurn(Q& q, Ref& ref, uint64_t seed, uint64_t num_flows) {
+  Rng rng(seed);
+  TimePoint now;
+  for (int step = 0; step < 30000; ++step) {
+    now += TimeDelta::Micros(100);
+    if (rng.NextDouble() < 0.55) {
+      Packet p = RandomPacket(rng, static_cast<uint64_t>(step), num_flows);
+      p.queue_enter = now;
+      Packet clone = p.Clone();
+      const bool accepted = q.Enqueue(std::move(p), now);
+      const bool ref_accepted = ref.Enqueue(std::move(clone), now);
+      EXPECT_EQ(accepted, ref_accepted) << "step " << step;
+    } else {
+      std::optional<Packet> out = q.Dequeue(now);
+      std::optional<Packet> ref_out = ref.Dequeue(now);
+      EXPECT_EQ(out.has_value(), ref_out.has_value()) << "step " << step;
+      if (out.has_value() && ref_out.has_value()) {
+        EXPECT_EQ(out->id, ref_out->id) << "step " << step;
+      }
+    }
+    EXPECT_EQ(q.drops(), ref.drops()) << "step " << step;
+    EXPECT_EQ(q.bytes(), ref.bytes()) << "step " << step;
+    EXPECT_EQ(q.packets(), ref.packets()) << "step " << step;
+    if (::testing::Test::HasFailure()) {
+      return q.drops();
+    }
+  }
+  while (q.packets() > 0) {
+    std::optional<Packet> out = q.Dequeue(now);
+    std::optional<Packet> ref_out = ref.Dequeue(now);
+    EXPECT_TRUE(out.has_value() && ref_out.has_value() && out->id == ref_out->id);
+    if (::testing::Test::HasFailure()) {
+      break;
+    }
+  }
+  EXPECT_EQ(ref.packets(), 0);
+  return q.drops();
+}
+
+TEST(QdiscByteIdentityTest, SfqMatchesDequeReference) {
+  // 16 buckets under 64 flows, so buckets hold several flows each; a
+  // 96-packet limit keeps the longest-bucket drop busy.
+  Sfq::Config cfg;
+  cfg.num_buckets = 16;
+  cfg.limit_packets = 96;
+  for (uint64_t seed = 21; seed <= 23; ++seed) {
+    SCOPED_TRACE(seed);
+    Sfq q(cfg);
+    RefSfq ref(cfg);
+    EXPECT_GT(MirrorChurn(q, ref, seed, 64), 0u) << "overflow drops engaged";
+  }
+}
+
+TEST(QdiscByteIdentityTest, DrrMatchesDequeReference) {
+  // 200 flows behind a 64-MTU byte limit: flow slots are released and
+  // reused constantly, and the longest-flow drop is busy.
+  Drr::Config cfg;
+  cfg.limit_bytes = int64_t{64} * kMtuBytes;
+  for (uint64_t seed = 31; seed <= 33; ++seed) {
+    SCOPED_TRACE(seed);
+    Drr q(cfg);
+    RefDrr ref(cfg);
+    EXPECT_GT(MirrorChurn(q, ref, seed, 200), 0u) << "overflow drops engaged";
+  }
+}
 
 TEST(QdiscByteIdentityTest, FqCodelMatchesDequeListReference) {
   // Randomized churn with standing queues, so every code path engages:

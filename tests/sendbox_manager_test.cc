@@ -229,7 +229,7 @@ TEST(SiteEgressTest, OneBundleDrainsCompletely) {
 
 TEST(SendboxManagerTest, BundleQdiscPublishesSendboxCounters) {
   // Every bundle with its own qdisc shows up under the sendbox qdisc names
-  // (qdisc.sendbox.<local>-<remote>.*); ring-backed bundles publish none.
+  // (qdisc.sendbox.<local>-<remote>.*); FIFO bundles publish none.
   Simulator sim;
   Sink sink;
   SendboxManager::Policy policy;
