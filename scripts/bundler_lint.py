@@ -17,8 +17,8 @@ the source-level discipline behind them:
                         bundler RNG and the simulated clock.
   datapath-std-function std::function in datapath directories (src/sim,
                         src/net, src/qdisc, src/transport) heap-allocates
-                        non-trivial captures; use InlineFunction /
-                        InlineCallback (fixed inline storage).
+                        non-trivial captures; use InlineFunction (fixed
+                        inline storage).
   datapath-heap-alloc   new / make_unique / make_shared / malloc in datapath
                         directories. Construction-time allocation is fine but
                         must be visibly justified with lint:allow; placement
@@ -69,7 +69,7 @@ STD_FUNCTION_RE = re.compile(r"std::function\s*<")
 
 # `new T`, `new T[n]`, std::make_unique/make_shared, C allocators. Placement
 # new (`::new (addr)` or `new (addr)`) is exempt: it constructs into storage
-# the caller already owns (InlineCallback, arenas).
+# the caller already owns (InlineFunction, arenas).
 HEAP_ALLOC_RE = re.compile(
     r"(?<!:)\bnew\s+[A-Za-z_]|"
     r"\bmake_unique\s*<|\bmake_shared\s*<|"
@@ -207,8 +207,7 @@ def lint_file(path, rel_path=None):
 
         if datapath and STD_FUNCTION_RE.search(code):
             report(idx, "datapath-std-function",
-                   "std::function in the datapath; use InlineFunction or "
-                   "InlineCallback")
+                   "std::function in the datapath; use InlineFunction")
 
         if datapath and HEAP_ALLOC_RE.search(code):
             report(idx, "datapath-heap-alloc",

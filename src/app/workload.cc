@@ -96,6 +96,7 @@ RequestResponse::~RequestResponse() {
 void RequestResponse::SendRequest() {
   retry_timer_ = kInvalidEventId;
   if (attempts_ >= kMaxAttempts) {
+    Retire();
     return;
   }
   ++attempts_;
@@ -118,10 +119,13 @@ void RequestResponse::HandlePacket(Packet pkt) {
     retry_timer_ = kInvalidEventId;
   }
   StartTcpFlow(flows_, server_, client_, params_, std::move(on_complete_));
-  // The handshake glue is dead weight once the data flow exists: vacate the
-  // request flow id (retried requests land in the unclaimed counter, so only
-  // the first one starts a response) and self-release off this stack frame.
-  // The retry timer is already dead.
+  // The handshake glue is dead weight once the data flow exists. Retried
+  // requests then land in the unclaimed counter, so only the first one starts
+  // a response. The retry timer is already dead.
+  Retire();
+}
+
+void RequestResponse::Retire() {
   server_->Unregister(request_flow_id_);
   FlowTable* table = flows_;
   RequestResponse* self = this;

@@ -61,7 +61,9 @@ inline constexpr uint32_t kRequestBytes = 92;
 // the server (retried with backoff if lost); on receipt the server starts the
 // TCP response flow back to the client. FCT therefore spans the full
 // round trip from the application's issue time to the last response byte,
-// matching the paper's request-response workload (§7.1).
+// matching the paper's request-response workload (§7.1). The object frees
+// itself once the response starts, or once it gives up after kMaxAttempts
+// unanswered requests (the FCT then stays incomplete).
 class RequestResponse : public PacketHandler {
  public:
   RequestResponse(Simulator* sim, FlowTable* flows, Host* server, Host* client,
@@ -78,6 +80,9 @@ class RequestResponse : public PacketHandler {
   static constexpr int kMaxAttempts = 15;
 
   void SendRequest();
+  // Vacates the request flow id and releases this object off the current
+  // stack frame.
+  void Retire();
 
   Simulator* sim_;
   FlowTable* flows_;

@@ -48,8 +48,6 @@ void MeasurementEngine::TrimOooWindow(TimePoint now) {
 }
 
 void MeasurementEngine::OnFeedback(uint64_t hash, int64_t bytes_received_cum, TimePoint now) {
-  has_feedback_ = true;
-  last_feedback_time_ = now;
   ExpireOld(now);
   // Outstanding records are few (feedback arrives ~4x per RTT), so a linear
   // scan is cheaper than an index.

@@ -68,11 +68,6 @@ class MeasurementEngine {
   uint64_t feedback_ignored() const { return feedback_ignored_; }
   uint64_t records_expired() const { return records_expired_; }
 
-  // Arrival time of the newest feedback message (matched or not); the
-  // watchdog and diagnostics read loop liveness from this.
-  bool has_feedback() const { return has_feedback_; }
-  TimePoint last_feedback_time() const { return last_feedback_time_; }
-
   // Invoked for every raw epoch sample (in-order and out-of-order).
   void SetSampleCallback(std::function<void(const EpochSample&)> cb) {
     sample_callback_ = std::move(cb);
@@ -123,8 +118,6 @@ class MeasurementEngine {
   uint64_t feedback_matched_ = 0;
   uint64_t feedback_ignored_ = 0;
   uint64_t records_expired_ = 0;
-  bool has_feedback_ = false;
-  TimePoint last_feedback_time_;
 
   std::function<void(const EpochSample&)> sample_callback_;
 };

@@ -59,13 +59,6 @@ class NimbusDetector {
   // this (a quiet verdict from an idle bottleneck says nothing about whether
   // the cross traffic left).
   bool last_sample_busy() const { return last_busy_; }
-  // Fraction of the current FFT window whose busy gate was open.
-  double busy_fraction() const {
-    return busy_history_.empty()
-               ? 0.0
-               : static_cast<double>(busy_count_) /
-                     static_cast<double>(busy_history_.size());
-  }
 
   void Reset();
 

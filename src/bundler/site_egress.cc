@@ -317,7 +317,6 @@ int SiteEgress::ServeTenant(size_t t, TimePoint now) {
       ten.deficit -= sent_bytes;
       ++sent_here;
       ++sent_total;
-      ++forwarded_packets_;
       *ten.ctr_tx_pkts += 1;
       *ten.ctr_tx_bytes += static_cast<uint64_t>(sent_bytes);
       sim_->trace().Trace(obs::TraceCat::kTenant, obs::TraceEv::kTenantSched,

@@ -112,7 +112,6 @@ class SiteEgress {
   const Qdisc* bundle_qdisc(size_t bundle) const;
   uint64_t tenant_tx_bytes(size_t tenant) const;
   uint64_t tenant_tx_pkts(size_t tenant) const;
-  uint64_t forwarded_packets() const { return forwarded_packets_; }
   int64_t total_backlog_pkts() const { return total_backlog_pkts_; }
 
  private:
@@ -183,7 +182,6 @@ class SiteEgress {
   InlineFunction<void(size_t, Packet)> out_;
 
   int64_t total_backlog_pkts_ = 0;
-  uint64_t forwarded_packets_ = 0;
 
   // Pump wakeup state: one timer slot, moved in place on rate changes.
   EventId pending_timer_ = kInvalidEventId;

@@ -14,8 +14,8 @@ namespace bundler {
 class QdiscSampler {
  public:
   // `rate_provider` converts occupancy to delay (bytes / current drain rate);
-  // it may change over time (the sendbox rate does). Stored inline
-  // (InlineFunction): constructing a sampler never heap-allocates.
+  // it may change over time (the sendbox rate does). Stored inline in a
+  // move-only InlineFunction: constructing a sampler never heap-allocates.
   QdiscSampler(Simulator* sim, const Qdisc* qdisc, TimeDelta interval,
                InlineFunction<Rate()> rate_provider);
   ~QdiscSampler();

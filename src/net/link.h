@@ -85,7 +85,6 @@ class Link : public PacketHandler {
   // becomes the peer shard's lookahead and is frozen (set_prop_delay and
   // link schedules on boundary links CHECK-fail).
   void set_boundary(BoundarySink* sink) { boundary_ = sink; }
-  bool is_boundary() const { return boundary_ != nullptr; }
 
  private:
   void MaybeStartTransmission();

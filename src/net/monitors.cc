@@ -1,13 +1,11 @@
 #include "src/net/monitors.h"
 
-#include <utility>
-
 #include "src/util/check.h"
 
 namespace bundler {
 
 void QueueDelayMonitor::OnDequeue(const Packet& pkt, TimeDelta queue_delay, TimePoint now) {
-  if (filter_ && !filter_(pkt)) {
+  if (!filter_.Matches(pkt)) {
     return;
   }
   delay_ms_.Add(now, queue_delay.ToMillis());
@@ -15,7 +13,7 @@ void QueueDelayMonitor::OnDequeue(const Packet& pkt, TimeDelta queue_delay, Time
 
 void QueueDelayMonitor::OnDrop(const Packet& pkt, TimePoint now) {
   (void)now;
-  if (filter_ && !filter_(pkt)) {
+  if (!filter_.Matches(pkt)) {
     return;
   }
   ++drops_;
@@ -40,8 +38,8 @@ double QueueDelayMonitor::DelayMsAt(TimePoint t) const {
   return samples[lo].value;
 }
 
-RateMeter::RateMeter(Simulator* sim, TimeDelta window, PacketPredicate filter)
-    : window_(window), filter_(std::move(filter)), window_start_(sim->now()) {
+RateMeter::RateMeter(Simulator* sim, TimeDelta window, PacketFilter filter)
+    : window_(window), filter_(filter), window_start_(sim->now()) {
   BUNDLER_CHECK(window.nanos() > 0);
 }
 
@@ -59,7 +57,7 @@ void RateMeter::Roll(TimePoint now) {
 void RateMeter::OnDequeue(const Packet& pkt, TimeDelta queue_delay, TimePoint now) {
   (void)queue_delay;
   Roll(now);
-  if (filter_ && !filter_(pkt)) {
+  if (!filter_.Matches(pkt)) {
     return;
   }
   window_bytes_ += pkt.size_bytes;

@@ -1,31 +1,50 @@
 // Link monitors: per-packet queue-delay traces and windowed throughput
-// meters, optionally filtered by a packet predicate (e.g. "bundle data
+// meters, optionally filtered to one site pair's data (e.g. "bundle data
 // only"). These provide the ground truth the paper's Figures 2, 5, 6, 10
 // compare against.
 #ifndef SRC_NET_MONITORS_H_
 #define SRC_NET_MONITORS_H_
 
+#include <optional>
 #include <string>
 
 #include "src/net/link.h"
-#include "src/sim/inline_function.h"
 #include "src/sim/simulator.h"
 #include "src/util/stats.h"
 #include "src/util/timeseries.h"
 
 namespace bundler {
 
-// Inline-stored predicate (no heap allocation when a monitor is attached;
-// NetBuilder copies monitor specs during Build, which InlineFunction's
-// copyability supports).
-using PacketPredicate = InlineFunction<bool(const Packet&)>;
+// Which packets a monitor counts: every packet (the default, ACKs included),
+// or data packets from one source site, optionally to one destination site.
+// A plain value, so NetBuilder copies it out of a monitor declaration during
+// Build.
+class PacketFilter {
+ public:
+  PacketFilter() = default;
+  static PacketFilter DataFrom(SiteId src) { return PacketFilter(src, std::nullopt); }
+  static PacketFilter DataFrom(SiteId src, SiteId dst) { return PacketFilter(src, dst); }
+
+  bool Matches(const Packet& pkt) const {
+    if (!src_) {
+      return true;
+    }
+    return pkt.type == PacketType::kData && SiteOf(pkt.key.src) == *src_ &&
+           (!dst_ || SiteOf(pkt.key.dst) == *dst_);
+  }
+
+ private:
+  PacketFilter(SiteId src, std::optional<SiteId> dst) : src_(src), dst_(dst) {}
+
+  std::optional<SiteId> src_;  // unset: every packet
+  std::optional<SiteId> dst_;  // unset: any destination
+};
 
 // Records (time, queue delay ms) for every matching packet dequeued from a
 // link's queue.
 class QueueDelayMonitor : public LinkObserver {
  public:
-  explicit QueueDelayMonitor(PacketPredicate filter = nullptr)
-      : filter_(std::move(filter)) {}
+  explicit QueueDelayMonitor(PacketFilter filter = {}) : filter_(filter) {}
 
   void OnDequeue(const Packet& pkt, TimeDelta queue_delay, TimePoint now) override;
   void OnDrop(const Packet& pkt, TimePoint now) override;
@@ -36,7 +55,7 @@ class QueueDelayMonitor : public LinkObserver {
   uint64_t drops() const { return drops_; }
 
  private:
-  PacketPredicate filter_;
+  PacketFilter filter_;
   TimeSeries delay_ms_;
   uint64_t drops_ = 0;
 };
@@ -45,7 +64,7 @@ class QueueDelayMonitor : public LinkObserver {
 // samples.
 class RateMeter : public LinkObserver {
  public:
-  RateMeter(Simulator* sim, TimeDelta window, PacketPredicate filter = nullptr);
+  RateMeter(Simulator* sim, TimeDelta window, PacketFilter filter = {});
 
   void OnDequeue(const Packet& pkt, TimeDelta queue_delay, TimePoint now) override;
   void OnDrop(const Packet& pkt, TimePoint now) override;
@@ -63,7 +82,7 @@ class RateMeter : public LinkObserver {
   void Roll(TimePoint now);
 
   TimeDelta window_;
-  PacketPredicate filter_;
+  PacketFilter filter_;
   TimeSeries rate_mbps_;
   TimeSeries cumulative_bytes_;  // sampled at window boundaries
   TimePoint window_start_;

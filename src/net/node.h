@@ -18,9 +18,9 @@ class PacketHandler {
 };
 
 // Adapter turning a lambda into a handler; useful in tests and for small glue
-// nodes. Backed by InlineFunction (fixed inline storage), so wiring one into
-// a topology never heap-allocates and per-packet dispatch is one indirect
-// call with no std::function bookkeeping.
+// nodes. Backed by the move-only InlineFunction (fixed inline storage), so
+// wiring one into a topology never heap-allocates and per-packet dispatch is
+// one indirect call.
 class LambdaHandler : public PacketHandler {
  public:
   explicit LambdaHandler(InlineFunction<void(Packet)> fn) : fn_(std::move(fn)) {}

@@ -25,10 +25,6 @@ void Router::HandlePacket(Packet pkt) {
     site_it->second->HandlePacket(std::move(pkt));
     return;
   }
-  if (default_ != nullptr) {
-    default_->HandlePacket(std::move(pkt));
-    return;
-  }
   ++unroutable_;
 }
 

@@ -1,5 +1,6 @@
 // Static router: exact-address routes take precedence (used for Bundler's
-// out-of-band control addresses), then per-site routes, then a default.
+// out-of-band control addresses), then per-site routes; anything else is
+// counted as unroutable.
 #ifndef SRC_NET_ROUTER_H_
 #define SRC_NET_ROUTER_H_
 
@@ -16,7 +17,6 @@ class Router : public PacketHandler {
 
   void AddAddressRoute(Address addr, PacketHandler* next);
   void AddSiteRoute(SiteId site, PacketHandler* next);
-  void SetDefaultRoute(PacketHandler* next) { default_ = next; }
 
   void HandlePacket(Packet pkt) override;
 
@@ -27,7 +27,6 @@ class Router : public PacketHandler {
   std::string name_;
   std::unordered_map<Address, PacketHandler*> by_address_;
   std::unordered_map<SiteId, PacketHandler*> by_site_;
-  PacketHandler* default_ = nullptr;
   uint64_t unroutable_ = 0;
 };
 

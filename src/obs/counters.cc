@@ -13,9 +13,6 @@ void CounterRegistry::DumpTo(std::map<std::string, double>* out,
   for (const auto& [name, src] : exposed_) {
     (*out)[prefix + name] = static_cast<double>(*src);
   }
-  for (const auto& [name, src] : exposed_gauges_) {
-    (*out)[prefix + name] = *src;
-  }
 }
 
 void CounterRegistry::AccumulateTo(std::map<std::string, double>* out,
@@ -28,9 +25,6 @@ void CounterRegistry::AccumulateTo(std::map<std::string, double>* out,
   }
   for (const auto& [name, src] : exposed_) {
     (*out)[prefix + name] += static_cast<double>(*src);
-  }
-  for (const auto& [name, src] : exposed_gauges_) {
-    (*out)[prefix + name] = *src;
   }
 }
 

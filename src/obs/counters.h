@@ -6,11 +6,11 @@
 //  - Owned: `Counter(name)` returns a stable `uint64_t*` the component bumps
 //    directly. Registration may allocate (it happens at topology construction
 //    or on first use of an aggregate counter); bumping never does.
-//  - Exposed: `Expose(name, &src)` / `ExposeGauge(name, &src)` read an
-//    existing component counter through a pointer at dump time — components
-//    that already keep stats (qdiscs, links) publish them without double
-//    counting. The pointee must outlive the dump (component lifetimes are
-//    tied to the Simulator's trial, which they are).
+//  - Exposed: `Expose(name, &src)` reads an existing component counter
+//    through a pointer at dump time — components that already keep stats
+//    (qdiscs, links) publish them without double counting. The pointee must
+//    outlive the dump (component lifetimes are tied to the Simulator's trial,
+//    which they are).
 //
 // Naming convention (README "Observability"): `<kind>.<instance>.<metric>`
 // for per-component counters (e.g. qdisc.bottleneck.deq_pkts) and
@@ -47,9 +47,6 @@ class CounterRegistry {
   void Expose(const std::string& name, const uint64_t* src) {
     exposed_[name] = src;
   }
-  void ExposeGauge(const std::string& name, const double* src) {
-    exposed_gauges_[name] = src;
-  }
 
   // Writes every counter and gauge into `out` as `<prefix><name>`. Maps
   // iterate in key order, so the dump is deterministic.
@@ -62,14 +59,13 @@ class CounterRegistry {
                     const std::string& prefix) const;
 
   size_t size() const {
-    return owned_.size() + gauges_.size() + exposed_.size() + exposed_gauges_.size();
+    return owned_.size() + gauges_.size() + exposed_.size();
   }
 
  private:
   std::map<std::string, uint64_t> owned_;
   std::map<std::string, double> gauges_;
   std::map<std::string, const uint64_t*> exposed_;
-  std::map<std::string, const double*> exposed_gauges_;
 };
 
 }  // namespace bundler::obs

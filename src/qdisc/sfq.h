@@ -34,7 +34,6 @@ class Sfq : public Qdisc {
   const char* name() const override { return "sfq"; }
 
   size_t BucketFor(const Packet& pkt) const;
-  size_t active_buckets() const { return rr_.size(); }
 
  private:
   bool DoEnqueue(Packet pkt, TimePoint now) override;

@@ -97,10 +97,8 @@ NetBuilder AsymReverseBuilder(Rate reverse_rate, bool bundled, bool watchdog,
   }
 
   g.reverse_delay = b.AddQueueMonitor(g.reverse);
-  g.bundle_meter = b.AddRateMeter(g.forward, TimeDelta::Millis(50), [](const Packet& pkt) {
-    return pkt.type == PacketType::kData && SiteOf(pkt.key.src) == kSrvSite &&
-           SiteOf(pkt.key.dst) == kCliSite;
-  });
+  g.bundle_meter = b.AddRateMeter(g.forward, TimeDelta::Millis(50),
+                                  PacketFilter::DataFrom(kSrvSite, kCliSite));
   if (graph != nullptr) {
     *graph = g;
   }

@@ -115,10 +115,8 @@ NetBuilder ParkingLotBuilder(Rate hop2_rate, bool bundled, ParkingLotGraph* grap
 
   g.hop1_delay = b.AddQueueMonitor(g.hop1);
   g.hop2_delay = b.AddQueueMonitor(g.hop2);
-  g.bundle_meter = b.AddRateMeter(g.hop2, TimeDelta::Millis(50), [](const Packet& pkt) {
-    return pkt.type == PacketType::kData && SiteOf(pkt.key.src) == kSrvSite &&
-           SiteOf(pkt.key.dst) == kCliSite;
-  });
+  g.bundle_meter = b.AddRateMeter(g.hop2, TimeDelta::Millis(50),
+                                  PacketFilter::DataFrom(kSrvSite, kCliSite));
   if (graph != nullptr) {
     *graph = g;
   }

@@ -3,8 +3,9 @@
 //
 // Design (the simulator hot path — every link hop, timer, and control tick
 // goes through here):
-//  - Callbacks are InlineCallbacks: fixed-size inline storage, so scheduling
-//    never heap-allocates. Slots are pooled on a free list and recycled.
+//  - Callbacks are move-only InlineFunctions: fixed-size inline storage, so
+//    scheduling never heap-allocates. Slots are pooled on a free list and
+//    recycled.
 //  - The heap stores (time, seq, slot) entries; slots hold the callback and
 //    their current heap position, so Cancel and Reschedule are O(log n)
 //    sift operations — no hash lookups, no dead entries accumulating.
@@ -29,7 +30,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/sim/inline_callback.h"
+#include "src/sim/inline_function.h"
 #include "src/util/time.h"
 
 namespace bundler {
@@ -39,7 +40,7 @@ inline constexpr EventId kInvalidEventId = 0;
 
 class EventQueue {
  public:
-  using Callback = InlineCallback;
+  using Callback = InlineFunction<void(), 192>;
 
   // Peak concurrent pending events, reported per trial as
   // sim.queue_max_heap.
@@ -56,7 +57,7 @@ class EventQueue {
   [[nodiscard]] EventId Push(TimePoint time, Callback cb);
 
   // Hot-path overload: constructs the callable directly in the pooled slot
-  // (no intermediate InlineCallback, one fewer capture copy per schedule).
+  // (no intermediate Callback, one fewer capture copy per schedule).
   template <typename F, typename = std::enable_if_t<
                             !std::is_same_v<std::decay_t<F>, Callback>>>
   [[nodiscard]] EventId Push(TimePoint time, F&& f) {

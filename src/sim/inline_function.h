@@ -1,17 +1,16 @@
-// Type-erased R(Args...) callable with fixed inline storage and no heap
-// allocation — InlineCallback generalized over the signature. Used where a
-// long-lived component stores a small callback (e.g. QdiscSampler's rate
-// provider, LambdaHandler's packet sink, monitor packet predicates):
-// std::function would heap-allocate any multi-pointer capture, while this
-// stores it inline and rejects oversized captures at compile time. The
-// capacity is deliberately small (a handful of pointers; 64 bytes unless the
-// second template argument says otherwise — per-flow callbacks use 16, see
-// FlowDoneFn in src/transport/tcp_flow.h); to bind more state, park it in the
-// owning object and capture a pointer.
-//
-// Unlike InlineCallback this type is COPYABLE (monitor specs are copied out
-// of const NetBuilder during Build), so the callable must be
-// copy-constructible; that is enforced with a static_assert at Emplace.
+// Move-only type-erased R(Args...) callable with fixed inline storage and no
+// heap allocation, ever: storing or scheduling a callback costs a bounded
+// move, not an operator new. It is the one callable in the simulator:
+//  - every scheduled event (EventQueue::Callback, 192 bytes: a Link
+//    transmit/propagation event carrying a Packet plus its owner pointer);
+//  - the small callbacks long-lived components keep, e.g. QdiscSampler's
+//    rate provider, LambdaHandler's packet sink and SiteEgress's output
+//    (64 bytes by default);
+//  - per-flow completion callbacks (16 bytes, FlowDoneFn in
+//    src/transport/tcp_flow.h).
+// Oversized captures fail to compile (static_assert), which keeps the
+// no-allocation guarantee honest at every call site: to bind more state than
+// fits, park it in the owning object and capture a pointer.
 #ifndef SRC_SIM_INLINE_FUNCTION_H_
 #define SRC_SIM_INLINE_FUNCTION_H_
 
@@ -41,6 +40,8 @@ class InlineFunction<R(Args...), Capacity> {
     Emplace(std::forward<F>(f));
   }
 
+  // Constructs the callable directly in inline storage, replacing any
+  // previous one (EventQueue::Push uses this to skip a temporary).
   template <typename F>
   void Emplace(F&& f) {
     using Fn = std::decay_t<F>;
@@ -48,9 +49,6 @@ class InlineFunction<R(Args...), Capacity> {
                   "capture exceeds InlineFunction::kCapacity; indirect "
                   "through the owning object rather than growing the slot");
     static_assert(alignof(Fn) <= alignof(std::max_align_t));
-    static_assert(std::is_copy_constructible_v<Fn>,
-                  "InlineFunction is copyable, so the callable must be too; "
-                  "park move-only state in the owning object");
     Reset();
     ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
     invoke_ = [](void* s, Args... args) -> R {
@@ -58,19 +56,19 @@ class InlineFunction<R(Args...), Capacity> {
     };
     if constexpr (std::is_trivially_copyable_v<Fn> &&
                   std::is_trivially_destructible_v<Fn>) {
-      manage_ = nullptr;  // raw memcpy moves/copies the storage bytes
+      // Trivial callables (the vast majority: lambdas over pointers, PODs,
+      // and Packets) move by plain memcpy and need no destructor, so the
+      // manager indirection is skipped entirely.
+      manage_ = nullptr;
     } else {
       manage_ = [](Op op, void* self, void* other) {
         switch (op) {
           case Op::kDestroy:
             static_cast<Fn*>(self)->~Fn();
             break;
-          case Op::kMoveFrom:
+          case Op::kMoveFrom:  // move-construct *self from *other, then destroy
             ::new (self) Fn(std::move(*static_cast<Fn*>(other)));
             static_cast<Fn*>(other)->~Fn();
-            break;
-          case Op::kCopyFrom:
-            ::new (self) Fn(*static_cast<const Fn*>(other));
             break;
         }
       };
@@ -85,22 +83,13 @@ class InlineFunction<R(Args...), Capacity> {
     }
     return *this;
   }
-  InlineFunction(const InlineFunction& o) { CopyFrom(o); }
-  InlineFunction& operator=(const InlineFunction& o) {
-    if (this != &o) {
-      Reset();
-      CopyFrom(o);
-    }
-    return *this;
-  }
+  InlineFunction(const InlineFunction&) = delete;
+  InlineFunction& operator=(const InlineFunction&) = delete;
   ~InlineFunction() { Reset(); }
 
   explicit operator bool() const { return invoke_ != nullptr; }
 
-  R operator()(Args... args) const {
-    return invoke_(const_cast<unsigned char*>(storage_),
-                   std::forward<Args>(args)...);
-  }
+  R operator()(Args... args) { return invoke_(storage_, std::forward<Args>(args)...); }
 
   void Reset() {
     if (manage_ != nullptr) {
@@ -111,7 +100,7 @@ class InlineFunction<R(Args...), Capacity> {
   }
 
  private:
-  enum class Op { kDestroy, kMoveFrom, kCopyFrom };
+  enum class Op { kDestroy, kMoveFrom };
   using InvokeFn = R (*)(void*, Args...);
   using ManageFn = void (*)(Op, void*, void*);
 
@@ -121,21 +110,12 @@ class InlineFunction<R(Args...), Capacity> {
     if (manage_ != nullptr) {
       manage_(Op::kMoveFrom, storage_, o.storage_);
     } else if (invoke_ != nullptr) {
+      // Trivial payload: the fixed-size copy beats a sized one (the length
+      // is a compile-time constant, so it vectorizes) and is always safe.
       std::memcpy(storage_, o.storage_, kCapacity);
     }
     o.invoke_ = nullptr;
     o.manage_ = nullptr;
-  }
-
-  void CopyFrom(const InlineFunction& o) {
-    invoke_ = o.invoke_;
-    manage_ = o.manage_;
-    if (manage_ != nullptr) {
-      manage_(Op::kCopyFrom, storage_,
-              const_cast<unsigned char*>(o.storage_));
-    } else if (invoke_ != nullptr) {
-      std::memcpy(storage_, o.storage_, kCapacity);
-    }
   }
 
   alignas(std::max_align_t) unsigned char storage_[kCapacity];

@@ -3,7 +3,7 @@
 //
 // Scheduling guide for layers (see README "Simulator core"):
 //  - One-shot work: Schedule/ScheduleAt. Slots are pooled and callbacks are
-//    inline (InlineCallback), so this never heap-allocates.
+//    inline (InlineFunction), so this never heap-allocates.
 //  - Steady-state timers (control ticks, samplers): SchedulePeriodic. The
 //    event re-arms in place each firing — no cancel/push churn.
 //  - Movable deadlines (RTO-style timers, shaper wakeups): keep the EventId

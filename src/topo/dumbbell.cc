@@ -15,13 +15,8 @@ SiteId BundleDstSite(int bundle) { return static_cast<SiteId>(100 + bundle); }
 SiteId CrossSrcSite() { return 200; }
 SiteId CrossDstSite() { return 201; }
 
-PacketPredicate Dumbbell::BundleDataFilter(int bundle) {
-  SiteId src = BundleSrcSite(bundle);
-  SiteId dst = BundleDstSite(bundle);
-  return [src, dst](const Packet& pkt) {
-    return pkt.type == PacketType::kData && SiteOf(pkt.key.src) == src &&
-           SiteOf(pkt.key.dst) == dst;
-  };
+PacketFilter Dumbbell::BundleDataFilter(int bundle) {
+  return PacketFilter::DataFrom(BundleSrcSite(bundle), BundleDstSite(bundle));
 }
 
 NetBuilder DumbbellBuilder(const DumbbellConfig& config, DumbbellGraph* graph) {
@@ -130,11 +125,8 @@ NetBuilder DumbbellBuilder(const DumbbellConfig& config, DumbbellGraph* graph) {
     g.bundle_meters.push_back(b.AddRateMeter(g.bottleneck, config.rate_meter_window,
                                              Dumbbell::BundleDataFilter(i)));
   }
-  SiteId cross_src = CrossSrcSite();
-  g.cross_meter = b.AddRateMeter(
-      g.bottleneck, config.rate_meter_window, [cross_src](const Packet& pkt) {
-        return pkt.type == PacketType::kData && SiteOf(pkt.key.src) == cross_src;
-      });
+  g.cross_meter = b.AddRateMeter(g.bottleneck, config.rate_meter_window,
+                                 PacketFilter::DataFrom(CrossSrcSite()));
 
   if (graph != nullptr) {
     *graph = g;

@@ -122,8 +122,8 @@ class Dumbbell {
   }
   RateMeter* cross_rate_meter() { return net_->rate_meter(graph_.cross_meter); }
 
-  // Packet predicate for bundle `i`'s data packets.
-  static PacketPredicate BundleDataFilter(int bundle);
+  // Monitor filter for bundle `i`'s data packets.
+  static PacketFilter BundleDataFilter(int bundle);
 
   int64_t bottleneck_buffer_bytes() const { return graph_.buffer_bytes; }
 

@@ -223,7 +223,7 @@ void NetBuilder::SetSiteEgressPolicy(NodeId site, const SendboxManager::Policy& 
   site_policies_.emplace_back(site, policy);
 }
 
-NetBuilder::MonitorId NetBuilder::AddQueueMonitor(EdgeId edge, PacketPredicate filter) {
+NetBuilder::MonitorId NetBuilder::AddQueueMonitor(EdgeId edge, PacketFilter filter) {
   CheckEdge(edge, "AddQueueMonitor");
   BUNDLER_CHECK_MSG(edges_[static_cast<size_t>(edge)].kind != EdgeKind::kWire,
                     "queue monitor attached to wire '%s' (wires have no queue)",
@@ -231,13 +231,13 @@ NetBuilder::MonitorId NetBuilder::AddQueueMonitor(EdgeId edge, PacketPredicate f
   MonitorDecl decl;
   decl.kind = MonitorKind::kQueueDelay;
   decl.edge = edge;
-  decl.filter = std::move(filter);
+  decl.filter = filter;
   monitors_.push_back(std::move(decl));
   return static_cast<MonitorId>(monitors_.size()) - 1;
 }
 
 NetBuilder::MonitorId NetBuilder::AddRateMeter(EdgeId edge, TimeDelta window,
-                                               PacketPredicate filter) {
+                                               PacketFilter filter) {
   CheckEdge(edge, "AddRateMeter");
   BUNDLER_CHECK_MSG(edges_[static_cast<size_t>(edge)].kind != EdgeKind::kWire,
                     "rate meter attached to wire '%s' (wires have no queue)",
@@ -246,7 +246,7 @@ NetBuilder::MonitorId NetBuilder::AddRateMeter(EdgeId edge, TimeDelta window,
   decl.kind = MonitorKind::kRateMeter;
   decl.edge = edge;
   decl.window = window;
-  decl.filter = std::move(filter);
+  decl.filter = filter;
   monitors_.push_back(std::move(decl));
   return static_cast<MonitorId>(monitors_.size()) - 1;
 }

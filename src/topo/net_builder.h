@@ -115,8 +115,8 @@ class NetBuilder {
 
   // Monitors observe links (every path of a multipath edge). Attach order on
   // a link follows declaration order.
-  MonitorId AddQueueMonitor(EdgeId edge, PacketPredicate filter = nullptr);
-  MonitorId AddRateMeter(EdgeId edge, TimeDelta window, PacketPredicate filter = nullptr);
+  MonitorId AddQueueMonitor(EdgeId edge, PacketFilter filter = {});
+  MonitorId AddRateMeter(EdgeId edge, TimeDelta window, PacketFilter filter = {});
 
   // --- Dynamic link events (failure injection, time-varying capacity) ---
   // One-shot rate change on a plain link at absolute simulation time `at`
@@ -157,10 +157,8 @@ class NetBuilder {
   // bundle attachments and monitors. Does not require Build.
   std::string ToDot(const std::string& graph_name = "net") const;
   size_t num_nodes() const { return nodes_.size(); }
-  size_t num_edges() const { return edges_.size(); }
   size_t num_bundles() const { return bundles_.size(); }
   size_t num_link_schedules() const { return schedules_.size(); }
-  size_t num_fault_profiles() const { return faults_.size(); }
 
   // Validates the declared graph and materializes it into `sim`. CHECK-fails
   // with a readable message on graph errors. May be called more than once
@@ -208,7 +206,7 @@ class NetBuilder {
     MonitorKind kind;
     EdgeId edge = -1;
     TimeDelta window = TimeDelta::Zero();  // kRateMeter only
-    PacketPredicate filter;
+    PacketFilter filter;
   };
   struct ScheduleDecl {
     EdgeId edge = -1;

@@ -28,9 +28,10 @@ struct TcpFlowParams {
 };
 
 // Completion callback carried by every flow until its last byte arrives:
-// `fn(now)`. Flows are the simulator's per-unit memory cost, so the slot holds
-// two pointers' worth of capture (e.g. a recorder pointer and a request id);
-// bind anything larger through a pointer to caller-owned state.
+// `fn(now)`. Move-only: the flow that fires it owns it. Flows are the
+// simulator's per-unit memory cost, so the slot holds two pointers' worth of
+// capture (e.g. a recorder pointer and a request id); bind anything larger
+// through a pointer to caller-owned state.
 using FlowDoneFn = InlineFunction<void(TimePoint), 16>;
 
 // Receiver half: cumulative ACKing (one ACK per data packet, Linux quickack

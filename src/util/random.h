@@ -17,12 +17,6 @@ class Rng {
   // Uniform in [0, 1).
   double NextDouble() { return unit_(engine_); }
 
-  // Uniform integer in [lo, hi] inclusive.
-  int64_t NextInt(int64_t lo, int64_t hi) {
-    std::uniform_int_distribution<int64_t> dist(lo, hi);
-    return dist(engine_);
-  }
-
   uint64_t NextU64() { return engine_(); }
 
   // Exponential with the given mean (inter-arrival times of a Poisson
@@ -34,10 +28,6 @@ class Rng {
 
   // Pick an index in [0, weights.size()) proportionally to `weights`.
   size_t NextWeighted(const std::vector<double>& weights);
-
-  // Derive an independent child generator; used to give each subsystem its own
-  // stream so adding draws in one place does not perturb another.
-  Rng Fork() { return Rng(NextU64() ^ 0x9e3779b97f4a7c15ULL); }
 
  private:
   std::mt19937_64 engine_;

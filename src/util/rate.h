@@ -52,9 +52,6 @@ class Rate {
     return TimeDelta::Nanos(static_cast<int64_t>(ns));
   }
 
-  // Bytes transferred at this rate over `delta`.
-  double BytesInTime(TimeDelta delta) const { return BytesPerSecond() * delta.ToSeconds(); }
-
   constexpr Rate operator+(Rate o) const { return Rate(bps_ + o.bps_); }
   constexpr Rate operator-(Rate o) const { return Rate(bps_ - o.bps_); }
   constexpr Rate operator*(double f) const { return Rate(bps_ * f); }

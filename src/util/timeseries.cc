@@ -54,11 +54,4 @@ std::vector<TimeSeries::Sample> TimeSeries::Downsample(TimeDelta bucket) const {
   return out;
 }
 
-void TimeSeries::WriteCsv(std::FILE* out, const std::string& label) const {
-  std::fprintf(out, "# %s\n", label.c_str());
-  for (const Sample& s : samples_) {
-    std::fprintf(out, "%.6f,%.6f\n", s.time.ToSeconds(), s.value);
-  }
-}
-
 }  // namespace bundler

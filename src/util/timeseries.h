@@ -2,8 +2,6 @@
 #ifndef SRC_UTIL_TIMESERIES_H_
 #define SRC_UTIL_TIMESERIES_H_
 
-#include <cstdio>
-#include <string>
 #include <vector>
 
 #include "src/util/time.h"
@@ -30,9 +28,6 @@ class TimeSeries {
   // Average into fixed-width buckets; returns one sample per non-empty bucket
   // (bucket midpoint, mean value). Useful for printing compact series.
   std::vector<Sample> Downsample(TimeDelta bucket) const;
-
-  // Write "t_seconds,value" lines. `label` becomes a CSV header comment.
-  void WriteCsv(std::FILE* out, const std::string& label) const;
 
  private:
   std::vector<Sample> samples_;

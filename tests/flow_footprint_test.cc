@@ -5,6 +5,8 @@
 // growing past them needs a reason.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "src/app/workload.h"
 #include "src/transport/sack_scoreboard.h"
 #include "src/transport/tcp_flow.h"
@@ -26,8 +28,8 @@ TEST(FlowFootprintTest, CompletionCallbackHoldsTwoPointers) {
   int hits = 0;
   uint64_t id = 7;
   FlowDoneFn fn = [p = &hits, id](TimePoint) { *p += static_cast<int>(id); };
-  FlowDoneFn copy = fn;
-  copy(TimePoint::Zero());
+  FlowDoneFn moved = std::move(fn);
+  moved(TimePoint::Zero());
   EXPECT_EQ(hits, 7);
 }
 

@@ -1,8 +1,9 @@
 // Mid-run link dynamics: Link::set_rate / set_prop_delay semantics (the
 // in-flight packet finishes at the old rate, the queue drains at the new
 // rate, rate zero parks the link and a later set_rate unparks it), the
-// zero/near-zero serialization-time guard, the LinkScheduleDriver, and
-// NetBuilder's declarative event timeline (validation death tests included).
+// zero/near-zero serialization-time guard, the LinkScheduleDriver, link
+// monitors' site filters, and NetBuilder's declarative event timeline
+// (validation death tests included).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -166,6 +167,36 @@ TEST(LinkDynamicsTest, ObserverCountersConsistentAcrossPark) {
   EXPECT_DOUBLE_EQ(qmon.delay_ms().samples()[0].value, 30.0);
   EXPECT_EQ(meter.total_bytes(), h.bytes);
   EXPECT_EQ(h.link.stats().bytes_sent, h.bytes);
+}
+
+TEST(LinkMonitorTest, PacketFilterSelectsSitePairData) {
+  LinkHarness h(Rate::Mbps(8));
+  RateMeter every(&h.sim, TimeDelta::Millis(10));
+  RateMeter from1(&h.sim, TimeDelta::Millis(10), PacketFilter::DataFrom(1));
+  RateMeter from1_to2(&h.sim, TimeDelta::Millis(10), PacketFilter::DataFrom(1, 2));
+  QueueDelayMonitor delay_1_to_2(PacketFilter::DataFrom(1, 2));
+  h.link.AddObserver(&every);
+  h.link.AddObserver(&from1);
+  h.link.AddObserver(&from1_to2);
+  h.link.AddObserver(&delay_1_to_2);
+  auto data = [](SiteId src, SiteId dst, uint32_t size) {
+    FlowKey key;
+    key.src = MakeAddress(src, 1);
+    key.dst = MakeAddress(dst, 1);
+    return MakeDataPacket(/*flow_id=*/1, key, /*seq=*/0, size);
+  };
+  h.link.HandlePacket(data(1, 2, 1000));
+  h.link.HandlePacket(data(1, 3, 500));
+  h.link.HandlePacket(data(3, 2, 300));
+  // An ACK leaving site 1 for site 2: same sites as the data, wrong type.
+  Packet reverse = data(2, 1, 1000);
+  h.link.HandlePacket(MakeAckPacket(reverse, MakeAddress(1, 1), MakeAddress(2, 1)));
+  h.sim.RunAll();
+
+  EXPECT_EQ(every.total_bytes(), 1000 + 500 + 300 + kAckBytes);  // ACKs too
+  EXPECT_EQ(from1.total_bytes(), 1000 + 500);  // no ACK, no site 3 source
+  EXPECT_EQ(from1_to2.total_bytes(), 1000);    // no site 3 destination
+  EXPECT_EQ(delay_1_to_2.delay_ms().size(), 1u);
 }
 
 TEST(LinkScheduleDriverTest, AppliesTimelineInOrder) {

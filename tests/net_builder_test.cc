@@ -339,10 +339,7 @@ TEST(NetBuilderTest, HandDeclaredDumbbellByteIdenticalToPreset) {
 
   b.AddQueueMonitor(bottleneck);
   b.AddRateMeter(bottleneck, cfg.net.rate_meter_window, Dumbbell::BundleDataFilter(0));
-  SiteId cross_src = CrossSrcSite();
-  b.AddRateMeter(bottleneck, cfg.net.rate_meter_window, [cross_src](const Packet& pkt) {
-    return pkt.type == PacketType::kData && SiteOf(pkt.key.src) == cross_src;
-  });
+  b.AddRateMeter(bottleneck, cfg.net.rate_meter_window, PacketFilter::DataFrom(CrossSrcSite()));
 
   Simulator sim;
   std::unique_ptr<Net> net = b.Build(&sim);

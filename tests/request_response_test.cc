@@ -101,6 +101,9 @@ TEST(RequestResponseTest, GivesUpAfterMaxAttempts) {
   EXPECT_EQ(fct.completed(), 0u);
   EXPECT_LE(dropped, 15) << "retries must stop after the attempt cap";
   EXPECT_GE(dropped, 10);
+  // Giving up frees the glue: no flow object or server registration is left.
+  EXPECT_EQ(net.flows.size(), 0u);
+  EXPECT_EQ(net.server->registered_flows(), 0u);
 }
 
 TEST(RequestResponseTest, DuplicateRequestStartsOneResponse) {

@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event simulator core: ordering, cancellation
-// (including mid-dispatch), reschedule-in-place, periodic timers, and the
-// engine's zero-allocation guarantee.
+// (including mid-dispatch), reschedule-in-place, periodic timers, the
+// engine's zero-allocation guarantee, and InlineFunction, the move-only
+// callable every event and stored callback rides.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,9 +9,13 @@
 #include <cstdlib>
 #include <new>
 #include <random>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "src/net/packet.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/inline_function.h"
 #include "src/sim/simulator.h"
 
 // Global allocation counter: this binary replaces operator new/delete so the
@@ -496,6 +501,155 @@ TEST(SimulatorTest, DispatchNextLoopMatchesRunAll) {
   serial.RunAll();
   EXPECT_EQ(stepped_fired, serial_fired);
   EXPECT_EQ(stepped.events_dispatched(), serial.events_dispatched());
+}
+
+// --- InlineFunction: the one move-only callable ---
+
+static_assert(!std::is_copy_constructible_v<InlineFunction<void()>>);
+// The event slot's callback: 192 bytes of capture plus the invoke and manage
+// pointers. Growing it widens every pooled slot.
+static_assert(sizeof(EventQueue::Callback) == 208);
+
+// A move-only capture that counts its live instances, so a leaked or doubly
+// destroyed capture shows up as a nonzero balance.
+struct Tracked {
+  struct Counts {
+    int live = 0;
+    int moves = 0;
+    int calls = 0;
+  };
+  explicit Tracked(Counts* c) : counts(c) { ++counts->live; }
+  Tracked(Tracked&& o) noexcept : counts(o.counts) {
+    ++counts->live;
+    ++counts->moves;
+  }
+  Tracked(const Tracked&) = delete;
+  Tracked& operator=(const Tracked&) = delete;
+  Tracked& operator=(Tracked&&) = delete;
+  ~Tracked() { --counts->live; }
+  void operator()() { ++counts->calls; }
+
+  Counts* counts;
+};
+
+TEST(InlineFunctionTest, NonTrivialCaptureIsMovedAndDestroyedOnce) {
+  Tracked::Counts c;
+  {
+    InlineFunction<void()> a = Tracked(&c);
+    EXPECT_EQ(c.live, 1);  // the temporary is gone, the stored one remains
+    EXPECT_EQ(c.moves, 1);
+
+    InlineFunction<void()> b = std::move(a);
+    EXPECT_FALSE(a);  // NOLINT(bugprone-use-after-move): moved-from is empty
+    ASSERT_TRUE(b);
+    EXPECT_EQ(c.live, 1);
+    EXPECT_EQ(c.moves, 2);
+    b();
+    EXPECT_EQ(c.calls, 1);
+
+    // Move-assigning over a live callable destroys the old capture first.
+    Tracked::Counts old;
+    InlineFunction<void()> d = Tracked(&old);
+    d = std::move(b);
+    EXPECT_EQ(old.live, 0);
+    EXPECT_EQ(old.calls, 0);
+    EXPECT_EQ(c.live, 1);
+    EXPECT_EQ(c.moves, 3);
+    d();
+    EXPECT_EQ(c.calls, 2);
+
+    // Emplace replaces a live callable the same way.
+    Tracked::Counts next;
+    d.Emplace(Tracked(&next));
+    EXPECT_EQ(c.live, 0);
+    EXPECT_EQ(next.live, 1);
+
+    d.Reset();
+    EXPECT_FALSE(d);
+    EXPECT_EQ(next.live, 0);
+    d.Reset();  // idempotent
+    EXPECT_EQ(next.live, 0);
+  }
+  EXPECT_EQ(c.live, 0);
+  EXPECT_EQ(c.calls, 2);
+}
+
+TEST(InlineFunctionTest, TrivialCaptureKeepsStateThroughMemcpyMove) {
+  int out = 0;
+  int vals[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+  auto fn = [vals, out_ptr = &out]() {
+    for (int v : vals) {
+      *out_ptr = *out_ptr * 10 + v;
+    }
+  };
+  static_assert(std::is_trivially_copyable_v<decltype(fn)>);
+  InlineFunction<void()> a = fn;
+  InlineFunction<void()> b = std::move(a);
+  InlineFunction<void()> c;
+  c = std::move(b);
+  EXPECT_FALSE(a);  // NOLINT(bugprone-use-after-move)
+  EXPECT_FALSE(b);  // NOLINT(bugprone-use-after-move)
+  c();
+  EXPECT_EQ(out, 12345678);
+}
+
+TEST(InlineFunctionTest, EmptyIsFalse) {
+  InlineFunction<int(int)> def;
+  InlineFunction<int(int)> null = nullptr;
+  EXPECT_FALSE(def);
+  EXPECT_FALSE(null);
+  InlineFunction<int(int)> set = [](int x) { return x; };
+  EXPECT_TRUE(set);
+}
+
+TEST(InlineFunctionTest, ForwardsArgumentsAndReturnsValue) {
+  InlineFunction<int(int, int)> sub = [](int a, int b) { return a - b; };
+  EXPECT_EQ(sub(7, 3), 4);
+
+  // A move-only argument is moved through to the callable.
+  std::vector<Packet> kept;
+  InlineFunction<uint32_t(Packet)> sink = [&kept](Packet p) {
+    uint32_t size = p.size_bytes;
+    kept.push_back(std::move(p));
+    return size;
+  };
+  Packet pkt;
+  pkt.size_bytes = 321;
+  pkt.id = 99;
+  EXPECT_EQ(sink(std::move(pkt)), 321u);
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_EQ(kept[0].id, 99u);
+
+  InlineFunction<bool(const Packet&)> is_ack = [](const Packet& p) {
+    return p.type == PacketType::kAck;
+  };
+  EXPECT_FALSE(is_ack(kept[0]));
+}
+
+TEST(InlineFunctionTest, LargestEventCaptureDoesNotAllocate) {
+  // The shape of a link transmit event: a packet-sized payload plus its
+  // owner pointer, 184 bytes in a 192-byte slot.
+  struct Payload {
+    unsigned char bytes[176];
+  };
+  int hits = 0;
+  Payload payload{};
+  payload.bytes[175] = 7;
+  auto fn = [payload, hits_ptr = &hits]() { *hits_ptr += payload.bytes[175]; };
+  static_assert(sizeof(fn) == 184);
+
+  uint64_t before = g_heap_allocs;
+  {
+    EventQueue::Callback a = fn;
+    EventQueue::Callback b = std::move(a);
+    EventQueue::Callback c;
+    c = std::move(b);
+    c();
+    c.Emplace(fn);
+    c();
+  }
+  EXPECT_EQ(g_heap_allocs - before, 0u);
+  EXPECT_EQ(hits, 14);
 }
 
 }  // namespace
