@@ -125,12 +125,15 @@ echo "--- golden byte-identity: fig09/fig10/fig13 regression pins"
 # -> SiteEgress). They are regression pins: same seeds, same JSON and CSV, so
 # any behavior change shows up here first. Regenerate them ONLY for an
 # intentional, explained change, with scripts/repro.sh as the behavioral
-# guard. Last regenerated when the classic Sendbox and its private shaper
-# were deleted: each bundler cell gained the manager's 8 admit.s10.* /
-# tenant.s10-s100.* counter lines and ~0.2% sim.events_dispatched (early
-# site-bucket wake-ups); every fig09/fig10 FCT, throughput and existing ctr.*
-# line is unchanged, while fig13's 42:42 cell drifted slightly (bundle 1
-# median slowdown 48.44 -> 49.37, 11.04 -> 10.83 Mbit/s).
+# guard. fig10 was last regenerated when every return to delay control
+# started reseeding the rate controller from the measured egress rate and the
+# separate warm-restart companion scenario was folded into fig10: its bundler
+# cell now equals the companion's warm-restart cell (phase-2 throughput
+# 62.8 -> 71.8 Mbit/s, phase-3 FCT p50 177.9 -> 154.8 ms), a bundler_robust
+# cell equal to the companion's one was added, status_quo is unchanged, and
+# the hand-computed mode_transitions line is gone
+# (ctr.sendbox.*.mode_transitions reports it). fig09 and fig13 were last
+# regenerated when the classic Sendbox and its private shaper were deleted.
 for scenario in fig09_fct fig10_cross_traffic fig13_competing_bundles; do
   ./build/bundler_run --scenario "${scenario}" --trials 1 \
     --out build/smoke_golden --quiet > /dev/null
@@ -172,13 +175,20 @@ EOF
 echo "--- smoke scenario: feedback_blackout (faulted control loop + watchdog)"
 # A faulted run must stay byte-identical across thread and shard counts: the
 # injector draws RNG only for targeted packets in arrival order, which the
-# determinism contract fixes.
+# determinism contract fixes. The watchdog trace must be identical too, and
+# must hold the whole degrade / probe / re-sync lifecycle.
 ./build/bundler_run --scenario feedback_blackout --trials 1 --threads 2 \
-  --out build/smoke_fault_t2 --quiet
+  --trace watchdog --out build/smoke_fault_t2 --quiet
 ./build/bundler_run --scenario feedback_blackout --trials 1 --threads 4 \
-  --out build/smoke_fault_t4 --quiet > /dev/null
+  --trace watchdog --out build/smoke_fault_t4 --quiet > /dev/null
 cmp <(stable build/smoke_fault_t2/feedback_blackout.json) \
     <(stable build/smoke_fault_t4/feedback_blackout.json)
+WD_TRACE=build/smoke_fault_t2/feedback_blackout.trace.jsonl
+cmp "${WD_TRACE}" build/smoke_fault_t4/feedback_blackout.trace.jsonl
+for ev in wd_degrade wd_probe wd_resync; do
+  grep -q "\"ev\":\"${ev}\"" "${WD_TRACE}" ||
+    { echo "check.sh: FAIL — no ${ev} record in ${WD_TRACE}"; exit 1; }
+done
 ./build/bundler_run --scenario feedback_blackout --trials 1 --shards 4 \
   --out build/smoke_fault_s4 --quiet > /dev/null
 cmp <(stable build/smoke_fault_t2/feedback_blackout.json) \

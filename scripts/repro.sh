@@ -6,10 +6,10 @@
 # retuning, not statistical confidence intervals:
 #
 #   fig10  — robust elasticity exits: phase-2 passthrough_frac >= 0.9 (the
-#            pinned bundler sits at ~0.42) and the phase-3 FCT gap closed to
-#            within 5% of status quo (pinned: ~+20%).
+#            bundler without them sits at ~0.48) and the phase-3 FCT gap
+#            closed to within 5% of status quo (without them: ~+5% at seed 1).
 #   blackout — feedback watchdog lifecycle on a 5 s feedback blackout:
-#            degrade within ~watchdog_timeout, 3-5 exponential probes,
+#            degrade within ~kWatchdogTimeout, 3-5 exponential probes,
 #            re-sync within one epoch of recovery, during-fault FCT within
 #            15% of status quo and p99 far below it.
 #   asym   — the ~8 Mbit/s reverse-path collapse threshold survived: the
@@ -50,8 +50,8 @@ RUN=./build/bundler_run
 OUT=build/repro
 mkdir -p "${OUT}"
 
-for scenario in fig10_cross_traffic fig10_warm_restart feedback_blackout \
-                asym_reverse_sweep fig16_wan fig09_fct cdn_edge_flash_crowd; do
+for scenario in fig10_cross_traffic feedback_blackout asym_reverse_sweep \
+                fig16_wan fig09_fct cdn_edge_flash_crowd; do
   echo "repro.sh: running ${scenario}"
   "${RUN}" --scenario "${scenario}" --trials 1 --threads "${JOBS}" \
     --out "${OUT}" --quiet > /dev/null
@@ -102,15 +102,14 @@ def check(label, ok, detail):
 
 # --- fig10: robust elasticity exits close the phase-3 gap -------------------
 f10 = cells("fig10_cross_traffic")
-f10w = cells("fig10_warm_restart")
 sq = pick(f10, "status_quo")
-pinned = pick(f10, "bundler")
-robust = pick(f10w, "bundler_robust")
+plain = pick(f10, "bundler")
+robust = pick(f10, "bundler_robust")
 frac = scalar(robust, "phase2_passthrough_frac")
 check("fig10 robust passthrough_frac >= 0.9", frac >= 0.9, f"{frac:.3f}")
-pinned_frac = scalar(pinned, "phase2_passthrough_frac")
-check("fig10 pinned variant keeps the historical flaps (frac <= 0.6)",
-      pinned_frac <= 0.6, f"{pinned_frac:.3f}")
+plain_frac = scalar(plain, "phase2_passthrough_frac")
+check("fig10 bundler without robust exits still flaps (frac <= 0.6)",
+      plain_frac <= 0.6, f"{plain_frac:.3f}")
 r3, s3 = scalar(robust, "short_fct_phase3_ms_p50"), scalar(sq, "short_fct_phase3_ms_p50")
 check("fig10 robust phase-3 FCT p50 within 5% of status quo",
       r3 <= 1.05 * s3, f"{r3:.1f} vs {s3:.1f} ms ({r3 / s3:.3f}x)")

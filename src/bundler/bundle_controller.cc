@@ -7,6 +7,58 @@
 #include "src/util/check.h"
 
 namespace bundler {
+namespace {
+
+// Multipath hysteresis (§5.2, §7.6: 5% separates single from multi path by
+// two orders of magnitude). While disabled the controller periodically
+// re-probes delay control (with exponential backoff from kDisabledMinDwell
+// up to kDisabledProbeMax): ordering statistics measured under status-quo
+// queueing cannot distinguish recovered paths, so recovery requires a probe
+// under delay control.
+constexpr double kOooDisableThreshold = 0.05;
+constexpr double kOooEnableThreshold = 0.01;
+constexpr TimeDelta kDisabledMinDwell = TimeDelta::Seconds(4);
+constexpr TimeDelta kDisabledProbeMax = TimeDelta::Seconds(60);
+// After (re)entering delay control, give the rate controller time to drain
+// status-quo queues before judging packet ordering; the judgment then starts
+// from a clean slate.
+constexpr TimeDelta kMultipathEvalGrace = TimeDelta::Seconds(3);
+
+// Elasticity hysteresis: a Schmitt trigger on the detector metric. Enter
+// pass-through after kElasticEnterTicks consecutive ticks above the
+// detector's elastic threshold; leave only after kElasticExitTicks
+// consecutive ticks *below* kElasticExitMetric (metrics in between hold the
+// current mode, preventing flapping on a noisy metric). Tick counts are
+// control ticks; the durations assume the 10 ms default interval.
+constexpr int kElasticEnterTicks = 30;   // 0.3 s of consecutive elastic verdicts
+constexpr int kElasticExitTicks = 500;   // 5 s of consecutive quiet verdicts
+constexpr double kElasticExitMetric = 1.5;
+constexpr TimeDelta kModeMinDwell = TimeDelta::Seconds(2);
+
+// Robust elasticity (BundleControlConfig::robust_elastic_exit): busy entry
+// after kElasticBusyEnterTicks consecutive busy samples, and a pass-through
+// re-entry within kElasticReentryWindow of the last exit doubles the next
+// exit's evidence requirement.
+constexpr int kElasticBusyEnterTicks = 200;  // 2 s of uninterrupted standing queue
+constexpr TimeDelta kElasticReentryWindow = TimeDelta::Seconds(10);
+
+// Feedback watchdog (BundleControlConfig::watchdog): the staleness and
+// contract-violation window, the re-probe backoff range, and delay
+// control's queue-delay budget.
+constexpr TimeDelta kWatchdogTimeout = TimeDelta::Millis(500);
+constexpr TimeDelta kWatchdogProbeInitial = TimeDelta::Millis(250);
+constexpr TimeDelta kWatchdogProbeMax = TimeDelta::Seconds(4);
+constexpr TimeDelta kWatchdogQdelBudget = TimeDelta::Millis(50);
+
+// The detector's pulse must land on an FFT bin of the cadence it is fed at,
+// which is the control tick.
+NimbusDetector::Config DetectorConfig(TimeDelta control_interval) {
+  NimbusDetector::Config c;
+  c.sample_interval = control_interval;
+  return c;
+}
+
+}  // namespace
 
 const char* BundlerModeName(BundlerMode mode) {
   switch (mode) {
@@ -27,10 +79,8 @@ BundleController::BundleController(Simulator* sim,
     : sim_(sim),
       config_(config),
       dp_(dataplane),
-      meas_(config.measurement),
       cc_(MakeBundleCc(config.cc, config.initial_rate)),
-      detector_(config.nimbus),
-      pi_(config.pi),
+      detector_(DetectorConfig(config.control_interval)),
       mode_entered_(sim->now()),
       epoch_pkts_(config.initial_epoch_pkts),
       last_epoch_update_(sim->now()),
@@ -102,10 +152,7 @@ void BundleController::SwitchMode(BundlerMode next) {
   mode_log_.emplace_back(now, next);
   switch (next) {
     case BundlerMode::kDelayControl:
-      // Coming back from pass-through/disabled. Cold restart relearns the
-      // path from `initial_rate`; with warm_restart the controller instead
-      // seeds from the measured egress rate, so the bundle keeps roughly its
-      // pre-switch share while the controller converges.
+      // Coming back from pass-through/disabled.
       ReseedController(now);
       break;
     case BundlerMode::kPassThrough: {
@@ -124,7 +171,7 @@ void BundleController::UpdateMode(const BundleMeasurement& m) {
   TimeDelta dwell = now - mode_entered_;
 
   if (config_.multipath_detection) {
-    if (mode_ == BundlerMode::kDelayControl && dwell < config_.multipath_eval_grace) {
+    if (mode_ == BundlerMode::kDelayControl && dwell < kMultipathEvalGrace) {
       return;  // let the controller settle before judging ordering
     }
     if (mode_ == BundlerMode::kDelayControl && !mp_grace_cleared_) {
@@ -133,23 +180,23 @@ void BundleController::UpdateMode(const BundleMeasurement& m) {
       return;
     }
     double frac = meas_.OutOfOrderFraction(now);
-    if (mode_ != BundlerMode::kDisabled && frac > config_.ooo_disable_threshold) {
+    if (mode_ != BundlerMode::kDisabled && frac > kOooDisableThreshold) {
       // Exponential probe backoff: if the last delay-control attempt survived
       // only briefly, wait longer before the next probe.
       bool probe_failed_quickly =
           last_disabled_exit_ != TimePoint() &&
           now - last_disabled_exit_ < TimeDelta::Seconds(10);
       if (disabled_probe_backoff_.IsZero() || !probe_failed_quickly) {
-        disabled_probe_backoff_ = config_.disabled_min_dwell;
+        disabled_probe_backoff_ = kDisabledMinDwell;
       } else {
         disabled_probe_backoff_ =
-            std::min(disabled_probe_backoff_ * 2.0, config_.disabled_probe_max);
+            std::min(disabled_probe_backoff_ * 2.0, kDisabledProbeMax);
       }
       SwitchMode(BundlerMode::kDisabled);
       return;
     }
     if (mode_ == BundlerMode::kDisabled) {
-      if (frac < config_.ooo_enable_threshold && dwell > config_.disabled_min_dwell) {
+      if (frac < kOooEnableThreshold && dwell > kDisabledMinDwell) {
         last_disabled_exit_ = now;
         SwitchMode(BundlerMode::kDelayControl);
       } else if (dwell > disabled_probe_backoff_) {
@@ -174,7 +221,7 @@ void BundleController::UpdateMode(const BundleMeasurement& m) {
   if (detector_.IsElastic()) {
     ++elastic_ticks_;
     nonelastic_ticks_ = 0;
-  } else if (detector_.elasticity_metric() < config_.elastic_exit_metric) {
+  } else if (detector_.elasticity_metric() < kElasticExitMetric) {
     // Robust exits gate the counter on bottleneck busyness: in pass-through
     // the sendbox rarely has a backlog, so the probe pulse cannot modulate
     // egress and a quiet verdict while the bottleneck still holds a standing
@@ -196,15 +243,13 @@ void BundleController::UpdateMode(const BundleMeasurement& m) {
   // multi-second standing queue means buffer-filling cross traffic even
   // before the FFT metric classifies it.
   const bool busy_enter =
-      config_.robust_elastic_exit &&
-      busy_run_ticks_ >= config_.elastic_busy_enter_ticks;
+      config_.robust_elastic_exit && busy_run_ticks_ >= kElasticBusyEnterTicks;
   // Metric between the exit and enter thresholds: hold the current mode.
   const int exit_ticks =
-      config_.elastic_exit_ticks *
-      (config_.robust_elastic_exit ? elastic_exit_scale_ : 1);
+      kElasticExitTicks * (config_.robust_elastic_exit ? elastic_exit_scale_ : 1);
   if (mode_ == BundlerMode::kDelayControl &&
-      (elastic_ticks_ >= config_.elastic_enter_ticks || busy_enter) &&
-      dwell > config_.mode_min_dwell) {
+      (elastic_ticks_ >= kElasticEnterTicks || busy_enter) &&
+      dwell > kModeMinDwell) {
     if (config_.robust_elastic_exit) {
       // Probe-and-commit: the previous exit *was* the probe (delay control
       // with the reseeded controller). Bouncing straight back means the
@@ -212,14 +257,14 @@ void BundleController::UpdateMode(const BundleMeasurement& m) {
       // a re-entry long after the exit is a genuinely new episode.
       elastic_exit_scale_ =
           last_elastic_exit_ != TimePoint() &&
-                  now - last_elastic_exit_ < config_.elastic_reentry_window
+                  now - last_elastic_exit_ < kElasticReentryWindow
               ? std::min(elastic_exit_scale_ * 2, 8)
               : 1;
     }
     SwitchMode(BundlerMode::kPassThrough);
   } else if (mode_ == BundlerMode::kPassThrough &&
              nonelastic_ticks_ >= exit_ticks &&
-             dwell > config_.mode_min_dwell) {
+             dwell > kModeMinDwell) {
     last_elastic_exit_ = now;
     SwitchMode(BundlerMode::kDelayControl);
   }
@@ -252,13 +297,13 @@ void BundleController::MaybeUpdateEpochSize(const BundleMeasurement& m) {
 }
 
 void BundleController::ReseedController(TimePoint now) {
-  cc_->Reset(now, config_.warm_restart && egress_rate_bps_ > 0
-                      ? Rate::BitsPerSec(egress_rate_bps_)
-                      : Rate::Zero());
+  const Rate seed = egress_rate_bps_ > 0 ? Rate::BitsPerSec(egress_rate_bps_)
+                                         : config_.initial_rate;
+  cc_->Reset(now, seed);
   ++*ctr_cc_resets_;
   if (sim_->trace().enabled(obs::TraceCat::kCc)) {
     sim_->trace().Trace(obs::TraceCat::kCc, obs::TraceEv::kCcReset, cc_comp_,
-                        now, obs::EncodeRate(cc_->TargetRate()));
+                        now, obs::EncodeRate(seed));
   }
 }
 
@@ -279,12 +324,12 @@ void BundleController::WatchdogTick(const BundleMeasurement& m) {
       m.inst_rtt > m.min_rtt ? m.inst_rtt - m.min_rtt : TimeDelta::Zero();
   if (wd_degraded_) {
     if (wd_cause_ == WatchdogCause::kDelay &&
-        staleness > config_.watchdog_timeout) {
+        staleness > kWatchdogTimeout) {
       // The reverse path went from congested to dead: feedback stopped
       // flowing entirely mid-degradation. Promote to the staleness
       // lifecycle so the exponential-backoff probing resumes.
       wd_cause_ = WatchdogCause::kStale;
-      wd_probe_backoff_ = config_.watchdog_probe_initial;
+      wd_probe_backoff_ = kWatchdogProbeInitial;
       wd_next_probe_ = now + wd_probe_backoff_;
       return;
     }
@@ -293,11 +338,11 @@ void BundleController::WatchdogTick(const BundleMeasurement& m) {
     // congested queue's sawtooth grazes the budget, so require half of it.
     const bool recovered =
         m.fresh && (wd_cause_ == WatchdogCause::kStale ||
-                    qdel <= config_.watchdog_qdel_budget * 0.5);
+                    qdel <= kWatchdogQdelBudget * 0.5);
     if (recovered) {
       // The controller that rules the current mode restarts from live state
-      // (through the warm_restart seeding path) instead of resuming its
-      // stale pre-outage trajectory.
+      // (ReseedController's egress seed) instead of resuming its stale
+      // pre-outage trajectory.
       wd_degraded_ = false;
       wd_cause_ = WatchdogCause::kNone;
       wd_qdel_ok_ = now;
@@ -326,16 +371,16 @@ void BundleController::WatchdogTick(const BundleMeasurement& m) {
   // Armed: watch loop liveness and the delay-control contract. The contract
   // clock resets whenever the bundle is not in delay control or the
   // queue-delay estimate is within budget — only an *unbroken* violation
-  // spanning `watchdog_timeout` degrades, so transient spikes while the
+  // spanning kWatchdogTimeout degrades, so transient spikes while the
   // controller reacts to arriving cross traffic never trip it.
   if (mode_ != BundlerMode::kDelayControl ||
-      qdel <= config_.watchdog_qdel_budget) {
+      qdel <= kWatchdogQdelBudget) {
     wd_qdel_ok_ = now;
   }
   WatchdogCause cause = WatchdogCause::kNone;
-  if (staleness > config_.watchdog_timeout) {
+  if (staleness > kWatchdogTimeout) {
     cause = WatchdogCause::kStale;
-  } else if (now - wd_qdel_ok_ > config_.watchdog_timeout) {
+  } else if (now - wd_qdel_ok_ > kWatchdogTimeout) {
     cause = WatchdogCause::kDelay;
   }
   if (cause != WatchdogCause::kNone) {
@@ -343,7 +388,7 @@ void BundleController::WatchdogTick(const BundleMeasurement& m) {
     wd_cause_ = cause;
     wd_degraded_since_ = now;
     if (cause == WatchdogCause::kStale) {
-      wd_probe_backoff_ = config_.watchdog_probe_initial;
+      wd_probe_backoff_ = kWatchdogProbeInitial;
       wd_next_probe_ = now + wd_probe_backoff_;
     }
     ++*ctr_wd_degrades_;
@@ -365,7 +410,7 @@ void BundleController::WatchdogProbe(TimePoint now) {
   ++*ctr_wd_probes_;
   wd_log_.emplace_back(now, WatchdogEvent::kProbe);
   wd_probe_backoff_ =
-      std::min(wd_probe_backoff_ * 2.0, config_.watchdog_probe_max);
+      std::min(wd_probe_backoff_ * 2.0, kWatchdogProbeMax);
   wd_next_probe_ = now + wd_probe_backoff_;
   if (sim_->trace().enabled(obs::TraceCat::kWatchdog)) {
     sim_->trace().Trace(obs::TraceCat::kWatchdog, obs::TraceEv::kWdProbe,
@@ -483,13 +528,6 @@ void BundleController::ControlTick() {
     MaybeUpdateEpochSize(m);
   }
 
-  rate_log_.Add(now, rate.Mbps());
-  double qdelay_ms =
-      rate.bps() > 0
-          ? static_cast<double>(dp_->QueueBytes()) * 8.0 / rate.bps() * 1e3
-          : 0.0;
-  queue_delay_log_.Add(now, qdelay_ms);
-
   ++*ctr_rate_updates_;
   const TimeDelta run = now - start_time_;
   const TimeDelta pt =
@@ -499,6 +537,11 @@ void BundleController::ControlTick() {
   *passthrough_frac_ =
       run > TimeDelta::Zero() ? pt.ToSeconds() / run.ToSeconds() : 0.0;
   if (sim_->trace().enabled(obs::TraceCat::kSendbox)) {
+    // Shaper queueing delay estimate: queue / enforced rate.
+    const double qdelay_ms =
+        rate.bps() > 0
+            ? static_cast<double>(dp_->QueueBytes()) * 8.0 / rate.bps() * 1e3
+            : 0.0;
     sim_->trace().Trace(obs::TraceCat::kSendbox, obs::TraceEv::kSbRate, comp_,
                         now, obs::EncodeRate(rate),
                         static_cast<uint64_t>(mode_),

@@ -21,7 +21,6 @@
 #include "src/cc/cc.h"
 #include "src/net/packet.h"
 #include "src/sim/simulator.h"
-#include "src/util/timeseries.h"
 
 namespace bundler {
 
@@ -33,10 +32,14 @@ enum class BundlerMode {
 
 const char* BundlerModeName(BundlerMode mode);
 
-// Everything the control loop needs to know. SendboxConfig (sendbox.h)
-// derives from this and adds the bundle queue's scheduler.
-// Field-by-field semantics are documented where each subsystem lives; the
-// watchdog and robust-elasticity knobs carry their own design notes.
+// Everything about the control loop a caller may vary. SendboxConfig
+// (sendbox.h) derives from this and adds the bundle queue's scheduler.
+// NetBuilder fills the four addresses; the mode machine's and the
+// watchdog's tuning values are constants in bundle_controller.cc, next to
+// the code that reads them. The measurement engine, the Nimbus detector and
+// the PI controller run on their own defaults, except that the detector
+// samples once per `control_interval` (its pulse sits on an FFT bin of that
+// cadence).
 struct BundleControlConfig {
   SiteId local_site = 0;   // bundle = data packets from here...
   SiteId remote_site = 0;  // ...to here
@@ -46,32 +49,19 @@ struct BundleControlConfig {
   BundleCcType cc = BundleCcType::kCopa;
   bool nimbus_detection = true;
   bool multipath_detection = true;
-  // When re-entering delay control (pass-through exit, disabled-mode
-  // probe, watchdog re-sync), seed the rate controller from the measured
-  // egress rate instead of restarting it cold from `initial_rate`. Off by
-  // default: the cold restart is the historical behavior and the pinned
-  // figures (fig09/10/13) keep it off so their goldens stay byte-identical
-  // across PRs, but it collapses the bundle to `initial_rate` for several
-  // seconds per switch — the root cause of the fig10 phase-3 reproduction
-  // gap (see README "Dynamic link events" and the fig10_warm_restart
-  // scenario). Every robustness scenario added since (feedback_blackout,
-  // feedback_loss_sweep, the watchdog arms) turns it on: graceful
-  // degradation is pointless if recovery restarts the bundle from scratch.
-  bool warm_restart = false;
 
   // Feedback watchdog (control-loop resilience). Two independent triggers
   // degrade the bundle gracefully instead of letting it shape on state it
   // cannot trust:
-  //  - Staleness: no receivebox feedback has matched for
-  //    `watchdog_timeout` (a blackout). While degraded for this cause the
-  //    controller re-probes the receivebox with epoch ctl messages at
-  //    exponentially backed-off intervals (`watchdog_probe_initial`
-  //    doubling up to `watchdog_probe_max`), and the first matched
-  //    feedback re-syncs immediately.
+  //  - Staleness: no receivebox feedback has matched for kWatchdogTimeout
+  //    (a blackout). While degraded for this cause the controller re-probes
+  //    the receivebox with epoch ctl messages at exponentially backed-off
+  //    intervals (kWatchdogProbeInitial doubling up to kWatchdogProbeMax),
+  //    and the first matched feedback re-syncs immediately.
   //  - Delay-control contract violation: the loop's queue-delay estimate
-  //    has stayed above `watchdog_qdel_budget` for `watchdog_timeout`
-  //    straight while in delay control. Delay control's whole contract is
-  //    a near-empty queue; a delay it cannot drain no matter how hard it
+  //    has stayed above kWatchdogQdelBudget for kWatchdogTimeout straight
+  //    while in delay control. Delay control's whole contract is a
+  //    near-empty queue; a delay it cannot drain no matter how hard it
   //    backs off is not its delay (a congested *reverse* path inflating
   //    the loop RTT — the asym_reverse collapse regime) and shaping on it
   //    strangles the bundle for nothing. Feedback keeps flowing here, so
@@ -80,14 +70,10 @@ struct BundleControlConfig {
   //    queue's sawtooth).
   // Degradation itself is the same for both causes: the shaper opens to
   // `max_rate` (the bundle behaves like status quo) and mode/elasticity
-  // decisions freeze. Re-sync reseeds the rate controller through the
-  // `warm_restart` path and normal control resumes the same tick. Off by
-  // default (pinned figures predate it).
+  // decisions freeze. Re-sync reseeds the rate controller from the measured
+  // egress rate (ReseedController) and normal control resumes the same
+  // tick. Off by default (pinned figures predate it).
   bool watchdog = false;
-  TimeDelta watchdog_timeout = TimeDelta::Millis(500);
-  TimeDelta watchdog_probe_initial = TimeDelta::Millis(250);
-  TimeDelta watchdog_probe_max = TimeDelta::Seconds(4);
-  TimeDelta watchdog_qdel_budget = TimeDelta::Millis(50);
 
   // Robust elasticity entries/exits (ROADMAP "close fig10 phase 3 for
   // real"). Three changes, one knob:
@@ -101,55 +87,26 @@ struct BundleControlConfig {
   //    mostly busy, so its brief idle dips (loss recovery) never
   //    accumulate into an exit, while a mostly-idle bottleneck — only the
   //    bundle's own transient bursts — still exits promptly.
-  //  - Busy entry: `elastic_busy_enter_ticks` consecutive busy samples
-  //    while in delay control enter pass-through without waiting for the
-  //    FFT metric. Delay control keeps the bundle's own standing queue
-  //    ~1 ms (below the busy threshold), so a multi-second uninterrupted
+  //  - Busy entry: kElasticBusyEnterTicks consecutive busy samples while
+  //    in delay control enter pass-through without waiting for the FFT
+  //    metric. Delay control keeps the bundle's own standing queue ~1 ms
+  //    (below the busy threshold), so a multi-second uninterrupted
   //    standing queue means buffer-filling cross traffic — the FFT merely
   //    classifies it a few seconds later.
   //  - Probe-and-commit: a robust exit *is* the probe (delay control with
   //    the reseeded controller). If it bounces straight back into
-  //    pass-through (within `elastic_reentry_window`), the next exit
-  //    requires progressively more quiet-and-idle ticks (doubling, capped
-  //    at 8x), mirroring the disabled-mode probe backoff.
+  //    pass-through (within kElasticReentryWindow), the next exit requires
+  //    progressively more quiet-and-idle ticks (doubling, capped at 8x),
+  //    mirroring the disabled-mode probe backoff.
   // Off by default for the pinned figures.
   bool robust_elastic_exit = false;
-  int elastic_busy_enter_ticks = 200;  // 2 s of uninterrupted standing queue
-  TimeDelta elastic_reentry_window = TimeDelta::Seconds(10);
 
+  // The rate controller's start rate, and its restart rate while no egress
+  // has been measured yet.
   Rate initial_rate = Rate::Mbps(12);
   Rate max_rate = Rate::Gbps(1);  // pass-through cap / disabled-mode rate
   TimeDelta control_interval = TimeDelta::Millis(10);
   uint32_t initial_epoch_pkts = 16;
-
-  // Multipath hysteresis (§5.2, §7.6: 5% separates single from multi path
-  // by two orders of magnitude). While disabled the controller periodically
-  // re-probes delay control (with exponential backoff up to
-  // `disabled_probe_max`): ordering statistics measured under status-quo
-  // queueing cannot distinguish recovered paths, so recovery requires a
-  // probe under delay control.
-  double ooo_disable_threshold = 0.05;
-  double ooo_enable_threshold = 0.01;
-  TimeDelta disabled_min_dwell = TimeDelta::Seconds(4);
-  TimeDelta disabled_probe_max = TimeDelta::Seconds(60);
-  // After (re)entering delay control, give the rate controller time to
-  // drain status-quo queues before judging packet ordering; the judgment
-  // then starts from a clean slate.
-  TimeDelta multipath_eval_grace = TimeDelta::Seconds(3);
-
-  // Elasticity hysteresis: a Schmitt trigger on the detector metric.
-  // Enter pass-through after `elastic_enter_ticks` consecutive ticks above
-  // the detector's elastic threshold; leave only after `elastic_exit_ticks`
-  // consecutive ticks *below* `elastic_exit_metric` (metrics in between
-  // hold the current mode, preventing flapping on a noisy metric).
-  int elastic_enter_ticks = 30;    // 0.3 s of consecutive elastic verdicts
-  int elastic_exit_ticks = 500;    // 5 s of consecutive quiet verdicts
-  double elastic_exit_metric = 1.5;
-  TimeDelta mode_min_dwell = TimeDelta::Seconds(2);
-
-  MeasurementEngine::Config measurement;
-  NimbusDetector::Config nimbus;
-  PiController::Config pi;
 };
 
 // What the control loop needs from its owner's data plane. One virtual call
@@ -211,19 +168,16 @@ class BundleController {
   const std::vector<std::pair<TimePoint, BundlerMode>>& mode_log() const {
     return mode_log_;
   }
-  // Enforced rate (Mbps) sampled every control tick.
-  const TimeSeries& rate_log() const { return rate_log_; }
-  // Shaper queueing delay estimate (ms) per control tick (queue/rate).
-  const TimeSeries& queue_delay_log() const { return queue_delay_log_; }
 
  private:
   void UpdateMode(const BundleMeasurement& m);
   void SwitchMode(BundlerMode next);
   void MaybeUpdateEpochSize(const BundleMeasurement& m);
   void SendEpochCtl();
-  // Re-seeds the rate controller for (re-)entering delay control: warm from
-  // the measured egress rate when BundleControlConfig::warm_restart, cold
-  // otherwise. Shared by SwitchMode and the watchdog's re-sync.
+  // Re-seeds the rate controller for (re-)entering delay control from the
+  // measured egress rate, so the bundle keeps roughly its pre-switch share
+  // while the controller converges; `initial_rate` only before any egress
+  // was measured. Shared by SwitchMode and the watchdog's re-sync.
   void ReseedController(TimePoint now);
   void WatchdogTick(const BundleMeasurement& m);
   void WatchdogProbe(TimePoint now);
@@ -275,8 +229,6 @@ class BundleController {
   double egress_rate_bps_ = 0.0;
 
   std::vector<std::pair<TimePoint, BundlerMode>> mode_log_;
-  TimeSeries rate_log_;
-  TimeSeries queue_delay_log_;
 
   // Observability: component ids for the trace stream plus registry-owned
   // counters (all registered in the constructor, so never null afterwards).

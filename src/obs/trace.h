@@ -115,7 +115,7 @@ enum class TraceEv : uint16_t {
   kPiReset,   // a=rate_bps b=queue_bytes
   // kCc
   kCcUpdate,  // a=rate_bps b=rtt_ns c=acked_bytes
-  kCcReset,   // a=rate_bps
+  kCcReset,   // a=seed_rate_bps (egress EWMA, or initial_rate before any)
   // kShard (simulation-determined payloads only — never sync bounds or
   // anything wall-clock/worker dependent, so sharded traces are identical
   // across --shards values)
@@ -168,9 +168,12 @@ class Tracer {
 
   // Shared-component variant for entities that churn mid-run (TCP flows):
   // returns the existing id when (kind, name) is already registered, so the
-  // registry stays bounded and re-lookup never allocates.
+  // registry stays bounded and re-lookup never allocates. Searches newest
+  // first: churning entities register after the topology's components, so
+  // each flow creation finds its entry at once instead of scanning every
+  // component of every bundle.
   uint32_t FindOrRegisterComponent(const char* kind, const std::string& name) {
-    for (size_t i = 0; i < components_.size(); ++i) {
+    for (size_t i = components_.size(); i-- > 0;) {
       if (components_[i].kind == kind && components_[i].name == name) {
         return static_cast<uint32_t>(i);
       }

@@ -90,9 +90,8 @@ NetBuilder AsymReverseBuilder(Rate reverse_rate, bool bundled, bool watchdog,
     // The watchdog arm (asym_reverse_sweep's "bundler_watchdog") is a
     // robustness configuration: feedback starvation on the congested reverse
     // queue must produce a controlled fallback to pass-through, not a shaped
-    // collapse, and recovery must reseed warm (sendbox.h on warm_restart).
+    // collapse.
     bundle.sendbox.watchdog = watchdog;
-    bundle.sendbox.warm_restart = watchdog;
     b.AddBundle(bundle);
   }
 

@@ -16,10 +16,9 @@
 //    interesting output is where that tolerance ends and what the watchdog
 //    buys at the extreme.
 //
-// Both are robustness scenarios, so their bundler arms run with
-// BundleControlConfig::warm_restart on (see bundle_controller.h: the pinned
-// figures keep it off; graceful degradation without warm recovery would
-// re-collapse the bundle at every re-sync).
+// Every return to delay control, the watchdog's re-sync included, reseeds
+// the rate controller from the measured egress rate, so graceful degradation
+// does not re-collapse the bundle at every re-sync.
 #include <string>
 
 #include "src/app/workload.h"
@@ -68,7 +67,6 @@ DumbbellConfig FaultConfig(const Variant& v) {
   cfg.rtt = TimeDelta::Millis(50);
   cfg.bundler_enabled = v.bundler_on;
   cfg.rate_meter_window = TimeDelta::Millis(100);
-  cfg.sendbox.warm_restart = v.bundler_on;  // robustness scenario: always warm
   cfg.sendbox.watchdog = v.watchdog;
   return cfg;
 }
@@ -99,7 +97,7 @@ NetBuilder FaultedDumbbell(const Variant& v, const FaultProfileSpec& fault,
 // Shared trial body: build the faulted dumbbell, run the §7.1 web workload
 // through it, and report FCT windows plus watchdog/fault forensics.
 TrialResult RunFaultTrial(const Variant& v, const FaultProfileSpec& fault,
-                          uint64_t seed) {
+                          const TrialPoint& point) {
   Simulator sim;
   BeginTrialObs(&sim);
   DumbbellGraph g;
@@ -111,7 +109,7 @@ TrialResult RunFaultTrial(const Variant& v, const FaultProfileSpec& fault,
   WebWorkloadConfig wl;
   wl.offered_load = kWebLoad;
   PoissonWebWorkload web(&sim, net->flows(), net->host(g.servers[0]),
-                         net->host(g.clients[0]), &kCdf, wl, seed, &fct);
+                         net->host(g.clients[0]), &kCdf, wl, point.seed, &fct);
 
   sim.RunUntil(At(kDuration));
 
@@ -142,7 +140,6 @@ TrialResult RunFaultTrial(const Variant& v, const FaultProfileSpec& fault,
     r.scalars["feedback_matched_per_sec"] =
         static_cast<double>(sb->measurement().feedback_matched()) /
         kDuration.ToSeconds();
-    r.scalars["mode_transitions"] = static_cast<double>(sb->mode_log().size());
   }
   if (v.watchdog) {
     BundleController* sb = net->bundle_controller(0);
@@ -174,6 +171,7 @@ TrialResult RunFaultTrial(const Variant& v, const FaultProfileSpec& fault,
     r.scalars["wd_probes"] = probes;
     r.scalars["wd_degraded_at_end"] = sb->watchdog_degraded() ? 1.0 : 0.0;
   }
+  EndTrialObs(&sim, point, &r);
   return r;
 }
 
@@ -190,9 +188,7 @@ TrialResult RunBlackoutTrial(const TrialPoint& point) {
   if (point.shards > 0) {
     CheckDumbbellIndivisible(FaultConfig(v));
   }
-  TrialResult r = RunFaultTrial(v, BlackoutProfile(point.seed), point.seed);
-  // Blackout-specific bookkeeping is folded in by RunFaultTrial; nothing else.
-  return r;
+  return RunFaultTrial(v, BlackoutProfile(point.seed), point);
 }
 
 TrialResult RunLossSweepTrial(const TrialPoint& point) {
@@ -204,7 +200,7 @@ TrialResult RunLossSweepTrial(const TrialPoint& point) {
   fault.target = FaultTarget::kCtl;
   fault.loss_prob = point.Param("feedback_loss");
   fault.seed = FaultSeed(point.seed);
-  return RunFaultTrial(v, fault, point.seed);
+  return RunFaultTrial(v, fault, point);
 }
 
 }  // namespace

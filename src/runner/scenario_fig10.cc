@@ -4,9 +4,11 @@
 // backlogged buffer-filling Cubic cross flow, (3) non-buffer-filling web
 // cross traffic. The paper's claim: Bundler detects the elastic competitor,
 // reverts to ~status-quo behavior during phase 2, and resumes scheduling in
-// phase 3. Reported per phase: short-flow FCT quartiles (samples + scalars)
-// and average bundle throughput; for the bundler variant, the fraction of
-// phase 2 spent in pass-through mode.
+// phase 3. Variants: status_quo, bundler (the default control loop) and
+// bundler_robust (robust elasticity exits on, the fix for phase 2 flapping
+// out of pass-through). Reported per phase: short-flow FCT quartiles
+// (samples + scalars) and average bundle throughput; for the bundler
+// variants, the fraction of phase 2 spent in pass-through mode.
 #include <algorithm>
 
 #include "src/app/workload.h"
@@ -56,8 +58,7 @@ double PassthroughFraction(const std::vector<std::pair<TimePoint, BundlerMode>>&
 
 TrialResult RunTrial(const TrialPoint& point) {
   bool robust = point.variant == "bundler_robust";
-  bool warm = robust || point.variant == "bundler_warm";
-  bool bundler_on = warm || point.variant == "bundler";
+  bool bundler_on = robust || point.variant == "bundler";
   BUNDLER_CHECK_MSG(bundler_on || point.variant == "status_quo",
                     "unknown fig10 variant '%s'", point.variant.c_str());
 
@@ -68,12 +69,8 @@ TrialResult RunTrial(const TrialPoint& point) {
   cfg.rtt = TimeDelta::Millis(50);
   cfg.bundler_enabled = bundler_on;
   cfg.rate_meter_window = TimeDelta::Millis(500);
-  // The warm-restart variant (fig10_warm_restart scenario) re-seeds the rate
-  // controller from the observed egress rate at pass-through exits — the fix
-  // for the phase-3 reproduction gap, kept out of the pinned default.
-  cfg.sendbox.warm_restart = warm;
-  // The robust variant additionally gates pass-through exits on bottleneck
-  // busyness and scales the quiet-tick requirement on quick re-entry
+  // The robust variant gates pass-through exits on bottleneck busyness and
+  // scales the quiet-tick requirement on quick re-entry
   // (BundleControlConfig::robust_elastic_exit) — the ROADMAP fix for phase 2
   // flapping out of pass-through during the cross flow's quiet spells.
   cfg.sendbox.robust_elastic_exit = robust;
@@ -133,8 +130,6 @@ TrialResult RunTrial(const TrialPoint& point) {
   if (bundler_on) {
     r.scalars["phase2_passthrough_frac"] = PassthroughFraction(
         net.controller()->mode_log(), Sec(kPhaseSeconds), Sec(2 * kPhaseSeconds));
-    r.scalars["mode_transitions"] =
-        static_cast<double>(net.controller()->mode_log().size());
   }
   EndTrialObs(&sim, point, &r);
   return r;
@@ -148,30 +143,13 @@ void RegisterFig10CrossTraffic(ScenarioRegistry* registry) {
   spec.summary =
       "Fig 10: three-phase cross-traffic timeline (none / buffer-filling / "
       "non-buffer-filling); Bundler must detect and yield, then resume";
-  spec.variants = {"status_quo", "bundler"};
+  spec.variants = {"status_quo", "bundler", "bundler_robust"};
   spec.default_trials = 3;
   DumbbellConfig topo;
   topo.bottleneck_rate = Rate::Mbps(96);
   topo.rtt = TimeDelta::Millis(50);
   registry->Register(std::move(spec), RunTrial,
                      DumbbellTopology(topo, "fig10_cross_traffic"));
-
-  // Companion scenario for the phase-3 gap: identical timeline, but the
-  // sendbox re-seeds its controller from the observed rate when leaving
-  // pass-through (BundleControlConfig::warm_restart). Registered separately so
-  // fig10_cross_traffic's pinned output stays byte-identical; compare this
-  // file's phase-3 FCT/throughput against fig10's bundler and status_quo
-  // cells (README "Dynamic link events" holds the before/after table).
-  ScenarioSpec warm;
-  warm.name = "fig10_warm_restart";
-  warm.summary =
-      "Fig 10 timeline with warm controller restarts at pass-through exit "
-      "(bundler_warm) plus robust busy-gated exits (bundler_robust); the "
-      "phase-2/3 fixes, kept out of the pinned fig10_cross_traffic";
-  warm.variants = {"bundler_warm", "bundler_robust"};
-  warm.default_trials = 3;
-  registry->Register(std::move(warm), RunTrial,
-                     DumbbellTopology(topo, "fig10_warm_restart"));
 }
 
 }  // namespace runner

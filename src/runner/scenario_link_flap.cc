@@ -94,10 +94,6 @@ TrialResult RunTrial(const TrialPoint& point) {
   r.scalars["bottleneck_qdrops"] =
       static_cast<double>(net->link(g.bottleneck)->queue()->drops());
   r.scalars["requests_completed"] = static_cast<double>(fct.completed());
-  if (bundler_on) {
-    r.scalars["mode_transitions"] =
-        static_cast<double>(net->bundle_controller(0)->mode_log().size());
-  }
   EndTrialObs(&sim, point, &r);
   return r;
 }

@@ -4,9 +4,12 @@
 // detection and disable (§5.2, §7.6), and competing bundles (Fig. 13).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "src/app/workload.h"
+#include "src/obs/trace.h"
 #include "src/topo/dumbbell.h"
 #include "src/topo/scenario.h"
 
@@ -122,6 +125,8 @@ TEST(IntegrationTest, PassThroughUnderElasticCrossTrafficAndRecovery) {
 
 TEST(IntegrationTest, RecoversDelayControlAfterCrossTrafficLeaves) {
   Simulator sim;
+  // Every bundle cc update and reset, to check how delay control restarts.
+  sim.trace().Enable(obs::CatBit(obs::TraceCat::kCc), 1 << 15);
   DumbbellConfig cfg;
   cfg.bottleneck_rate = Rate::Mbps(48);
   cfg.rtt = TimeDelta::Millis(50);
@@ -139,10 +144,31 @@ TEST(IntegrationTest, RecoversDelayControlAfterCrossTrafficLeaves) {
   // After the cross flow drains, the sendbox must be back in delay control.
   EXPECT_EQ(net.controller()->mode(), BundlerMode::kDelayControl);
   bool saw_pass_through = false;
+  TimePoint passthrough_exit;
   for (const auto& [t, m] : net.controller()->mode_log()) {
+    if (saw_pass_through && m == BundlerMode::kDelayControl) {
+      passthrough_exit = t;
+    }
     saw_pass_through |= (m == BundlerMode::kPassThrough);
   }
   EXPECT_TRUE(saw_pass_through);
+  ASSERT_NE(passthrough_exit, TimePoint());
+
+  // Delay control restarts warm: the controller is reseeded from the
+  // measured egress rate, not cold from initial_rate, and its first rate
+  // after the exit does not collapse below initial_rate.
+  const std::vector<obs::TraceRecord> records = sim.trace().Snapshot();
+  auto reset = std::find_if(records.begin(), records.end(), [&](const obs::TraceRecord& r) {
+    return r.ev == static_cast<uint16_t>(obs::TraceEv::kCcReset) &&
+           r.t_ns == passthrough_exit.nanos();
+  });
+  ASSERT_NE(reset, records.end());
+  EXPECT_GT(static_cast<double>(reset->a), cfg.sendbox.initial_rate.bps());
+  auto update = std::find_if(reset, records.end(), [](const obs::TraceRecord& r) {
+    return r.ev == static_cast<uint16_t>(obs::TraceEv::kCcUpdate);
+  });
+  ASSERT_NE(update, records.end());
+  EXPECT_GE(static_cast<double>(update->a), cfg.sendbox.initial_rate.bps());
 }
 
 TEST(IntegrationTest, ImbalancedMultipathDisablesRateControl) {

@@ -209,5 +209,43 @@ TEST(TrialObsTest, TracedFig09TrialByteIdenticalAcrossThreadCounts) {
   EXPECT_TRUE(has_ctr);
 }
 
+// The fault scenarios report observability like every other scenario: a
+// feedback_blackout watchdog trial carries the sim./ctr. scalars, and its
+// captured watchdog trace holds the whole degrade / probe / re-sync lifecycle.
+TEST(TrialObsTest, FeedbackBlackoutTrialReportsWatchdogLifecycle) {
+  runner::RegisterBuiltinScenarios();
+  const runner::Scenario* scenario =
+      runner::ScenarioRegistry::Global().Find("feedback_blackout");
+  ASSERT_NE(scenario, nullptr);
+  std::vector<runner::TrialPoint> plan =
+      runner::ExpandTrials(scenario->spec, /*trials=*/1);
+  plan.erase(std::remove_if(plan.begin(), plan.end(),
+                            [](const runner::TrialPoint& p) {
+                              return p.variant != "bundler_watchdog";
+                            }),
+             plan.end());
+  ASSERT_EQ(plan.size(), 1u);
+  ASSERT_EQ(plan[0].seed, 1u);
+
+  runner::ArmTrace(obs::CatBit(TraceCat::kWatchdog), 4096, runner::TraceFormat::kJsonl);
+  std::vector<runner::TrialResult> results =
+      runner::TrialRunner(runner::RunnerOptions()).Run(*scenario, plan);
+  runner::DisarmTrace();
+  std::vector<std::pair<std::string, std::string>> traces = runner::TakeCapturedTraces();
+
+  ASSERT_EQ(results.size(), 1u);
+  const std::map<std::string, double>& scalars = results[0].scalars;
+  ASSERT_EQ(scalars.count("sim.events_dispatched"), 1u);
+  EXPECT_GT(scalars.at("sim.events_dispatched"), 0.0);
+  ASSERT_EQ(scalars.count("ctr.watchdog.s10-s100.degrades"), 1u);
+  EXPECT_GE(scalars.at("ctr.watchdog.s10-s100.degrades"), 1.0);
+  ASSERT_EQ(traces.size(), 1u);
+  for (const char* ev : {"wd_degrade", "wd_probe", "wd_resync"}) {
+    EXPECT_NE(traces[0].second.find(std::string("\"ev\":\"") + ev + "\""),
+              std::string::npos)
+        << ev;
+  }
+}
+
 }  // namespace
 }  // namespace bundler

@@ -261,6 +261,18 @@ TEST(RegistryTest, BuiltinScenariosRegisteredAndListed) {
   ASSERT_NE(registry.Find("fig13_competing_bundles"), nullptr);
   EXPECT_EQ(registry.Find("no_such_scenario"), nullptr);
 
+  // Fig. 10 is one scenario: status quo, the default control loop and the
+  // robust-exit loop, with no companion scenario beside it.
+  EXPECT_EQ(registry.Find("fig10_cross_traffic")->spec.variants,
+            (std::vector<std::string>{"status_quo", "bundler", "bundler_robust"}));
+  std::vector<std::string> fig10_names;
+  for (const Scenario* s : registry.List()) {
+    if (s->spec.name.rfind("fig10_", 0) == 0) {
+      fig10_names.push_back(s->spec.name);
+    }
+  }
+  EXPECT_EQ(fig10_names, std::vector<std::string>{"fig10_cross_traffic"});
+
   const Scenario* fig13 = registry.Find("fig13_competing_bundles");
   ASSERT_EQ(fig13->spec.axes.size(), 1u);
   EXPECT_EQ(fig13->spec.axes[0].name, "load0_mbps");

@@ -465,7 +465,6 @@ TEST(SendboxManagerTest, FeedbackBlackoutDegradesOnlyTheAffectedTenant) {
   spec.ingress_edge = last0;
   spec.dst_site = d0;
   spec.sendbox.watchdog = true;
-  spec.sendbox.warm_restart = true;
   spec.tenant = "a";
   auto bundle_a = b.AddBundle(spec);
   spec.ingress_edge = last1;

@@ -8,6 +8,7 @@
 
 #include "src/app/workload.h"
 #include "src/bundler/epoch.h"
+#include "src/metrics/queue_monitor.h"
 #include "src/topo/dumbbell.h"
 #include "src/topo/scenario.h"
 
@@ -60,13 +61,22 @@ TEST(SendboxTest, ShiftsQueueFromBottleneckToItself) {
     Dumbbell net(&sim, cfg);
     StartBulkFlows(&sim, net.flows(), net.server(), net.client(), 8, HostCcType::kCubic,
                    TimePoint::Zero());
+    // Sendbox queueing delay: the bundle queue at its current shaped rate,
+    // sampled every control tick.
+    std::unique_ptr<QdiscSampler> sendbox_queue;
+    if (bundler_on) {
+      SendboxManager* sb = net.sendbox();
+      sendbox_queue = std::make_unique<QdiscSampler>(
+          &sim, sb->egress_hierarchy().bundle_qdisc(0), TimeDelta::Millis(10),
+          [sb]() { return sb->bundle_rate(0); });
+    }
     sim.RunUntil(TimePoint::Zero() + TimeDelta::Seconds(20));
     // Bottleneck queueing delay averaged over the steady-state tail.
     double bneck_ms = net.bottleneck_delay()->delay_ms().MeanInRange(
         TimePoint::Zero() + TimeDelta::Seconds(10),
         TimePoint::Zero() + TimeDelta::Seconds(20));
     double sendbox_ms =
-        bundler_on ? net.controller()->queue_delay_log().MeanInRange(
+        bundler_on ? sendbox_queue->delay_ms().MeanInRange(
                          TimePoint::Zero() + TimeDelta::Seconds(10),
                          TimePoint::Zero() + TimeDelta::Seconds(20))
                    : 0.0;
@@ -142,15 +152,30 @@ TEST(SendboxTest, NonBundleTrafficPassesThrough) {
   EXPECT_EQ(net.sendbox()->egress_hierarchy().bundle_queue_pkts(0), 0);
 }
 
-TEST(SendboxTest, RateLogTracksControlTicks) {
+TEST(SendboxTest, RateUpdatesTrackControlTicks) {
   Simulator sim;
   DumbbellConfig cfg;
   Dumbbell net(&sim, cfg);
   StartBulkFlows(&sim, net.flows(), net.server(), net.client(), 1, HostCcType::kCubic,
                  TimePoint::Zero());
   sim.RunUntil(TimePoint::Zero() + TimeDelta::Seconds(2));
-  // 10 ms control interval -> ~200 samples in 2 s.
-  EXPECT_NEAR(static_cast<double>(net.controller()->rate_log().size()), 200.0, 10.0);
+  // 10 ms control interval -> ~200 rate updates in 2 s.
+  EXPECT_NEAR(static_cast<double>(*sim.counters().Counter("sendbox.s10-s100.rate_updates")),
+              200.0, 10.0);
+}
+
+TEST(SendboxTest, DetectorPulseFollowsControlInterval) {
+  // The detector is fed once per control tick, so its pulse must sit on FFT
+  // bin `pulse_bin` of that cadence: period = interval * fft_size / pulse_bin.
+  Simulator sim;
+  DumbbellConfig cfg;
+  cfg.sendbox.control_interval = TimeDelta::Millis(20);
+  Dumbbell net(&sim, cfg);
+  const NimbusDetector::Config defaults;
+  const TimeDelta expected =
+      TimeDelta::Millis(20) * (static_cast<double>(defaults.fft_size) /
+                               static_cast<double>(defaults.pulse_bin));
+  EXPECT_EQ(net.controller()->detector().pulse_period().nanos(), expected.nanos());
 }
 
 TEST(SendboxTest, DisabledBundlerIsTransparent) {

@@ -2,11 +2,11 @@
 // src/bundler/bundle_controller.h): the control-loop survival state machine.
 // A FaultInjector with a feedback-only blackout window sits on the dumbbell's
 // reverse path, and the tests walk the documented lifecycle off the bundle
-// controller's watchdog_log(): staleness past `watchdog_timeout` degrades
-// (shaper opened to max_rate, mode machinery frozen), re-probes back off
-// exponentially from `watchdog_probe_initial`, and the first fresh feedback
-// after the outage re-syncs immediately and hands the rate back to the live
-// controller.
+// controller's watchdog_log(): staleness past kWatchdogTimeout (500 ms, in
+// bundle_controller.cc) degrades (shaper opened to max_rate, mode machinery
+// frozen), re-probes back off exponentially from kWatchdogProbeInitial
+// (250 ms), and the first fresh feedback after the outage re-syncs
+// immediately and hands the rate back to the live controller.
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -37,7 +37,6 @@ struct WatchdogRun {
     cfg.bottleneck_rate = Rate::Mbps(48);
     cfg.rtt = TimeDelta::Millis(40);
     cfg.sendbox.watchdog = watchdog;
-    cfg.sendbox.warm_restart = watchdog;
     net = std::make_unique<Dumbbell>(&sim, cfg);
 
     FaultProfileSpec spec;
@@ -70,7 +69,7 @@ TEST(WatchdogTest, StaleFeedbackDegradesAndOpensShaper) {
   r.sim.RunUntil(Sec(7.0));
   auto degrades = r.Events(WdEvent::kDegrade);
   ASSERT_EQ(degrades.size(), 1u);
-  // Degrade fires on the first control tick after `watchdog_timeout` (500 ms)
+  // Degrade fires on the first control tick after kWatchdogTimeout (500 ms)
   // of staleness; one tick of quantization slack.
   const double t = (degrades[0].first - TimePoint::Zero()).ToSeconds();
   EXPECT_GE(t, kBlackoutStart + 0.5);
@@ -148,7 +147,6 @@ TEST(WatchdogTest, UncontrollableDelayDegradesOutOfDelayControl) {
   // promote to staleness.
   cfg.reverse_buffer_bytes = 128 * 1024;
   cfg.sendbox.watchdog = true;
-  cfg.sendbox.warm_restart = true;
   Dumbbell net(&sim, cfg);
   StartBulkFlows(&sim, net.flows(), net.server(), net.client(), 4,
                  HostCcType::kCubic, TimePoint::Zero());
@@ -165,7 +163,7 @@ TEST(WatchdogTest, UncontrollableDelayDegradesOutOfDelayControl) {
     }
   }
   ASSERT_GE(degrades.size(), 1u);
-  // The violation clock needs `watchdog_timeout` of unbroken excess, so the
+  // The violation clock needs kWatchdogTimeout of unbroken excess, so the
   // earliest possible degrade is 2.5 s; the reverse queue takes a moment to
   // stand, so allow a few seconds of slow-start slack.
   const double t = (degrades[0].first - TimePoint::Zero()).ToSeconds();
