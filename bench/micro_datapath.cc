@@ -469,9 +469,9 @@ BenchResult BenchFlowReclaimChurn() {
 }
 
 // The cross-shard boundary exchange: one SendBoundary (stamp metadata, bump
-// counters, ring push) plus the consumer's TryPop, per op. Everything is
-// preallocated flat storage, so this is gated allocation-free like the other
-// datapath churn rows.
+// counters, in-place ring write) plus the consumer's Drain, per op.
+// Everything is preallocated flat storage, so this is gated allocation-free
+// like the other datapath churn rows.
 BenchResult BenchBoundaryRingChurn() {
   struct Sink : PacketHandler {
     void HandlePacket(Packet pkt) override { (void)pkt; }
@@ -486,21 +486,20 @@ BenchResult BenchBoundaryRingChurn() {
   spec.src_sim = &sim;
   spec.capacity = 256;
   ShardChannel ch(spec);
-  BoundaryMsg m;
   return Measure("boundary_ring_churn", 1 << 14, 1 << 20, [&](uint64_t i) {
     ch.SendBoundary(TimePoint::FromNanos(static_cast<int64_t>(i)),
                     TimeDelta::Millis(1), TypicalPacket(i));
-    (void)ch.TryPop(&m);
-    g_sink = g_sink + m.pkt.size_bytes;
+    ch.Drain([](BoundaryMsg& m) { g_sink = g_sink + m.pkt.size_bytes; });
   });
 }
 
 // Conservative parallel DES end to end: the fat_tree_incast workload (4
 // leaves x 2 hosts over 2 spines -> 6 shards) run by ShardRunner with a given
-// worker count, in simulator events per wall second. scripts/bench.sh
-// compares the 4-worker row against the 1-worker row; on multi-core machines
-// the partitioned run must scale (the win this PR exists for), on fewer
-// cores it only has to avoid collapsing under the sync overhead.
+// worker count, in simulator events per wall second. Run() repeats it as
+// interleaved 1-worker/4-worker pairs, and scripts/bench.sh gates the median
+// of the per-pair speedups: on multi-core machines the partitioned run must
+// scale, on fewer cores it only has to avoid collapsing under the sync
+// overhead.
 BenchResult BenchParallelDesFatTree(int workers) {
   FatTreeConfig cfg;
   FatTreeGraph g;
@@ -556,6 +555,17 @@ BenchResult BenchParallelDesFatTree(int workers) {
   r.ops_per_sec = static_cast<double>(events) / sec;
   r.allocs_per_op = 0;  // not meaningful per event; the ring/reclaim rows gate allocs
   return r;
+}
+
+// Interleaved 1-worker/4-worker pairs behind the parallel-DES gate.
+constexpr int kParallelDesPairs = 5;
+
+// The run with the median events/sec.
+BenchResult MedianRun(std::vector<BenchResult> runs) {
+  std::sort(runs.begin(), runs.end(), [](const BenchResult& a, const BenchResult& b) {
+    return a.ops_per_sec < b.ops_per_sec;
+  });
+  return runs[runs.size() / 2];
 }
 
 // Faulted datapath churn: every packet pays the targeting check, the
@@ -704,7 +714,8 @@ BenchResult BenchEndToEndExperimentTraced(double* records_per_event_out) {
 
 void WriteJson(const std::string& path, const std::vector<BenchResult>& results,
                double speedup, double records_per_event, double disabled_overhead,
-               double pdes_speedup, double fault_overhead) {
+               double pdes_speedup, const std::vector<double>& pdes_ratios,
+               double fault_overhead) {
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -712,6 +723,11 @@ void WriteJson(const std::string& path, const std::vector<BenchResult>& results,
   }
   std::fprintf(f, "{\n  \"schedule_dispatch_speedup_vs_legacy\": %.3f,\n", speedup);
   std::fprintf(f, "  \"parallel_des_speedup_w4_over_w1\": %.3f,\n", pdes_speedup);
+  std::fprintf(f, "  \"parallel_des_speedup_samples\": [");
+  for (size_t i = 0; i < pdes_ratios.size(); ++i) {
+    std::fprintf(f, "%s%.3f", i > 0 ? ", " : "", pdes_ratios[i]);
+  }
+  std::fprintf(f, "],\n");
   std::fprintf(f, "  \"trace_records_per_event\": %.4f,\n", records_per_event);
   std::fprintf(f, "  \"tracing_disabled_overhead_frac\": %.6f,\n", disabled_overhead);
   std::fprintf(f, "  \"fault_disabled_overhead_frac\": %.6f,\n", fault_overhead);
@@ -763,8 +779,25 @@ int Run(const std::string& json_path) {
   results.push_back(BenchLinkEventRearmChurn());
   results.push_back(BenchFlowReclaimChurn());
   results.push_back(BenchBoundaryRingChurn());
-  BenchResult pdes_w1 = BenchParallelDesFatTree(1);
-  BenchResult pdes_w4 = BenchParallelDesFatTree(4);
+  // Parallel DES: kParallelDesPairs interleaved 1-worker/4-worker pairs, the
+  // order alternating so drift on a shared box hits both sides alike. Each
+  // row reports its median run and the gated speedup is the median of the
+  // per-pair ratios, so one noisy run can neither pass nor fail the gate.
+  std::vector<BenchResult> pdes_w1_runs;
+  std::vector<BenchResult> pdes_w4_runs;
+  std::vector<double> pdes_ratios;
+  for (int pair = 0; pair < kParallelDesPairs; ++pair) {
+    if (pair % 2 == 0) {
+      pdes_w1_runs.push_back(BenchParallelDesFatTree(1));
+      pdes_w4_runs.push_back(BenchParallelDesFatTree(4));
+    } else {
+      pdes_w4_runs.push_back(BenchParallelDesFatTree(4));
+      pdes_w1_runs.push_back(BenchParallelDesFatTree(1));
+    }
+    pdes_ratios.push_back(pdes_w4_runs.back().ops_per_sec / pdes_w1_runs.back().ops_per_sec);
+  }
+  const BenchResult pdes_w1 = MedianRun(pdes_w1_runs);
+  const BenchResult pdes_w4 = MedianRun(pdes_w4_runs);
   results.push_back(pdes_w1);
   results.push_back(pdes_w4);
   results.push_back(BenchFaultInjectorChurn());
@@ -802,10 +835,12 @@ int Run(const std::string& json_path) {
               "(%.2fx events/sec), %.4f vs %.4f allocs/op\n",
               engine.ns_per_op, legacy.ns_per_op, speedup, engine.allocs_per_op,
               legacy.allocs_per_op);
-  double pdes_speedup = pdes_w4.ops_per_sec / pdes_w1.ops_per_sec;
-  std::printf("parallel DES fat tree: %.0f events/sec at 4 workers vs %.0f at "
-              "1 (%.2fx)\n",
-              pdes_w4.ops_per_sec, pdes_w1.ops_per_sec, pdes_speedup);
+  std::sort(pdes_ratios.begin(), pdes_ratios.end());
+  const double pdes_speedup = pdes_ratios[pdes_ratios.size() / 2];
+  std::printf("parallel DES fat tree: median %.0f events/sec at 4 workers vs "
+              "%.0f at 1; median speedup %.2fx over %d pairs (%.2fx-%.2fx)\n",
+              pdes_w4.ops_per_sec, pdes_w1.ops_per_sec, pdes_speedup, kParallelDesPairs,
+              pdes_ratios.front(), pdes_ratios.back());
   std::printf("tracing: %.2f records/event when fully armed; disabled-hook "
               "overhead bound %.4f%% of end-to-end run\n",
               records_per_event, disabled_overhead * 100);
@@ -815,7 +850,7 @@ int Run(const std::string& json_path) {
 
   if (!json_path.empty()) {
     WriteJson(json_path, results, speedup, records_per_event, disabled_overhead,
-              pdes_speedup, fault_overhead);
+              pdes_speedup, pdes_ratios, fault_overhead);
   }
   // The engine must not allocate per scheduled event in steady state.
   if (engine.allocs_per_op != 0.0) {

@@ -34,7 +34,9 @@
 # reach BENCH_MIN_PARALLEL_SPEEDUP times the 1-worker events/sec —
 # defaulting to 2.0x with >= 4 cores and to 0.5x otherwise (a box without
 # parallelism can only demonstrate that the conservative sync does not
-# collapse throughput, not a speedup).
+# collapse throughput, not a speedup). The speedup gated is the median of
+# five interleaved 1-worker/4-worker pairs (micro_datapath writes each
+# pair's ratio to parallel_des_speedup_samples), not one single-shot ratio.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -94,9 +96,11 @@ done
 # Conservative parallel DES: 4 workers vs 1 on the sharded fat tree.
 PDES_SPEEDUP="$(grep -o '"parallel_des_speedup_w4_over_w1": [0-9.]*' "${OUT}" |
   grep -o '[0-9.]*$')"
-echo "parallel DES 4-worker speedup: ${PDES_SPEEDUP}x (gate: >= ${MIN_PARALLEL_SPEEDUP}x on ${JOBS} cores)"
+PDES_SAMPLES="$(grep -o '"parallel_des_speedup_samples": \[[0-9., ]*\]' "${OUT}" |
+  grep -o '\[.*\]')"
+echo "parallel DES 4-worker speedup: median ${PDES_SPEEDUP}x of pairs ${PDES_SAMPLES} (gate: >= ${MIN_PARALLEL_SPEEDUP}x on ${JOBS} cores)"
 awk -v s="${PDES_SPEEDUP}" -v min="${MIN_PARALLEL_SPEEDUP}" 'BEGIN { exit !(s >= min) }' || {
-  echo "bench.sh: FAIL — parallel DES speedup ${PDES_SPEEDUP}x below gate ${MIN_PARALLEL_SPEEDUP}x" >&2
+  echo "bench.sh: FAIL — parallel DES median speedup ${PDES_SPEEDUP}x below gate ${MIN_PARALLEL_SPEEDUP}x" >&2
   exit 1
 }
 

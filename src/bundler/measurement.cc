@@ -51,20 +51,18 @@ void MeasurementEngine::OnFeedback(uint64_t hash, int64_t bytes_received_cum, Ti
   ExpireOld(now);
   // Outstanding records are few (feedback arrives ~4x per RTT), so a linear
   // scan is cheaper than an index.
-  auto it = outstanding_.begin();
-  for (; it != outstanding_.end(); ++it) {
-    if (it->hash == hash) {
-      break;
-    }
+  size_t i = 0;
+  while (i < outstanding_.size() && outstanding_[i].hash != hash) {
+    ++i;
   }
-  if (it == outstanding_.end()) {
+  if (i == outstanding_.size()) {
     // Receivebox sampled more finely than we recorded (epoch resize in
     // flight, §4.5) or the record expired. Ignore.
     ++feedback_ignored_;
     return;
   }
-  BoundaryRecord rec = *it;
-  outstanding_.erase(it);
+  const BoundaryRecord rec = outstanding_[i];
+  outstanding_.erase(i);
   ++feedback_matched_;
 
   TimeDelta rtt = now - rec.t_sent;
@@ -157,7 +155,8 @@ BundleMeasurement MeasurementEngine::Current(TimePoint now) {
   double send_den = 0.0;
   double recv_num = 0.0;
   double recv_den = 0.0;
-  for (const EpochSample& s : window_) {
+  for (size_t i = 0; i < window_.size(); ++i) {
+    const EpochSample& s = window_[i];
     rtt_sum += s.rtt.nanos();
     // Weight each epoch's rate by its duration (reconstructed from bytes).
     double send_dt = s.send_rate.bps() > 0

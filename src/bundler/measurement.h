@@ -14,6 +14,7 @@
 
 #include "src/cc/cc.h"
 #include "src/util/rate.h"
+#include "src/util/ring_buffer.h"
 #include "src/util/time.h"
 #include "src/util/windowed_filter.h"
 
@@ -93,20 +94,24 @@ class MeasurementEngine {
   void TrimOooWindow(TimePoint now);
 
   Config config_;
-  std::deque<BoundaryRecord> outstanding_;
+  // Rings grow on demand (never to max_outstanding up front) and reuse their
+  // slots, so steady-state feedback allocates nothing.
+  RingBuffer<BoundaryRecord> outstanding_;
   uint64_t next_record_seq_ = 1;
 
   bool have_match_ = false;
   LastMatch last_;
 
   // Sliding window of in-order epoch samples covering >= 1 srtt.
-  std::deque<EpochSample> window_;
+  RingBuffer<EpochSample> window_;
 
   WindowedMinFilter<int64_t> min_rtt_filter_;
   bool have_rtt_ = false;
   TimeDelta min_rtt_ = TimeDelta::Zero();
   TimeDelta srtt_ = TimeDelta::Millis(100);
 
+  // A deque, not a ring: it spans ooo_window (5 s) of feedback, and a ring
+  // would hold that burst's high-water mark forever in every bundle.
   std::deque<std::pair<TimePoint, bool>> ooo_events_;
   size_t ooo_flagged_ = 0;  // events in ooo_events_ flagged out of order
 

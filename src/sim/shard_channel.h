@@ -3,9 +3,10 @@
 // Each cross-shard link gets one ShardChannel: a fixed-capacity single-
 // producer / single-consumer ring of BoundaryMsg (packet + its simulation-
 // determined delivery metadata). The producer is the link's owning shard
-// (packets finishing serialization are pushed instead of scheduled as local
-// propagation events); the consumer is the destination shard's worker, which
-// merges arrivals into its dispatch loop in deterministic (deliver, sent,
+// (packets finishing serialization are written into the ring instead of
+// scheduled as local propagation events); the consumer is the destination
+// shard's worker, which drains the ring into that channel's FIFO and merges
+// the FIFO heads into its dispatch loop in deterministic (deliver, sent,
 // channel, seq) order. The link's propagation delay is the channel's
 // conservative lookahead: the consumer may safely advance to
 // min(producer_clock + lookahead) over its in-channels before blocking.
@@ -16,8 +17,9 @@
 // the advance bound is therefore visible when the bound is used.
 //
 // Everything here is allocation-free after construction: slots are
-// preallocated and Packet is a flat, heap-free struct, so a push/pop pair
-// moves ~200 bytes and touches two atomics.
+// preallocated and Packet is a flat, heap-free struct. A send writes its
+// message straight into the ring's tail slot; a drain hands every published
+// slot to the consumer and frees them all with one release store.
 #ifndef SRC_SIM_SHARD_CHANNEL_H_
 #define SRC_SIM_SHARD_CHANNEL_H_
 
@@ -45,7 +47,6 @@ struct BoundaryMsg {
   int64_t sent_ns = 0;     // producer-shard time the serialization finished
   uint64_t seq = 0;        // per-channel send sequence (ties: FIFO per channel)
   uint32_t channel = 0;    // channel id (= builder edge id), ties across channels
-  PacketHandler* dst = nullptr;  // delivery handler (topology-determined)
   Packet pkt;
 };
 
@@ -55,10 +56,10 @@ struct BoundaryMsg {
 // producer thread and one consumer thread may use it concurrently.
 //
 // The single-producer/single-consumer contract is encoded as two ThreadRole
-// capabilities (src/util/thread_annotations.h): TryPush REQUIRES the producer
-// role, TryPop the consumer role. Under Clang's -Werror=thread-safety a call
-// site that has not asserted the matching role — i.e. has not stated which
-// side of the ring its thread is — does not compile.
+// capabilities (src/util/thread_annotations.h): TryPushWith REQUIRES the
+// producer role, Drain the consumer role. Under Clang's -Werror=thread-safety
+// a call site that has not asserted the matching role — i.e. has not stated
+// which side of the ring its thread is — does not compile.
 template <typename T>
 class SpscRing {
  public:
@@ -71,26 +72,33 @@ class SpscRing {
   ThreadRole producer_role;
   ThreadRole consumer_role;
 
-  // Producer side. Returns false when full (caller decides how loudly).
-  [[nodiscard]] bool TryPush(T&& v) REQUIRES(producer_role) {
+  // Producer side: `fill(T& slot)` writes the next element in place into the
+  // tail slot (which holds a default-constructed or already drained element),
+  // then the slot is published. Returns false without calling `fill` when
+  // full (the caller decides how loudly).
+  template <typename Fill>
+  [[nodiscard]] bool TryPushWith(Fill&& fill) REQUIRES(producer_role) {
     const uint64_t tail = tail_.load(std::memory_order_relaxed);
     if (tail - head_.load(std::memory_order_acquire) > mask_) {
       return false;
     }
-    buf_[tail & mask_] = std::move(v);
+    fill(buf_[tail & mask_]);
     tail_.store(tail + 1, std::memory_order_release);
     return true;
   }
 
-  // Consumer side. Returns false when empty.
-  [[nodiscard]] bool TryPop(T* out) REQUIRES(consumer_role) {
+  // Consumer side: hands every published element, oldest first, to
+  // `take(T& slot)` (which moves it out), then frees all their slots with one
+  // release store. Returns how many were taken.
+  template <typename Take>
+  size_t Drain(Take&& take) REQUIRES(consumer_role) {
     const uint64_t head = head_.load(std::memory_order_relaxed);
-    if (head == tail_.load(std::memory_order_acquire)) {
-      return false;
+    const uint64_t tail = tail_.load(std::memory_order_acquire);
+    for (uint64_t i = head; i != tail; ++i) {
+      take(buf_[i & mask_]);
     }
-    *out = std::move(buf_[head & mask_]);
-    head_.store(head + 1, std::memory_order_release);
-    return true;
+    head_.store(tail, std::memory_order_release);
+    return static_cast<size_t>(tail - head);
   }
 
   size_t capacity() const { return buf_.size(); }
@@ -145,22 +153,25 @@ class ShardChannel : public BoundarySink {
     BUNDLER_CHECK_MSG(prop_delay.nanos() == spec_.lookahead_ns,
                       "shard channel %u: boundary link delay changed under us",
                       spec_.id);
-    BoundaryMsg m;
-    m.sent_ns = sent.nanos();
-    m.deliver_ns = m.sent_ns + spec_.lookahead_ns;
-    m.seq = next_seq_++;
-    m.channel = spec_.id;
-    m.dst = spec_.dst;
+    const uint64_t seq = next_seq_++;
+    const int64_t deliver_ns = sent.nanos() + spec_.lookahead_ns;
     ++*ctr_msgs_;
     *ctr_bytes_ += pkt.size_bytes;
     obs::Tracer& tracer = spec_.src_sim->trace();
     if (tracer.enabled(obs::TraceCat::kShard)) {
       tracer.Trace(obs::TraceCat::kShard, obs::TraceEv::kShardSend, 0, sent,
-                   spec_.id, m.seq, static_cast<uint64_t>(m.deliver_ns));
+                   spec_.id, seq, static_cast<uint64_t>(deliver_ns));
     }
-    m.pkt = std::move(pkt);
+    // Written in place: the packet moves once, into the ring's tail slot.
+    const bool pushed = ring_.TryPushWith([&](BoundaryMsg& m) {
+      m.deliver_ns = deliver_ns;
+      m.sent_ns = sent.nanos();
+      m.seq = seq;
+      m.channel = spec_.id;
+      m.pkt = std::move(pkt);
+    });
     BUNDLER_CHECK_MSG(
-        ring_.TryPush(std::move(m)),
+        pushed,
         "shard channel %u overflow (%zu slots): the conservative window "
         "admitted more in-flight boundary packets than the ring holds; raise "
         "ShardChannel::Spec::capacity",
@@ -169,8 +180,9 @@ class ShardChannel : public BoundarySink {
 
   // Consumer side; only the destination shard's owning worker may call this.
   // Name the capability via consumer_role() to Assert it at the call site.
-  [[nodiscard]] bool TryPop(BoundaryMsg* out) REQUIRES(ring_.consumer_role) {
-    return ring_.TryPop(out);
+  template <typename Take>
+  size_t Drain(Take&& take) REQUIRES(ring_.consumer_role) {
+    return ring_.Drain(take);
   }
 
   const ThreadRole& consumer_role() const RETURN_CAPABILITY(ring_.consumer_role) {

@@ -16,20 +16,19 @@ constexpr int64_t kFarFuture = std::numeric_limits<int64_t>::max();
 // Events and arrivals dispatched per shard step before republishing.
 constexpr size_t kStepBudget = 256;
 
-// Max-heap inversion for std::push_heap: "a delivers after b". The key is
-// (deliver, sent, channel, seq) — every component simulation-determined, so
-// arrival order is identical for any worker count.
-bool ArrivalAfter(const BoundaryMsg& a, const BoundaryMsg& b) {
+// "a delivers before b" by (deliver, sent, channel, seq) — every component
+// simulation-determined, so arrival order is identical for any worker count.
+bool ArrivalBefore(const BoundaryMsg& a, const BoundaryMsg& b) {
   if (a.deliver_ns != b.deliver_ns) {
-    return a.deliver_ns > b.deliver_ns;
+    return a.deliver_ns < b.deliver_ns;
   }
   if (a.sent_ns != b.sent_ns) {
-    return a.sent_ns > b.sent_ns;
+    return a.sent_ns < b.sent_ns;
   }
   if (a.channel != b.channel) {
-    return a.channel > b.channel;
+    return a.channel < b.channel;
   }
-  return a.seq > b.seq;
+  return a.seq < b.seq;
 }
 
 }  // namespace
@@ -64,20 +63,18 @@ void ShardRunner::WireInChannel(Shard& dst, ShardChannel* ch) {
   const ShardChannel::Spec& spec = ch->spec();
   dst.in.push_back(InChannel{
       ch, &shards_[static_cast<size_t>(spec.src_shard)]->clock_ns,
-      spec.lookahead_ns, spec.dst});
-  dst.pending.reserve(spec.capacity);
+      spec.lookahead_ns, spec.dst, {}});
 }
 
-void ShardRunner::PendingPush(Shard& s, BoundaryMsg m) {
-  s.pending.push_back(std::move(m));
-  std::push_heap(s.pending.begin(), s.pending.end(), ArrivalAfter);
-}
-
-BoundaryMsg ShardRunner::PendingPop(Shard& s) {
-  std::pop_heap(s.pending.begin(), s.pending.end(), ArrivalAfter);
-  BoundaryMsg m = std::move(s.pending.back());
-  s.pending.pop_back();
-  return m;
+ShardRunner::InChannel* ShardRunner::EarliestArrival(Shard& s) {
+  InChannel* best = nullptr;
+  for (InChannel& in : s.in) {
+    if (!in.fifo.empty() &&
+        (best == nullptr || ArrivalBefore(in.fifo.front(), best->fifo.front()))) {
+      best = &in;
+    }
+  }
+  return best;
 }
 
 bool ShardRunner::Step(Shard& s, int64_t until_ns) {
@@ -91,39 +88,41 @@ bool ShardRunner::Step(Shard& s, int64_t until_ns) {
         in.src_clock->load(std::memory_order_acquire) + in.lookahead_ns;
     bound = std::min(bound, b);
   }
-  // 2. Drain rings into the deterministic pending heap. This shard is every
+  // 2. Drain each ring into its channel's FIFO. This shard is every
   // in-channel's single consumer, and the caller's REQUIRES(s.owner_role)
   // makes this worker the shard's single driver — so the consumer role holds.
-  for (const InChannel& in : s.in) {
+  for (InChannel& in : s.in) {
     in.ch->consumer_role().Assert();
-    BoundaryMsg m;
-    while (in.ch->TryPop(&m)) {
-      PendingPush(s, std::move(m));
-    }
+    in.ch->Drain([&in](BoundaryMsg& m) { in.fifo.emplace_back(std::move(m)); });
   }
-  // 3. Dispatch strictly below the bound, merging boundary arrivals with the
-  // local heap; arrivals win time ties (fixed, simulation-determined rule).
+  // 3. Dispatch strictly below the bound, merging the earliest FIFO head with
+  // the local heap; arrivals win time ties (fixed, simulation-determined
+  // rule). The FIFOs change only when an arrival is delivered, so the
+  // earliest head is re-found only then.
   const int64_t limit = bound;
   bool progress = false;
+  InChannel* next = EarliestArrival(s);
   int64_t tl = 0;
   int64_t ta = 0;
   for (size_t budget = kStepBudget; budget > 0; --budget) {
     tl = s.sim->HasPending() ? s.sim->PeekNextTime().nanos() : kFarFuture;
-    ta = s.pending.empty() ? kFarFuture : s.pending.front().deliver_ns;
+    ta = next == nullptr ? kFarFuture : next->fifo.front().deliver_ns;
     if (std::min(ta, tl) >= limit) {
       break;
     }
     if (ta <= tl) {
-      BoundaryMsg m = PendingPop(s);
-      s.sim->RunInline(TimePoint::FromNanos(m.deliver_ns), [&s, &m] {
+      BoundaryMsg& m = next->fifo.front();
+      s.sim->RunInline(TimePoint::FromNanos(m.deliver_ns), [&s, &m, next] {
         obs::Tracer& tracer = s.sim->trace();
         if (tracer.enabled(obs::TraceCat::kShard)) {
           tracer.Trace(obs::TraceCat::kShard, obs::TraceEv::kShardDeliver, 0,
                        s.sim->now(), m.channel, m.seq,
                        static_cast<uint64_t>(m.sent_ns));
         }
-        m.dst->HandlePacket(std::move(m.pkt));
+        next->dst->HandlePacket(std::move(m.pkt));
       });
+      next->fifo.pop_front();
+      next = EarliestArrival(s);
     } else {
       s.sim->DispatchNext();
     }
@@ -133,7 +132,7 @@ bool ShardRunner::Step(Shard& s, int64_t until_ns) {
   // execute. When blocked this equals the bound — the null message that lets
   // downstream shards advance past us.
   tl = s.sim->HasPending() ? s.sim->PeekNextTime().nanos() : kFarFuture;
-  ta = s.pending.empty() ? kFarFuture : s.pending.front().deliver_ns;
+  ta = next == nullptr ? kFarFuture : next->fifo.front().deliver_ns;
   const int64_t clk = std::min(limit, std::min(ta, tl));
   if (clk > s.clock_ns.load(std::memory_order_relaxed)) {
     s.clock_ns.store(clk, std::memory_order_release);

@@ -19,12 +19,20 @@
 // as its clock (the null message), so chains unblock without barriers; a
 // fixed per-step event budget keeps clocks fresh without a coordinator.
 //
-// Determinism of the merge: boundary arrivals are kept out of the shard's
-// event heap in a local pending min-heap ordered by (deliver, sent, channel,
-// seq) — all simulation-determined — and merged against the heap head with
-// arrival-first tie-breaking. Delivering an arrival counts as one dispatched
-// event (it replaces the propagation event of the unsharded run), so
-// sim.events_dispatched summed over shards equals the single-simulator count.
+// Determinism of the merge: each step drains every in-channel's ring into
+// that channel's FIFO, outside the shard's event heap. A channel's lookahead
+// is fixed and its producer's clock only rises, so its FIFO is already in
+// (deliver, sent, channel, seq) order — every component simulation-
+// determined. The dispatch loop takes the earliest FIFO head by that key and
+// merges it against the heap head with arrival-first tie-breaking, so the
+// arrival order is that of one sorted queue, for any worker count.
+// Delivering an arrival counts as one dispatched event (it replaces the
+// propagation event of the unsharded run), so sim.events_dispatched summed
+// over shards equals the single-simulator count. Identity across worker
+// counts is exact by construction; identity with an unsharded run of the
+// same graph is not guaranteed. Its single heap orders same-instant events by
+// insertion, which no shard sees, so two arrivals that tie on (deliver, sent)
+// across channels may reach their shard the other way round.
 #ifndef SRC_SIM_SHARD_RUNNER_H_
 #define SRC_SIM_SHARD_RUNNER_H_
 
@@ -35,6 +43,7 @@
 
 #include "src/sim/shard_channel.h"
 #include "src/sim/simulator.h"
+#include "src/util/ring_buffer.h"
 #include "src/util/thread_annotations.h"
 #include "src/util/time.h"
 
@@ -65,6 +74,9 @@ class ShardRunner {
     const std::atomic<int64_t>* src_clock;
     int64_t lookahead_ns;
     PacketHandler* dst;
+    // Arrivals drained from `ch` and not yet delivered, in key order. Grows
+    // on demand: it holds what the producer sent past this shard's bound.
+    RingBuffer<BoundaryMsg> fifo;
   };
 
   // Everything below `owner_role` is owner-worker state: the static shard ->
@@ -76,20 +88,21 @@ class ShardRunner {
     Simulator* sim = nullptr;  // driven only by the owner worker
     alignas(64) std::atomic<int64_t> clock_ns{0};
     ThreadRole owner_role;
+    // One per boundary ring into this shard; each owns the FIFO its ring
+    // drains into.
     std::vector<InChannel> in GUARDED_BY(owner_role);
-    // Min-heap (deliver, sent, channel, seq).
-    std::vector<BoundaryMsg> pending GUARDED_BY(owner_role);
     bool done GUARDED_BY(owner_role) = false;  // per round
     uint64_t run_start_events GUARDED_BY(owner_role) = 0;
   };
 
-  // One bounded step of shard g: refresh the bound, drain rings, dispatch up
-  // to kStepBudget events/arrivals below the bound, republish the clock.
-  // Returns true when any event was dispatched.
+  // One bounded step of shard g: refresh the bound, drain rings into the
+  // FIFOs, dispatch up to kStepBudget events/arrivals below the bound,
+  // republish the clock. Returns true when any event was dispatched.
   bool Step(Shard& s, int64_t until_ns) REQUIRES(s.owner_role);
+  // The in-channel whose FIFO head delivers first by (deliver, sent, channel,
+  // seq), or nullptr when every FIFO is empty.
+  InChannel* EarliestArrival(Shard& s) REQUIRES(s.owner_role);
   void Worker(int w, TimePoint until);
-  void PendingPush(Shard& s, BoundaryMsg m) REQUIRES(s.owner_role);
-  BoundaryMsg PendingPop(Shard& s) REQUIRES(s.owner_role);
   // Construction-time wiring of one boundary ring into its destination shard
   // (single-threaded; asserts the not-yet-contended owner role internally).
   void WireInChannel(Shard& dst, ShardChannel* ch);

@@ -1,15 +1,18 @@
 // Reusable ring buffer for single-queue storage: the DropTailFifo and Codel
-// packet queues, and sample windows (windowed filters, Nimbus history).
+// packet queues, sample windows (windowed filters, Nimbus history, the
+// measurement engine's epoch window and boundary records), and the sharded
+// runner's per-channel arrival FIFOs.
 // std::deque allocates and frees chunk blocks as a queue breathes, which
 // shows up as residual allocs/event in the end-to-end datapath benchmark; a
 // ring reuses its slots forever and only reallocates on growth (doubling, so
 // growth cost amortizes to zero for steady-state queues). A ring never
 // shrinks, so its memory is its own high-water mark: right for one queue,
 // wrong for a scheduler's thousand buckets, which share a PacketPool
-// (src/qdisc/packet_pool.h) instead. Supports push_back, pop_front,
-// pop_back, front/back peeks, and iteration-free size accounting. T must be
-// nothrow-move-constructible (Packet is), which also makes RingBuffer itself
-// nothrow-movable — so structs holding one can live in std::vector.
+// (src/qdisc/packet_pool.h) instead. Supports push_back/emplace_back,
+// pop_front, pop_back, an order-keeping erase, front/back peeks, and
+// iteration-free size accounting. T must be nothrow-move-constructible
+// (Packet is), which also makes RingBuffer itself nothrow-movable — so
+// structs holding one can live in std::vector.
 #ifndef SRC_UTIL_RING_BUFFER_H_
 #define SRC_UTIL_RING_BUFFER_H_
 
@@ -61,11 +64,16 @@ class RingBuffer {
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }
 
-  void push_back(T value) {
+  void push_back(T value) { emplace_back(std::move(value)); }
+
+  // Constructs the new back element in place from `args`, which must not
+  // refer into this ring (growth would move them first).
+  template <typename... Args>
+  void emplace_back(Args&&... args) {
     if (size_ == cap_) {
       Grow();
     }
-    ::new (static_cast<void*>(slots_ + Index(size_))) T(std::move(value));
+    ::new (static_cast<void*>(slots_ + Index(size_))) T(std::forward<Args>(args)...);
     ++size_;
   }
 
@@ -113,6 +121,23 @@ class RingBuffer {
   const T& operator[](size_t i) const {
     BUNDLER_CHECK(i < size_);
     return slots_[Index(i)];
+  }
+
+  // Removes element i and keeps the others in order, moving whichever side of
+  // it is shorter up by one slot.
+  void erase(size_t i) {
+    BUNDLER_CHECK(i < size_);
+    if (i < size_ / 2) {
+      for (; i > 0; --i) {
+        slots_[Index(i)] = std::move(slots_[Index(i - 1)]);
+      }
+      pop_front();
+    } else {
+      for (; i + 1 < size_; ++i) {
+        slots_[Index(i)] = std::move(slots_[Index(i + 1)]);
+      }
+      pop_back();
+    }
   }
 
   void clear() {

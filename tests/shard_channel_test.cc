@@ -7,6 +7,8 @@
 
 #include <cstdint>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "src/net/packet.h"
 #include "src/sim/shard_channel.h"
@@ -23,21 +25,22 @@ TEST(SpscRingTest, CapacityRoundsUpToPowerOfTwo) {
 
 TEST(SpscRingTest, FullAndEmptySemantics) {
   SpscRing<int> ring(4);
-  int out = 0;
-  EXPECT_FALSE(ring.TryPop(&out));
+  std::vector<int> out;
+  const auto take = [&out](int& v) { out.push_back(v); };
+  EXPECT_EQ(ring.Drain(take), 0u);
   for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(ring.TryPush(static_cast<int>(i)));
+    EXPECT_TRUE(ring.TryPushWith([i](int& slot) { slot = i; }));
   }
-  EXPECT_FALSE(ring.TryPush(99));  // full: push refuses, drops nothing
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(ring.TryPop(&out));
-    EXPECT_EQ(out, i);
-  }
-  EXPECT_FALSE(ring.TryPop(&out));
+  bool filled = false;
+  EXPECT_FALSE(ring.TryPushWith([&filled](int&) { filled = true; }));
+  EXPECT_FALSE(filled);  // full: push refuses before writing, drops nothing
+  EXPECT_EQ(ring.Drain(take), 4u);
+  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(ring.Drain(take), 0u);
   // Wrap-around after draining: indices are monotonic, masking handles it.
-  EXPECT_TRUE(ring.TryPush(7));
-  ASSERT_TRUE(ring.TryPop(&out));
-  EXPECT_EQ(out, 7);
+  EXPECT_TRUE(ring.TryPushWith([](int& slot) { slot = 7; }));
+  EXPECT_EQ(ring.Drain(take), 1u);
+  EXPECT_EQ(out.back(), 7);
 }
 
 // The one concurrency pattern the ring must support: exactly one producer
@@ -49,24 +52,26 @@ TEST(SpscRingTest, FifoUnderProducerConsumerThreads) {
   SpscRing<uint64_t> ring(64);
   std::thread producer([&ring]() {
     for (uint64_t i = 0; i < kMessages; ++i) {
-      while (!ring.TryPush(static_cast<uint64_t>(i))) {
+      while (!ring.TryPushWith([i](uint64_t& slot) { slot = i; })) {
         std::this_thread::yield();  // single-core boxes: let the consumer run
       }
     }
   });
   uint64_t expect = 0;
+  uint64_t misordered = 0;
   while (expect < kMessages) {
-    uint64_t v = 0;
-    if (ring.TryPop(&v)) {
-      ASSERT_EQ(v, expect);
+    const size_t taken = ring.Drain([&expect, &misordered](uint64_t& v) {
+      misordered += v != expect ? 1 : 0;
       ++expect;
-    } else {
+    });
+    if (taken == 0) {
       std::this_thread::yield();
     }
   }
   producer.join();
-  uint64_t v = 0;
-  EXPECT_FALSE(ring.TryPop(&v));
+  EXPECT_EQ(expect, kMessages);
+  EXPECT_EQ(misordered, 0u);
+  EXPECT_EQ(ring.Drain([](uint64_t&) {}), 0u);
 }
 
 class NullSink : public PacketHandler {
@@ -102,18 +107,17 @@ TEST(ShardChannelTest, StampsSimulationDeterminedDeliveryMetadata) {
   ch.SendBoundary(TimePoint::FromNanos(3000), TimeDelta::Millis(2),
                   MakePacket(40));
 
-  BoundaryMsg m;
-  ASSERT_TRUE(ch.TryPop(&m));
-  EXPECT_EQ(m.sent_ns, 1000);
-  EXPECT_EQ(m.deliver_ns, 1000 + TimeDelta::Millis(2).nanos());
-  EXPECT_EQ(m.seq, 0u);
-  EXPECT_EQ(m.channel, 7u);
-  EXPECT_EQ(m.dst, &dst);
-  EXPECT_EQ(m.pkt.size_bytes, 1500);
-  ASSERT_TRUE(ch.TryPop(&m));
-  EXPECT_EQ(m.seq, 1u);  // per-channel FIFO sequence
-  EXPECT_EQ(m.pkt.size_bytes, 40);
-  EXPECT_FALSE(ch.TryPop(&m));
+  std::vector<BoundaryMsg> got;
+  EXPECT_EQ(ch.Drain([&got](BoundaryMsg& m) { got.push_back(std::move(m)); }), 2u);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].sent_ns, 1000);
+  EXPECT_EQ(got[0].deliver_ns, 1000 + TimeDelta::Millis(2).nanos());
+  EXPECT_EQ(got[0].seq, 0u);
+  EXPECT_EQ(got[0].channel, 7u);
+  EXPECT_EQ(got[0].pkt.size_bytes, 1500);
+  EXPECT_EQ(got[1].seq, 1u);  // per-channel FIFO sequence
+  EXPECT_EQ(got[1].pkt.size_bytes, 40);
+  EXPECT_EQ(ch.Drain([](BoundaryMsg&) {}), 0u);
 }
 
 TEST(ShardChannelDeathTest, ZeroLookaheadDies) {

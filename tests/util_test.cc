@@ -7,6 +7,7 @@
 #include <numbers>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "src/util/fft.h"
 #include "src/util/fnv.h"
@@ -339,6 +340,31 @@ TEST(RingBufferTest, CopyPreservesOrderAndIndependence) {
   }
   copy.push_back(-1);
   EXPECT_EQ(copy.size(), ring.size() + 1);
+}
+
+TEST(RingBufferTest, EraseKeepsOrderOnEitherSide) {
+  // Wrapped layout, then erase near the front, near the back and at both
+  // ends, checking against a vector model after each step.
+  RingBuffer<int> ring;
+  std::vector<int> model;
+  for (int i = 0; i < 24; ++i) {
+    ring.push_back(i);
+  }
+  for (int i = 0; i < 10; ++i) {
+    (void)ring.pop_front();
+    ring.emplace_back(100 + i);
+  }
+  for (size_t i = 0; i < ring.size(); ++i) {
+    model.push_back(ring[i]);
+  }
+  for (size_t at : {size_t{2}, size_t{19}, size_t{0}, size_t{20}, size_t{9}}) {
+    ring.erase(at);
+    model.erase(model.begin() + static_cast<std::ptrdiff_t>(at));
+    ASSERT_EQ(ring.size(), model.size());
+    for (size_t i = 0; i < model.size(); ++i) {
+      EXPECT_EQ(ring[i], model[i]) << "after erase(" << at << ")";
+    }
+  }
 }
 
 TEST(SeqIntervalSetTest, MatchesSetModelUnderRandomInsertAndDrain) {
