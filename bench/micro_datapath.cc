@@ -223,15 +223,16 @@ BenchResult BenchQdiscChurn(const std::string& name, MakeQdisc make) {
 // The acceptance microbenchmark: steady-state schedule+dispatch churn over a
 // 4096-deep pending set, mirroring what the Simulator does per event — one
 // schedule, then an Empty/NextTime/PopNext dispatch round. The capture is
-// sized like the datapath's dominant event (a Link transmit/propagation
-// event carrying a Packet, 176 bytes, plus the owner pointer) — far beyond
-// std::function's inline buffer, so the legacy queue allocates per schedule
-// exactly as it did in the real simulator.
+// sized like the datapath's dominant event, a Link propagation event (link,
+// destination and the packet's index in the link's pool, 24 bytes) — past
+// std::function's 16-byte inline buffer, so the legacy queue allocates per
+// schedule.
 struct ChurnPayload {
-  uint64_t words[22];  // sizeof(Packet) stand-in
+  uint64_t words[2];
   uint64_t* sink;
 };
-static_assert(sizeof(ChurnPayload) == 184);
+static_assert(sizeof(ChurnPayload) == 24);
+static_assert(sizeof(ChurnPayload) <= EventQueue::Callback::kCapacity);
 
 template <typename Queue>
 BenchResult BenchScheduleDispatch(const std::string& name) {
@@ -281,7 +282,7 @@ BenchResult BenchScheduleCancel(const std::string& name) {
     pending[victim] = q.Push(base + TimeDelta::Micros(4096 + i),
                              [payload]() { *payload.sink += payload.words[1]; });
     (void)q.Push(base + TimeDelta::Micros(4096 + i) + TimeDelta::Nanos(1),
-                 [payload]() { *payload.sink += payload.words[2]; });
+                 [payload]() { *payload.sink += payload.words[0]; });
     TimePoint t;
     q.PopNext(&t)();
     ++i;

@@ -36,13 +36,14 @@ if [[ "${CHECK_SKIP_SANITIZERS:-0}" != "1" ]]; then
   (cd build-asan && ctest --output-on-failure -j"${JOBS}")
   # The SACK scoreboard and its users manage raw ring storage, FlowTable
   # poisons released flow objects only under ASan (a stale sender handle
-  # faults there and nowhere else), the qdiscs' shared PacketPool links
-  # queues by raw slab index and leaves moved-from packets in freed nodes,
-  # and InlineFunction placement-news, memcpys and hand-destroys captures in
-  # raw storage; run their suites explicitly so an accidental ctest filter
-  # can never skip them under the sanitizers.
+  # faults there and nowhere else), PacketPool (the qdiscs' shared queues
+  # and each link's in-flight packets) links nodes by raw slab index and
+  # leaves moved-from packets in freed nodes, and InlineFunction
+  # placement-news, memcpys and hand-destroys captures in raw storage; run
+  # their suites explicitly so an accidental ctest filter can never skip
+  # them under the sanitizers.
   (cd build-asan && ctest --output-on-failure --no-tests=error -R \
-    'sack_scoreboard_test|tcp_recovery_test|transport_test|flow_reclaim_test|queue_memory_test|qdisc_property_test|qdisc_test|sendbox_manager_test|sim_test')
+    'sack_scoreboard_test|tcp_recovery_test|transport_test|flow_reclaim_test|queue_memory_test|qdisc_property_test|qdisc_test|sendbox_manager_test|sim_test|link_dynamics_test')
 
   echo "--- TSan pass: every suite that spawns threads or crosses shards"
   # shard_channel/shard_runner: SPSC rings and the CMB null-message protocol;

@@ -90,13 +90,6 @@ void Link::HandlePacket(Packet pkt) {
                           static_cast<uint64_t>(queue_->bytes()),
                           static_cast<uint64_t>(queue_->packets()));
     }
-    // The packet was consumed by the qdisc; observers only need identity
-    // information, which enqueue-time drops report via the qdisc's counters.
-    // Re-create a minimal view is not possible here, so drop notification for
-    // enqueue drops is handled by qdiscs that keep the packet; droptail drops
-    // are counted in stats only.
-    MaybeStartTransmission();
-    return;
   }
   MaybeStartTransmission();
 }
@@ -123,27 +116,29 @@ void Link::MaybeStartTransmission() {
   }
   TimeDelta tx = rate_.TransmitTime(pkt->size_bytes);
   BUNDLER_CHECK(!tx.IsInfinite());
-  // The in-flight packet rides inside the event's inline storage (sized for
-  // exactly this: a Packet plus the owning pointer), so per-hop scheduling
-  // does not allocate.
-  sim_->Schedule(tx, [this, p = std::move(*pkt)]() mutable { OnTransmitDone(std::move(p)); });
+  // The packet waits in wire_ until delivery and the events carry its index,
+  // so once the pool has grown to the link's peak in-flight count, per-hop
+  // scheduling does not allocate.
+  const size_t idx = wire_.PushBack(in_flight_, std::move(*pkt));
+  sim_->Schedule(tx, [this, idx]() { OnTransmitDone(idx); });
 }
 
-void Link::OnTransmitDone(Packet pkt) {
+void Link::OnTransmitDone(size_t idx) {
   ++stats_.packets_sent;
-  stats_.bytes_sent += pkt.size_bytes;
+  stats_.bytes_sent += wire_.At(idx).size_bytes;
   busy_ = false;
   if (boundary_ != nullptr) {
     // Cross-shard: the peer shard replays the propagation delay when it
     // delivers the packet, so this replaces (not duplicates) the local
     // propagation event.
-    boundary_->SendBoundary(sim_->now(), prop_delay_, std::move(pkt));
+    boundary_->SendBoundary(sim_->now(), prop_delay_, wire_.Take(in_flight_, idx));
     MaybeStartTransmission();
     return;
   }
-  PacketHandler* dst = dst_;
-  sim_->Schedule(prop_delay_, [dst, p = std::move(pkt)]() mutable {
-    dst->HandlePacket(std::move(p));
+  sim_->Schedule(prop_delay_, [this, dst = dst_, idx]() {
+    // Out of the pool before the handler runs: it may send into this link
+    // again, and that push can move the slab.
+    dst->HandlePacket(wire_.Take(in_flight_, idx));
   });
   MaybeStartTransmission();
 }

@@ -12,6 +12,13 @@
 //    transmission; parked sojourn counts toward queue delay.
 //  - set_prop_delay applies to packets finishing serialization from now on;
 //    bits already propagating keep the delay they departed with.
+//
+// Packets being serialized or propagating wait in the link's own PacketPool.
+// Each transmit-done or propagation event names its packet by pool index, so
+// an event captures two or three words rather than a Packet. The index is
+// per event, not a FIFO position: after a set_prop_delay decrease a later
+// packet arrives first. Events hold the link's address, so a Link is neither
+// copied nor moved.
 #ifndef SRC_NET_LINK_H_
 #define SRC_NET_LINK_H_
 
@@ -20,20 +27,21 @@
 #include <vector>
 
 #include "src/net/node.h"
+#include "src/qdisc/packet_pool.h"
 #include "src/qdisc/qdisc.h"
 #include "src/sim/simulator.h"
 #include "src/util/rate.h"
 
 namespace bundler {
 
-// Observation hooks for monitors (queue delay, throughput, loss accounting).
+// Observation hook for monitors (queue delay, throughput). Drops are counted
+// in LinkStats and the qdisc's counters, not reported to observers.
 class LinkObserver {
  public:
   virtual ~LinkObserver() = default;
   // Fired when a packet begins serialization; `queue_delay` is its sojourn in
   // the egress queue.
   virtual void OnDequeue(const Packet& pkt, TimeDelta queue_delay, TimePoint now) = 0;
-  virtual void OnDrop(const Packet& pkt, TimePoint now) = 0;
 };
 
 struct LinkStats {
@@ -57,6 +65,8 @@ class Link : public PacketHandler {
  public:
   Link(Simulator* sim, std::string name, Rate rate, TimeDelta prop_delay,
        std::unique_ptr<Qdisc> queue, PacketHandler* dst);
+  Link(const Link&) = delete;
+  Link& operator=(const Link&) = delete;
 
   // Enqueue for transmission.
   void HandlePacket(Packet pkt) override;
@@ -88,7 +98,7 @@ class Link : public PacketHandler {
 
  private:
   void MaybeStartTransmission();
-  void OnTransmitDone(Packet pkt);
+  void OnTransmitDone(size_t idx);
   bool tracer_enabled(obs::TraceCat cat) const { return sim_->trace().enabled(cat); }
 
   Simulator* sim_;
@@ -110,6 +120,10 @@ class Link : public PacketHandler {
   bool parked_ = false;
   LinkStats stats_;
   std::vector<LinkObserver*> observers_;
+  // Packets serializing or propagating, in the order they started
+  // serializing; events take them out by index.
+  PacketPool wire_;
+  PacketPool::Queue in_flight_;
 };
 
 }  // namespace bundler

@@ -11,14 +11,6 @@ void QueueDelayMonitor::OnDequeue(const Packet& pkt, TimeDelta queue_delay, Time
   delay_ms_.Add(now, queue_delay.ToMillis());
 }
 
-void QueueDelayMonitor::OnDrop(const Packet& pkt, TimePoint now) {
-  (void)now;
-  if (!filter_.Matches(pkt)) {
-    return;
-  }
-  ++drops_;
-}
-
 double QueueDelayMonitor::DelayMsAt(TimePoint t) const {
   const auto& samples = delay_ms_.samples();
   if (samples.empty() || samples.front().time > t) {
@@ -62,11 +54,6 @@ void RateMeter::OnDequeue(const Packet& pkt, TimeDelta queue_delay, TimePoint no
   }
   window_bytes_ += pkt.size_bytes;
   total_bytes_ += pkt.size_bytes;
-}
-
-void RateMeter::OnDrop(const Packet& pkt, TimePoint now) {
-  (void)pkt;
-  (void)now;
 }
 
 Rate RateMeter::AverageRate(TimePoint from, TimePoint to) const {

@@ -47,17 +47,14 @@ class QueueDelayMonitor : public LinkObserver {
   explicit QueueDelayMonitor(PacketFilter filter = {}) : filter_(filter) {}
 
   void OnDequeue(const Packet& pkt, TimeDelta queue_delay, TimePoint now) override;
-  void OnDrop(const Packet& pkt, TimePoint now) override;
 
   const TimeSeries& delay_ms() const { return delay_ms_; }
   // Queue delay at (or latest before) time t; 0 when no samples precede t.
   double DelayMsAt(TimePoint t) const;
-  uint64_t drops() const { return drops_; }
 
  private:
   PacketFilter filter_;
   TimeSeries delay_ms_;
-  uint64_t drops_ = 0;
 };
 
 // Counts matching bytes at dequeue time and folds them into fixed-width rate
@@ -67,7 +64,6 @@ class RateMeter : public LinkObserver {
   RateMeter(Simulator* sim, TimeDelta window, PacketFilter filter = {});
 
   void OnDequeue(const Packet& pkt, TimeDelta queue_delay, TimePoint now) override;
-  void OnDrop(const Packet& pkt, TimePoint now) override;
 
   // Rate over windows that have fully elapsed.
   const TimeSeries& rate_mbps() const { return rate_mbps_; }

@@ -40,7 +40,10 @@ inline constexpr EventId kInvalidEventId = 0;
 
 class EventQueue {
  public:
-  using Callback = InlineFunction<void(), 192>;
+  // 32 bytes of capture, four words. A Link's propagation event takes three
+  // ({link, destination, pool index}): packets in flight wait in their
+  // link's pool, not in the event.
+  using Callback = InlineFunction<void(), 32>;
 
   // Peak concurrent pending events, reported per trial as
   // sim.queue_max_heap.
@@ -129,7 +132,7 @@ class EventQueue {
 
   // Heap positions live in a dense side array (heap_pos_), not in Slot: the
   // sift loops update the position of every entry they move, and Slot's
-  // inline callback storage makes it a ~230-byte stride — putting the 4-byte
+  // inline callback storage makes it an 80-byte stride — putting the 4-byte
   // position there would turn each sift level into a cache miss.
   struct Slot {
     uint32_t gen = 0;
@@ -138,6 +141,9 @@ class EventQueue {
     TimeDelta period;  // zero => one-shot
     Callback cb;
   };
+  // Every pending event, timers included, holds one Slot until it fires, and
+  // the pool keeps its high-water mark.
+  static_assert(sizeof(Slot) <= 80);
 
   static bool Earlier(const HeapEntry& a, const HeapEntry& b) {
     if (a.time != b.time) {

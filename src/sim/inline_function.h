@@ -1,8 +1,9 @@
 // Move-only type-erased R(Args...) callable with fixed inline storage and no
 // heap allocation, ever: storing or scheduling a callback costs a bounded
 // move, not an operator new. It is the one callable in the simulator:
-//  - every scheduled event (EventQueue::Callback, 192 bytes: a Link
-//    transmit/propagation event carrying a Packet plus its owner pointer);
+//  - every scheduled event (EventQueue::Callback, 32 bytes: at most four
+//    words; a Link's events name their packet by its index in the link's
+//    pool rather than carry it);
 //  - the small callbacks long-lived components keep, e.g. QdiscSampler's
 //    rate provider, LambdaHandler's packet sink and SiteEgress's output
 //    (64 bytes by default);
@@ -56,8 +57,8 @@ class InlineFunction<R(Args...), Capacity> {
     };
     if constexpr (std::is_trivially_copyable_v<Fn> &&
                   std::is_trivially_destructible_v<Fn>) {
-      // Trivial callables (the vast majority: lambdas over pointers, PODs,
-      // and Packets) move by plain memcpy and need no destructor, so the
+      // Trivial callables (the vast majority: lambdas over pointers,
+      // indices and PODs) move by plain memcpy and need no destructor, so the
       // manager indirection is skipped entirely.
       manage_ = nullptr;
     } else {

@@ -20,12 +20,12 @@ namespace {
 
 TimePoint At(double s) { return TimePoint::Zero() + TimeDelta::SecondsF(s); }
 
-Packet DataPacket(uint32_t size_bytes) {
+Packet DataPacket(uint32_t size_bytes, int64_t seq = 0) {
   FlowKey key;
   key.src = MakeAddress(1, 1);
   key.dst = MakeAddress(2, 1);
   key.protocol = 6;
-  return MakeDataPacket(/*flow_id=*/7, key, /*seq=*/0, size_bytes);
+  return MakeDataPacket(/*flow_id=*/7, key, seq, size_bytes);
 }
 
 // Harness: a link into a recording sink. 1 Mbit/s serializes a 1000-byte
@@ -35,12 +35,14 @@ struct LinkHarness {
                        int64_t buffer = 1 << 20)
       : sink([this](Packet p) {
           arrivals.push_back(sim.now());
+          seqs.push_back(p.seq);
           bytes += p.size_bytes;
         }),
         link(&sim, "dyn", rate, prop, std::make_unique<DropTailFifo>(buffer), &sink) {}
 
   Simulator sim;
   std::vector<TimePoint> arrivals;
+  std::vector<int64_t> seqs;  // in arrival order
   int64_t bytes = 0;
   LambdaHandler sink;
   Link link;
@@ -149,6 +151,22 @@ TEST(LinkDynamicsTest, PropDelayChangeAppliesToLaterPackets) {
   ASSERT_EQ(h.arrivals.size(), 2u);
   EXPECT_EQ(h.arrivals[0], At(0.018));
   EXPECT_EQ(h.arrivals[1], At(0.018));  // 16 ms + 2 ms
+}
+
+TEST(LinkDynamicsTest, ReorderingDelayCutDeliversEachPacketItself) {
+  LinkHarness h(Rate::Mbps(1), TimeDelta::Millis(10));
+  h.link.HandlePacket(DataPacket(1000, /*seq=*/0));  // serialized at 8 ms
+  h.link.HandlePacket(DataPacket(1000, /*seq=*/1));  // serialized at 16 ms
+  // Cut the delay while seq 0 propagates: it keeps 10 ms and lands at 18 ms,
+  // seq 1 takes 1 ms and overtakes it at 17 ms. Each arrival must carry its
+  // own packet; a link that popped its in-flight packets in FIFO order at
+  // delivery would hand seq 0 over at 17 ms.
+  h.sim.ScheduleAt(At(0.009), [&]() { h.link.set_prop_delay(TimeDelta::Millis(1)); });
+  h.sim.RunAll();
+  ASSERT_EQ(h.arrivals.size(), 2u);
+  EXPECT_EQ(h.seqs, (std::vector<int64_t>{1, 0}));
+  EXPECT_EQ(h.arrivals[0], At(0.017));
+  EXPECT_EQ(h.arrivals[1], At(0.018));
 }
 
 TEST(LinkDynamicsTest, ObserverCountersConsistentAcrossPark) {

@@ -1,19 +1,23 @@
 // Unit tests for the discrete-event simulator core: ordering, cancellation
 // (including mid-dispatch), reschedule-in-place, periodic timers, the
-// engine's zero-allocation guarantee, and InlineFunction, the move-only
-// callable every event and stored callback rides.
+// engine's and a warm link hop's zero-allocation guarantee, and
+// InlineFunction, the move-only callable every event and stored callback
+// rides.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <random>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "src/net/link.h"
 #include "src/net/packet.h"
+#include "src/qdisc/fifo.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/inline_function.h"
 #include "src/sim/simulator.h"
@@ -380,6 +384,38 @@ TEST(SimulatorTest, SteadyStateSchedulingDoesNotAllocate) {
       << "the schedule/cancel/dispatch hot path must not touch the heap";
 }
 
+TEST(SimulatorTest, LinkHopDoesNotAllocateOnceWarm) {
+  // A link parks each packet in its own pool while it serializes and
+  // propagates; the events carry only the pool index. At 100 Mbit/s a
+  // 1000-byte packet serializes in 80 us, so a burst keeps ~125 packets
+  // propagating across the 10 ms delay at once.
+  Simulator sim;
+  SinkHandler sink;
+  Link link(&sim, "hop", Rate::Mbps(100), TimeDelta::Millis(10),
+            std::make_unique<DropTailFifo>(1 << 20), &sink);
+  FlowKey key;
+  key.src = MakeAddress(1, 1);
+  key.dst = MakeAddress(2, 1);
+  constexpr int kBurst = 256;
+  auto burst = [&]() {
+    for (int i = 0; i < kBurst; ++i) {
+      link.HandlePacket(MakeDataPacket(/*flow_id=*/1, key, /*seq=*/i, 1000));
+    }
+    sim.RunAll();
+  };
+  // Warm-up: grows the queue's ring, the link's pool and the event slots to
+  // the burst's peak.
+  burst();
+  const uint64_t before = g_heap_allocs;
+  constexpr int kRounds = 8;
+  for (int round = 0; round < kRounds; ++round) {
+    burst();
+  }
+  EXPECT_EQ(g_heap_allocs - before, 0u) << "a warm link hop must not touch the heap";
+  EXPECT_EQ(sink.packets(), static_cast<uint64_t>((kRounds + 1) * kBurst));
+  EXPECT_GE(sim.queue_profile().max_heap, 100u) << "packets were not in flight together";
+}
+
 // --- One-at-a-time dispatch: the contract ShardRunner::Step drives through
 // HasPending, PeekNextTime and DispatchNext ---
 
@@ -506,9 +542,9 @@ TEST(SimulatorTest, DispatchNextLoopMatchesRunAll) {
 // --- InlineFunction: the one move-only callable ---
 
 static_assert(!std::is_copy_constructible_v<InlineFunction<void()>>);
-// The event slot's callback: 192 bytes of capture plus the invoke and manage
+// The event slot's callback: 32 bytes of capture plus the invoke and manage
 // pointers. Growing it widens every pooled slot.
-static_assert(sizeof(EventQueue::Callback) == 208);
+static_assert(sizeof(EventQueue::Callback) == 48);
 
 // A move-only capture that counts its live instances, so a leaked or doubly
 // destroyed capture shows up as a nonzero balance.
@@ -627,16 +663,17 @@ TEST(InlineFunctionTest, ForwardsArgumentsAndReturnsValue) {
 }
 
 TEST(InlineFunctionTest, LargestEventCaptureDoesNotAllocate) {
-  // The shape of a link transmit event: a packet-sized payload plus its
-  // owner pointer, 184 bytes in a 192-byte slot.
+  // The largest event captures four words and fills the slot: RunWanPath's
+  // bulk-flow start event (src/topo/internet.cc). A Link propagation event,
+  // {link, destination, pool index}, takes 24 bytes.
   struct Payload {
-    unsigned char bytes[176];
+    unsigned char bytes[24];
   };
   int hits = 0;
   Payload payload{};
-  payload.bytes[175] = 7;
-  auto fn = [payload, hits_ptr = &hits]() { *hits_ptr += payload.bytes[175]; };
-  static_assert(sizeof(fn) == 184);
+  payload.bytes[23] = 7;
+  auto fn = [payload, hits_ptr = &hits]() { *hits_ptr += payload.bytes[23]; };
+  static_assert(sizeof(fn) == EventQueue::Callback::kCapacity);
 
   uint64_t before = g_heap_allocs;
   {
