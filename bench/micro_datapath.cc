@@ -31,7 +31,6 @@
 #include "src/net/fault_injector.h"
 #include "src/net/link.h"
 #include "src/obs/trace.h"
-#include "src/net/link_schedule.h"
 #include "src/qdisc/fifo.h"
 #include "src/qdisc/fq_codel.h"
 #include "src/qdisc/prio.h"
@@ -350,50 +349,6 @@ BenchResult BenchTcpRecoveryChurn() {
   r.ops_per_sec = static_cast<double>(events) / sec;
   r.allocs_per_op =
       static_cast<double>(g_heap_allocs - allocs_before) / static_cast<double>(events);
-  return r;
-}
-
-// Dynamic link events in steady state: a looping three-point rate trace
-// (slow / parked / fast, 300 us period) drives a link that a self-refeeding
-// packet keeps busy, so every trace firing exercises set_rate, the park and
-// unpark paths, and the driver's rearm — which must all be allocation-free
-// (the rearm rides one pooled event slot; scripts/bench.sh gates this at
-// <= 0.001 allocs/op like the other churn benches).
-BenchResult BenchLinkEventRearmChurn() {
-  Simulator sim;
-  Link* link_ptr = nullptr;
-  LambdaHandler refeed([&](Packet p) { link_ptr->HandlePacket(std::move(p)); });
-  Link link(&sim, "dyn", Rate::Mbps(100), TimeDelta::Micros(10),
-            std::make_unique<DropTailFifo>(1 << 20), &refeed);
-  link_ptr = &link;
-  FlowKey key;
-  key.src = MakeAddress(1, 1);
-  key.dst = MakeAddress(2, 1);
-  key.protocol = 6;
-  link.HandlePacket(MakeDataPacket(/*flow_id=*/1, key, /*seq=*/0, kMtuBytes));
-
-  std::vector<LinkEventSpec> trace;
-  trace.push_back({TimePoint::FromNanos(50'000), Rate::Mbps(5), false, TimeDelta::Zero()});
-  trace.push_back({TimePoint::FromNanos(150'000), Rate::Zero(), false, TimeDelta::Zero()});
-  trace.push_back(
-      {TimePoint::FromNanos(250'000), Rate::Mbps(100), true, TimeDelta::Micros(10)});
-  LinkScheduleDriver driver(&sim, &link, std::move(trace), TimeDelta::Micros(300));
-
-  sim.RunUntil(TimePoint::Zero() + TimeDelta::Seconds(1));  // warmup
-  uint64_t allocs_before = g_heap_allocs;
-  uint64_t events_before = sim.events_dispatched();
-  Clock::time_point start = Clock::now();
-  sim.RunUntil(TimePoint::Zero() + TimeDelta::Seconds(11));
-  Clock::time_point end = Clock::now();
-  double sec = std::chrono::duration<double>(end - start).count();
-  uint64_t events = sim.events_dispatched() - events_before;
-  BenchResult r;
-  r.name = "link_event_rearm_churn";
-  r.ns_per_op = sec / static_cast<double>(events) * 1e9;
-  r.ops_per_sec = static_cast<double>(events) / sec;
-  r.allocs_per_op =
-      static_cast<double>(g_heap_allocs - allocs_before) / static_cast<double>(events);
-  g_sink = g_sink + driver.fired();
   return r;
 }
 
@@ -777,7 +732,6 @@ int Run(const std::string& json_path) {
   results.push_back(BenchScheduleCancel<EventQueue>("engine_schedule_cancel"));
   results.push_back(BenchPeriodicDispatch());
   results.push_back(BenchTcpRecoveryChurn());
-  results.push_back(BenchLinkEventRearmChurn());
   results.push_back(BenchFlowReclaimChurn());
   results.push_back(BenchBoundaryRingChurn());
   // Parallel DES: kParallelDesPairs interleaved 1-worker/4-worker pairs, the

@@ -37,6 +37,11 @@
 # collapse throughput, not a speedup). The speedup gated is the median of
 # five interleaved 1-worker/4-worker pairs (micro_datapath writes each
 # pair's ratio to parallel_des_speedup_samples), not one single-shot ratio.
+#
+# Every gate runs and prints PASS or FAIL, so one failing gate cannot hide
+# the readings of the others; the script exits nonzero after the last gate
+# if any failed. BENCH_OUT sets where the JSON goes (default
+# BENCH_datapath.json).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -57,77 +62,77 @@ OUT="${BENCH_OUT:-BENCH_datapath.json}"
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-release -j"${JOBS}" --target micro_datapath
 
-# micro_datapath exits nonzero on its own if the engine allocated per event.
-./build-release/bench/micro_datapath --json "${OUT}"
+FAILED=()
+# micro_datapath exits 1 on its own if the engine allocated per event, after
+# writing the JSON, so the gates below still run. Any other failure leaves
+# nothing to gate.
+STATUS=0
+./build-release/bench/micro_datapath --json "${OUT}" || STATUS=$?
+if [[ "${STATUS}" -eq 1 ]]; then
+  FAILED+=("engine schedule+dispatch allocs/op (micro_datapath)")
+elif [[ "${STATUS}" -ne 0 ]]; then
+  echo "bench.sh: FAIL — micro_datapath exited ${STATUS}" >&2
+  exit "${STATUS}"
+fi
 
-SPEEDUP="$(python3 -c "import json; print(json.load(open('${OUT}'))['schedule_dispatch_speedup_vs_legacy'])" 2>/dev/null ||
-  grep -o '"schedule_dispatch_speedup_vs_legacy": [0-9.]*' "${OUT}" | grep -o '[0-9.]*$')"
-
-echo "schedule+dispatch speedup vs legacy queue: ${SPEEDUP}x (gate: >= ${MIN_SPEEDUP}x)"
-awk -v s="${SPEEDUP}" -v min="${MIN_SPEEDUP}" 'BEGIN { exit !(s >= min) }' || {
-  echo "bench.sh: FAIL — speedup ${SPEEDUP}x below gate ${MIN_SPEEDUP}x" >&2
-  exit 1
+# Readers for the JSON; each prints nothing when the value is missing.
+num_of() {
+  grep -o "\"$1\": [0-9.]*" "${OUT}" | grep -o '[0-9.]*$' || true
 }
+alloc_of() {
+  grep -o "\"name\": \"$1\"[^}]*" "${OUT}" | grep -o '"allocs_per_op": [0-9.]*' |
+    grep -o '[0-9.]*$' || true
+}
+# gate LABEL VALUE OP LIMIT [NOTE]: prints the reading against its gate and
+# records a failure when VALUE OP LIMIT does not hold (or VALUE is missing).
+gate() {
+  local label="$1" value="$2" op="$3" limit="$4" note="${5:-}"
+  local verdict=FAIL
+  if [[ -n "${value}" ]] &&
+     awk -v v="${value}" -v l="${limit}" "BEGIN { exit !(v ${op} l) }"; then
+    verdict=PASS
+  fi
+  echo "${verdict} ${label}: ${value:-missing} (gate: ${op} ${limit}${note})"
+  if [[ "${verdict}" == FAIL ]]; then
+    FAILED+=("${label}")
+  fi
+}
+
+gate "schedule+dispatch speedup vs legacy queue (x)" \
+  "$(num_of schedule_dispatch_speedup_vs_legacy)" ">=" "${MIN_SPEEDUP}"
 
 # Allocation gates: a regression that reintroduces per-event heap churn on
 # the datapath (scoreboard, qdisc queues, engine) must fail loudly.
-alloc_of() {
-  grep -o "\"name\": \"$1\"[^}]*" "${OUT}" | grep -o '"allocs_per_op": [0-9.]*' |
-    grep -o '[0-9.]*$'
-}
-E2E_ALLOCS="$(alloc_of end_to_end_experiment)"
-echo "end_to_end_experiment allocs/event: ${E2E_ALLOCS} (gate: <= ${MAX_E2E_ALLOCS})"
-awk -v a="${E2E_ALLOCS}" -v max="${MAX_E2E_ALLOCS}" 'BEGIN { exit !(a <= max) }' || {
-  echo "bench.sh: FAIL — end_to_end_experiment ${E2E_ALLOCS} allocs/event above gate ${MAX_E2E_ALLOCS}" >&2
-  exit 1
-}
+gate "end_to_end_experiment allocs/event" \
+  "$(alloc_of end_to_end_experiment)" "<=" "${MAX_E2E_ALLOCS}"
 for bench in qdisc_droptail_churn qdisc_sfq_churn qdisc_fq_codel_churn \
              qdisc_strict_prio_churn site_egress_churn tcp_recovery_churn \
-             link_event_rearm_churn flow_reclaim_churn boundary_ring_churn \
-             fault_injector_churn; do
-  ALLOCS="$(alloc_of "${bench}")"
-  awk -v a="${ALLOCS}" -v max="${MAX_CHURN_ALLOCS}" 'BEGIN { exit !(a <= max) }' || {
-    echo "bench.sh: FAIL — ${bench} ${ALLOCS} allocs/op above gate ${MAX_CHURN_ALLOCS}" >&2
-    exit 1
-  }
-  echo "${bench} allocs/op: ${ALLOCS} (gate: <= ${MAX_CHURN_ALLOCS})"
+             flow_reclaim_churn boundary_ring_churn fault_injector_churn; do
+  gate "${bench} allocs/op" "$(alloc_of "${bench}")" "<=" "${MAX_CHURN_ALLOCS}"
 done
 
 # Conservative parallel DES: 4 workers vs 1 on the sharded fat tree.
-PDES_SPEEDUP="$(grep -o '"parallel_des_speedup_w4_over_w1": [0-9.]*' "${OUT}" |
-  grep -o '[0-9.]*$')"
 PDES_SAMPLES="$(grep -o '"parallel_des_speedup_samples": \[[0-9., ]*\]' "${OUT}" |
-  grep -o '\[.*\]')"
-echo "parallel DES 4-worker speedup: median ${PDES_SPEEDUP}x of pairs ${PDES_SAMPLES} (gate: >= ${MIN_PARALLEL_SPEEDUP}x on ${JOBS} cores)"
-awk -v s="${PDES_SPEEDUP}" -v min="${MIN_PARALLEL_SPEEDUP}" 'BEGIN { exit !(s >= min) }' || {
-  echo "bench.sh: FAIL — parallel DES median speedup ${PDES_SPEEDUP}x below gate ${MIN_PARALLEL_SPEEDUP}x" >&2
-  exit 1
-}
+  grep -o '\[.*\]' || true)"
+gate "parallel DES 4-worker median speedup (x)" \
+  "$(num_of parallel_des_speedup_w4_over_w1)" ">=" "${MIN_PARALLEL_SPEEDUP}" \
+  " on ${JOBS} cores; pairs ${PDES_SAMPLES}"
 
 # Observability gates: recording must be allocation-free, and instrumented
 # hooks must be effectively free when tracing is off.
-TRACE_ALLOCS="$(alloc_of trace_record_enabled)"
-echo "trace_record_enabled allocs/record: ${TRACE_ALLOCS} (gate: <= ${MAX_TRACE_ALLOCS})"
-awk -v a="${TRACE_ALLOCS}" -v max="${MAX_TRACE_ALLOCS}" 'BEGIN { exit !(a <= max) }' || {
-  echo "bench.sh: FAIL — trace_record_enabled ${TRACE_ALLOCS} allocs/record above gate ${MAX_TRACE_ALLOCS}" >&2
-  exit 1
-}
-TRACE_OVERHEAD="$(grep -o '"tracing_disabled_overhead_frac": [0-9.]*' "${OUT}" |
-  grep -o '[0-9.]*$')"
-echo "tracing-disabled overhead bound: ${TRACE_OVERHEAD} (gate: <= ${MAX_TRACE_OVERHEAD})"
-awk -v o="${TRACE_OVERHEAD}" -v max="${MAX_TRACE_OVERHEAD}" 'BEGIN { exit !(o <= max) }' || {
-  echo "bench.sh: FAIL — tracing-disabled overhead ${TRACE_OVERHEAD} above gate ${MAX_TRACE_OVERHEAD}" >&2
-  exit 1
-}
+gate "trace_record_enabled allocs/record" \
+  "$(alloc_of trace_record_enabled)" "<=" "${MAX_TRACE_ALLOCS}"
+gate "tracing-disabled overhead bound" \
+  "$(num_of tracing_disabled_overhead_frac)" "<=" "${MAX_TRACE_OVERHEAD}"
 
 # Fault-injection gate: declaring profiles must be ~free for untargeted
 # traffic (links with no profile have no injector in their chain at all).
-FAULT_OVERHEAD="$(grep -o '"fault_disabled_overhead_frac": [0-9.]*' "${OUT}" |
-  grep -o '[0-9.]*$')"
-echo "fault-disabled overhead bound: ${FAULT_OVERHEAD} (gate: <= ${MAX_FAULT_OVERHEAD})"
-awk -v o="${FAULT_OVERHEAD}" -v max="${MAX_FAULT_OVERHEAD}" 'BEGIN { exit !(o <= max) }' || {
-  echo "bench.sh: FAIL — fault-disabled overhead ${FAULT_OVERHEAD} above gate ${MAX_FAULT_OVERHEAD}" >&2
-  exit 1
-}
+gate "fault-disabled overhead bound" \
+  "$(num_of fault_disabled_overhead_frac)" "<=" "${MAX_FAULT_OVERHEAD}"
 
+if [[ "${#FAILED[@]}" -gt 0 ]]; then
+  echo "bench.sh: FAIL — ${#FAILED[@]} gate(s) failed (wrote ${OUT}):" >&2
+  printf '  %s\n' "${FAILED[@]}" >&2
+  exit 1
+fi
 echo "bench.sh: OK (wrote ${OUT})"

@@ -21,6 +21,40 @@ cmake -B build -S .
 cmake --build build -j"${JOBS}"
 (cd build && ctest --output-on-failure -j"${JOBS}")
 
+echo "--- registry gate: every registered scenario feeds a repro.sh claim"
+# A scenario no claim reads is code nothing checks. Each name that
+# `bundler_run --list-names` prints must appear, as a whole name, in one of
+# scripts/repro.sh's scenario runs, or be exempted here as "name: reason".
+REGISTRY_EXEMPT=(
+  "fat_tree_incast: the one scenario --shards really partitions; the --shards 1 vs 4 comparison below runs it, and it goes with ShardRunner (ROADMAP item 5)"
+)
+./build/bundler_run --list-names > build/scenario_names.txt
+python3 - build/scenario_names.txt "${REGISTRY_EXEMPT[@]}" <<'EOF'
+import re, sys
+names = open(sys.argv[1]).read().split()
+exempt = {}
+for entry in sys.argv[2:]:
+    name, _, reason = entry.partition(":")
+    assert reason.strip(), f"check.sh: exemption '{name}' gives no reason"
+    exempt[name.strip()] = reason.strip()
+repro = open("scripts/repro.sh").read()
+runs = set(re.findall(r"--scenario\s+([A-Za-z0-9_]+)", repro))
+for loop in re.findall(r"for scenario in (.*?); do", repro, re.S):
+    runs.update(loop.replace("\\", " ").split())
+missing = [n for n in names if n not in runs and n not in exempt]
+stale = [n for n in exempt if n not in names or n in runs]
+if missing:
+    print("check.sh: FAIL — registered scenarios that no repro.sh run "
+          "feeds and no exemption names: " + ", ".join(missing))
+    sys.exit(1)
+if stale:
+    print("check.sh: FAIL — exemptions for scenarios that are gone or "
+          "already run by repro.sh: " + ", ".join(stale))
+    sys.exit(1)
+print(f"  {len(names) - len(exempt)} of {len(names)} scenarios feed repro.sh; "
+      f"exempt: {', '.join(sorted(exempt))}")
+EOF
+
 echo "--- benchmark harness: self-test and smoke run of bench/e2e"
 # bench/e2e is a standalone CMake project that links bundler_core, so a
 # library signature change can break it while ctest stays green. The smoke
@@ -43,7 +77,7 @@ if [[ "${CHECK_SKIP_SANITIZERS:-0}" != "1" ]]; then
   # their suites explicitly so an accidental ctest filter can never skip
   # them under the sanitizers.
   (cd build-asan && ctest --output-on-failure --no-tests=error -R \
-    'sack_scoreboard_test|tcp_recovery_test|transport_test|flow_reclaim_test|queue_memory_test|qdisc_property_test|qdisc_test|sendbox_manager_test|sim_test|link_dynamics_test')
+    'sack_scoreboard_test|tcp_recovery_test|transport_test|flow_reclaim_test|queue_memory_test|qdisc_property_test|qdisc_test|sendbox_manager_test|sim_test')
 
   echo "--- TSan pass: every suite that spawns threads or crosses shards"
   # shard_channel/shard_runner: SPSC rings and the CMB null-message protocol;
@@ -74,14 +108,6 @@ done
 # Result files carry one wall-clock "runtime" line (events/sec metadata) that
 # is legitimately nondeterministic; strip it before byte-comparing runs.
 stable() { grep -v '"runtime"' "$1" | grep -v '^# runtime '; }
-
-echo "--- smoke scenario: link_flap (1 trial — exercises zero-rate park/unpark)"
-./build/bundler_run --scenario link_flap --trials 1 --threads 2 \
-  --out build/smoke_flap_t2 --quiet
-./build/bundler_run --scenario link_flap --trials 1 --threads 4 \
-  --out build/smoke_flap_t4 --quiet > /dev/null
-cmp <(stable build/smoke_flap_t2/link_flap.json) \
-    <(stable build/smoke_flap_t4/link_flap.json)
 
 echo "--- smoke scenario: fig09_fct (2 trials, 2 threads)"
 ./build/bundler_run --scenario fig09_fct --trials 2 --threads 2 \
@@ -133,8 +159,10 @@ echo "--- golden byte-identity: fig09/fig10/fig13 regression pins"
 # 62.8 -> 71.8 Mbit/s, phase-3 FCT p50 177.9 -> 154.8 ms), a bundler_robust
 # cell equal to the companion's one was added, status_quo is unchanged, and
 # the hand-computed mode_transitions line is gone
-# (ctr.sendbox.*.mode_transitions reports it). fig09 and fig13 were last
-# regenerated when the classic Sendbox and its private shaper were deleted.
+# (ctr.sendbox.*.mode_transitions reports it). All three were last
+# regenerated when mid-run link rate changes were deleted: every link lost
+# its always-zero ctr.link.*.{rate_changes,parks,unparks} lines, and no other
+# line moved.
 for scenario in fig09_fct fig10_cross_traffic fig13_competing_bundles; do
   ./build/bundler_run --scenario "${scenario}" --trials 1 \
     --out build/smoke_golden --quiet > /dev/null

@@ -1,14 +1,23 @@
 #!/usr/bin/env python3
-"""Checks the README's trace-category table against the code: the category
-column must list kCatNames from src/obs/trace.cc in order, and every
-backticked src/ path in the layer column must exist (as a directory, or as
-<path>.h or <path>.cc). Run directly or via ctest."""
+"""Checks the trace-category lists that people read against the code: the
+category column of README's trace table must list kCatNames from
+src/obs/trace.cc in order, and every backticked src/ path in the layer column
+must exist (as a directory, or as <path>.h or <path>.cc). Given the path of a
+built bundler_run as its first argument (the readme_trace_table ctest passes
+one), it also checks that `bundler_run --help` lists the same categories in
+the same order.
+
+  python3 scripts/trace_table_test.py [path/to/bundler_run]"""
 
 import os
 import re
+import subprocess
+import sys
 import unittest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BUNDLER_RUN = (sys.argv.pop(1)
+               if len(sys.argv) > 1 and not sys.argv[1].startswith("-") else None)
 TABLE_HEADER = re.compile(r"^\|\s*category\s*\|\s*layer\s*\|\s*events\s*\|$")
 
 
@@ -52,6 +61,17 @@ class TraceTableTest(unittest.TestCase):
                         os.path.isfile(full + ".cc"),
                         f"README trace table row `{cat}` names `{path}`, "
                         "which is neither a directory nor a .h/.cc file")
+
+    def test_cli_help_lists_categories_in_order(self):
+        if BUNDLER_RUN is None:
+            self.skipTest("no bundler_run path given")
+        usage = subprocess.run([BUNDLER_RUN, "--help"], check=True,
+                               capture_output=True, text=True).stdout
+        line = re.search(r"^  ([a-z]+(?:,[a-z]+)+)$", usage, re.MULTILINE)
+        self.assertIsNotNone(
+            line, "bundler_run --help prints no line listing the trace "
+            "categories on its own:\n" + usage)
+        self.assertEqual(line.group(1).split(","), code_categories())
 
 
 if __name__ == "__main__":

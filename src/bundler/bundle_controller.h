@@ -63,7 +63,7 @@ struct BundleControlConfig {
   //    while in delay control. Delay control's whole contract is a
   //    near-empty queue; a delay it cannot drain no matter how hard it
   //    backs off is not its delay (a congested *reverse* path inflating
-  //    the loop RTT — the asym_reverse collapse regime) and shaping on it
+  //    the loop RTT — the asym_reverse_sweep collapse) and shaping on it
   //    strangles the bundle for nothing. Feedback keeps flowing here, so
   //    no probes; re-sync waits for the delay to genuinely clear (below
   //    half the budget, hysteresis against flapping on the congested

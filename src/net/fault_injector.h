@@ -9,8 +9,7 @@
 //  - Gilbert-Elliott burst loss: two-state Markov chain (good/bad) with
 //    per-state loss probabilities; models correlated loss episodes.
 //  - Blackout windows: absolute [start, end) intervals during which every
-//    targeted packet is dropped — a total signal outage, composable with
-//    AddLinkEvent's rate/delay changes on the same link.
+//    targeted packet is dropped — a total signal outage.
 //  - Bounded reordering: with `reorder_prob` a packet is held in a
 //    preallocated slot and re-delivered after at most `reorder_depth` later
 //    packets have passed it (or a flush timeout, whichever comes first), so

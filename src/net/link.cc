@@ -16,12 +16,12 @@ Link::Link(Simulator* sim, std::string name, Rate rate, TimeDelta prop_delay,
       dst_(dst) {
   BUNDLER_CHECK(sim_ != nullptr);
   BUNDLER_CHECK(queue_ != nullptr);
-  // A zero initial rate is allowed: the link starts parked and waits for
-  // set_rate (NetBuilder::AddLink is stricter for static topologies).
-  parked_ = rate_.TransmitTime(kMtuBytes).IsInfinite();
+  BUNDLER_CHECK_MSG(!rate_.TransmitTime(kMtuBytes).IsInfinite(),
+                    "link '%s' needs a rate that serializes an MTU",
+                    name_.c_str());
   // Register with the observability layer: the link and its egress qdisc are
-  // separate trace components; stats the link already keeps are exposed to
-  // the counter registry by reference, transition counters are registry-owned.
+  // separate trace components, and the stats both already keep are exposed
+  // to the counter registry by reference.
   obs::Tracer& tracer = sim_->trace();
   comp_ = tracer.RegisterComponent("link", name_);
   queue_->BindObs(&tracer, tracer.RegisterComponent("qdisc", name_));
@@ -29,55 +29,12 @@ Link::Link(Simulator* sim, std::string name, Rate rate, TimeDelta prop_delay,
   const std::string prefix = "link." + name_ + ".";
   reg.Expose(prefix + "tx_pkts", &stats_.packets_sent);
   reg.Expose(prefix + "drops", &stats_.drops);
-  ctr_rate_changes_ = reg.Counter(prefix + "rate_changes");
-  ctr_parks_ = reg.Counter(prefix + "parks");
-  ctr_unparks_ = reg.Counter(prefix + "unparks");
   const std::string qprefix = "qdisc." + name_ + ".";
   const Qdisc::Counters& qc = queue_->counters();
   reg.Expose(qprefix + "enq_pkts", &qc.enq_pkts);
   reg.Expose(qprefix + "deq_pkts", &qc.deq_pkts);
   reg.Expose(qprefix + "drop_pkts", &qc.drop_pkts);
   reg.Expose(qprefix + "mark_pkts", &qc.mark_pkts);
-}
-
-void Link::set_rate(Rate rate) {
-  const bool was_parked = parked_;
-  const Rate old_rate = rate_;
-  rate_ = rate;
-  parked_ = rate_.TransmitTime(kMtuBytes).IsInfinite();
-  ++*ctr_rate_changes_;
-  if (parked_ != was_parked) {
-    ++*(parked_ ? ctr_parks_ : ctr_unparks_);
-  }
-  if (tracer_enabled(obs::TraceCat::kLink)) {
-    obs::Tracer& tracer = sim_->trace();
-    tracer.Trace(obs::TraceCat::kLink, obs::TraceEv::kLinkRate, comp_,
-                 sim_->now(), obs::EncodeRate(rate_), obs::EncodeRate(old_rate));
-    if (parked_ != was_parked) {
-      tracer.Trace(obs::TraceCat::kLink,
-                   parked_ ? obs::TraceEv::kLinkPark : obs::TraceEv::kLinkUnpark,
-                   comp_, sim_->now(), static_cast<uint64_t>(queue_->bytes()));
-    }
-  }
-  // A parked or idle link may now be able to move its queue. The in-flight
-  // packet (if any) is untouched: busy_ holds until its already-scheduled
-  // completion, so it finishes at the rate its transmission started with.
-  MaybeStartTransmission();
-}
-
-void Link::set_prop_delay(TimeDelta delay) {
-  BUNDLER_CHECK_MSG(delay >= TimeDelta::Zero(), "link '%s': negative prop delay",
-                    name_.c_str());
-  BUNDLER_CHECK_MSG(boundary_ == nullptr,
-                    "link '%s': prop delay is frozen on a shard-boundary link "
-                    "(it is the peer shard's conservative lookahead)",
-                    name_.c_str());
-  if (tracer_enabled(obs::TraceCat::kLink)) {
-    sim_->trace().Trace(obs::TraceCat::kLink, obs::TraceEv::kLinkDelay, comp_,
-                        sim_->now(), static_cast<uint64_t>(delay.nanos()),
-                        static_cast<uint64_t>(prop_delay_.nanos()));
-  }
-  prop_delay_ = delay;
 }
 
 void Link::HandlePacket(Packet pkt) {
@@ -95,9 +52,7 @@ void Link::HandlePacket(Packet pkt) {
 }
 
 void Link::MaybeStartTransmission() {
-  if (busy_ || parked_) {
-    // Parked: a zero (or unusably slow) rate would overflow serialization
-    // math; hold the queue until set_rate makes the link usable again.
+  if (busy_) {
     return;
   }
   std::optional<Packet> pkt = queue_->Dequeue(sim_->now());

@@ -12,7 +12,7 @@ namespace bundler::obs {
 namespace {
 
 constexpr const char* kCatNames[] = {
-    "sim",  "link", "linksched", "qdisc", "tcp",
+    "sim",  "link", "qdisc", "tcp",
     "sendbox", "mode", "nimbus", "pi", "cc", "shard",
     "fault", "watchdog", "tenant",
 };
@@ -29,11 +29,6 @@ constexpr EvName kEvNames[] = {
     {TraceEv::kSimRunEnd, "run_end"},
     {TraceEv::kLinkTx, "link_tx"},
     {TraceEv::kLinkDrop, "link_drop"},
-    {TraceEv::kLinkRate, "link_rate"},
-    {TraceEv::kLinkDelay, "link_delay"},
-    {TraceEv::kLinkPark, "link_park"},
-    {TraceEv::kLinkUnpark, "link_unpark"},
-    {TraceEv::kSchedFire, "sched_fire"},
     {TraceEv::kQdiscEnq, "enq"},
     {TraceEv::kQdiscDeq, "deq"},
     {TraceEv::kQdiscDropTail, "drop_tail"},

@@ -50,8 +50,7 @@ inline uint64_t EncodePpm(double frac) {
 
 enum class TraceCat : uint8_t {
   kSim = 0,    // run lifecycle
-  kLink,       // transmissions, rate/delay changes, park/unpark
-  kLinkSched,  // scripted link events firing
+  kLink,       // transmissions and drops
   kQdisc,      // enqueue/dequeue/drop at every queue discipline
   kTcp,        // retransmits, RTOs, recovery transitions
   kSendbox,    // shaper rate decisions, epoch updates
@@ -86,12 +85,6 @@ enum class TraceEv : uint16_t {
   // kLink
   kLinkTx,      // a=flow_id b=size_bytes c=queue_delay_ns
   kLinkDrop,    // a=drops_total b=backlog_bytes c=backlog_pkts
-  kLinkRate,    // a=new_rate_bps b=old_rate_bps
-  kLinkDelay,   // a=new_delay_ns b=old_delay_ns
-  kLinkPark,    // a=backlog_bytes
-  kLinkUnpark,  // a=backlog_bytes
-  // kLinkSched
-  kSchedFire,  // a=event_index b=rate_bps(or 0) c=delay_ns(or 0)
   // kQdisc
   kQdiscEnq,      // a=flow_id b=size_bytes c=backlog_bytes
   kQdiscDeq,      // a=flow_id b=size_bytes c=sojourn_ns

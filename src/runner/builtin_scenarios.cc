@@ -44,26 +44,6 @@ double SeriesQuantileSince(const TimeSeries& series, TimePoint from, double q) {
   return est.empty() ? 0.0 : est.Quantile(q);
 }
 
-double RecoveryMillis(const TimeSeries& rate_mbps, TimePoint from, double threshold_mbps) {
-  bool prev_above = false;
-  TimePoint prev_time;
-  for (const TimeSeries::Sample& s : rate_mbps.samples()) {
-    if (s.time < from) {
-      continue;
-    }
-    if (s.value >= threshold_mbps) {
-      if (prev_above) {
-        return (prev_time - from).ToMillis();
-      }
-      prev_above = true;
-      prev_time = s.time;
-    } else {
-      prev_above = false;
-    }
-  }
-  return -1.0;
-}
-
 void AddFctMillis(TrialResult* result, const QuantileEstimator& fct_seconds,
                   const std::string& key) {
   std::vector<double> ms = fct_seconds.samples();
@@ -89,13 +69,8 @@ void RegisterBuiltinScenarios() {
     RegisterFig13CompetingBundles(registry);
     RegisterFig14SendboxCc(registry);
     RegisterFig16Wan(registry);
-    RegisterParkingLot(registry);
-    RegisterAsymReversePath(registry);
     RegisterAsymReverseSweep(registry);
-    RegisterLinkFlap(registry);
     RegisterFeedbackBlackout(registry);
-    RegisterFeedbackLossSweep(registry);
-    RegisterRateStep(registry);
     RegisterFatTreeIncast(registry);
     RegisterCdnEdgeFlashCrowd(registry);
     RegisterFig15Proxy(registry);

@@ -28,12 +28,6 @@ TopologyDotFn DumbbellTopology(DumbbellConfig cfg, std::string name);
 // none) — e.g. post-warmup per-hop queue delay.
 double SeriesQuantileSince(const TimeSeries& series, TimePoint from, double q);
 
-// Milliseconds from `from` until the windowed rate series sustains
-// `threshold_mbps` for two consecutive samples (the first sample's time
-// counts); -1 when it never recovers. Used by the dynamic-link scenarios to
-// score how fast a controller re-ramps after a failure or capacity step.
-double RecoveryMillis(const TimeSeries& rate_mbps, TimePoint from, double threshold_mbps);
-
 // Reports an FCT distribution (seconds) under `key` in milliseconds: the
 // pooled sample vector plus `<key>_p50` / `<key>_p99` scalars.
 void AddFctMillis(TrialResult* result, const QuantileEstimator& fct_seconds,
@@ -51,13 +45,8 @@ void RegisterFig12ElasticCrossSweep(ScenarioRegistry* registry);
 void RegisterFig13CompetingBundles(ScenarioRegistry* registry);
 void RegisterFig14SendboxCc(ScenarioRegistry* registry);
 void RegisterFig16Wan(ScenarioRegistry* registry);
-void RegisterParkingLot(ScenarioRegistry* registry);
-void RegisterAsymReversePath(ScenarioRegistry* registry);
 void RegisterAsymReverseSweep(ScenarioRegistry* registry);
-void RegisterLinkFlap(ScenarioRegistry* registry);
 void RegisterFeedbackBlackout(ScenarioRegistry* registry);
-void RegisterFeedbackLossSweep(ScenarioRegistry* registry);
-void RegisterRateStep(ScenarioRegistry* registry);
 void RegisterFatTreeIncast(ScenarioRegistry* registry);
 void RegisterCdnEdgeFlashCrowd(ScenarioRegistry* registry);
 void RegisterFig15Proxy(ScenarioRegistry* registry);

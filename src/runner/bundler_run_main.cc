@@ -26,6 +26,12 @@ namespace runner {
 namespace {
 
 void PrintUsage(std::FILE* out) {
+  // Built from the tracer's own names, so the help cannot drift from them.
+  std::string cats;
+  for (size_t c = 0; c < static_cast<size_t>(obs::TraceCat::kNumCats); ++c) {
+    cats += std::string(c == 0 ? "" : ",") +
+            obs::TraceCatName(static_cast<obs::TraceCat>(c));
+  }
   std::fprintf(out,
                "usage: bundler_run --list\n"
                "       bundler_run --list-names\n"
@@ -43,14 +49,15 @@ void PrintUsage(std::FILE* out) {
                "parallel DES; see README \"Parallel simulation\"). Results are\n"
                "byte-identical for every N.\n"
                "\n"
-               "--trace arms the per-trial flight recorder for the comma-separated\n"
-               "categories (sim,link,linksched,qdisc,tcp,sendbox,mode,nimbus,pi,\n"
-               "cc,shard,fault,watchdog or 'all'). Every trial's trace is captured\n"
-               "and written, sorted by\n"
-               "trial signature, to --trace-out (default DIR/NAME.trace.jsonl or\n"
+               "--trace arms the per-trial flight recorder for a comma-separated\n"
+               "list of categories, or 'all':\n"
+               "  %s\n"
+               "Every trial's trace is captured and written, sorted by trial\n"
+               "signature, to --trace-out (default DIR/NAME.trace.jsonl or\n"
                ".trace.txt); --trace-ring sets the per-trial ring capacity in\n"
                "records (default 262144, 40 bytes each, oldest evicted first).\n"
-               "See README \"Observability\" for the record schema.\n");
+               "See README \"Observability\" for the record schema.\n",
+               cats.c_str());
 }
 
 void PrintList() {

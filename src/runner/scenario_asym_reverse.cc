@@ -1,5 +1,5 @@
-// Asymmetric / congested reverse path — the second builder-only topology.
-// The forward direction is the paper's 96 Mbit/s bottleneck, but the reverse
+// Asymmetric / congested reverse path, declared directly on NetBuilder. The
+// forward direction is the paper's 96 Mbit/s bottleneck, but the reverse
 // direction is a narrow link (swept) that ACKs, request packets, and
 // Bundler's out-of-band feedback share with unbundled reverse bulk traffic:
 //
@@ -108,7 +108,7 @@ TrialResult RunTrial(const TrialPoint& point) {
   bool watchdog = point.variant == "bundler_watchdog";
   bool bundler_on = watchdog || point.variant == "bundler";
   BUNDLER_CHECK_MSG(bundler_on || point.variant == "status_quo",
-                    "unknown asym_reverse variant '%s'", point.variant.c_str());
+                    "unknown asym_reverse_sweep variant '%s'", point.variant.c_str());
   Rate reverse_rate = Rate::Mbps(point.Param("reverse_mbps"));
 
   Simulator sim;
@@ -191,35 +191,17 @@ TrialResult RunTrial(const TrialPoint& point) {
 
 }  // namespace
 
-void RegisterAsymReversePath(ScenarioRegistry* registry) {
-  ScenarioSpec spec;
-  spec.name = "asym_reverse";
-  spec.summary =
-      "Asymmetric reverse path: ACKs + Bundler feedback share a congested "
-      "narrow reverse link (rate swept); stresses the out-of-band loop";
-  spec.variants = {"status_quo", "bundler"};
-  spec.axes = {{"reverse_mbps", {4, 8, 16}}};
-  spec.default_trials = 3;
-  registry->Register(std::move(spec), RunTrial, []() {
-    return BuildAndRenderDot(
-        AsymReverseBuilder(Rate::Mbps(8), /*bundled=*/true, /*watchdog=*/false,
-                           nullptr),
-        "asym_reverse");
-  });
-}
-
 void RegisterAsymReverseSweep(ScenarioRegistry* registry) {
-  // Dedicated fine sweep around the ~8 Mbit/s reverse capacity where PR 3's
-  // coarse asym_reverse showed the out-of-band feedback loop collapsing:
-  // feedback_delivered_per_sec and bundle throughput localize the threshold,
-  // and FCT shows what the collapse costs end users. Same trial body as
-  // asym_reverse — only the axis resolution differs.
+  // A fine sweep of the reverse capacity around ~8 Mbit/s, where the
+  // out-of-band feedback loop collapses: feedback_delivered_per_sec and
+  // bundle throughput localize the threshold, FCT shows what the collapse
+  // costs end users, and the watchdog arm shows what degrading buys.
   ScenarioSpec spec;
   spec.name = "asym_reverse_sweep";
   spec.summary =
-      "Fine reverse-capacity sweep (5..12 Mbit/s) around the feedback-collapse "
-      "threshold asym_reverse found at ~8 Mbit/s; the watchdog arm degrades "
-      "gracefully instead of collapsing";
+      "Fine reverse-capacity sweep (5..12 Mbit/s) around the ~8 Mbit/s "
+      "feedback-collapse threshold; the watchdog arm degrades gracefully "
+      "instead of collapsing";
   spec.variants = {"status_quo", "bundler", "bundler_watchdog"};
   spec.axes = {{"reverse_mbps", {5, 6, 7, 8, 10, 12}}};
   spec.default_trials = 3;

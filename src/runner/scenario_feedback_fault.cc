@@ -1,20 +1,12 @@
-// Control-loop fault injection on the paper's dumbbell: the out-of-band
-// feedback channel (§4.5) fails while the data path stays healthy. Two
-// scenarios share the topology and trial body:
-//
-//  - feedback_blackout: every Bundler control message crossing the reverse
-//    link is dropped for a 5-second window (a ctl-targeted blackout from
-//    NetBuilder::AddFaultProfile). Without a watchdog the sendbox keeps
-//    shaping on whatever rate the controller last computed; the watchdog arm
-//    must instead degrade to pass-through within its staleness timeout, ride
-//    out the outage at status-quo behavior, and re-sync within one epoch of
-//    feedback returning (measured from the sendbox's watchdog log).
-//
-//  - feedback_loss_sweep: seeded Bernoulli loss on the same ctl traffic,
-//    swept from lossless to 40%. The measurement engine is built to tolerate
-//    sparse feedback (unmatched records just stretch the next epoch), so the
-//    interesting output is where that tolerance ends and what the watchdog
-//    buys at the extreme.
+// Control-loop fault injection on the paper's dumbbell (feedback_blackout):
+// the out-of-band feedback channel (§4.5) fails while the data path stays
+// healthy. Every Bundler control message crossing the reverse link is
+// dropped for a 5-second window (a ctl-targeted blackout from
+// NetBuilder::AddFaultProfile). Without a watchdog the sendbox keeps shaping
+// on whatever rate the controller last computed; the watchdog arm must
+// instead degrade to pass-through within its staleness timeout, ride out the
+// outage at status-quo behavior, and re-sync within one epoch of feedback
+// returning (measured from the sendbox's watchdog log).
 //
 // Every return to delay control, the watchdog's re-sync included, reseeds
 // the rate controller from the measured egress rate, so graceful degradation
@@ -46,7 +38,7 @@ struct Variant {
   bool watchdog = false;
 };
 
-Variant ParseVariant(const std::string& name, const char* scenario) {
+Variant ParseVariant(const std::string& name) {
   Variant v;
   if (name == "status_quo") {
     return v;
@@ -55,7 +47,7 @@ Variant ParseVariant(const std::string& name, const char* scenario) {
   if (name == "bundler_watchdog") {
     v.watchdog = true;
   } else {
-    BUNDLER_CHECK_MSG(name == "bundler", "unknown %s variant '%s'", scenario,
+    BUNDLER_CHECK_MSG(name == "bundler", "unknown feedback_blackout variant '%s'",
                       name.c_str());
   }
   return v;
@@ -94,15 +86,27 @@ NetBuilder FaultedDumbbell(const Variant& v, const FaultProfileSpec& fault,
   return b;
 }
 
-// Shared trial body: build the faulted dumbbell, run the §7.1 web workload
-// through it, and report FCT windows plus watchdog/fault forensics.
-TrialResult RunFaultTrial(const Variant& v, const FaultProfileSpec& fault,
-                          const TrialPoint& point) {
+FaultProfileSpec BlackoutProfile(uint64_t trial_seed) {
+  FaultProfileSpec fault;
+  fault.target = FaultTarget::kCtl;
+  fault.blackouts = {{kBlackoutStart, kBlackoutEnd}};
+  fault.seed = FaultSeed(trial_seed);
+  return fault;
+}
+
+// Builds the faulted dumbbell, runs the §7.1 web workload through it, and
+// reports FCT windows plus watchdog/fault forensics.
+TrialResult RunTrial(const TrialPoint& point) {
+  Variant v = ParseVariant(point.variant);
+  if (point.shards > 0) {
+    CheckDumbbellIndivisible(FaultConfig(v));
+  }
   Simulator sim;
   BeginTrialObs(&sim);
   DumbbellGraph g;
   NetBuilder::FaultId fault_id = -1;
-  std::unique_ptr<Net> net = FaultedDumbbell(v, fault, &g, &fault_id).Build(&sim);
+  std::unique_ptr<Net> net =
+      FaultedDumbbell(v, BlackoutProfile(point.seed), &g, &fault_id).Build(&sim);
 
   static const SizeCdf kCdf = SizeCdf::InternetCoreRouter();
   FctRecorder fct;
@@ -175,34 +179,6 @@ TrialResult RunFaultTrial(const Variant& v, const FaultProfileSpec& fault,
   return r;
 }
 
-FaultProfileSpec BlackoutProfile(uint64_t trial_seed) {
-  FaultProfileSpec fault;
-  fault.target = FaultTarget::kCtl;
-  fault.blackouts = {{kBlackoutStart, kBlackoutEnd}};
-  fault.seed = FaultSeed(trial_seed);
-  return fault;
-}
-
-TrialResult RunBlackoutTrial(const TrialPoint& point) {
-  Variant v = ParseVariant(point.variant, "feedback_blackout");
-  if (point.shards > 0) {
-    CheckDumbbellIndivisible(FaultConfig(v));
-  }
-  return RunFaultTrial(v, BlackoutProfile(point.seed), point);
-}
-
-TrialResult RunLossSweepTrial(const TrialPoint& point) {
-  Variant v = ParseVariant(point.variant, "feedback_loss_sweep");
-  if (point.shards > 0) {
-    CheckDumbbellIndivisible(FaultConfig(v));
-  }
-  FaultProfileSpec fault;
-  fault.target = FaultTarget::kCtl;
-  fault.loss_prob = point.Param("feedback_loss");
-  fault.seed = FaultSeed(point.seed);
-  return RunFaultTrial(v, fault, point);
-}
-
 }  // namespace
 
 void RegisterFeedbackBlackout(ScenarioRegistry* registry) {
@@ -213,33 +189,12 @@ void RegisterFeedbackBlackout(ScenarioRegistry* registry) {
       "reverse link; the watchdog arm must degrade gracefully and re-sync";
   spec.variants = {"status_quo", "bundler", "bundler_watchdog"};
   spec.default_trials = 3;
-  registry->Register(std::move(spec), RunBlackoutTrial, []() {
+  registry->Register(std::move(spec), RunTrial, []() {
     Variant v;
     v.bundler_on = true;
     v.watchdog = true;
     return BuildAndRenderDot(FaultedDumbbell(v, BlackoutProfile(1), nullptr, nullptr),
                              "feedback_blackout");
-  });
-}
-
-void RegisterFeedbackLossSweep(ScenarioRegistry* registry) {
-  ScenarioSpec spec;
-  spec.name = "feedback_loss_sweep";
-  spec.summary =
-      "Fault injection: Bernoulli loss on Bundler control messages swept to "
-      "40%; locates where sparse-feedback tolerance ends";
-  spec.variants = {"status_quo", "bundler", "bundler_watchdog"};
-  spec.axes = {{"feedback_loss", {0.05, 0.1, 0.2, 0.4}}};
-  spec.default_trials = 3;
-  registry->Register(std::move(spec), RunLossSweepTrial, []() {
-    Variant v;
-    v.bundler_on = true;
-    v.watchdog = true;
-    FaultProfileSpec fault;
-    fault.target = FaultTarget::kCtl;
-    fault.loss_prob = 0.2;
-    return BuildAndRenderDot(FaultedDumbbell(v, fault, nullptr, nullptr),
-                             "feedback_loss_sweep");
   });
 }
 

@@ -72,8 +72,8 @@ NetBuilder::EdgeId NetBuilder::AddLink(NodeId from, NodeId to, const LinkSpec& s
   CheckNode(to, "AddLink(to)");
   BUNDLER_CHECK_MSG(from != to, "link '%s' connects node '%s' to itself", name.c_str(),
                     nodes_[static_cast<size_t>(from)].name.c_str());
-  // A static topology link that can never serialize an MTU is a spec bug
-  // (dynamic scenarios park links via AddLinkEvent/set_rate instead).
+  // A link that can never serialize an MTU is a spec bug. Link's constructor
+  // would CHECK-fail at Build; failing here points at the declaration.
   BUNDLER_CHECK_MSG(!spec.rate.IsZero() &&
                         !spec.rate.TransmitTime(kMtuBytes).IsInfinite(),
                     "link '%s' needs a usable nonzero rate", name.c_str());
@@ -112,8 +112,7 @@ NetBuilder::EdgeId NetBuilder::AddMultipathLink(
                     name.c_str(), nodes_[static_cast<size_t>(from)].name.c_str());
   BUNDLER_CHECK_MSG(!paths.empty(), "multipath link '%s' needs >= 1 path", name.c_str());
   for (size_t p = 0; p < paths.size(); ++p) {
-    // Mirrors AddLink: a zero-rate path would start permanently parked and
-    // silently blackhole every flow hashed onto it.
+    // Mirrors AddLink: a path that cannot serialize an MTU is a spec bug.
     BUNDLER_CHECK_MSG(!paths[p].rate.IsZero() &&
                           !paths[p].rate.TransmitTime(kMtuBytes).IsInfinite(),
                       "multipath link '%s' path %zu needs a usable nonzero rate",
@@ -251,53 +250,6 @@ NetBuilder::MonitorId NetBuilder::AddRateMeter(EdgeId edge, TimeDelta window,
   return static_cast<MonitorId>(monitors_.size()) - 1;
 }
 
-NetBuilder::ScheduleId NetBuilder::AddLinkEvent(EdgeId link, TimePoint at, Rate rate) {
-  return AddLinkSchedule(link, {LinkEventSpec{at, rate, /*set_delay=*/false,
-                                             TimeDelta::Zero()}});
-}
-
-NetBuilder::ScheduleId NetBuilder::AddLinkEvent(EdgeId link, TimePoint at, Rate rate,
-                                                TimeDelta delay) {
-  return AddLinkSchedule(link, {LinkEventSpec{at, rate, /*set_delay=*/true, delay}});
-}
-
-NetBuilder::ScheduleId NetBuilder::AddLinkSchedule(EdgeId link,
-                                                   std::vector<LinkEventSpec> events,
-                                                   TimeDelta repeat_period) {
-  CheckEdge(link, "AddLinkSchedule");
-  const EdgeDecl& edge = edges_[static_cast<size_t>(link)];
-  BUNDLER_CHECK_MSG(edge.kind == EdgeKind::kLink,
-                    "link schedule attached to '%s', which is not a plain link (wires "
-                    "have no rate; multipath paths are fixed)",
-                    edge.name.c_str());
-  BUNDLER_CHECK_MSG(!events.empty(), "link schedule for '%s' has no events",
-                    edge.name.c_str());
-  for (size_t i = 0; i < events.size(); ++i) {
-    BUNDLER_CHECK_MSG(events[i].at >= TimePoint::Zero(),
-                      "link schedule for '%s': event %zu is before simulation start",
-                      edge.name.c_str(), i);
-    BUNDLER_CHECK_MSG(!events[i].set_delay || events[i].delay >= TimeDelta::Zero(),
-                      "link schedule for '%s': event %zu has a negative delay",
-                      edge.name.c_str(), i);
-    BUNDLER_CHECK_MSG(i == 0 || events[i - 1].at < events[i].at,
-                      "link schedule for '%s': event %zu (t=%s) is not after event %zu "
-                      "(t=%s) — timelines must be strictly increasing",
-                      edge.name.c_str(), i, events[i].at.ToString().c_str(), i - 1,
-                      events[i - 1].at.ToString().c_str());
-  }
-  BUNDLER_CHECK_MSG(
-      repeat_period.IsZero() || repeat_period > events.back().at - TimePoint::Zero(),
-      "link schedule for '%s': repeat period %s does not clear the last event (t=%s)",
-      edge.name.c_str(), repeat_period.ToString().c_str(),
-      events.back().at.ToString().c_str());
-  ScheduleDecl decl;
-  decl.edge = link;
-  decl.events = std::move(events);
-  decl.repeat_period = repeat_period;
-  schedules_.push_back(std::move(decl));
-  return static_cast<ScheduleId>(schedules_.size()) - 1;
-}
-
 NetBuilder::FaultId NetBuilder::AddFaultProfile(EdgeId link,
                                                 const FaultProfileSpec& spec) {
   CheckEdge(link, "AddFaultProfile");
@@ -405,10 +357,10 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
   Validate();
 
   // Every component is constructed into the simulator of its node's group
-  // (unsharded: everything into sims[0]). Links, monitors, and schedule
-  // drivers execute on the *sending* side of their edge, so they follow
-  // `from`; boundary links hand finished packets to the peer shard instead of
-  // scheduling a local delivery.
+  // (unsharded: everything into sims[0]). Links and monitors execute on the
+  // *sending* side of their edge, so they follow `from`; boundary links hand
+  // finished packets to the peer shard instead of scheduling a local
+  // delivery.
   auto sim_of = [&](NodeId n) {
     return plan == nullptr ? sims[0]
                            : sims[static_cast<size_t>(plan->group_of(n))];
@@ -798,19 +750,7 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
             site_egress[static_cast<size_t>(bundle.dst_site)])]);
   }
 
-  // --- Phase 9: link-schedule drivers, in declaration order. Each driver
-  // schedules its first event at construction, so this must stay after the
-  // sendbox managers (phase 6) to keep schedule-free graphs byte-identical
-  // to the pre-schedule builder. ---
-  net->link_schedules_.reserve(schedules_.size());
-  for (const ScheduleDecl& sched : schedules_) {
-    net->link_schedules_.push_back(std::make_unique<LinkScheduleDriver>(
-        sim_of(edges_[static_cast<size_t>(sched.edge)].from),
-        net->links_[static_cast<size_t>(sched.edge)].get(), sched.events,
-        sched.repeat_period));
-  }
-
-  // --- Phase 10: host egress (through the site's manager where one is
+  // --- Phase 9: host egress (through the site's manager where one is
   // attached). ---
   for (size_t n = 0; n < nodes_.size(); ++n) {
     if (nodes_[n].kind != NodeKind::kSite) {
@@ -874,12 +814,6 @@ std::string NetBuilder::ToDot(const std::string& graph_name) const {
       if (monitors_[m].edge == static_cast<EdgeId>(e)) {
         attrs += monitors_[m].kind == MonitorKind::kQueueDelay ? "\\n(qmon)"
                                                                : "\\n(meter)";
-      }
-    }
-    for (const ScheduleDecl& sched : schedules_) {
-      if (sched.edge == static_cast<EdgeId>(e)) {
-        attrs += "\\n(dyn x" + std::to_string(sched.events.size()) +
-                 (sched.repeat_period.IsZero() ? ")" : ", looped)");
       }
     }
     for (size_t f = 0; f < faults_.size(); ++f) {
@@ -1002,12 +936,6 @@ RateMeter* Net::rate_meter(NetBuilder::MonitorId id) {
                         rate_meters_[static_cast<size_t>(id)] != nullptr,
                     "monitor %d is not a rate meter", id);
   return rate_meters_[static_cast<size_t>(id)].get();
-}
-
-LinkScheduleDriver* Net::link_schedule(NetBuilder::ScheduleId id) {
-  BUNDLER_CHECK_MSG(id >= 0 && static_cast<size_t>(id) < link_schedules_.size(),
-                    "no link schedule %d", id);
-  return link_schedules_[static_cast<size_t>(id)].get();
 }
 
 FaultInjector* Net::fault_injector(NetBuilder::FaultId id) {

@@ -7,14 +7,13 @@
 // and materializes hosts, routing tables, reverse paths, and per-bundle
 // plumbing. The paper's dumbbell (topo/dumbbell.h) and WAN paths
 // (topo/internet.h) are thin presets over this builder; new shapes
-// (parking-lot multi-bottleneck, asymmetric reverse paths, ...) are a few
-// declarations instead of bespoke constructor plumbing.
+// (asymmetric reverse paths, fat trees, ...) are a few declarations instead
+// of bespoke constructor plumbing.
 //
-// Determinism contract: Build materializes event-scheduling components
-// (sendbox managers, then link-schedule drivers) in declaration order, so two
-// builders declaring the same graph in the same order drive byte-identical
-// simulations. A graph without link schedules produces exactly the event
-// sequence it did before schedules existed.
+// Determinism contract: Build materializes the only event-scheduling
+// components, the sendbox managers, in declaration order, so two builders
+// declaring the same graph in the same order drive byte-identical
+// simulations.
 #ifndef SRC_TOPO_NET_BUILDER_H_
 #define SRC_TOPO_NET_BUILDER_H_
 
@@ -29,7 +28,6 @@
 #include "src/bundler/sendbox_manager.h"
 #include "src/net/fault_injector.h"
 #include "src/net/link.h"
-#include "src/net/link_schedule.h"
 #include "src/net/monitors.h"
 #include "src/net/multipath_link.h"
 #include "src/net/router.h"
@@ -54,7 +52,6 @@ class NetBuilder {
   using EdgeId = int;
   using BundleId = int;
   using MonitorId = int;
-  using ScheduleId = int;
   using FaultId = int;
 
   // Per-link configuration. The default queue is a byte-limited drop-tail
@@ -118,24 +115,6 @@ class NetBuilder {
   MonitorId AddQueueMonitor(EdgeId edge, PacketFilter filter = {});
   MonitorId AddRateMeter(EdgeId edge, TimeDelta window, PacketFilter filter = {});
 
-  // --- Dynamic link events (failure injection, time-varying capacity) ---
-  // One-shot rate change on a plain link at absolute simulation time `at`
-  // (optionally also changing the propagation delay). Each call is an
-  // independent schedule; CHECK-fails on wires/multipath edges (their rates
-  // are fixed) and on negative times. Rate zero parks the link (see
-  // net/link.h for the mid-transmission semantics).
-  ScheduleId AddLinkEvent(EdgeId link, TimePoint at, Rate rate);
-  ScheduleId AddLinkEvent(EdgeId link, TimePoint at, Rate rate, TimeDelta delay);
-  // Piecewise timeline for one link: `events` must be strictly increasing in
-  // time (CHECK-fails otherwise — out-of-order traces are almost always a
-  // transcription bug). With `repeat_period` nonzero the timeline loops
-  // (trace form: iteration k applies event i at k * period + events[i].at),
-  // so the period must exceed the last event's offset. Build() materializes
-  // each schedule as a LinkScheduleDriver whose rearming one-shot timer
-  // never heap-allocates.
-  ScheduleId AddLinkSchedule(EdgeId link, std::vector<LinkEventSpec> events,
-                             TimeDelta repeat_period = TimeDelta::Zero());
-
   // --- Fault injection (src/net/fault_injector.h) ---
   // Attaches a seeded fault profile to a plain link's delivery path: packets
   // that finish propagation pass through the injector (drop / burst-drop /
@@ -158,7 +137,6 @@ class NetBuilder {
   std::string ToDot(const std::string& graph_name = "net") const;
   size_t num_nodes() const { return nodes_.size(); }
   size_t num_bundles() const { return bundles_.size(); }
-  size_t num_link_schedules() const { return schedules_.size(); }
 
   // Validates the declared graph and materializes it into `sim`. CHECK-fails
   // with a readable message on graph errors. May be called more than once
@@ -208,11 +186,6 @@ class NetBuilder {
     TimeDelta window = TimeDelta::Zero();  // kRateMeter only
     PacketFilter filter;
   };
-  struct ScheduleDecl {
-    EdgeId edge = -1;
-    std::vector<LinkEventSpec> events;
-    TimeDelta repeat_period = TimeDelta::Zero();  // zero => one-shot timeline
-  };
   struct FaultDecl {
     EdgeId edge = -1;
     FaultProfileSpec spec;
@@ -233,7 +206,6 @@ class NetBuilder {
   std::vector<std::pair<NodeId, SendboxManager::TenantPolicy>> tenants_;
   std::vector<std::pair<NodeId, SendboxManager::Policy>> site_policies_;
   std::vector<MonitorDecl> monitors_;
-  std::vector<ScheduleDecl> schedules_;
   std::vector<FaultDecl> faults_;
   std::vector<std::pair<NodeId, NodeId>> colocate_;
 };
@@ -279,8 +251,6 @@ class Net {
   QueueDelayMonitor* queue_monitor(NetBuilder::MonitorId id);
   RateMeter* rate_meter(NetBuilder::MonitorId id);
 
-  LinkScheduleDriver* link_schedule(NetBuilder::ScheduleId id);
-
   FaultInjector* fault_injector(NetBuilder::FaultId id);
 
  private:
@@ -303,7 +273,6 @@ class Net {
   std::vector<std::unique_ptr<Receivebox>> receiveboxes_;
   std::vector<std::unique_ptr<QueueDelayMonitor>> queue_monitors_;
   std::vector<std::unique_ptr<RateMeter>> rate_meters_;
-  std::vector<std::unique_ptr<LinkScheduleDriver>> link_schedules_;
   std::vector<std::unique_ptr<FaultInjector>> fault_injectors_;
 };
 

@@ -112,16 +112,6 @@ PartitionPlan PartitionFromAssignment(const NetBuilder& b,
     }
   }
 
-  for (const NetBuilder::ScheduleDecl& sched : b.schedules_) {
-    const NetBuilder::EdgeDecl& edge = b.edges_[static_cast<size_t>(sched.edge)];
-    BUNDLER_CHECK_MSG(
-        group(edge.from) == group(edge.to),
-        "link schedule on '%s' crosses shards %d -> %d: a boundary link's "
-        "delay is frozen (it is the peer shard's lookahead), so scheduled "
-        "links must stay inside one shard",
-        edge.name.c_str(), group(edge.from), group(edge.to));
-  }
-
   for (size_t i = 0; i < b.bundles_.size(); ++i) {
     const NetBuilder::BundleSpec& bundle = b.bundles_[i];
     const NetBuilder::EdgeDecl& ingress =
@@ -179,11 +169,6 @@ PartitionPlan PartitionTopology(const NetBuilder& b) {
         }
         break;
     }
-  }
-  // Scheduled links mutate their delay mid-run; boundary delays are frozen.
-  for (const NetBuilder::ScheduleDecl& sched : b.schedules_) {
-    const NetBuilder::EdgeDecl& edge = b.edges_[static_cast<size_t>(sched.edge)];
-    uf.Union(edge.from, edge.to);
   }
   // The Bundler control loop couples the whole bundle path (see header).
   for (const NetBuilder::BundleSpec& bundle : b.bundles_) {

@@ -16,8 +16,6 @@
 //     the peer's conservative lookahead, and zero lookahead cannot guarantee
 //     progress;
 //   - multipath edges: one component spanning both endpoints;
-//   - link-scheduled edges: schedules mutate delay mid-run, but a boundary
-//     link's delay is frozen (it IS the lookahead);
 //   - per bundle: src site, dst site, both endpoints of the ingress edge, and
 //     every node with an out-edge into the src site (final-hop routers invoke
 //     the sendbox handler directly for control feedback) — the Bundler
@@ -61,9 +59,9 @@ struct PartitionPlan {
 
 // Validates a caller-supplied assignment against the same rules and returns
 // the corresponding plan. CHECK-fails with a readable message on an empty
-// group, a cross-group wire/multipath/zero-delay link, a cross-group
-// link-scheduled edge, or a bundle spanning groups. Exists so tests can probe
-// the validation (death tests) and so presets can pin hand-made partitions.
+// group, a cross-group wire/multipath/zero-delay link, or a bundle spanning
+// groups. Exists so tests can probe the validation (death tests) and so
+// presets can pin hand-made partitions.
 [[nodiscard]] PartitionPlan PartitionFromAssignment(
     const NetBuilder& builder, const std::vector<int>& group_of_node);
 

@@ -1,9 +1,9 @@
 // Unit tests for the composable topology builder (src/topo/net_builder):
 // graph-validation failure cases (readable CHECK aborts), routing and bundle
 // plumbing on hand-declared graphs, byte-identity between a hand-declared
-// dumbbell and the Dumbbell preset on a fig09-style workload, and a
+// dumbbell and the Dumbbell preset on a fig09-style workload, a
 // parking-lot smoke test asserting per-hop queue monitors see the expected
-// bottleneck.
+// bottleneck, and the site-pair packet filters monitors attach with.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,6 +12,7 @@
 
 #include "src/app/workload.h"
 #include "src/metrics/fct.h"
+#include "src/qdisc/fifo.h"
 #include "src/runner/result_sink.h"
 #include "src/runner/scenario.h"
 #include "src/topo/dumbbell.h"
@@ -423,6 +424,42 @@ TEST(NetBuilderTest, MultipathEdgeAccessorsAndMonitors) {
   sim.RunUntil(TimePoint::Zero() + TimeDelta::Seconds(2));
   // The shared meter saw traffic on some path.
   EXPECT_GT(net.bundle_rate_meter()->total_bytes(), 0);
+}
+
+// Monitors filter what they observe by site pair and packet type.
+TEST(LinkMonitorTest, PacketFilterSelectsSitePairData) {
+  Simulator sim;
+  int delivered = 0;
+  LambdaHandler sink([&delivered](Packet) { ++delivered; });
+  Link link(&sim, "mon", Rate::Mbps(8), TimeDelta::Zero(),
+            std::make_unique<DropTailFifo>(1 << 20), &sink);
+  RateMeter every(&sim, TimeDelta::Millis(10));
+  RateMeter from1(&sim, TimeDelta::Millis(10), PacketFilter::DataFrom(1));
+  RateMeter from1_to2(&sim, TimeDelta::Millis(10), PacketFilter::DataFrom(1, 2));
+  QueueDelayMonitor delay_1_to_2(PacketFilter::DataFrom(1, 2));
+  link.AddObserver(&every);
+  link.AddObserver(&from1);
+  link.AddObserver(&from1_to2);
+  link.AddObserver(&delay_1_to_2);
+  auto data = [](SiteId src, SiteId dst, uint32_t size) {
+    FlowKey key;
+    key.src = MakeAddress(src, 1);
+    key.dst = MakeAddress(dst, 1);
+    return MakeDataPacket(/*flow_id=*/1, key, /*seq=*/0, size);
+  };
+  link.HandlePacket(data(1, 2, 1000));
+  link.HandlePacket(data(1, 3, 500));
+  link.HandlePacket(data(3, 2, 300));
+  // An ACK leaving site 1 for site 2: same sites as the data, wrong type.
+  Packet reverse = data(2, 1, 1000);
+  link.HandlePacket(MakeAckPacket(reverse, MakeAddress(1, 1), MakeAddress(2, 1)));
+  sim.RunAll();
+
+  EXPECT_EQ(every.total_bytes(), 1000 + 500 + 300 + kAckBytes);  // ACKs too
+  EXPECT_EQ(from1.total_bytes(), 1000 + 500);  // no ACK, no site 3 source
+  EXPECT_EQ(from1_to2.total_bytes(), 1000);    // no site 3 destination
+  EXPECT_EQ(delay_1_to_2.delay_ms().size(), 1u);
+  EXPECT_EQ(delivered, 4);  // filters select what monitors see, not what flows
 }
 
 }  // namespace

@@ -149,16 +149,6 @@ TEST(PartitionDeathTest, CrossShardWireDies) {
                "cannot be shard boundaries");
 }
 
-TEST(PartitionDeathTest, CrossShardScheduledLinkDies) {
-  NetBuilder b;
-  NetBuilder::NodeId r0 = b.AddRouter("r0");
-  NetBuilder::NodeId r1 = b.AddRouter("r1");
-  NetBuilder::EdgeId e = b.AddLink(r0, r1, DelayedLink(), "sched");
-  b.AddLinkEvent(e, TimePoint::Zero() + TimeDelta::Seconds(1), Rate::Mbps(10));
-  EXPECT_DEATH(PartitionFromAssignment(b, {0, 1}),
-               "must stay inside one shard");
-}
-
 TEST(PartitionDeathTest, BundleSpanningShardsDies) {
   NetBuilder b;
   NetBuilder::NodeId a = b.AddSite("a", 10);

@@ -1,8 +1,8 @@
 // Unit tests for the discrete-event simulator core: ordering, cancellation
 // (including mid-dispatch), reschedule-in-place, periodic timers, the
-// engine's and a warm link hop's zero-allocation guarantee, and
-// InlineFunction, the move-only callable every event and stored callback
-// rides.
+// engine's and a warm link hop's zero-allocation guarantee, the link's rate
+// check, and InlineFunction, the move-only callable every event and stored
+// callback rides.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -414,6 +414,21 @@ TEST(SimulatorTest, LinkHopDoesNotAllocateOnceWarm) {
   EXPECT_EQ(g_heap_allocs - before, 0u) << "a warm link hop must not touch the heap";
   EXPECT_EQ(sink.packets(), static_cast<uint64_t>((kRounds + 1) * kBurst));
   EXPECT_GE(sim.queue_profile().max_heap, 100u) << "packets were not in flight together";
+}
+
+TEST(LinkDeathTest, RateThatCannotSerializeAnMtuDies) {
+  // Zero, and a positive rate so slow that an MTU's serialization time
+  // saturates to infinity, both die at construction, before any packet.
+  for (Rate rate : {Rate::Zero(), Rate::BitsPerSec(1e-9)}) {
+    EXPECT_DEATH(
+        {
+          Simulator sim;
+          SinkHandler sink;
+          Link link(&sim, "stuck", rate, TimeDelta::Millis(1),
+                    std::make_unique<DropTailFifo>(1 << 20), &sink);
+        },
+        "link 'stuck' needs a rate that serializes an MTU");
+  }
 }
 
 // --- One-at-a-time dispatch: the contract ShardRunner::Step drives through

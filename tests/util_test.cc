@@ -72,6 +72,13 @@ TEST(RateTest, TransmitTime) {
   EXPECT_TRUE(Rate::Zero().TransmitTime(1).IsInfinite());
 }
 
+TEST(RateTest, TransmitTimeSaturatesInsteadOfOverflowing) {
+  EXPECT_TRUE(Rate::Zero().TransmitTime(1500).IsInfinite());
+  EXPECT_TRUE(Rate::BitsPerSec(1e-12).TransmitTime(1500).IsInfinite());
+  EXPECT_FALSE(Rate::BitsPerSec(1.0).TransmitTime(1500).IsInfinite());
+  EXPECT_GT(Rate::BitsPerSec(1e-12).TransmitTime(1500), TimeDelta::Seconds(1));
+}
+
 TEST(RateTest, FromBytesAndTime) {
   Rate r = Rate::FromBytesAndTime(12'000'000, TimeDelta::Seconds(1));
   EXPECT_DOUBLE_EQ(r.Mbps(), 96.0);

@@ -130,12 +130,12 @@ TEST(WatchdogTest, NeverDegradesBeforeTheLoopFirstCloses) {
 }
 
 TEST(WatchdogTest, UncontrollableDelayDegradesOutOfDelayControl) {
-  // The asym_reverse collapse in miniature: the reverse path narrows and two
-  // bulk flows keep its queue standing, so every feedback epoch reports a
-  // loop RTT inflated by hundreds of ms of *reverse* queueing. Feedback
-  // never goes stale — it just measures a delay the shaper cannot drain —
-  // and delay control would strangle the bundle indefinitely. The contract
-  // trigger must degrade instead.
+  // The asym_reverse_sweep collapse in miniature: the reverse path narrows
+  // and two bulk flows keep its queue standing, so every feedback epoch
+  // reports a loop RTT inflated by hundreds of ms of *reverse* queueing.
+  // Feedback never goes stale — it just measures a delay the shaper cannot
+  // drain — and delay control would strangle the bundle indefinitely. The
+  // contract trigger must degrade instead.
   Simulator sim;
   DumbbellConfig cfg;
   cfg.bottleneck_rate = Rate::Mbps(48);
