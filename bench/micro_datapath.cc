@@ -553,16 +553,21 @@ BenchResult BenchFaultInjectorChurn() {
   });
 }
 
+// Interleaved baseline/hook pairs behind the fault-disabled overhead gate.
+constexpr int kFaultHookPairs = 5;
+
 // The fault-disabled fast path: a ctl-targeted profile while data packets
 // stream through — one type check, no RNG draw, no stats update. The op
 // (packet construction + sink delivery) is timed with and without the
-// injector interposed; `added_ns_out` receives the difference, the
-// injector's true added cost per untargeted packet. Together with the
-// end-to-end row this bounds the cost of declaring a fault profile on a
-// link whose targeted population is idle; a link with *no* profile has no
-// injector in its chain at all (AddFaultProfile is the only way one enters
-// a datapath), so its overhead is identically zero.
-BenchResult BenchFaultUntargetedHook(double* added_ns_out) {
+// injector interposed, in kFaultHookPairs interleaved pairs whose order
+// alternates; `added_ns_out` receives each pair's signed difference, the
+// injector's added cost per untargeted packet, and the row reports the
+// median hook run. Together with the end-to-end row this bounds the cost of
+// declaring a fault profile on a link whose targeted population is idle; a
+// link with *no* profile has no injector in its chain at all
+// (AddFaultProfile is the only way one enters a datapath), so its overhead
+// is identically zero.
+BenchResult BenchFaultUntargetedHook(std::vector<double>* added_ns_out) {
   struct Sink : PacketHandler {
     void HandlePacket(Packet pkt) override { g_sink = g_sink + pkt.size_bytes; }
   };
@@ -572,16 +577,31 @@ BenchResult BenchFaultUntargetedHook(double* added_ns_out) {
   // real delivery chain does, instead of letting the compiler collapse the
   // whole op and charge packet construction to the injector.
   PacketHandler* volatile base = &sink;
-  BenchResult direct = Measure("fault_direct_baseline", 1 << 16, 1 << 22,
-                               [&](uint64_t i) { base->HandlePacket(TypicalPacket(i)); });
   FaultProfileSpec spec;
   spec.target = FaultTarget::kCtl;
   spec.loss_prob = 0.5;
   FaultInjector inj(&sim, "bench_cold", spec, &sink);
-  BenchResult hook = Measure("fault_untargeted_hook", 1 << 16, 1 << 22,
-                             [&](uint64_t i) { inj.HandlePacket(TypicalPacket(i)); });
-  *added_ns_out = std::max(0.0, hook.ns_per_op - direct.ns_per_op);
-  return hook;
+  auto time_direct = [&] {
+    return Measure("fault_direct_baseline", 1 << 16, 1 << 22,
+                   [&](uint64_t i) { base->HandlePacket(TypicalPacket(i)); });
+  };
+  auto time_hook = [&] {
+    return Measure("fault_untargeted_hook", 1 << 16, 1 << 22,
+                   [&](uint64_t i) { inj.HandlePacket(TypicalPacket(i)); });
+  };
+  std::vector<BenchResult> hooks;
+  for (int pair = 0; pair < kFaultHookPairs; ++pair) {
+    BenchResult direct;
+    if (pair % 2 == 0) {
+      direct = time_direct();
+      hooks.push_back(time_hook());
+    } else {
+      hooks.push_back(time_hook());
+      direct = time_direct();
+    }
+    added_ns_out->push_back(hooks.back().ns_per_op - direct.ns_per_op);
+  }
+  return MedianRun(hooks);
 }
 
 // The flight recorder's disabled hot path: a trace point whose category is
@@ -671,7 +691,7 @@ BenchResult BenchEndToEndExperimentTraced(double* records_per_event_out) {
 void WriteJson(const std::string& path, const std::vector<BenchResult>& results,
                double speedup, double records_per_event, double disabled_overhead,
                double pdes_speedup, const std::vector<double>& pdes_ratios,
-               double fault_overhead) {
+               double fault_overhead, const std::vector<double>& fault_overheads) {
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -687,6 +707,11 @@ void WriteJson(const std::string& path, const std::vector<BenchResult>& results,
   std::fprintf(f, "  \"trace_records_per_event\": %.4f,\n", records_per_event);
   std::fprintf(f, "  \"tracing_disabled_overhead_frac\": %.6f,\n", disabled_overhead);
   std::fprintf(f, "  \"fault_disabled_overhead_frac\": %.6f,\n", fault_overhead);
+  std::fprintf(f, "  \"fault_disabled_overhead_samples\": [");
+  for (size_t i = 0; i < fault_overheads.size(); ++i) {
+    std::fprintf(f, "%s%.6f", i > 0 ? ", " : "", fault_overheads[i]);
+  }
+  std::fprintf(f, "],\n");
   std::fprintf(f, "  \"benchmarks\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const BenchResult& r = results[i];
@@ -756,7 +781,7 @@ int Run(const std::string& json_path) {
   results.push_back(pdes_w1);
   results.push_back(pdes_w4);
   results.push_back(BenchFaultInjectorChurn());
-  double fault_added_ns = 0;
+  std::vector<double> fault_added_ns;
   BenchResult fault_cold = BenchFaultUntargetedHook(&fault_added_ns);
   results.push_back(fault_cold);
   BenchResult disabled_hook = BenchTraceDisabledHook();
@@ -775,8 +800,16 @@ int Run(const std::string& json_path) {
       disabled_hook.ns_per_op * records_per_event / e2e.ns_per_op;
   // Fault-disabled overhead bound: at most one injector traversal per
   // simulator event (a packet delivery), each adding the untargeted
-  // fast-path delta; scripts/bench.sh gates this at 2%.
-  double fault_overhead = fault_added_ns / e2e.ns_per_op;
+  // fast-path delta. Each pair gives one signed bound, and scripts/bench.sh
+  // gates their median at 2%, so noise moves it both ways and cannot pin it
+  // at zero.
+  std::vector<double> fault_overheads;
+  for (double added_ns : fault_added_ns) {
+    fault_overheads.push_back(added_ns / e2e.ns_per_op);
+  }
+  std::vector<double> fault_sorted = fault_overheads;
+  std::sort(fault_sorted.begin(), fault_sorted.end());
+  const double fault_overhead = fault_sorted[fault_sorted.size() / 2];
 
   Table table({"benchmark", "ns/op", "ops/sec", "allocs/op"});
   for (const BenchResult& r : results) {
@@ -799,13 +832,14 @@ int Run(const std::string& json_path) {
   std::printf("tracing: %.2f records/event when fully armed; disabled-hook "
               "overhead bound %.4f%% of end-to-end run\n",
               records_per_event, disabled_overhead * 100);
-  std::printf("fault injection: untargeted hook adds %.1f ns/packet; disabled "
-              "overhead bound %.4f%% of end-to-end run\n",
-              fault_added_ns, fault_overhead * 100);
+  std::printf("fault injection: untargeted hook adds a median %.1f ns/packet over %d "
+              "pairs; disabled overhead bound %.4f%% of end-to-end run (%.4f%% to %.4f%%)\n",
+              fault_overhead * e2e.ns_per_op, kFaultHookPairs, fault_overhead * 100,
+              fault_sorted.front() * 100, fault_sorted.back() * 100);
 
   if (!json_path.empty()) {
     WriteJson(json_path, results, speedup, records_per_event, disabled_overhead,
-              pdes_speedup, pdes_ratios, fault_overhead);
+              pdes_speedup, pdes_ratios, fault_overhead, fault_overheads);
   }
   // The engine must not allocate per scheduled event in steady state.
   if (engine.allocs_per_op != 0.0) {

@@ -21,8 +21,9 @@
 # Fault-injection gates (PR 9): the faulted datapath must stay
 # allocation-free (fault_injector_churn joins the churn rows), and the
 # fault-disabled overhead bound (untargeted fast-path cost per packet over
-# the untraced per-event cost) must stay at or below
-# BENCH_MAX_FAULT_OVERHEAD (default 0.02, i.e. 2%).
+# the untraced per-event cost, the signed median of five interleaved
+# baseline/hook pairs) must stay at or below BENCH_MAX_FAULT_OVERHEAD
+# (default 0.02, i.e. 2%).
 #
 # Multi-tenant sendbox gate (PR 10): the site-egress hierarchy's datapath
 # churn (site_egress_churn) joins the allocation-free rows. Every bundle
@@ -76,8 +77,10 @@ elif [[ "${STATUS}" -ne 0 ]]; then
 fi
 
 # Readers for the JSON; each prints nothing when the value is missing.
+# num_of keeps a leading minus: the fault-disabled overhead is a signed
+# median, and noise can put it below zero.
 num_of() {
-  grep -o "\"$1\": [0-9.]*" "${OUT}" | grep -o '[0-9.]*$' || true
+  grep -o "\"$1\": -\?[0-9.]*" "${OUT}" | grep -o -- '-\?[0-9.]*$' || true
 }
 alloc_of() {
   grep -o "\"name\": \"$1\"[^}]*" "${OUT}" | grep -o '"allocs_per_op": [0-9.]*' |

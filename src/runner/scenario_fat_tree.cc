@@ -7,10 +7,12 @@
 // hosts (round-robin) in periodic waves with seeded per-flow start jitter —
 // a classic incast onto leaf 0's downlinks. All flows are created up front
 // with deferred starts, so flow-id assignment is single-threaded and
-// deterministic; only packet events cross shards mid-run. Completed
-// senders/receivers release their FlowTable blocks (flow.releases), so the
-// arena footprint is bounded by the in-flight working set, not the total
-// flow count.
+// deterministic; only packet events cross shards mid-run. A flow waiting to
+// start holds its sender handle and receiver; its connection is carved on
+// the source shard's worker when it starts. Each completed flow releases all
+// three FlowTable blocks (flow.releases counts objects, not flows), so the
+// arena holds the running flows plus 288 bytes per waiting one, not every
+// flow the trial creates.
 #include <memory>
 #include <string>
 #include <vector>

@@ -51,12 +51,23 @@ class InlineFunction<R(Args...), Capacity> {
                   "through the owning object rather than growing the slot");
     static_assert(alignof(Fn) <= alignof(std::max_align_t));
     Reset();
+    constexpr bool kTrivial =
+        std::is_trivially_copyable_v<Fn> && std::is_trivially_destructible_v<Fn>;
+    if constexpr (kTrivial) {
+      // MoveFrom copies all kCapacity bytes of a trivial callable. Zero the
+      // ones the callable leaves unwritten, so that copy reads no
+      // indeterminate storage: the tail past it, or all of them for an empty
+      // lambda, whose one byte no constructor writes.
+      constexpr size_t kWritten = std::is_empty_v<Fn> ? 0 : sizeof(Fn);
+      if constexpr (kWritten < kCapacity) {
+        std::memset(storage_ + kWritten, 0, kCapacity - kWritten);
+      }
+    }
     ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
     invoke_ = [](void* s, Args... args) -> R {
       return (*static_cast<Fn*>(s))(std::forward<Args>(args)...);
     };
-    if constexpr (std::is_trivially_copyable_v<Fn> &&
-                  std::is_trivially_destructible_v<Fn>) {
+    if constexpr (kTrivial) {
       // Trivial callables (the vast majority: lambdas over pointers,
       // indices and PODs) move by plain memcpy and need no destructor, so the
       // manager indirection is skipped entirely.
@@ -112,7 +123,8 @@ class InlineFunction<R(Args...), Capacity> {
       manage_(Op::kMoveFrom, storage_, o.storage_);
     } else if (invoke_ != nullptr) {
       // Trivial payload: the fixed-size copy beats a sized one (the length
-      // is a compile-time constant, so it vectorizes) and is always safe.
+      // is a compile-time constant, so it vectorizes), and Emplace zeroed
+      // whatever the callable left unwritten.
       std::memcpy(storage_, o.storage_, kCapacity);
     }
     o.invoke_ = nullptr;

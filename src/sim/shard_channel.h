@@ -19,7 +19,10 @@
 // Everything here is allocation-free after construction: slots are
 // preallocated and Packet is a flat, heap-free struct. A send writes its
 // message straight into the ring's tail slot; a drain hands every published
-// slot to the consumer and frees them all with one release store.
+// slot to the consumer and frees them all with one release store. Building a
+// ring writes none of its slots, so a channel that never carries a message
+// costs no resident memory; a busy one touches every slot once its traffic
+// has gone round the ring.
 #ifndef SRC_SIM_SHARD_CHANNEL_H_
 #define SRC_SIM_SHARD_CHANNEL_H_
 
@@ -27,6 +30,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -62,8 +67,17 @@ struct BoundaryMsg {
 // which side of the ring its thread is — does not compile.
 template <typename T>
 class SpscRing {
+  // Slots are raw storage until a push writes them: an element's lifetime
+  // begins and ends with its bytes.
+  static_assert(std::is_trivially_copyable_v<T> && std::is_trivially_destructible_v<T>,
+                "SpscRing slots are never constructed or destroyed");
+  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+
  public:
-  explicit SpscRing(size_t capacity) : buf_(RoundUpPow2(capacity)), mask_(buf_.size() - 1) {}
+  explicit SpscRing(size_t capacity)
+      : mask_(RoundUpPow2(capacity) - 1),
+        // Construction time; default-initialized bytes, so no slot is written.
+        storage_(new unsigned char[(mask_ + 1) * sizeof(T)]) {}  // lint:allow(datapath-heap-alloc)
   SpscRing(const SpscRing&) = delete;
   SpscRing& operator=(const SpscRing&) = delete;
 
@@ -73,16 +87,17 @@ class SpscRing {
   ThreadRole consumer_role;
 
   // Producer side: `fill(T& slot)` writes the next element in place into the
-  // tail slot (which holds a default-constructed or already drained element),
-  // then the slot is published. Returns false without calling `fill` when
-  // full (the caller decides how loudly).
+  // tail slot, then the slot is published. The slot holds unwritten storage
+  // or an already drained element, so `fill` must write every field Drain's
+  // consumer reads. Returns false without calling `fill` when full (the
+  // caller decides how loudly).
   template <typename Fill>
   [[nodiscard]] bool TryPushWith(Fill&& fill) REQUIRES(producer_role) {
     const uint64_t tail = tail_.load(std::memory_order_relaxed);
     if (tail - head_.load(std::memory_order_acquire) > mask_) {
       return false;
     }
-    fill(buf_[tail & mask_]);
+    fill(Slot(tail));
     tail_.store(tail + 1, std::memory_order_release);
     return true;
   }
@@ -95,13 +110,13 @@ class SpscRing {
     const uint64_t head = head_.load(std::memory_order_relaxed);
     const uint64_t tail = tail_.load(std::memory_order_acquire);
     for (uint64_t i = head; i != tail; ++i) {
-      take(buf_[i & mask_]);
+      take(Slot(i));
     }
     head_.store(tail, std::memory_order_release);
     return static_cast<size_t>(tail - head);
   }
 
-  size_t capacity() const { return buf_.size(); }
+  size_t capacity() const { return mask_ + 1; }
 
  private:
   static size_t RoundUpPow2(size_t n) {
@@ -112,8 +127,12 @@ class SpscRing {
     return p;
   }
 
-  std::vector<T> buf_;
+  T& Slot(uint64_t index) {
+    return *std::launder(reinterpret_cast<T*>(storage_.get() + (index & mask_) * sizeof(T)));
+  }
+
   const size_t mask_;
+  std::unique_ptr<unsigned char[]> storage_;
   alignas(64) std::atomic<uint64_t> head_{0};  // next index to pop
   alignas(64) std::atomic<uint64_t> tail_{0};  // next index to push
 };

@@ -48,6 +48,19 @@ void Host::Register(uint64_t flow_id, PacketHandler* handler) {
 
 void Host::Unregister(uint64_t flow_id) { flows_.Erase(flow_id); }
 
+void Host::ResolveTcpObs() {
+  if (tcp_obs_.retransmits != nullptr) {
+    return;
+  }
+  // Names stay <= 15 chars so the registry lookup strings are SSO.
+  tcp_obs_.comp = sim_->trace().FindOrRegisterComponent("tcp", "tcp");
+  obs::CounterRegistry& reg = sim_->counters();
+  tcp_obs_.retransmits = reg.Counter("tcp.retransmits");
+  tcp_obs_.rtos = reg.Counter("tcp.rtos");
+  tcp_obs_.spurious = reg.Counter("tcp.spurious");
+  tcp_obs_.recoveries = reg.Counter("tcp.recoveries");
+}
+
 uint16_t Host::AllocPort() {
   uint16_t port = next_port_;
   ++next_port_;

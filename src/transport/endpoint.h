@@ -33,6 +33,17 @@
 
 namespace bundler {
 
+// Where the TCP senders of one host report: the simulator's shared "tcp"
+// trace component and its aggregate tcp.* counters. Aggregate, because flows
+// churn mid-run and per-flow registration would allocate on the datapath.
+struct TcpObs {
+  uint32_t comp = 0;
+  uint64_t* retransmits = nullptr;
+  uint64_t* rtos = nullptr;
+  uint64_t* spurious = nullptr;
+  uint64_t* recoveries = nullptr;
+};
+
 class Host : public PacketHandler {
  public:
   Host(Simulator* sim, Address addr, PacketHandler* egress);
@@ -54,6 +65,12 @@ class Host : public PacketHandler {
 
   uint16_t AllocPort();
 
+  // Registers tcp_obs() with the simulator on the first call and does nothing
+  // after. Each flow's sender handle makes the call for its source host as
+  // CreateTcpFlow creates it, so a host that never sends registers nothing.
+  void ResolveTcpObs();
+  const TcpObs& tcp_obs() const { return tcp_obs_; }
+
   Simulator* sim() { return sim_; }
   Address address() const { return addr_; }
   uint64_t unclaimed_packets() const { return unclaimed_; }
@@ -67,6 +84,7 @@ class Host : public PacketHandler {
   uint16_t next_port_ = 1024;
   uint16_t next_ip_id_ = 1;
   uint64_t unclaimed_ = 0;
+  TcpObs tcp_obs_;
 };
 
 // Owns transport objects and allocates flow ids. Each object is carved from
@@ -165,6 +183,11 @@ class FlowTable {
     return blocks_.size();
   }
 
+  // Bytes per arena block: room for ~250 running web flows (receiver, sender
+  // handle and connection, request glue) or ~900 flows waiting to start. A
+  // flow object bigger than a block would be a bug worth hearing about loudly.
+  static constexpr size_t kBlockBytes = 256 * 1024;
+
  private:
   struct Owned {
     void* obj;
@@ -220,10 +243,6 @@ class FlowTable {
     ASAN_UNPOISON_MEMORY_REGION(payload, cls * kGranule);
     return payload;
   }
-
-  // Large enough for ~100 flows (sender+receiver+glue) per block; a flow
-  // object bigger than a block would be a bug worth hearing about loudly.
-  static constexpr size_t kBlockBytes = 256 * 1024;
 
   mutable std::mutex mu_;
   uint64_t next_flow_id_ GUARDED_BY(mu_) = 1;

@@ -51,35 +51,51 @@ void TcpReceiver::HandlePacket(Packet pkt) {
 TcpSender::TcpSender(Host* host, FlowTable* table, uint64_t flow_id, FlowKey key,
                      const TcpFlowParams& params)
     : host_(host), table_(table), flow_id_(flow_id), key_(key), params_(params) {
-  cc_ = MakeHostCcInPlace(&cc_storage_, params.cc, params.const_cwnd_pkts);
-  if (params_.size_bytes < 0) {
-    total_pkts_ = 0;
-    last_payload_bytes_ = kMssBytes;
-  } else {
-    total_pkts_ = (params_.size_bytes + kMssBytes - 1) / kMssBytes;
-    total_pkts_ = std::max<int64_t>(total_pkts_, 1);
-    int64_t rem = params_.size_bytes % kMssBytes;
-    last_payload_bytes_ = rem == 0 ? kMssBytes : rem;
-  }
-  host_->Register(flow_id_, this);
-  Simulator* sim = host_->sim();
-  comp_ = sim->trace().FindOrRegisterComponent("tcp", "tcp");
-  obs::CounterRegistry& reg = sim->counters();
-  ctr_retx_ = reg.Counter("tcp.retransmits");
-  ctr_rtos_ = reg.Counter("tcp.rtos");
-  ctr_spurious_ = reg.Counter("tcp.spurious");
-  ctr_recoveries_ = reg.Counter("tcp.recoveries");
+  host_->ResolveTcpObs();
 }
-
-TcpSender::~TcpSender() { cc_->~HostCc(); }
 
 void TcpSender::Start() {
-  BUNDLER_CHECK(!started_);
-  started_ = true;
-  TrySend();
+  BUNDLER_CHECK(conn_ == nullptr);
+  conn_ = table_->Emplace<TcpConnection>(this);
+  conn_->TrySend();
 }
 
-double TcpSender::InflightPkts() const {
+bool TcpSender::complete() const { return conn_ != nullptr && conn_->complete_; }
+
+double TcpSender::cwnd_pkts() const { return conn_ != nullptr ? conn_->cc_->CwndPkts() : 0.0; }
+
+double TcpSender::InflightPkts() const { return conn_ != nullptr ? conn_->InflightPkts() : 0.0; }
+
+int64_t TcpSender::total_pkts() const { return conn_ != nullptr ? conn_->TotalPkts() : 0; }
+
+int64_t TcpSender::delivered_bytes() const {
+  return conn_ != nullptr ? conn_->delivered_bytes_ : 0;
+}
+
+uint64_t TcpSender::retransmits() const { return conn_ != nullptr ? conn_->retransmits_ : 0; }
+
+uint64_t TcpSender::timeouts() const { return conn_ != nullptr ? conn_->timeouts_ : 0; }
+
+TimeDelta TcpSender::srtt() const { return conn_ != nullptr ? conn_->srtt_ : TimeDelta::Zero(); }
+
+TcpConnection::TcpConnection(TcpSender* flow) : flow_(flow) {
+  // In the body, so the controller is built in a slot whose member
+  // initialization is already done.
+  cc_ = MakeHostCcInPlace(&cc_storage_, flow_->params_.cc, flow_->params_.const_cwnd_pkts);
+  flow_->host_->Register(flow_->flow_id_, this);
+}
+
+TcpConnection::~TcpConnection() { cc_->~HostCc(); }
+
+int64_t TcpConnection::TotalPkts() const {
+  const int64_t size = flow_->params_.size_bytes;
+  if (size < 0) {
+    return 0;
+  }
+  return std::max<int64_t>((size + kMssBytes - 1) / kMssBytes, 1);
+}
+
+double TcpConnection::InflightPkts() const {
   // RFC 6675 "pipe": sent minus delivered (SACKed) minus presumed-lost holes
   // that have not been retransmitted. Retransmitted holes count once (their
   // retransmission is in flight), which the formula covers by construction.
@@ -88,55 +104,58 @@ double TcpSender::InflightPkts() const {
   return static_cast<double>(std::max<int64_t>(0, pipe));
 }
 
-int64_t TcpSender::PayloadSize(int64_t seq) const {
-  if (total_pkts_ > 0 && seq == total_pkts_ - 1) {
-    return last_payload_bytes_;
+int64_t TcpConnection::PayloadSize(int64_t seq) const {
+  const int64_t total = TotalPkts();
+  if (total > 0 && seq == total - 1) {
+    const int64_t rem = flow_->params_.size_bytes % kMssBytes;
+    return rem == 0 ? kMssBytes : rem;
   }
   return kMssBytes;
 }
 
-uint32_t TcpSender::WireSize(int64_t seq) const {
+uint32_t TcpConnection::WireSize(int64_t seq) const {
   return static_cast<uint32_t>(PayloadSize(seq)) + kHeaderBytes;
 }
 
-void TcpSender::SendSegment(int64_t seq, bool retransmit) {
-  Packet pkt = MakeDataPacket(flow_id_, key_, seq, WireSize(seq));
-  pkt.flow_total_pkts = total_pkts_;
+void TcpConnection::SendSegment(int64_t seq, bool retransmit) {
+  const TcpSender& f = *flow_;
+  Packet pkt = MakeDataPacket(f.flow_id_, f.key_, seq, WireSize(seq));
+  pkt.flow_total_pkts = TotalPkts();
   pkt.retransmit = retransmit;
-  pkt.tx_time = host_->sim()->now();
+  pkt.tx_time = sim()->now();
   pkt.delivered_at_tx = delivered_bytes_;
-  pkt.request_id = params_.request_id;
-  pkt.priority = params_.priority;
+  pkt.request_id = f.params_.request_id;
+  pkt.priority = f.params_.priority;
   if (retransmit) {
     ++retransmits_;
-    ++*ctr_retx_;
-    obs::Tracer& tracer = host_->sim()->trace();
+    const TcpObs& tcp = f.host_->tcp_obs();
+    ++*tcp.retransmits;
+    obs::Tracer& tracer = sim()->trace();
     if (tracer.enabled(obs::TraceCat::kTcp)) {
-      tracer.Trace(obs::TraceCat::kTcp, obs::TraceEv::kTcpRetx, comp_,
-                   host_->sim()->now(), flow_id_, static_cast<uint64_t>(seq),
-                   rto_recovery_ ? 1 : 0);
+      tracer.Trace(obs::TraceCat::kTcp, obs::TraceEv::kTcpRetx, tcp.comp, sim()->now(),
+                   f.flow_id_, static_cast<uint64_t>(seq), rto_recovery_ ? 1 : 0);
     }
   }
   if (in_recovery_ && !rto_recovery_) {
     prr_out_ += 1;
     --prr_budget_;
   }
-  host_->SendOut(std::move(pkt));
+  f.host_->SendOut(std::move(pkt));
   EnsureRtoArmed();
 }
 
-void TcpSender::TrySend() {
+void TcpConnection::TrySend() {
   if (complete_) {
     return;
   }
-  TimePoint now = host_->sim()->now();
+  TimePoint now = sim()->now();
   Rate pacing = cc_->PacingRate();
-  while ((total_pkts_ == 0 || next_seq_ < total_pkts_) && InflightPkts() < cc_->CwndPkts() &&
-         !PrrGated()) {
+  const int64_t total = TotalPkts();
+  while ((total == 0 || next_seq_ < total) && InflightPkts() < cc_->CwndPkts() && !PrrGated()) {
     if (!pacing.IsZero()) {
       if (now < next_pacing_send_) {
         if (pacing_timer_ == kInvalidEventId) {
-          pacing_timer_ = host_->sim()->ScheduleAt(next_pacing_send_, [this]() {
+          pacing_timer_ = sim()->ScheduleAt(next_pacing_send_, [this]() {
             pacing_timer_ = kInvalidEventId;
             TrySend();
           });
@@ -152,7 +171,7 @@ void TcpSender::TrySend() {
   }
 }
 
-void TcpSender::UpdateRtt(TimeDelta sample) {
+void TcpConnection::UpdateRtt(TimeDelta sample) {
   if (srtt_.IsZero()) {
     srtt_ = sample;
     rttvar_ = sample / 2;
@@ -163,7 +182,7 @@ void TcpSender::UpdateRtt(TimeDelta sample) {
   srtt_ = TimeDelta::Nanos((7 * srtt_.nanos() + sample.nanos()) / 8);
 }
 
-TimeDelta TcpSender::CurrentRto() const {
+TimeDelta TcpConnection::CurrentRto() const {
   TimeDelta base = srtt_.IsZero() ? TimeDelta::Seconds(1) : srtt_ + rttvar_ * 4.0;
   base = std::max(base, kMinRto);
   for (int i = 0; i < rto_backoff_; ++i) {
@@ -175,15 +194,15 @@ TimeDelta TcpSender::CurrentRto() const {
   return std::min(base, kMaxRto);
 }
 
-void TcpSender::RestartRto() {
-  rto_deadline_ = host_->sim()->now() + CurrentRto();
+void TcpConnection::RestartRto() {
+  rto_deadline_ = sim()->now() + CurrentRto();
   if (rto_timer_ == kInvalidEventId) {
-    rto_timer_ = host_->sim()->ScheduleAt(rto_deadline_, [this]() { OnRtoTimer(); });
+    rto_timer_ = sim()->ScheduleAt(rto_deadline_, [this]() { OnRtoTimer(); });
   }
   ArmPto();
 }
 
-void TcpSender::EnsureRtoArmed() {
+void TcpConnection::EnsureRtoArmed() {
   // Do not slide an existing deadline forward: the timer guards the oldest
   // outstanding segment, and refreshing it on every transmission would let a
   // steadily sending flow starve a stuck retransmission forever.
@@ -194,30 +213,30 @@ void TcpSender::EnsureRtoArmed() {
   ArmPto();
 }
 
-void TcpSender::ArmPto() {
+void TcpConnection::ArmPto() {
   if (complete_ || probe_outstanding_) {
     return;
   }
   TimeDelta delay = srtt_.IsZero() ? TimeDelta::Millis(100)
                                    : std::max(srtt_ * 2.0, TimeDelta::Millis(10));
-  TimePoint deadline = host_->sim()->now() + delay;
+  TimePoint deadline = sim()->now() + delay;
   if (deadline >= rto_deadline_) {
     return;  // the RTO will fire first anyway
   }
   pto_deadline_ = deadline;
   if (pto_timer_ == kInvalidEventId) {
-    pto_timer_ = host_->sim()->ScheduleAt(pto_deadline_, [this]() { OnPtoTimer(); });
+    pto_timer_ = sim()->ScheduleAt(pto_deadline_, [this]() { OnPtoTimer(); });
   }
 }
 
-void TcpSender::OnPtoTimer() {
+void TcpConnection::OnPtoTimer() {
   pto_timer_ = kInvalidEventId;
   if (complete_) {
     return;
   }
-  TimePoint now = host_->sim()->now();
+  TimePoint now = sim()->now();
   if (now < pto_deadline_) {
-    pto_timer_ = host_->sim()->ScheduleAt(pto_deadline_, [this]() { OnPtoTimer(); });
+    pto_timer_ = sim()->ScheduleAt(pto_deadline_, [this]() { OnPtoTimer(); });
     return;
   }
   if (probe_outstanding_ || InflightPkts() <= 0) {
@@ -235,27 +254,29 @@ void TcpSender::OnPtoTimer() {
   SendSegment(probe, /*retransmit=*/true);
 }
 
-void TcpSender::OnRtoTimer() {
+void TcpConnection::OnRtoTimer() {
   rto_timer_ = kInvalidEventId;
   if (complete_) {
     return;
   }
-  TimePoint now = host_->sim()->now();
+  TimePoint now = sim()->now();
   if (now < rto_deadline_) {
     // The deadline moved forward since this timer was armed; re-arm lazily.
-    rto_timer_ = host_->sim()->ScheduleAt(rto_deadline_, [this]() { OnRtoTimer(); });
+    rto_timer_ = sim()->ScheduleAt(rto_deadline_, [this]() { OnRtoTimer(); });
     return;
   }
-  if (InflightPkts() <= 0 && (total_pkts_ != 0 && cum_acked_ >= total_pkts_)) {
+  const int64_t total = TotalPkts();
+  if (InflightPkts() <= 0 && (total != 0 && cum_acked_ >= total)) {
     return;  // nothing outstanding
   }
   ++timeouts_;
-  ++*ctr_rtos_;
+  const TcpObs& tcp = flow_->host_->tcp_obs();
+  ++*tcp.rtos;
   {
-    obs::Tracer& tracer = host_->sim()->trace();
+    obs::Tracer& tracer = sim()->trace();
     if (tracer.enabled(obs::TraceCat::kTcp)) {
-      tracer.Trace(obs::TraceCat::kTcp, obs::TraceEv::kTcpRto, comp_, now,
-                   flow_id_, static_cast<uint64_t>(rto_backoff_ + 1),
+      tracer.Trace(obs::TraceCat::kTcp, obs::TraceEv::kTcpRto, tcp.comp, now,
+                   flow_->flow_id_, static_cast<uint64_t>(rto_backoff_ + 1),
                    static_cast<uint64_t>(CurrentRto().nanos()));
     }
   }
@@ -271,22 +292,23 @@ void TcpSender::OnRtoTimer() {
   recovery_point_ = next_seq_;
   scoreboard_.MoveAllRetxToLost();
   dupacks_ = 0;
-  if (total_pkts_ == 0 || cum_acked_ < total_pkts_) {
+  if (total == 0 || cum_acked_ < total) {
     scoreboard_.MarkRetx(cum_acked_, next_seq_);
     SendSegment(cum_acked_, /*retransmit=*/true);
   }
   RestartRto();
 }
 
-void TcpSender::EnterRecovery(TimePoint now) {
+void TcpConnection::EnterRecovery(TimePoint now) {
   in_recovery_ = true;
   rto_recovery_ = false;
   recovery_point_ = next_seq_;
-  ++*ctr_recoveries_;
-  obs::Tracer& tracer = host_->sim()->trace();
+  const TcpObs& tcp = flow_->host_->tcp_obs();
+  ++*tcp.recoveries;
+  obs::Tracer& tracer = sim()->trace();
   if (tracer.enabled(obs::TraceCat::kTcp)) {
-    tracer.Trace(obs::TraceCat::kTcp, obs::TraceEv::kTcpRecoveryEnter, comp_,
-                 now, flow_id_, static_cast<uint64_t>(recovery_point_), 0);
+    tracer.Trace(obs::TraceCat::kTcp, obs::TraceEv::kTcpRecoveryEnter, tcp.comp, now,
+                 flow_->flow_id_, static_cast<uint64_t>(recovery_point_), 0);
   }
   scoreboard_.ClearRetx();
   prr_recoverfs_ = std::max(1.0, InflightPkts());
@@ -296,11 +318,11 @@ void TcpSender::EnterRecovery(TimePoint now) {
   cc_->OnLoss(LossSample{now, /*is_timeout=*/false, InflightPkts()});
 }
 
-bool TcpSender::PrrGated() const {
+bool TcpConnection::PrrGated() const {
   return in_recovery_ && !rto_recovery_ && prr_budget_ <= 0;
 }
 
-void TcpSender::RefreshPrrBudget() {
+void TcpConnection::RefreshPrrBudget() {
   if (!in_recovery_ || rto_recovery_) {
     return;
   }
@@ -317,7 +339,7 @@ void TcpSender::RefreshPrrBudget() {
   prr_budget_ = static_cast<int>(std::max(0.0, sndcnt));
 }
 
-void TcpSender::MaybeRetransmitHoles() {
+void TcpConnection::MaybeRetransmitHoles() {
   double pipe = InflightPkts();
   const double cwnd = cc_->CwndPkts();
   while (pipe < cwnd && scoreboard_.lost_count() > 0 && !PrrGated()) {
@@ -328,15 +350,15 @@ void TcpSender::MaybeRetransmitHoles() {
   }
 }
 
-void TcpSender::HandlePacket(Packet pkt) {
+void TcpConnection::HandlePacket(Packet pkt) {
   if (pkt.type != PacketType::kAck || complete_) {
     return;
   }
   OnAck(pkt);
 }
 
-void TcpSender::OnAck(const Packet& ack) {
-  TimePoint now = host_->sim()->now();
+void TcpConnection::OnAck(const Packet& ack) {
+  TimePoint now = sim()->now();
   // Spurious-retransmit detection (before the scoreboard window moves): the
   // ACK echoes which data transmission triggered it. If that echo is an
   // *original* transmission of a segment we have already retransmitted (state
@@ -345,21 +367,23 @@ void TcpSender::OnAck(const Packet& ack) {
     const int64_t s = ack.acked_data_seq;
     if (!ack.echo_retransmit && s >= cum_acked_ && s < next_seq_ &&
         scoreboard_.StateOf(s) == SackScoreboard::SegState::kRetxOutstanding) {
-      ++*ctr_spurious_;
-      obs::Tracer& tracer = host_->sim()->trace();
+      const TcpObs& tcp = flow_->host_->tcp_obs();
+      ++*tcp.spurious;
+      obs::Tracer& tracer = sim()->trace();
       if (tracer.enabled(obs::TraceCat::kTcp)) {
-        tracer.Trace(obs::TraceCat::kTcp, obs::TraceEv::kTcpSpuriousRetx,
-                     comp_, now, flow_id_, static_cast<uint64_t>(s));
+        tracer.Trace(obs::TraceCat::kTcp, obs::TraceEv::kTcpSpuriousRetx, tcp.comp, now,
+                     flow_->flow_id_, static_cast<uint64_t>(s));
       }
     }
   }
   if (ack.seq > cum_acked_) {
+    const int64_t total = TotalPkts();
     int64_t newly_acked = ack.seq - cum_acked_;
     // Count bytes for everything newly covered by the cumulative point: full
     // MSS segments except the flow's final (possibly short) one.
     delivered_bytes_ += newly_acked * kMssBytes;
-    if (total_pkts_ > 0 && ack.seq >= total_pkts_) {
-      delivered_bytes_ += last_payload_bytes_ - kMssBytes;
+    if (total > 0 && ack.seq >= total) {
+      delivered_bytes_ += PayloadSize(total - 1) - kMssBytes;
     }
     cum_acked_ = ack.seq;
     scoreboard_.AdvanceTo(cum_acked_);
@@ -392,10 +416,11 @@ void TcpSender::OnAck(const Packet& ack) {
         in_recovery_ = false;
         rto_recovery_ = false;
         scoreboard_.ClearLostAndRetx();
-        obs::Tracer& tracer = host_->sim()->trace();
+        obs::Tracer& tracer = sim()->trace();
         if (tracer.enabled(obs::TraceCat::kTcp)) {
           tracer.Trace(obs::TraceCat::kTcp, obs::TraceEv::kTcpRecoveryExit,
-                       comp_, now, flow_id_, static_cast<uint64_t>(cum_acked_));
+                       flow_->host_->tcp_obs().comp, now, flow_->flow_id_,
+                       static_cast<uint64_t>(cum_acked_));
         }
       }
     }
@@ -408,29 +433,34 @@ void TcpSender::OnAck(const Packet& ack) {
     }
     RestartRto();
 
-    if (total_pkts_ > 0 && cum_acked_ >= total_pkts_) {
+    if (total > 0 && cum_acked_ >= total) {
       complete_ = true;
       if (rto_timer_ != kInvalidEventId) {
-        host_->sim()->Cancel(rto_timer_);
+        sim()->Cancel(rto_timer_);
         rto_timer_ = kInvalidEventId;
       }
       if (pto_timer_ != kInvalidEventId) {
-        host_->sim()->Cancel(pto_timer_);
+        sim()->Cancel(pto_timer_);
         pto_timer_ = kInvalidEventId;
       }
       if (pacing_timer_ != kInvalidEventId) {
-        host_->sim()->Cancel(pacing_timer_);
+        sim()->Cancel(pacing_timer_);
         pacing_timer_ = kInvalidEventId;
       }
       // Every byte is cumulatively ACKed and every timer above is dead, so
-      // no pending event references this sender. Vacate the flow id now
-      // (straggler dup-ACKs land in the host's unclaimed counter) and
-      // destroy via a zero-delay event so the destructor never runs under
-      // this handler's own stack frame.
-      host_->Unregister(flow_id_);
-      FlowTable* table = table_;
-      TcpSender* self = this;
-      host_->sim()->Schedule(TimeDelta::Zero(), [table, self]() { table->Release(self); });
+      // no pending event references this connection, and none references its
+      // handle once the flow has started. Vacate the flow id now (straggler
+      // dup-ACKs land in the host's unclaimed counter) and free both through
+      // one zero-delay event, so no destructor runs under this handler's own
+      // stack frame.
+      flow_->host_->Unregister(flow_->flow_id_);
+      FlowTable* table = flow_->table_;
+      TcpConnection* self = this;
+      TcpSender* flow = flow_;
+      sim()->Schedule(TimeDelta::Zero(), [table, self, flow]() {
+        table->Release(self);
+        table->Release(flow);
+      });
       return;
     }
   } else if (ack.seq == cum_acked_) {

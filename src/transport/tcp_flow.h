@@ -55,36 +55,73 @@ class TcpReceiver : public PacketHandler {
   SeqIntervalSet out_of_order_;  // contiguous runs above the cumulative point
 };
 
-// Sender half. A finite flow's sender completes when every byte is
-// cumulatively ACKed: it cancels its timers, vacates its flow id (later
-// dup-ACKs land in the host's unclaimed counter) and releases itself back to
-// `table` through a zero-delay event, so its destructor never runs under its
-// own handler's stack frame. A backlogged sender never completes.
-class TcpSender : public PacketHandler {
+class TcpConnection;
+
+// Sender half, as CreateTcpFlow returns it: a handle that keeps only what the
+// flow was created with. Start() carves the TcpConnection that runs the
+// transport from the same FlowTable and registers it on the source host's
+// demux, so a flow waiting for a deferred start costs this handle and its
+// receiver, and the demux holds only running senders. A finite flow
+// completes when every byte is cumulatively ACKed: its connection cancels its
+// timers, vacates the flow id (later dup-ACKs land in the host's unclaimed
+// counter) and releases itself and this handle back to `table` through one
+// zero-delay event, so no destructor runs under the connection's own
+// handler's stack frame. A backlogged sender never completes.
+class TcpSender {
  public:
   TcpSender(Host* host, FlowTable* table, uint64_t flow_id, FlowKey key,
             const TcpFlowParams& params);
-  ~TcpSender() override;
+  TcpSender(const TcpSender&) = delete;  // its connection and start events hold its address
+  TcpSender& operator=(const TcpSender&) = delete;
 
-  // Begin transmitting (schedules the first send immediately).
+  // Begin transmitting (sends the first window immediately). Once only.
   void Start();
+
+  // The connection's transport state. Before Start() each reads zero (false).
+  bool complete() const;
+  double cwnd_pkts() const;
+  double InflightPkts() const;
+  int64_t total_pkts() const;
+  int64_t delivered_bytes() const;
+  uint64_t retransmits() const;
+  uint64_t timeouts() const;
+  TimeDelta srtt() const;
+
+ private:
+  friend class TcpConnection;
+
+  Host* host_;
+  FlowTable* table_;
+  uint64_t flow_id_;
+  FlowKey key_;
+  TcpFlowParams params_;
+  TcpConnection* conn_ = nullptr;  // null until Start()
+};
+
+// The running half of a sender: everything the transport computes. It copies
+// nothing of its handle's: flow id, key, size and the rest are read through
+// `flow_`, and the tcp trace component and counters through the source
+// host's tcp_obs().
+class TcpConnection : public PacketHandler {
+ public:
+  explicit TcpConnection(TcpSender* flow);
+  TcpConnection(const TcpConnection&) = delete;  // the demux and its timers hold its address
+  TcpConnection& operator=(const TcpConnection&) = delete;
+  ~TcpConnection() override;
 
   // ACKs from the receiver arrive here.
   void HandlePacket(Packet pkt) override;
 
-  bool complete() const { return complete_; }
-  double cwnd_pkts() const { return cc_->CwndPkts(); }
-  double InflightPkts() const;
-  int64_t total_pkts() const { return total_pkts_; }
-  int64_t delivered_bytes() const { return delivered_bytes_; }
-  uint64_t retransmits() const { return retransmits_; }
-  uint64_t timeouts() const { return timeouts_; }
-  TimeDelta srtt() const { return srtt_; }
-
  private:
+  friend class TcpSender;
+
   static constexpr auto kMinRto = TimeDelta::Millis(200);
   static constexpr auto kMaxRto = TimeDelta::Seconds(60);
 
+  Simulator* sim() const { return flow_->host_->sim(); }
+  // A finite flow's segment count, 0 when backlogged.
+  int64_t TotalPkts() const;
+  double InflightPkts() const;
   void TrySend();
   void SendSegment(int64_t seq, bool retransmit);
   uint32_t WireSize(int64_t seq) const;
@@ -117,21 +154,11 @@ class TcpSender : public PacketHandler {
   void UpdateRtt(TimeDelta sample);
   TimeDelta CurrentRto() const;
 
-  Host* host_;
-  FlowTable* table_;
-  uint64_t flow_id_;
-  FlowKey key_;
-  TcpFlowParams params_;
+  TcpSender* flow_;
   HostCc* cc_;
-
-  int64_t total_pkts_;  // 0 when backlogged
-  int64_t last_payload_bytes_;
 
   int64_t next_seq_ = 0;
   int64_t cum_acked_ = 0;
-  int dupacks_ = 0;
-  bool in_recovery_ = false;
-  bool rto_recovery_ = false;  // recovery entered via timeout (slow-start regrowth)
   int64_t recovery_point_ = 0;
   // Proportional Rate Reduction (RFC 6937): during fast recovery, bound
   // transmissions to ~beta x the delivery rate so a large window under heavy
@@ -139,36 +166,28 @@ class TcpSender : public PacketHandler {
   double prr_delivered_ = 0;
   double prr_out_ = 0;
   double prr_recoverfs_ = 1;
-  int prr_budget_ = 0;
 
   int64_t delivered_bytes_ = 0;
   TimeDelta srtt_ = TimeDelta::Zero();
   TimeDelta rttvar_ = TimeDelta::Zero();
-  int rto_backoff_ = 0;
   TimePoint rto_deadline_;
   EventId rto_timer_ = kInvalidEventId;
   TimePoint pto_deadline_;
   EventId pto_timer_ = kInvalidEventId;
-  bool probe_outstanding_ = false;  // one TLP per quiet period
-
   TimePoint next_pacing_send_;
   EventId pacing_timer_ = kInvalidEventId;
-
-  bool started_ = false;
-  bool complete_ = false;
   uint64_t retransmits_ = 0;
   uint64_t timeouts_ = 0;
 
-  // Observability (PR 6). Counters are *aggregate* per simulator
-  // ("tcp.retransmits", ...) and the trace component is the shared "tcp"
-  // component: flows churn mid-run, and per-flow registration would allocate
-  // on the datapath. Names stay <= 15 chars so the registry lookup string is
-  // SSO — flow construction stays heap-free after the first flow.
-  uint32_t comp_ = 0;
-  uint64_t* ctr_retx_ = nullptr;
-  uint64_t* ctr_rtos_ = nullptr;
-  uint64_t* ctr_spurious_ = nullptr;
-  uint64_t* ctr_recoveries_ = nullptr;
+  // The small scalars share one 16-byte run instead of padding out a word
+  // each: with them the connection fills exactly ten 64-byte arena granules.
+  int dupacks_ = 0;
+  int prr_budget_ = 0;
+  int rto_backoff_ = 0;
+  bool in_recovery_ = false;
+  bool rto_recovery_ = false;  // recovery entered via timeout (slow-start regrowth)
+  bool probe_outstanding_ = false;  // one TLP per quiet period
+  bool complete_ = false;
 
   // The two big inline blobs live at the end so the hot scalars above share
   // a few contiguous cache lines; both are reached through pointers anyway
@@ -186,21 +205,26 @@ class TcpSender : public PacketHandler {
   HostCcStorage cc_storage_;  // controller lives inline: no per-flow heap churn
 };
 
-// Wires up a sender on `src` and receiver on `dst` without transmitting
-// anything; the caller invokes Start() (possibly later, via a scheduled
-// event) to begin. The receiver is registered on `dst` before any data packet
-// can leave, which the host's stateless TIME_WAIT relies on: finite-flow data
-// with no handler is taken for a completed receiver's (Host::HandlePacket). `on_receiver_complete` may be null (e.g. backlogged
-// flows). Both halves live in `table` and free themselves when the flow
-// completes, so the returned handle of a finite flow is valid only until its
-// sender completes (the zero-delay release event after the last ACK); read
-// per-flow results through `on_receiver_complete` or the simulator's tcp.*
-// counters. A backlogged flow never completes: its handle stays valid for as
-// long as the table does.
+// Creates a flow's receiver on `dst` and its sender handle on `src` without
+// transmitting anything; the caller invokes Start() (possibly later, via a
+// scheduled event) to begin. Until then the flow costs the handle and the
+// receiver, two 144-byte arena carves; the connection and its demux entry on
+// `src` come with Start(). The receiver stays eager: it is registered on
+// `dst` before any data packet can leave, which the host's stateless
+// TIME_WAIT relies on (finite-flow data with no handler is taken for a
+// completed receiver's, Host::HandlePacket), and in a sharded run it lives in
+// the destination's shard, which the sender's worker must not touch.
+// `on_receiver_complete` may be null (e.g. backlogged flows). Every object
+// lives in `table` and frees itself when its half completes, so the returned
+// handle of a finite flow is valid only until its sender completes (the
+// zero-delay release event after the last ACK); read per-flow results
+// through `on_receiver_complete` or the simulator's tcp.* counters. A
+// backlogged flow never completes: its handle stays valid for as long as the
+// table does.
 TcpSender* CreateTcpFlow(FlowTable* table, Host* src, Host* dst,
                          const TcpFlowParams& params, FlowDoneFn on_receiver_complete);
 
-// CreateTcpFlow + immediate Start().
+// CreateTcpFlow + immediate Start(): the connection is carved at once.
 TcpSender* StartTcpFlow(FlowTable* table, Host* src, Host* dst, const TcpFlowParams& params,
                         FlowDoneFn on_receiver_complete);
 

@@ -1,10 +1,12 @@
 // FlowTable arena-reclamation tests (src/transport/endpoint.h): free-list
 // recycling and swap-remove header fixup at the unit level, misuse death
 // tests, a TCP integration run over the fat-tree fabric where every
-// completed flow hands its sender and receiver blocks back to the arena —
-// a second wave of flows must be carved entirely from the free lists — the
-// host demux emptying as flows complete, and the stateless TIME_WAIT: a host
-// answers data of a completed receiver's flow with the final ACK.
+// completed flow hands its sender handle, connection and receiver blocks
+// back to the arena — a second wave of flows must be carved entirely from
+// the free lists — flows with deferred starts that hold no connection and no
+// sender demux entry until they start, the host demux emptying as flows
+// complete, and the stateless TIME_WAIT: a host answers data of a completed
+// receiver's flow with the final ACK.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -128,11 +130,11 @@ TEST(FlowReclaimDeathTest, ReadAfterReleaseFaultsUnderAsan) {
 }
 #endif
 
-// Integration: completed TCP flows self-release. The sender frees at
-// completion; the receiver frees when its last byte arrives and leaves its
-// TIME_WAIT to the host. A second wave created after the first wave's blocks
-// return must allocate entirely from the free lists — steady-state churn does
-// not grow the arena.
+// Integration: completed TCP flows self-release. The sender's connection and
+// handle free together at completion; the receiver frees when its last byte
+// arrives and leaves its TIME_WAIT to the host. A second wave created after
+// the first wave's blocks return must allocate entirely from the free lists —
+// steady-state churn does not grow the arena.
 TEST(FlowReclaimTest, CompletedTcpFlowsReleaseAndNewFlowsReuse) {
   FatTreeConfig cfg;
   FatTreeGraph g;
@@ -162,24 +164,25 @@ TEST(FlowReclaimTest, CompletedTcpFlowsReleaseAndNewFlowsReuse) {
 
   const int first = start_wave(TimePoint::Zero() + TimeDelta::Millis(1));
   sim.RunUntil(TimePoint::Zero() + TimeDelta::Seconds(3));
-  // First wave fully complete: every sender and receiver released, table
-  // empty, arena warm.
-  EXPECT_EQ(net->flows()->releases(), static_cast<uint64_t>(2 * first));
+  // First wave fully complete: every handle, connection and receiver
+  // released, table empty, arena warm.
+  EXPECT_EQ(net->flows()->releases(), static_cast<uint64_t>(3 * first));
   EXPECT_EQ(net->flows()->size(), 0u);
   const size_t warm_blocks = net->flows()->arena_blocks();
 
   const int second = start_wave(sim.now() + TimeDelta::Millis(1));
   sim.RunUntil(TimePoint::Zero() + TimeDelta::Seconds(8));
-  EXPECT_EQ(net->flows()->releases(), static_cast<uint64_t>(2 * (first + second)));
+  EXPECT_EQ(net->flows()->releases(), static_cast<uint64_t>(3 * (first + second)));
   EXPECT_EQ(net->flows()->size(), 0u);
   // The entire second wave was carved from recycled blocks.
-  EXPECT_EQ(net->flows()->reuses(), static_cast<uint64_t>(2 * second));
+  EXPECT_EQ(net->flows()->reuses(), static_cast<uint64_t>(3 * second));
   EXPECT_EQ(net->flows()->arena_blocks(), warm_blocks);
 }
 
-// The host demux holds live flows only: a completed receiver unregisters
-// (its TIME_WAIT is stateless, see below) and a completed sender vacates its
-// id, so once every flow is done both hosts' tables are empty.
+// The host demux holds live flows only: a sender registers when it starts, a
+// completed receiver unregisters (its TIME_WAIT is stateless, see below) and
+// a completed sender vacates its id, so once every flow is done both hosts'
+// tables are empty.
 TEST(FlowReclaimTest, DemuxHoldsOnlyLiveFlows) {
   Simulator sim;
   FlowTable flows;
@@ -202,7 +205,7 @@ TEST(FlowReclaimTest, DemuxHoldsOnlyLiveFlows) {
     sim.ScheduleAt(TimePoint::Zero() + TimeDelta::Millis(5 * i),
                    [sender]() { sender->Start(); });
   }
-  EXPECT_EQ(a.registered_flows(), static_cast<size_t>(kFlows));
+  EXPECT_EQ(a.registered_flows(), 0u) << "no sender has started";
   EXPECT_EQ(b.registered_flows(), static_cast<size_t>(kFlows));
 
   sim.RunUntil(TimePoint::Zero() + TimeDelta::Seconds(10));
@@ -210,6 +213,64 @@ TEST(FlowReclaimTest, DemuxHoldsOnlyLiveFlows) {
   EXPECT_EQ(flows.size(), 0u);
   EXPECT_EQ(b.registered_flows(), 0u) << "completed receivers left the demux";
   EXPECT_EQ(a.registered_flows(), 0u) << "completed senders left the demux";
+}
+
+// A flow created with a deferred start holds its sender handle and its
+// receiver, two 144-byte carves, and nothing else: no connection and no demux
+// entry on the source host until it starts. The arena then holds what is
+// running, not every flow a run sets up ahead of time. Once a wave completes,
+// a second one is carved entirely from the freed blocks.
+TEST(FlowReclaimTest, DeferredFlowsHoldNoConnectionUntilTheyStart) {
+  Simulator sim;
+  FlowTable flows;
+  Host a(&sim, MakeAddress(1, 1), nullptr);
+  Host b(&sim, MakeAddress(2, 1), nullptr);
+  Link ab(&sim, "ab", Rate::Mbps(480), TimeDelta::Millis(10),
+          std::make_unique<DropTailFifo>(1 << 21), &b);
+  Link ba(&sim, "ba", Rate::Mbps(480), TimeDelta::Millis(10),
+          std::make_unique<DropTailFifo>(1 << 21), &a);
+  a.set_egress(&ab);
+  b.set_egress(&ba);
+
+  constexpr int kFlows = 2000;
+  constexpr size_t kWaitingFlowBytes = 2 * 144;  // handle + receiver
+  int completed = 0;
+  auto create_wave = [&](TimePoint first_start) {
+    for (int i = 0; i < kFlows; ++i) {
+      TcpFlowParams params;
+      params.size_bytes = 10'000;
+      TcpSender* sender =
+          CreateTcpFlow(&flows, &a, &b, params, [&](TimePoint) { ++completed; });
+      sim.ScheduleAt(first_start + TimeDelta::Millis(i), [sender]() { sender->Start(); });
+    }
+  };
+
+  const TimePoint first_start = TimePoint::Zero() + TimeDelta::Seconds(1);
+  create_wave(first_start);
+  const size_t bound_blocks =
+      (kFlows * kWaitingFlowBytes + FlowTable::kBlockBytes - 1) / FlowTable::kBlockBytes;
+  EXPECT_LE(flows.arena_blocks(), bound_blocks)
+      << kFlows << " waiting flows fill at most " << kFlows * kWaitingFlowBytes << " bytes";
+  EXPECT_EQ(flows.size(), static_cast<size_t>(2 * kFlows));
+  EXPECT_EQ(b.registered_flows(), static_cast<size_t>(kFlows));
+
+  sim.RunUntil(first_start - TimeDelta::Micros(1));
+  EXPECT_EQ(a.registered_flows(), 0u) << "no sender has started";
+  EXPECT_EQ(flows.size(), static_cast<size_t>(2 * kFlows));
+
+  sim.RunUntil(first_start + TimeDelta::Seconds(3));
+  ASSERT_EQ(completed, kFlows);
+  EXPECT_EQ(flows.size(), 0u);
+  EXPECT_EQ(flows.releases(), static_cast<uint64_t>(3 * kFlows));
+  EXPECT_EQ(a.registered_flows(), 0u);
+  const size_t warm_blocks = flows.arena_blocks();
+  const uint64_t reuses_before = flows.reuses();
+
+  create_wave(sim.now() + TimeDelta::Millis(1));
+  sim.RunUntil(sim.now() + TimeDelta::Seconds(4));
+  ASSERT_EQ(completed, 2 * kFlows);
+  EXPECT_EQ(flows.arena_blocks(), warm_blocks) << "the second wave reused the first's blocks";
+  EXPECT_EQ(flows.reuses() - reuses_before, static_cast<uint64_t>(3 * kFlows));
 }
 
 // TIME_WAIT: the receiver frees itself the moment its last byte arrives, but
@@ -255,13 +316,13 @@ TEST(FlowReclaimTest, RetiredReceiverKeepsAckingTheTail) {
 
   sim.RunUntil(TimePoint::Zero() + TimeDelta::Seconds(1));
   ASSERT_FALSE(done.IsInfinite());
-  EXPECT_EQ(flows.size(), 1u) << "receiver released, sender still waiting";
+  EXPECT_EQ(flows.size(), 2u) << "receiver released, sender handle and connection waiting";
 
   sim.RunUntil(TimePoint::Zero() + TimeDelta::Seconds(30));
   EXPECT_GT(final_acks_dropped, 1) << "the sender retransmitted into the blackout";
   EXPECT_GE(final_acks_passed, 1) << "a retransmission after the blackout drew an ACK";
   EXPECT_EQ(flows.size(), 0u) << "the sender completed and freed itself";
-  EXPECT_EQ(flows.releases(), 2u);
+  EXPECT_EQ(flows.releases(), 3u);
   EXPECT_EQ(b.unclaimed_packets(), 0u) << "every retransmission reached the acker";
 }
 

@@ -1,14 +1,21 @@
 // Cross-shard boundary ring tests (src/sim/shard_channel): single-threaded
 // full/empty/capacity semantics, FIFO under a real producer/consumer thread
 // pair (the ThreadSanitizer job in scripts/check.sh runs this suite to vet
-// the acquire/release protocol), and ShardChannel's simulation-determined
-// delivery metadata plus its overflow / frozen-lookahead CHECKs.
+// the acquire/release protocol), a ring's slots staying unwritten (and so not
+// resident) until messages reach them, and ShardChannel's
+// simulation-determined delivery metadata plus its overflow /
+// frozen-lookahead CHECKs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <thread>
 #include <utility>
 #include <vector>
+
+#if defined(__linux__)
+#include <unistd.h>
+#endif
 
 #include "src/net/packet.h"
 #include "src/sim/shard_channel.h"
@@ -42,6 +49,57 @@ TEST(SpscRingTest, FullAndEmptySemantics) {
   EXPECT_EQ(ring.Drain(take), 1u);
   EXPECT_EQ(out.back(), 7);
 }
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define BUNDLER_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#define BUNDLER_SANITIZED 1
+#endif
+#endif
+
+#if defined(__linux__) && !defined(BUNDLER_SANITIZED)
+// This process's resident set, from /proc/self/statm (in pages there).
+size_t ResidentBytes() {
+  FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) {
+    return 0;
+  }
+  unsigned long size_pages = 0;
+  unsigned long resident_pages = 0;
+  const int n = std::fscanf(f, "%lu %lu", &size_pages, &resident_pages);
+  std::fclose(f);
+  return n == 2 ? resident_pages * static_cast<size_t>(sysconf(_SC_PAGESIZE)) : 0;
+}
+
+// Building a ring writes none of its slots, so a channel that never carries a
+// message costs no resident memory; only the slots that messages reach are
+// touched. (Sanitizers write shadow memory for every allocation, so this
+// runs in plain builds only.)
+TEST(SpscRingTest, OnlySlotsThatMessagesReachBecomeResident) {
+  const size_t before = ResidentBytes();
+  ASSERT_GT(before, 0u);
+  SpscRing<BoundaryMsg> ring(size_t{1} << 18);
+  const size_t ring_bytes = ring.capacity() * sizeof(BoundaryMsg);
+  ring.producer_role.Assert();
+  ring.consumer_role.Assert();
+  for (uint64_t i = 0; i < 64; ++i) {
+    ASSERT_TRUE(ring.TryPushWith([i](BoundaryMsg& m) {
+      m.deliver_ns = static_cast<int64_t>(i);
+      m.sent_ns = 0;
+      m.seq = i;
+      m.channel = 1;
+      m.pkt = Packet();
+    }));
+  }
+  uint64_t next = 0;
+  EXPECT_EQ(ring.Drain([&next](BoundaryMsg& m) { EXPECT_EQ(m.seq, next++); }), 64u);
+  const size_t after = ResidentBytes();
+  EXPECT_LT(after > before ? after - before : 0, ring_bytes / 8)
+      << "a " << ring_bytes << "-byte ring with 64 messages through it";
+}
+#endif
 
 // The one concurrency pattern the ring must support: exactly one producer
 // thread and one consumer thread, both spinning. Run under TSan this checks

@@ -644,6 +644,19 @@ TEST(InlineFunctionTest, TrivialCaptureKeepsStateThroughMemcpyMove) {
   EXPECT_EQ(out, 12345678);
 }
 
+TEST(InlineFunctionTest, CapturelessCallableMovesAndCalls) {
+  // An empty lambda writes none of the inline storage that MoveFrom's
+  // fixed-size memcpy copies; Emplace zeroes it, so this move reads only
+  // written bytes and the -Wall -Wextra build compiles it without a warning.
+  static uint32_t seen_bytes = 0;
+  LambdaHandler sink([](Packet p) { seen_bytes += p.size_bytes; });
+  LambdaHandler moved = std::move(sink);
+  Packet pkt;
+  pkt.size_bytes = 1500;
+  moved.HandlePacket(std::move(pkt));
+  EXPECT_EQ(seen_bytes, 1500u);
+}
+
 TEST(InlineFunctionTest, EmptyIsFalse) {
   InlineFunction<int(int)> def;
   InlineFunction<int(int)> null = nullptr;

@@ -79,9 +79,39 @@ TEST(TcpFlowTest, LargeFlowSaturatesLink) {
   ASSERT_GT(done.nanos(), 0);
   double goodput_mbps = 12'000'000 * 8 / done.ToSeconds() / 1e6;
   EXPECT_GT(goodput_mbps, 0.8 * 48);
-  // The sender completed too: both halves handed their blocks back.
+  // The sender completed too: receiver, sender handle and connection handed
+  // their blocks back.
   EXPECT_EQ(net.flows.size(), 0u);
-  EXPECT_EQ(net.flows.releases(), 2u);
+  EXPECT_EQ(net.flows.releases(), 3u);
+}
+
+// A created flow is a sender handle without a connection until Start():
+// every transport accessor reads zero (false), and the source host's demux
+// holds no entry for it.
+TEST(TcpFlowTest, AccessorsReadZeroBeforeStart) {
+  TwoHostNet net;
+  TcpFlowParams params;
+  params.size_bytes = 100'000;
+  TcpSender* snd = CreateTcpFlow(&net.flows, net.a.get(), net.b.get(), params, nullptr);
+  EXPECT_FALSE(snd->complete());
+  EXPECT_EQ(snd->cwnd_pkts(), 0.0);
+  EXPECT_EQ(snd->InflightPkts(), 0.0);
+  EXPECT_EQ(snd->total_pkts(), 0);
+  EXPECT_EQ(snd->delivered_bytes(), 0);
+  EXPECT_EQ(snd->retransmits(), 0u);
+  EXPECT_EQ(snd->timeouts(), 0u);
+  EXPECT_TRUE(snd->srtt().IsZero());
+  EXPECT_EQ(net.a->registered_flows(), 0u);
+  EXPECT_EQ(net.b->registered_flows(), 1u) << "the receiver is eager";
+  EXPECT_EQ(net.flows.size(), 2u);
+
+  snd->Start();
+  EXPECT_EQ(net.a->registered_flows(), 1u);
+  EXPECT_EQ(net.flows.size(), 3u);
+  EXPECT_EQ(snd->total_pkts(), (100'000 + kMssBytes - 1) / kMssBytes);
+  EXPECT_GT(snd->cwnd_pkts(), 0.0);
+  EXPECT_EQ(snd->InflightPkts(), snd->cwnd_pkts()) << "the first window left at once";
+  EXPECT_FALSE(snd->complete());
 }
 
 TEST(TcpFlowTest, RecoversFromSingleLoss) {
