@@ -221,10 +221,11 @@ BenchResult BenchQdiscChurn(const std::string& name, MakeQdisc make) {
 
 // The acceptance microbenchmark: steady-state schedule+dispatch churn over a
 // 4096-deep pending set, mirroring what the Simulator does per event — one
-// schedule, then an Empty/NextTime/PopNext dispatch round. The capture is
-// sized like the datapath's dominant event, a Link propagation event (link,
-// destination and the packet's index in the link's pool, 24 bytes) — past
-// std::function's 16-byte inline buffer, so the legacy queue allocates per
+// schedule, then an Empty/NextTime/PopNext dispatch round. The capture keeps
+// the 24 bytes of the Link propagation event this row was sized for when
+// every hop scheduled one (links now deliver through a lane; see
+// src/sim/event_queue.h), so the row measures what it always has: past
+// std::function's 16-byte inline buffer, the legacy queue allocates per
 // schedule.
 struct ChurnPayload {
   uint64_t words[2];

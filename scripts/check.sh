@@ -70,12 +70,13 @@ if [[ "${CHECK_SKIP_SANITIZERS:-0}" != "1" ]]; then
   (cd build-asan && ctest --output-on-failure -j"${JOBS}")
   # The SACK scoreboard and its users manage raw ring storage, FlowTable
   # poisons released flow objects only under ASan (a stale sender handle
-  # faults there and nowhere else), PacketPool (the qdiscs' shared queues
-  # and each link's in-flight packets) links nodes by raw slab index and
-  # leaves moved-from packets in freed nodes, and InlineFunction
-  # placement-news, memcpys and hand-destroys captures in raw storage; run
-  # their suites explicitly so an accidental ctest filter can never skip
-  # them under the sanitizers.
+  # faults there and nowhere else) and walks its arena's headers at
+  # teardown, PacketPool (the multi-queue qdiscs' shared queues) links nodes
+  # by raw slab index and leaves moved-from packets in freed nodes, a link's
+  # in-flight packets and its event lane's entries sit in RingBuffers'
+  # placement-new'd raw storage, and InlineFunction placement-news, memcpys
+  # and hand-destroys captures in raw storage; run their suites explicitly
+  # so an accidental ctest filter can never skip them under the sanitizers.
   (cd build-asan && ctest --output-on-failure --no-tests=error -R \
     'sack_scoreboard_test|tcp_recovery_test|transport_test|flow_reclaim_test|queue_memory_test|qdisc_property_test|qdisc_test|sendbox_manager_test|sim_test')
 
@@ -159,10 +160,15 @@ echo "--- golden byte-identity: fig09/fig10/fig13 regression pins"
 # 62.8 -> 71.8 Mbit/s, phase-3 FCT p50 177.9 -> 154.8 ms), a bundler_robust
 # cell equal to the companion's one was added, status_quo is unchanged, and
 # the hand-computed mode_transitions line is gone
-# (ctr.sendbox.*.mode_transitions reports it). All three were last
-# regenerated when mid-run link rate changes were deleted: every link lost
-# its always-zero ctr.link.*.{rate_changes,parks,unparks} lines, and no other
-# line moved.
+# (ctr.sendbox.*.mode_transitions reports it). Mid-run link rate changes
+# were deleted in an earlier regeneration of all three: every link lost its
+# always-zero ctr.link.*.{rate_changes,parks,unparks} lines. All three were
+# last regenerated when a link hop became one event (a link delivers
+# through its event lane and schedules a transmit-done only while a packet
+# waits). Only three kinds of line moved: ctr.link.*.tx_pkts, by +1 where a
+# link is serializing when the trial ends (a packet now counts when it starts
+# to serialize), sim.events_dispatched (fig09 status_quo 3,636,539 ->
+# 2,697,981) and sim.queue_max_heap, which counts lane entries.
 for scenario in fig09_fct fig10_cross_traffic fig13_competing_bundles; do
   ./build/bundler_run --scenario "${scenario}" --trials 1 \
     --out build/smoke_golden --quiet > /dev/null

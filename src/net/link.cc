@@ -35,6 +35,7 @@ Link::Link(Simulator* sim, std::string name, Rate rate, TimeDelta prop_delay,
   reg.Expose(qprefix + "deq_pkts", &qc.deq_pkts);
   reg.Expose(qprefix + "drop_pkts", &qc.drop_pkts);
   reg.Expose(qprefix + "mark_pkts", &qc.mark_pkts);
+  deliveries_ = sim_->AddLane([this]() { Deliver(); });
 }
 
 void Link::HandlePacket(Packet pkt) {
@@ -48,18 +49,22 @@ void Link::HandlePacket(Packet pkt) {
                           static_cast<uint64_t>(queue_->packets()));
     }
   }
-  MaybeStartTransmission();
-}
-
-void Link::MaybeStartTransmission() {
-  if (busy_) {
+  if (tx_done_pending_) {
+    return;  // the pending transmit-done dequeues
+  }
+  if (sim_->now() >= tx_end_) {
+    StartTransmission();  // the link is free
     return;
   }
+  // Serializing, and until now nothing waited behind that packet.
+  ScheduleTransmitDoneIfQueued();
+}
+
+void Link::StartTransmission() {
   std::optional<Packet> pkt = queue_->Dequeue(sim_->now());
   if (!pkt.has_value()) {
     return;
   }
-  busy_ = true;
   TimeDelta queue_delay = sim_->now() - pkt->queue_enter;
   for (LinkObserver* obs : observers_) {
     obs->OnDequeue(*pkt, queue_delay, sim_->now());
@@ -71,31 +76,36 @@ void Link::MaybeStartTransmission() {
   }
   TimeDelta tx = rate_.TransmitTime(pkt->size_bytes);
   BUNDLER_CHECK(!tx.IsInfinite());
-  // The packet waits in wire_ until delivery and the events carry its index,
-  // so once the pool has grown to the link's peak in-flight count, per-hop
-  // scheduling does not allocate.
-  const size_t idx = wire_.PushBack(in_flight_, std::move(*pkt));
-  sim_->Schedule(tx, [this, idx]() { OnTransmitDone(idx); });
-}
-
-void Link::OnTransmitDone(size_t idx) {
+  tx_end_ = sim_->now() + tx;
   ++stats_.packets_sent;
-  stats_.bytes_sent += wire_.At(idx).size_bytes;
-  busy_ = false;
+  stats_.bytes_sent += pkt->size_bytes;
+  ScheduleTransmitDoneIfQueued();
   if (boundary_ != nullptr) {
     // Cross-shard: the peer shard replays the propagation delay when it
-    // delivers the packet, so this replaces (not duplicates) the local
-    // propagation event.
-    boundary_->SendBoundary(sim_->now(), prop_delay_, wire_.Take(in_flight_, idx));
-    MaybeStartTransmission();
+    // delivers the packet, so this replaces (not duplicates) the delivery.
+    boundary_->SendBoundary(tx_end_, prop_delay_, std::move(*pkt));
     return;
   }
-  sim_->Schedule(prop_delay_, [this, dst = dst_, idx]() {
-    // Out of the pool before the handler runs: it may send into this link
-    // again, and that push can move the slab.
-    dst->HandlePacket(wire_.Take(in_flight_, idx));
-  });
-  MaybeStartTransmission();
+  // Once the ring and the lane have grown to the link's peak in-flight
+  // count, a hop does not allocate.
+  in_flight_.emplace_back(std::move(*pkt));
+  sim_->ScheduleLaneAt(deliveries_, tx_end_ + prop_delay_);
+}
+
+void Link::ScheduleTransmitDoneIfQueued() {
+  if (!queue_->Empty()) {
+    tx_done_pending_ = true;
+    sim_->ScheduleAt(tx_end_, [this]() {
+      tx_done_pending_ = false;
+      StartTransmission();
+    });
+  }
+}
+
+void Link::Deliver() {
+  // Out of the ring before the handler runs: it may send into this link
+  // again, and that push can grow the ring.
+  dst_->HandlePacket(in_flight_.pop_front());
 }
 
 }  // namespace bundler

@@ -4,13 +4,17 @@
 // and delay are fixed at construction, and the rate must serialize an MTU in
 // finite simulated time.
 //
-// Packets being serialized or propagating wait in the link's own PacketPool,
-// in the order they started serializing. Each transmit-done or propagation
-// event names its packet by pool index, so an event captures two or three
-// words rather than a Packet. The index is per event because the two events
-// read opposite ends of that order: the transmit-done event names the newest
-// packet (the one serializing), the propagation event the oldest. Events hold
-// the link's address, so a Link is neither copied nor moved.
+// A packet hop costs one event. When a packet starts to serialize, the link
+// counts it and schedules its delivery at tx_end + prop_delay on the link's
+// own event lane (src/sim/event_queue.h); a boundary link hands it to its
+// sink at that moment instead. Rate and delay are fixed, so deliveries come
+// in the order packets started: packets serializing or propagating wait in a
+// ring, and each delivery pops the front. A transmit-done event exists only
+// while a packet waits behind the one serializing: the start schedules it
+// when the queue still holds a packet, or the first arrival during
+// serialization does. A packet that arrives at or after tx_end with none
+// pending finds the link free and starts at once. Events hold the link's
+// address, so a Link is neither copied nor moved.
 #ifndef SRC_NET_LINK_H_
 #define SRC_NET_LINK_H_
 
@@ -19,10 +23,10 @@
 #include <vector>
 
 #include "src/net/node.h"
-#include "src/qdisc/packet_pool.h"
 #include "src/qdisc/qdisc.h"
 #include "src/sim/simulator.h"
 #include "src/util/rate.h"
+#include "src/util/ring_buffer.h"
 
 namespace bundler {
 
@@ -36,6 +40,7 @@ class LinkObserver {
   virtual void OnDequeue(const Packet& pkt, TimeDelta queue_delay, TimePoint now) = 0;
 };
 
+// A packet counts as sent when it starts to serialize.
 struct LinkStats {
   uint64_t packets_sent = 0;
   uint64_t bytes_sent = 0;
@@ -43,10 +48,12 @@ struct LinkStats {
 };
 
 // Shard-boundary egress: when a link's destination lives in a different
-// shard, finished packets are handed to a BoundarySink (an SPSC ring to the
-// peer shard; see src/sim/shard_channel.h) instead of being scheduled as a
-// local propagation event. The propagation delay travels with the packet and
-// doubles as the conservative-lookahead bound of the receiving shard.
+// shard, packets are handed to a BoundarySink (an SPSC ring to the peer
+// shard; see src/sim/shard_channel.h) instead of being delivered on the
+// link's lane. The link sends as a packet starts to serialize, with `sent`
+// the time its serialization ends. The propagation delay travels with the
+// packet and doubles as the conservative-lookahead bound of the receiving
+// shard.
 class BoundarySink {
  public:
   virtual ~BoundarySink() = default;
@@ -71,14 +78,20 @@ class Link : public PacketHandler {
 
   void AddObserver(LinkObserver* obs) { observers_.push_back(obs); }
   void set_dst(PacketHandler* dst) { dst_ = dst; }
-  // Marks this link as a shard boundary: packets finishing serialization go
-  // to `sink` instead of a locally scheduled delivery. The propagation delay
+  // Marks this link as a shard boundary: packets starting serialization go
+  // to `sink` instead of the link's delivery lane. The propagation delay
   // becomes the peer shard's lookahead.
   void set_boundary(BoundarySink* sink) { boundary_ = sink; }
 
  private:
-  void MaybeStartTransmission();
-  void OnTransmitDone(size_t idx);
+  // Dequeues the next packet, if any, and starts serializing it. The link
+  // must be free.
+  void StartTransmission();
+  // While a packet serializes: the transmit-done at tx_end_, if a packet
+  // waits for it.
+  void ScheduleTransmitDoneIfQueued();
+  // The lane's callback: hands the oldest packet in flight to dst_.
+  void Deliver();
   bool tracer_enabled(obs::TraceCat cat) const { return sim_->trace().enabled(cat); }
 
   Simulator* sim_;
@@ -89,13 +102,14 @@ class Link : public PacketHandler {
   PacketHandler* dst_;
   BoundarySink* boundary_ = nullptr;
   uint32_t comp_ = 0;  // trace component id
-  bool busy_ = false;
+  EventQueue::LaneId deliveries_;
+  // When the packet serializing, or the last one, finishes.
+  TimePoint tx_end_;
+  bool tx_done_pending_ = false;
   LinkStats stats_;
   std::vector<LinkObserver*> observers_;
-  // Packets serializing or propagating, in the order they started
-  // serializing; events take them out by index.
-  PacketPool wire_;
-  PacketPool::Queue in_flight_;
+  // Packets serializing or propagating, in the order they started.
+  RingBuffer<Packet> in_flight_;
 };
 
 }  // namespace bundler

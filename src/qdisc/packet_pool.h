@@ -9,11 +9,8 @@
 // the rest of the run. Growth reallocates the slab (amortized doubling), so
 // once a scheduler has seen its peak backlog, churn allocates nothing.
 //
-// Queues hold only indices. A reference from Front() or At() is valid until
-// the next PushBack on the same pool, which may move the slab. A Link keeps
-// the packets it is serializing or propagating in a pool of its own: each
-// of its events names its packet by the index PushBack returns and takes it
-// back with Take, wherever it sits in the queue.
+// Queues hold only indices. A reference from Front() is valid until the next
+// PushBack on the same pool, which may move the slab.
 #ifndef SRC_QDISC_PACKET_POOL_H_
 #define SRC_QDISC_PACKET_POOL_H_
 
@@ -33,8 +30,7 @@ class PacketPool {
   // empty; it owns nothing, so a scheduler may keep thousands of them.
   using Queue = IndexRing;
 
-  // Returns the packet's node index, stable until the packet leaves.
-  size_t PushBack(Queue& q, Packet pkt) {
+  void PushBack(Queue& q, Packet pkt) {
     size_t idx = free_;
     if (idx != kIndexRingNil) {
       free_ = nodes_[idx].next;
@@ -44,7 +40,6 @@ class PacketPool {
       nodes_.push_back(Node{std::move(pkt)});
     }
     IndexRingPushBack(nodes_, q, idx);
-    return idx;
   }
 
   Packet PopFront(Queue& q) {
@@ -63,10 +58,11 @@ class PacketPool {
     return nodes_[q.head].pkt;
   }
 
-  // The packet at node `idx`, which must be queued in this pool.
-  const Packet& At(size_t idx) const { return nodes_[idx].pkt; }
+  // Nodes in the slab: the pool's peak total occupancy so far.
+  size_t slab_nodes() const { return nodes_.size(); }
 
-  // Unlinks node `idx` from `q`, wherever it sits, and returns its packet.
+ private:
+  // Unlinks node `idx`, an end of `q`, and returns its packet.
   Packet Take(Queue& q, size_t idx) {
     IndexRingRemove(nodes_, q, idx);
     Packet out = std::move(nodes_[idx].pkt);
@@ -75,10 +71,6 @@ class PacketPool {
     return out;
   }
 
-  // Nodes in the slab: the pool's peak total occupancy so far.
-  size_t slab_nodes() const { return nodes_.size(); }
-
- private:
   struct Node {
     Packet pkt;
     size_t prev = kIndexRingNil;

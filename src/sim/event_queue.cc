@@ -1,5 +1,6 @@
 #include "src/sim/event_queue.h"
 
+#include <limits>
 #include <utility>
 
 #include "src/util/check.h"
@@ -49,7 +50,8 @@ uint32_t EventQueue::Resolve(EventId id) const {
   }
   uint32_t idx = static_cast<uint32_t>(low - 1);
   const Slot& slot = slots_[idx];
-  if (slot.state == SlotState::kFree || slot.gen != static_cast<uint32_t>(id >> 32)) {
+  if (slot.state == SlotState::kFree || slot.state == SlotState::kLane ||
+      slot.gen != static_cast<uint32_t>(id >> 32)) {
     return kNpos;
   }
   return idx;
@@ -92,9 +94,7 @@ void EventQueue::SiftDown(uint32_t pos, HeapEntry e) {
 
 void EventQueue::HeapPush(HeapEntry e) {
   heap_.emplace_back();  // placeholder; SiftUp writes the final position
-  if (heap_.size() > profile_.max_heap) {
-    profile_.max_heap = heap_.size();
-  }
+  NotePending();
   SiftUp(static_cast<uint32_t>(heap_.size() - 1), e);
 }
 
@@ -157,6 +157,32 @@ EventId EventQueue::PushPeriodic(TimePoint first, TimeDelta period, Callback cb)
   return IdFor(idx);
 }
 
+EventQueue::LaneId EventQueue::AddLane(Callback cb) {
+  const uint32_t idx = AllocSlot();
+  Slot& slot = slots_[idx];
+  slot.state = SlotState::kLane;
+  slot.lane = static_cast<uint32_t>(lanes_.size());
+  slot.cb = std::move(cb);
+  lanes_.push_back(Lane{idx, TimePoint::FromNanos(std::numeric_limits<int64_t>::min()), {}});
+  return slot.lane;
+}
+
+void EventQueue::PushLane(LaneId lane_id, TimePoint time) {
+  BUNDLER_CHECK(lane_id < lanes_.size());
+  Lane& lane = lanes_[lane_id];
+  BUNDLER_CHECK_MSG(time >= lane.last, "lane %u: push at %s is earlier than its last entry at %s",
+                    lane_id, time.ToString().c_str(), lane.last.ToString().c_str());
+  lane.last = time;
+  const HeapEntry e{time, NextKey(lane.slot)};
+  if (heap_pos_[lane.slot] == kNpos) {
+    HeapPush(e);
+    return;
+  }
+  lane.waiting.push_back(e);
+  ++lane_waiting_;
+  NotePending();
+}
+
 bool EventQueue::Cancel(EventId id) {
   uint32_t idx = Resolve(id);
   if (idx == kNpos) {
@@ -178,6 +204,7 @@ bool EventQueue::Cancel(EventId id) {
     case SlotState::kDispatchCancelled:
       return false;  // already cancelled during this dispatch
     case SlotState::kFree:
+    case SlotState::kLane:  // Resolve never returns either
       break;
   }
   return false;
@@ -212,19 +239,40 @@ EventQueue::Callback EventQueue::PopNext(TimePoint* time_out) {
   BUNDLER_CHECK(!heap_.empty());
   HeapEntry head = heap_[0];
   *time_out = head.time;
-  HeapRemoveAt(0);
   uint32_t idx = head.slot();
-  BUNDLER_CHECK(slots_[idx].period.IsZero());
+  BUNDLER_CHECK(slots_[idx].state == SlotState::kQueued && slots_[idx].period.IsZero());
+  HeapRemoveAt(0);
   Callback cb = std::move(slots_[idx].cb);
   FreeSlot(idx);
   return cb;
 }
 
+void EventQueue::DispatchLane(uint32_t idx) {
+  Lane& lane = lanes_[slots_[idx].lane];
+  if (lane.waiting.empty()) {
+    HeapRemoveAt(0);
+  } else {
+    // The next entry is no earlier than the head it replaces, so it can only
+    // sink.
+    --lane_waiting_;
+    SiftDown(0, lane.waiting.pop_front());
+  }
+  // As for a periodic event: the callback runs from the dispatch stack, and
+  // goes back to the slot when it returns.
+  Callback cb = std::move(slots_[idx].cb);
+  cb();
+  slots_[idx].cb = std::move(cb);
+}
+
 void EventQueue::DispatchHead() {
   BUNDLER_CHECK(!heap_.empty());
   HeapEntry head = heap_[0];
-  HeapRemoveAt(0);
   const uint32_t idx = head.slot();
+  if (slots_[idx].state == SlotState::kLane) {
+    DispatchLane(idx);
+    return;
+  }
+  HeapRemoveAt(0);
   if (slots_[idx].period.IsZero()) {
     // One-shot: the slot is freed before the callback runs, so the callback
     // may recycle it by scheduling new events (ids never collide thanks to

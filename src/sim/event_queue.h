@@ -19,6 +19,15 @@
 //    re-arms them at time+period *before* invoking the callback, matching the
 //    FIFO ordering of the classic "callback re-schedules itself first" idiom
 //    while skipping the cancel/push/allocate churn.
+//  - Event lanes (AddLane/PushLane) serve an owner whose events fire in the
+//    order it schedules them, with one callback for all of them: a Link's
+//    deliveries. A lane is a FIFO of (time, seq) keys on one slot that it
+//    keeps forever. Each entry takes its key when pushed, exactly as a plain
+//    push at that moment would, so dispatch order is unchanged; but only the
+//    lane's earliest entry sits in the heap. When it fires, the next entry
+//    takes the heap root with one sift-down: no slot is freed or allocated
+//    and no callback is emplaced. Lane entries have no EventId and cannot be
+//    cancelled or moved.
 //
 // Contract: Empty() and NextTime() are const and never mutate the heap; the
 // head is always live (cancellation removes eagerly).
@@ -31,6 +40,7 @@
 #include <vector>
 
 #include "src/sim/inline_function.h"
+#include "src/util/ring_buffer.h"
 #include "src/util/time.h"
 
 namespace bundler {
@@ -40,13 +50,14 @@ inline constexpr EventId kInvalidEventId = 0;
 
 class EventQueue {
  public:
-  // 32 bytes of capture, four words. A Link's propagation event takes three
-  // ({link, destination, pool index}): packets in flight wait in their
-  // link's pool, not in the event.
+  // 32 bytes of capture, four words. A Link's transmit-done event and its
+  // delivery lane each capture only the link: packets in flight wait in their
+  // link, not in the event.
   using Callback = InlineFunction<void(), 32>;
+  using LaneId = uint32_t;
 
-  // Peak concurrent pending events, reported per trial as
-  // sim.queue_max_heap.
+  // Peak concurrent pending events, lane entries included, reported per
+  // trial as sim.queue_max_heap.
   struct Profile {
     uint64_t max_heap = 0;
   };
@@ -78,6 +89,15 @@ class EventQueue {
   // the timer unstoppable, hence [[nodiscard]].
   [[nodiscard]] EventId PushPeriodic(TimePoint first, TimeDelta period, Callback cb);
 
+  // Creates an empty lane whose every entry runs `cb`. A lane lives as long
+  // as the queue.
+  [[nodiscard]] LaneId AddLane(Callback cb);
+
+  // Appends an entry that runs the lane's callback at `time`, ordered like a
+  // plain Push made now. CHECK-fails when `time` is earlier than the lane's
+  // last entry: a lane's entries fire in the order they were pushed.
+  void PushLane(LaneId lane, TimePoint time);
+
   // Removes the event from the heap. Returns false (no-op) when the id
   // already fired, was cancelled, or is kInvalidEventId.
   [[nodiscard]] bool Cancel(EventId id);
@@ -92,15 +112,18 @@ class EventQueue {
   TimePoint NextTime() const;
 
   // Pops the earliest event and returns its callback without invoking it.
-  // One-shot events only (CHECK-fails on a periodic head); the Simulator
-  // drives DispatchHead, which understands periodic re-arming.
+  // One-shot events only (CHECK-fails on a periodic or lane head); the
+  // Simulator drives DispatchHead, which understands re-arming.
   [[nodiscard]] Callback PopNext(TimePoint* time_out);
 
   // Pops the earliest event and invokes it. Periodic events are re-armed at
-  // time+period (fresh seq) before their callback runs.
+  // time+period (fresh seq), and a lane's next entry takes the head's place,
+  // before their callback runs.
   void DispatchHead();
 
-  size_t PendingForTest() const { return heap_.size(); }
+  // Pending events: the heap plus the lane entries queued behind their
+  // lane's head.
+  size_t PendingForTest() const { return heap_.size() + lane_waiting_; }
 
  private:
   static constexpr uint32_t kNpos = 0xffffffffu;
@@ -110,6 +133,7 @@ class EventQueue {
     kQueued,
     kDispatching,         // periodic, callback currently running
     kDispatchCancelled,   // cancelled from inside its own dispatch
+    kLane,                // an event lane's; never freed, never resolved
   };
 
   // 16 bytes: the sift loops are cache-bound on the heap array, so seq and
@@ -138,12 +162,23 @@ class EventQueue {
     uint32_t gen = 0;
     SlotState state = SlotState::kFree;
     uint32_t next_free = kNpos;
+    uint32_t lane = kNpos;  // index into lanes_ for a kLane slot
     TimeDelta period;  // zero => one-shot
     Callback cb;
   };
   // Every pending event, timers included, holds one Slot until it fires, and
-  // the pool keeps its high-water mark.
+  // the pool keeps its high-water mark. A lane holds one Slot for all its
+  // entries.
   static_assert(sizeof(Slot) <= 80);
+
+  // A lane's earliest entry sits in the heap under the lane's slot, whose
+  // heap_pos_ is kNpos while the lane is empty; `waiting` holds the entries
+  // behind it, in push order.
+  struct Lane {
+    uint32_t slot;
+    TimePoint last;  // time of the latest push
+    RingBuffer<HeapEntry> waiting;
+  };
 
   static bool Earlier(const HeapEntry& a, const HeapEntry& b) {
     if (a.time != b.time) {
@@ -164,6 +199,14 @@ class EventQueue {
 
   void HeapPush(HeapEntry e);
   void HeapRemoveAt(uint32_t pos);
+  void NotePending() {
+    const size_t pending = heap_.size() + lane_waiting_;
+    if (pending > profile_.max_heap) {
+      profile_.max_heap = pending;
+    }
+  }
+  // DispatchHead for a lane's head in slot `idx`.
+  void DispatchLane(uint32_t idx);
   void SiftUp(uint32_t pos, HeapEntry e);
   void SiftDown(uint32_t pos, HeapEntry e);
   void Place(uint32_t pos, HeapEntry e) {
@@ -175,6 +218,8 @@ class EventQueue {
   std::vector<HeapEntry> heap_;  // 4-ary, ordered by (time, seq)
   std::vector<Slot> slots_;
   std::vector<uint32_t> heap_pos_;  // slot -> heap index, kNpos when absent
+  std::vector<Lane> lanes_;
+  size_t lane_waiting_ = 0;  // entries in every Lane::waiting
   uint32_t free_head_ = kNpos;
   uint64_t next_seq_ = 1;
 };

@@ -3,8 +3,8 @@
 // Each cross-shard link gets one ShardChannel: a fixed-capacity single-
 // producer / single-consumer ring of BoundaryMsg (packet + its simulation-
 // determined delivery metadata). The producer is the link's owning shard
-// (packets finishing serialization are written into the ring instead of
-// scheduled as local propagation events); the consumer is the destination
+// (each packet is written into the ring as it starts to serialize, instead
+// of going on the link's delivery lane); the consumer is the destination
 // shard's worker, which drains the ring into that channel's FIFO and merges
 // the FIFO heads into its dispatch loop in deterministic (deliver, sent,
 // channel, seq) order. The link's propagation delay is the channel's
@@ -176,10 +176,12 @@ class ShardChannel : public BoundarySink {
     const int64_t deliver_ns = sent.nanos() + spec_.lookahead_ns;
     ++*ctr_msgs_;
     *ctr_bytes_ += pkt.size_bytes;
+    // Stamped with the moment of the send, so the producer's records stay in
+    // time order; `sent` is later, when the packet's serialization ends.
     obs::Tracer& tracer = spec_.src_sim->trace();
     if (tracer.enabled(obs::TraceCat::kShard)) {
-      tracer.Trace(obs::TraceCat::kShard, obs::TraceEv::kShardSend, 0, sent,
-                   spec_.id, seq, static_cast<uint64_t>(deliver_ns));
+      tracer.Trace(obs::TraceCat::kShard, obs::TraceEv::kShardSend, 0,
+                   spec_.src_sim->now(), spec_.id, seq, static_cast<uint64_t>(deliver_ns));
     }
     // Written in place: the packet moves once, into the ring's tail slot.
     const bool pushed = ring_.TryPushWith([&](BoundaryMsg& m) {

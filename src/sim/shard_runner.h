@@ -3,9 +3,9 @@
 //
 // Model. The topology is partitioned (src/topo/partition.h) into G shards,
 // each owning a full Simulator — its own event heap, tracer, and counter
-// registry. Cross-shard links push finished packets into SPSC rings
-// (ShardChannel); each channel's propagation delay is its conservative
-// lookahead. Workers execute shards with a static assignment (shard i ->
+// registry. Cross-shard links push each packet into an SPSC ring
+// (ShardChannel) as it starts to serialize; each channel's propagation delay
+// is its conservative lookahead. Workers execute shards with a static assignment (shard i ->
 // worker i % K), so the per-shard event sequence depends only on the
 // partition — never on the worker count — and `--shards 1` vs `--shards N`
 // output is identical by construction.
@@ -27,12 +27,15 @@
 // merges it against the heap head with arrival-first tie-breaking, so the
 // arrival order is that of one sorted queue, for any worker count.
 // Delivering an arrival counts as one dispatched event (it replaces the
-// propagation event of the unsharded run), so sim.events_dispatched summed
+// link's delivery in the unsharded run), so sim.events_dispatched summed
 // over shards equals the single-simulator count. Identity across worker
 // counts is exact by construction; identity with an unsharded run of the
 // same graph is not guaranteed. Its single heap orders same-instant events by
 // insertion, which no shard sees, so two arrivals that tie on (deliver, sent)
-// across channels may reach their shard the other way round.
+// across channels may reach their shard the other way round. The two runs
+// then queue those packets in different orders, and since a link schedules a
+// transmit-done only while a packet waits, even their event totals may
+// differ.
 #ifndef SRC_SIM_SHARD_RUNNER_H_
 #define SRC_SIM_SHARD_RUNNER_H_
 

@@ -8,6 +8,9 @@
 //    event re-arms in place each firing — no cancel/push churn.
 //  - Movable deadlines (RTO-style timers, shaper wakeups): keep the EventId
 //    and Reschedule/RescheduleAfter instead of Cancel + Schedule.
+//  - A stream of events with one callback that fire in the order they are
+//    scheduled (a link's deliveries): AddLane once, then ScheduleLaneAt. Only
+//    the lane's earliest entry sits in the heap.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
@@ -60,6 +63,18 @@ class Simulator {
   [[nodiscard]] bool RescheduleAfter(EventId id, TimeDelta delay) {
     return Reschedule(id, now_ + delay);
   }
+  // Event lanes (EventQueue::AddLane): `cb` runs once per ScheduleLaneAt, in
+  // push order. A lane's entries cannot be cancelled.
+  [[nodiscard]] EventQueue::LaneId AddLane(EventQueue::Callback cb) {
+    return queue_.AddLane(std::move(cb));
+  }
+  // Runs the lane's callback at `t` (>= now, and no earlier than the lane's
+  // last entry).
+  void ScheduleLaneAt(EventQueue::LaneId lane, TimePoint t) {
+    BUNDLER_CHECK_MSG(t >= now_, "scheduling into the past: %s < %s",
+                      t.ToString().c_str(), now_.ToString().c_str());
+    queue_.PushLane(lane, t);
+  }
   // Cancel-if-pending. Unlike EventQueue::Cancel this is NOT [[nodiscard]]:
   // "stop it if it has not fired yet" is a sanctioned idiom here (timers race
   // with the events they guard), and the bool is informational.
@@ -84,9 +99,10 @@ class Simulator {
   void DispatchNext();
   // Runs `f` as a synthetic event at `t` (>= now): advances the clock and
   // counts one dispatched event. This is how a boundary packet arrival is
-  // delivered — it replaces the propagation-delay event the link would have
-  // scheduled in a single-simulator run, so events_dispatched summed across
-  // shards matches the unsharded count.
+  // delivered — it replaces the delivery the link would have put on its lane
+  // in a single-simulator run, so events_dispatched summed across shards
+  // matches the unsharded count (up to arrivals that tie across channels;
+  // see shard_runner.h).
   template <typename F>
   void RunInline(TimePoint t, F&& f) {
     BUNDLER_CHECK(t >= now_);

@@ -359,8 +359,8 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
   // Every component is constructed into the simulator of its node's group
   // (unsharded: everything into sims[0]). Links and monitors execute on the
   // *sending* side of their edge, so they follow `from`; boundary links hand
-  // finished packets to the peer shard instead of scheduling a local
-  // delivery.
+  // each packet to the peer shard as it starts to serialize instead of
+  // scheduling a local delivery.
   auto sim_of = [&](NodeId n) {
     return plan == nullptr ? sims[0]
                            : sims[static_cast<size_t>(plan->group_of(n))];

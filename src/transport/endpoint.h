@@ -16,6 +16,7 @@
 #include <memory>
 #include <mutex>
 #include <new>
+#include <utility>
 #include <vector>
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -95,7 +96,9 @@ class Host : public PacketHandler {
 // bounded by the flows in flight rather than by every flow the run created,
 // and a warm arena serves create/release cycles with zero heap allocations.
 // Objects still live when the table goes away (backlogged flows, flows cut
-// off by the end of the run) are destroyed then, in no particular order.
+// off by the end of the run) are destroyed then: the destructor walks every
+// carve of every block by the size classes in their headers and destroys the
+// ones whose header is live, so the table keeps no list of its objects.
 //
 // Every table structure is GUARDED_BY(mu_) because in a sharded run flows
 // complete concurrently in different shards; object construction always runs
@@ -108,8 +111,15 @@ class FlowTable {
   FlowTable& operator=(const FlowTable&) = delete;
   ~FlowTable() {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const Owned& o : owned_) {
-      o.destroy(o.obj);
+    // Only headers are read, and they are never poisoned.
+    for (const Block& b : blocks_) {
+      for (size_t off = 0; off < b.used;) {
+        auto* h = reinterpret_cast<ReclaimHeader*>(b.mem.get() + off);
+        if (h->magic == kReclaimMagic) {
+          h->destroy(h + 1);
+        }
+        off += sizeof(ReclaimHeader) + h->size_class * kGranule;
+      }
     }
   }
 
@@ -127,16 +137,21 @@ class FlowTable {
     void* mem = Allocate(sizeof(T));
     T* obj = ::new (mem) T(std::forward<Args>(args)...);
     {
+      // Live only once constructed: the destructor's walk skips the carve
+      // until then.
       std::lock_guard<std::mutex> lock(mu_);
-      Header(obj)->owned_idx = static_cast<uint32_t>(owned_.size());
-      owned_.push_back(Owned{obj, [](void* p) { static_cast<T*>(p)->~T(); }});
+      ReclaimHeader* h = Header(obj);
+      h->destroy = [](void* p) { static_cast<T*>(p)->~T(); };
+      h->magic = kReclaimMagic;
+      ++live_;
     }
     return obj;
   }
 
+  // Live objects: emplaced and not yet released.
   size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return owned_.size();
+    return live_;
   }
 
   // No-op: every table reclaims. Kept only because the benchmark harness
@@ -153,14 +168,8 @@ class FlowTable {
     ReclaimHeader* h = Header(obj);
     BUNDLER_CHECK_MSG(h->magic == kReclaimMagic,
                       "Release of a pointer this table does not own");
-    const size_t idx = h->owned_idx;
-    BUNDLER_CHECK(idx < owned_.size() && owned_[idx].obj == obj);
-    owned_[idx].destroy(obj);
-    owned_[idx] = owned_.back();
-    owned_.pop_back();
-    if (idx < owned_.size()) {
-      Header(owned_[idx].obj)->owned_idx = static_cast<uint32_t>(idx);
-    }
+    h->destroy(obj);
+    --live_;
     const size_t cls = h->size_class;
     h->magic = 0;
     ASAN_POISON_MEMORY_REGION(obj, cls * kGranule);
@@ -189,22 +198,24 @@ class FlowTable {
   static constexpr size_t kBlockBytes = 256 * 1024;
 
  private:
-  struct Owned {
-    void* obj;
-    void (*destroy)(void*);
-  };
-
   // Sits immediately before each object and is never poisoned. 16 bytes keeps
   // the payload at new[] alignment; the magic doubles as a use-after-release
-  // trap and leaves the first word free for the free-list link once dead.
+  // trap. Once dead, the first word is the free-list link, and the size class
+  // stays readable for the destructor's walk.
   struct ReclaimHeader {
-    uint32_t owned_idx;
+    void (*destroy)(void*);
     uint32_t size_class;
-    uint64_t magic;
+    uint32_t magic;
   };
   static_assert(sizeof(ReclaimHeader) == 16);
-  static constexpr uint64_t kReclaimMagic = 0x666c6f7774626c6bULL;  // "flowtblk"
+  static constexpr uint32_t kReclaimMagic = 0x666c6f77;  // "flow"
   static constexpr size_t kGranule = 64;
+
+  // An arena block and the bytes carved from it so far.
+  struct Block {
+    std::unique_ptr<unsigned char[]> mem;
+    size_t used = 0;
+  };
 
   static ReclaimHeader* Header(void* obj) {
     return reinterpret_cast<ReclaimHeader*>(static_cast<unsigned char*>(obj) -
@@ -212,7 +223,8 @@ class FlowTable {
   }
 
   // Returns the payload address of a free block of `bytes`' size class: the
-  // class's free list first, fresh arena space otherwise.
+  // class's free list first, fresh arena space otherwise. Its header is dead
+  // until Emplace has constructed the object.
   void* Allocate(size_t bytes) {
     const size_t cls = (bytes + kGranule - 1) / kGranule;
     std::lock_guard<std::mutex> lock(mu_);
@@ -227,17 +239,18 @@ class FlowTable {
       // Every carve is 16 + a multiple of 64 bytes from a new[]-aligned
       // block, so headers and payloads stay at new[] alignment.
       const size_t carve = sizeof(ReclaimHeader) + cls * kGranule;
-      if (blocks_.empty() || arena_used_ + carve > kBlockBytes) {
+      if (blocks_.empty() || blocks_.back().used + carve > kBlockBytes) {
         // Amortized arena growth; steady state recycles via free lists.
-        blocks_.push_back(std::make_unique<unsigned char[]>(kBlockBytes));  // lint:allow(datapath-heap-alloc)
-        arena_used_ = 0;
+        // Left unwritten: a page becomes resident when a carve reaches it.
+        auto mem = std::make_unique_for_overwrite<unsigned char[]>(kBlockBytes);  // lint:allow(datapath-heap-alloc)
+        blocks_.push_back(Block{std::move(mem), 0});
       }
-      block = blocks_.back().get() + arena_used_;
-      arena_used_ += carve;
+      block = blocks_.back().mem.get() + blocks_.back().used;
+      blocks_.back().used += carve;
     }
     auto* h = static_cast<ReclaimHeader*>(block);
     h->size_class = static_cast<uint32_t>(cls);
-    h->magic = kReclaimMagic;
+    h->magic = 0;
     void* payload = static_cast<unsigned char*>(block) + sizeof(ReclaimHeader);
     // A recycled payload was poisoned by Release (fresh arena space never is).
     ASAN_UNPOISON_MEMORY_REGION(payload, cls * kGranule);
@@ -246,9 +259,8 @@ class FlowTable {
 
   mutable std::mutex mu_;
   uint64_t next_flow_id_ GUARDED_BY(mu_) = 1;
-  std::vector<std::unique_ptr<unsigned char[]>> blocks_ GUARDED_BY(mu_);
-  size_t arena_used_ GUARDED_BY(mu_) = 0;
-  std::vector<Owned> owned_ GUARDED_BY(mu_);
+  std::vector<Block> blocks_ GUARDED_BY(mu_);
+  size_t live_ GUARDED_BY(mu_) = 0;
   // Indexed by size class, intrusive links through the dead blocks.
   std::vector<void*> free_lists_ GUARDED_BY(mu_);
   uint64_t releases_ GUARDED_BY(mu_) = 0;

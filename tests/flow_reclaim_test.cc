@@ -1,16 +1,18 @@
 // FlowTable arena-reclamation tests (src/transport/endpoint.h): free-list
-// recycling and swap-remove header fixup at the unit level, misuse death
-// tests, a TCP integration run over the fat-tree fabric where every
-// completed flow hands its sender handle, connection and receiver blocks
-// back to the arena — a second wave of flows must be carved entirely from
-// the free lists — flows with deferred starts that hold no connection and no
-// sender demux entry until they start, the host demux emptying as flows
-// complete, and the stateless TIME_WAIT: a host answers data of a completed
-// receiver's flow with the final ACK.
+// recycling at the unit level, teardown of exactly the live objects by a
+// walk over the arena's headers, misuse death tests, a TCP integration run
+// over the fat-tree fabric where every completed flow hands its sender
+// handle, connection and receiver blocks back to the arena — a second wave
+// of flows must be carved entirely from the free lists — flows with deferred
+// starts that hold no connection and no sender demux entry until they
+// start, the host demux emptying as flows complete, and the stateless
+// TIME_WAIT: a host answers data of a completed receiver's flow with the
+// final ACK.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "src/net/link.h"
 #include "src/qdisc/fifo.h"
@@ -40,8 +42,7 @@ TEST(FlowReclaimTest, ReleaseRecyclesBlocksThroughTheFreeList) {
   EXPECT_EQ(table.size(), 3u);
   EXPECT_EQ(table.arena_blocks(), 1u);
 
-  // Middle release: the last entry swaps into b's owned_ slot, and its header
-  // must be re-pointed — releasing it afterwards has to find the right slot.
+  // Middle release first, then the ends.
   table.Release(b);
   EXPECT_EQ(live, 2);
   EXPECT_EQ(table.size(), 2u);
@@ -100,6 +101,63 @@ TEST(FlowReclaimTest, TableDestroysObjectsStillLive) {
     EXPECT_EQ(live, 2);
   }
   EXPECT_EQ(live, 0);
+}
+
+// The table keeps no list of its objects: its destructor walks every block's
+// carves by the size classes in their headers. Objects of two size classes
+// fill more than one block; some are released, and some of the released
+// carves are emplaced again. Teardown must destroy exactly the live objects,
+// each once, and nothing that Release already destroyed.
+TEST(FlowReclaimTest, TeardownDestroysExactlyTheLiveObjectsOnce) {
+  struct Counted {
+    Counted(std::vector<int>* d, size_t i) : destroyed(d), id(i) {}
+    ~Counted() { ++(*destroyed)[id]; }
+    std::vector<int>* destroyed;
+    size_t id;
+  };
+  struct Small : Counted {
+    using Counted::Counted;
+    char payload[40] = {};
+  };
+  struct Large : Counted {
+    using Counted::Counted;
+    char payload[1000] = {};
+  };
+  constexpr size_t kFirst = 600;   // 300 of each: ~330 KB of carves
+  constexpr size_t kAgain = 100;   // emplaced into released carves
+  std::vector<int> destroyed(kFirst + kAgain, 0);
+  std::vector<bool> live(kFirst + kAgain, false);
+  {
+    FlowTable table;
+    std::vector<void*> objs;
+    for (size_t i = 0; i < kFirst; ++i) {
+      objs.push_back(i % 2 == 0 ? static_cast<void*>(table.Emplace<Small>(&destroyed, i))
+                                : static_cast<void*>(table.Emplace<Large>(&destroyed, i)));
+      live[i] = true;
+    }
+    ASSERT_GE(table.arena_blocks(), 2u);
+    for (size_t i = 0; i < kFirst; i += 3) {
+      table.Release(objs[i]);
+      live[i] = false;
+    }
+    const size_t blocks = table.arena_blocks();
+    for (size_t i = kFirst; i < kFirst + kAgain; ++i) {
+      (void)(i % 2 == 0 ? static_cast<void*>(table.Emplace<Small>(&destroyed, i))
+                        : static_cast<void*>(table.Emplace<Large>(&destroyed, i)));
+      live[i] = true;
+    }
+    EXPECT_EQ(table.arena_blocks(), blocks) << "the second batch must reuse released carves";
+    EXPECT_EQ(table.reuses(), kAgain);
+    size_t expect_live = 0;
+    for (size_t i = 0; i < live.size(); ++i) {
+      EXPECT_EQ(destroyed[i], live[i] ? 0 : 1) << "object " << i << " before teardown";
+      expect_live += live[i] ? 1 : 0;
+    }
+    EXPECT_EQ(table.size(), expect_live);
+  }
+  for (size_t i = 0; i < destroyed.size(); ++i) {
+    EXPECT_EQ(destroyed[i], 1) << "object " << i << (live[i] ? " (live)" : " (released)");
+  }
 }
 
 TEST(FlowReclaimDeathTest, ReleaseOfForeignPointerDies) {

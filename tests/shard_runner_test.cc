@@ -170,9 +170,9 @@ RunOutput RunUnsharded(const Fabric& f) {
 
 // True when some shard delivered two arrivals with equal (deliver, sent) on
 // different channels. The runner delivers those in channel-id order; an
-// unsharded run delivers them in the order their links' transmit-done events
-// ran, which depends on the global event order no shard sees, so no fixed
-// rule reproduces it. Read from the kShard trace: a shard delivers in key
+// unsharded run delivers them in the order their packets started to
+// serialize, which depends on the global event order no shard sees, so no
+// fixed rule reproduces it. Read from the kShard trace: a shard delivers in key
 // order, so such a pair is adjacent among its deliver records.
 bool CrossChannelTie(const std::vector<Simulator*>& sims) {
   for (Simulator* s : sims) {
@@ -239,8 +239,9 @@ TEST(ShardRunnerTest, WorkerCountDoesNotChangeResults) {
 
 // Completion callbacks run shard-local, so cross-shard completion order may
 // interleave differently from the single-heap run; the flow outcomes and the
-// total event count must still match exactly (boundary arrivals replace the
-// unsharded run's propagation events one for one).
+// total event count must still match exactly. A boundary arrival replaces
+// the unsharded run's delivery one for one, and with packets queued alike
+// both runs schedule the same transmit-dones.
 void ExpectSameOutcomes(const RunOutput& single, const RunOutput& sharded) {
   std::vector<double> a = single.fct_ms;
   std::vector<double> b = sharded.fct_ms;
@@ -267,11 +268,15 @@ TEST(ShardRunnerTest, RunUntilIsResumable) {
 }
 
 // Eight seeded fabrics. Every seed must give the same FCTs, in the same
-// order, and the same event total at 1, 2 and 4 workers, and the unsharded
-// run's event total. The unsharded run's sorted FCTs must match too, unless
-// the sharded run hit a cross-channel tie (CrossChannelTie): then the two
-// runs may queue those packets in different orders, and only the event
-// total and the number of completed flows are compared.
+// order, and the same event total at 1, 2 and 4 workers. The unsharded run's
+// sorted FCTs and event total must match too, unless the sharded run hit a
+// cross-channel tie (CrossChannelTie): then the two runs may queue those
+// packets in different orders, and only the number of completed flows is
+// compared. The event totals differ there because a transmit-done exists
+// only while a packet waits behind another: seeds 4 and 7 tie, and their
+// runs dispatch identical events up to the tie, the same deliveries overall,
+// and one transmit-done more or fewer (10,354 vs 10,353 and 8,893 vs
+// 8,894 events).
 TEST(ShardRunnerTest, GeneratedFabricsAreDeterministic) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -284,7 +289,6 @@ TEST(ShardRunnerTest, GeneratedFabricsAreDeterministic) {
       EXPECT_EQ(wk.events, w1.events) << workers << " workers";
     }
     const RunOutput single = RunUnsharded(f);
-    EXPECT_EQ(single.events, w1.events);
     EXPECT_EQ(single.fct_ms.size(), w1.fct_ms.size());
     if (!w1.cross_channel_tie) {
       ExpectSameOutcomes(single, w1);

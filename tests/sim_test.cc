@@ -1,13 +1,15 @@
 // Unit tests for the discrete-event simulator core: ordering, cancellation
-// (including mid-dispatch), reschedule-in-place, periodic timers, the
-// engine's and a warm link hop's zero-allocation guarantee, the link's rate
-// check, and InlineFunction, the move-only callable every event and stored
-// callback rides.
+// (including mid-dispatch), reschedule-in-place, periodic timers, event
+// lanes, the engine's and a warm link hop's zero-allocation guarantee, a
+// link's event count per hop and its ties at the end of serialization, the
+// link's rate check, and InlineFunction, the move-only callable every event
+// and stored callback rides.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <deque>
 #include <memory>
 #include <new>
 #include <random>
@@ -350,6 +352,109 @@ TEST(EventQueueTest, RandomizedOrderMatchesReferenceModel) {
   }
 }
 
+// Lane mirror test: lane entries must dispatch exactly as plain pushes made
+// at the same moments would. Two queues see the same interleaving of plain
+// pushes, cancels, reschedules, dispatches and pushes onto three lanes (each
+// lane non-decreasing in time, dense times forcing ties); in the reference
+// queue every lane entry is a plain push. Dispatch order, NextTime, the
+// pending count and the pending profile must match after every operation.
+TEST(EventQueueTest, LaneEntriesDispatchLikePlainPushesMadeAtTheSameMoment) {
+  std::mt19937_64 rng(20261019);
+  EventQueue laned;
+  EventQueue ref;
+  std::vector<int> laned_fired;
+  std::vector<int> ref_fired;
+  constexpr int kLanes = 3;
+  // Labels of each lane's pending entries, oldest first: the lane's one
+  // callback fires them in push order.
+  std::vector<std::deque<int>> lane_labels(kLanes);
+  std::vector<EventQueue::LaneId> lanes;
+  std::vector<int64_t> lane_last(kLanes, 0);
+  for (int l = 0; l < kLanes; ++l) {
+    lanes.push_back(laned.AddLane([&laned_fired, &lane_labels, l]() {
+      laned_fired.push_back(lane_labels[l].front());
+      lane_labels[l].pop_front();
+    }));
+  }
+  struct Plain {
+    EventId laned;
+    EventId ref;
+  };
+  std::vector<Plain> plain;
+  int next_label = 0;
+  int64_t now = 0;  // time of the last dispatch; no push is earlier
+  for (int op = 0; op < 6000; ++op) {
+    const uint64_t pick = rng() % 12;
+    if (pick < 3) {
+      const TimePoint t = TimePoint::FromNanos(now + static_cast<int64_t>(rng() % 32));
+      const int label = next_label++;
+      plain.push_back(Plain{laned.Push(t, [&laned_fired, label]() { laned_fired.push_back(label); }),
+                            ref.Push(t, [&ref_fired, label]() { ref_fired.push_back(label); })});
+    } else if (pick < 7) {
+      const int l = static_cast<int>(rng() % kLanes);
+      lane_last[l] = std::max(lane_last[l], now) + static_cast<int64_t>(rng() % 6);
+      const TimePoint t = TimePoint::FromNanos(lane_last[l]);
+      const int label = next_label++;
+      lane_labels[l].push_back(label);
+      laned.PushLane(lanes[l], t);
+      (void)ref.Push(t, [&ref_fired, label]() { ref_fired.push_back(label); });
+    } else if (pick < 8 && !plain.empty()) {
+      // Either side may already have fired it; both must agree.
+      const Plain& victim = plain[rng() % plain.size()];
+      EXPECT_EQ(laned.Cancel(victim.laned), ref.Cancel(victim.ref));
+    } else if (pick < 9 && !plain.empty()) {
+      const Plain& victim = plain[rng() % plain.size()];
+      const TimePoint t = TimePoint::FromNanos(now + static_cast<int64_t>(rng() % 32));
+      EXPECT_EQ(laned.Reschedule(victim.laned, t), ref.Reschedule(victim.ref, t));
+    } else if (!ref.Empty()) {
+      now = ref.NextTime().nanos();
+      laned.DispatchHead();
+      ref.DispatchHead();
+    }
+    ASSERT_EQ(laned.Empty(), ref.Empty()) << "after op " << op;
+    if (!ref.Empty()) {
+      ASSERT_EQ(laned.NextTime(), ref.NextTime()) << "after op " << op;
+    }
+    ASSERT_EQ(laned.PendingForTest(), ref.PendingForTest()) << "after op " << op;
+    ASSERT_EQ(laned_fired, ref_fired) << "after op " << op;
+  }
+  while (!ref.Empty()) {
+    ASSERT_EQ(laned.NextTime(), ref.NextTime());
+    laned.DispatchHead();
+    ref.DispatchHead();
+  }
+  EXPECT_TRUE(laned.Empty());
+  EXPECT_EQ(laned_fired, ref_fired);
+  EXPECT_EQ(laned.profile().max_heap, ref.profile().max_heap);
+  EXPECT_GT(ref_fired.size(), 2000u);
+}
+
+TEST(EventQueueDeathTest, LanePushEarlierThanItsLastEntryDies) {
+  EXPECT_DEATH(
+      {
+        EventQueue q;
+        const EventQueue::LaneId lane = q.AddLane([]() {});
+        q.PushLane(lane, TimePoint::FromNanos(10));
+        q.PushLane(lane, TimePoint::FromNanos(10));  // a tie is fine
+        q.PushLane(lane, TimePoint::FromNanos(9));
+      },
+      "earlier than its last entry");
+}
+
+TEST(EventQueueDeathTest, PopNextOnALaneHeadDies) {
+  // Like a periodic event, a lane keeps its slot and callback: PopNext cannot
+  // hand either out.
+  EXPECT_DEATH(
+      {
+        EventQueue q;
+        const EventQueue::LaneId lane = q.AddLane([]() {});
+        q.PushLane(lane, TimePoint::FromNanos(10));
+        TimePoint t;
+        (void)q.PopNext(&t);
+      },
+      "CHECK failed");
+}
+
 TEST(SimulatorTest, SteadyStateSchedulingDoesNotAllocate) {
   Simulator sim;
   // Warm-up: grow the slot pool and heap arrays to the working-set size and
@@ -385,10 +490,10 @@ TEST(SimulatorTest, SteadyStateSchedulingDoesNotAllocate) {
 }
 
 TEST(SimulatorTest, LinkHopDoesNotAllocateOnceWarm) {
-  // A link parks each packet in its own pool while it serializes and
-  // propagates; the events carry only the pool index. At 100 Mbit/s a
-  // 1000-byte packet serializes in 80 us, so a burst keeps ~125 packets
-  // propagating across the 10 ms delay at once.
+  // A link keeps each packet in its own ring while it serializes and
+  // propagates, and delivers through its lane; its events capture only the
+  // link. At 100 Mbit/s a 1000-byte packet serializes in 80 us, so a burst
+  // keeps ~125 packets propagating across the 10 ms delay at once.
   Simulator sim;
   SinkHandler sink;
   Link link(&sim, "hop", Rate::Mbps(100), TimeDelta::Millis(10),
@@ -403,8 +508,8 @@ TEST(SimulatorTest, LinkHopDoesNotAllocateOnceWarm) {
     }
     sim.RunAll();
   };
-  // Warm-up: grows the queue's ring, the link's pool and the event slots to
-  // the burst's peak.
+  // Warm-up: grows the queue's ring, the link's in-flight ring, its lane and
+  // the event slots to the burst's peak.
   burst();
   const uint64_t before = g_heap_allocs;
   constexpr int kRounds = 8;
@@ -414,6 +519,112 @@ TEST(SimulatorTest, LinkHopDoesNotAllocateOnceWarm) {
   EXPECT_EQ(g_heap_allocs - before, 0u) << "a warm link hop must not touch the heap";
   EXPECT_EQ(sink.packets(), static_cast<uint64_t>((kRounds + 1) * kBurst));
   EXPECT_GE(sim.queue_profile().max_heap, 100u) << "packets were not in flight together";
+}
+
+// --- A link hop costs one event: deliveries ride the link's lane, and a
+// transmit-done exists only while a packet waits ---
+
+// 1000 B at 100 Mbit/s serializes in 80 us.
+constexpr TimeDelta kHopTx = TimeDelta::Micros(80);
+constexpr TimeDelta kHopDelay = TimeDelta::Millis(1);
+
+// Records each delivered packet's seq and arrival time.
+struct Arrivals {
+  std::vector<int64_t> seqs;
+  std::vector<TimePoint> times;
+};
+
+struct HopRig {
+  HopRig()
+      : sink([this](Packet p) {
+          got.seqs.push_back(p.seq);
+          got.times.push_back(sim.now());
+        }),
+        link(&sim, "hop", Rate::Mbps(100), kHopDelay, std::make_unique<DropTailFifo>(1 << 20),
+             &sink) {
+    key.src = MakeAddress(1, 1);
+    key.dst = MakeAddress(2, 1);
+  }
+  void Send(int64_t seq) { link.HandlePacket(MakeDataPacket(/*flow_id=*/1, key, seq, 1000)); }
+
+  Simulator sim;
+  Arrivals got;
+  LambdaHandler sink;
+  Link link;
+  FlowKey key;
+};
+
+TimePoint AtMicros(int64_t us) { return TimePoint::Zero() + TimeDelta::Micros(us); }
+
+TEST(LinkTest, SpacedPacketsCostOneEventEach) {
+  // 100 us apart, each packet finds the link free: one delivery each, and no
+  // transmit-done.
+  HopRig rig;
+  constexpr int kN = 50;
+  for (int i = 0; i < kN; ++i) {
+    rig.sim.RunUntil(AtMicros(100 * i));
+    rig.Send(i);
+  }
+  rig.sim.RunAll();
+  ASSERT_EQ(rig.got.seqs.size(), static_cast<size_t>(kN));
+  for (int i = 0; i < kN; ++i) {
+    EXPECT_EQ(rig.got.times[static_cast<size_t>(i)], AtMicros(100 * i) + kHopTx + kHopDelay);
+  }
+  EXPECT_EQ(rig.sim.events_dispatched(), static_cast<uint64_t>(kN));
+}
+
+TEST(LinkTest, BurstCostsADeliveryEachAndATransmitDoneForEachWaiter) {
+  // A same-instant burst: every packet but the first waits, so N deliveries
+  // and N-1 transmit-dones, back to back.
+  HopRig rig;
+  constexpr int kN = 50;
+  for (int i = 0; i < kN; ++i) {
+    rig.Send(i);
+  }
+  rig.sim.RunAll();
+  ASSERT_EQ(rig.got.seqs.size(), static_cast<size_t>(kN));
+  for (int i = 0; i < kN; ++i) {
+    EXPECT_EQ(rig.got.seqs[static_cast<size_t>(i)], i);
+    EXPECT_EQ(rig.got.times[static_cast<size_t>(i)], TimePoint::Zero() + kHopTx * (i + 1) + kHopDelay);
+  }
+  EXPECT_EQ(rig.sim.events_dispatched(), static_cast<uint64_t>(2 * kN - 1));
+}
+
+TEST(LinkTest, ArrivalExactlyAtTxEndWithNoWaiterStartsAtOnce) {
+  HopRig rig;
+  rig.Send(0);
+  rig.sim.RunUntil(TimePoint::Zero() + kHopTx);  // nothing is due by then
+  rig.Send(1);  // the link is free: no transmit-done, no wait
+  rig.sim.RunAll();
+  ASSERT_EQ(rig.got.seqs, (std::vector<int64_t>{0, 1}));
+  EXPECT_EQ(rig.got.times[0], TimePoint::Zero() + kHopTx + kHopDelay);
+  EXPECT_EQ(rig.got.times[1], TimePoint::Zero() + kHopTx * 2 + kHopDelay);
+  EXPECT_EQ(rig.sim.events_dispatched(), 2u);
+}
+
+TEST(LinkTest, ArrivalAtTxEndQueuesBehindTheWaiter) {
+  // Packet 2 arrives at packet 0's tx_end, in an event that runs before the
+  // transmit-done due then: packet 1, already waiting, still goes first.
+  HopRig rig;
+  rig.sim.ScheduleAt(TimePoint::Zero() + kHopTx, [&rig]() { rig.Send(2); });
+  rig.Send(0);
+  rig.Send(1);
+  rig.sim.RunAll();
+  ASSERT_EQ(rig.got.seqs, (std::vector<int64_t>{0, 1, 2}));
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(rig.got.times[static_cast<size_t>(i)], TimePoint::Zero() + kHopTx * (i + 1) + kHopDelay);
+  }
+  // The test's own event, three deliveries and two transmit-dones.
+  EXPECT_EQ(rig.sim.events_dispatched(), 6u);
+}
+
+TEST(LinkTest, TxPktsCountsAPacketStillSerializingWhenTheRunStops) {
+  HopRig rig;
+  rig.Send(0);
+  rig.sim.RunUntil(TimePoint::Zero() + kHopTx / 2);
+  EXPECT_EQ(rig.link.stats().packets_sent, 1u);
+  EXPECT_EQ(rig.link.stats().bytes_sent, 1000u);
+  EXPECT_TRUE(rig.got.seqs.empty());
 }
 
 TEST(LinkDeathTest, RateThatCannotSerializeAnMtuDies) {
@@ -692,8 +903,7 @@ TEST(InlineFunctionTest, ForwardsArgumentsAndReturnsValue) {
 
 TEST(InlineFunctionTest, LargestEventCaptureDoesNotAllocate) {
   // The largest event captures four words and fills the slot: RunWanPath's
-  // bulk-flow start event (src/topo/internet.cc). A Link propagation event,
-  // {link, destination, pool index}, takes 24 bytes.
+  // bulk-flow start event (src/topo/internet.cc).
   struct Payload {
     unsigned char bytes[24];
   };
