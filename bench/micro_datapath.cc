@@ -450,13 +450,13 @@ BenchResult BenchBoundaryRingChurn() {
   });
 }
 
-// Conservative parallel DES end to end: the fat_tree_incast workload (4
-// leaves x 2 hosts over 2 spines -> 6 shards) run by ShardRunner with a given
-// worker count, in simulator events per wall second. Run() repeats it as
-// interleaved 1-worker/4-worker pairs, and scripts/bench.sh gates the median
-// of the per-pair speedups: on multi-core machines the partitioned run must
-// scale, on fewer cores it only has to avoid collapsing under the sync
-// overhead.
+// Conservative parallel DES end to end: staggered incast waves on the
+// fat-tree preset (4 leaves x 2 hosts over 2 spines -> 6 shards) run by
+// ShardRunner with a given worker count, in simulator events per wall second.
+// Run() repeats it as interleaved 1-worker/4-worker pairs, and
+// scripts/bench.sh gates the median of the per-pair speedups: on multi-core
+// machines the partitioned run must scale, on fewer cores it only has to
+// avoid collapsing under the sync overhead.
 BenchResult BenchParallelDesFatTree(int workers) {
   FatTreeConfig cfg;
   FatTreeGraph g;
@@ -471,8 +471,7 @@ BenchResult BenchParallelDesFatTree(int workers) {
   ShardChannelSet channels;
   std::unique_ptr<Net> net = b.Build(plan, sims, &channels);
 
-  // Staggered incast waves onto leaf 0 for the whole run, as in the
-  // fat_tree_incast scenario.
+  // Staggered incast waves onto leaf 0 for the whole run.
   constexpr int kWaves = 40;
   int rr = 0;
   for (int w = 0; w < kWaves; ++w) {

@@ -2,9 +2,9 @@
 """Repo-specific determinism and zero-alloc lints for the bundler simulator.
 
 The simulator's core guarantees — bit-identical runs at a fixed seed
-(including across --shards values) and an allocation-free steady-state
-datapath — are properties a compiler does not check. This linter enforces
-the source-level discipline behind them:
+(including across --threads and ShardRunner worker counts) and an
+allocation-free steady-state datapath — are properties a compiler does not
+check. This linter enforces the source-level discipline behind them:
 
   unordered-iteration   Iterating a std::unordered_{map,set} feeds
                         address-dependent order into whatever consumes the

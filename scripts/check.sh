@@ -24,35 +24,21 @@ cmake --build build -j"${JOBS}"
 echo "--- registry gate: every registered scenario feeds a repro.sh claim"
 # A scenario no claim reads is code nothing checks. Each name that
 # `bundler_run --list-names` prints must appear, as a whole name, in one of
-# scripts/repro.sh's scenario runs, or be exempted here as "name: reason".
-REGISTRY_EXEMPT=(
-  "fat_tree_incast: the one scenario --shards really partitions; the --shards 1 vs 4 comparison below runs it, and it goes with ShardRunner (ROADMAP item 5)"
-)
+# scripts/repro.sh's scenario runs.
 ./build/bundler_run --list-names > build/scenario_names.txt
-python3 - build/scenario_names.txt "${REGISTRY_EXEMPT[@]}" <<'EOF'
+python3 - build/scenario_names.txt <<'EOF'
 import re, sys
 names = open(sys.argv[1]).read().split()
-exempt = {}
-for entry in sys.argv[2:]:
-    name, _, reason = entry.partition(":")
-    assert reason.strip(), f"check.sh: exemption '{name}' gives no reason"
-    exempt[name.strip()] = reason.strip()
 repro = open("scripts/repro.sh").read()
 runs = set(re.findall(r"--scenario\s+([A-Za-z0-9_]+)", repro))
 for loop in re.findall(r"for scenario in (.*?); do", repro, re.S):
     runs.update(loop.replace("\\", " ").split())
-missing = [n for n in names if n not in runs and n not in exempt]
-stale = [n for n in exempt if n not in names or n in runs]
+missing = [n for n in names if n not in runs]
 if missing:
     print("check.sh: FAIL — registered scenarios that no repro.sh run "
-          "feeds and no exemption names: " + ", ".join(missing))
+          "feeds: " + ", ".join(missing))
     sys.exit(1)
-if stale:
-    print("check.sh: FAIL — exemptions for scenarios that are gone or "
-          "already run by repro.sh: " + ", ".join(stale))
-    sys.exit(1)
-print(f"  {len(names) - len(exempt)} of {len(names)} scenarios feed repro.sh; "
-      f"exempt: {', '.join(sorted(exempt))}")
+print(f"  all {len(names)} scenarios feed repro.sh")
 EOF
 
 echo "--- benchmark harness: self-test and smoke run of bench/e2e"
@@ -82,9 +68,9 @@ if [[ "${CHECK_SKIP_SANITIZERS:-0}" != "1" ]]; then
 
   echo "--- TSan pass: every suite that spawns threads or crosses shards"
   # shard_channel/shard_runner: SPSC rings and the CMB null-message protocol;
-  # partition/runner/integration-adjacent suites: TrialRunner worker pool and
-  # sharded trials; obs: trace capture under the worker pool; flow_reclaim:
-  # FlowTable, whose arena is mutex-guarded.
+  # partition: the plans those sharded runs are built from; runner:
+  # TrialRunner's worker pool; obs: trace capture under the worker pool;
+  # flow_reclaim: FlowTable, whose arena is mutex-guarded.
   TSAN_SUITES='shard_channel_test|shard_runner_test|partition_test|runner_test|obs_test|flow_reclaim_test'
   cmake -B build-tsan -S . -DBUNDLER_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j"${JOBS}" --target \
@@ -130,23 +116,6 @@ cmp <(stable build/smoke_sec72_t2/sec72_other_policies.json) \
 cmp <(stable build/smoke_sec72_t2/sec72_other_policies.csv) \
     <(stable build/smoke_sec72_t4/sec72_other_policies.csv)
 
-echo "--- parallel DES: --shards 1 vs --shards 4 must be byte-identical"
-# fig09's dumbbell is one indivisible shard (--shards just validates that);
-# fat_tree_incast genuinely partitions into 6 shards run by 4 workers.
-./build/bundler_run --scenario fig09_fct --trials 1 --shards 1 \
-  --out build/smoke_s1 --quiet
-./build/bundler_run --scenario fig09_fct --trials 1 --shards 4 \
-  --out build/smoke_s4 --quiet > /dev/null
-cmp <(stable build/smoke_s1/fig09_fct.json) <(stable build/smoke_s4/fig09_fct.json)
-./build/bundler_run --scenario fat_tree_incast --trials 2 --shards 1 \
-  --out build/smoke_ft_s1 --quiet
-./build/bundler_run --scenario fat_tree_incast --trials 2 --shards 4 \
-  --out build/smoke_ft_s4 --quiet > /dev/null
-cmp <(stable build/smoke_ft_s1/fat_tree_incast.json) \
-    <(stable build/smoke_ft_s4/fat_tree_incast.json)
-cmp <(stable build/smoke_ft_s1/fat_tree_incast.csv) \
-    <(stable build/smoke_ft_s4/fat_tree_incast.csv)
-
 echo "--- golden byte-identity: fig09/fig10/fig13 regression pins"
 # tests/golden/ holds fig09/fig10/fig13 outputs of the single bundle data
 # plane (every bundle a BundleController steering its site's SendboxManager
@@ -182,7 +151,7 @@ done
 echo "--- smoke scenario: cdn_edge_flash_crowd (multi-tenant admission + isolation)"
 # 200+ tenant bundles through one SendboxManager: admission must reject the
 # over-budget tail with explicit counters, and the run must stay
-# byte-identical across worker threads and conservative shards.
+# byte-identical across worker threads.
 ./build/bundler_run --scenario cdn_edge_flash_crowd --trials 1 \
   --out build/smoke_cdn --quiet
 ./build/bundler_run --scenario cdn_edge_flash_crowd --trials 1 --threads 4 \
@@ -191,10 +160,6 @@ cmp <(stable build/smoke_cdn/cdn_edge_flash_crowd.json) \
     <(stable build/smoke_cdn_t4/cdn_edge_flash_crowd.json)
 cmp <(stable build/smoke_cdn/cdn_edge_flash_crowd.csv) \
     <(stable build/smoke_cdn_t4/cdn_edge_flash_crowd.csv)
-./build/bundler_run --scenario cdn_edge_flash_crowd --trials 1 --shards 4 \
-  --out build/smoke_cdn_s4 --quiet > /dev/null
-cmp <(stable build/smoke_cdn/cdn_edge_flash_crowd.json) \
-    <(stable build/smoke_cdn_s4/cdn_edge_flash_crowd.json)
 python3 - build/smoke_cdn/cdn_edge_flash_crowd.json <<'EOF'
 import json, sys
 cells = json.load(open(sys.argv[1]))["cells"]
@@ -208,7 +173,7 @@ print(f"  admission: {s['admitted']:.0f} admitted, "
 EOF
 
 echo "--- smoke scenario: feedback_blackout (faulted control loop + watchdog)"
-# A faulted run must stay byte-identical across thread and shard counts: the
+# A faulted run must stay byte-identical across thread counts: the
 # injector draws RNG only for targeted packets in arrival order, which the
 # determinism contract fixes. The watchdog trace must be identical too, and
 # must hold the whole degrade / probe / re-sync lifecycle.
@@ -224,10 +189,6 @@ for ev in wd_degrade wd_probe wd_resync; do
   grep -q "\"ev\":\"${ev}\"" "${WD_TRACE}" ||
     { echo "check.sh: FAIL — no ${ev} record in ${WD_TRACE}"; exit 1; }
 done
-./build/bundler_run --scenario feedback_blackout --trials 1 --shards 4 \
-  --out build/smoke_fault_s4 --quiet > /dev/null
-cmp <(stable build/smoke_fault_t2/feedback_blackout.json) \
-    <(stable build/smoke_fault_s4/feedback_blackout.json)
 
 echo "--- traced scenario: fig02_queue_shift with the flight recorder armed"
 ./build/bundler_run --scenario fig02_queue_shift --trace all --threads 2 \

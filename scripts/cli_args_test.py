@@ -1,0 +1,58 @@
+#!/usr/bin/env python3
+"""Checks that bundler_run rejects malformed numeric flags as usage errors:
+each bad value must exit 2, name the flag and the value on stderr, and stop
+before anything runs, so no --out directory appears. Every value used here is
+one the parser rejects, so no trial and no worker thread ever starts.
+
+  python3 scripts/cli_args_test.py path/to/bundler_run"""
+
+import os
+import subprocess
+import sys
+import tempfile
+import unittest
+
+BUNDLER_RUN = sys.argv.pop(1) if len(sys.argv) > 1 else None
+SCENARIO = "fig02_queue_shift"
+MALFORMED = ["two", "3x", "-1", "1" * 30]
+# Flag -> bad values. Counts must also be at least 1; the seed base may be 0.
+BAD_VALUES = {
+    "--trials": MALFORMED + ["0"],
+    "--threads": MALFORMED + ["0"],
+    "--trace-ring": MALFORMED + ["0"],
+    "--seed-base": MALFORMED,
+}
+
+
+class CliArgsTest(unittest.TestCase):
+    def run_rejected(self, args):
+        """Runs bundler_run with `args` and asserts a usage error that
+        created no --out directory. Returns stderr."""
+        with tempfile.TemporaryDirectory() as tmp:
+            out_dir = os.path.join(tmp, "out")
+            proc = subprocess.run(
+                [BUNDLER_RUN, "--scenario", SCENARIO, *args, "--out", out_dir,
+                 "--quiet"],
+                capture_output=True, text=True, timeout=60)
+            self.assertEqual(proc.returncode, 2, proc.stderr)
+            self.assertFalse(os.path.exists(out_dir),
+                             f"{args} created the --out directory")
+            return proc.stderr
+
+    def test_malformed_numbers_are_usage_errors(self):
+        for flag, values in BAD_VALUES.items():
+            for value in values:
+                with self.subTest(flag=flag, value=value):
+                    stderr = self.run_rejected([flag, value])
+                    self.assertIn(flag, stderr)
+                    self.assertIn(value, stderr)
+
+    def test_removed_shard_count_flag_is_unknown(self):
+        stderr = self.run_rejected(["--shards", "4"])
+        self.assertIn("unknown argument", stderr)
+
+
+if __name__ == "__main__":
+    if BUNDLER_RUN is None:
+        sys.exit("usage: cli_args_test.py path/to/bundler_run")
+    unittest.main()

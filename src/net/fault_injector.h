@@ -22,9 +22,10 @@
 // Determinism: the injector owns a private Rng seeded from the profile, and
 // consumes draws only for *targeted* packets, in arrival order. Packet
 // arrival order at a link's delivery chain is deterministic across --threads
-// and --shards (the repo-wide contract), so faulted runs are byte-identical
-// too. Construction is passive — no events are scheduled until a packet is
-// actually held — so declaring profiles never perturbs event-queue seeding.
+// and ShardRunner worker counts (the repo-wide contract), so faulted runs are
+// byte-identical too. Construction is passive — no events are scheduled until
+// a packet is actually held — so declaring profiles never perturbs event-queue
+// seeding.
 //
 // Datapath cost: 0 allocations per packet. Packet is flat (no heap members),
 // so the hold slot is inline storage; RNG draws, trace records, and the

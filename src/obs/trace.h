@@ -111,7 +111,7 @@ enum class TraceEv : uint16_t {
   kCcReset,   // a=seed_rate_bps (egress EWMA, or initial_rate before any)
   // kShard (simulation-determined payloads only — never sync bounds or
   // anything wall-clock/worker dependent, so sharded traces are identical
-  // across --shards values)
+  // across ShardRunner worker counts)
   kShardSend,     // a=channel_id b=channel_seq c=deliver_ns
   kShardDeliver,  // a=channel_id b=channel_seq c=sent_ns
   // kFault

@@ -1,9 +1,6 @@
 #include "src/qdisc/codel.h"
 
 #include <cmath>
-#include <utility>
-
-#include "src/util/check.h"
 
 namespace bundler {
 
@@ -48,43 +45,6 @@ bool CodelState::ShouldDrop(TimeDelta sojourn, TimePoint now) {
     return true;
   }
   return false;
-}
-
-Codel::Codel(int64_t limit_bytes, const CodelParams& params)
-    : limit_bytes_(limit_bytes), params_(params), state_(params) {
-  BUNDLER_CHECK(limit_bytes_ > 0);
-}
-
-bool Codel::DoEnqueue(Packet pkt, TimePoint now) {
-  (void)now;
-  if (bytes_ + pkt.size_bytes > limit_bytes_) {
-    CountDrop();
-    return false;
-  }
-  bytes_ += pkt.size_bytes;
-  queue_.push_back(std::move(pkt));
-  return true;
-}
-
-std::optional<Packet> Codel::DoDequeue(TimePoint now) {
-  while (!queue_.empty()) {
-    Packet pkt = queue_.pop_front();
-    bytes_ -= pkt.size_bytes;
-    TimeDelta sojourn = now - pkt.queue_enter;
-    if (state_.ShouldDrop(sojourn, now)) {
-      CountDrop();
-      continue;
-    }
-    return pkt;
-  }
-  return std::nullopt;
-}
-
-const Packet* Codel::Peek() const {
-  if (queue_.empty()) {
-    return nullptr;
-  }
-  return &queue_.front();
 }
 
 }  // namespace bundler

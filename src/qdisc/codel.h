@@ -1,12 +1,13 @@
 // CoDel AQM (Nichols & Jacobson, "Controlling Queue Delay"). Packets whose
 // sojourn time stays above `target` for at least `interval` are dropped at
 // dequeue, with the drop rate increasing by an inverse-sqrt control law.
-// Shared by the standalone Codel qdisc and FqCodel's per-flow instances.
+// FqCodel runs one instance per flow bucket.
 #ifndef SRC_QDISC_CODEL_H_
 #define SRC_QDISC_CODEL_H_
 
-#include "src/qdisc/qdisc.h"
-#include "src/util/ring_buffer.h"
+#include <cstdint>
+
+#include "src/util/time.h"
 
 namespace bundler {
 
@@ -37,26 +38,6 @@ class CodelState {
   uint32_t count_ = 0;
   uint32_t last_count_ = 0;
   bool dropping_ = false;
-};
-
-class Codel : public Qdisc {
- public:
-  Codel(int64_t limit_bytes, const CodelParams& params);
-
-  const Packet* Peek() const override;
-  int64_t bytes() const override { return bytes_; }
-  int64_t packets() const override { return static_cast<int64_t>(queue_.size()); }
-  const char* name() const override { return "codel"; }
-
- private:
-  bool DoEnqueue(Packet pkt, TimePoint now) override;
-  std::optional<Packet> DoDequeue(TimePoint now) override;
-
-  int64_t limit_bytes_;
-  CodelParams params_;
-  CodelState state_;
-  RingBuffer<Packet> queue_;  // reusable ring: no deque chunk churn on the datapath
-  int64_t bytes_ = 0;
 };
 
 }  // namespace bundler

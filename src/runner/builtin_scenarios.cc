@@ -2,23 +2,8 @@
 
 #include <utility>
 
-#include "src/topo/partition.h"
-#include "src/util/check.h"
-
 namespace bundler {
 namespace runner {
-
-void CheckDumbbellIndivisible(const DumbbellConfig& cfg) {
-  PartitionPlan plan = PartitionTopology(DumbbellBuilder(cfg));
-  // The bundle's sendbox/receivebox pair co-locates the bottleneck's
-  // endpoints, collapsing the whole dumbbell into one shard. Without a bundle
-  // the only delayed edges are the bottleneck and reverse links, which cut
-  // the graph into a sender side and a receiver side.
-  const int expected = cfg.bundler_enabled ? 1 : 2;
-  BUNDLER_CHECK_MSG(plan.num_groups == expected,
-                    "dumbbell partitioned into %d shards (expected %d)",
-                    plan.num_groups, expected);
-}
 
 std::string BuildAndRenderDot(const NetBuilder& builder, const std::string& name) {
   Simulator scratch;
@@ -71,7 +56,6 @@ void RegisterBuiltinScenarios() {
     RegisterFig16Wan(registry);
     RegisterAsymReverseSweep(registry);
     RegisterFeedbackBlackout(registry);
-    RegisterFatTreeIncast(registry);
     RegisterCdnEdgeFlashCrowd(registry);
     RegisterFig15Proxy(registry);
     RegisterSec72OtherPolicies(registry);

@@ -47,22 +47,11 @@ void RegisterFig14SendboxCc(ScenarioRegistry* registry);
 void RegisterFig16Wan(ScenarioRegistry* registry);
 void RegisterAsymReverseSweep(ScenarioRegistry* registry);
 void RegisterFeedbackBlackout(ScenarioRegistry* registry);
-void RegisterFatTreeIncast(ScenarioRegistry* registry);
 void RegisterCdnEdgeFlashCrowd(ScenarioRegistry* registry);
 void RegisterFig15Proxy(ScenarioRegistry* registry);
 void RegisterSec72OtherPolicies(ScenarioRegistry* registry);
 void RegisterSec74EndhostCc(ScenarioRegistry* registry);
 void RegisterSec76MultipathThreshold(ScenarioRegistry* registry);
-
-// Dumbbell scenarios call this when `--shards` is requested: runs the
-// partitioner to confirm the dumbbell's shape is what the serial run assumes.
-// With the bundler on, the bundle pins both sides of the bottleneck into one
-// indivisible shard (see src/topo/partition.h), so the legacy single-simulator
-// run *is* the sharded run. With the bundler off, the graph splits at the two
-// delayed links (bottleneck, reverse) into exactly two groups; these scenarios
-// still run on one simulator, so --shards remains a pure validation pass and
-// output stays byte-identical for every worker count by construction.
-void CheckDumbbellIndivisible(const DumbbellConfig& cfg);
 
 }  // namespace runner
 }  // namespace bundler

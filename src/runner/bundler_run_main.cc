@@ -8,10 +8,12 @@
 // worker pool, prints a per-cell summary table, and writes DIR/<name>.json
 // and DIR/<name>.csv. For a fixed seed base the emitted files are
 // byte-identical regardless of --threads.
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "src/obs/trace.h"
@@ -37,17 +39,12 @@ void PrintUsage(std::FILE* out) {
                "       bundler_run --list-names\n"
                "       bundler_run --dump-topology NAME\n"
                "       bundler_run --scenario NAME [--trials N] [--threads N]\n"
-               "                   [--shards N] [--seed-base N] [--out DIR] [--quiet]\n"
+               "                   [--seed-base N] [--out DIR] [--quiet]\n"
                "                   [--trace CATS] [--trace-out FILE]\n"
                "                   [--trace-format jsonl|text] [--trace-ring N]\n"
                "\n"
                "--dump-topology builds NAME's topology graph (validating it) and\n"
                "prints Graphviz DOT on stdout.\n"
-               "\n"
-               "--shards runs each trial's simulation on N parallel workers when\n"
-               "the scenario's topology partitions into shards (conservative\n"
-               "parallel DES; see README \"Parallel simulation\"). Results are\n"
-               "byte-identical for every N.\n"
                "\n"
                "--trace arms the per-trial flight recorder for a comma-separated\n"
                "list of categories, or 'all':\n"
@@ -113,7 +110,6 @@ int Main(int argc, char** argv) {
   std::string out_dir = "results";
   int trials = 0;
   int threads = 1;
-  int shards = 0;
   uint64_t seed_base = 0;
   bool seed_base_set = false;
   std::string trace_spec;
@@ -121,6 +117,7 @@ int Main(int argc, char** argv) {
   std::string trace_format = "jsonl";
   size_t trace_ring = 262144;
 
+  constexpr uint64_t kIntMax = std::numeric_limits<int>::max();
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     auto next_value = [&](const char* flag) -> const char* {
@@ -131,6 +128,21 @@ int Main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // The whole value must be a decimal integer in [min, max]; anything else
+    // (junk, a trailing suffix, a sign, overflow) is a usage error.
+    auto next_integer = [&](const char* flag, uint64_t min, uint64_t max) {
+      const char* value = next_value(flag);
+      const char* end = value + std::strlen(value);
+      uint64_t v = 0;
+      auto [ptr, ec] = std::from_chars(value, end, v);
+      if (ec != std::errc() || ptr != end || v < min || v > max) {
+        std::fprintf(stderr, "%s must be a decimal integer from %llu to %llu, got '%s'\n",
+                     flag, static_cast<unsigned long long>(min),
+                     static_cast<unsigned long long>(max), value);
+        std::exit(2);
+      }
+      return v;
+    };
     if (arg == "--list") {
       list = true;
     } else if (arg == "--list-names") {
@@ -140,17 +152,11 @@ int Main(int argc, char** argv) {
     } else if (arg == "--scenario") {
       scenario_name = next_value("--scenario");
     } else if (arg == "--trials") {
-      trials = std::atoi(next_value("--trials"));
+      trials = static_cast<int>(next_integer("--trials", 1, kIntMax));
     } else if (arg == "--threads") {
-      threads = std::atoi(next_value("--threads"));
-    } else if (arg == "--shards") {
-      shards = std::atoi(next_value("--shards"));
-      if (shards < 1) {
-        std::fprintf(stderr, "--shards must be >= 1\n");
-        return 2;
-      }
+      threads = static_cast<int>(next_integer("--threads", 1, kIntMax));
     } else if (arg == "--seed-base") {
-      seed_base = std::strtoull(next_value("--seed-base"), nullptr, 10);
+      seed_base = next_integer("--seed-base", 0, std::numeric_limits<uint64_t>::max());
       seed_base_set = true;
     } else if (arg == "--out") {
       out_dir = next_value("--out");
@@ -161,7 +167,7 @@ int Main(int argc, char** argv) {
     } else if (arg == "--trace-format") {
       trace_format = next_value("--trace-format");
     } else if (arg == "--trace-ring") {
-      trace_ring = std::strtoull(next_value("--trace-ring"), nullptr, 10);
+      trace_ring = next_integer("--trace-ring", 1, std::numeric_limits<size_t>::max());
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -240,20 +246,10 @@ int Main(int argc, char** argv) {
                    trace_spec.c_str());
       return 2;
     }
-    if (trace_ring == 0) {
-      std::fprintf(stderr, "--trace-ring must be > 0\n");
-      return 2;
-    }
     ArmTrace(mask, trace_ring, format);
   }
 
   std::vector<TrialPoint> plan = ExpandTrials(spec, trials);
-  // Worker count for partition-aware scenarios; an execution knob like
-  // --threads, so it never enters the trial signature and results stay
-  // byte-identical for every value.
-  for (TrialPoint& point : plan) {
-    point.shards = shards;
-  }
   if (!quiet) {
     std::fprintf(stderr, "%s: %zu trials (%zu variants), %d thread(s)\n",
                  spec.name.c_str(), plan.size(), spec.variants.size(),

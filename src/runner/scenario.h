@@ -50,13 +50,6 @@ struct TrialPoint {
   uint64_t seed = 1;
   int trial_index = 0;  // position in the expanded plan
 
-  // Worker threads for scenarios whose topology partitions into shards
-  // (`bundler_run --shards N`). Purely an execution knob: results are
-  // byte-identical for every value (see src/topo/partition.h), so it is
-  // deliberately absent from TrialSignature. 0 means "run however you like"
-  // (scenarios default to one worker).
-  int shards = 0;
-
   // Value of a sweep axis; CHECK-fails if the axis does not exist.
   double Param(const std::string& name) const;
 };

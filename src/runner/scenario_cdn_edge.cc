@@ -24,10 +24,7 @@
 // overloads the shared FIFO uplink and every tenant's FCT inflates.
 //
 // All flows are created up front with deferred starts and the run is
-// single-simulator, so output is byte-identical for any --threads/--shards
-// value; --shards additionally validates the partition shape (2 groups: the
-// core router alone — every site collapses into one shard via the bundle
-// src/receivebox colocation and the shared reverse wires).
+// single-simulator, so output is byte-identical for any --threads value.
 #include <algorithm>
 #include <memory>
 #include <string>
@@ -35,7 +32,6 @@
 
 #include "src/runner/builtin_scenarios.h"
 #include "src/runner/trial_obs.h"
-#include "src/topo/partition.h"
 #include "src/transport/tcp_flow.h"
 #include "src/util/check.h"
 #include "src/util/stats.h"
@@ -166,20 +162,6 @@ TrialResult RunTrial(const TrialPoint& point) {
 
   CdnEdgeGraph g;
   NetBuilder b = CdnEdgeBuilder(managed, &g);
-  if (point.shards > 0) {
-    // The run itself is single-simulator (one edge site feeds everything, so
-    // parallel workers would idle on the uplink's event chain); --shards is a
-    // partition-shape validation pass and output stays byte-identical.
-    const PartitionPlan plan = PartitionTopology(b);
-    // Managed: every bundle pins its sendbox site and both sides of its
-    // ingress link into one shard, collapsing the whole star. Status quo has
-    // no bundles; the delayed uplink/last-hop/reverse links cut the graph
-    // into {edge}, {core}, {dsts + reverse agg}.
-    const int expected = managed ? 1 : 3;
-    BUNDLER_CHECK_MSG(plan.num_groups == expected,
-                      "cdn_edge partitioned into %d shards (expected %d)",
-                      plan.num_groups, expected);
-  }
 
   Simulator sim;
   BeginTrialObs(&sim);

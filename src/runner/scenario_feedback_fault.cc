@@ -98,9 +98,6 @@ FaultProfileSpec BlackoutProfile(uint64_t trial_seed) {
 // reports FCT windows plus watchdog/fault forensics.
 TrialResult RunTrial(const TrialPoint& point) {
   Variant v = ParseVariant(point.variant);
-  if (point.shards > 0) {
-    CheckDumbbellIndivisible(FaultConfig(v));
-  }
   Simulator sim;
   BeginTrialObs(&sim);
   DumbbellGraph g;

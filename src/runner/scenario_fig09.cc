@@ -46,9 +46,6 @@ TrialResult RunTrial(const FctVariant& var, const TrialPoint& point) {
   cfg.net.sendbox.scheduler = var.sched;
   cfg.net.sendbox.cc = var.bundle_cc;
   cfg.host_cc = var.host_cc;
-  if (point.shards > 0) {
-    CheckDumbbellIndivisible(cfg.net);  // 1 shard: legacy run == sharded run
-  }
   Experiment e(cfg);
   BeginTrialObs(e.sim());
   e.Run();

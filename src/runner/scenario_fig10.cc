@@ -74,9 +74,6 @@ TrialResult RunTrial(const TrialPoint& point) {
   // (BundleControlConfig::robust_elastic_exit) — the ROADMAP fix for phase 2
   // flapping out of pass-through during the cross flow's quiet spells.
   cfg.sendbox.robust_elastic_exit = robust;
-  if (point.shards > 0) {
-    CheckDumbbellIndivisible(cfg);  // 1 shard: legacy run == sharded run
-  }
   Dumbbell net(&sim, cfg);
 
   SizeCdf cdf = SizeCdf::InternetCoreRouter();

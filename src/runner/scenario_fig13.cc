@@ -32,9 +32,6 @@ TrialResult RunTrial(const TrialPoint& point) {
   cfg.net.num_bundles = 2;
   cfg.bundle_web_load = {Rate::Mbps(load0), Rate::Mbps(load1)};
   cfg.bundle_bulk_flows = 1;
-  if (point.shards > 0) {
-    CheckDumbbellIndivisible(cfg.net);  // 1 shard: legacy run == sharded run
-  }
   Experiment e(cfg);
   BeginTrialObs(e.sim());
   e.Run();

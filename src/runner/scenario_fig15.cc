@@ -39,9 +39,6 @@ TrialResult RunTrial(const TrialPoint& point) {
     // "increasing the buffering at the sendbox to hold these packets").
     cfg.net.sendbox.queue_limit_pkts = kProxyQueuePkts;
   }
-  if (point.shards > 0) {
-    CheckDumbbellIndivisible(cfg.net);  // 1 shard: legacy run == sharded run
-  }
   Experiment e(cfg);
   BeginTrialObs(e.sim());
   e.Run();

@@ -1,6 +1,5 @@
 #include "src/runner/trial_obs.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <mutex>
@@ -93,52 +92,6 @@ void EndTrialObs(Simulator* sim, const TrialPoint& point, TrialResult* result) {
   } else {
     out += "# trial " + sig + "\n";
     sim->trace().WriteText(&out);
-  }
-  std::lock_guard<std::mutex> lock(g_mu);
-  g_captured[sig] = std::move(out);
-}
-
-void BeginTrialObs(const std::vector<Simulator*>& sims) {
-  for (Simulator* sim : sims) {
-    BeginTrialObs(sim);
-  }
-}
-
-void EndTrialObs(const std::vector<Simulator*>& sims, const TrialPoint& point,
-                 TrialResult* result) {
-  uint64_t events = 0;
-  uint64_t max_heap = 0;
-  std::map<std::string, double> counters;
-  for (Simulator* sim : sims) {
-    events += sim->events_dispatched();
-    max_heap = std::max<uint64_t>(max_heap, sim->queue_profile().max_heap);
-    sim->counters().AccumulateTo(&counters, "ctr.");
-  }
-  result->scalars["sim.events_dispatched"] = static_cast<double>(events);
-  result->scalars["sim.queue_max_heap"] = static_cast<double>(max_heap);
-  for (const auto& [k, v] : counters) {
-    result->scalars[k] = v;
-  }
-
-  ArmedState armed;
-  {
-    std::lock_guard<std::mutex> lock(g_mu);
-    armed = g_armed;
-  }
-  if (!armed.armed) {
-    return;
-  }
-  const std::string sig = TrialSignature(point);
-  std::string out;
-  for (size_t s = 0; s < sims.size(); ++s) {
-    if (armed.format == TraceFormat::kJsonl) {
-      out += "{\"type\":\"trial\",\"signature\":\"" + sig + "\",\"shard\":" +
-             std::to_string(s) + "}\n";
-      sims[s]->trace().WriteJsonl(&out);
-    } else {
-      out += "# trial " + sig + " shard " + std::to_string(s) + "\n";
-      sims[s]->trace().WriteText(&out);
-    }
   }
   std::lock_guard<std::mutex> lock(g_mu);
   g_captured[sig] = std::move(out);

@@ -48,16 +48,6 @@ void BeginTrialObs(Simulator* sim);
 // armed, additionally serializes and stores the trial's trace.
 void EndTrialObs(Simulator* sim, const TrialPoint& point, TrialResult* result);
 
-// Sharded-trial variants (one Simulator per shard, src/sim/shard_runner.h).
-// Merged scalars are invariant to the worker count: events_dispatched sums
-// across shards, queue_max_heap takes the max, counters accumulate (counts
-// add, gauges overwrite in shard order), and the captured trace concatenates
-// per-shard dumps in shard order. Nothing that depends on how shards were
-// interleaved onto threads is exported.
-void BeginTrialObs(const std::vector<Simulator*>& sims);
-void EndTrialObs(const std::vector<Simulator*>& sims, const TrialPoint& point,
-                 TrialResult* result);
-
 // Returns the (signature, serialized trace) pairs captured since the last
 // call, sorted by signature, and clears the store.
 std::vector<std::pair<std::string, std::string>> TakeCapturedTraces();

@@ -7,8 +7,8 @@
 // (ShardChannel) as it starts to serialize; each channel's propagation delay
 // is its conservative lookahead. Workers execute shards with a static assignment (shard i ->
 // worker i % K), so the per-shard event sequence depends only on the
-// partition — never on the worker count — and `--shards 1` vs `--shards N`
-// output is identical by construction.
+// partition — never on the worker count — and output at 1 worker and at K
+// workers is identical by construction.
 //
 // Synchronization (null-message / horizon exchange, barrier-free fast path):
 // every shard publishes a monotone clock C_g = "I will never again execute an

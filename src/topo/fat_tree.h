@@ -7,7 +7,7 @@
 // have zero delay, so they must be co-located), each spine router is its own
 // shard, and every leaf<->spine fabric link is a shard boundary whose
 // propagation delay becomes the peer shard's lookahead. A fabric of L leaves
-// partitions into L + 2 shards with no Colocate hints.
+// partitions into L + 2 shards.
 //
 //        spine0            spine1
 //      |   |   |         |   |   |     <- fabric links (delay > 0: boundaries)

@@ -267,12 +267,6 @@ NetBuilder::FaultId NetBuilder::AddFaultProfile(EdgeId link,
   return static_cast<FaultId>(faults_.size()) - 1;
 }
 
-void NetBuilder::Colocate(NodeId a, NodeId b) {
-  CheckNode(a, "Colocate(a)");
-  CheckNode(b, "Colocate(b)");
-  colocate_.emplace_back(a, b);
-}
-
 void NetBuilder::Validate() const {
   BUNDLER_CHECK_MSG(!nodes_.empty(), "topology has no nodes");
 

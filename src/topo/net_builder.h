@@ -125,12 +125,6 @@ class NetBuilder {
   // byte-identical to a fault-free one (no components registered).
   FaultId AddFaultProfile(EdgeId link, const FaultProfileSpec& spec);
 
-  // --- Partitioning (conservative parallel DES; see topo/partition.h) ---
-  // Declares that `a` and `b` must land in the same shard. Use for couplings
-  // the partitioner cannot see from the graph alone (e.g. a scenario that
-  // wires a custom handler across two nodes).
-  void Colocate(NodeId a, NodeId b);
-
   // --- Introspection ---
   // Graphviz DOT of the declared graph: sites, routers, links (rate/delay),
   // bundle attachments and monitors. Does not require Build.
@@ -207,7 +201,6 @@ class NetBuilder {
   std::vector<std::pair<NodeId, SendboxManager::Policy>> site_policies_;
   std::vector<MonitorDecl> monitors_;
   std::vector<FaultDecl> faults_;
-  std::vector<std::pair<NodeId, NodeId>> colocate_;
 };
 
 // The materialized network. Owns every component; accessors hand out raw

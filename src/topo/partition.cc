@@ -141,14 +141,6 @@ PartitionPlan PartitionFromAssignment(const NetBuilder& b,
     }
   }
 
-  for (const auto& [a, c] : b.colocate_) {
-    BUNDLER_CHECK_MSG(group(a) == group(c),
-                      "Colocate('%s', '%s') violated: shards %d vs %d",
-                      b.nodes_[static_cast<size_t>(a)].name.c_str(),
-                      b.nodes_[static_cast<size_t>(c)].name.c_str(), group(a),
-                      group(c));
-  }
-
   return plan;
 }
 
@@ -182,9 +174,6 @@ PartitionPlan PartitionTopology(const NetBuilder& b) {
         uf.Union(edge.from, bundle.src_site);
       }
     }
-  }
-  for (const auto& [a, c] : b.colocate_) {
-    uf.Union(a, c);
   }
 
   // Number groups by their lowest node id (the union-find root).

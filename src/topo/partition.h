@@ -4,7 +4,7 @@
 // shard owning its own Simulator. The partition is *intrinsic* to the declared
 // graph — PartitionTopology derives it from co-location constraints alone, so
 // the number of groups G never depends on how many worker threads later
-// execute them. That is what makes `--shards 1` and `--shards N` byte-identical
+// execute them. That is what makes a run byte-identical at every worker count
 // by construction: the same G shards run the same per-shard event sequences,
 // only their interleaving onto threads changes.
 //
@@ -19,8 +19,7 @@
 //   - per bundle: src site, dst site, both endpoints of the ingress edge, and
 //     every node with an out-edge into the src site (final-hop routers invoke
 //     the sendbox handler directly for control feedback) — the Bundler
-//     control loop is synchronous glue spanning the whole bundle path;
-//   - caller-declared NetBuilder::Colocate pairs.
+//     control loop is synchronous glue spanning the whole bundle path.
 // Everything else — plain links with positive delay — may become a shard
 // boundary; the link's propagation delay is the receiving shard's lookahead.
 #ifndef SRC_TOPO_PARTITION_H_

@@ -1,5 +1,5 @@
-// Reusable ring buffer for single-queue storage: the DropTailFifo and Codel
-// packet queues, sample windows (windowed filters, Nimbus history, the
+// Reusable ring buffer for single-queue storage: the DropTailFifo packet
+// queue, sample windows (windowed filters, Nimbus history, the
 // measurement engine's epoch window and boundary records), and the sharded
 // runner's per-channel arrival FIFOs.
 // std::deque allocates and frees chunk blocks as a queue breathes, which

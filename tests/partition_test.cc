@@ -1,9 +1,8 @@
 // Tests for the intrinsic topology partitioner (src/topo/partition): the
 // dumbbell's Bundler control loop welds it into one indivisible shard, the
 // fat tree decomposes into one group per leaf plus one per spine with the
-// fabric delay as boundary lookahead, Colocate merges groups, and every
-// co-location rule violation dies with a readable message when probed
-// through PartitionFromAssignment.
+// fabric delay as boundary lookahead, and every co-location rule violation
+// dies with a readable message when probed through PartitionFromAssignment.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -85,16 +84,6 @@ TEST(PartitionTest, FatTreeDecomposesIntoLeavesPlusSpines) {
     EXPECT_NE(bd.src_group, bd.dst_group);
     EXPECT_EQ(bd.lookahead_ns, cfg.fabric_delay.nanos());
   }
-}
-
-TEST(PartitionTest, ColocateMergesGroups) {
-  FatTreeConfig cfg;
-  FatTreeGraph g;
-  NetBuilder b = FatTreeBuilder(cfg, &g);
-  b.Colocate(g.leaves[0], g.spines[0]);
-  PartitionPlan plan = PartitionTopology(b);
-  EXPECT_EQ(plan.num_groups, cfg.num_leaves + 1);
-  EXPECT_EQ(plan.group_of(g.spines[0]), plan.group_of(g.leaves[0]));
 }
 
 TEST(PartitionTest, AssignmentRoundTripsThroughValidation) {
@@ -180,15 +169,6 @@ TEST(PartitionDeathTest, FinalHopRouterOutsideBundleShardDies) {
   b.AddBundle(bundle);
   EXPECT_DEATH(PartitionFromAssignment(b, {0, 0, 0, 1}),
                "must share its shard");
-}
-
-TEST(PartitionDeathTest, ColocateViolationDies) {
-  NetBuilder b;
-  NetBuilder::NodeId r0 = b.AddRouter("r0");
-  NetBuilder::NodeId r1 = b.AddRouter("r1");
-  b.AddLink(r0, r1, DelayedLink());
-  b.Colocate(r0, r1);
-  EXPECT_DEATH(PartitionFromAssignment(b, {0, 1}), "violated: shards 0 vs 1");
 }
 
 }  // namespace

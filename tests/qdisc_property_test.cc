@@ -50,7 +50,6 @@ std::vector<QdiscCase> AllQdiscs() {
          cfg.limit_bytes = int64_t{256} * kMtuBytes;
          return std::make_unique<Drr>(cfg);
        }},
-      {"codel", [] { return std::make_unique<Codel>(int64_t{256} * kMtuBytes, CodelParams()); }},
       {"fq_codel",
        [] {
          FqCodel::Config cfg;
@@ -151,8 +150,7 @@ TEST_P(QdiscPropertyTest, PeekMatchesNextDeliveredUnlessAqmDrops) {
   // Fair-queueing disciplines may rotate to another flow between Peek and
   // Dequeue (deficit bookkeeping), so the exact-match property only holds for
   // single-queue qdiscs; for the rest Peek must still point at a live packet.
-  bool single_queue = GetParam().name == "droptail" || GetParam().name == "codel" ||
-                      GetParam().name == "strict_prio";
+  bool single_queue = GetParam().name == "droptail" || GetParam().name == "strict_prio";
   while (!q->Empty()) {
     const Packet* head = q->Peek();
     ASSERT_NE(head, nullptr) << GetParam().name;

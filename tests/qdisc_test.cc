@@ -203,41 +203,41 @@ TEST(DrrTest, DropsFromLongestOnOverflow) {
 }
 
 TEST(CodelTest, NoDropsBelowTarget) {
-  Codel q(1 << 20, CodelParams());
+  CodelState codel{CodelParams()};
   TimePoint t;
   for (int i = 0; i < 100; ++i) {
-    Packet p = MakePkt(1);
-    p.queue_enter = t;
-    q.Enqueue(std::move(p), t);
-    // Dequeue 1 ms later: sojourn far below the 5 ms target.
-    auto out = q.Dequeue(t + TimeDelta::Millis(1));
-    EXPECT_TRUE(out.has_value());
+    // Each packet leaves 1 ms after it arrived: far below the 5 ms target.
+    t = t + TimeDelta::Millis(1);
+    EXPECT_FALSE(codel.ShouldDrop(TimeDelta::Millis(1), t));
   }
-  EXPECT_EQ(q.drops(), 0u);
+  EXPECT_EQ(codel.drop_count(), 0u);
 }
 
 TEST(CodelTest, DropsWhenSojournPersistsAboveTarget) {
-  Codel q(1 << 24, CodelParams());
-  TimePoint t0;
-  // Fill with packets that will all have ~50 ms sojourn.
+  CodelState codel{CodelParams()};
+  const TimePoint t0;
+  // Every packet has waited since t0: a standing delay of 50 ms and more,
+  // dequeued every 4 ms for two simulated seconds.
+  uint32_t drops = 0;
+  uint32_t delivered = 0;
+  TimePoint first_drop = TimePoint::Infinite();
   for (int i = 0; i < 500; ++i) {
-    Packet p = MakePkt(1);
-    p.queue_enter = t0;
-    q.Enqueue(std::move(p), t0);
-  }
-  // Dequeue over 2 simulated seconds with persistent standing delay.
-  uint64_t delivered = 0;
-  for (int i = 0; i < 500; ++i) {
-    TimePoint now = t0 + TimeDelta::Millis(50) + TimeDelta::Millis(4) * i;
-    if (q.Dequeue(now).has_value()) {
+    const TimePoint now = t0 + TimeDelta::Millis(50) + TimeDelta::Millis(4) * i;
+    if (codel.ShouldDrop(now - t0, now)) {
+      ++drops;
+      if (first_drop.IsInfinite()) {
+        first_drop = now;
+      }
+    } else {
       ++delivered;
     }
-    if (q.Empty()) {
-      break;
-    }
   }
-  EXPECT_GT(q.drops(), 0u);
+  EXPECT_GT(drops, 0u);
   EXPECT_GT(delivered, 0u);
+  // Nothing drops until the sojourn has stayed above target for a whole
+  // interval, and one dropping episode counts every drop.
+  EXPECT_GE(first_drop, t0 + TimeDelta::Millis(150));
+  EXPECT_EQ(codel.drop_count(), drops);
 }
 
 TEST(FqCodelTest, NewFlowGetsPriority) {

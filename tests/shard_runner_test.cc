@@ -1,7 +1,7 @@
 // End-to-end determinism tests for the conservative parallel-DES runner
 // (src/sim/shard_runner): an incast workload on a leaf/spine fabric run
 // sharded via PartitionTopology + ShardRunner must give identical FCTs, in
-// order, and event totals at every worker count — the `--shards N`
+// order, and event totals at every worker count — ShardRunner's
 // byte-identity guarantee, at test scale — and the event total and FCT
 // distribution of an unsharded run on a single Simulator. The fabric is the
 // fat-tree preset and, for the generated-topology test, seeded random
@@ -58,8 +58,8 @@ struct RunOutput {
 };
 
 // Staggered incast onto leaf 0 of the fat-tree preset: 5 waves, every host
-// on the other leaves sends 96 KB, mirroring the fat_tree_incast scenario at
-// a fraction of its size.
+// on the other leaves sends 96 KB, a small version of bench/e2e's
+// fat_tree_sharded workload.
 Fabric FatTreeFabric() {
   constexpr int kWaves = 5;
   constexpr auto kWavePeriod = TimeDelta::Millis(40);
