@@ -25,8 +25,8 @@ check. This linter enforces the source-level discipline behind them:
                         new (`::new (ptr)`) is exempt. Note: container
                         push_back-style growth is intentionally NOT a text
                         rule — ring buffers share that API and amortized
-                        growth is vetted by the alloc-counting benches
-                        instead (bench/micro_datapath.cc).
+                        growth is vetted instead by the ctest checks that
+                        count allocations (tests/alloc_counter.h).
   raw-mutex             A file declaring std::mutex must include
                         src/util/thread_annotations.h and pair the mutex
                         with GUARDED_BY annotations; unannotated mutexes are

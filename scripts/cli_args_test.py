@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Checks that bundler_run rejects malformed numeric flags as usage errors:
-each bad value must exit 2, name the flag and the value on stderr, and stop
-before anything runs, so no --out directory appears. Every value used here is
-one the parser rejects, so no trial and no worker thread ever starts.
+"""Checks that bundler_run rejects malformed numeric flags, and trace options
+given without --trace, as usage errors: each must exit 2, name the flag (and
+the bad value) on stderr, and stop before anything runs, so no --out
+directory appears. Every argument list used here is one the parser rejects,
+so no trial and no worker thread ever starts.
 
   python3 scripts/cli_args_test.py path/to/bundler_run"""
 
@@ -46,6 +47,14 @@ class CliArgsTest(unittest.TestCase):
                     stderr = self.run_rejected([flag, value])
                     self.assertIn(flag, stderr)
                     self.assertIn(value, stderr)
+
+    def test_trace_options_need_trace(self):
+        for args in (["--trace-out", "trace.jsonl"], ["--trace-format", "text"],
+                     ["--trace-format", "xml"], ["--trace-ring", "64"]):
+            with self.subTest(args=args):
+                stderr = self.run_rejected(args)
+                self.assertIn(args[0], stderr)
+                self.assertIn("--trace", stderr)
 
     def test_removed_shard_count_flag_is_unknown(self):
         stderr = self.run_rejected(["--shards", "4"])

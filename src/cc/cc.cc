@@ -40,21 +40,6 @@ const char* BundleCcTypeName(BundleCcType type) {
   return "?";
 }
 
-std::unique_ptr<HostCc> MakeHostCc(HostCcType type, double const_cwnd_pkts) {
-  switch (type) {
-    case HostCcType::kCubic:
-      return std::make_unique<Cubic>();
-    case HostCcType::kNewReno:
-      return std::make_unique<NewReno>();
-    case HostCcType::kBbr:
-      return std::make_unique<BbrHost>();
-    case HostCcType::kConstCwnd:
-      return std::make_unique<ConstCwnd>(const_cwnd_pkts);
-  }
-  BUNDLER_CHECK(false);
-  return nullptr;
-}
-
 static_assert(sizeof(Cubic) <= kHostCcStorageBytes);
 static_assert(sizeof(NewReno) <= kHostCcStorageBytes);
 static_assert(sizeof(BbrHost) <= kHostCcStorageBytes);

@@ -87,7 +87,6 @@ enum class BundleCcType { kCopa, kBasicDelay, kBbr };
 const char* HostCcTypeName(HostCcType type);
 const char* BundleCcTypeName(BundleCcType type);
 
-std::unique_ptr<HostCc> MakeHostCc(HostCcType type, double const_cwnd_pkts = 450.0);
 std::unique_ptr<BundleCc> MakeBundleCc(BundleCcType type, Rate initial_rate);
 
 // Inline storage big enough for any concrete HostCc, and no bigger: cc.cc

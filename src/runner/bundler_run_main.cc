@@ -53,7 +53,8 @@ void PrintUsage(std::FILE* out) {
                "signature, to --trace-out (default DIR/NAME.trace.jsonl or\n"
                ".trace.txt); --trace-ring sets the per-trial ring capacity in\n"
                "records (default 262144, 40 bytes each, oldest evicted first).\n"
-               "See README \"Observability\" for the record schema.\n",
+               "Each of the three needs --trace. See README \"Observability\" for\n"
+               "the record schema.\n",
                cats.c_str());
 }
 
@@ -116,6 +117,7 @@ int Main(int argc, char** argv) {
   std::string trace_out;
   std::string trace_format = "jsonl";
   size_t trace_ring = 262144;
+  const char* trace_option = nullptr;  // the last trace option given
 
   constexpr uint64_t kIntMax = std::numeric_limits<int>::max();
   for (int i = 1; i < argc; ++i) {
@@ -164,10 +166,13 @@ int Main(int argc, char** argv) {
       trace_spec = next_value("--trace");
     } else if (arg == "--trace-out") {
       trace_out = next_value("--trace-out");
+      trace_option = "--trace-out";
     } else if (arg == "--trace-format") {
       trace_format = next_value("--trace-format");
+      trace_option = "--trace-format";
     } else if (arg == "--trace-ring") {
       trace_ring = next_integer("--trace-ring", 1, std::numeric_limits<size_t>::max());
+      trace_option = "--trace-ring";
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -178,6 +183,12 @@ int Main(int argc, char** argv) {
       PrintUsage(stderr);
       return 2;
     }
+  }
+
+  // A trace option without --trace would be silently ignored.
+  if (trace_option != nullptr && trace_spec.empty()) {
+    std::fprintf(stderr, "%s needs --trace\n", trace_option);
+    return 2;
   }
 
   if (list) {

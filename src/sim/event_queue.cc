@@ -235,18 +235,6 @@ TimePoint EventQueue::NextTime() const {
   return heap_[0].time;
 }
 
-EventQueue::Callback EventQueue::PopNext(TimePoint* time_out) {
-  BUNDLER_CHECK(!heap_.empty());
-  HeapEntry head = heap_[0];
-  *time_out = head.time;
-  uint32_t idx = head.slot();
-  BUNDLER_CHECK(slots_[idx].state == SlotState::kQueued && slots_[idx].period.IsZero());
-  HeapRemoveAt(0);
-  Callback cb = std::move(slots_[idx].cb);
-  FreeSlot(idx);
-  return cb;
-}
-
 void EventQueue::DispatchLane(uint32_t idx) {
   Lane& lane = lanes_[slots_[idx].lane];
   if (lane.waiting.empty()) {

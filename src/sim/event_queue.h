@@ -111,11 +111,6 @@ class EventQueue {
   // Time of the earliest pending event; callers must ensure !Empty().
   TimePoint NextTime() const;
 
-  // Pops the earliest event and returns its callback without invoking it.
-  // One-shot events only (CHECK-fails on a periodic or lane head); the
-  // Simulator drives DispatchHead, which understands re-arming.
-  [[nodiscard]] Callback PopNext(TimePoint* time_out);
-
   // Pops the earliest event and invokes it. Periodic events are re-armed at
   // time+period (fresh seq), and a lane's next entry takes the head's place,
   // before their callback runs.

@@ -16,8 +16,9 @@
 // map they replace, not O(window). Ring (32 states) and side-list (8 pairs)
 // both start on inline storage sized for a typical web flow and spill to a
 // doubling heap block only when the window outgrows them, so steady-state
-// loss recovery performs zero heap allocations; `tcp_recovery_churn` in
-// bench/micro_datapath.cc measures exactly that, and
+// loss recovery performs zero heap allocations;
+// TcpRecoveryTest.FullWindowRecoveryAllocatesNothingOnceWarm counts exactly
+// that, and
 // tests/sack_scoreboard_test.cc mirrors this structure against a reference
 // std::set/std::map model under randomized loss patterns.
 #ifndef SRC_TRANSPORT_SACK_SCOREBOARD_H_

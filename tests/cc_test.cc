@@ -27,6 +27,23 @@ AckSample Ack(TimePoint now, TimeDelta rtt, int pkts = 1, double inflight = 10,
   return s;
 }
 
+// A controller built in place by the factory flows use, destroyed with its
+// owner the way a flow destroys its own.
+class InPlaceHostCc {
+ public:
+  explicit InPlaceHostCc(HostCcType type, double const_cwnd_pkts = 450.0)
+      : cc_(MakeHostCcInPlace(&storage_, type, const_cwnd_pkts)) {}
+  ~InPlaceHostCc() { cc_->~HostCc(); }
+  InPlaceHostCc(const InPlaceHostCc&) = delete;
+  InPlaceHostCc& operator=(const InPlaceHostCc&) = delete;
+
+  HostCc* operator->() const { return cc_; }
+
+ private:
+  HostCcStorage storage_;
+  HostCc* cc_;
+};
+
 BundleMeasurement Meas(TimePoint now, TimeDelta rtt, TimeDelta min_rtt, Rate send,
                        Rate recv, int64_t acked = 100'000) {
   BundleMeasurement m;
@@ -379,11 +396,11 @@ TEST(BasicDelayTest, DelayTargetHasFloor) {
 // --- Factories ---
 
 TEST(FactoryTest, MakesEveryHostCc) {
-  EXPECT_STREQ(MakeHostCc(HostCcType::kCubic)->name(), "cubic");
-  EXPECT_STREQ(MakeHostCc(HostCcType::kNewReno)->name(), "newreno");
-  EXPECT_STREQ(MakeHostCc(HostCcType::kBbr)->name(), "bbr");
-  EXPECT_STREQ(MakeHostCc(HostCcType::kConstCwnd, 123)->name(), "const_cwnd");
-  EXPECT_DOUBLE_EQ(MakeHostCc(HostCcType::kConstCwnd, 123)->CwndPkts(), 123.0);
+  EXPECT_STREQ(InPlaceHostCc(HostCcType::kCubic)->name(), "cubic");
+  EXPECT_STREQ(InPlaceHostCc(HostCcType::kNewReno)->name(), "newreno");
+  EXPECT_STREQ(InPlaceHostCc(HostCcType::kBbr)->name(), "bbr");
+  EXPECT_STREQ(InPlaceHostCc(HostCcType::kConstCwnd, 123)->name(), "const_cwnd");
+  EXPECT_DOUBLE_EQ(InPlaceHostCc(HostCcType::kConstCwnd, 123)->CwndPkts(), 123.0);
 }
 
 TEST(FactoryTest, MakesEveryBundleCc) {
@@ -443,7 +460,7 @@ INSTANTIATE_TEST_SUITE_P(AllBundleCcs, BundleCcPropertyTest,
 class HostCcPropertyTest : public ::testing::TestWithParam<HostCcType> {};
 
 TEST_P(HostCcPropertyTest, WindowStaysPositiveUnderMixedSignals) {
-  auto cc = MakeHostCc(GetParam());
+  InPlaceHostCc cc(GetParam());
   TimePoint now;
   for (int i = 0; i < 1000; ++i) {
     now += TimeDelta::Millis(5);

@@ -25,6 +25,7 @@
 #include "src/topo/partition.h"
 #include "src/transport/tcp_flow.h"
 #include "src/util/random.h"
+#include "tests/alloc_counter.h"
 
 namespace bundler {
 namespace {
@@ -225,6 +226,42 @@ TEST(FaultInjectorTest, ReorderFlushReleasesWhenTrafficStops) {
   EXPECT_EQ(h.sim.now(), At(0.025));
   EXPECT_EQ(h.inj.stats().released_flush, 1u);
   EXPECT_FALSE(h.inj.holding());
+}
+
+// The faulted datapath allocates nothing once warm: every packet pays the
+// targeting check, a Gilbert-Elliott loss draw and transition draw, and ~10%
+// of survivors pass through the bounded reorder hold slot, whose depth
+// releases cancel the pooled flush timer. Simulated time advances 1 us per
+// packet, so flush timers that stay armed fire and recycle their slot.
+TEST(FaultInjectorTest, FaultedDatapathAllocatesNothing) {
+  FaultProfileSpec spec;
+  spec.ge_p_good_to_bad = 0.05;
+  spec.ge_p_bad_to_good = 0.3;
+  spec.ge_loss_good = 0.0;
+  spec.ge_loss_bad = 1.0;
+  spec.reorder_prob = 0.1;
+  spec.reorder_depth = 8;
+  spec.seed = 12345;
+  Simulator sim;
+  uint64_t delivered = 0;
+  LambdaHandler sink([&delivered](Packet) { ++delivered; });
+  FaultInjector inj(&sim, "churn", spec, &sink);
+  TimePoint now;
+  int64_t seq = 0;
+  auto churn = [&](int packets) {
+    for (int i = 0; i < packets; ++i) {
+      now += TimeDelta::Micros(1);
+      sim.RunUntil(now);
+      inj.HandlePacket(DataPacket(seq++));
+    }
+  };
+  churn(1 << 14);
+  const uint64_t before = HeapAllocs();
+  churn(1 << 20);
+  EXPECT_EQ(HeapAllocs() - before, 0u);
+  EXPECT_GT(inj.stats().drops_burst, 0u);
+  EXPECT_GT(inj.stats().released_depth, 0u);
+  EXPECT_GT(delivered, 0u);
 }
 
 // Construction schedules nothing: declaring fault profiles must not perturb

@@ -21,6 +21,7 @@
 #include "src/topo/net_builder.h"
 #include "src/transport/endpoint.h"
 #include "src/transport/tcp_flow.h"
+#include "tests/alloc_counter.h"
 
 namespace bundler {
 namespace {
@@ -88,6 +89,36 @@ TEST(FlowReclaimTest, SizeClassesKeepIndependentFreeLists) {
   table.Release(big2);
   table.Release(small2);
   EXPECT_EQ(live, 0);
+}
+
+TEST(FlowReclaimTest, SteadyReleaseAndEmplaceAllocateNothing) {
+  // A 256-flow working set where each op releases the oldest object and
+  // carves a replacement: the swap-remove, header fixup and free-list
+  // push/pop cycle of a churny scenario. Once the arena is warm, it recycles
+  // blocks instead of growing.
+  struct Flowish {
+    uint64_t words[48] = {};  // sender-sized, a few size classes up
+  };
+  FlowTable table;
+  std::vector<Flowish*> live(256);
+  for (Flowish*& f : live) {
+    f = table.Emplace<Flowish>();
+  }
+  size_t oldest = 0;
+  auto churn = [&](int ops) {
+    for (int i = 0; i < ops; ++i) {
+      table.Release(live[oldest]);
+      live[oldest] = table.Emplace<Flowish>();
+      oldest = (oldest + 1) % live.size();
+    }
+  };
+  churn(1 << 14);
+  const uint64_t before = HeapAllocs();
+  const size_t blocks = table.arena_blocks();
+  churn(1 << 20);
+  EXPECT_EQ(HeapAllocs() - before, 0u);
+  EXPECT_EQ(table.arena_blocks(), blocks);
+  EXPECT_EQ(table.size(), live.size());
 }
 
 TEST(FlowReclaimTest, TableDestroysObjectsStillLive) {

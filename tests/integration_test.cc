@@ -1,7 +1,8 @@
 // End-to-end integration tests reproducing the paper's headline behaviors at
 // test scale: FCT improvement from sendbox SFQ (§7.2), pass-through under
 // buffer-filling cross traffic with recovery (§5.1, Fig. 10), multipath
-// detection and disable (§5.2, §7.6), and competing bundles (Fig. 13).
+// detection and disable (§5.2, §7.6), competing bundles (Fig. 13), and the
+// whole run's allocation rate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include "src/obs/trace.h"
 #include "src/topo/dumbbell.h"
 #include "src/topo/scenario.h"
+#include "tests/alloc_counter.h"
 
 namespace bundler {
 namespace {
@@ -294,6 +296,24 @@ TEST(IntegrationTest, SeedsChangeWorkloadButNotStructure) {
   EXPECT_NE(e1.fct()->total(), e2.fct()->total());
   EXPECT_GT(e1.fct()->completed(), 100u);
   EXPECT_GT(e2.fct()->completed(), 100u);
+}
+
+// The paper-default Bundler dumbbell (§7.1: 96 Mbit/s bottleneck, 84 Mbit/s
+// web load) allocates for flow set-up and amortized growth (arena blocks,
+// FCT records, ring doublings), never per packet: the whole run stays at or
+// below one allocation per hundred dispatched events.
+TEST(IntegrationTest, PaperDefaultRunAllocatesAtMostOnePerHundredEvents) {
+  ExperimentConfig cfg = PaperExperimentDefaults(/*bundler_on=*/true, /*seed=*/1);
+  cfg.duration = TimeDelta::Seconds(5);
+  cfg.warmup = TimeDelta::Seconds(1);
+  Experiment e(cfg);
+  const uint64_t before = HeapAllocs();
+  e.Run();
+  const uint64_t allocs = HeapAllocs() - before;
+  const uint64_t events = e.sim()->events_dispatched();
+  ASSERT_GT(events, 100'000u);
+  EXPECT_LE(static_cast<double>(allocs), 0.01 * static_cast<double>(events))
+      << allocs << " allocations over " << events << " events";
 }
 
 }  // namespace

@@ -2,14 +2,12 @@
 // ring semantics (wrap, oldest-first eviction, dropped accounting), category
 // filtering, the zero-allocation guarantee of the enabled hot path, counter
 // registry dump behavior, qdisc drop accounting through the NVI wrappers,
-// and the thread-count byte-identity of captured traces on a real scenario.
+// and the thread-count byte-identity of traces captured on worker threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <map>
-#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,24 +20,8 @@
 #include "src/runner/trial_obs.h"
 #include "src/runner/trial_runner.h"
 #include "src/sim/simulator.h"
-
-// Global allocation counter (same harness as sim_test): the binary replaces
-// operator new/delete so the steady-state test can assert that recording a
-// trace touches no heap.
-static uint64_t g_heap_allocs = 0;
-
-__attribute__((noinline)) void* operator new(std::size_t size) {
-  ++g_heap_allocs;
-  if (void* p = std::malloc(size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-__attribute__((noinline)) void* operator new[](std::size_t size) { return operator new(size); }
-__attribute__((noinline)) void operator delete(void* p) noexcept { std::free(p); }
-__attribute__((noinline)) void operator delete[](void* p) noexcept { std::free(p); }
-__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-__attribute__((noinline)) void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "src/topo/scenario.h"
+#include "tests/alloc_counter.h"
 
 namespace bundler {
 namespace {
@@ -97,13 +79,13 @@ TEST(TracerTest, SteadyStateTracingDoesNotAllocate) {
   Tracer t;
   uint32_t comp = t.RegisterComponent("test", "x");
   t.Enable(obs::kAllCats, 1024);
-  uint64_t before = g_heap_allocs;
+  const uint64_t before = HeapAllocs();
   // 100k records through a 1k ring: covers both the fill and the wrap path.
   for (uint64_t i = 0; i < 100000; ++i) {
     t.Trace(TraceCat::kQdisc, TraceEv::kQdiscEnq, comp,
             TimePoint::FromNanos(static_cast<int64_t>(i)), i, i, i);
   }
-  EXPECT_EQ(g_heap_allocs, before);
+  EXPECT_EQ(HeapAllocs(), before);
   EXPECT_EQ(t.size(), 1024u);
   EXPECT_EQ(t.dropped(), 100000u - 1024u);
 }
@@ -161,29 +143,40 @@ TEST(QdiscCountersTest, NviWrappersCountEnqueueDequeueAndDrops) {
   EXPECT_EQ(q.counters().deq_pkts, 2u);
 }
 
-// The flight-recorder end-to-end contract: tracing a real scenario trial
-// yields byte-identical captured traces at --threads 1 and 4. Runs the fig09
-// bundler_sfq cell (one seed) twice through the trial runner.
-TEST(TrialObsTest, TracedFig09TrialByteIdenticalAcrossThreadCounts) {
-  runner::RegisterBuiltinScenarios();
-  const runner::Scenario* scenario =
-      runner::ScenarioRegistry::Global().Find("fig09_fct");
-  ASSERT_NE(scenario, nullptr);
-  std::vector<runner::TrialPoint> plan =
-      runner::ExpandTrials(scenario->spec, /*trials=*/1);
-  plan.erase(std::remove_if(plan.begin(), plan.end(),
-                            [](const runner::TrialPoint& p) {
-                              return p.variant != "bundler_sfq";
-                            }),
-             plan.end());
-  ASSERT_EQ(plan.size(), 1u);
+// A short dumbbell trial that brackets its run with the trial obs calls, as
+// every registered scenario does.
+runner::TrialResult ShortTracedTrial(const runner::TrialPoint& point) {
+  ExperimentConfig cfg = PaperExperimentDefaults(point.variant == "bundler", point.seed);
+  cfg.bundle_web_load = {Rate::Mbps(30)};
+  cfg.duration = TimeDelta::Seconds(2);
+  cfg.warmup = TimeDelta::Seconds(1);
+  Experiment e(cfg);
+  runner::BeginTrialObs(e.sim());
+  e.Run();
+  runner::TrialResult result;
+  result.scalars["completed"] = static_cast<double>(e.fct()->completed());
+  runner::EndTrialObs(e.sim(), point, &result);
+  return result;
+}
+
+// The flight-recorder end-to-end contract: traces captured on worker threads
+// are byte-identical to a serial run's. The plan holds four trials (two
+// variants x two seeds), so at 4 threads every trial runs off the calling
+// thread.
+TEST(TrialObsTest, TracedTrialsByteIdenticalAcrossThreadCounts) {
+  runner::ScenarioSpec spec;
+  spec.name = "test_traced_dumbbell";
+  spec.variants = {"status_quo", "bundler"};
+  spec.default_trials = 2;
+  const runner::Scenario scenario{spec, ShortTracedTrial};
+  const std::vector<runner::TrialPoint> plan = runner::ExpandTrials(spec, 0);
+  ASSERT_EQ(plan.size(), 4u);
 
   auto run = [&](int threads) {
-    runner::ArmTrace(obs::kAllCats, 65536, runner::TraceFormat::kJsonl);
+    runner::ArmTrace(obs::kAllCats, 4096, runner::TraceFormat::kJsonl);
     runner::RunnerOptions opt;
     opt.threads = threads;
-    std::vector<runner::TrialResult> results =
-        runner::TrialRunner(opt).Run(*scenario, plan);
+    std::vector<runner::TrialResult> results = runner::TrialRunner(opt).Run(scenario, plan);
     runner::DisarmTrace();
     std::string blob;
     for (auto& [sig, serialized] : runner::TakeCapturedTraces()) {
@@ -197,12 +190,15 @@ TEST(TrialObsTest, TracedFig09TrialByteIdenticalAcrossThreadCounts) {
 
   EXPECT_FALSE(trace1.empty());
   EXPECT_EQ(trace1, trace4);
-  // The trial also reports observability scalars: total events plus every
+  // Each trial also reports observability scalars: total events plus every
   // registry counter under "ctr." (e.g. the bundle cc's rate updates).
-  ASSERT_EQ(r1.size(), 1u);
-  EXPECT_GT(r1[0].scalars.at("sim.events_dispatched"), 0.0);
+  ASSERT_EQ(r1.size(), 4u);
+  for (const runner::TrialResult& r : r1) {
+    EXPECT_GT(r.scalars.at("sim.events_dispatched"), 0.0);
+    EXPECT_GT(r.scalars.at("completed"), 0.0);
+  }
   bool has_ctr = false;
-  for (const auto& [name, value] : r1[0].scalars) {
+  for (const auto& [name, value] : r1.back().scalars) {
     (void)value;
     has_ctr = has_ctr || name.rfind("ctr.", 0) == 0;
   }

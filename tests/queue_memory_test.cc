@@ -1,21 +1,19 @@
 // Queue memory follows the packets held. Every multi-queue scheduler (SFQ,
 // FQ-CoDel, DRR, StrictPrio) and SiteEgress's FIFO bundles queue in one
 // shared PacketPool (src/qdisc/packet_pool.h), whose slab grows only to the
-// scheduler's peak total occupancy. This binary replaces operator new (as
-// obs_test does, plus the aligned forms) and checks, by exact count:
+// scheduler's peak total occupancy. This binary counts allocations
+// (tests/alloc_counter.h) and checks, by exact count:
 //  - once a scheduler has held its limit, bursts that rotate over every
 //    bucket or over many new flows allocate nothing, because no queue keeps
 //    its own high-water mark;
 //  - a SiteEgress with 200 FIFO bundles of 512 packets allocates per bundle
 //    at set-up, not per packet slot;
-//  - steady enqueue/dequeue churn on each pooled scheduler allocates nothing.
+//  - steady enqueue/dequeue churn on DropTail's ring, each pooled scheduler
+//    and a rate-capped SiteEgress hierarchy allocates nothing.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,50 +21,13 @@
 #include "src/bundler/site_egress.h"
 #include "src/net/packet.h"
 #include "src/qdisc/drr.h"
+#include "src/qdisc/fifo.h"
 #include "src/qdisc/fq_codel.h"
 #include "src/qdisc/packet_pool.h"
 #include "src/qdisc/prio.h"
 #include "src/qdisc/sfq.h"
 #include "src/sim/simulator.h"
-
-static uint64_t g_heap_allocs = 0;
-static uint64_t g_heap_bytes = 0;
-
-__attribute__((noinline)) void* operator new(std::size_t size) {
-  ++g_heap_allocs;
-  g_heap_bytes += size;
-  if (void* p = std::malloc(size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-__attribute__((noinline)) void* operator new[](std::size_t size) { return operator new(size); }
-__attribute__((noinline)) void* operator new(std::size_t size, std::align_val_t align) {
-  ++g_heap_allocs;
-  g_heap_bytes += size;
-  void* p = nullptr;
-  if (posix_memalign(&p, std::max(sizeof(void*), static_cast<std::size_t>(align)), size) == 0) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-__attribute__((noinline)) void* operator new[](std::size_t size, std::align_val_t align) {
-  return operator new(size, align);
-}
-__attribute__((noinline)) void operator delete(void* p) noexcept { std::free(p); }
-__attribute__((noinline)) void operator delete[](void* p) noexcept { std::free(p); }
-__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-__attribute__((noinline)) void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-__attribute__((noinline)) void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-__attribute__((noinline)) void operator delete[](void* p, std::align_val_t) noexcept {
-  std::free(p);
-}
-__attribute__((noinline)) void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-__attribute__((noinline)) void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+#include "tests/alloc_counter.h"
 
 namespace bundler {
 namespace {
@@ -116,7 +77,7 @@ uint64_t RotatingBurstAllocs(Qdisc& q, const std::vector<uint64_t>& flows, size_
                              int burst) {
   const TimePoint now;
   uint64_t id = 0;
-  const uint64_t before = g_heap_allocs;
+  const uint64_t before = HeapAllocs();
   for (size_t first = 0; first + per_round <= flows.size(); first += per_round) {
     for (int k = 0; k < burst; ++k) {
       for (size_t f = first; f < first + per_round; ++f) {
@@ -125,7 +86,7 @@ uint64_t RotatingBurstAllocs(Qdisc& q, const std::vector<uint64_t>& flows, size_
     }
     Drain(q, now);
   }
-  return g_heap_allocs - before;
+  return HeapAllocs() - before;
 }
 
 TEST(QueueMemoryTest, SfqBurstsOverEveryBucketAllocateNothingOnceWarm) {
@@ -191,10 +152,10 @@ TEST(QueueMemoryTest, SiteEgressSetUpAllocatesPerBundleNotPerSlot) {
     spec.tenant = b % 50;
     bundles.push_back(spec);
   }
-  const uint64_t before = g_heap_bytes;
+  const uint64_t before = HeapBytes();
   SiteEgress egress(&sim, cfg, std::move(tenants), std::move(bundles),
                     InlineFunction<void(size_t, Packet)>([](size_t, Packet) {}), "site");
-  const uint64_t bytes = g_heap_bytes - before;
+  const uint64_t bytes = HeapBytes() - before;
   // A preallocated ring per bundle would be 200 x 512 x sizeof(Packet),
   // about 18 MB; per-bundle state and the tenants' counter names are a few
   // hundred bytes each.
@@ -222,12 +183,14 @@ void ExpectSteadyChurnAllocatesNothing(Qdisc& q) {
     }
   };
   pass();
-  const uint64_t before = g_heap_allocs;
+  const uint64_t before = HeapAllocs();
   pass();
-  EXPECT_EQ(g_heap_allocs - before, 0u) << q.name();
+  EXPECT_EQ(HeapAllocs() - before, 0u) << q.name();
 }
 
-TEST(QueueMemoryTest, SteadyChurnOnEveryPooledSchedulerAllocatesNothing) {
+TEST(QueueMemoryTest, SteadyChurnOnEveryQueueAllocatesNothing) {
+  DropTailFifo droptail(int64_t{1} << 20);
+  ExpectSteadyChurnAllocatesNothing(droptail);
   Sfq sfq(Sfq::Config{});
   ExpectSteadyChurnAllocatesNothing(sfq);
   FqCodel fq_codel(FqCodel::Config{});
@@ -240,16 +203,21 @@ TEST(QueueMemoryTest, SteadyChurnOnEveryPooledSchedulerAllocatesNothing) {
 }
 
 TEST(QueueMemoryTest, SteadyChurnOnSiteEgressFifoBundlesAllocatesNothing) {
+  // Four tenants over two priority bands, two of them rate-capped, and 8
+  // bundles of two class weights.
   Simulator sim;
   SiteEgress::Config cfg;
   cfg.aggregate_rate = Rate::Gbps(24);
   std::vector<SiteEgress::TenantSpec> tenants;
   tenants.push_back({"t0", 0, 1.0, Rate::Gbps(12)});
   tenants.push_back({"t1", 1, 1.0, Rate::Zero()});
+  tenants.push_back({"t2", 1, 3.0, Rate::Zero()});
+  tenants.push_back({"t3", 1, 1.0, Rate::Gbps(6)});
   std::vector<SiteEgress::BundleSpec> bundles;
   for (size_t b = 0; b < 8; ++b) {
     SiteEgress::BundleSpec spec;
-    spec.tenant = b % 2;
+    spec.tenant = b % 4;
+    spec.class_weight = 1.0 + static_cast<double>(b % 2);
     spec.initial_rate = Rate::Gbps(3);
     bundles.push_back(spec);
   }
@@ -257,22 +225,27 @@ TEST(QueueMemoryTest, SteadyChurnOnSiteEgressFifoBundlesAllocatesNothing) {
   SiteEgress egress(&sim, cfg, std::move(tenants), std::move(bundles),
                     InlineFunction<void(size_t, Packet)>([&sent](size_t, Packet) { ++sent; }),
                     "site");
-  // 12 Gbit/s offered across 8 bundles of 3 Gbit/s each: immediate sends
-  // mixed with short token waits on the pooled pump timer.
+  // 12 Gbit/s offered, inside every nested limit: immediate sends mixed with
+  // short token waits on the pooled pump timer. A control-plane rate update
+  // lands every 256 steps, like a manager tick.
   TimePoint now;
   uint64_t id = 0;
   auto pass = [&]() {
     for (int step = 0; step < 40000; ++step) {
       now += TimeDelta::Micros(1);
       sim.RunUntil(now);
+      if (id % 256 == 0) {
+        const uint64_t tick = id / 256;
+        egress.SetBundleRate(tick % 8, (tick / 8) % 2 == 0 ? Rate::Mbps(2500) : Rate::Gbps(3));
+      }
       egress.Enqueue(id % 8, FlowPacket(id % 64, id));
       ++id;
     }
   };
   pass();
-  const uint64_t before = g_heap_allocs;
+  const uint64_t before = HeapAllocs();
   pass();
-  EXPECT_EQ(g_heap_allocs - before, 0u);
+  EXPECT_EQ(HeapAllocs() - before, 0u);
   EXPECT_GT(sent, 70000u);
 }
 

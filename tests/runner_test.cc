@@ -11,6 +11,7 @@
 #include "src/runner/builtin_scenarios.h"
 #include "src/runner/result_sink.h"
 #include "src/runner/scenario.h"
+#include "src/runner/trial_obs.h"
 #include "src/runner/trial_runner.h"
 #include "src/topo/scenario.h"
 
@@ -130,17 +131,20 @@ TEST(TrialRunnerTest, JsonAndCsvByteIdenticalAcrossThreadCounts) {
 }
 
 // End-to-end determinism through the real simulator: a small two-variant
-// dumbbell experiment must serialize identically no matter the thread count.
+// dumbbell experiment, reporting the trial obs scalars every registered
+// scenario reports, must serialize identically no matter the thread count.
 TrialResult TinyExperimentTrial(const TrialPoint& p) {
   ExperimentConfig cfg = PaperExperimentDefaults(p.variant == "bundler", p.seed);
   cfg.bundle_web_load = {Rate::Mbps(30)};
   cfg.duration = TimeDelta::Seconds(3);
   cfg.warmup = TimeDelta::Seconds(1);
   Experiment e(cfg);
+  BeginTrialObs(e.sim());
   e.Run();
   TrialResult r;
   r.scalars["completed"] = static_cast<double>(e.fct()->completed());
   r.samples["fct_s"] = e.fct()->Fcts(e.MeasuredRequests()).samples();
+  EndTrialObs(e.sim(), p, &r);
   return r;
 }
 
@@ -156,13 +160,17 @@ TEST(TrialRunnerTest, RealSimulationDeterministicAcrossThreadCounts) {
     RunnerOptions options;
     options.threads = threads;
     TrialRunner runner(options);
-    return ToJson(Aggregate(spec, plan, runner.Run(scenario, plan)));
+    ScenarioSummary summary = Aggregate(spec, plan, runner.Run(scenario, plan));
+    return std::pair{ToJson(summary), ToCsv(summary)};
   };
-  std::string json1 = render(1);
-  std::string json4 = render(4);
+  auto [json1, csv1] = render(1);
+  auto [json4, csv4] = render(4);
   EXPECT_EQ(json1, json4);
-  // Sanity: the experiment actually completed requests.
+  EXPECT_EQ(csv1, csv4);
+  // Sanity: the experiment actually completed requests, and the counter
+  // registry reached the output.
   EXPECT_EQ(json1.find("\"completed\": {\"n\": 2, \"mean\": 0"), std::string::npos);
+  EXPECT_NE(json1.find("\"ctr."), std::string::npos);
 }
 
 TEST(AggregateTest, ScalarStatsAcrossSeeds) {
@@ -357,32 +365,6 @@ TEST(RegistryTest, SweepScenariosRegisteredWithAxes) {
             (std::vector<std::string>{"fq_codel_status_quo", "fq_codel_bundler",
                                       "prio_status_quo", "prio_bundler"}));
   EXPECT_TRUE(sec72->spec.axes.empty());
-}
-
-// Full-figure regression: the fig09 scenario at seed 1 must serialize to the
-// same bytes whether its trials run serially or on four workers. This is the
-// event engine's determinism contract end to end — FIFO tiebreaks, pooled
-// event slots, and reschedule ordering all feed into these bytes.
-TEST(BuiltinScenarioTest, Fig09JsonByteIdenticalAcrossThreadCounts) {
-  RegisterBuiltinScenarios();
-  const Scenario* scenario = ScenarioRegistry::Global().Find("fig09_fct");
-  ASSERT_NE(scenario, nullptr);
-  // One seeded trial per variant (seed_base = 1 -> --seed 1).
-  std::vector<TrialPoint> plan = ExpandTrials(scenario->spec, /*trials=*/1);
-
-  RunnerOptions serial;
-  serial.threads = 1;
-  RunnerOptions parallel;
-  parallel.threads = 4;
-  std::vector<TrialResult> r1 = TrialRunner(serial).Run(*scenario, plan);
-  std::vector<TrialResult> r4 = TrialRunner(parallel).Run(*scenario, plan);
-
-  std::string json1 = ToJson(Aggregate(scenario->spec, plan, r1));
-  std::string json4 = ToJson(Aggregate(scenario->spec, plan, r4));
-  EXPECT_EQ(json1, json4);
-  std::string csv1 = ToCsv(Aggregate(scenario->spec, plan, r1));
-  std::string csv4 = ToCsv(Aggregate(scenario->spec, plan, r4));
-  EXPECT_EQ(csv1, csv4);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // the acquire/release protocol), a ring's slots staying unwritten (and so not
 // resident) until messages reach them, and ShardChannel's
 // simulation-determined delivery metadata plus its overflow /
-// frozen-lookahead CHECKs.
+// frozen-lookahead CHECKs, and an exchange that never touches the heap.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,6 +20,7 @@
 #include "src/net/packet.h"
 #include "src/sim/shard_channel.h"
 #include "src/sim/simulator.h"
+#include "tests/alloc_counter.h"
 
 namespace bundler {
 namespace {
@@ -176,6 +177,30 @@ TEST(ShardChannelTest, StampsSimulationDeterminedDeliveryMetadata) {
   EXPECT_EQ(got[1].seq, 1u);  // per-channel FIFO sequence
   EXPECT_EQ(got[1].pkt.size_bytes, 40);
   EXPECT_EQ(ch.Drain([](BoundaryMsg&) {}), 0u);
+}
+
+// The boundary exchange allocates nothing: each op is one SendBoundary
+// (stamp metadata, bump counters, write the packet in place into the ring)
+// and the consumer's Drain, all on the ring's preallocated storage.
+TEST(ShardChannelTest, BoundaryExchangeAllocatesNothing) {
+  Simulator sim;
+  NullSink dst;
+  ShardChannel::Spec spec = TestSpec(&sim, &dst);
+  spec.capacity = 256;
+  ShardChannel ch(spec);
+  int64_t t_ns = 0;
+  uint64_t bytes = 0;
+  auto churn = [&](int ops) {
+    for (int i = 0; i < ops; ++i) {
+      ch.SendBoundary(TimePoint::FromNanos(++t_ns), TimeDelta::Millis(2), MakePacket(1500));
+      ch.Drain([&bytes](BoundaryMsg& m) { bytes += m.pkt.size_bytes; });
+    }
+  };
+  churn(1 << 14);
+  const uint64_t before = HeapAllocs();
+  churn(1 << 20);
+  EXPECT_EQ(HeapAllocs() - before, 0u);
+  EXPECT_EQ(bytes, uint64_t{1500} * ((1 << 14) + (1 << 20)));
 }
 
 TEST(ShardChannelDeathTest, ZeroLookaheadDies) {

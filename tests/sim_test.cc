@@ -8,10 +8,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <deque>
 #include <memory>
-#include <new>
 #include <random>
 #include <type_traits>
 #include <utility>
@@ -23,28 +21,7 @@
 #include "src/sim/event_queue.h"
 #include "src/sim/inline_function.h"
 #include "src/sim/simulator.h"
-
-// Global allocation counter: this binary replaces operator new/delete so the
-// steady-state test below can assert the engine schedules without touching
-// the heap. Counting only (no behavior change); the replacement is binary
-// wide, which is exactly what we want — any hidden allocation on the
-// schedule/dispatch path shows up here.
-static uint64_t g_heap_allocs = 0;
-
-// noinline: keeps GCC from pairing the inlined malloc with a visible free
-// (spurious -Wmismatched-new-delete) and from eliding counted allocations.
-__attribute__((noinline)) void* operator new(std::size_t size) {
-  ++g_heap_allocs;
-  if (void* p = std::malloc(size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-__attribute__((noinline)) void* operator new[](std::size_t size) { return operator new(size); }
-__attribute__((noinline)) void operator delete(void* p) noexcept { std::free(p); }
-__attribute__((noinline)) void operator delete[](void* p) noexcept { std::free(p); }
-__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-__attribute__((noinline)) void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "tests/alloc_counter.h"
 
 namespace bundler {
 namespace {
@@ -55,9 +32,8 @@ TEST(EventQueueTest, OrdersByTime) {
   (void)q.Push(TimePoint::FromNanos(30), [&]() { order.push_back(3); });
   (void)q.Push(TimePoint::FromNanos(10), [&]() { order.push_back(1); });
   (void)q.Push(TimePoint::FromNanos(20), [&]() { order.push_back(2); });
-  TimePoint t;
   while (!q.Empty()) {
-    q.PopNext(&t)();
+    q.DispatchHead();
   }
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
@@ -68,9 +44,8 @@ TEST(EventQueueTest, FifoAtSameTimestamp) {
   for (int i = 0; i < 10; ++i) {
     (void)q.Push(TimePoint::FromNanos(5), [&order, i]() { order.push_back(i); });
   }
-  TimePoint t;
   while (!q.Empty()) {
-    q.PopNext(&t)();
+    q.DispatchHead();
   }
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(order[i], i);
@@ -83,9 +58,8 @@ TEST(EventQueueTest, CancelSkipsEvent) {
   EventId id = q.Push(TimePoint::FromNanos(1), [&]() { ++fired; });
   (void)q.Push(TimePoint::FromNanos(2), [&]() { ++fired; });
   EXPECT_TRUE(q.Cancel(id));
-  TimePoint t;
   while (!q.Empty()) {
-    q.PopNext(&t)();
+    q.DispatchHead();
   }
   EXPECT_EQ(fired, 1);
 }
@@ -185,9 +159,8 @@ TEST(EventQueueTest, StaleIdAfterSlotReuseIsNoop) {
   int fired = 0;
   (void)q.Push(TimePoint::FromNanos(2), [&]() { ++fired; });
   EXPECT_FALSE(q.Cancel(first));
-  TimePoint t;
   while (!q.Empty()) {
-    q.PopNext(&t)();
+    q.DispatchHead();
   }
   EXPECT_EQ(fired, 1);
 }
@@ -333,9 +306,8 @@ TEST(EventQueueTest, RandomizedOrderMatchesReferenceModel) {
       live[pending[victim].second].order = ++stamp;
     }
   }
-  TimePoint t;
   while (!q.Empty()) {
-    q.PopNext(&t)();
+    q.DispatchHead();
   }
   std::vector<Ref> expected;
   for (const Ref& r : live) {
@@ -441,20 +413,6 @@ TEST(EventQueueDeathTest, LanePushEarlierThanItsLastEntryDies) {
       "earlier than its last entry");
 }
 
-TEST(EventQueueDeathTest, PopNextOnALaneHeadDies) {
-  // Like a periodic event, a lane keeps its slot and callback: PopNext cannot
-  // hand either out.
-  EXPECT_DEATH(
-      {
-        EventQueue q;
-        const EventQueue::LaneId lane = q.AddLane([]() {});
-        q.PushLane(lane, TimePoint::FromNanos(10));
-        TimePoint t;
-        (void)q.PopNext(&t);
-      },
-      "CHECK failed");
-}
-
 TEST(SimulatorTest, SteadyStateSchedulingDoesNotAllocate) {
   Simulator sim;
   // Warm-up: grow the slot pool and heap arrays to the working-set size and
@@ -465,7 +423,7 @@ TEST(SimulatorTest, SteadyStateSchedulingDoesNotAllocate) {
   }
   sim.RunAll();
 
-  uint64_t before = g_heap_allocs;
+  uint64_t before = HeapAllocs();
   // Steady state: a periodic timer, a self-rescheduling chain, same-slot
   // reuse via Reschedule, and a block of one-shots per round — all with
   // inline captures. None of this may allocate.
@@ -485,8 +443,34 @@ TEST(SimulatorTest, SteadyStateSchedulingDoesNotAllocate) {
       });
   sim.RunAll();
   EXPECT_GT(chain, 100);
-  EXPECT_EQ(g_heap_allocs - before, 0u)
+  EXPECT_EQ(HeapAllocs() - before, 0u)
       << "the schedule/cancel/dispatch hot path must not touch the heap";
+
+  // Cancel-heavy churn, the pattern of RTO timers and shaper rate changes:
+  // 4,096 timers stay pending a second ahead, and each op cancels one, arms
+  // its replacement, schedules a one-shot and dispatches it. The first pass
+  // grows the slot pool to the working set; the second must not allocate.
+  std::vector<EventId> timers(4096);
+  for (EventId& timer : timers) {
+    timer = sim.Schedule(TimeDelta::Seconds(1), []() {});
+  }
+  int cancelled = 0;
+  int fired = 0;
+  auto churn = [&](int ops) {
+    for (int i = 0; i < ops; ++i) {
+      EventId& timer = timers[static_cast<size_t>(i) % timers.size()];
+      cancelled += sim.Cancel(timer) ? 1 : 0;
+      timer = sim.Schedule(TimeDelta::Seconds(1), []() {});
+      sim.Schedule(TimeDelta::Micros(1), [&fired]() { ++fired; });
+      sim.DispatchNext();
+    }
+  };
+  churn(1 << 14);
+  before = HeapAllocs();
+  churn(1 << 16);
+  EXPECT_EQ(HeapAllocs() - before, 0u) << "cancel-heavy churn must not touch the heap";
+  EXPECT_EQ(cancelled, (1 << 14) + (1 << 16));
+  EXPECT_EQ(fired, (1 << 14) + (1 << 16));
 }
 
 TEST(SimulatorTest, LinkHopDoesNotAllocateOnceWarm) {
@@ -511,12 +495,12 @@ TEST(SimulatorTest, LinkHopDoesNotAllocateOnceWarm) {
   // Warm-up: grows the queue's ring, the link's in-flight ring, its lane and
   // the event slots to the burst's peak.
   burst();
-  const uint64_t before = g_heap_allocs;
+  const uint64_t before = HeapAllocs();
   constexpr int kRounds = 8;
   for (int round = 0; round < kRounds; ++round) {
     burst();
   }
-  EXPECT_EQ(g_heap_allocs - before, 0u) << "a warm link hop must not touch the heap";
+  EXPECT_EQ(HeapAllocs() - before, 0u) << "a warm link hop must not touch the heap";
   EXPECT_EQ(sink.packets(), static_cast<uint64_t>((kRounds + 1) * kBurst));
   EXPECT_GE(sim.queue_profile().max_heap, 100u) << "packets were not in flight together";
 }
@@ -913,7 +897,7 @@ TEST(InlineFunctionTest, LargestEventCaptureDoesNotAllocate) {
   auto fn = [payload, hits_ptr = &hits]() { *hits_ptr += payload.bytes[23]; };
   static_assert(sizeof(fn) == EventQueue::Callback::kCapacity);
 
-  uint64_t before = g_heap_allocs;
+  uint64_t before = HeapAllocs();
   {
     EventQueue::Callback a = fn;
     EventQueue::Callback b = std::move(a);
@@ -923,7 +907,7 @@ TEST(InlineFunctionTest, LargestEventCaptureDoesNotAllocate) {
     c.Emplace(fn);
     c();
   }
-  EXPECT_EQ(g_heap_allocs - before, 0u);
+  EXPECT_EQ(HeapAllocs() - before, 0u);
   EXPECT_EQ(hits, 14);
 }
 

@@ -1,8 +1,9 @@
 // Tests for the TCP loss-recovery machinery added for fidelity with the
 // Linux stack the paper ran on: SACK scoreboard pipe accounting, RFC 6298
 // RTO semantics (timer guards the oldest outstanding segment), lost-
-// retransmission detection, PRR transmission bounding, tail loss probes, and
-// HyStart's delay-based slow-start exit.
+// retransmission detection, PRR transmission bounding, tail loss probes,
+// HyStart's delay-based slow-start exit, and a full-window recovery cycle
+// that never touches the heap once warm.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -14,6 +15,7 @@
 #include "src/sim/simulator.h"
 #include "src/transport/endpoint.h"
 #include "src/transport/tcp_flow.h"
+#include "tests/alloc_counter.h"
 
 namespace bundler {
 namespace {
@@ -189,6 +191,33 @@ TEST(TcpRecoveryTest, PrrBoundsSendRateDuringRecovery) {
                      8 / 20 / 1e6;
   EXPECT_LT(sent_mbps, 24.0 * 1.3) << "aggregate send rate must track capacity";
   EXPECT_GT(snd->delivered_bytes(), static_cast<int64_t>(0.5 * 20 * 24e6 / 8));
+}
+
+TEST(TcpRecoveryTest, FullWindowRecoveryAllocatesNothingOnceWarm) {
+  // A backlogged flow holds a constant 450-packet window over a 480 Mbit/s,
+  // 40 ms path that drops every 23rd data packet (~4.3%), so the sender
+  // cycles through SACK marking, hole reveals, hole retransmission and
+  // lost-retransmit detection at full window, with hundreds of marked
+  // segments resident. (An adaptive controller would shrink the window to a
+  // handful of packets at this loss rate and leave the scoreboard idle.)
+  // Once warm, the scoreboard, the receiver's interval set, the queues and
+  // the event engine together allocate nothing.
+  uint64_t count = 0;
+  LossyNet net([&count](const Packet&) { return ++count % 23 == 0; }, Rate::Mbps(480),
+               TimeDelta::Millis(40), /*buffer_bytes=*/1 << 22);
+  TcpFlowParams params;
+  params.size_bytes = -1;
+  params.cc = HostCcType::kConstCwnd;
+  params.const_cwnd_pkts = 450.0;
+  TcpSender* snd = StartTcpFlow(&net.flows, net.a.get(), net.b.get(), params, nullptr);
+  net.RunFor(2);  // warm-up
+  const uint64_t before = HeapAllocs();
+  const uint64_t events = net.sim.events_dispatched();
+  const uint64_t retransmits = snd->retransmits();
+  net.RunFor(12);
+  EXPECT_EQ(HeapAllocs() - before, 0u);
+  EXPECT_GT(net.sim.events_dispatched() - events, 200'000u);
+  EXPECT_GT(snd->retransmits() - retransmits, 4'000u);
 }
 
 TEST(HystartTest, ExitsSlowStartOnDelayNotLoss) {
