@@ -272,7 +272,8 @@ BenchResult BenchEndToEndExperiment(bool traced = false,
   ExperimentConfig cfg = PaperExperimentDefaults(/*bundler_on=*/true, /*seed=*/1);
   cfg.duration = TimeDelta::Seconds(5);
   cfg.warmup = TimeDelta::Seconds(1);
-  Experiment e(cfg);
+  Simulator sim;
+  Experiment e(&sim, cfg);
   if (traced) {
     e.sim()->trace().Enable(obs::kAllCats, 1 << 18);
   }

@@ -31,7 +31,8 @@ int main(int argc, char** argv) {
   // Equal web load per department; department 2 also runs 8 bulk flows vs 1.
   cfg.bundle_web_load = {Rate::Mbps(20), Rate::Mbps(20), Rate::Mbps(20)};
   cfg.bundle_bulk_flows = 0;
-  Experiment e(cfg);
+  Simulator sim;
+  Experiment e(&sim, cfg);
 
   // Departments A and B: one bulk flow each. Department C: eight.
   for (int b = 0; b < 3; ++b) {

@@ -29,10 +29,14 @@ int main(int argc, char** argv) {
   double sq_sum = 0, bd_sum = 0;
   int n = 0;
 
+  auto run = [&](const WanPathSpec& spec, WanMode mode) {
+    Simulator sim;
+    return RunWanPath(&sim, spec, mode, duration, warmup, /*seed=*/1);
+  };
   for (const WanPathSpec& spec : DefaultWanPaths()) {
-    WanRunResult base = RunWanPath(spec, WanMode::kBase, duration, warmup, 1);
-    WanRunResult sq = RunWanPath(spec, WanMode::kStatusQuo, duration, warmup, 1);
-    WanRunResult bd = RunWanPath(spec, WanMode::kBundler, duration, warmup, 1);
+    WanRunResult base = run(spec, WanMode::kBase);
+    WanRunResult sq = run(spec, WanMode::kStatusQuo);
+    WanRunResult bd = run(spec, WanMode::kBundler);
     double tput_delta = sq.bulk_goodput_mbps > 0
                             ? (bd.bulk_goodput_mbps / sq.bulk_goodput_mbps - 1) * 100
                             : 0;

@@ -34,7 +34,8 @@ RunOutput RunOnce(bool with_bundler, TimeDelta duration, IdealFctCache* ideal) {
   cfg.warmup = TimeDelta::Seconds(5);
   cfg.seed = 42;
 
-  Experiment exp(cfg);
+  Simulator sim;
+  Experiment exp(&sim, cfg);
   exp.Run();
 
   RequestFilter measured = exp.MeasuredRequests();

@@ -69,9 +69,10 @@ if [[ "${CHECK_SKIP_SANITIZERS:-0}" != "1" ]]; then
   echo "--- TSan pass: every suite that spawns threads or crosses shards"
   # shard_channel/shard_runner: SPSC rings and the CMB null-message protocol;
   # partition: the plans those sharded runs are built from; runner:
-  # TrialRunner's worker pool; obs: trace capture under the worker pool;
-  # flow_reclaim: FlowTable, whose arena is mutex-guarded; fault_injector: a
-  # faulted two-shard run on two ShardRunner workers.
+  # TrialRunner's worker pool; obs: traces that pool's workers arm and
+  # capture, one simulator per trial; flow_reclaim: FlowTable, whose arena is
+  # mutex-guarded; fault_injector: a faulted two-shard run on two
+  # ShardRunner workers.
   TSAN_SUITES='shard_channel_test|shard_runner_test|partition_test|runner_test|obs_test|flow_reclaim_test|fault_injector_test'
   cmake -B build-tsan -S . -DBUNDLER_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j"${JOBS}" --target \

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Checks that bundler_run rejects malformed numeric flags, and trace options
-given without --trace, as usage errors: each must exit 2, name the flag (and
-the bad value) on stderr, and stop before anything runs, so no --out
-directory appears. Every argument list used here is one the parser rejects,
+"""Checks that bundler_run rejects malformed numeric flags, trace options
+given without --trace, a --trace that names no category, and removed flags as
+usage errors: each must exit 2, name the flag (and the bad value) on stderr,
+and stop before anything runs, so no --out directory appears. Every argument list used here is one the parser rejects,
 so no trial and no worker thread ever starts.
 
   python3 scripts/cli_args_test.py path/to/bundler_run"""
@@ -49,16 +49,24 @@ class CliArgsTest(unittest.TestCase):
                     self.assertIn(value, stderr)
 
     def test_trace_options_need_trace(self):
-        for args in (["--trace-out", "trace.jsonl"], ["--trace-format", "text"],
-                     ["--trace-format", "xml"], ["--trace-ring", "64"]):
+        for args in (["--trace-out", "trace.jsonl"], ["--trace-ring", "64"]):
             with self.subTest(args=args):
                 stderr = self.run_rejected(args)
                 self.assertIn(args[0], stderr)
                 self.assertIn("--trace", stderr)
 
-    def test_removed_shard_count_flag_is_unknown(self):
-        stderr = self.run_rejected(["--shards", "4"])
-        self.assertIn("unknown argument", stderr)
+    def test_trace_needs_a_category(self):
+        for spec in (",", "tenant,bogus"):
+            with self.subTest(spec=spec):
+                stderr = self.run_rejected(["--trace", spec])
+                self.assertIn("--trace", stderr)
+                self.assertIn(spec, stderr)
+
+    def test_removed_flags_are_unknown(self):
+        for args in (["--shards", "4"], ["--trace-format", "jsonl"]):
+            with self.subTest(args=args):
+                stderr = self.run_rejected(args)
+                self.assertIn("unknown argument: " + args[0], stderr)
 
 
 if __name__ == "__main__":

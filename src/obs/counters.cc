@@ -2,6 +2,13 @@
 
 namespace bundler::obs {
 
+void CounterRegistry::FreezeExposed() {
+  for (const auto& [name, src] : exposed_) {
+    owned_[name] = *src;
+  }
+  exposed_.clear();
+}
+
 void CounterRegistry::DumpTo(std::map<std::string, double>* out,
                              const std::string& prefix) const {
   for (const auto& [name, value] : owned_) {

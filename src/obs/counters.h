@@ -8,9 +8,11 @@
 //    or on first use of an aggregate counter); bumping never does.
 //  - Exposed: `Expose(name, &src)` reads an existing component counter
 //    through a pointer at dump time — components that already keep stats
-//    (qdiscs, links) publish them without double counting. The pointee must
-//    outlive the dump (component lifetimes are tied to the Simulator's trial,
-//    which they are).
+//    (qdiscs, links) publish them without double counting, and the hot path
+//    keeps bumping the component's own field. Before such components die,
+//    `FreezeExposed()` turns every exposed counter into an owned one holding
+//    its last value; the Net that owns them calls it from its destructor, so
+//    the TrialRunner can dump a trial's counters after its topology is gone.
 //
 // Naming convention (README "Observability"): `<kind>.<instance>.<metric>`
 // for per-component counters (e.g. qdisc.bottleneck.deq_pkts) and
@@ -47,6 +49,11 @@ class CounterRegistry {
   void Expose(const std::string& name, const uint64_t* src) {
     exposed_[name] = src;
   }
+
+  // Copies every exposed counter's current value into an owned counter of
+  // the same name and drops the pointers, so the dump reads the same names
+  // and values after the exposing components are destroyed.
+  void FreezeExposed();
 
   // Writes every counter and gauge into `out` as `<prefix><name>`. Maps
   // iterate in key order, so the dump is deterministic.

@@ -158,21 +158,4 @@ void Tracer::WriteJsonl(std::string* out) const {
           size_, dropped_);
 }
 
-void Tracer::WriteText(std::string* out) const {
-  const size_t cap = ring_.size();
-  for (size_t i = 0; i < size_; ++i) {
-    const TraceRecord& r = ring_[(head_ + i) % cap];
-    const Component* comp =
-        r.comp < components_.size() ? &components_[r.comp] : nullptr;
-    AppendF(out,
-            "%14.9f %-9s %-14s %s:%s a=%" PRIu64 " b=%" PRIu64 " c=%" PRIu64 "\n",
-            static_cast<double>(r.t_ns) * 1e-9, kCatNames[r.cat],
-            TraceEvName(static_cast<TraceEv>(r.ev)),
-            comp != nullptr ? comp->kind.c_str() : "?",
-            comp != nullptr ? comp->name.c_str() : "?", r.a, r.b, r.c);
-  }
-  AppendF(out, "# %zu records, %" PRIu64 " dropped (ring capacity %zu)\n", size_,
-          dropped_, cap);
-}
-
 }  // namespace bundler::obs

@@ -24,8 +24,7 @@
 // TrialRunner/ShardRunner ownership structure (annotated with ThreadRole
 // capabilities, see src/util/thread_annotations.h) guarantees one driving
 // thread at a time — which is why the hot path can be a plain unsynchronized
-// store. Never share a Tracer across shards; merge at dump time instead
-// (runner/trial_obs.cc serializes per-shard traces under its own lock).
+// store. Never share a Tracer across shards; merge at dump time instead.
 #ifndef SRC_OBS_TRACE_H_
 #define SRC_OBS_TRACE_H_
 
@@ -213,8 +212,6 @@ class Tracer {
   // followed by {"type":"record",...} lines, oldest first), appending to
   // `out`. The closing {"type":"trace_end",...} line carries ring accounting.
   void WriteJsonl(std::string* out) const;
-  // Human-readable one-line-per-record dump.
-  void WriteText(std::string* out) const;
 
  private:
   TraceRecord& NextSlot() {

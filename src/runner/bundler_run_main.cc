@@ -19,7 +19,6 @@
 #include "src/obs/trace.h"
 #include "src/runner/builtin_scenarios.h"
 #include "src/runner/result_sink.h"
-#include "src/runner/trial_obs.h"
 #include "src/runner/trial_runner.h"
 #include "src/util/table.h"
 
@@ -40,22 +39,20 @@ void PrintUsage(std::FILE* out) {
                "       bundler_run --dump-topology NAME\n"
                "       bundler_run --scenario NAME [--trials N] [--threads N]\n"
                "                   [--seed-base N] [--out DIR] [--quiet]\n"
-               "                   [--trace CATS] [--trace-out FILE]\n"
-               "                   [--trace-format jsonl|text] [--trace-ring N]\n"
+               "                   [--trace CATS] [--trace-out FILE] [--trace-ring N]\n"
                "\n"
                "--dump-topology builds NAME's topology graph (validating it) and\n"
                "prints Graphviz DOT on stdout.\n"
                "\n"
-               "--trace arms the per-trial flight recorder for a comma-separated\n"
-               "list of categories, or 'all':\n"
+               "--trace arms the per-trial flight recorder, before the trial builds\n"
+               "its topology, for a comma-separated list of categories, or 'all':\n"
                "  %s\n"
-               "Every trial's trace is captured and written, sorted by trial\n"
-               "signature, to --trace-out (default DIR/NAME.trace.jsonl or\n"
-               ".trace.txt); --trace-ring sets the per-trial ring capacity in\n"
-               "records (default 262144, 40 bytes each, oldest evicted first).\n"
-               "Each of the three needs --trace. See README \"Observability\" for\n"
-               "the record schema.\n",
-               cats.c_str());
+               "Every trial's trace is captured and written as JSONL, in plan order,\n"
+               "to --trace-out (default DIR/NAME.trace.jsonl); --trace-ring sets the\n"
+               "per-trial ring capacity in records (default %zu, 40 bytes each,\n"
+               "oldest evicted first). Both need --trace. See README\n"
+               "\"Observability\" for the record schema.\n",
+               cats.c_str(), RunnerOptions().trace_ring);
 }
 
 void PrintList() {
@@ -115,8 +112,7 @@ int Main(int argc, char** argv) {
   bool seed_base_set = false;
   std::string trace_spec;
   std::string trace_out;
-  std::string trace_format = "jsonl";
-  size_t trace_ring = 262144;
+  size_t trace_ring = RunnerOptions().trace_ring;
   const char* trace_option = nullptr;  // the last trace option given
 
   constexpr uint64_t kIntMax = std::numeric_limits<int>::max();
@@ -167,9 +163,6 @@ int Main(int argc, char** argv) {
     } else if (arg == "--trace-out") {
       trace_out = next_value("--trace-out");
       trace_option = "--trace-out";
-    } else if (arg == "--trace-format") {
-      trace_format = next_value("--trace-format");
-      trace_option = "--trace-format";
     } else if (arg == "--trace-ring") {
       trace_ring = next_integer("--trace-ring", 1, std::numeric_limits<size_t>::max());
       trace_option = "--trace-ring";
@@ -238,27 +231,15 @@ int Main(int argc, char** argv) {
   options.threads = threads;
   options.trials = trials;
   options.progress = !quiet;
-  TrialRunner runner(options);
-
-  bool tracing = !trace_spec.empty();
-  TraceFormat format = TraceFormat::kJsonl;
-  if (tracing) {
-    if (trace_format == "text") {
-      format = TraceFormat::kText;
-    } else if (trace_format != "jsonl") {
-      std::fprintf(stderr, "--trace-format must be jsonl or text, got '%s'\n",
-                   trace_format.c_str());
-      return 2;
-    }
-    uint32_t mask = 0;
-    if (!obs::ParseTraceCats(trace_spec, &mask)) {
-      std::fprintf(stderr,
-                   "--trace: unknown category in '%s' (see --help for the list)\n",
-                   trace_spec.c_str());
-      return 2;
-    }
-    ArmTrace(mask, trace_ring, format);
+  const bool tracing = !trace_spec.empty();
+  if (tracing && (!obs::ParseTraceCats(trace_spec, &options.trace_mask) ||
+                  options.trace_mask == 0)) {
+    std::fprintf(stderr, "--trace: no or unknown category in '%s' (see --help for the list)\n",
+                 trace_spec.c_str());
+    return 2;
   }
+  options.trace_ring = trace_ring;
+  TrialRunner runner(options);
 
   std::vector<TrialPoint> plan = ExpandTrials(spec, trials);
   if (!quiet) {
@@ -301,15 +282,11 @@ int Main(int argc, char** argv) {
   std::printf("\nwrote %s and %s\n", json_path.c_str(), csv_path.c_str());
 
   if (tracing) {
-    std::string path = trace_out;
-    if (path.empty()) {
-      path = out_dir + "/" + spec.name +
-             (format == TraceFormat::kJsonl ? ".trace.jsonl" : ".trace.txt");
-    }
+    const std::string path =
+        trace_out.empty() ? out_dir + "/" + spec.name + ".trace.jsonl" : trace_out;
     std::string blob;
-    for (auto& [sig, serialized] : TakeCapturedTraces()) {
-      (void)sig;
-      blob += serialized;
+    for (const TrialResult& r : results) {
+      blob += r.trace;
     }
     if (!WriteFile(path, blob)) {
       return 1;

@@ -3,7 +3,8 @@
 // seeded trials per cell — while the scenario's TrialFn knows *how* to run a
 // single (variant, sweep point, seed) trial and report its metrics. The
 // TrialRunner expands the spec into a trial plan and executes it (in
-// parallel); the ResultSink aggregates per-cell statistics. Scenarios live in
+// parallel), handing each trial a fresh Simulator whose observability it
+// owns; the ResultSink aggregates per-cell statistics. Scenarios live in
 // a registry so `bundler_run`, `scripts/repro.sh` and tests execute them by
 // name instead of hand-wiring topology + workload + metrics glue per figure.
 #ifndef SRC_RUNNER_SCENARIO_H_
@@ -17,6 +18,9 @@
 #include <vector>
 
 namespace bundler {
+
+class Simulator;
+
 namespace runner {
 
 // One numeric sweep dimension, e.g. {"load0_mbps", {42, 56}}.
@@ -61,9 +65,15 @@ struct TrialPoint {
 struct TrialResult {
   std::map<std::string, double> scalars;
   std::map<std::string, std::vector<double>> samples;
+  // The trial's serialized JSONL trace; empty unless the runner armed one.
+  std::string trace;
 };
 
-using TrialFn = std::function<TrialResult(const TrialPoint&)>;
+// Builds the trial's topology into `sim`, runs it, and returns its metrics.
+// The TrialRunner owns `sim`: it arms the tracer before the call, and dumps
+// the counters and captures the trace after the body (and the topology it
+// built) is gone.
+using TrialFn = std::function<TrialResult(const TrialPoint&, Simulator* sim)>;
 
 // Emits a Graphviz DOT rendering of the scenario's (default-variant)
 // topology. Providers are expected to *build* the topology into a scratch

@@ -18,7 +18,6 @@
 #include "src/app/workload.h"
 #include "src/metrics/fct.h"
 #include "src/runner/builtin_scenarios.h"
-#include "src/runner/trial_obs.h"
 #include "src/transport/tcp_flow.h"
 #include "src/util/check.h"
 
@@ -104,32 +103,30 @@ NetBuilder AsymReverseBuilder(Rate reverse_rate, bool bundled, bool watchdog,
   return b;
 }
 
-TrialResult RunTrial(const TrialPoint& point) {
+TrialResult RunTrial(const TrialPoint& point, Simulator* sim) {
   bool watchdog = point.variant == "bundler_watchdog";
   bool bundler_on = watchdog || point.variant == "bundler";
   BUNDLER_CHECK_MSG(bundler_on || point.variant == "status_quo",
                     "unknown asym_reverse_sweep variant '%s'", point.variant.c_str());
   Rate reverse_rate = Rate::Mbps(point.Param("reverse_mbps"));
 
-  Simulator sim;
-  BeginTrialObs(&sim);
   AsymGraph g;
   std::unique_ptr<Net> net =
-      AsymReverseBuilder(reverse_rate, bundler_on, watchdog, &g).Build(&sim);
+      AsymReverseBuilder(reverse_rate, bundler_on, watchdog, &g).Build(sim);
 
   static const SizeCdf kCdf = SizeCdf::InternetCoreRouter();
   FctRecorder fct;
   WebWorkloadConfig wl;
   wl.offered_load = kBundleWebLoad;
-  PoissonWebWorkload bundle_web(&sim, net->flows(), net->host(g.srv), net->host(g.cli),
+  PoissonWebWorkload bundle_web(sim, net->flows(), net->host(g.srv), net->host(g.cli),
                                 &kCdf, wl, point.seed, &fct);
-  StartBulkFlows(&sim, net->flows(), net->host(g.srv), net->host(g.cli), 1,
+  StartBulkFlows(sim, net->flows(), net->host(g.srv), net->host(g.cli), 1,
                  HostCcType::kCubic, TimePoint::Zero());
   // Two backlogged flows congest the narrow reverse direction.
-  StartBulkFlows(&sim, net->flows(), net->host(g.rev_src), net->host(g.rev_dst), 2,
+  StartBulkFlows(sim, net->flows(), net->host(g.rev_src), net->host(g.rev_dst), 2,
                  HostCcType::kCubic, TimePoint::Zero());
 
-  sim.RunUntil(TimePoint::Zero() + kDuration);
+  sim->RunUntil(TimePoint::Zero() + kDuration);
 
   TimePoint measured = TimePoint::Zero() + kWarmup;
   RequestFilter small = RequestFilter::SmallFlows();
@@ -185,7 +182,6 @@ TrialResult RunTrial(const TrialPoint& point) {
     r.scalars["wd_mean_recovery_ms"] =
         degrades > 0 ? degraded_total.ToMillis() / degrades : 0.0;
   }
-  EndTrialObs(&sim, point, &r);
   return r;
 }
 

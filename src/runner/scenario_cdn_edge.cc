@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "src/runner/builtin_scenarios.h"
-#include "src/runner/trial_obs.h"
 #include "src/transport/tcp_flow.h"
 #include "src/util/check.h"
 #include "src/util/stats.h"
@@ -154,7 +153,7 @@ struct TenantFcts {
   uint64_t* completed = nullptr;
 };
 
-TrialResult RunTrial(const TrialPoint& point) {
+TrialResult RunTrial(const TrialPoint& point, Simulator* sim) {
   const bool managed = point.variant == "managed";
   BUNDLER_CHECK_MSG(managed || point.variant == "status_quo",
                     "unknown cdn_edge_flash_crowd variant '%s'",
@@ -163,9 +162,7 @@ TrialResult RunTrial(const TrialPoint& point) {
   CdnEdgeGraph g;
   NetBuilder b = CdnEdgeBuilder(managed, &g);
 
-  Simulator sim;
-  BeginTrialObs(&sim);
-  std::unique_ptr<Net> net = b.Build(&sim);
+  std::unique_ptr<Net> net = b.Build(sim);
 
   // Seeded splitmix-style stream for arrival jitter and size tails. The
   // stream is consumed identically in both variants, so managed and
@@ -238,7 +235,7 @@ TrialResult RunTrial(const TrialPoint& point) {
     }
   }
 
-  sim.RunUntil(zero + kRunUntil);
+  sim->RunUntil(zero + kRunUntil);
 
   TrialResult r;
   // Isolation: worst flash/base p50 inflation over admitted victim tenants
@@ -290,7 +287,6 @@ TrialResult RunTrial(const TrialPoint& point) {
     r.scalars["admitted"] = 0.0;
     r.scalars["rejected"] = 0.0;
   }
-  EndTrialObs(&sim, point, &r);
   return r;
 }
 

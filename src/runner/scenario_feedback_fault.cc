@@ -16,7 +16,6 @@
 #include "src/app/workload.h"
 #include "src/metrics/fct.h"
 #include "src/runner/builtin_scenarios.h"
-#include "src/runner/trial_obs.h"
 #include "src/util/check.h"
 
 namespace bundler {
@@ -96,23 +95,21 @@ FaultProfileSpec BlackoutProfile(uint64_t trial_seed) {
 
 // Builds the faulted dumbbell, runs the §7.1 web workload through it, and
 // reports FCT windows plus watchdog/fault forensics.
-TrialResult RunTrial(const TrialPoint& point) {
+TrialResult RunTrial(const TrialPoint& point, Simulator* sim) {
   Variant v = ParseVariant(point.variant);
-  Simulator sim;
-  BeginTrialObs(&sim);
   DumbbellGraph g;
   NetBuilder::FaultId fault_id = -1;
   std::unique_ptr<Net> net =
-      FaultedDumbbell(v, BlackoutProfile(point.seed), &g, &fault_id).Build(&sim);
+      FaultedDumbbell(v, BlackoutProfile(point.seed), &g, &fault_id).Build(sim);
 
   static const SizeCdf kCdf = SizeCdf::InternetCoreRouter();
   FctRecorder fct;
   WebWorkloadConfig wl;
   wl.offered_load = kWebLoad;
-  PoissonWebWorkload web(&sim, net->flows(), net->host(g.servers[0]),
+  PoissonWebWorkload web(sim, net->flows(), net->host(g.servers[0]),
                          net->host(g.clients[0]), &kCdf, wl, point.seed, &fct);
 
-  sim.RunUntil(At(kDuration));
+  sim->RunUntil(At(kDuration));
 
   TrialResult r;
   auto fct_window = [&](TimeDelta from, TimeDelta to, const std::string& key) {
@@ -172,7 +169,6 @@ TrialResult RunTrial(const TrialPoint& point) {
     r.scalars["wd_probes"] = probes;
     r.scalars["wd_degraded_at_end"] = sb->watchdog_degraded() ? 1.0 : 0.0;
   }
-  EndTrialObs(&sim, point, &r);
   return r;
 }
 

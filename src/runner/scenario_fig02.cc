@@ -12,7 +12,6 @@
 #include "src/app/workload.h"
 #include "src/metrics/queue_monitor.h"
 #include "src/runner/builtin_scenarios.h"
-#include "src/runner/trial_obs.h"
 #include "src/topo/dumbbell.h"
 #include "src/util/check.h"
 
@@ -23,22 +22,20 @@ namespace {
 constexpr double kDurationSec = 60;
 constexpr double kWarmupSec = 10;
 
-TrialResult RunTrial(const TrialPoint& point) {
+TrialResult RunTrial(const TrialPoint& point, Simulator* sim) {
   bool bundler_on = point.variant == "bundler";
   BUNDLER_CHECK_MSG(bundler_on || point.variant == "status_quo",
                     "unknown fig02 variant '%s'", point.variant.c_str());
 
-  Simulator sim;
-  BeginTrialObs(&sim);
   DumbbellConfig cfg;
   cfg.bottleneck_rate = Rate::Mbps(96);
   cfg.rtt = TimeDelta::Millis(50);
   cfg.bundler_enabled = bundler_on;
-  Dumbbell net(&sim, cfg);
+  Dumbbell net(sim, cfg);
 
   // The figure uses a single long-running flow; the seed only perturbs CC
   // internals, so trials are nearly identical — one trial per cell suffices.
-  StartBulkFlows(&sim, net.flows(), net.server(), net.client(), 1,
+  StartBulkFlows(sim, net.flows(), net.server(), net.client(), 1,
                  HostCcType::kCubic, TimePoint::Zero());
 
   // Edge queue sampler: the bundle's sendbox qdisc at its current shaped
@@ -47,16 +44,16 @@ TrialResult RunTrial(const TrialPoint& point) {
   if (bundler_on) {
     SendboxManager* sb = net.sendbox();
     edge_sampler = std::make_unique<QdiscSampler>(
-        &sim, sb->egress_hierarchy().bundle_qdisc(0), TimeDelta::Millis(100),
+        sim, sb->egress_hierarchy().bundle_qdisc(0), TimeDelta::Millis(100),
         [sb]() { return sb->bundle_rate(0); });
   } else {
     Link* edge = net.edge_link(0);
     edge_sampler = std::make_unique<QdiscSampler>(
-        &sim, edge->queue(), TimeDelta::Millis(100),
+        sim, edge->queue(), TimeDelta::Millis(100),
         [edge]() { return edge->rate(); });
   }
 
-  sim.RunUntil(TimePoint::Zero() + TimeDelta::SecondsF(kDurationSec));
+  sim->RunUntil(TimePoint::Zero() + TimeDelta::SecondsF(kDurationSec));
 
   TimePoint tail_from = TimePoint::Zero() + TimeDelta::SecondsF(kWarmupSec);
   TimePoint tail_to = TimePoint::Zero() + TimeDelta::SecondsF(kDurationSec);
@@ -82,7 +79,6 @@ TrialResult RunTrial(const TrialPoint& point) {
   }
   r.samples["bottleneck_delay_ms"] = std::move(bn_samples);
   r.samples["edge_delay_ms"] = std::move(edge_samples);
-  EndTrialObs(&sim, point, &r);
   return r;
 }
 

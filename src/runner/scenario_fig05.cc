@@ -15,7 +15,6 @@
 #include "src/app/workload.h"
 #include "src/metrics/fct.h"
 #include "src/runner/builtin_scenarios.h"
-#include "src/runner/trial_obs.h"
 #include "src/topo/dumbbell.h"
 #include "src/util/check.h"
 #include "src/util/stats.h"
@@ -28,26 +27,24 @@ constexpr double kDurationSec = 30;
 constexpr double kWarmupSec = 5;
 constexpr double kLoadFraction = 0.875;  // 84/96 of capacity, as in §7.1
 
-TrialResult RunTrial(const TrialPoint& point) {
+TrialResult RunTrial(const TrialPoint& point, Simulator* sim) {
   BUNDLER_CHECK_MSG(point.variant == "bundler", "unknown fig05 variant '%s'",
                     point.variant.c_str());
   double delay_ms = point.Param("delay_ms");
   TimeDelta delay = TimeDelta::MillisF(delay_ms);
   Rate rate = Rate::Mbps(point.Param("rate_mbps"));
 
-  Simulator sim;
-  BeginTrialObs(&sim);
   DumbbellConfig cfg;
   cfg.bottleneck_rate = rate;
   cfg.rtt = delay;
   cfg.rate_meter_window = TimeDelta::Millis(50);
-  Dumbbell net(&sim, cfg);
+  Dumbbell net(sim, cfg);
 
   SizeCdf cdf = SizeCdf::InternetCoreRouter();
   FctRecorder fct;
   WebWorkloadConfig wl;
   wl.offered_load = rate * kLoadFraction;
-  PoissonWebWorkload workload(&sim, net.flows(), net.server(), net.client(), &cdf, wl,
+  PoissonWebWorkload workload(sim, net.flows(), net.server(), net.client(), &cdf, wl,
                               point.seed, &fct);
 
   // Collect every in-order epoch sample after warmup; ground truth is read
@@ -67,7 +64,7 @@ TrialResult RunTrial(const TrialPoint& point) {
     raw.push_back({s.now, s.rtt.ToMillis(), s.recv_rate.Mbps(), s.has_rates});
   });
 
-  sim.RunUntil(TimePoint::Zero() + TimeDelta::SecondsF(kDurationSec));
+  sim->RunUntil(TimePoint::Zero() + TimeDelta::SecondsF(kDurationSec));
 
   // Within-bound counts are reported next to the sample counts so that the
   // fractions pool exactly across seeds and cells.
@@ -101,7 +98,6 @@ TrialResult RunTrial(const TrialPoint& point) {
   r.samples["rtt_diff_ms"] = rtt_diff.samples();
   r.scalars["rtt_within_1p2"] = rtt_within;
   r.scalars["rtt_samples"] = static_cast<double>(rtt_diff.count());
-  EndTrialObs(&sim, point, &r);
   return r;
 }
 

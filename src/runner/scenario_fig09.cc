@@ -22,7 +22,6 @@
 
 #include "src/metrics/fct.h"
 #include "src/runner/builtin_scenarios.h"
-#include "src/runner/trial_obs.h"
 #include "src/runner/ideal_fct.h"
 #include "src/topo/scenario.h"
 #include "src/util/check.h"
@@ -40,14 +39,13 @@ struct FctVariant {
   HostCcType host_cc = HostCcType::kCubic;
 };
 
-TrialResult RunTrial(const FctVariant& var, const TrialPoint& point) {
+TrialResult RunTrial(const FctVariant& var, const TrialPoint& point, Simulator* sim) {
   ExperimentConfig cfg = PaperExperimentDefaults(var.bundler, point.seed);
   cfg.net.in_network_fq = var.in_network_fq;
   cfg.net.sendbox.scheduler = var.sched;
   cfg.net.sendbox.cc = var.bundle_cc;
   cfg.host_cc = var.host_cc;
-  Experiment e(cfg);
-  BeginTrialObs(e.sim());
+  Experiment e(sim, cfg);
   e.Run();
 
   IdealFctFn ideal_fn =
@@ -71,7 +69,6 @@ TrialResult RunTrial(const FctVariant& var, const TrialPoint& point) {
   r.scalars["median_slowdown_all"] = all.empty() ? 0.0 : all.Median();
   r.scalars["p99_slowdown_all"] = all.empty() ? 0.0 : all.Quantile(0.99);
   r.scalars["requests_completed"] = static_cast<double>(e.fct()->completed());
-  EndTrialObs(e.sim(), point, &r);
   return r;
 }
 
@@ -88,10 +85,10 @@ void RegisterFctScenario(ScenarioRegistry* registry, std::string name,
   spec.default_trials = trials;
   registry->Register(
       std::move(spec),
-      [name, variants = std::move(variants)](const TrialPoint& point) {
+      [name, variants = std::move(variants)](const TrialPoint& point, Simulator* sim) {
         for (const FctVariant& v : variants) {
           if (v.name == point.variant) {
-            return RunTrial(v, point);
+            return RunTrial(v, point, sim);
           }
         }
         BUNDLER_CHECK_MSG(false, "unknown %s variant '%s'", name.c_str(),

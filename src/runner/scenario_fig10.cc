@@ -14,7 +14,6 @@
 #include "src/app/workload.h"
 #include "src/metrics/fct.h"
 #include "src/runner/builtin_scenarios.h"
-#include "src/runner/trial_obs.h"
 #include "src/topo/dumbbell.h"
 #include "src/util/check.h"
 
@@ -56,14 +55,12 @@ double PassthroughFraction(const std::vector<std::pair<TimePoint, BundlerMode>>&
   return in_passthrough / (to - from);
 }
 
-TrialResult RunTrial(const TrialPoint& point) {
+TrialResult RunTrial(const TrialPoint& point, Simulator* sim) {
   bool robust = point.variant == "bundler_robust";
   bool bundler_on = robust || point.variant == "bundler";
   BUNDLER_CHECK_MSG(bundler_on || point.variant == "status_quo",
                     "unknown fig10 variant '%s'", point.variant.c_str());
 
-  Simulator sim;
-  BeginTrialObs(&sim);
   DumbbellConfig cfg;
   cfg.bottleneck_rate = Rate::Mbps(96);
   cfg.rtt = TimeDelta::Millis(50);
@@ -74,13 +71,13 @@ TrialResult RunTrial(const TrialPoint& point) {
   // (BundleControlConfig::robust_elastic_exit) — the ROADMAP fix for phase 2
   // flapping out of pass-through during the cross flow's quiet spells.
   cfg.sendbox.robust_elastic_exit = robust;
-  Dumbbell net(&sim, cfg);
+  Dumbbell net(sim, cfg);
 
   SizeCdf cdf = SizeCdf::InternetCoreRouter();
   FctRecorder fct;
   WebWorkloadConfig wl;
   wl.offered_load = Rate::Mbps(84);
-  PoissonWebWorkload bundle_wl(&sim, net.flows(), net.server(), net.client(), &cdf, wl,
+  PoissonWebWorkload bundle_wl(sim, net.flows(), net.server(), net.client(), &cdf, wl,
                                point.seed, &fct);
 
   // Phase 2 (60..120 s): one backlogged Cubic flow, sized to drain shortly
@@ -88,7 +85,7 @@ TrialResult RunTrial(const TrialPoint& point) {
   TcpFlowParams cross;
   cross.cc = HostCcType::kCubic;
   cross.size_bytes = static_cast<int64_t>(kPhaseSeconds * 96e6 / 8 * 0.30);
-  sim.Schedule(TimeDelta::Seconds(60), [&]() {
+  sim->Schedule(TimeDelta::Seconds(60), [&]() {
     StartTcpFlow(net.flows(), net.cross_server(), net.cross_client(), cross, nullptr);
   });
 
@@ -99,11 +96,11 @@ TrialResult RunTrial(const TrialPoint& point) {
   cross_wl.offered_load = Rate::Mbps(10);
   cross_wl.start = Sec(120);
   cross_wl.stop = Sec(180);
-  PoissonWebWorkload cross_web(&sim, net.flows(), net.cross_server(),
+  PoissonWebWorkload cross_web(sim, net.flows(), net.cross_server(),
                                net.cross_client(), &cdf, cross_wl, point.seed + 77,
                                &cross_fct);
 
-  sim.RunUntil(Sec(3 * kPhaseSeconds));
+  sim->RunUntil(Sec(3 * kPhaseSeconds));
 
   TrialResult r;
   for (int phase = 0; phase < 3; ++phase) {
@@ -128,7 +125,6 @@ TrialResult RunTrial(const TrialPoint& point) {
     r.scalars["phase2_passthrough_frac"] = PassthroughFraction(
         net.controller()->mode_log(), Sec(kPhaseSeconds), Sec(2 * kPhaseSeconds));
   }
-  EndTrialObs(&sim, point, &r);
   return r;
 }
 

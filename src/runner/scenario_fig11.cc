@@ -7,7 +7,6 @@
 // (BasicDelay) rate control, at no long-term throughput cost.
 #include "src/metrics/fct.h"
 #include "src/runner/builtin_scenarios.h"
-#include "src/runner/trial_obs.h"
 #include "src/runner/ideal_fct.h"
 #include "src/topo/scenario.h"
 #include "src/util/check.h"
@@ -35,14 +34,13 @@ Fig11Variant VariantConfig(const std::string& name) {
   return {};
 }
 
-TrialResult RunTrial(const TrialPoint& point) {
+TrialResult RunTrial(const TrialPoint& point, Simulator* sim) {
   Fig11Variant var = VariantConfig(point.variant);
   ExperimentConfig cfg = PaperExperimentDefaults(var.bundler, point.seed);
   cfg.bundle_web_load = {Rate::Mbps(48)};
   cfg.cross_web_load = Rate::Mbps(point.Param("cross_mbps"));
   cfg.net.sendbox.cc = var.cc;
-  Experiment e(cfg);
-  BeginTrialObs(e.sim());
+  Experiment e(sim, cfg);
   e.Run();
 
   IdealFctFn ideal_fn = SharedIdealFctFn(cfg.net.bottleneck_rate, cfg.net.rtt, cfg.host_cc);
@@ -57,7 +55,6 @@ TrialResult RunTrial(const TrialPoint& point) {
           ->AverageRate(TimePoint::Zero() + cfg.warmup, TimePoint::Zero() + cfg.duration)
           .Mbps();
   r.scalars["requests_completed"] = static_cast<double>(e.fct()->completed());
-  EndTrialObs(e.sim(), point, &r);
   return r;
 }
 

@@ -7,7 +7,6 @@
 // up to 22% lower with 50 — because the sendbox holds back a small probing
 // queue even in pass-through mode (§5.1).
 #include "src/runner/builtin_scenarios.h"
-#include "src/runner/trial_obs.h"
 #include "src/topo/scenario.h"
 #include "src/util/check.h"
 
@@ -15,7 +14,7 @@ namespace bundler {
 namespace runner {
 namespace {
 
-TrialResult RunTrial(const TrialPoint& point) {
+TrialResult RunTrial(const TrialPoint& point, Simulator* sim) {
   bool bundler_on = point.variant == "bundler";
   BUNDLER_CHECK_MSG(bundler_on || point.variant == "status_quo",
                     "unknown fig12 variant '%s'", point.variant.c_str());
@@ -26,8 +25,7 @@ TrialResult RunTrial(const TrialPoint& point) {
   cfg.cross_bulk_flows = static_cast<int>(point.Param("competing_flows"));
   cfg.duration = TimeDelta::Seconds(60);
   cfg.warmup = TimeDelta::Seconds(15);
-  Experiment e(cfg);
-  BeginTrialObs(e.sim());
+  Experiment e(sim, cfg);
   e.Run();
 
   TrialResult r;
@@ -36,7 +34,6 @@ TrialResult RunTrial(const TrialPoint& point) {
           ->bundle_rate_meter()
           ->AverageRate(TimePoint::Zero() + cfg.warmup, TimePoint::Zero() + cfg.duration)
           .Mbps();
-  EndTrialObs(e.sim(), point, &r);
   return r;
 }
 

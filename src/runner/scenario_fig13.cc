@@ -8,7 +8,6 @@
 
 #include "src/metrics/fct.h"
 #include "src/runner/builtin_scenarios.h"
-#include "src/runner/trial_obs.h"
 #include "src/runner/ideal_fct.h"
 #include "src/topo/scenario.h"
 #include "src/util/check.h"
@@ -21,7 +20,7 @@ namespace {
 // carries bundle 0's share.
 constexpr double kFig13AggregateLoadMbps = 84;
 
-TrialResult RunTrial(const TrialPoint& point) {
+TrialResult RunTrial(const TrialPoint& point, Simulator* sim) {
   bool bundler_on = point.variant == "bundler";
   BUNDLER_CHECK_MSG(bundler_on || point.variant == "status_quo",
                     "unknown fig13 variant '%s'", point.variant.c_str());
@@ -32,8 +31,7 @@ TrialResult RunTrial(const TrialPoint& point) {
   cfg.net.num_bundles = 2;
   cfg.bundle_web_load = {Rate::Mbps(load0), Rate::Mbps(load1)};
   cfg.bundle_bulk_flows = 1;
-  Experiment e(cfg);
-  BeginTrialObs(e.sim());
+  Experiment e(sim, cfg);
   e.Run();
 
   IdealFctFn ideal_fn = SharedIdealFctFn(cfg.net.bottleneck_rate, cfg.net.rtt, cfg.host_cc);
@@ -57,7 +55,6 @@ TrialResult RunTrial(const TrialPoint& point) {
     // should be judged on.
     r.samples["tput_mbps_pooled" + suffix] = {tput};
   }
-  EndTrialObs(e.sim(), point, &r);
   return r;
 }
 

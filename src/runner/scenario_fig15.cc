@@ -14,7 +14,6 @@
 #include "src/metrics/fct.h"
 #include "src/runner/builtin_scenarios.h"
 #include "src/runner/ideal_fct.h"
-#include "src/runner/trial_obs.h"
 #include "src/topo/scenario.h"
 #include "src/util/check.h"
 
@@ -25,7 +24,7 @@ namespace {
 constexpr double kProxyCwndPkts = 450.0;
 constexpr int64_t kProxyQueuePkts = 40000;
 
-TrialResult RunTrial(const TrialPoint& point) {
+TrialResult RunTrial(const TrialPoint& point, Simulator* sim) {
   const bool bundler_on = point.variant != "status_quo";
   const bool proxy = point.variant == "bundler_proxy";
   BUNDLER_CHECK_MSG(proxy || point.variant == "bundler" || !bundler_on,
@@ -39,8 +38,7 @@ TrialResult RunTrial(const TrialPoint& point) {
     // "increasing the buffering at the sendbox to hold these packets").
     cfg.net.sendbox.queue_limit_pkts = kProxyQueuePkts;
   }
-  Experiment e(cfg);
-  BeginTrialObs(e.sim());
+  Experiment e(sim, cfg);
   e.Run();
 
   // Slowdowns are always relative to the unloaded-Cubic ideal, as in the
@@ -66,7 +64,6 @@ TrialResult RunTrial(const TrialPoint& point) {
         q.empty() ? 0.0 : q.Median();
   }
   r.scalars["requests_completed"] = static_cast<double>(e.fct()->completed());
-  EndTrialObs(e.sim(), point, &r);
   return r;
 }
 

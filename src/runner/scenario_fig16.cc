@@ -10,7 +10,6 @@
 #include <string>
 
 #include "src/runner/builtin_scenarios.h"
-#include "src/runner/trial_obs.h"
 #include "src/topo/internet.h"
 #include "src/util/check.h"
 
@@ -32,18 +31,14 @@ WanMode VariantMode(const std::string& name) {
   return WanMode::kBundler;
 }
 
-TrialResult RunTrial(const TrialPoint& point) {
+TrialResult RunTrial(const TrialPoint& point, Simulator* sim) {
   std::vector<WanPathSpec> paths = DefaultWanPaths();
   size_t path = static_cast<size_t>(point.Param("path"));
   BUNDLER_CHECK_MSG(path < paths.size(), "fig16 path index %zu out of range", path);
 
+  WanRunResult r = RunWanPath(sim, paths[path], VariantMode(point.variant), kDuration,
+                              kWarmup, point.seed);
   TrialResult out;
-  // RunWanPath owns its simulator; observe it through the hooks.
-  WanRunResult r = RunWanPath(
-      paths[path], VariantMode(point.variant), kDuration, kWarmup, point.seed,
-      /*pingpong_pairs=*/10, /*bulk_flows=*/20,
-      [](Simulator* sim) { BeginTrialObs(sim); },
-      [&](Simulator* sim) { EndTrialObs(sim, point, &out); });
   out.scalars["rtt_ms_p10"] = r.rtt_ms_p10;
   out.scalars["rtt_ms_p50"] = r.rtt_ms_p50;
   out.scalars["rtt_ms_p90"] = r.rtt_ms_p90;

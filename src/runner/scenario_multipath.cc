@@ -20,7 +20,6 @@
 #include "src/app/workload.h"
 #include "src/net/monitors.h"
 #include "src/runner/builtin_scenarios.h"
-#include "src/runner/trial_obs.h"
 #include "src/topo/dumbbell.h"
 #include "src/util/check.h"
 #include "src/util/stats.h"
@@ -38,18 +37,17 @@ struct MultipathCell {
   TimeDelta duration;
 };
 
-TrialResult RunMultipathTrial(const MultipathCell& cell, const TrialPoint& point) {
+TrialResult RunMultipathTrial(const MultipathCell& cell, const TrialPoint& point,
+                              Simulator* sim) {
   BUNDLER_CHECK_MSG(point.variant == "bundler", "unknown multipath variant '%s'",
                     point.variant.c_str());
-  Simulator sim;
-  BeginTrialObs(&sim);
   DumbbellConfig cfg;
   cfg.bottleneck_rate = cell.rate;
   cfg.rtt = cell.rtt;
   cfg.num_paths = cell.paths;
   cfg.path_delay_spread = cell.spread;
   cfg.sendbox.multipath_detection = false;
-  Dumbbell net(&sim, cfg);
+  Dumbbell net(sim, cfg);
 
   // One passive queue monitor per path link.
   std::vector<std::unique_ptr<QueueDelayMonitor>> path_queues;
@@ -58,7 +56,7 @@ TrialResult RunMultipathTrial(const MultipathCell& cell, const TrialPoint& point
     net.path_link(p)->AddObserver(path_queues.back().get());
   }
 
-  StartBulkFlows(&sim, net.flows(), net.server(), net.client(), cell.flows,
+  StartBulkFlows(sim, net.flows(), net.server(), net.client(), cell.flows,
                  HostCcType::kCubic, TimePoint::Zero());
 
   size_t samples = 0;
@@ -76,8 +74,8 @@ TrialResult RunMultipathTrial(const MultipathCell& cell, const TrialPoint& point
   double reading_sum = 0;
   int readings = 0;
   for (double t = total_s / 2; t <= total_s; t += 1.0) {
-    sim.RunUntil(TimePoint::Zero() + TimeDelta::SecondsF(t));
-    reading_sum += net.controller()->measurement().OutOfOrderFraction(sim.now());
+    sim->RunUntil(TimePoint::Zero() + TimeDelta::SecondsF(t));
+    reading_sum += net.controller()->measurement().OutOfOrderFraction(sim->now());
     ++readings;
   }
 
@@ -94,7 +92,6 @@ TrialResult RunMultipathTrial(const MultipathCell& cell, const TrialPoint& point
     r.scalars[prefix + "_queue_ms_mean"] = path_queues[p]->delay_ms().MeanInRange(
         TimePoint::Zero(), TimePoint::Zero() + cell.duration);
   }
-  EndTrialObs(&sim, point, &r);
   return r;
 }
 
@@ -118,7 +115,9 @@ void RegisterFig07MultipathObserve(ScenarioRegistry* registry) {
   topo.path_delay_spread = cell.spread;
   registry->Register(
       std::move(spec),
-      [cell](const TrialPoint& point) { return RunMultipathTrial(cell, point); },
+      [cell](const TrialPoint& point, Simulator* sim) {
+        return RunMultipathTrial(cell, point, sim);
+      },
       DumbbellTopology(topo, "fig07_multipath_observe"));
 }
 
@@ -138,14 +137,14 @@ void RegisterSec76MultipathThreshold(ScenarioRegistry* registry) {
   topo.path_delay_spread = topo.rtt;
   registry->Register(
       std::move(spec),
-      [](const TrialPoint& point) {
+      [](const TrialPoint& point, Simulator* sim) {
         // Paths differ in delay by one RTT each, as in the paper's emulation;
         // flows scale with the path count so every path carries traffic.
         TimeDelta rtt = TimeDelta::MillisF(point.Param("rtt_ms"));
         int paths = static_cast<int>(point.Param("paths"));
         MultipathCell cell = {Rate::Mbps(point.Param("rate_mbps")), rtt, paths, rtt,
                               std::max(8, 4 * paths), TimeDelta::Seconds(30)};
-        return RunMultipathTrial(cell, point);
+        return RunMultipathTrial(cell, point, sim);
       },
       DumbbellTopology(topo, "sec76_multipath_threshold"));
 }

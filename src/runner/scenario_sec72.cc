@@ -20,7 +20,6 @@
 #include "src/metrics/fct.h"
 #include "src/runner/builtin_scenarios.h"
 #include "src/runner/ideal_fct.h"
-#include "src/runner/trial_obs.h"
 #include "src/topo/dumbbell.h"
 #include "src/transport/udp_pingpong.h"
 #include "src/util/check.h"
@@ -43,33 +42,28 @@ DumbbellConfig StudyNet(bool bundler_on, SchedulerType sched) {
   return cfg;
 }
 
-TrialResult RunPingPong(bool bundler_on, const TrialPoint& point) {
-  Simulator sim;
-  BeginTrialObs(&sim);
-  Dumbbell net(&sim, StudyNet(bundler_on, SchedulerType::kFqCodel));
+TrialResult RunPingPong(bool bundler_on, const TrialPoint& point, Simulator* sim) {
+  Dumbbell net(sim, StudyNet(bundler_on, SchedulerType::kFqCodel));
 
   SizeCdf cdf = SizeCdf::InternetCoreRouter();
   FctRecorder fct;
   WebWorkloadConfig wl;
   wl.offered_load = Rate::Mbps(84);
-  PoissonWebWorkload web(&sim, net.flows(), net.server(), net.client(), &cdf, wl,
+  PoissonWebWorkload web(sim, net.flows(), net.server(), net.client(), &cdf, wl,
                          point.seed + 2, &fct);
   UdpPingPongClient* ping = StartUdpPingPong(net.flows(), net.client(), net.server());
   ping->SetRecordingWindow(Sec(10), Sec(60));
-  sim.RunUntil(Sec(60));
+  sim->RunUntil(Sec(60));
 
   TrialResult r;
   r.scalars["rtt_ms_p50"] = ping->rtt_ms().Median();
   r.scalars["rtt_ms_p99"] = ping->rtt_ms().Quantile(0.99);
   r.samples["rtt_ms"] = ping->rtt_ms().samples();
-  EndTrialObs(&sim, point, &r);
   return r;
 }
 
-TrialResult RunPriority(bool bundler_on, const TrialPoint& point) {
-  Simulator sim;
-  BeginTrialObs(&sim);
-  Dumbbell net(&sim, StudyNet(bundler_on, SchedulerType::kPrio));
+TrialResult RunPriority(bool bundler_on, const TrialPoint& point, Simulator* sim) {
+  Dumbbell net(sim, StudyNet(bundler_on, SchedulerType::kPrio));
 
   SizeCdf cdf = SizeCdf::InternetCoreRouter();
   FctRecorder high_fct;
@@ -79,9 +73,9 @@ TrialResult RunPriority(bool bundler_on, const TrialPoint& point) {
   high_wl.priority = 0;
   WebWorkloadConfig low_wl = high_wl;
   low_wl.priority = 1;
-  PoissonWebWorkload high(&sim, net.flows(), net.server(), net.client(), &cdf, high_wl,
+  PoissonWebWorkload high(sim, net.flows(), net.server(), net.client(), &cdf, high_wl,
                           point.seed + 10, &high_fct);
-  PoissonWebWorkload low(&sim, net.flows(), net.server(), net.client(), &cdf, low_wl,
+  PoissonWebWorkload low(sim, net.flows(), net.server(), net.client(), &cdf, low_wl,
                          point.seed + 12, &low_fct);
   // Backlogged bulk flows keep the bundle saturated, which is exactly when
   // strict priority matters.
@@ -91,7 +85,7 @@ TrialResult RunPriority(bool bundler_on, const TrialPoint& point) {
   bulk.priority = 2;
   StartTcpFlow(net.flows(), net.server(), net.client(), bulk, nullptr);
   StartTcpFlow(net.flows(), net.server(), net.client(), bulk, nullptr);
-  sim.RunUntil(Sec(60));
+  sim->RunUntil(Sec(60));
 
   IdealFctFn ideal = SharedIdealFctFn(kRate, kRtt, HostCcType::kCubic);
   RequestFilter measured;
@@ -103,18 +97,17 @@ TrialResult RunPriority(bool bundler_on, const TrialPoint& point) {
   r.scalars["median_slowdown_low"] = low_q.empty() ? 0.0 : low_q.Median();
   r.samples["slowdown_high"] = high_q.samples();
   r.samples["slowdown_low"] = low_q.samples();
-  EndTrialObs(&sim, point, &r);
   return r;
 }
 
-TrialResult RunTrial(const TrialPoint& point) {
+TrialResult RunTrial(const TrialPoint& point, Simulator* sim) {
   const std::string& v = point.variant;
   if (v == "fq_codel_status_quo" || v == "fq_codel_bundler") {
-    return RunPingPong(v == "fq_codel_bundler", point);
+    return RunPingPong(v == "fq_codel_bundler", point, sim);
   }
   BUNDLER_CHECK_MSG(v == "prio_status_quo" || v == "prio_bundler",
                     "unknown sec72 variant '%s'", v.c_str());
-  return RunPriority(v == "prio_bundler", point);
+  return RunPriority(v == "prio_bundler", point, sim);
 }
 
 }  // namespace

@@ -7,10 +7,49 @@
 #include <thread>
 #include <utility>
 
+#include "src/sim/simulator.h"
 #include "src/util/check.h"
 
 namespace bundler {
 namespace runner {
+
+std::string TrialSignature(const TrialPoint& point) {
+  std::string sig = point.variant;
+  for (const auto& [axis, value] : point.params) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.12g", value);
+    sig += "|" + axis + "=" + buf;
+  }
+  sig += "|seed=" + std::to_string(point.seed);
+  return sig;
+}
+
+namespace {
+
+// One trial on the calling worker: its simulator, armed before the body
+// builds anything, then the dump and the trace capture.
+TrialResult RunOne(const Scenario& scenario, const TrialPoint& point,
+                   const RunnerOptions& options) {
+  Simulator sim;
+  if (options.trace_mask != 0) {
+    sim.trace().Enable(options.trace_mask, options.trace_ring);
+  }
+  TrialResult result = scenario.run(point, &sim);
+  // The body's topology is gone by now; Net froze its exposed counters.
+  result.scalars["sim.events_dispatched"] =
+      static_cast<double>(sim.events_dispatched());
+  result.scalars["sim.queue_max_heap"] =
+      static_cast<double>(sim.queue_profile().max_heap);
+  sim.counters().DumpTo(&result.scalars, "ctr.");
+  if (options.trace_mask != 0) {
+    result.trace = "{\"type\":\"trial\",\"signature\":\"" + TrialSignature(point) +
+                   "\"}\n";
+    sim.trace().WriteJsonl(&result.trace);
+  }
+  return result;
+}
+
+}  // namespace
 
 TrialRunner::TrialRunner(RunnerOptions options) : options_(std::move(options)) {
   if (options_.threads < 1) {
@@ -37,7 +76,7 @@ std::vector<TrialResult> TrialRunner::Run(const Scenario& scenario,
       }
       const TrialPoint& point = plan[i];
       try {
-        results[i] = scenario.run(point);
+        results[i] = RunOne(scenario, point, options_);
       } catch (const std::exception& e) {
         std::fprintf(stderr, "trial %d (%s seed=%llu) failed: %s\n", point.trial_index,
                      point.variant.c_str(),

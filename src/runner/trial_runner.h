@@ -3,9 +3,18 @@
 // trials are embarrassingly parallel; results land in a vector indexed by
 // plan position, which makes every downstream aggregate independent of the
 // thread count and of scheduling order.
+//
+// The runner owns everything observed about a trial. It constructs the
+// trial's Simulator on the worker, arms its flight recorder (when
+// `trace_mask` is set) before the trial body builds anything, and after the
+// body returns dumps the counter registry and simulator profile into the
+// result's scalars ("ctr." / "sim." prefixes) and serializes the trace into
+// TrialResult::trace.
 #ifndef SRC_RUNNER_TRIAL_RUNNER_H_
 #define SRC_RUNNER_TRIAL_RUNNER_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -18,7 +27,16 @@ struct RunnerOptions {
   int threads = 1;
   int trials = 0;        // <= 0: use spec.default_trials
   bool progress = false;  // per-trial completion lines on stderr
+  // Trace categories armed in every trial (obs::TraceCat bits); 0 traces
+  // nothing. `trace_ring` is the per-trial ring size in records (40 bytes
+  // each, oldest evicted first).
+  uint32_t trace_mask = 0;
+  size_t trace_ring = 262144;
 };
+
+// "variant|axis=value|...|seed=N": stable id for one trial, independent of
+// plan position and thread interleaving; heads each trial's trace.
+std::string TrialSignature(const TrialPoint& point);
 
 class TrialRunner {
  public:

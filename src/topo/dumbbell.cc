@@ -10,6 +10,13 @@
 
 namespace bundler {
 
+namespace {
+// The bottleneck's drop-tail limit as a multiple of its BDP, and the rate of
+// every access link.
+constexpr double kBottleneckBufferBdp = 2.0;
+constexpr Rate kEdgeRate = Rate::Gbps(1);
+}  // namespace
+
 SiteId BundleSrcSite(int bundle) { return static_cast<SiteId>(10 + bundle); }
 SiteId BundleDstSite(int bundle) { return static_cast<SiteId>(100 + bundle); }
 SiteId CrossSrcSite() { return 200; }
@@ -24,13 +31,11 @@ NetBuilder DumbbellBuilder(const DumbbellConfig& config, DumbbellGraph* graph) {
   BUNDLER_CHECK(config.num_paths >= 1);
   double bdp_bytes =
       config.bottleneck_rate.BytesPerSecond() * config.rtt.ToSeconds();
-  int64_t buffer_bytes =
-      static_cast<int64_t>(bdp_bytes * config.bottleneck_buffer_bdp);
+  int64_t buffer_bytes = static_cast<int64_t>(bdp_bytes * kBottleneckBufferBdp);
   buffer_bytes = std::max<int64_t>(buffer_bytes, 8 * kMtuBytes);
 
   NetBuilder b;
   DumbbellGraph g;
-  g.buffer_bytes = buffer_bytes;
 
   // Nodes.
   for (int i = 0; i < config.num_bundles; ++i) {
@@ -48,7 +53,7 @@ NetBuilder DumbbellBuilder(const DumbbellConfig& config, DumbbellGraph* graph) {
   // bottleneck router; the bottleneck (single link, DRR when in-network FQ is
   // on, or a load-balanced multipath) delivers to the destination router.
   NetBuilder::LinkSpec edge_spec;
-  edge_spec.rate = config.edge_rate;
+  edge_spec.rate = kEdgeRate;
   edge_spec.buffer_bytes = 16 * 1024 * 1024;
   for (int i = 0; i < config.num_bundles; ++i) {
     g.edge_links.push_back(b.AddLink(g.servers[static_cast<size_t>(i)],
@@ -82,7 +87,7 @@ NetBuilder DumbbellBuilder(const DumbbellConfig& config, DumbbellGraph* graph) {
       specs.push_back(spec);
     }
     g.bottleneck = b.AddMultipathLink(bottleneck_router, dst_router, specs,
-                                      config.lb_mode, "bottleneck");
+                                      LoadBalanceMode::kFlowHash, "bottleneck");
   }
 
   for (int i = 0; i < config.num_bundles; ++i) {
@@ -119,14 +124,12 @@ NetBuilder DumbbellBuilder(const DumbbellConfig& config, DumbbellGraph* graph) {
   }
 
   // Monitors on every bottleneck path: queue delay over all packets, then
-  // per-bundle and cross-traffic rate meters.
+  // per-bundle rate meters.
   g.bottleneck_delay = b.AddQueueMonitor(g.bottleneck);
   for (int i = 0; i < config.num_bundles; ++i) {
     g.bundle_meters.push_back(b.AddRateMeter(g.bottleneck, config.rate_meter_window,
                                              Dumbbell::BundleDataFilter(i)));
   }
-  g.cross_meter = b.AddRateMeter(g.bottleneck, config.rate_meter_window,
-                                 PacketFilter::DataFrom(CrossSrcSite()));
 
   if (graph != nullptr) {
     *graph = g;
@@ -149,16 +152,6 @@ BundleController* Dumbbell::controller(int bundle) {
 
 Receivebox* Dumbbell::receivebox(int bundle) {
   return config_.bundler_enabled ? net_->receivebox(bundle) : nullptr;
-}
-
-Link* Dumbbell::bottleneck_link() {
-  BUNDLER_CHECK(config_.num_paths == 1);
-  return net_->link(graph_.bottleneck);
-}
-
-MultipathLink* Dumbbell::multipath() {
-  BUNDLER_CHECK(config_.num_paths > 1);
-  return net_->multipath(graph_.bottleneck);
 }
 
 size_t Dumbbell::num_paths() const { return static_cast<size_t>(config_.num_paths); }

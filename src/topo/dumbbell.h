@@ -22,11 +22,13 @@
 
 namespace bundler {
 
+// What callers vary. Fixed by the preset: a drop-tail bottleneck buffer of
+// two BDPs (split evenly across paths), 1 Gbit/s access links, and flow-hash
+// load balancing over a multipath bottleneck.
 struct DumbbellConfig {
   Rate bottleneck_rate = Rate::Mbps(96);
   TimeDelta rtt = TimeDelta::Millis(50);
-  double bottleneck_buffer_bdp = 2.0;  // droptail limit as a multiple of BDP
-  bool in_network_fq = false;          // DRR at the bottleneck ("In-Network")
+  bool in_network_fq = false;  // DRR at the bottleneck ("In-Network")
 
   int num_bundles = 1;
   bool bundler_enabled = true;
@@ -34,9 +36,7 @@ struct DumbbellConfig {
 
   int num_paths = 1;  // >1 = load-balanced bottleneck (§5.2 / §7.6)
   TimeDelta path_delay_spread = TimeDelta::Zero();  // extra delay per path index
-  LoadBalanceMode lb_mode = LoadBalanceMode::kFlowHash;
 
-  Rate edge_rate = Rate::Gbps(1);
   Rate reverse_rate = Rate::Gbps(1);
   // Effectively unbounded by default; narrow it together with reverse_rate
   // to give the shared reverse path a provider-style capped standing queue
@@ -67,8 +67,6 @@ struct DumbbellGraph {
   NetBuilder::EdgeId reverse_link = -1;
   NetBuilder::MonitorId bottleneck_delay = -1;
   std::vector<NetBuilder::MonitorId> bundle_meters;
-  NetBuilder::MonitorId cross_meter = -1;
-  int64_t buffer_bytes = 0;
 };
 
 // Declares the §7.1 dumbbell on a NetBuilder. `graph` (optional) receives the
@@ -94,13 +92,11 @@ class Dumbbell {
   BundleController* controller(int bundle = 0);
   Receivebox* receivebox(int bundle = 0);
 
-  // Single-path accessors (CHECK-fail when num_paths > 1).
-  Link* bottleneck_link();
-  MultipathLink* multipath();
+  // The bottleneck's paths: one link unless num_paths > 1.
   size_t num_paths() const;
   Link* path_link(size_t i);
 
-  // Bundle `i`'s access link (server_i -> bottleneck router, `edge_rate`).
+  // Bundle `i`'s 1 Gbit/s access link (server_i -> bottleneck router).
   Link* edge_link(int bundle = 0);
 
   FlowTable* flows() { return net_->flows(); }
@@ -112,20 +108,17 @@ class Dumbbell {
   // interpose fault injectors here via Receivebox::set_reverse.
   PacketHandler* reverse_path() { return net_->router(graph_.reverse_agg); }
 
-  // Bottleneck observation: queue delay over all packets, and per-bundle /
-  // cross-traffic rate meters (attached to every path).
+  // Bottleneck observation: queue delay over all packets, and per-bundle
+  // rate meters (attached to every path).
   QueueDelayMonitor* bottleneck_delay() {
     return net_->queue_monitor(graph_.bottleneck_delay);
   }
   RateMeter* bundle_rate_meter(int bundle = 0) {
     return net_->rate_meter(graph_.bundle_meters[static_cast<size_t>(bundle)]);
   }
-  RateMeter* cross_rate_meter() { return net_->rate_meter(graph_.cross_meter); }
 
   // Monitor filter for bundle `i`'s data packets.
   static PacketFilter BundleDataFilter(int bundle);
-
-  int64_t bottleneck_buffer_bytes() const { return graph_.buffer_bytes; }
 
  private:
   Simulator* sim_;

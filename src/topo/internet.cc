@@ -13,6 +13,10 @@ namespace bundler {
 namespace {
 constexpr SiteId kHubSite = 10;
 constexpr SiteId kRegionSite = 100;
+// The §8 workload: closed-loop UDP request/response pairs, plus backlogged
+// flows outside Base mode.
+constexpr int kPingPongPairs = 10;
+constexpr int kBulkFlows = 20;
 }  // namespace
 
 std::vector<WanPathSpec> DefaultWanPaths() {
@@ -78,24 +82,17 @@ NetBuilder WanPathBuilder(const WanPathSpec& spec, bool bundled, WanGraph* graph
   return b;
 }
 
-WanRunResult RunWanPath(const WanPathSpec& spec, WanMode mode, TimeDelta duration,
-                        TimeDelta warmup, uint64_t seed, int pingpong_pairs,
-                        int bulk_flows,
-                        const std::function<void(Simulator*)>& obs_begin,
-                        const std::function<void(Simulator*)>& obs_end) {
-  Simulator sim;
+WanRunResult RunWanPath(Simulator* sim, const WanPathSpec& spec, WanMode mode,
+                        TimeDelta duration, TimeDelta warmup, uint64_t seed) {
   WanGraph g;
-  std::unique_ptr<Net> net = WanPathBuilder(spec, mode == WanMode::kBundler, &g).Build(&sim);
-  if (obs_begin) {
-    obs_begin(&sim);
-  }
+  std::unique_ptr<Net> net = WanPathBuilder(spec, mode == WanMode::kBundler, &g).Build(sim);
   Host* hub = net->host(g.hub);
   Host* region = net->host(g.region);
 
   // 10 closed-loop UDP request/response pairs; responses (hub -> region)
   // traverse the bundle direction.
   std::vector<UdpPingPongClient*> pingers;
-  for (int i = 0; i < pingpong_pairs; ++i) {
+  for (int i = 0; i < kPingPongPairs; ++i) {
     UdpPingPongClient* c = StartUdpPingPong(net->flows(), region, hub);
     c->SetRecordingWindow(TimePoint::Zero() + warmup, TimePoint::Zero() + duration);
     pingers.push_back(c);
@@ -109,11 +106,11 @@ WanRunResult RunWanPath(const WanPathSpec& spec, WanMode mode, TimeDelta duratio
   std::vector<TcpSender*> bulk;
   FlowTable* flows = net->flows();
   if (mode != WanMode::kBase) {
-    bulk.reserve(static_cast<size_t>(bulk_flows));
+    bulk.reserve(static_cast<size_t>(kBulkFlows));
     Rng rng(seed * 0x9E3779B97F4A7C15ull + 1);
-    for (int i = 0; i < bulk_flows; ++i) {
+    for (int i = 0; i < kBulkFlows; ++i) {
       TimeDelta jitter = TimeDelta::SecondsF(rng.NextDouble() * spec.base_rtt.ToSeconds());
-      sim.Schedule(jitter, [&bulk, flows, hub, region]() {
+      sim->Schedule(jitter, [&bulk, flows, hub, region]() {
         TcpFlowParams params;
         params.size_bytes = -1;  // backlogged
         params.cc = HostCcType::kCubic;
@@ -122,10 +119,7 @@ WanRunResult RunWanPath(const WanPathSpec& spec, WanMode mode, TimeDelta duratio
     }
   }
 
-  sim.RunUntil(TimePoint::Zero() + duration);
-  if (obs_end) {
-    obs_end(&sim);
-  }
+  sim->RunUntil(TimePoint::Zero() + duration);
 
   QuantileEstimator rtts;
   for (UdpPingPongClient* c : pingers) {

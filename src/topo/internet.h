@@ -13,7 +13,6 @@
 #ifndef SRC_TOPO_INTERNET_H_
 #define SRC_TOPO_INTERNET_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -64,15 +63,10 @@ struct WanRunResult {
   double bulk_goodput_mbps = 0;
 };
 
-// Runs one path in one mode and reports RTT/goodput statistics. The optional
-// hooks observe the run's private simulator: `obs_begin` fires after topology
-// construction (before any event runs), `obs_end` after the run completes —
-// the runner layer uses them to arm/collect per-trial observability.
-WanRunResult RunWanPath(const WanPathSpec& spec, WanMode mode, TimeDelta duration,
-                        TimeDelta warmup, uint64_t seed, int pingpong_pairs = 10,
-                        int bulk_flows = 20,
-                        const std::function<void(Simulator*)>& obs_begin = nullptr,
-                        const std::function<void(Simulator*)>& obs_end = nullptr);
+// Builds one path in one mode into `sim`, runs it for `duration`, and reports
+// RTT/goodput statistics. The topology is torn down before this returns.
+WanRunResult RunWanPath(Simulator* sim, const WanPathSpec& spec, WanMode mode,
+                        TimeDelta duration, TimeDelta warmup, uint64_t seed);
 
 }  // namespace bundler
 

@@ -360,7 +360,7 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
                            : sims[static_cast<size_t>(plan->group_of(n))];
   };
 
-  std::unique_ptr<Net> net(new Net(sims[0]));
+  std::unique_ptr<Net> net(new Net(sims));
 
   // --- Phase 1: nodes (passive). ---
   net->hosts_.resize(nodes_.size());
@@ -822,7 +822,11 @@ std::string NetBuilder::ToDot(const std::string& graph_name) const {
   return dot;
 }
 
-Net::~Net() = default;
+Net::~Net() {
+  for (Simulator* sim : sims_) {
+    sim->counters().FreezeExposed();
+  }
+}
 
 Host* Net::host(NetBuilder::NodeId node) {
   BUNDLER_CHECK_MSG(node >= 0 && static_cast<size_t>(node) < hosts_.size() &&
@@ -880,12 +884,6 @@ Link* Net::path_link(NetBuilder::EdgeId edge, size_t path) {
   }
   BUNDLER_CHECK(path == 0);
   return link(edge);
-}
-
-PacketHandler* Net::edge_entry(NetBuilder::EdgeId edge) {
-  BUNDLER_CHECK_MSG(edge >= 0 && static_cast<size_t>(edge) < edge_entries_.size(),
-                    "no edge %d", edge);
-  return edge_entries_[static_cast<size_t>(edge)];
 }
 
 SendboxManager* Net::sendbox(NetBuilder::BundleId bundle) {

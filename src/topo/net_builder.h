@@ -204,14 +204,18 @@ class NetBuilder {
 };
 
 // The materialized network. Owns every component; accessors hand out raw
-// pointers valid for the Net's lifetime. Ids are the builder's ids.
+// pointers valid for the Net's lifetime. Ids are the builder's ids. Its
+// destructor freezes every exposed counter of the simulators it was built
+// into (obs::CounterRegistry::FreezeExposed) before its own components are
+// destroyed, so a trial's counters can be dumped after its topology is gone.
+// Those simulators, and any component outside the Net that exposes counters
+// into them, must therefore outlive it.
 class Net {
  public:
   Net(const Net&) = delete;
   Net& operator=(const Net&) = delete;
   ~Net();
 
-  Simulator* sim() { return sim_; }
   FlowTable* flows() { return &flows_; }
 
   Host* host(NetBuilder::NodeId node);
@@ -224,9 +228,6 @@ class Net {
   // Uniform per-path view: a plain link has one path (itself).
   size_t num_paths(NetBuilder::EdgeId edge);
   Link* path_link(NetBuilder::EdgeId edge, size_t path);
-  // The handler packets enter when traversing this edge (the link itself, or
-  // for wires the delivery chain). This is what a site's egress points at.
-  PacketHandler* edge_entry(NetBuilder::EdgeId edge);
 
   // The SendboxManager carrying `bundle` (its source site's sendbox), and
   // the bundle's receivebox.
@@ -248,9 +249,9 @@ class Net {
 
  private:
   friend class NetBuilder;
-  explicit Net(Simulator* sim) : sim_(sim) {}
+  explicit Net(std::vector<Simulator*> sims) : sims_(std::move(sims)) {}
 
-  Simulator* sim_;
+  std::vector<Simulator*> sims_;  // every simulator BuildImpl built into
   FlowTable flows_;
 
   // Indexed by builder ids; entries are null where the id is a different
@@ -259,6 +260,8 @@ class Net {
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<std::unique_ptr<MultipathLink>> multipaths_;
+  // The handler packets enter when traversing each edge (the link itself,
+  // or for wires the delivery chain): what a site's egress points at.
   std::vector<PacketHandler*> edge_entries_;
   std::vector<std::unique_ptr<SendboxManager>> managers_;  // by site node id
   // bundle id -> (site node, declaration slot within that site's manager).

@@ -6,9 +6,8 @@
 
 namespace bundler {
 
-IdealFctCache::IdealFctCache(Rate bottleneck_rate, TimeDelta rtt, HostCcType host_cc,
-                             double buffer_bdp)
-    : rate_(bottleneck_rate), rtt_(rtt), cc_(host_cc), buffer_bdp_(buffer_bdp) {}
+IdealFctCache::IdealFctCache(Rate bottleneck_rate, TimeDelta rtt, HostCcType host_cc)
+    : rate_(bottleneck_rate), rtt_(rtt), cc_(host_cc) {}
 
 TimeDelta IdealFctCache::Get(int64_t size_bytes) {
   auto it = cache_.find(size_bytes);
@@ -19,7 +18,6 @@ TimeDelta IdealFctCache::Get(int64_t size_bytes) {
   DumbbellConfig cfg;
   cfg.bottleneck_rate = rate_;
   cfg.rtt = rtt_;
-  cfg.bottleneck_buffer_bdp = buffer_bdp_;
   cfg.bundler_enabled = false;
   Dumbbell net(&sim, cfg);
   FctRecorder fct;
@@ -53,8 +51,9 @@ ExperimentConfig PaperExperimentDefaults(bool bundler_on, uint64_t seed) {
   return cfg;
 }
 
-Experiment::Experiment(const ExperimentConfig& config) : config_(config) {
-  net_ = std::make_unique<Dumbbell>(&sim_, config_.net);
+Experiment::Experiment(Simulator* sim, const ExperimentConfig& config)
+    : config_(config), sim_(sim) {
+  net_ = std::make_unique<Dumbbell>(sim_, config_.net);
   static const SizeCdf kCdf = SizeCdf::InternetCoreRouter();
 
   std::vector<Rate> loads = config_.bundle_web_load;
@@ -64,7 +63,6 @@ Experiment::Experiment(const ExperimentConfig& config) : config_(config) {
   }
   loads.resize(static_cast<size_t>(config_.net.num_bundles), Rate::Zero());
 
-  bulk_senders_.resize(static_cast<size_t>(config_.net.num_bundles));
   for (int i = 0; i < config_.net.num_bundles; ++i) {
     fcts_.push_back(std::make_unique<FctRecorder>());
     if (loads[i].bps() > 0) {
@@ -73,28 +71,26 @@ Experiment::Experiment(const ExperimentConfig& config) : config_(config) {
       wc.host_cc = config_.host_cc;
       wc.const_cwnd_pkts = config_.const_cwnd_pkts;
       workloads_.push_back(std::make_unique<PoissonWebWorkload>(
-          &sim_, net_->flows(), net_->server(i), net_->client(i), &kCdf, wc,
+          sim_, net_->flows(), net_->server(i), net_->client(i), &kCdf, wc,
           config_.seed + static_cast<uint64_t>(i) * 7919, fcts_.back().get()));
     }
     if (config_.bundle_bulk_flows > 0) {
-      bulk_senders_[i] =
-          StartBulkFlows(&sim_, net_->flows(), net_->server(i), net_->client(i),
-                         config_.bundle_bulk_flows, config_.host_cc, TimePoint::Zero());
+      StartBulkFlows(sim_, net_->flows(), net_->server(i), net_->client(i),
+                     config_.bundle_bulk_flows, config_.host_cc, TimePoint::Zero());
     }
   }
 
   cross_fct_ = std::make_unique<FctRecorder>();
   if (config_.cross_web_load.bps() > 0) {
     WebWorkloadConfig wc;
-    wc.offered_load = config_.cross_web_load;
-    wc.host_cc = config_.cross_cc;
+    wc.offered_load = config_.cross_web_load;  // endhost Cubic, the default
     cross_workload_ = std::make_unique<PoissonWebWorkload>(
-        &sim_, net_->flows(), net_->cross_server(), net_->cross_client(), &kCdf, wc,
+        sim_, net_->flows(), net_->cross_server(), net_->cross_client(), &kCdf, wc,
         config_.seed + 104729, cross_fct_.get());
   }
   if (config_.cross_bulk_flows > 0) {
-    StartBulkFlows(&sim_, net_->flows(), net_->cross_server(), net_->cross_client(),
-                   config_.cross_bulk_flows, config_.cross_cc, TimePoint::Zero());
+    StartBulkFlows(sim_, net_->flows(), net_->cross_server(), net_->cross_client(),
+                   config_.cross_bulk_flows, HostCcType::kCubic, TimePoint::Zero());
   }
 }
 

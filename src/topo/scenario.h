@@ -1,7 +1,7 @@
 // Experiment glue shared by runner scenarios, examples, and integration
-// tests: a self-contained run (simulator + dumbbell + workloads + FCT
-// recording) and the unloaded-network ideal FCT cache that slowdown metrics
-// divide by.
+// tests: one run's dumbbell, workloads and FCT recording, built into a
+// caller's simulator, and the unloaded-network ideal FCT cache that slowdown
+// metrics divide by.
 #ifndef SRC_TOPO_SCENARIO_H_
 #define SRC_TOPO_SCENARIO_H_
 
@@ -19,8 +19,7 @@ namespace bundler {
 // single flow on an idle copy of the network with the Bundler disabled.
 class IdealFctCache {
  public:
-  IdealFctCache(Rate bottleneck_rate, TimeDelta rtt, HostCcType host_cc,
-                double buffer_bdp = 2.0);
+  IdealFctCache(Rate bottleneck_rate, TimeDelta rtt, HostCcType host_cc);
 
   TimeDelta Get(int64_t size_bytes);
   IdealFctFn Fn();
@@ -29,7 +28,6 @@ class IdealFctCache {
   Rate rate_;
   TimeDelta rtt_;
   HostCcType cc_;
-  double buffer_bdp_;
   std::map<int64_t, TimeDelta> cache_;
 };
 
@@ -47,9 +45,9 @@ struct ExperimentConfig {
   std::vector<Rate> bundle_web_load;
   int bundle_bulk_flows = 0;  // backlogged flows inside every bundle
 
-  Rate cross_web_load = Rate::Zero();  // unbundled web-mix cross traffic
-  int cross_bulk_flows = 0;            // unbundled backlogged (buffer-filling)
-  HostCcType cross_cc = HostCcType::kCubic;
+  // Unbundled cross traffic, all endhost Cubic.
+  Rate cross_web_load = Rate::Zero();  // web-mix
+  int cross_bulk_flows = 0;            // backlogged (buffer-filling)
 };
 
 // The paper's default emulation (§7.1), scaled in duration only: 96 Mbit/s
@@ -58,35 +56,31 @@ struct ExperimentConfig {
 // figure or scenario requires.
 ExperimentConfig PaperExperimentDefaults(bool bundler_on, uint64_t seed = 1);
 
-// Owns everything needed for one run.
+// One run built into `sim`, which must outlive it: the dumbbell, its
+// workloads and their FCT recorders.
 class Experiment {
  public:
-  explicit Experiment(const ExperimentConfig& config);
+  Experiment(Simulator* sim, const ExperimentConfig& config);
 
   void Run() { RunUntil(config_.duration); }
-  void RunUntil(TimeDelta t) { sim_.RunUntil(TimePoint::Zero() + t); }
+  void RunUntil(TimeDelta t) { sim_->RunUntil(TimePoint::Zero() + t); }
 
-  Simulator* sim() { return &sim_; }
+  Simulator* sim() { return sim_; }
   Dumbbell* net() { return net_.get(); }
   FctRecorder* fct(int bundle = 0) { return fcts_[bundle].get(); }
-  FctRecorder* cross_fct() { return cross_fct_.get(); }
   const ExperimentConfig& config() const { return config_; }
-  std::vector<TcpSender*>& bundle_bulk_senders(int bundle = 0) {
-    return bulk_senders_[bundle];
-  }
 
   // Filter matching the measurement interval (post-warmup requests).
   RequestFilter MeasuredRequests() const;
 
  private:
   ExperimentConfig config_;
-  Simulator sim_;
+  Simulator* sim_;
   std::unique_ptr<Dumbbell> net_;
   std::vector<std::unique_ptr<FctRecorder>> fcts_;
   std::unique_ptr<FctRecorder> cross_fct_;
   std::vector<std::unique_ptr<PoissonWebWorkload>> workloads_;
   std::unique_ptr<PoissonWebWorkload> cross_workload_;
-  std::vector<std::vector<TcpSender*>> bulk_senders_;
 };
 
 }  // namespace bundler

@@ -41,11 +41,13 @@ double MedianSlowdown(Experiment& e, IdealFctCache& ideal) {
 TEST(IntegrationTest, BundlerSfqBeatsStatusQuoMedianSlowdown) {
   IdealFctCache ideal(Rate::Mbps(24), TimeDelta::Millis(50), HostCcType::kCubic);
 
-  Experiment status_quo(BaseScenario(false));
+  Simulator status_quo_sim;
+  Experiment status_quo(&status_quo_sim, BaseScenario(false));
   status_quo.Run();
   double sq = MedianSlowdown(status_quo, ideal);
 
-  Experiment with_bundler(BaseScenario(true));
+  Simulator with_bundler_sim;
+  Experiment with_bundler(&with_bundler_sim, BaseScenario(true));
   with_bundler.Run();
   double bd = MedianSlowdown(with_bundler, ideal);
 
@@ -61,11 +63,13 @@ TEST(IntegrationTest, InNetworkFqIsTheUpperBound) {
   IdealFctCache ideal(Rate::Mbps(24), TimeDelta::Millis(50), HostCcType::kCubic);
   ExperimentConfig cfg = BaseScenario(false);
   cfg.net.in_network_fq = true;
-  Experiment in_network(cfg);
+  Simulator in_network_sim;
+  Experiment in_network(&in_network_sim, cfg);
   in_network.Run();
   double innet = MedianSlowdown(in_network, ideal);
 
-  Experiment with_bundler(BaseScenario(true));
+  Simulator with_bundler_sim;
+  Experiment with_bundler(&with_bundler_sim, BaseScenario(true));
   with_bundler.Run();
   double bd = MedianSlowdown(with_bundler, ideal);
 
@@ -75,9 +79,11 @@ TEST(IntegrationTest, InNetworkFqIsTheUpperBound) {
 
 TEST(IntegrationTest, ShortFlowsGainTheMost) {
   IdealFctCache ideal(Rate::Mbps(24), TimeDelta::Millis(50), HostCcType::kCubic);
-  Experiment status_quo(BaseScenario(false));
+  Simulator status_quo_sim;
+  Experiment status_quo(&status_quo_sim, BaseScenario(false));
   status_quo.Run();
-  Experiment with_bundler(BaseScenario(true));
+  Simulator with_bundler_sim;
+  Experiment with_bundler(&with_bundler_sim, BaseScenario(true));
   with_bundler.Run();
 
   RequestFilter small = RequestFilter::SmallFlows();
@@ -257,7 +263,8 @@ TEST(IntegrationTest, CompetingBundlesBothKeepThroughput) {
   cfg.warmup = TimeDelta::Seconds(5);
   cfg.bundle_web_load = {Rate::Mbps(9), Rate::Mbps(9)};
   cfg.bundle_bulk_flows = 1;
-  Experiment e(cfg);
+  Simulator sim;
+  Experiment e(&sim, cfg);
   e.Run();
   Rate b0 = e.net()->bundle_rate_meter(0)->AverageRate(Sec(5), Sec(25));
   Rate b1 = e.net()->bundle_rate_meter(1)->AverageRate(Sec(5), Sec(25));
@@ -275,7 +282,8 @@ TEST(IntegrationTest, ExperimentWarmupFilterExcludesEarlyRequests) {
   ExperimentConfig cfg = BaseScenario(true);
   cfg.duration = TimeDelta::Seconds(8);
   cfg.warmup = TimeDelta::Seconds(4);
-  Experiment e(cfg);
+  Simulator sim;
+  Experiment e(&sim, cfg);
   e.Run();
   RequestFilter f = e.MeasuredRequests();
   EXPECT_EQ(f.min_start, Sec(4));
@@ -288,10 +296,12 @@ TEST(IntegrationTest, SeedsChangeWorkloadButNotStructure) {
   ExperimentConfig cfg = BaseScenario(true);
   cfg.duration = TimeDelta::Seconds(6);
   cfg.seed = 1;
-  Experiment e1(cfg);
+  Simulator e1_sim;
+  Experiment e1(&e1_sim, cfg);
   e1.Run();
   cfg.seed = 2;
-  Experiment e2(cfg);
+  Simulator e2_sim;
+  Experiment e2(&e2_sim, cfg);
   e2.Run();
   EXPECT_NE(e1.fct()->total(), e2.fct()->total());
   EXPECT_GT(e1.fct()->completed(), 100u);
@@ -306,7 +316,8 @@ TEST(IntegrationTest, PaperDefaultRunAllocatesAtMostOnePerHundredEvents) {
   ExperimentConfig cfg = PaperExperimentDefaults(/*bundler_on=*/true, /*seed=*/1);
   cfg.duration = TimeDelta::Seconds(5);
   cfg.warmup = TimeDelta::Seconds(1);
-  Experiment e(cfg);
+  Simulator sim;
+  Experiment e(&sim, cfg);
   const uint64_t before = HeapAllocs();
   e.Run();
   const uint64_t allocs = HeapAllocs() - before;

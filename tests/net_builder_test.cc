@@ -296,7 +296,8 @@ TEST(NetBuilderTest, HandDeclaredDumbbellByteIdenticalToPreset) {
   cfg.warmup = TimeDelta::Seconds(1);
 
   // Path A: the Dumbbell preset via Experiment.
-  Experiment preset(cfg);
+  Simulator preset_sim;
+  Experiment preset(&preset_sim, cfg);
   std::string json_preset = SerializeTrial(RunFig09StyleTrial(preset));
 
   // Path B: the same graph declared by hand on the builder, workload wired
@@ -340,7 +341,6 @@ TEST(NetBuilderTest, HandDeclaredDumbbellByteIdenticalToPreset) {
 
   b.AddQueueMonitor(bottleneck);
   b.AddRateMeter(bottleneck, cfg.net.rate_meter_window, Dumbbell::BundleDataFilter(0));
-  b.AddRateMeter(bottleneck, cfg.net.rate_meter_window, PacketFilter::DataFrom(CrossSrcSite()));
 
   Simulator sim;
   std::unique_ptr<Net> net = b.Build(&sim);

@@ -1,13 +1,16 @@
-// Tests for the observability layer (src/obs + runner glue): flight-recorder
-// ring semantics (wrap, oldest-first eviction, dropped accounting), category
-// filtering, the zero-allocation guarantee of the enabled hot path, counter
-// registry dump behavior, qdisc drop accounting through the NVI wrappers,
-// and the thread-count byte-identity of traces captured on worker threads.
+// Tests for the observability layer (src/obs, and the TrialRunner that owns
+// each trial's): flight-recorder ring semantics (wrap, oldest-first
+// eviction, dropped accounting), category filtering, the zero-allocation
+// guarantee of the enabled hot path, counter registry dump and freeze
+// behavior, qdisc drop accounting through the NVI wrappers, and, through the
+// runner, traces armed before construction, counters that outlive the
+// topology, and the thread-count byte-identity of traces captured on worker
+// threads.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,8 +19,6 @@
 #include "src/obs/counters.h"
 #include "src/obs/trace.h"
 #include "src/qdisc/fifo.h"
-#include "src/runner/builtin_scenarios.h"
-#include "src/runner/trial_obs.h"
 #include "src/runner/trial_runner.h"
 #include "src/sim/simulator.h"
 #include "src/topo/scenario.h"
@@ -103,9 +104,6 @@ TEST(TracerTest, JsonlSerializationShape) {
   EXPECT_NE(out.find("\"cat\":\"qdisc\""), std::string::npos);
   EXPECT_NE(out.find("\"ev\":\"enq\""), std::string::npos);
   EXPECT_NE(out.find("\"type\":\"trace_end\""), std::string::npos);
-  std::string text;
-  t.WriteText(&text);
-  EXPECT_NE(text.find("enq"), std::string::npos);
 }
 
 TEST(CounterRegistryTest, OwnedExposedGaugesAndDump) {
@@ -122,6 +120,16 @@ TEST(CounterRegistryTest, OwnedExposedGaugesAndDump) {
   EXPECT_EQ(out.at("ctr.qdisc.x.enq_pkts"), 3.0);
   EXPECT_EQ(out.at("ctr.link.y.tx_pkts"), 7.0);
   EXPECT_EQ(out.at("ctr.sendbox.z.passthrough_frac"), 0.25);
+
+  // Freezing keeps every name and value, and cuts the tie to the source.
+  reg.FreezeExposed();
+  std::map<std::string, double> frozen;
+  reg.DumpTo(&frozen, "ctr.");
+  EXPECT_EQ(frozen, out);
+  src = 99;
+  std::map<std::string, double> later;
+  reg.DumpTo(&later, "ctr.");
+  EXPECT_EQ(later, out);
 }
 
 TEST(QdiscCountersTest, NviWrappersCountEnqueueDequeueAndDrops) {
@@ -143,59 +151,77 @@ TEST(QdiscCountersTest, NviWrappersCountEnqueueDequeueAndDrops) {
   EXPECT_EQ(q.counters().deq_pkts, 2u);
 }
 
-// A short dumbbell trial that brackets its run with the trial obs calls, as
-// every registered scenario does.
-runner::TrialResult ShortTracedTrial(const runner::TrialPoint& point) {
+// A short dumbbell trial, written like a registered scenario's body: it
+// builds into the runner's simulator, runs, and returns its metrics. It also
+// reads the bottleneck link's tx_pkts from the live link, which the runner's
+// own dump (taken after the topology is gone) must match.
+runner::TrialResult ShortDumbbellTrial(const runner::TrialPoint& point, Simulator* sim) {
   ExperimentConfig cfg = PaperExperimentDefaults(point.variant == "bundler", point.seed);
   cfg.bundle_web_load = {Rate::Mbps(30)};
   cfg.duration = TimeDelta::Seconds(2);
   cfg.warmup = TimeDelta::Seconds(1);
-  Experiment e(cfg);
-  runner::BeginTrialObs(e.sim());
+  Experiment e(sim, cfg);
   e.Run();
   runner::TrialResult result;
   result.scalars["completed"] = static_cast<double>(e.fct()->completed());
-  runner::EndTrialObs(e.sim(), point, &result);
+  result.scalars["live_bottleneck_tx_pkts"] =
+      static_cast<double>(e.net()->path_link(0)->stats().packets_sent);
   return result;
 }
 
-// The flight-recorder end-to-end contract: traces captured on worker threads
-// are byte-identical to a serial run's. The plan holds four trials (two
-// variants x two seeds), so at 4 threads every trial runs off the calling
-// thread.
-TEST(TrialObsTest, TracedTrialsByteIdenticalAcrossThreadCounts) {
-  runner::ScenarioSpec spec;
-  spec.name = "test_traced_dumbbell";
-  spec.variants = {"status_quo", "bundler"};
-  spec.default_trials = 2;
-  const runner::Scenario scenario{spec, ShortTracedTrial};
-  const std::vector<runner::TrialPoint> plan = runner::ExpandTrials(spec, 0);
-  ASSERT_EQ(plan.size(), 4u);
+// Two variants x two seeds of ShortDumbbellTrial.
+struct ShortPlan {
+  ShortPlan() {
+    spec.name = "test_short_dumbbell";
+    spec.variants = {"status_quo", "bundler"};
+    spec.default_trials = 2;
+    plan = runner::ExpandTrials(spec, 0);
+  }
 
-  auto run = [&](int threads) {
-    runner::ArmTrace(obs::kAllCats, 4096, runner::TraceFormat::kJsonl);
+  std::vector<runner::TrialResult> Run(int threads, uint32_t trace_mask = 0,
+                                       size_t trace_ring = 4096) const {
     runner::RunnerOptions opt;
     opt.threads = threads;
-    std::vector<runner::TrialResult> results = runner::TrialRunner(opt).Run(scenario, plan);
-    runner::DisarmTrace();
-    std::string blob;
-    for (auto& [sig, serialized] : runner::TakeCapturedTraces()) {
-      (void)sig;
-      blob += serialized;
-    }
-    return std::pair{std::move(results), std::move(blob)};
-  };
-  auto [r1, trace1] = run(1);
-  auto [r4, trace4] = run(4);
+    opt.trace_mask = trace_mask;
+    opt.trace_ring = trace_ring;
+    return runner::TrialRunner(opt).Run(runner::Scenario{spec, ShortDumbbellTrial}, plan);
+  }
 
+  runner::ScenarioSpec spec;
+  std::vector<runner::TrialPoint> plan;
+};
+
+std::string JoinTraces(const std::vector<runner::TrialResult>& results) {
+  std::string blob;
+  for (const runner::TrialResult& r : results) {
+    blob += r.trace;
+  }
+  return blob;
+}
+
+// The flight-recorder end-to-end contract: traces captured on worker threads
+// are byte-identical to a serial run's. The plan holds four trials, so at 4
+// threads every trial runs off the calling thread.
+TEST(TrialObsTest, TracedTrialsByteIdenticalAcrossThreadCounts) {
+  const ShortPlan plan;
+  ASSERT_EQ(plan.plan.size(), 4u);
+  const std::vector<runner::TrialResult> r1 = plan.Run(1, obs::kAllCats);
+  const std::vector<runner::TrialResult> r4 = plan.Run(4, obs::kAllCats);
+
+  const std::string trace1 = JoinTraces(r1);
   EXPECT_FALSE(trace1.empty());
-  EXPECT_EQ(trace1, trace4);
+  EXPECT_EQ(trace1, JoinTraces(r4));
   // Each trial also reports observability scalars: total events plus every
   // registry counter under "ctr." (e.g. the bundle cc's rate updates).
   ASSERT_EQ(r1.size(), 4u);
-  for (const runner::TrialResult& r : r1) {
-    EXPECT_GT(r.scalars.at("sim.events_dispatched"), 0.0);
-    EXPECT_GT(r.scalars.at("completed"), 0.0);
+  for (size_t i = 0; i < r1.size(); ++i) {
+    EXPECT_EQ(r1[i].trace.rfind("{\"type\":\"trial\",\"signature\":\"" +
+                                    runner::TrialSignature(plan.plan[i]) + "\"}\n",
+                                0),
+              0u)
+        << "trial " << i << " trace is out of plan order";
+    EXPECT_GT(r1[i].scalars.at("sim.events_dispatched"), 0.0);
+    EXPECT_GT(r1[i].scalars.at("completed"), 0.0);
   }
   bool has_ctr = false;
   for (const auto& [name, value] : r1.back().scalars) {
@@ -205,41 +231,44 @@ TEST(TrialObsTest, TracedTrialsByteIdenticalAcrossThreadCounts) {
   EXPECT_TRUE(has_ctr);
 }
 
-// The fault scenarios report observability like every other scenario: a
-// feedback_blackout watchdog trial carries the sim./ctr. scalars, and its
-// captured watchdog trace holds the whole degrade / probe / re-sync lifecycle.
-TEST(TrialObsTest, FeedbackBlackoutTrialReportsWatchdogLifecycle) {
-  runner::RegisterBuiltinScenarios();
-  const runner::Scenario* scenario =
-      runner::ScenarioRegistry::Global().Find("feedback_blackout");
-  ASSERT_NE(scenario, nullptr);
-  std::vector<runner::TrialPoint> plan =
-      runner::ExpandTrials(scenario->spec, /*trials=*/1);
-  plan.erase(std::remove_if(plan.begin(), plan.end(),
-                            [](const runner::TrialPoint& p) {
-                              return p.variant != "bundler_watchdog";
-                            }),
-             plan.end());
-  ASSERT_EQ(plan.size(), 1u);
-  ASSERT_EQ(plan[0].seed, 1u);
+// The runner arms the tracer before the trial body builds its topology, so
+// construction-time records are in the trace: each bundler trial's sendbox
+// admits its one bundle at t = 0, and a status-quo trial has no sendbox.
+TEST(TrialObsTest, TraceStartsBeforeTopologyIsBuilt) {
+  const ShortPlan plan;
+  const uint32_t tenant = obs::CatBit(TraceCat::kTenant);
+  const std::vector<runner::TrialResult> r1 = plan.Run(1, tenant, 1 << 16);
+  const std::vector<runner::TrialResult> r4 = plan.Run(4, tenant, 1 << 16);
+  EXPECT_EQ(JoinTraces(r1), JoinTraces(r4));
 
-  runner::ArmTrace(obs::CatBit(TraceCat::kWatchdog), 4096, runner::TraceFormat::kJsonl);
-  std::vector<runner::TrialResult> results =
-      runner::TrialRunner(runner::RunnerOptions()).Run(*scenario, plan);
-  runner::DisarmTrace();
-  std::vector<std::pair<std::string, std::string>> traces = runner::TakeCapturedTraces();
+  ASSERT_EQ(r1.size(), plan.plan.size());
+  for (size_t i = 0; i < r1.size(); ++i) {
+    const bool bundler = plan.plan[i].variant == "bundler";
+    EXPECT_NE(r1[i].trace.find("\"dropped\":0}"), std::string::npos) << "trial " << i;
+    std::vector<std::string> admits;
+    std::istringstream lines(r1[i].trace);
+    for (std::string line; std::getline(lines, line);) {
+      if (line.find("\"ev\":\"tenant_admit\"") != std::string::npos) {
+        admits.push_back(line);
+      }
+    }
+    ASSERT_EQ(admits.size(), bundler ? 1u : 0u) << "trial " << i;
+    if (bundler) {
+      EXPECT_NE(admits[0].find("\"t_ns\":0,"), std::string::npos) << admits[0];
+    }
+  }
+}
 
-  ASSERT_EQ(results.size(), 1u);
-  const std::map<std::string, double>& scalars = results[0].scalars;
-  ASSERT_EQ(scalars.count("sim.events_dispatched"), 1u);
-  EXPECT_GT(scalars.at("sim.events_dispatched"), 0.0);
-  ASSERT_EQ(scalars.count("ctr.watchdog.s10-s100.degrades"), 1u);
-  EXPECT_GE(scalars.at("ctr.watchdog.s10-s100.degrades"), 1.0);
-  ASSERT_EQ(traces.size(), 1u);
-  for (const char* ev : {"wd_degrade", "wd_probe", "wd_resync"}) {
-    EXPECT_NE(traces[0].second.find(std::string("\"ev\":\"") + ev + "\""),
-              std::string::npos)
-        << ev;
+// The runner dumps counters after the trial body, and the Net it built, are
+// gone. Links publish tx_pkts by pointer, so the Net freezes them first: the
+// dump must equal what the body read from the live link.
+TEST(TrialObsTest, CountersOutliveTopologyTeardown) {
+  const ShortPlan plan;
+  for (const runner::TrialResult& r : plan.Run(1)) {
+    EXPECT_TRUE(r.trace.empty());
+    EXPECT_GT(r.scalars.at("live_bottleneck_tx_pkts"), 0.0);
+    EXPECT_EQ(r.scalars.at("ctr.link.bottleneck.tx_pkts"),
+              r.scalars.at("live_bottleneck_tx_pkts"));
   }
 }
 

@@ -11,7 +11,6 @@
 #include "src/runner/builtin_scenarios.h"
 #include "src/runner/result_sink.h"
 #include "src/runner/scenario.h"
-#include "src/runner/trial_obs.h"
 #include "src/runner/trial_runner.h"
 #include "src/topo/scenario.h"
 
@@ -67,8 +66,9 @@ TEST(ExpandTrialsTest, TrialOverrideAndNoAxes) {
   EXPECT_EQ(plan[0].variant, "default");
 }
 
-// Deterministic synthetic trial: metrics are pure functions of the point.
-TrialResult SyntheticTrial(const TrialPoint& p) {
+// Deterministic synthetic trial: metrics are pure functions of the point. It
+// builds nothing into the runner's simulator.
+TrialResult SyntheticTrial(const TrialPoint& p, Simulator* /*sim*/) {
   double base = p.Param("a") * 100 + static_cast<double>(p.seed);
   if (p.variant == "y") {
     base += 1000;
@@ -103,7 +103,7 @@ TEST(TrialRunnerTest, ResultsOrderedLikePlanRegardlessOfThreads) {
     ASSERT_EQ(results.size(), plan.size());
     for (size_t i = 0; i < plan.size(); ++i) {
       EXPECT_EQ(results[i].scalars.at("base"),
-                SyntheticTrial(plan[i]).scalars.at("base"))
+                SyntheticTrial(plan[i], nullptr).scalars.at("base"))
           << "threads=" << threads << " trial=" << i;
     }
   }
@@ -131,20 +131,18 @@ TEST(TrialRunnerTest, JsonAndCsvByteIdenticalAcrossThreadCounts) {
 }
 
 // End-to-end determinism through the real simulator: a small two-variant
-// dumbbell experiment, reporting the trial obs scalars every registered
-// scenario reports, must serialize identically no matter the thread count.
-TrialResult TinyExperimentTrial(const TrialPoint& p) {
+// dumbbell experiment, with the obs scalars the runner adds to every trial,
+// must serialize identically no matter the thread count.
+TrialResult TinyExperimentTrial(const TrialPoint& p, Simulator* sim) {
   ExperimentConfig cfg = PaperExperimentDefaults(p.variant == "bundler", p.seed);
   cfg.bundle_web_load = {Rate::Mbps(30)};
   cfg.duration = TimeDelta::Seconds(3);
   cfg.warmup = TimeDelta::Seconds(1);
-  Experiment e(cfg);
-  BeginTrialObs(e.sim());
+  Experiment e(sim, cfg);
   e.Run();
   TrialResult r;
   r.scalars["completed"] = static_cast<double>(e.fct()->completed());
   r.samples["fct_s"] = e.fct()->Fcts(e.MeasuredRequests()).samples();
-  EndTrialObs(e.sim(), p, &r);
   return r;
 }
 

@@ -6,14 +6,22 @@
 // bundle_controller.cc) degrades (shaper opened to max_rate, mode machinery
 // frozen), re-probes back off exponentially from kWatchdogProbeInitial
 // (250 ms), and the first fresh feedback after the outage re-syncs
-// immediately and hands the rate back to the live controller.
+// immediately and hands the rate back to the live controller. The last test
+// runs the registered feedback_blackout scenario's watchdog trial through the
+// TrialRunner and reads the same lifecycle from its counters and trace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "src/app/workload.h"
 #include "src/net/fault_injector.h"
+#include "src/obs/trace.h"
+#include "src/runner/builtin_scenarios.h"
+#include "src/runner/trial_runner.h"
 #include "src/topo/dumbbell.h"
 
 namespace bundler {
@@ -29,8 +37,10 @@ constexpr double kBlackoutEnd = 10.0;
 struct WatchdogRun {
   Simulator sim;
   DumbbellConfig cfg;
-  std::unique_ptr<Dumbbell> net;
+  // Declared before `net`, so it outlives it: the Net's teardown freezes the
+  // injector's exposed counters along with its own.
   std::unique_ptr<FaultInjector> inj;
+  std::unique_ptr<Dumbbell> net;
 
   explicit WatchdogRun(bool watchdog, double blackout_start = kBlackoutStart,
                        double blackout_end = kBlackoutEnd) {
@@ -182,6 +192,45 @@ TEST(WatchdogTest, OffByDefaultRecordsNothing) {
   r.sim.RunUntil(Sec(12.0));
   EXPECT_TRUE(r.net->controller()->watchdog_log().empty());
   EXPECT_FALSE(r.net->controller()->watchdog_degraded());
+}
+
+// The fault scenarios report observability like every other scenario: a
+// feedback_blackout watchdog trial carries the sim./ctr. scalars, and its
+// captured watchdog trace holds the whole degrade / probe / re-sync lifecycle.
+// One paper-scale trial on the calling thread: it starts no worker thread.
+TEST(TrialObsTest, FeedbackBlackoutTrialReportsWatchdogLifecycle) {
+  runner::RegisterBuiltinScenarios();
+  const runner::Scenario* scenario =
+      runner::ScenarioRegistry::Global().Find("feedback_blackout");
+  ASSERT_NE(scenario, nullptr);
+  std::vector<runner::TrialPoint> plan =
+      runner::ExpandTrials(scenario->spec, /*trials=*/1);
+  plan.erase(std::remove_if(plan.begin(), plan.end(),
+                            [](const runner::TrialPoint& p) {
+                              return p.variant != "bundler_watchdog";
+                            }),
+             plan.end());
+  ASSERT_EQ(plan.size(), 1u);
+  ASSERT_EQ(plan[0].seed, 1u);
+
+  runner::RunnerOptions options;
+  options.trace_mask = obs::CatBit(obs::TraceCat::kWatchdog);
+  options.trace_ring = 4096;
+  std::vector<runner::TrialResult> results =
+      runner::TrialRunner(options).Run(*scenario, plan);
+
+  ASSERT_EQ(results.size(), 1u);
+  const std::map<std::string, double>& scalars = results[0].scalars;
+  ASSERT_EQ(scalars.count("sim.events_dispatched"), 1u);
+  EXPECT_GT(scalars.at("sim.events_dispatched"), 0.0);
+  ASSERT_EQ(scalars.count("ctr.watchdog.s10-s100.degrades"), 1u);
+  EXPECT_GE(scalars.at("ctr.watchdog.s10-s100.degrades"), 1.0);
+  ASSERT_FALSE(results[0].trace.empty());
+  for (const char* ev : {"wd_degrade", "wd_probe", "wd_resync"}) {
+    EXPECT_NE(results[0].trace.find(std::string("\"ev\":\"") + ev + "\""),
+              std::string::npos)
+        << ev;
+  }
 }
 
 }  // namespace
