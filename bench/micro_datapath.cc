@@ -213,8 +213,8 @@ BenchResult BenchParallelDesFatTree(int workers) {
   return Timed("parallel_des_fat_tree_w" + std::to_string(workers), start, end, events);
 }
 
-// The fault-disabled fast path: a ctl-targeted profile while data packets
-// stream through — one type check, no RNG draw, no stats update. The op
+// The fault-disabled fast path: a ctl-targeted blackout profile while data
+// packets stream through — one type check, no stats update. The op
 // (packet construction + sink delivery) is timed without (`a`) and with
 // (`b`) the injector interposed. A link with *no* profile has no injector in
 // its chain at all (AddFaultProfile is the only way one enters a datapath),
@@ -229,9 +229,8 @@ std::vector<Pair> BenchFaultUntargetedHook() {
   // real delivery chain does, instead of letting the compiler collapse the
   // whole op and charge packet construction to the injector.
   PacketHandler* volatile base = &sink;
-  FaultProfileSpec spec;
-  spec.target = FaultTarget::kCtl;
-  spec.loss_prob = 0.5;
+  const FaultProfileSpec spec{FaultTarget::kCtl,
+                              {{TimeDelta::Zero(), TimeDelta::Seconds(1)}}};
   FaultInjector inj(&sim, "bench_cold", spec, &sink);
   return Interleave(
       [&] {

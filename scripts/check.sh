@@ -175,19 +175,20 @@ print(f"  admission: {s['admitted']:.0f} admitted, "
 EOF
 
 echo "--- smoke scenario: feedback_blackout (faulted control loop + watchdog)"
-# A faulted run must stay byte-identical across thread counts: the
-# injector draws RNG only for targeted packets in arrival order, which the
-# determinism contract fixes. The watchdog trace must be identical too, and
-# must hold the whole degrade / probe / re-sync lifecycle.
+# A faulted run must stay byte-identical across thread counts: an
+# injector's verdict depends only on a packet's type and arrival time, which
+# the determinism contract fixes. The fault and watchdog trace must be
+# identical too, must record the blackout's drops, and must hold the whole
+# degrade / probe / re-sync lifecycle.
 ./build/bundler_run --scenario feedback_blackout --trials 1 --threads 2 \
-  --trace watchdog --out build/smoke_fault_t2 --quiet
+  --trace fault,watchdog --out build/smoke_fault_t2 --quiet
 ./build/bundler_run --scenario feedback_blackout --trials 1 --threads 4 \
-  --trace watchdog --out build/smoke_fault_t4 --quiet > /dev/null
+  --trace fault,watchdog --out build/smoke_fault_t4 --quiet > /dev/null
 cmp <(stable build/smoke_fault_t2/feedback_blackout.json) \
     <(stable build/smoke_fault_t4/feedback_blackout.json)
 WD_TRACE=build/smoke_fault_t2/feedback_blackout.trace.jsonl
 cmp "${WD_TRACE}" build/smoke_fault_t4/feedback_blackout.trace.jsonl
-for ev in wd_degrade wd_probe wd_resync; do
+for ev in fault_drop wd_degrade wd_probe wd_resync; do
   grep -q "\"ev\":\"${ev}\"" "${WD_TRACE}" ||
     { echo "check.sh: FAIL — no ${ev} record in ${WD_TRACE}"; exit 1; }
 done

@@ -2,8 +2,10 @@
 """Checks that bundler_run rejects malformed numeric flags, trace options
 given without --trace, a --trace that names no category, and removed flags as
 usage errors: each must exit 2, name the flag (and the bad value) on stderr,
-and stop before anything runs, so no --out directory appears. Every argument list used here is one the parser rejects,
-so no trial and no worker thread ever starts.
+and stop before anything runs, so no --out directory appears. A trace file
+that cannot be opened must fail with exit 1, also before anything runs.
+Every argument list used here stops before the first trial, so no trial and
+no worker thread ever starts.
 
   python3 scripts/cli_args_test.py path/to/bundler_run"""
 
@@ -61,6 +63,22 @@ class CliArgsTest(unittest.TestCase):
                 stderr = self.run_rejected(["--trace", spec])
                 self.assertIn("--trace", stderr)
                 self.assertIn(spec, stderr)
+
+    def test_unwritable_trace_fails_before_any_trial(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            not_a_dir = os.path.join(tmp, "file")
+            with open(not_a_dir, "w"):
+                pass
+            out_dir = os.path.join(tmp, "out")
+            trace = os.path.join(not_a_dir, "t.trace.jsonl")
+            proc = subprocess.run(
+                [BUNDLER_RUN, "--scenario", SCENARIO, "--trace", "sim",
+                 "--trace-out", trace, "--out", out_dir, "--quiet"],
+                capture_output=True, text=True, timeout=60)
+            self.assertEqual(proc.returncode, 1, proc.stderr)
+            self.assertIn(trace, proc.stderr)
+            self.assertFalse(os.path.exists(out_dir),
+                             "the trials ran before the trace file failed")
 
     def test_removed_flags_are_unknown(self):
         for args in (["--shards", "4"], ["--trace-format", "jsonl"]):

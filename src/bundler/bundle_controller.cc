@@ -74,11 +74,11 @@ const char* BundlerModeName(BundlerMode mode) {
 
 BundleController::BundleController(Simulator* sim,
                                    const BundleControlConfig& config,
-                                   BundleDataplane* dataplane,
+                                   PacketHandler* ctl_out,
                                    const std::string& obs_name)
     : sim_(sim),
       config_(config),
-      dp_(dataplane),
+      ctl_out_(ctl_out),
       cc_(MakeBundleCc(config.cc, config.initial_rate)),
       detector_(DetectorConfig(config.control_interval)),
       mode_entered_(sim->now()),
@@ -86,7 +86,7 @@ BundleController::BundleController(Simulator* sim,
       last_epoch_update_(sim->now()),
       last_epoch_ctl_sent_(sim->now()) {
   BUNDLER_CHECK(sim_ != nullptr);
-  BUNDLER_CHECK(dp_ != nullptr);
+  BUNDLER_CHECK(ctl_out_ != nullptr);
   BUNDLER_CHECK(epoch_pkts_ != 0 && (epoch_pkts_ & (epoch_pkts_ - 1)) == 0);
   mode_log_.emplace_back(sim_->now(), mode_);
   start_time_ = sim_->now();
@@ -156,8 +156,8 @@ void BundleController::SwitchMode(BundlerMode next) {
       ReseedController(now);
       break;
     case BundlerMode::kPassThrough: {
-      Rate start = std::max(detector_.mu_estimate(), dp_->ShapedRate());
-      pi_.Reset(start, dp_->QueueBytes(), now);
+      Rate start = std::max(detector_.mu_estimate(), tick_shaped_rate_);
+      pi_.Reset(start, tick_queue_bytes_, now);
       break;
     }
     case BundlerMode::kDisabled:
@@ -270,14 +270,12 @@ void BundleController::UpdateMode(const BundleMeasurement& m) {
   }
 }
 
-void BundleController::MaybeUpdateEpochSize(const BundleMeasurement& m) {
-  (void)m;
+void BundleController::MaybeUpdateEpochSize(Rate rate) {
   if (!meas_.has_min_rtt()) {
     return;
   }
   TimePoint now = sim_->now();
-  Rate basis =
-      egress_rate_bps_ > 0 ? Rate::BitsPerSec(egress_rate_bps_) : dp_->ShapedRate();
+  Rate basis = egress_rate_bps_ > 0 ? Rate::BitsPerSec(egress_rate_bps_) : rate;
   uint32_t desired = ComputeEpochSizePkts(meas_.min_rtt(), basis);
   if (desired != epoch_pkts_ && now - last_epoch_update_ >= meas_.srtt()) {
     epoch_pkts_ = desired;
@@ -350,8 +348,8 @@ void BundleController::WatchdogTick(const BundleMeasurement& m) {
       if (mode_ == BundlerMode::kDelayControl) {
         ReseedController(now);
       } else if (mode_ == BundlerMode::kPassThrough) {
-        pi_.Reset(std::max(detector_.mu_estimate(), dp_->ShapedRate()),
-                  dp_->QueueBytes(), now);
+        pi_.Reset(std::max(detector_.mu_estimate(), tick_shaped_rate_),
+                  tick_queue_bytes_, now);
       }
       ++*ctr_wd_resyncs_;
       wd_log_.emplace_back(now, WatchdogEvent::kResync);
@@ -359,7 +357,7 @@ void BundleController::WatchdogTick(const BundleMeasurement& m) {
         sim_->trace().Trace(obs::TraceCat::kWatchdog, obs::TraceEv::kWdResync,
                             comp_, now,
                             static_cast<uint64_t>(degraded_for.nanos()),
-                            obs::EncodeRate(dp_->ShapedRate()));
+                            obs::EncodeRate(tick_shaped_rate_));
       }
       return;
     }
@@ -428,11 +426,13 @@ void BundleController::SendEpochCtl() {
   ctl.key.protocol = 17;
   ctl.epoch_size_pkts = epoch_pkts_;
   last_epoch_ctl_sent_ = sim_->now();
-  dp_->SendControl(std::move(ctl));
+  ctl_out_->HandlePacket(std::move(ctl));
 }
 
-void BundleController::ControlTick() {
+Rate BundleController::ControlTick(int64_t queue_bytes, Rate shaped_rate) {
   TimePoint now = sim_->now();
+  tick_queue_bytes_ = queue_bytes;
+  tick_shaped_rate_ = shaped_rate;
 
   double tick_bps = static_cast<double>(bytes_sent_ - bytes_sent_at_last_tick_) * 8.0 /
                     config_.control_interval.ToSeconds();
@@ -488,7 +488,7 @@ void BundleController::ControlTick() {
       }
       break;
     case BundlerMode::kPassThrough: {
-      base = pi_.Update(dp_->QueueBytes(), now);
+      base = pi_.Update(queue_bytes, now);
       // Draining the queue accumulated before the mode switch must not flood
       // the bottleneck at a multiple of its capacity.
       Rate mu = detector_.mu_estimate();
@@ -520,12 +520,11 @@ void BundleController::ControlTick() {
   if (rate > config_.max_rate) {
     rate = config_.max_rate;
   }
-  dp_->SetShapedRate(rate);
 
   if (!degraded) {
     // While degraded the watchdog owns receivebox re-probing (exponential
     // backoff); the periodic epoch refresh would defeat the backoff.
-    MaybeUpdateEpochSize(m);
+    MaybeUpdateEpochSize(rate);
   }
 
   ++*ctr_rate_updates_;
@@ -540,13 +539,14 @@ void BundleController::ControlTick() {
     // Shaper queueing delay estimate: queue / enforced rate.
     const double qdelay_ms =
         rate.bps() > 0
-            ? static_cast<double>(dp_->QueueBytes()) * 8.0 / rate.bps() * 1e3
+            ? static_cast<double>(queue_bytes) * 8.0 / rate.bps() * 1e3
             : 0.0;
     sim_->trace().Trace(obs::TraceCat::kSendbox, obs::TraceEv::kSbRate, comp_,
                         now, obs::EncodeRate(rate),
                         static_cast<uint64_t>(mode_),
                         static_cast<uint64_t>(qdelay_ms * 1e6));
   }
+  return rate;
 }
 
 }  // namespace bundler

@@ -2,11 +2,12 @@
 // bundle's rate — congestion measurements, the bundle congestion-control
 // algorithm, Nimbus elasticity / multipath detection, the PI traffic-passing
 // controller, the feedback watchdog, and epoch sizing — but owns no data
-// plane and no timer: its SendboxManager drives ControlTick() every
-// control_interval and exposes the site's shaping machinery (SiteEgress)
-// through the BundleDataplane seam below. Keeping the controller timer-free
-// is what lets one manager run N controllers off one shared periodic tick,
-// whether the site carries one bundle (every paper figure) or hundreds.
+// plane and no timer: its SendboxManager calls ControlTick() every
+// control_interval with the bundle's backlog and enforced rate, and applies
+// the rate it returns to the site's shaping machinery (SiteEgress). Keeping
+// the controller timer-free is what lets one manager run N controllers off
+// one shared periodic tick, whether the site carries one bundle (every paper
+// figure) or hundreds.
 #ifndef SRC_BUNDLER_BUNDLE_CONTROLLER_H_
 #define SRC_BUNDLER_BUNDLE_CONTROLLER_H_
 
@@ -19,6 +20,7 @@
 #include "src/bundler/nimbus_detector.h"
 #include "src/bundler/pi_controller.h"
 #include "src/cc/cc.h"
+#include "src/net/node.h"
 #include "src/net/packet.h"
 #include "src/sim/simulator.h"
 
@@ -109,23 +111,6 @@ struct BundleControlConfig {
   uint32_t initial_epoch_pkts = 16;
 };
 
-// What the control loop needs from its owner's data plane. One virtual call
-// per use on the 100 Hz control path only — the per-packet path never goes
-// through this interface.
-class BundleDataplane {
- public:
-  virtual ~BundleDataplane() = default;
-  // Backlog currently governed by this bundle's rate (shaper queue bytes).
-  virtual int64_t QueueBytes() const = 0;
-  // The rate the data plane is currently enforcing for this bundle.
-  virtual Rate ShapedRate() const = 0;
-  // Control decision: enforce `rate` for this bundle from now on.
-  virtual void SetShapedRate(Rate rate) = 0;
-  // Sends an out-of-band control packet (epoch ctl) toward the receivebox,
-  // bypassing the bundle's shaping queue.
-  virtual void SendControl(Packet pkt) = 0;
-};
-
 class BundleController {
  public:
   // Watchdog state machine events, in occurrence order (see
@@ -134,12 +119,14 @@ class BundleController {
   // Which trigger caused the current degradation (kNone when not degraded).
   enum class WatchdogCause { kNone, kStale, kDelay };
 
-  // `obs_name` keys every trace component and counter this controller
-  // registers (the site pair, "s10-s100"). Registration happens here, so the
-  // pointers below are never null afterwards. No events are scheduled: the
-  // owner calls ControlTick() every config.control_interval.
+  // Epoch ctl packets toward the receivebox go to `ctl_out`, bypassing the
+  // bundle's shaping queue. `obs_name` keys every trace component and
+  // counter this controller registers (the site pair, "s10-s100").
+  // Registration happens here, so the pointers below are never null
+  // afterwards. No events are scheduled: the owner calls ControlTick() every
+  // config.control_interval.
   BundleController(Simulator* sim, const BundleControlConfig& config,
-                   BundleDataplane* dataplane, const std::string& obs_name);
+                   PacketHandler* ctl_out, const std::string& obs_name);
   BundleController(const BundleController&) = delete;
   BundleController& operator=(const BundleController&) = delete;
 
@@ -149,9 +136,11 @@ class BundleController {
   // Every bundle data packet leaving the shaping stage: egress accounting +
   // epoch boundary reporting. Datapath-hot; non-virtual.
   void OnDataSent(const Packet& pkt);
-  // The control loop body (measure, detect, decide, enforce via the
-  // dataplane seam). Call every config.control_interval.
-  void ControlTick();
+  // The control loop body (measure, detect, decide). `queue_bytes` is the
+  // bundle's shaper backlog and `shaped_rate` the rate the data plane
+  // enforces now; returns the rate to enforce from now on. Call every
+  // config.control_interval.
+  Rate ControlTick(int64_t queue_bytes, Rate shaped_rate);
 
   // --- Introspection ---
   BundlerMode mode() const { return mode_; }
@@ -172,7 +161,8 @@ class BundleController {
  private:
   void UpdateMode(const BundleMeasurement& m);
   void SwitchMode(BundlerMode next);
-  void MaybeUpdateEpochSize(const BundleMeasurement& m);
+  // `rate` is the rate this tick just decided.
+  void MaybeUpdateEpochSize(Rate rate);
   void SendEpochCtl();
   // Re-seeds the rate controller for (re-)entering delay control from the
   // measured egress rate, so the bundle keeps roughly its pre-switch share
@@ -184,11 +174,16 @@ class BundleController {
 
   Simulator* sim_;
   BundleControlConfig config_;
-  BundleDataplane* dp_;
+  PacketHandler* ctl_out_;
   MeasurementEngine meas_;
   std::unique_ptr<BundleCc> cc_;
   NimbusDetector detector_;
   PiController pi_;
+
+  // The data plane's backlog and enforced rate, as handed to the running
+  // ControlTick().
+  int64_t tick_queue_bytes_ = 0;
+  Rate tick_shaped_rate_;
 
   BundlerMode mode_ = BundlerMode::kDelayControl;
   TimePoint mode_entered_;

@@ -15,31 +15,6 @@ std::string PairName(const BundleControlConfig& config) {
 }
 }  // namespace
 
-int64_t SendboxManager::Slot::QueueBytes() const {
-  return mgr->egress_->bundle_queue_bytes(idx);
-}
-
-Rate SendboxManager::Slot::ShapedRate() const {
-  return mgr->egress_->bundle_rate(idx);
-}
-
-void SendboxManager::Slot::SetShapedRate(Rate rate) {
-  if (mgr->in_tick_) {
-    // The shared tick updates every bundle's rate back to back; one kick at
-    // the end re-evaluates the hierarchy instead of N full pump scans.
-    mgr->egress_->SetBundleRate(idx, rate, /*kick=*/false);
-    mgr->egress_dirty_ = true;
-  } else {
-    mgr->egress_->SetBundleRate(idx, rate);
-  }
-}
-
-void SendboxManager::Slot::SendControl(Packet pkt) {
-  // Epoch ctl is 40 bytes of control plane: straight to the uplink, never
-  // shaped.
-  mgr->egress_handler_->HandlePacket(std::move(pkt));
-}
-
 SendboxManager::SendboxManager(Simulator* sim, const Policy& policy,
                                std::vector<TenantPolicy> tenants,
                                std::vector<BundleDecl> bundles,
@@ -112,7 +87,7 @@ SendboxManager::SendboxManager(Simulator* sim, const Policy& policy,
     DeclState state;
     state.tenant = decl.tenant;
     const double committed = tenants[decl.tenant].committed_rate.bps();
-    if (slots_.size() >= static_cast<size_t>(policy_.max_bundles)) {
+    if (admitted_specs.size() >= static_cast<size_t>(policy_.max_bundles)) {
       state.cause = RejectCause::kBundleCap;
       *ctr_rejected_cap_ += 1;
       tracer.Trace(obs::TraceCat::kTenant, obs::TraceEv::kTenantReject, comp_,
@@ -124,11 +99,7 @@ SendboxManager::SendboxManager(Simulator* sim, const Policy& policy,
                    sim_->now(), i, 1, static_cast<uint64_t>(committed));
     } else {
       committed_bps += committed;
-      state.slot = static_cast<int32_t>(slots_.size());
-      auto slot = std::make_unique<Slot>();
-      slot->mgr = this;
-      slot->idx = slots_.size();
-      slots_.push_back(std::move(slot));
+      state.slot = static_cast<int32_t>(admitted_specs.size());
       SiteEgress::BundleSpec spec;
       spec.tenant = decl.tenant;
       spec.class_weight = decl.class_weight;
@@ -137,7 +108,7 @@ SendboxManager::SendboxManager(Simulator* sim, const Policy& policy,
       *ctr_admitted_ += 1;
       tracer.Trace(obs::TraceCat::kTenant, obs::TraceEv::kTenantAdmit, comp_,
                    sim_->now(), i, static_cast<uint64_t>(committed),
-                   slots_.size());
+                   admitted_specs.size());
     }
     decls_.push_back(state);
   }
@@ -165,11 +136,13 @@ SendboxManager::SendboxManager(Simulator* sim, const Policy& policy,
       continue;  // rejected: no controller, data passes through unshaped
     }
     slot_of_site_[remote] = decls_[i].slot;
-    Slot& slot = *slots_[static_cast<size_t>(decls_[i].slot)];
     const std::string pair = PairName(decl.control);
-    slot.ctl = std::make_unique<BundleController>(sim_, decl.control, &slot,
-                                                  pair);
-    if (const Qdisc* q = egress_->bundle_qdisc(slot.idx)) {
+    // Epoch ctl is 40 bytes of control plane: straight to the uplink, never
+    // shaped.
+    controllers_.push_back(std::make_unique<BundleController>(
+        sim_, decl.control, egress_handler_, pair));
+    if (const Qdisc* q =
+            egress_->bundle_qdisc(static_cast<size_t>(decls_[i].slot))) {
       const Qdisc::Counters& qc = q->counters();
       const std::string prefix = "qdisc.sendbox." + pair;
       reg.Expose(prefix + ".enq_pkts", &qc.enq_pkts);
@@ -193,19 +166,20 @@ SendboxManager::~SendboxManager() {
 }
 
 void SendboxManager::ControlTick() {
-  in_tick_ = true;
-  egress_dirty_ = false;
-  for (const std::unique_ptr<Slot>& slot : slots_) {
-    slot->ctl->ControlTick();
+  // Every bundle's rate lands back to back; one kick at the end re-evaluates
+  // the hierarchy instead of N full pump scans.
+  for (size_t i = 0; i < controllers_.size(); ++i) {
+    const Rate rate = controllers_[i]->ControlTick(
+        egress_->bundle_queue_bytes(i), egress_->bundle_rate(i));
+    egress_->SetBundleRate(i, rate, /*kick=*/false);
   }
-  in_tick_ = false;
-  if (egress_dirty_) {
+  if (!controllers_.empty()) {
     egress_->Kick();
   }
 }
 
 void SendboxManager::OnBundleEgress(size_t slot, Packet pkt) {
-  slots_[slot]->ctl->OnDataSent(pkt);
+  controllers_[slot]->OnDataSent(pkt);
   egress_handler_->HandlePacket(std::move(pkt));
 }
 
@@ -215,7 +189,7 @@ void SendboxManager::HandlePacket(Packet pkt) {
     // the bundle key.
     const int32_t slot = SlotOfSite(SiteOf(pkt.key.src));
     if (slot >= 0) {
-      slots_[static_cast<size_t>(slot)]->ctl->OnFeedback(pkt);
+      controllers_[static_cast<size_t>(slot)]->OnFeedback(pkt);
     } else {
       // A rejected bundle's receivebox still emits feedback; drop it here.
       *ctr_orphan_feedback_ += 1;
@@ -247,13 +221,13 @@ SendboxManager::RejectCause SendboxManager::reject_cause(size_t bundle) const {
 BundleController* SendboxManager::controller(size_t bundle) {
   BUNDLER_CHECK(bundle < decls_.size());
   const int32_t slot = decls_[bundle].slot;
-  return slot < 0 ? nullptr : slots_[static_cast<size_t>(slot)]->ctl.get();
+  return slot < 0 ? nullptr : controllers_[static_cast<size_t>(slot)].get();
 }
 
 const BundleController* SendboxManager::controller(size_t bundle) const {
   BUNDLER_CHECK(bundle < decls_.size());
   const int32_t slot = decls_[bundle].slot;
-  return slot < 0 ? nullptr : slots_[static_cast<size_t>(slot)]->ctl.get();
+  return slot < 0 ? nullptr : controllers_[static_cast<size_t>(slot)].get();
 }
 
 Rate SendboxManager::bundle_rate(size_t bundle) const {

@@ -2,7 +2,9 @@
 // admitted bundle) against a single shared SiteEgress hierarchy (site
 // aggregate -> priority bands -> tenant DRR -> bundle DRR) and drives them
 // all from ONE periodic control tick, so a site can host hundreds of bundles
-// without hundreds of timers. It is also the only sendbox: NetBuilder gives
+// without hundreds of timers. Each tick hands every controller its bundle's
+// backlog and enforced rate, applies the rate it returns, and re-evaluates
+// the hierarchy once at the end. It is also the only sendbox: NetBuilder gives
 // a tenant-less bundle (every paper figure) a single-tenant manager whose
 // site aggregate is the bundle's max_rate.
 //
@@ -112,21 +114,6 @@ class SendboxManager : public PacketHandler {
   const SiteEgress& egress_hierarchy() const { return *egress_; }
 
  private:
-  // BundleDataplane seam for one admitted bundle: rate changes land on the
-  // shared hierarchy's per-bundle bucket (deferred kick during the shared
-  // tick), backlog reads come from its queue, epoch ctl bypasses the
-  // hierarchy (control packets are never shaped).
-  struct Slot : BundleDataplane {
-    SendboxManager* mgr = nullptr;
-    size_t idx = 0;  // egress hierarchy index == admission order
-    std::unique_ptr<BundleController> ctl;
-
-    int64_t QueueBytes() const override;
-    Rate ShapedRate() const override;
-    void SetShapedRate(Rate rate) override;
-    void SendControl(Packet pkt) override;
-  };
-
   struct DeclState {
     RejectCause cause = RejectCause::kNone;
     int32_t slot = -1;  // admitted slot, -1 when rejected
@@ -148,12 +135,11 @@ class SendboxManager : public PacketHandler {
   std::vector<std::string> tenant_names_;
   std::vector<DeclState> decls_;
   std::unique_ptr<SiteEgress> egress_;
-  std::vector<std::unique_ptr<Slot>> slots_;  // admission order
-  std::vector<int32_t> slot_of_site_;         // remote site -> slot, -1 = none
+  // Admission order: a controller's slot is its bundle's egress index.
+  std::vector<std::unique_ptr<BundleController>> controllers_;
+  std::vector<int32_t> slot_of_site_;  // remote site -> slot, -1 = none
 
   EventId tick_timer_ = kInvalidEventId;
-  bool in_tick_ = false;       // batching window for rate-update kicks
-  bool egress_dirty_ = false;  // a rate changed during the current tick
 
   uint32_t comp_ = 0;  // trace component ("sendbox_manager", obs_name)
   uint64_t* ctr_admitted_ = nullptr;

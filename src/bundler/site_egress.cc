@@ -176,16 +176,9 @@ void SiteEgress::SetBundleRate(size_t bundle, Rate rate, bool kick) {
 
 void SiteEgress::Kick() {
   // A rate increase may make a blocked head transmittable earlier than the
-  // armed wakeup; re-evaluate, moving the armed slot in place (fresh FIFO
-  // ordering, same as cancel+push, without the churn).
+  // armed wakeup; re-evaluate, and let the pass replace the wakeup.
   rearm_pending_ = pending_timer_ != kInvalidEventId;
   Pump();
-  if (rearm_pending_) {
-    // The pump no longer needs the wakeup (backlog drained or unblocked).
-    sim_->Cancel(pending_timer_);
-    pending_timer_ = kInvalidEventId;
-    rearm_pending_ = false;
-  }
 }
 
 Rate SiteEgress::bundle_rate(size_t bundle) const {
@@ -394,18 +387,20 @@ void SiteEgress::Pump() {
       // Backlogged but nothing eligible in this band: lower bands may go.
     }
   }
-  if (total_backlog_pkts_ > 0 && !min_wait_.IsInfinite()) {
-    if (rearm_pending_) {
-      // rearm_pending_ implies the timer is still queued (its callback clears
-      // pending_timer_ before rearm_pending_ can be set): move it in place.
-      BUNDLER_CHECK(sim_->Reschedule(pending_timer_, now + min_wait_));
-      rearm_pending_ = false;
-    } else if (pending_timer_ == kInvalidEventId) {
-      pending_timer_ = sim_->Schedule(min_wait_, [this]() {
-        pending_timer_ = kInvalidEventId;
-        Pump();
-      });
-    }
+  if (rearm_pending_) {
+    // Kick's wakeup is still queued: its callback clears pending_timer_
+    // before rearm_pending_ can be set. It goes only now, after the pass, so
+    // a wakeup armed below takes its slot.
+    BUNDLER_CHECK(sim_->Cancel(pending_timer_));
+    pending_timer_ = kInvalidEventId;
+    rearm_pending_ = false;
+  }
+  if (total_backlog_pkts_ > 0 && !min_wait_.IsInfinite() &&
+      pending_timer_ == kInvalidEventId) {
+    pending_timer_ = sim_->Schedule(min_wait_, [this]() {
+      pending_timer_ = kInvalidEventId;
+      Pump();
+    });
   }
   in_pump_ = false;
 }

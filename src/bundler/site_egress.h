@@ -183,7 +183,8 @@ class SiteEgress {
 
   int64_t total_backlog_pkts_ = 0;
 
-  // Pump wakeup state: one timer slot, moved in place on rate changes.
+  // Pump wakeup state: at most one armed timer. Kick sets rearm_pending_,
+  // and its pass cancels the armed timer before arming the new deadline.
   EventId pending_timer_ = kInvalidEventId;
   bool rearm_pending_ = false;
   bool in_pump_ = false;

@@ -5,25 +5,17 @@
 #include "src/util/check.h"
 
 namespace bundler {
+namespace {
+
+// fault_drop's `a` word. A blackout is the only cause, and its code stays 2
+// so that every trace reader keeps one meaning for it.
+constexpr uint64_t kBlackoutCause = 2;
+
+}  // namespace
 
 void ValidateFaultProfile(const FaultProfileSpec& spec, const char* what) {
-  BUNDLER_CHECK_MSG(spec.loss_prob >= 0.0 && spec.loss_prob <= 1.0,
-                    "%s: loss_prob %.3f outside [0,1]", what, spec.loss_prob);
-  const bool ge = spec.ge_p_good_to_bad > 0.0;
-  if (ge) {
-    BUNDLER_CHECK_MSG(spec.loss_prob == 0.0,
-                      "%s: Bernoulli and Gilbert-Elliott loss are mutually "
-                      "exclusive in one profile",
-                      what);
-    BUNDLER_CHECK_MSG(
-        spec.ge_p_good_to_bad <= 1.0 && spec.ge_p_bad_to_good > 0.0 &&
-            spec.ge_p_bad_to_good <= 1.0,
-        "%s: Gilbert-Elliott transition probabilities must be in (0,1]", what);
-    BUNDLER_CHECK_MSG(spec.ge_loss_good >= 0.0 && spec.ge_loss_good <= 1.0 &&
-                          spec.ge_loss_bad >= 0.0 && spec.ge_loss_bad <= 1.0,
-                      "%s: Gilbert-Elliott loss probabilities outside [0,1]",
-                      what);
-  }
+  BUNDLER_CHECK_MSG(!spec.blackouts.empty(),
+                    "%s: fault profile has no blackout window", what);
   TimeDelta prev_end = TimeDelta::Zero();
   for (size_t i = 0; i < spec.blackouts.size(); ++i) {
     const FaultWindow& w = spec.blackouts[i];
@@ -37,40 +29,17 @@ void ValidateFaultProfile(const FaultProfileSpec& spec, const char* what) {
                       what, i);
     prev_end = w.end;
   }
-  BUNDLER_CHECK_MSG(spec.reorder_prob >= 0.0 && spec.reorder_prob <= 1.0,
-                    "%s: reorder_prob %.3f outside [0,1]", what,
-                    spec.reorder_prob);
-  if (spec.reorder_prob > 0.0) {
-    BUNDLER_CHECK_MSG(spec.reorder_depth >= 1 && spec.reorder_depth <= 16,
-                      "%s: reorder_depth %d outside [1,16]", what,
-                      spec.reorder_depth);
-    BUNDLER_CHECK_MSG(spec.reorder_flush > TimeDelta::Zero(),
-                      "%s: reorder_flush must be positive", what);
-  }
-  BUNDLER_CHECK_MSG(spec.loss_prob > 0.0 || ge || !spec.blackouts.empty() ||
-                        spec.reorder_prob > 0.0,
-                    "%s: fault profile enables no mechanism", what);
 }
 
-FaultInjector::FaultInjector(Simulator* sim, std::string name,
+FaultInjector::FaultInjector(Simulator* sim, const std::string& name,
                              const FaultProfileSpec& spec, PacketHandler* next)
-    : sim_(sim),
-      name_(std::move(name)),
-      spec_(spec),
-      next_(next),
-      rng_(spec.seed) {
+    : sim_(sim), spec_(spec), next_(next) {
   BUNDLER_CHECK(sim_ != nullptr && next_ != nullptr);
-  obs::Tracer& tracer = sim_->trace();
-  comp_ = tracer.RegisterComponent("fault", name_);
+  comp_ = sim_->trace().RegisterComponent("fault", name);
   obs::CounterRegistry& reg = sim_->counters();
-  const std::string prefix = "fault." + name_ + ".";
+  const std::string prefix = "fault." + name + ".";
   reg.Expose(prefix + "passed", &stats_.passed);
-  reg.Expose(prefix + "drops_random", &stats_.drops_random);
-  reg.Expose(prefix + "drops_burst", &stats_.drops_burst);
   reg.Expose(prefix + "drops_blackout", &stats_.drops_blackout);
-  reg.Expose(prefix + "held", &stats_.held);
-  reg.Expose(prefix + "released_depth", &stats_.released_depth);
-  reg.Expose(prefix + "released_flush", &stats_.released_flush);
 }
 
 bool FaultInjector::Targeted(const Packet& pkt) const {
@@ -98,105 +67,20 @@ bool FaultInjector::InBlackout(TimePoint now) {
          t >= spec_.blackouts[blackout_idx_].start;
 }
 
-bool FaultInjector::DrawLoss(uint64_t* cause) {
-  if (spec_.loss_prob > 0.0) {
-    if (rng_.NextDouble() < spec_.loss_prob) {
-      *cause = 0;
-      return true;
-    }
-    return false;
-  }
-  if (spec_.ge_p_good_to_bad > 0.0) {
-    const double p_loss = ge_bad_ ? spec_.ge_loss_bad : spec_.ge_loss_good;
-    const bool lost = rng_.NextDouble() < p_loss;
-    const double p_flip =
-        ge_bad_ ? spec_.ge_p_bad_to_good : spec_.ge_p_good_to_bad;
-    if (rng_.NextDouble() < p_flip) {
-      ge_bad_ = !ge_bad_;
-    }
-    if (lost) {
-      *cause = 1;
-      return true;
-    }
-  }
-  return false;
-}
-
-void FaultInjector::TraceDrop(const Packet& pkt, uint64_t cause, TimePoint now) {
-  if (sim_->trace().enabled(obs::TraceCat::kFault)) {
-    sim_->trace().Trace(obs::TraceCat::kFault, obs::TraceEv::kFaultDrop, comp_,
-                        now, cause, static_cast<uint64_t>(pkt.type),
-                        pkt.size_bytes);
-  }
-}
-
-void FaultInjector::ReleaseHeld(bool flush) {
-  if (!held_.has_value()) {
-    return;
-  }
-  Packet pkt = std::move(*held_);
-  held_.reset();
-  if (!flush && flush_armed_) {
-    sim_->Cancel(flush_timer_);
-  }
-  flush_armed_ = false;
-  ++*(flush ? &stats_.released_flush : &stats_.released_depth);
-  if (sim_->trace().enabled(obs::TraceCat::kFault)) {
-    sim_->trace().Trace(obs::TraceCat::kFault, obs::TraceEv::kFaultRelease,
-                        comp_, sim_->now(), 0, static_cast<uint64_t>(pkt.type),
-                        static_cast<uint64_t>(passed_since_hold_));
-  }
-  passed_since_hold_ = 0;
-  next_->HandlePacket(std::move(pkt));
-}
-
 void FaultInjector::HandlePacket(Packet pkt) {
-  const TimePoint now = sim_->now();
   if (!Targeted(pkt)) {
-    // Untargeted traffic neither consumes RNG draws nor overtakes a held
-    // packet's displacement budget; it flows through untouched.
     next_->HandlePacket(std::move(pkt));
     return;
   }
+  const TimePoint now = sim_->now();
   if (InBlackout(now)) {
     ++stats_.drops_blackout;
-    TraceDrop(pkt, 2, now);
-    return;  // packet destroyed
-  }
-  uint64_t cause = 0;
-  if (DrawLoss(&cause)) {
-    ++*(cause == 0 ? &stats_.drops_random : &stats_.drops_burst);
-    TraceDrop(pkt, cause, now);
-    return;  // packet destroyed
-  }
-  if (spec_.reorder_prob > 0.0) {
-    if (held_.has_value()) {
-      // Deliver the newcomer first: it overtakes the held packet.
-      ++stats_.passed;
-      next_->HandlePacket(std::move(pkt));
-      if (++passed_since_hold_ >= spec_.reorder_depth) {
-        ReleaseHeld(/*flush=*/false);
-      }
-      return;
+    if (sim_->trace().enabled(obs::TraceCat::kFault)) {
+      sim_->trace().Trace(obs::TraceCat::kFault, obs::TraceEv::kFaultDrop,
+                          comp_, now, kBlackoutCause,
+                          static_cast<uint64_t>(pkt.type), pkt.size_bytes);
     }
-    if (rng_.NextDouble() < spec_.reorder_prob) {
-      ++stats_.held;
-      if (sim_->trace().enabled(obs::TraceCat::kFault)) {
-        sim_->trace().Trace(obs::TraceCat::kFault, obs::TraceEv::kFaultHold,
-                            comp_, now, 1, static_cast<uint64_t>(pkt.type),
-                            pkt.size_bytes);
-      }
-      held_ = std::move(pkt);
-      passed_since_hold_ = 0;
-      // Lazy flush: the only event this component ever schedules, and only
-      // while a packet is actually held, so construction stays passive.
-      flush_armed_ = true;
-      flush_timer_ = sim_->Schedule(spec_.reorder_flush, [this] {
-        flush_armed_ = false;
-        ReleaseHeld(/*flush=*/true);
-      });
-      return;
-    }
+    return;  // packet destroyed
   }
   ++stats_.passed;
   next_->HandlePacket(std::move(pkt));

@@ -49,8 +49,6 @@ constexpr EvName kEvNames[] = {
     {TraceEv::kShardSend, "shard_send"},
     {TraceEv::kShardDeliver, "shard_deliver"},
     {TraceEv::kFaultDrop, "fault_drop"},
-    {TraceEv::kFaultHold, "fault_hold"},
-    {TraceEv::kFaultRelease, "fault_release"},
     {TraceEv::kWdDegrade, "wd_degrade"},
     {TraceEv::kWdProbe, "wd_probe"},
     {TraceEv::kWdResync, "wd_resync"},

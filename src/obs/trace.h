@@ -58,7 +58,7 @@ enum class TraceCat : uint8_t {
   kPi,         // PI controller updates/resets
   kCc,         // bundle congestion-controller updates/resets
   kShard,      // cross-shard boundary packet exchange (parallel DES)
-  kFault,      // fault-injector drops/holds/releases
+  kFault,      // fault-injector blackout drops
   kWatchdog,   // sendbox feedback watchdog (degrade/probe/resync)
   kTenant,     // multi-tenant manager: admission verdicts, hierarchy service
   kNumCats,
@@ -114,9 +114,7 @@ enum class TraceEv : uint16_t {
   kShardSend,     // a=channel_id b=channel_seq c=deliver_ns
   kShardDeliver,  // a=channel_id b=channel_seq c=sent_ns
   // kFault
-  kFaultDrop,     // a=cause(0=random 1=burst 2=blackout) b=pkt_type c=size
-  kFaultHold,     // a=held_count b=pkt_type c=size_bytes (reorder capture)
-  kFaultRelease,  // a=held_count b=pkt_type c=displacement (pkts overtaken)
+  kFaultDrop,  // a=cause(2=blackout) b=pkt_type c=size
   // kWatchdog
   kWdDegrade,  // a=staleness_ns b=last_feedback_ns (entering degraded mode)
   kWdProbe,    // a=probe_seq b=next_backoff_ns (re-probe while degraded)

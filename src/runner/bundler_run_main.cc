@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <string>
 
@@ -241,6 +242,24 @@ int Main(int argc, char** argv) {
   options.trace_ring = trace_ring;
   TrialRunner runner(options);
 
+  // The trace file opens before any trial runs, so an unwritable path fails
+  // first. Each trial's block is appended, in plan order, and freed as soon
+  // as the trials before it are done.
+  std::string trace_path;
+  std::ofstream trace_file;
+  TrialRunner::ResultFn write_trace;
+  if (tracing) {
+    trace_path =
+        trace_out.empty() ? out_dir + "/" + spec.name + ".trace.jsonl" : trace_out;
+    if (!OpenForWriting(trace_path, &trace_file)) {
+      return 1;
+    }
+    write_trace = [&trace_file](size_t, TrialResult* r) {
+      trace_file << r->trace;
+      std::string().swap(r->trace);
+    };
+  }
+
   std::vector<TrialPoint> plan = ExpandTrials(spec, trials);
   if (!quiet) {
     std::fprintf(stderr, "%s: %zu trials (%zu variants), %d thread(s)\n",
@@ -251,7 +270,7 @@ int Main(int argc, char** argv) {
   to_run.spec = spec;
   // Wall time is reporting-only (stripped from golden comparisons).
   auto wall_start = std::chrono::steady_clock::now();  // lint:allow(wall-clock)
-  std::vector<TrialResult> results = runner.Run(to_run, plan);
+  std::vector<TrialResult> results = runner.Run(to_run, plan, write_trace);
   double wall_s = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - wall_start)  // lint:allow(wall-clock)
                       .count();
@@ -282,16 +301,12 @@ int Main(int argc, char** argv) {
   std::printf("\nwrote %s and %s\n", json_path.c_str(), csv_path.c_str());
 
   if (tracing) {
-    const std::string path =
-        trace_out.empty() ? out_dir + "/" + spec.name + ".trace.jsonl" : trace_out;
-    std::string blob;
-    for (const TrialResult& r : results) {
-      blob += r.trace;
-    }
-    if (!WriteFile(path, blob)) {
+    trace_file.close();
+    if (!trace_file) {
+      std::fprintf(stderr, "write to %s failed\n", trace_path.c_str());
       return 1;
     }
-    std::printf("wrote %s\n", path.c_str());
+    std::printf("wrote %s\n", trace_path.c_str());
   }
   return 0;
 }

@@ -268,15 +268,23 @@ std::string ToCsv(const ScenarioSummary& summary) {
   return out;
 }
 
-bool WriteFile(const std::string& path, const std::string& content) {
+bool OpenForWriting(const std::string& path, std::ofstream* f) {
   std::filesystem::path p(path);
   std::error_code ec;
   if (p.has_parent_path()) {
     std::filesystem::create_directories(p.parent_path(), ec);
   }
-  std::ofstream f(p, std::ios::binary | std::ios::trunc);
-  if (!f) {
+  f->open(p, std::ios::binary | std::ios::trunc);
+  if (!*f) {
     std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
+    return false;
+  }
+  return true;
+}
+
+bool WriteFile(const std::string& path, const std::string& content) {
+  std::ofstream f;
+  if (!OpenForWriting(path, &f)) {
     return false;
   }
   f << content;

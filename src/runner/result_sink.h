@@ -10,6 +10,7 @@
 #define SRC_RUNNER_RESULT_SINK_H_
 
 #include <cstddef>
+#include <fstream>
 #include <map>
 #include <string>
 #include <utility>
@@ -82,6 +83,10 @@ const CellSummary* FindCell(
 // printed with a fixed "%.12g" format, so equal inputs give equal bytes.
 std::string ToJson(const ScenarioSummary& summary);
 std::string ToCsv(const ScenarioSummary& summary);
+
+// Opens `path` for writing (truncating), creating parent directories.
+// Returns false and logs to stderr on failure.
+bool OpenForWriting(const std::string& path, std::ofstream* f);
 
 // Writes `content` to `path`, creating parent directories. Returns false and
 // logs to stderr on failure.

@@ -62,20 +62,14 @@ DumbbellConfig FaultConfig(const Variant& v) {
   return cfg;
 }
 
-// Derives the fault profile's private seed from the trial seed so each trial
-// sees an independent but reproducible fault sequence (and so the fault RNG
-// can never alias the workload RNG, which uses the trial seed directly).
-uint64_t FaultSeed(uint64_t trial_seed) {
-  return trial_seed * 0x9e3779b97f4a7c15ull + 0xfau;
-}
-
-NetBuilder FaultedDumbbell(const Variant& v, const FaultProfileSpec& fault,
-                           DumbbellGraph* graph, NetBuilder::FaultId* fault_id) {
+NetBuilder FaultedDumbbell(const Variant& v, DumbbellGraph* graph,
+                           NetBuilder::FaultId* fault_id) {
   DumbbellGraph g;
   NetBuilder b = DumbbellBuilder(FaultConfig(v), &g);
   // The profile targets only Bundler control messages, so the status-quo arm
-  // carries it too (uniform topology) without consuming a single RNG draw.
-  NetBuilder::FaultId id = b.AddFaultProfile(g.reverse_link, fault);
+  // carries it too (uniform topology) and its data passes untouched.
+  NetBuilder::FaultId id = b.AddFaultProfile(
+      g.reverse_link, {FaultTarget::kCtl, {{kBlackoutStart, kBlackoutEnd}}});
   if (graph != nullptr) {
     *graph = g;
   }
@@ -85,22 +79,13 @@ NetBuilder FaultedDumbbell(const Variant& v, const FaultProfileSpec& fault,
   return b;
 }
 
-FaultProfileSpec BlackoutProfile(uint64_t trial_seed) {
-  FaultProfileSpec fault;
-  fault.target = FaultTarget::kCtl;
-  fault.blackouts = {{kBlackoutStart, kBlackoutEnd}};
-  fault.seed = FaultSeed(trial_seed);
-  return fault;
-}
-
 // Builds the faulted dumbbell, runs the §7.1 web workload through it, and
 // reports FCT windows plus watchdog/fault forensics.
 TrialResult RunTrial(const TrialPoint& point, Simulator* sim) {
   Variant v = ParseVariant(point.variant);
   DumbbellGraph g;
   NetBuilder::FaultId fault_id = -1;
-  std::unique_ptr<Net> net =
-      FaultedDumbbell(v, BlackoutProfile(point.seed), &g, &fault_id).Build(sim);
+  std::unique_ptr<Net> net = FaultedDumbbell(v, &g, &fault_id).Build(sim);
 
   static const SizeCdf kCdf = SizeCdf::InternetCoreRouter();
   FctRecorder fct;
@@ -129,8 +114,7 @@ TrialResult RunTrial(const TrialPoint& point, Simulator* sim) {
   r.scalars["requests_completed"] = static_cast<double>(fct.completed());
 
   const FaultInjector::Stats& fs = net->fault_injector(fault_id)->stats();
-  r.scalars["ctl_drops"] = static_cast<double>(fs.drops_random + fs.drops_burst +
-                                               fs.drops_blackout);
+  r.scalars["ctl_drops"] = static_cast<double>(fs.drops_blackout);
   r.scalars["ctl_passed"] = static_cast<double>(fs.passed);
 
   if (v.bundler_on) {
@@ -186,7 +170,7 @@ void RegisterFeedbackBlackout(ScenarioRegistry* registry) {
     Variant v;
     v.bundler_on = true;
     v.watchdog = true;
-    return BuildAndRenderDot(FaultedDumbbell(v, BlackoutProfile(1), nullptr, nullptr),
+    return BuildAndRenderDot(FaultedDumbbell(v, nullptr, nullptr),
                              "feedback_blackout");
   });
 }

@@ -58,15 +58,19 @@ TrialRunner::TrialRunner(RunnerOptions options) : options_(std::move(options)) {
 }
 
 std::vector<TrialResult> TrialRunner::Run(const Scenario& scenario,
-                                          const std::vector<TrialPoint>& plan) {
+                                          const std::vector<TrialPoint>& plan,
+                                          const ResultFn& on_result) {
   std::vector<TrialResult> results(plan.size());
   if (plan.empty()) {
     return results;
   }
 
   std::atomic<size_t> next{0};
-  std::atomic<size_t> done{0};
-  std::mutex log_mu;  // lint:allow(raw-mutex) function-local, guards stderr
+  // Guards stderr and the in-order report below.
+  std::mutex mu;  // lint:allow(raw-mutex) function-local
+  size_t done = 0;
+  std::vector<bool> finished(plan.size(), false);
+  size_t reported = 0;  // plan prefix handed to on_result
 
   auto worker = [&]() {
     for (;;) {
@@ -83,12 +87,16 @@ std::vector<TrialResult> TrialRunner::Run(const Scenario& scenario,
                      static_cast<unsigned long long>(point.seed), e.what());
         std::abort();
       }
-      size_t finished = done.fetch_add(1, std::memory_order_relaxed) + 1;
+      std::lock_guard<std::mutex> lock(mu);
+      ++done;
       if (options_.progress) {
-        std::lock_guard<std::mutex> lock(log_mu);
-        std::fprintf(stderr, "[%zu/%zu] %s variant=%s seed=%llu done\n", finished,
+        std::fprintf(stderr, "[%zu/%zu] %s variant=%s seed=%llu done\n", done,
                      plan.size(), scenario.spec.name.c_str(), point.variant.c_str(),
                      static_cast<unsigned long long>(point.seed));
+      }
+      finished[i] = true;
+      for (; on_result && reported < plan.size() && finished[reported]; ++reported) {
+        on_result(reported, &results[reported]);
       }
     }
   };

@@ -9,12 +9,15 @@
 // `trace_mask` is set) before the trial body builds anything, and after the
 // body returns dumps the counter registry and simulator profile into the
 // result's scalars ("ctr." / "sim." prefixes) and serializes the trace into
-// TrialResult::trace.
+// TrialResult::trace. An optional per-result callback sees each result in
+// plan order as soon as the plan up to it is done, so a caller can write and
+// free traces while later trials still run.
 #ifndef SRC_RUNNER_TRIAL_RUNNER_H_
 #define SRC_RUNNER_TRIAL_RUNNER_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -40,14 +43,21 @@ std::string TrialSignature(const TrialPoint& point);
 
 class TrialRunner {
  public:
+  // Receives plan position `index` and its result, which it may modify (say,
+  // free the trace once written).
+  using ResultFn = std::function<void(size_t index, TrialResult* result)>;
+
   explicit TrialRunner(RunnerOptions options);
 
   // Runs every trial in `plan` through `scenario.run`. The returned vector is
   // ordered exactly like `plan` regardless of thread interleaving. Aborts if
   // a trial throws (the plan is an experiment description; a failing trial is
-  // a bug, not data).
+  // a bug, not data). `on_result`, when set, is called once per trial, in
+  // plan order, as soon as that trial and every one before it have finished;
+  // calls come from worker threads, one at a time, under the runner's lock.
   std::vector<TrialResult> Run(const Scenario& scenario,
-                               const std::vector<TrialPoint>& plan);
+                               const std::vector<TrialPoint>& plan,
+                               const ResultFn& on_result = nullptr);
 
   // Convenience: expand + run.
   std::vector<TrialResult> Run(const Scenario& scenario);

@@ -210,26 +210,6 @@ bool EventQueue::Cancel(EventId id) {
   return false;
 }
 
-bool EventQueue::Reschedule(EventId id, TimePoint t) {
-  uint32_t idx = Resolve(id);
-  if (idx == kNpos) {
-    return false;
-  }
-  if (slots_[idx].state == SlotState::kDispatchCancelled) {
-    return false;
-  }
-  BUNDLER_CHECK(heap_pos_[idx] != kNpos);
-  // Fresh seq: the move is ordered like a brand-new push at `t`.
-  HeapEntry e{t, NextKey(idx)};
-  uint32_t pos = heap_pos_[idx];
-  if (pos > 0 && Earlier(e, heap_[(pos - 1) / 4])) {
-    SiftUp(pos, e);
-  } else {
-    SiftDown(pos, e);
-  }
-  return true;
-}
-
 TimePoint EventQueue::NextTime() const {
   BUNDLER_CHECK(!heap_.empty());
   return heap_[0].time;

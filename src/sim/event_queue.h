@@ -7,14 +7,14 @@
 //    scheduling never heap-allocates. Slots are pooled on a free list and
 //    recycled.
 //  - The heap stores (time, seq, slot) entries; slots hold the callback and
-//    their current heap position, so Cancel and Reschedule are O(log n)
-//    sift operations — no hash lookups, no dead entries accumulating.
+//    their current heap position, so Cancel is an O(log n) sift operation —
+//    no hash lookups, no dead entries accumulating. A deadline moves by
+//    Cancel plus a fresh Push, which reuses the freed slot.
 //  - EventIds encode (generation, slot): a stale id (already fired or
 //    cancelled) fails the generation check and is a no-op, exactly like the
 //    old lazy-deletion semantics but without retaining tombstones.
 //  - The seq tiebreak guarantees FIFO dispatch of events scheduled for the
-//    same instant, which keeps runs deterministic. Reschedule assigns a fresh
-//    seq (it is ordered like a brand-new push at the new time).
+//    same instant, which keeps runs deterministic.
 //  - Periodic events (PushPeriodic) keep their slot forever: DispatchHead
 //    re-arms them at time+period *before* invoking the callback, matching the
 //    FIFO ordering of the classic "callback re-schedules itself first" idiom
@@ -63,11 +63,11 @@ class EventQueue {
   };
   const Profile& profile() const { return profile_; }
 
-  // Returns an id usable with Cancel/Reschedule until the event fires.
+  // Returns an id usable with Cancel until the event fires.
   // [[nodiscard]] across the handle-returning API: dropping a handle is legal
   // for fire-and-forget one-shots only through Simulator::Schedule (which
   // documents that choice); at this layer a dropped handle or ignored
-  // Cancel/Reschedule verdict is a bug.
+  // Cancel verdict is a bug.
   [[nodiscard]] EventId Push(TimePoint time, Callback cb);
 
   // Hot-path overload: constructs the callable directly in the pooled slot
@@ -101,11 +101,6 @@ class EventQueue {
   // Removes the event from the heap. Returns false (no-op) when the id
   // already fired, was cancelled, or is kInvalidEventId.
   [[nodiscard]] bool Cancel(EventId id);
-
-  // Moves a pending event to `t` with fresh FIFO ordering (as if it were
-  // pushed at `t` now). For a periodic event this moves the next firing;
-  // later firings follow at t+period. Returns false when the id is dead.
-  [[nodiscard]] bool Reschedule(EventId id, TimePoint t);
 
   bool Empty() const { return heap_.empty(); }
   // Time of the earliest pending event; callers must ensure !Empty().

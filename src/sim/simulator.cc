@@ -13,12 +13,6 @@ EventId Simulator::SchedulePeriodic(TimeDelta first_delay, TimeDelta period,
   return queue_.PushPeriodic(now_ + first_delay, period, std::move(cb));
 }
 
-bool Simulator::Reschedule(EventId id, TimePoint t) {
-  BUNDLER_CHECK_MSG(t >= now_, "rescheduling into the past: %s < %s",
-                    t.ToString().c_str(), now_.ToString().c_str());
-  return queue_.Reschedule(id, t);
-}
-
 void Simulator::DispatchNext() {
   now_ = queue_.NextTime();
   queue_.DispatchHead();

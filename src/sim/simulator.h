@@ -6,8 +6,8 @@
 //    inline (InlineFunction), so this never heap-allocates.
 //  - Steady-state timers (control ticks, samplers): SchedulePeriodic. The
 //    event re-arms in place each firing — no cancel/push churn.
-//  - Movable deadlines (RTO-style timers, shaper wakeups): keep the EventId
-//    and Reschedule/RescheduleAfter instead of Cancel + Schedule.
+//  - Movable deadlines (shaper wakeups): keep the EventId, then Cancel it and
+//    Schedule the new deadline. The new event reuses the freed slot.
 //  - A stream of events with one callback that fire in the order they are
 //    scheduled (a link's deliveries): AddLane once, then ScheduleLaneAt. Only
 //    the lane's earliest entry sits in the heap.
@@ -57,12 +57,6 @@ class Simulator {
   [[nodiscard]] EventId SchedulePeriodic(TimeDelta first_delay,
                                          TimeDelta period,
                                          EventQueue::Callback cb);
-  // Move a pending event to a new deadline (>= now). Returns false when the
-  // event already fired or was cancelled (the id is then dead).
-  [[nodiscard]] bool Reschedule(EventId id, TimePoint t);
-  [[nodiscard]] bool RescheduleAfter(EventId id, TimeDelta delay) {
-    return Reschedule(id, now_ + delay);
-  }
   // Event lanes (EventQueue::AddLane): `cb` runs once per ScheduleLaneAt, in
   // push order. A lane's entries cannot be cancelled.
   [[nodiscard]] EventQueue::LaneId AddLane(EventQueue::Callback cb) {

@@ -105,7 +105,7 @@ class Dumbbell {
   Net* net() { return net_.get(); }
 
   // Entry point of the shared reverse path (ACKs + Bundler feedback). Tests
-  // interpose fault injectors here via Receivebox::set_reverse.
+  // interpose packet handlers here via Receivebox::set_reverse.
   PacketHandler* reverse_path() { return net_->router(graph_.reverse_agg); }
 
   // Bottleneck observation: queue delay over all packets, and per-bundle

@@ -458,7 +458,7 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
   }
 
   // --- Phase 4b: fault injectors wrap each faulted edge's delivery chain
-  // (passive: nothing is scheduled until a packet is held). Built in reverse
+  // (passive: an injector never schedules anything). Built in reverse
   // declaration order so the first-declared profile is outermost — it acts
   // first on arriving packets, before later profiles and the receiveboxes.
   // The injector executes where the edge delivers, which also covers shard-

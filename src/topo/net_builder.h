@@ -116,13 +116,13 @@ class NetBuilder {
   MonitorId AddRateMeter(EdgeId edge, TimeDelta window, PacketFilter filter = {});
 
   // --- Fault injection (src/net/fault_injector.h) ---
-  // Attaches a seeded fault profile to a plain link's delivery path: packets
-  // that finish propagation pass through the injector (drop / burst-drop /
-  // blackout / bounded reorder) before reaching receiveboxes and the node
-  // entry. Validated here (CHECK-fails on malformed specs, wires, multipath
-  // edges). Multiple profiles on one link compose; the first-declared profile
-  // acts first on arriving packets. Declaring no profiles leaves the build
-  // byte-identical to a fault-free one (no components registered).
+  // Attaches a fault profile to a plain link's delivery path: packets that
+  // finish propagation pass through the injector (blackout drops) before
+  // reaching receiveboxes and the node entry. Validated here (CHECK-fails on
+  // malformed specs, wires, multipath edges). Multiple profiles on one link
+  // compose; the first-declared profile acts first on arriving packets.
+  // Declaring no profiles leaves the build byte-identical to a fault-free
+  // one (no components registered).
   FaultId AddFaultProfile(EdgeId link, const FaultProfileSpec& spec);
 
   // --- Introspection ---

@@ -138,10 +138,11 @@ class TcpConnection : public PacketHandler {
   // RestartRto moves the deadline (on ACKs of new data and on timeout
   // backoff); EnsureRtoArmed only starts it if idle (on transmissions).
   // The armed event deliberately fires at its original deadline and re-arms
-  // lazily when the deadline moved, rather than Reschedule()-ing on every
-  // ACK: an ACK clearing timeout backoff can pull the deadline *earlier*
-  // than the armed event, and honoring that eagerly changes retransmit
-  // timing (the simulation's reference traces are pinned byte-for-byte).
+  // lazily when the deadline moved, rather than being cancelled and
+  // scheduled anew on every ACK: an ACK clearing timeout backoff can pull
+  // the deadline *earlier* than the armed event, and honoring that eagerly
+  // changes retransmit timing (the simulation's reference traces are pinned
+  // byte-for-byte).
   // Under the inline-callback engine the lazy re-arm is allocation-free, so
   // the pattern costs one pooled slot per spurious wake and nothing else.
   void RestartRto();

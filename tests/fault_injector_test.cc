@@ -1,13 +1,9 @@
-// FaultInjector (src/net/fault_injector.h): every stochastic mechanism is
-// mirrored against a reference model driving an identically-seeded Rng in the
-// injector's documented draw order (Bernoulli: one draw per targeted packet;
-// Gilbert-Elliott: loss draw then transition draw; reorder: one hold draw per
-// surviving targeted packet while the slot is free), so the tests pin the
-// exact RNG contract that makes faulted runs reproducible. Plus: blackout
-// window edge semantics, bounded reorder displacement, passive construction,
-// profile-validation death tests, and the end-to-end guarantee that a faulted
-// topology produces identical results unsharded and sharded at any worker
-// count.
+// FaultInjector (src/net/fault_injector.h): targeting (which packet types a
+// window drops, and that untargeted packets pass in order, uncounted),
+// blackout window edge semantics, an allocation-free faulted datapath, a
+// passive injector that never schedules an event, profile-validation death
+// tests, and the end-to-end guarantee that a faulted topology produces
+// identical results unsharded and sharded at any worker count.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -24,7 +20,6 @@
 #include "src/topo/net_builder.h"
 #include "src/topo/partition.h"
 #include "src/transport/tcp_flow.h"
-#include "src/util/random.h"
 #include "tests/alloc_counter.h"
 
 namespace bundler {
@@ -61,76 +56,16 @@ struct Harness {
   FaultInjector inj;
 };
 
-TEST(FaultInjectorTest, BernoulliLossMatchesReferenceModel) {
-  FaultProfileSpec spec;
-  spec.loss_prob = 0.3;
-  spec.seed = 42;
-  Harness h(spec);
-
-  Rng ref(42);
-  std::vector<int64_t> expected;
-  for (int64_t i = 0; i < 500; ++i) {
-    h.inj.HandlePacket(DataPacket(i));
-    if (!(ref.NextDouble() < 0.3)) {
-      expected.push_back(i);
-    }
-  }
-  ASSERT_EQ(h.arrivals.size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(h.arrivals[i].second, expected[i]);
-  }
-  EXPECT_EQ(h.inj.stats().passed, expected.size());
-  EXPECT_EQ(h.inj.stats().drops_random, 500 - expected.size());
-  EXPECT_EQ(h.inj.stats().drops_burst, 0u);
+// A window that covers every packet the targeting tests send at t = 0.
+FaultProfileSpec OpenWindow(FaultTarget target) {
+  return {target, {{TimeDelta::Zero(), TimeDelta::Seconds(1)}}};
 }
 
-TEST(FaultInjectorTest, GilbertElliottMatchesReferenceModel) {
-  FaultProfileSpec spec;
-  spec.ge_p_good_to_bad = 0.05;
-  spec.ge_p_bad_to_good = 0.3;
-  spec.ge_loss_good = 0.01;
-  spec.ge_loss_bad = 0.9;
-  spec.seed = 7;
-  Harness h(spec);
-
-  // Reference chain: loss draw against the *current* state's probability,
-  // then one transition draw — the order the injector documents.
-  Rng ref(7);
-  bool bad = false;
-  std::vector<int64_t> expected;
-  uint64_t losses = 0;
-  for (int64_t i = 0; i < 2000; ++i) {
-    h.inj.HandlePacket(DataPacket(i));
-    const bool lost = ref.NextDouble() < (bad ? 0.9 : 0.01);
-    if (ref.NextDouble() < (bad ? 0.3 : 0.05)) {
-      bad = !bad;
-    }
-    if (lost) {
-      ++losses;
-    } else {
-      expected.push_back(i);
-    }
-  }
-  ASSERT_GT(losses, 0u);  // the chain must actually visit the bad state
-  ASSERT_EQ(h.arrivals.size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(h.arrivals[i].second, expected[i]);
-  }
-  EXPECT_EQ(h.inj.stats().drops_burst, losses);
-  EXPECT_EQ(h.inj.stats().drops_random, 0u);
-}
-
-// Ctl targeting: data packets neither consume RNG draws nor count in stats,
-// so the fault sequence seen by control messages is independent of how much
-// data traffic shares the link.
-TEST(FaultInjectorTest, CtlTargetingConsumesNoDrawsForData) {
-  FaultProfileSpec spec;
-  spec.target = FaultTarget::kCtl;
-  spec.loss_prob = 0.5;
-  spec.seed = 11;
-  Harness h(spec);
-
-  Rng ref(11);
+// Inside a window, kCtl drops both Bundler control types, while every data
+// packet passes in order, uncounted: the stats describe the targeted
+// population only.
+TEST(FaultInjectorTest, CtlTargetDropsControlAndForwardsDataInOrder) {
+  Harness h(OpenWindow(FaultTarget::kCtl));
   std::vector<std::pair<PacketType, int64_t>> expected;
   for (int64_t i = 0; i < 300; ++i) {
     // Interleave: data, feedback, data, epoch ctl, ...
@@ -139,29 +74,21 @@ TEST(FaultInjectorTest, CtlTargetingConsumesNoDrawsForData) {
     const PacketType ctl =
         i % 2 == 0 ? PacketType::kBundlerFeedback : PacketType::kBundlerEpochCtl;
     h.inj.HandlePacket(CtlPacket(ctl, i));
-    if (!(ref.NextDouble() < 0.5)) {
-      expected.emplace_back(ctl, i);
-    }
   }
   EXPECT_EQ(h.arrivals, expected);
-  // Untargeted data is not even counted as "passed": the stats describe the
-  // targeted population only.
-  EXPECT_EQ(h.inj.stats().passed + h.inj.stats().drops_random, 300u);
+  EXPECT_EQ(h.inj.stats().drops_blackout, 300u);
+  EXPECT_EQ(h.inj.stats().passed, 0u);
 }
 
 TEST(FaultInjectorTest, FeedbackOnlyTargetSparesEpochCtl) {
-  FaultProfileSpec spec;
-  spec.target = FaultTarget::kFeedbackOnly;
-  spec.loss_prob = 1.0;
-  Harness h(spec);
-
+  Harness h(OpenWindow(FaultTarget::kFeedbackOnly));
   h.inj.HandlePacket(CtlPacket(PacketType::kBundlerFeedback, 0));
   h.inj.HandlePacket(CtlPacket(PacketType::kBundlerEpochCtl, 1));
   h.inj.HandlePacket(DataPacket(2));
   ASSERT_EQ(h.arrivals.size(), 2u);
   EXPECT_EQ(h.arrivals[0].first, PacketType::kBundlerEpochCtl);
   EXPECT_EQ(h.arrivals[1].first, PacketType::kData);
-  EXPECT_EQ(h.inj.stats().drops_random, 1u);
+  EXPECT_EQ(h.inj.stats().drops_blackout, 1u);
 }
 
 TEST(FaultInjectorTest, BlackoutWindowsDropExactlyInside) {
@@ -188,60 +115,15 @@ TEST(FaultInjectorTest, BlackoutWindowsDropExactlyInside) {
   EXPECT_EQ(h.inj.stats().passed, 5u);
 }
 
-TEST(FaultInjectorTest, ReorderDisplacementBoundedByDepth) {
-  FaultProfileSpec spec;
-  spec.reorder_prob = 1.0;  // every eligible packet is held
-  spec.reorder_depth = 3;
-  Harness h(spec);
-
-  for (int64_t i = 0; i < 8; ++i) {
-    h.inj.HandlePacket(DataPacket(i));
-  }
-  // Packet 0 is held; 1..3 overtake it (displacement == depth), which
-  // releases it. Packet 4 is then held and 5..7 repeat the pattern.
-  std::vector<int64_t> got;
-  for (const auto& [type, seq] : h.arrivals) {
-    got.push_back(seq);
-  }
-  EXPECT_EQ(got, (std::vector<int64_t>{1, 2, 3, 0, 5, 6, 7, 4}));
-  EXPECT_EQ(h.inj.stats().held, 2u);
-  EXPECT_EQ(h.inj.stats().released_depth, 2u);
-  EXPECT_EQ(h.inj.stats().released_flush, 0u);
-  EXPECT_FALSE(h.inj.holding());
-}
-
-TEST(FaultInjectorTest, ReorderFlushReleasesWhenTrafficStops) {
-  FaultProfileSpec spec;
-  spec.reorder_prob = 1.0;
-  spec.reorder_depth = 8;
-  spec.reorder_flush = TimeDelta::Millis(25);
-  Harness h(spec);
-
-  h.inj.HandlePacket(DataPacket(0));
-  EXPECT_TRUE(h.inj.holding());
-  EXPECT_TRUE(h.arrivals.empty());
-  h.sim.RunAll();  // only the flush timer is pending
-  ASSERT_EQ(h.arrivals.size(), 1u);
-  EXPECT_EQ(h.arrivals[0].second, 0);
-  EXPECT_EQ(h.sim.now(), At(0.025));
-  EXPECT_EQ(h.inj.stats().released_flush, 1u);
-  EXPECT_FALSE(h.inj.holding());
-}
-
-// The faulted datapath allocates nothing once warm: every packet pays the
-// targeting check, a Gilbert-Elliott loss draw and transition draw, and ~10%
-// of survivors pass through the bounded reorder hold slot, whose depth
-// releases cancel the pooled flush timer. Simulated time advances 1 us per
-// packet, so flush timers that stay armed fire and recycle their slot.
+// The faulted datapath allocates nothing once warm. Simulated time advances
+// 1 us per packet through a 30 us window every 100 us, so drops and passes
+// interleave and the window cursor keeps moving.
 TEST(FaultInjectorTest, FaultedDatapathAllocatesNothing) {
   FaultProfileSpec spec;
-  spec.ge_p_good_to_bad = 0.05;
-  spec.ge_p_bad_to_good = 0.3;
-  spec.ge_loss_good = 0.0;
-  spec.ge_loss_bad = 1.0;
-  spec.reorder_prob = 0.1;
-  spec.reorder_depth = 8;
-  spec.seed = 12345;
+  for (int64_t w = 0; w < 11000; ++w) {
+    const TimeDelta start = TimeDelta::Micros(100 * w);
+    spec.blackouts.push_back({start, start + TimeDelta::Micros(30)});
+  }
   Simulator sim;
   uint64_t delivered = 0;
   LambdaHandler sink([&delivered](Packet) { ++delivered; });
@@ -259,52 +141,38 @@ TEST(FaultInjectorTest, FaultedDatapathAllocatesNothing) {
   const uint64_t before = HeapAllocs();
   churn(1 << 20);
   EXPECT_EQ(HeapAllocs() - before, 0u);
-  EXPECT_GT(inj.stats().drops_burst, 0u);
-  EXPECT_GT(inj.stats().released_depth, 0u);
-  EXPECT_GT(delivered, 0u);
+  EXPECT_GT(inj.stats().drops_blackout, 0u);
+  EXPECT_GT(inj.stats().passed, 0u);
+  EXPECT_EQ(delivered, inj.stats().passed);
 }
 
-// Construction schedules nothing: declaring fault profiles must not perturb
-// event-queue seeding of an otherwise identical run.
+// The injector schedules nothing, at construction or per packet: declaring
+// fault profiles must not perturb event-queue seeding of an otherwise
+// identical run.
 TEST(FaultInjectorTest, ConstructionIsPassive) {
-  FaultProfileSpec spec;
-  spec.loss_prob = 0.5;
-  spec.reorder_prob = 0.5;
-  spec.reorder_depth = 4;
-  spec.blackouts = {{TimeDelta::Millis(1), TimeDelta::Millis(2)}};
-  Harness h(spec);
-  h.sim.RunAll();
+  Harness h({FaultTarget::kAll, {{TimeDelta::Millis(1), TimeDelta::Millis(2)}}});
+  EXPECT_FALSE(h.sim.HasPending());
+  h.inj.HandlePacket(DataPacket(0));  // before the window
+  h.sim.RunUntil(At(0.0015));
+  h.inj.HandlePacket(DataPacket(1));  // inside it
+  h.sim.RunUntil(At(0.003));
+  h.inj.HandlePacket(DataPacket(2));  // after it
+  EXPECT_FALSE(h.sim.HasPending());
   EXPECT_EQ(h.sim.events_dispatched(), 0u);
+  EXPECT_EQ(h.inj.stats().drops_blackout, 1u);
+  EXPECT_EQ(h.arrivals.size(), 2u);
 }
 
 TEST(FaultProfileDeathTest, InvalidProfilesDie) {
   FaultProfileSpec spec;
-  EXPECT_DEATH(ValidateFaultProfile(spec, "t"), "no mechanism");
+  EXPECT_DEATH(ValidateFaultProfile(spec, "t"), "no blackout window");
 
-  spec.loss_prob = 1.5;
-  EXPECT_DEATH(ValidateFaultProfile(spec, "t"), "loss_prob");
-
-  spec.loss_prob = 0.5;
-  spec.ge_p_good_to_bad = 0.5;
-  spec.ge_p_bad_to_good = 0.5;
-  EXPECT_DEATH(ValidateFaultProfile(spec, "t"), "mutually");
-
-  spec.loss_prob = 0.0;
-  spec.ge_p_bad_to_good = 0.0;
-  EXPECT_DEATH(ValidateFaultProfile(spec, "t"), "transition");
-
-  spec.ge_p_good_to_bad = 0.0;
   spec.blackouts = {{TimeDelta::Millis(5), TimeDelta::Millis(5)}};
   EXPECT_DEATH(ValidateFaultProfile(spec, "t"), "start < end");
 
   spec.blackouts = {{TimeDelta::Millis(5), TimeDelta::Millis(10)},
                     {TimeDelta::Millis(8), TimeDelta::Millis(12)}};
   EXPECT_DEATH(ValidateFaultProfile(spec, "t"), "non-overlapping");
-
-  spec.blackouts.clear();
-  spec.reorder_prob = 0.5;
-  spec.reorder_depth = 99;
-  EXPECT_DEATH(ValidateFaultProfile(spec, "t"), "reorder_depth");
 }
 
 // --- Sharded determinism -------------------------------------------------
@@ -313,7 +181,7 @@ TEST(FaultProfileDeathTest, InvalidProfilesDie) {
 // any worker count: the injector sits on a link's delivery chain, whose
 // arrival order is the repo-wide determinism contract. Uses the non-bundled
 // dumbbell (partitions into sender/receiver shards across the faulted
-// bottleneck) with burst loss + reordering active.
+// bottleneck) with blackout windows that drop data packets mid-transfer.
 
 struct ShardOutput {
   std::vector<double> fct_ms;
@@ -321,15 +189,10 @@ struct ShardOutput {
 };
 
 FaultProfileSpec CrossShardProfile() {
-  FaultProfileSpec spec;
-  spec.ge_p_good_to_bad = 0.02;
-  spec.ge_p_bad_to_good = 0.25;
-  spec.ge_loss_good = 0.0;
-  spec.ge_loss_bad = 1.0;
-  spec.reorder_prob = 0.05;
-  spec.reorder_depth = 4;
-  spec.seed = 99;
-  return spec;
+  return {FaultTarget::kAll,
+          {{TimeDelta::Millis(30), TimeDelta::Millis(36)},
+           {TimeDelta::Millis(80), TimeDelta::Millis(84)},
+           {TimeDelta::Millis(200), TimeDelta::Millis(203)}}};
 }
 
 void ShardWorkload(Net* net, const DumbbellGraph& g, ShardOutput* out) {
@@ -397,18 +260,13 @@ ShardOutput RunFaultedSharded(int workers) {
 void ExpectSameOutput(const ShardOutput& a, const ShardOutput& b) {
   EXPECT_EQ(a.fct_ms, b.fct_ms);
   EXPECT_EQ(a.stats.passed, b.stats.passed);
-  EXPECT_EQ(a.stats.drops_burst, b.stats.drops_burst);
-  EXPECT_EQ(a.stats.drops_random, b.stats.drops_random);
-  EXPECT_EQ(a.stats.held, b.stats.held);
-  EXPECT_EQ(a.stats.released_depth, b.stats.released_depth);
-  EXPECT_EQ(a.stats.released_flush, b.stats.released_flush);
+  EXPECT_EQ(a.stats.drops_blackout, b.stats.drops_blackout);
 }
 
 TEST(FaultInjectorShardTest, FaultedRunIdenticalAcrossShardWorkers) {
   ShardOutput unsharded = RunFaultedUnsharded();
-  ASSERT_GT(unsharded.fct_ms.size(), 0u);
-  ASSERT_GT(unsharded.stats.drops_burst, 0u);  // the fault actually fired
-  ASSERT_GT(unsharded.stats.held, 0u);
+  ASSERT_EQ(unsharded.fct_ms.size(), 16u);  // every flow recovered
+  ASSERT_GT(unsharded.stats.drops_blackout, 0u);  // the fault actually fired
   ShardOutput w1 = RunFaultedSharded(1);
   ShardOutput w2 = RunFaultedSharded(2);
   ExpectSameOutput(unsharded, w1);

@@ -1,11 +1,16 @@
 // Unit tests for the experiment orchestration subsystem (src/runner): spec
 // expansion (sweep grid x seeds), thread-count-independent execution and
-// serialization, aggregation math (percentiles / confidence intervals), and
-// the built-in scenario registry.
+// serialization, the in-order per-result callback, aggregation math
+// (percentiles / confidence intervals), and the built-in scenario registry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <mutex>
+#include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/runner/builtin_scenarios.h"
@@ -128,6 +133,63 @@ TEST(TrialRunnerTest, JsonAndCsvByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(csv1, csv_n) << "threads=" << threads;
   }
   EXPECT_NE(json1.find("\"scenario\": \"test_synth\""), std::string::npos);
+}
+
+// The per-result callback sees every trial once, in plan order, as soon as
+// the plan up to it is done. Trial i dispatches (8 - i) * 2,000 events, so
+// later trials are shorter and finish first; with several threads trial 0
+// also waits until a later trial has finished, which makes the out-of-order
+// finish certain rather than likely.
+TEST(TrialRunnerTest, ResultCallbackSeesPlanOrderWhenTrialsFinishOutOfOrder) {
+  constexpr size_t kTrials = 8;
+  constexpr size_t kEventsPerStep = 2000;
+  ScenarioSpec spec;
+  spec.name = "test_out_of_order";
+  spec.variants = {"x"};
+  spec.default_trials = static_cast<int>(kTrials);
+  const std::vector<TrialPoint> plan = ExpandTrials(spec, 0);
+  for (int threads : {1, 4}) {
+    std::mutex mu;
+    std::vector<size_t> finish_order;  // guarded by mu
+    std::atomic<bool> later_finished{false};
+    auto body = [&](const TrialPoint& p, Simulator* sim) {
+      const size_t i = static_cast<size_t>(p.trial_index);
+      for (size_t k = 0; k < (kTrials - i) * kEventsPerStep; ++k) {
+        sim->Schedule(TimeDelta::Micros(static_cast<int64_t>(k)), []() {});
+      }
+      sim->RunAll();
+      while (threads > 1 && i == 0 && !later_finished.load()) {
+        std::this_thread::yield();
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      finish_order.push_back(i);
+      if (i > 0) {
+        later_finished.store(true);
+      }
+      return TrialResult{};
+    };
+    std::vector<size_t> seen;
+    RunnerOptions options;
+    options.threads = threads;
+    TrialRunner(options).Run(
+        Scenario{spec, body}, plan, [&](size_t index, TrialResult* r) {
+          seen.push_back(index);
+          EXPECT_EQ(r->scalars.at("sim.events_dispatched"),
+                    static_cast<double>((kTrials - index) * kEventsPerStep));
+          std::lock_guard<std::mutex> lock(mu);
+          for (size_t j = 0; j <= index; ++j) {
+            EXPECT_NE(std::find(finish_order.begin(), finish_order.end(), j),
+                      finish_order.end())
+                << "trial " << j << " reported before it finished";
+          }
+        });
+    std::vector<size_t> in_order(kTrials);
+    std::iota(in_order.begin(), in_order.end(), 0);
+    EXPECT_EQ(seen, in_order) << "threads=" << threads;
+    if (threads > 1) {
+      EXPECT_NE(finish_order, in_order);
+    }
+  }
 }
 
 // End-to-end determinism through the real simulator: a small two-variant

@@ -234,47 +234,13 @@ TEST(SimulatorTest, PeriodicRearmsBeforeInvoking) {
   EXPECT_EQ(order[2], 'o');
 }
 
-TEST(SimulatorTest, RescheduleMovesDeadline) {
-  Simulator sim;
-  std::vector<char> order;
-  EventId a = sim.Schedule(TimeDelta::Millis(10), [&]() { order.push_back('a'); });
-  sim.Schedule(TimeDelta::Millis(20), [&]() { order.push_back('b'); });
-  EXPECT_TRUE(sim.Reschedule(a, TimePoint::Zero() + TimeDelta::Millis(30)));
-  sim.RunAll();
-  EXPECT_EQ(order, (std::vector<char>{'b', 'a'}));
-}
-
-TEST(SimulatorTest, RescheduleOrdersLikeFreshPush) {
-  // Rescheduling onto an instant where events are already pending places the
-  // moved event last among them (fresh FIFO sequence), exactly as a
-  // cancel+push would.
-  Simulator sim;
-  std::vector<char> order;
-  EventId a = sim.Schedule(TimeDelta::Millis(1), [&]() { order.push_back('a'); });
-  sim.Schedule(TimeDelta::Millis(5), [&]() { order.push_back('b'); });
-  EXPECT_TRUE(sim.Reschedule(a, TimePoint::Zero() + TimeDelta::Millis(5)));
-  sim.RunAll();
-  EXPECT_EQ(order, (std::vector<char>{'b', 'a'}));
-}
-
-TEST(SimulatorTest, RescheduleDeadIdReturnsFalse) {
-  Simulator sim;
-  EventId fired = sim.Schedule(TimeDelta::Millis(1), []() {});
-  EventId cancelled = sim.Schedule(TimeDelta::Millis(2), []() {});
-  sim.Cancel(cancelled);
-  sim.RunAll();
-  EXPECT_FALSE(sim.Reschedule(fired, sim.now() + TimeDelta::Millis(1)));
-  EXPECT_FALSE(sim.Reschedule(cancelled, sim.now() + TimeDelta::Millis(1)));
-  EXPECT_FALSE(sim.RescheduleAfter(kInvalidEventId, TimeDelta::Millis(1)));
-}
-
 // Randomized mirror test: the queue must dispatch exactly the live events in
-// (time, FIFO) order under interleaved push / cancel / reschedule, matching
-// a naive reference model.
+// (time, FIFO) order under interleaved push / cancel / move (cancel, then
+// push at the new time), matching a naive reference model.
 TEST(EventQueueTest, RandomizedOrderMatchesReferenceModel) {
   struct Ref {
     int64_t time_ns;
-    uint64_t order;  // monotonically increasing push/reschedule stamp
+    uint64_t order;  // monotonically increasing push stamp
     int label;
   };
   std::mt19937_64 rng(20260729);
@@ -299,11 +265,17 @@ TEST(EventQueueTest, RandomizedOrderMatchesReferenceModel) {
       live[pending[victim].second].label = -1;  // tombstone in the model only
       pending.erase(pending.begin() + victim);
     } else {
+      // Move: the victim's label fires at the new time, behind every event
+      // already queued there.
       size_t victim = rng() % pending.size();
       int64_t t = static_cast<int64_t>(rng() % 64);
-      ASSERT_TRUE(q.Reschedule(pending[victim].first, TimePoint::FromNanos(t)));
-      live[pending[victim].second].time_ns = t;
-      live[pending[victim].second].order = ++stamp;
+      Ref& ref = live[pending[victim].second];
+      const int label = ref.label;
+      ASSERT_TRUE(q.Cancel(pending[victim].first));
+      pending[victim].first = q.Push(TimePoint::FromNanos(t),
+                                     [&fired, label]() { fired.push_back(label); });
+      ref.time_ns = t;
+      ref.order = ++stamp;
     }
   }
   while (!q.Empty()) {
@@ -326,7 +298,7 @@ TEST(EventQueueTest, RandomizedOrderMatchesReferenceModel) {
 
 // Lane mirror test: lane entries must dispatch exactly as plain pushes made
 // at the same moments would. Two queues see the same interleaving of plain
-// pushes, cancels, reschedules, dispatches and pushes onto three lanes (each
+// pushes, cancels, moves, dispatches and pushes onto three lanes (each
 // lane non-decreasing in time, dense times forcing ties); in the reference
 // queue every lane entry is a plain push. Dispatch order, NextTime, the
 // pending count and the pending profile must match after every operation.
@@ -375,9 +347,14 @@ TEST(EventQueueTest, LaneEntriesDispatchLikePlainPushesMadeAtTheSameMoment) {
       const Plain& victim = plain[rng() % plain.size()];
       EXPECT_EQ(laned.Cancel(victim.laned), ref.Cancel(victim.ref));
     } else if (pick < 9 && !plain.empty()) {
-      const Plain& victim = plain[rng() % plain.size()];
+      // Move: cancel (a no-op on both sides if it already fired), then push
+      // at the new time.
+      Plain& victim = plain[rng() % plain.size()];
       const TimePoint t = TimePoint::FromNanos(now + static_cast<int64_t>(rng() % 32));
-      EXPECT_EQ(laned.Reschedule(victim.laned, t), ref.Reschedule(victim.ref, t));
+      EXPECT_EQ(laned.Cancel(victim.laned), ref.Cancel(victim.ref));
+      const int label = next_label++;
+      victim = Plain{laned.Push(t, [&laned_fired, label]() { laned_fired.push_back(label); }),
+                     ref.Push(t, [&ref_fired, label]() { ref_fired.push_back(label); })};
     } else if (!ref.Empty()) {
       now = ref.NextTime().nanos();
       laned.DispatchHead();
@@ -424,15 +401,16 @@ TEST(SimulatorTest, SteadyStateSchedulingDoesNotAllocate) {
   sim.RunAll();
 
   uint64_t before = HeapAllocs();
-  // Steady state: a periodic timer, a self-rescheduling chain, same-slot
-  // reuse via Reschedule, and a block of one-shots per round — all with
+  // Steady state: a periodic timer, a long-lived timer moved each round by
+  // cancel plus schedule, and a block of one-shots per round — all with
   // inline captures. None of this may allocate.
   int chain = 0;
   EventId movable = sim.Schedule(TimeDelta::Seconds(3600), []() {});
   EventId periodic =
       sim.SchedulePeriodic(TimeDelta::Micros(50), TimeDelta::Micros(50), [&]() {
         if (++chain <= 100) {
-          EXPECT_TRUE(sim.RescheduleAfter(movable, TimeDelta::Seconds(3600)));
+          EXPECT_TRUE(sim.Cancel(movable));
+          movable = sim.Schedule(TimeDelta::Seconds(3600), []() {});
           for (int i = 0; i < kPending / 2; ++i) {
             sim.Schedule(TimeDelta::Micros(1 + i % 7), []() {});
           }
@@ -679,15 +657,16 @@ TEST(SimulatorTest, PeerRescheduledFromCallbackRunsBehindLaterQueuedEvents) {
   Simulator sim;
   std::vector<int> fired;
   EventId moved;
+  auto second = [&fired]() { fired.push_back(2); };
   sim.Schedule(TimeDelta::Micros(5), [&]() {
     fired.push_back(1);
-    EXPECT_TRUE(
-        sim.Reschedule(moved, TimePoint::Zero() + TimeDelta::Micros(6)));
+    EXPECT_TRUE(sim.Cancel(moved));
+    sim.ScheduleAt(TimePoint::Zero() + TimeDelta::Micros(6), second);
   });
-  moved = sim.Schedule(TimeDelta::Micros(5), [&fired]() { fired.push_back(2); });
+  moved = sim.Schedule(TimeDelta::Micros(5), second);
   sim.Schedule(TimeDelta::Micros(6), [&fired]() { fired.push_back(3); });
   sim.RunAll();
-  // The rescheduled event is ordered like a brand-new push at 6us, behind the
+  // The moved event is ordered like a brand-new push at 6us, behind the
   // event that was already queued there.
   EXPECT_EQ(fired, (std::vector<int>{1, 3, 2}));
   EXPECT_EQ(sim.events_dispatched(), 3u);

@@ -1,14 +1,15 @@
 // Sendbox feedback watchdog (BundleControlConfig::watchdog in
 // src/bundler/bundle_controller.h): the control-loop survival state machine.
-// A FaultInjector with a feedback-only blackout window sits on the dumbbell's
-// reverse path, and the tests walk the documented lifecycle off the bundle
-// controller's watchdog_log(): staleness past kWatchdogTimeout (500 ms, in
-// bundle_controller.cc) degrades (shaper opened to max_rate, mode machinery
-// frozen), re-probes back off exponentially from kWatchdogProbeInitial
-// (250 ms), and the first fresh feedback after the outage re-syncs
-// immediately and hands the rate back to the live controller. The last test
-// runs the registered feedback_blackout scenario's watchdog trial through the
-// TrialRunner and reads the same lifecycle from its counters and trace.
+// A feedback-only blackout profile sits on the dumbbell's reverse link
+// (NetBuilder::AddFaultProfile), and the tests walk the documented lifecycle
+// off the bundle controller's watchdog_log(): staleness past
+// kWatchdogTimeout (500 ms, in bundle_controller.cc) degrades (shaper opened
+// to max_rate, mode machinery frozen), re-probes back off exponentially from
+// kWatchdogProbeInitial (250 ms), and the first fresh feedback after the
+// outage re-syncs immediately and hands the rate back to the live
+// controller. The last test runs the registered feedback_blackout scenario's
+// watchdog trial through the TrialRunner and reads the same lifecycle from
+// its counters and trace.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +24,7 @@
 #include "src/runner/builtin_scenarios.h"
 #include "src/runner/trial_runner.h"
 #include "src/topo/dumbbell.h"
+#include "src/topo/net_builder.h"
 
 namespace bundler {
 namespace {
@@ -37,34 +39,31 @@ constexpr double kBlackoutEnd = 10.0;
 struct WatchdogRun {
   Simulator sim;
   DumbbellConfig cfg;
-  // Declared before `net`, so it outlives it: the Net's teardown freezes the
-  // injector's exposed counters along with its own.
-  std::unique_ptr<FaultInjector> inj;
-  std::unique_ptr<Dumbbell> net;
+  std::unique_ptr<Net> net;
 
   explicit WatchdogRun(bool watchdog, double blackout_start = kBlackoutStart,
                        double blackout_end = kBlackoutEnd) {
     cfg.bottleneck_rate = Rate::Mbps(48);
     cfg.rtt = TimeDelta::Millis(40);
     cfg.sendbox.watchdog = watchdog;
-    net = std::make_unique<Dumbbell>(&sim, cfg);
-
-    FaultProfileSpec spec;
-    spec.target = FaultTarget::kFeedbackOnly;
-    spec.blackouts = {{TimeDelta::SecondsF(blackout_start),
-                       TimeDelta::SecondsF(blackout_end)}};
-    ValidateFaultProfile(spec, "watchdog_test");
-    inj = std::make_unique<FaultInjector>(&sim, "reverse", spec,
-                                          net->reverse_path());
-    net->receivebox()->set_reverse(inj.get());
-
-    StartBulkFlows(&sim, net->flows(), net->server(), net->client(), 4,
-                   HostCcType::kCubic, TimePoint::Zero());
+    DumbbellGraph g;
+    NetBuilder b = DumbbellBuilder(cfg, &g);
+    b.AddFaultProfile(g.reverse_link,
+                      {FaultTarget::kFeedbackOnly,
+                       {{TimeDelta::SecondsF(blackout_start),
+                         TimeDelta::SecondsF(blackout_end)}}});
+    net = b.Build(&sim);
+    StartBulkFlows(&sim, net->flows(), net->host(g.servers[0]),
+                   net->host(g.clients[0]), 4, HostCcType::kCubic,
+                   TimePoint::Zero());
   }
+
+  BundleController* controller() const { return net->bundle_controller(0); }
+  SendboxManager* sendbox() const { return net->sendbox(0); }
 
   std::vector<std::pair<TimePoint, WdEvent>> Events(WdEvent kind) const {
     std::vector<std::pair<TimePoint, WdEvent>> out;
-    for (const auto& e : net->controller()->watchdog_log()) {
+    for (const auto& e : controller()->watchdog_log()) {
       if (e.second == kind) {
         out.push_back(e);
       }
@@ -85,8 +84,8 @@ TEST(WatchdogTest, StaleFeedbackDegradesAndOpensShaper) {
   EXPECT_GE(t, kBlackoutStart + 0.5);
   EXPECT_LE(t, kBlackoutStart + 0.6);
   // Graceful degradation == status quo: the shaper is wide open.
-  EXPECT_TRUE(r.net->controller()->watchdog_degraded());
-  EXPECT_EQ(r.net->sendbox()->bundle_rate(0), r.cfg.sendbox.max_rate);
+  EXPECT_TRUE(r.controller()->watchdog_degraded());
+  EXPECT_EQ(r.sendbox()->bundle_rate(0), r.cfg.sendbox.max_rate);
   EXPECT_TRUE(r.Events(WdEvent::kResync).empty());
 }
 
@@ -122,10 +121,10 @@ TEST(WatchdogTest, ResyncsWithinOneEpochAndRestoresControl) {
   const double t = (resyncs[0].first - TimePoint::Zero()).ToSeconds();
   EXPECT_GE(t, kBlackoutEnd);
   EXPECT_LE(t, kBlackoutEnd + 0.2);
-  EXPECT_FALSE(r.net->controller()->watchdog_degraded());
+  EXPECT_FALSE(r.controller()->watchdog_degraded());
   // Control re-engaged: the live controller shapes near the bottleneck rate
   // again instead of the wide-open degraded rate.
-  EXPECT_LT(r.net->sendbox()->bundle_rate(0).bps(),
+  EXPECT_LT(r.sendbox()->bundle_rate(0).bps(),
             r.cfg.sendbox.max_rate.bps() / 2);
   EXPECT_EQ(r.Events(WdEvent::kDegrade).size(), 1u);
 }
@@ -135,8 +134,8 @@ TEST(WatchdogTest, NeverDegradesBeforeTheLoopFirstCloses) {
   // not an outage — the endhost stack owns that regime (§4.5 fallback).
   WatchdogRun r(/*watchdog=*/true, 0.0, 60.0);
   r.sim.RunUntil(Sec(20.0));
-  EXPECT_TRUE(r.net->controller()->watchdog_log().empty());
-  EXPECT_FALSE(r.net->controller()->watchdog_degraded());
+  EXPECT_TRUE(r.controller()->watchdog_log().empty());
+  EXPECT_FALSE(r.controller()->watchdog_degraded());
 }
 
 TEST(WatchdogTest, UncontrollableDelayDegradesOutOfDelayControl) {
@@ -190,8 +189,8 @@ TEST(WatchdogTest, UncontrollableDelayDegradesOutOfDelayControl) {
 TEST(WatchdogTest, OffByDefaultRecordsNothing) {
   WatchdogRun r(/*watchdog=*/false);
   r.sim.RunUntil(Sec(12.0));
-  EXPECT_TRUE(r.net->controller()->watchdog_log().empty());
-  EXPECT_FALSE(r.net->controller()->watchdog_degraded());
+  EXPECT_TRUE(r.controller()->watchdog_log().empty());
+  EXPECT_FALSE(r.controller()->watchdog_degraded());
 }
 
 // The fault scenarios report observability like every other scenario: a
