@@ -45,7 +45,7 @@ ClassResults RunSite(bool with_bundler, TimeDelta duration) {
   cfg.bundler_enabled = with_bundler;
   // Three strict-priority bands keyed on the packet's class field.
   cfg.sendbox.scheduler_factory = [] {
-    return std::make_unique<StrictPrio>(3, int64_t{16} << 20);
+    return std::make_unique<StrictPrio>(int64_t{16} << 20);
   };
   Dumbbell net(&sim, cfg);
 
@@ -74,8 +74,10 @@ ClassResults RunSite(bool with_bundler, TimeDelta duration) {
   sim.RunUntil(TimePoint::Zero() + duration);
 
   ClassResults r;
-  r.video_rtt_p50_ms = video->rtt_ms().Median();
-  r.video_rtt_p99_ms = video->rtt_ms().Quantile(0.99);
+  // The video window opens at 5 s: a shorter run records no RTT.
+  const QuantileEstimator& rtts = video->rtt_ms();
+  r.video_rtt_p50_ms = rtts.empty() ? 0 : rtts.Median();
+  r.video_rtt_p99_ms = rtts.empty() ? 0 : rtts.Quantile(0.99);
   RequestFilter measured;
   measured.min_start = Sec(5);
   QuantileEstimator fcts = web_fct.Fcts(measured);
@@ -109,6 +111,10 @@ int main(int argc, char** argv) {
                 Table::Num(bd.backup_mbps, 1) + " Mbit/s"});
   table.Print();
 
+  if (sq.video_rtt_p50_ms == 0) {
+    std::printf("\nVideo RTT is recorded from 5 s on; run longer to compare it.\n");
+    return 0;
+  }
   std::printf(
       "\nWithout Bundler the backup's queue sits inside the ISP, ahead of the\n"
       "video packets; site-side priorities cannot reach it. With Bundler the\n"

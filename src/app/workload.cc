@@ -52,7 +52,6 @@ void PoissonWebWorkload::IssueRequest() {
   TcpFlowParams params;
   params.size_bytes = size;
   params.cc = config_.host_cc;
-  params.const_cwnd_pkts = config_.const_cwnd_pkts;
   params.priority = config_.priority;
   params.request_start = now;
   FlowDoneFn on_complete;

@@ -20,7 +20,6 @@ struct WebWorkloadConfig {
   TimePoint start = TimePoint::Zero();
   TimePoint stop = TimePoint::Infinite();
   HostCcType host_cc = HostCcType::kCubic;
-  double const_cwnd_pkts = 450.0;
   uint8_t priority = 0;
 };
 

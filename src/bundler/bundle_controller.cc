@@ -50,14 +50,6 @@ constexpr TimeDelta kWatchdogProbeInitial = TimeDelta::Millis(250);
 constexpr TimeDelta kWatchdogProbeMax = TimeDelta::Seconds(4);
 constexpr TimeDelta kWatchdogQdelBudget = TimeDelta::Millis(50);
 
-// The detector's pulse must land on an FFT bin of the cadence it is fed at,
-// which is the control tick.
-NimbusDetector::Config DetectorConfig(TimeDelta control_interval) {
-  NimbusDetector::Config c;
-  c.sample_interval = control_interval;
-  return c;
-}
-
 }  // namespace
 
 const char* BundlerModeName(BundlerMode mode) {
@@ -80,7 +72,9 @@ BundleController::BundleController(Simulator* sim,
       config_(config),
       ctl_out_(ctl_out),
       cc_(MakeBundleCc(config.cc, config.initial_rate)),
-      detector_(DetectorConfig(config.control_interval)),
+      // The detector is fed once per control tick, so its pulse must land on
+      // an FFT bin of that cadence.
+      detector_(config.control_interval),
       mode_entered_(sim->now()),
       epoch_pkts_(config.initial_epoch_pkts),
       last_epoch_update_(sim->now()),

@@ -6,14 +6,11 @@
 
 namespace bundler {
 
-MeasurementEngine::MeasurementEngine() : MeasurementEngine(Config()) {}
-
-MeasurementEngine::MeasurementEngine(const Config& config)
-    : config_(config), min_rtt_filter_(config.min_rtt_window) {}
+MeasurementEngine::MeasurementEngine() : min_rtt_filter_(kMinRttWindow) {}
 
 void MeasurementEngine::OnBoundarySent(uint64_t hash, TimePoint now, int64_t bytes_sent_cum) {
   outstanding_.push_back(BoundaryRecord{hash, next_record_seq_++, now, bytes_sent_cum});
-  if (outstanding_.size() > config_.max_outstanding) {
+  if (outstanding_.size() > kMaxOutstanding) {
     outstanding_.pop_front();
     ++records_expired_;
   }
@@ -39,7 +36,7 @@ void MeasurementEngine::PushOooEvent(TimePoint now, bool out_of_order) {
 }
 
 void MeasurementEngine::TrimOooWindow(TimePoint now) {
-  while (!ooo_events_.empty() && now - ooo_events_.front().first > config_.ooo_window) {
+  while (!ooo_events_.empty() && now - ooo_events_.front().first > kOooWindow) {
     if (ooo_events_.front().second) {
       --ooo_flagged_;
     }
@@ -182,7 +179,7 @@ BundleMeasurement MeasurementEngine::Current(TimePoint now) {
 
 double MeasurementEngine::OutOfOrderFraction(TimePoint now) {
   TrimOooWindow(now);
-  if (ooo_events_.size() < config_.min_ooo_samples) {
+  if (ooo_events_.size() < kMinOooSamples) {
     return 0.0;
   }
   return static_cast<double>(ooo_flagged_) / static_cast<double>(ooo_events_.size());

@@ -34,15 +34,12 @@ struct EpochSample {
 
 class MeasurementEngine {
  public:
-  struct Config {
-    TimeDelta min_rtt_window = TimeDelta::Seconds(100);
-    TimeDelta ooo_window = TimeDelta::Seconds(5);
-    size_t max_outstanding = 4096;  // boundary records kept awaiting feedback
-    size_t min_ooo_samples = 20;   // below this, the fraction reads as 0
-  };
+  static constexpr TimeDelta kMinRttWindow = TimeDelta::Seconds(100);
+  static constexpr TimeDelta kOooWindow = TimeDelta::Seconds(5);
+  static constexpr size_t kMaxOutstanding = 4096;  // boundary records kept awaiting feedback
+  static constexpr size_t kMinOooSamples = 20;     // below this, the fraction reads as 0
 
   MeasurementEngine();
-  explicit MeasurementEngine(const Config& config);
 
   // Data plane: an epoch boundary packet left the sendbox.
   void OnBoundarySent(uint64_t hash, TimePoint now, int64_t bytes_sent_cum);
@@ -93,8 +90,7 @@ class MeasurementEngine {
   void PushOooEvent(TimePoint now, bool out_of_order);
   void TrimOooWindow(TimePoint now);
 
-  Config config_;
-  // Rings grow on demand (never to max_outstanding up front) and reuse their
+  // Rings grow on demand (never to kMaxOutstanding up front) and reuse their
   // slots, so steady-state feedback allocates nothing.
   RingBuffer<BoundaryRecord> outstanding_;
   uint64_t next_record_seq_ = 1;
@@ -110,7 +106,7 @@ class MeasurementEngine {
   TimeDelta min_rtt_ = TimeDelta::Zero();
   TimeDelta srtt_ = TimeDelta::Millis(100);
 
-  // A deque, not a ring: it spans ooo_window (5 s) of feedback, and a ring
+  // A deque, not a ring: it spans kOooWindow (5 s) of feedback, and a ring
   // would hold that burst's high-water mark forever in every bundle.
   std::deque<std::pair<TimePoint, bool>> ooo_events_;
   size_t ooo_flagged_ = 0;  // events in ooo_events_ flagged out of order

@@ -4,18 +4,16 @@
 #include <cmath>
 #include <numbers>
 
-#include "src/util/check.h"
 #include "src/util/fft.h"
 
 namespace bundler {
 
-NimbusDetector::NimbusDetector() : NimbusDetector(Config()) {}
+static_assert(IsPowerOfTwo(NimbusDetector::kFftSize));
+static_assert(NimbusDetector::kPulseBin > 2 &&
+              NimbusDetector::kPulseBin < NimbusDetector::kFftSize / 2);
 
-NimbusDetector::NimbusDetector(const Config& config)
-    : config_(config), mu_filter_(config.mu_window) {
-  BUNDLER_CHECK(IsPowerOfTwo(config_.fft_size));
-  BUNDLER_CHECK(config_.pulse_bin > 2 && config_.pulse_bin < config_.fft_size / 2);
-}
+NimbusDetector::NimbusDetector(TimeDelta sample_interval)
+    : sample_interval_(sample_interval), mu_filter_(kMuWindow) {}
 
 void NimbusDetector::Reset() {
   mu_filter_.Reset();
@@ -31,15 +29,15 @@ void NimbusDetector::Reset() {
 }
 
 TimeDelta NimbusDetector::pulse_period() const {
-  // Chosen so the pulse frequency falls exactly on `pulse_bin` of the FFT.
-  return config_.sample_interval *
-         (static_cast<double>(config_.fft_size) / static_cast<double>(config_.pulse_bin));
+  // Chosen so the pulse frequency falls exactly on `kPulseBin` of the FFT.
+  return sample_interval_ *
+         (static_cast<double>(kFftSize) / static_cast<double>(kPulseBin));
 }
 
 Rate NimbusDetector::PulseRate(TimePoint now, Rate mu) const {
   double period_s = pulse_period().ToSeconds();
   double phase01 = std::fmod(now.ToSeconds(), period_s) / period_s;
-  double amplitude = config_.pulse_amplitude_frac * mu.bps();
+  double amplitude = kPulseAmplitudeFrac * mu.bps();
   // Up half-sine over the first quarter; compensating down half-sine with a
   // third of the amplitude over the remaining three quarters (equal areas).
   double multiple;
@@ -75,12 +73,12 @@ void NimbusDetector::AddSample(TimePoint now, Rate rin, Rate rout, TimeDelta que
   z_history_.push_back(z);
   busy_history_.push_back(last_busy_);
   busy_count_ += last_busy_ ? 1 : 0;
-  while (z_history_.size() > config_.fft_size) {
+  while (z_history_.size() > kFftSize) {
     z_history_.pop_front();
     busy_count_ -= busy_history_.front() ? 1 : 0;
     busy_history_.pop_front();
   }
-  if (++samples_since_eval_ >= config_.eval_every_samples) {
+  if (++samples_since_eval_ >= kEvalEverySamples) {
     samples_since_eval_ = 0;
     Evaluate();
     if (ctr_evals_ != nullptr) {
@@ -95,14 +93,14 @@ void NimbusDetector::AddSample(TimePoint now, Rate rin, Rate rout, TimeDelta que
 }
 
 void NimbusDetector::Evaluate() {
-  if (z_history_.size() < config_.fft_size) {
+  if (z_history_.size() < kFftSize) {
     elastic_ = false;
     metric_ = 0.0;
     return;
   }
   const size_t busy = busy_count_;  // maintained incrementally by AddSample
   if (static_cast<double>(busy) <
-      config_.min_busy_frac * static_cast<double>(busy_history_.size())) {
+      kMinBusyFrac * static_cast<double>(busy_history_.size())) {
     elastic_ = false;
     metric_ = 0.0;
     return;
@@ -117,7 +115,7 @@ void NimbusDetector::Evaluate() {
   }
   mean /= static_cast<double>(signal.size());
   // Require meaningful cross traffic before classifying it.
-  if (mu_.bps() <= 0 || mean < config_.min_cross_frac * mu_.bps()) {
+  if (mu_.bps() <= 0 || mean < kMinCrossFrac * mu_.bps()) {
     elastic_ = false;
     metric_ = 0.0;
     return;
@@ -127,7 +125,7 @@ void NimbusDetector::Evaluate() {
   }
   std::vector<double> mags = RealFftMagnitudes(signal);
 
-  const size_t kb = config_.pulse_bin;
+  const size_t kb = kPulseBin;
   double pulse_power = 0.0;
   for (size_t k = kb - 1; k <= kb + 1; ++k) {
     pulse_power = std::max(pulse_power, mags[k]);
@@ -151,7 +149,7 @@ void NimbusDetector::Evaluate() {
   }
   double noise = noise_count > 0 ? std::max(noise_sum / noise_count, 1e-9) : 1e-9;
   metric_ = pulse_power / noise;
-  elastic_ = metric_ > config_.elastic_threshold;
+  elastic_ = metric_ > kElasticThreshold;
 }
 
 }  // namespace bundler

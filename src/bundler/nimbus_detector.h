@@ -22,24 +22,23 @@ namespace bundler {
 
 class NimbusDetector {
  public:
-  struct Config {
-    TimeDelta sample_interval = TimeDelta::Millis(10);  // control-tick cadence
-    size_t fft_size = 512;       // ~5.12 s of samples
-    size_t pulse_bin = 13;       // pulse frequency = bin/(N*interval) ≈ 2.54 Hz
-    double pulse_amplitude_frac = 0.25;  // A = mu/4
-    double elastic_threshold = 3.0;      // pulse-to-noise power ratio
-    double min_cross_frac = 0.05;        // ignore negligible cross traffic
-    // Buffer-filling cross traffic keeps the bottleneck queue standing, so a
-    // genuine elastic verdict requires the busy gate open for most of the
-    // FFT window. Bursty self-congestion (e.g. slow-start transients) opens
-    // it intermittently and must not trigger mode switches.
-    double min_busy_frac = 0.75;
-    TimeDelta mu_window = TimeDelta::Seconds(30);
-    size_t eval_every_samples = 8;       // FFT cadence (every 80 ms)
-  };
+  static constexpr size_t kFftSize = 512;  // ~5.12 s of 10 ms samples
+  // Pulse frequency = bin/(N*interval) ≈ 2.54 Hz at a 10 ms interval.
+  static constexpr size_t kPulseBin = 13;
+  static constexpr double kPulseAmplitudeFrac = 0.25;  // A = mu/4
+  static constexpr double kElasticThreshold = 3.0;     // pulse-to-noise power ratio
+  static constexpr double kMinCrossFrac = 0.05;        // ignore negligible cross traffic
+  // Buffer-filling cross traffic keeps the bottleneck queue standing, so a
+  // genuine elastic verdict requires the busy gate open for most of the
+  // FFT window. Bursty self-congestion (e.g. slow-start transients) opens
+  // it intermittently and must not trigger mode switches.
+  static constexpr double kMinBusyFrac = 0.75;
+  static constexpr TimeDelta kMuWindow = TimeDelta::Seconds(30);
+  static constexpr size_t kEvalEverySamples = 8;  // FFT cadence (80 ms at 10 ms)
 
-  NimbusDetector();
-  explicit NimbusDetector(const Config& config);
+  // `sample_interval` is the cadence AddSample is fed at (the control tick);
+  // the pulse lands on FFT bin kPulseBin of that cadence.
+  explicit NimbusDetector(TimeDelta sample_interval);
 
   // Feed one control-tick sample. `queue_delay` gates the cross-traffic
   // estimator: z is only identifiable while the bottleneck is busy.
@@ -73,14 +72,14 @@ class NimbusDetector {
  private:
   void Evaluate();
 
-  Config config_;
+  TimeDelta sample_interval_;
   obs::Tracer* tracer_ = nullptr;
   uint32_t comp_ = 0;
   uint64_t* ctr_evals_ = nullptr;
   WindowedMaxFilter<double> mu_filter_;  // bytes/sec
   Rate mu_;
   Rate last_cross_;
-  // Bounded histories (fft_size samples): reusable rings, so the per-tick
+  // Bounded histories (kFftSize samples): reusable rings, so the per-tick
   // sampling path never allocates once the window fills.
   RingBuffer<double> z_history_;   // cross-rate samples, bits/sec
   RingBuffer<bool> busy_history_;  // busy-gate state per sample

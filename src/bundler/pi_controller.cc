@@ -4,13 +4,10 @@
 
 namespace bundler {
 
-PiController::PiController() : PiController(Config()) {}
-
-PiController::PiController(const Config& config)
-    : config_(config), rate_bps_(config.min_rate.bps()) {}
+PiController::PiController() : rate_bps_(kMinRate.bps()) {}
 
 void PiController::Reset(Rate initial_rate, int64_t queue_bytes, TimePoint now) {
-  rate_bps_ = std::clamp(initial_rate.bps(), config_.min_rate.bps(), config_.max_rate.bps());
+  rate_bps_ = std::clamp(initial_rate.bps(), kMinRate.bps(), kMaxRate.bps());
   prev_queue_bytes_ = queue_bytes;
   prev_time_ = now;
   initialized_ = true;
@@ -25,7 +22,7 @@ void PiController::Reset(Rate initial_rate, int64_t queue_bytes, TimePoint now) 
 }
 
 int64_t PiController::TargetQueueBytes() const {
-  return static_cast<int64_t>(rate_bps_ / 8.0 * config_.target_queue_delay.ToSeconds());
+  return static_cast<int64_t>(rate_bps_ / 8.0 * kTargetQueueDelay.ToSeconds());
 }
 
 Rate PiController::Update(int64_t queue_bytes, TimePoint now) {
@@ -42,11 +39,11 @@ Rate PiController::Update(int64_t queue_bytes, TimePoint now) {
   double dq_bytes = static_cast<double>(queue_bytes - prev_queue_bytes_);
   // Both terms positive when the queue is above target / growing -> send
   // faster to shrink it toward q_T.
-  double dr_bytes_per_s = config_.alpha * q_err_bytes * dt_s + config_.beta * dq_bytes;
+  double dr_bytes_per_s = kAlpha * q_err_bytes * dt_s + kBeta * dq_bytes;
   double dr_bps = dr_bytes_per_s * 8.0;
-  double max_step = config_.max_step_frac * rate_bps_;
+  double max_step = kMaxStepFrac * rate_bps_;
   rate_bps_ += std::clamp(dr_bps, -max_step, max_step);
-  rate_bps_ = std::clamp(rate_bps_, config_.min_rate.bps(), config_.max_rate.bps());
+  rate_bps_ = std::clamp(rate_bps_, kMinRate.bps(), kMaxRate.bps());
   prev_queue_bytes_ = queue_bytes;
   prev_time_ = now;
   if (ctr_updates_ != nullptr) {

@@ -15,20 +15,17 @@ namespace bundler {
 
 class PiController {
  public:
-  struct Config {
-    double alpha = 10.0;  // 1/s^2 on the queue error (bytes)
-    double beta = 10.0;   // 1/s on the queue derivative (bytes/s)
-    TimeDelta target_queue_delay = TimeDelta::Millis(10);
-    Rate min_rate = Rate::Mbps(1);
-    Rate max_rate = Rate::Gbps(10);
-    // Per-update relative slew bound. Keeps a single control step's change
-    // bounded so controller variation never dominates the Nimbus pulse (§5.1
-    // discusses exactly this tradeoff for large alpha/beta).
-    double max_step_frac = 0.25;
-  };
+  static constexpr double kAlpha = 10.0;  // 1/s^2 on the queue error (bytes)
+  static constexpr double kBeta = 10.0;   // 1/s on the queue derivative (bytes/s)
+  static constexpr TimeDelta kTargetQueueDelay = TimeDelta::Millis(10);
+  static constexpr Rate kMinRate = Rate::Mbps(1);
+  static constexpr Rate kMaxRate = Rate::Gbps(10);
+  // Per-update relative slew bound. Keeps a single control step's change
+  // bounded so controller variation never dominates the Nimbus pulse (§5.1
+  // discusses exactly this tradeoff for large alpha/beta).
+  static constexpr double kMaxStepFrac = 0.25;
 
   PiController();
-  explicit PiController(const Config& config);
 
   void Reset(Rate initial_rate, int64_t queue_bytes, TimePoint now);
   // One control step; returns the updated rate.
@@ -48,7 +45,6 @@ class PiController {
   }
 
  private:
-  Config config_;
   obs::Tracer* tracer_ = nullptr;
   uint32_t comp_ = 0;
   uint64_t* ctr_updates_ = nullptr;

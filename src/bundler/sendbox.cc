@@ -8,25 +8,17 @@
 
 namespace bundler {
 
-std::unique_ptr<Qdisc> MakeScheduler(SchedulerType type, int64_t limit_pkts,
-                                     uint64_t perturbation) {
+std::unique_ptr<Qdisc> MakeScheduler(SchedulerType type, int64_t limit_pkts) {
   switch (type) {
     case SchedulerType::kFifo:
       return std::make_unique<DropTailFifo>(limit_pkts * kMtuBytes);
-    case SchedulerType::kSfq: {
-      Sfq::Config cfg;
-      cfg.limit_packets = limit_pkts;
-      cfg.perturbation = perturbation;
-      return std::make_unique<Sfq>(cfg);
-    }
-    case SchedulerType::kFqCodel: {
-      FqCodel::Config cfg;
-      cfg.limit_packets = limit_pkts;
-      cfg.perturbation = perturbation;
-      return std::make_unique<FqCodel>(cfg);
-    }
+    case SchedulerType::kSfq:
+      return std::make_unique<Sfq>(limit_pkts);
+    case SchedulerType::kFqCodel:
+      return std::make_unique<FqCodel>(limit_pkts);
     case SchedulerType::kPrio:
-      return std::make_unique<StrictPrio>(3, limit_pkts * kMtuBytes / 3);
+      return std::make_unique<StrictPrio>(limit_pkts * kMtuBytes /
+                                          static_cast<int64_t>(StrictPrio::kNumBands));
   }
   BUNDLER_CHECK(false);
   return nullptr;

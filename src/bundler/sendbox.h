@@ -19,8 +19,7 @@ namespace bundler {
 
 enum class SchedulerType { kFifo, kSfq, kFqCodel, kPrio };
 
-std::unique_ptr<Qdisc> MakeScheduler(SchedulerType type, int64_t limit_pkts,
-                                     uint64_t perturbation = 0);
+std::unique_ptr<Qdisc> MakeScheduler(SchedulerType type, int64_t limit_pkts);
 
 // Control knobs are inherited from BundleControlConfig (the per-bundle
 // control loop's config); the fields declared here pick the scheduler of the
@@ -28,7 +27,7 @@ std::unique_ptr<Qdisc> MakeScheduler(SchedulerType type, int64_t limit_pkts,
 struct SendboxConfig : BundleControlConfig {
   SchedulerType scheduler = SchedulerType::kSfq;
   int64_t queue_limit_pkts = 4000;
-  // Overrides `scheduler` when set (e.g. custom priority classifiers).
+  // Overrides `scheduler` when set (e.g. a qdisc with its own byte limit).
   std::function<std::unique_ptr<Qdisc>()> scheduler_factory;
 };
 

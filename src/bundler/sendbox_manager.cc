@@ -56,8 +56,8 @@ SendboxManager::SendboxManager(Simulator* sim, const Policy& policy,
         "budget is only %.0f bps — no bundle of this tenant could ever be "
         "admitted",
         ten.name.c_str(), ten.committed_rate.bps(), budget.bps());
-    tenant_specs.push_back(SiteEgress::TenantSpec{ten.name, ten.priority,
-                                                  ten.weight, ten.rate_cap});
+    tenant_specs.push_back(
+        SiteEgress::TenantSpec{ten.name, ten.priority, ten.weight});
     tenant_names_.push_back(ten.name);
   }
 

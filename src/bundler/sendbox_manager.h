@@ -57,9 +57,8 @@ class SendboxManager : public PacketHandler {
   // Per-tenant sharing policy within the site hierarchy.
   struct TenantPolicy {
     std::string name;
-    int priority = 1;              // strict band, 0 = highest
-    double weight = 1.0;           // DRR share among same-band tenants
-    Rate rate_cap = Rate::Zero();  // tenant aggregate cap (zero = uncapped)
+    int priority = 1;     // strict band, 0 = highest
+    double weight = 1.0;  // DRR share among same-band tenants
     // Admission debit charged per bundle the tenant declares.
     Rate committed_rate = Rate::Mbps(1);
   };

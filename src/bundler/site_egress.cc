@@ -34,11 +34,7 @@ SiteEgress::SiteEgress(Simulator* sim, const Config& config,
                       spec.name.c_str(), spec.priority, kNumBands);
     BUNDLER_CHECK_MSG(spec.weight > 0.0, "tenant '%s': weight must be positive",
                       spec.name.c_str());
-    // A zero-rate cap bucket would deadlock the tenant; zero means uncapped.
-    const bool capped = !spec.rate_cap.IsZero();
-    Tenant ten(capped ? spec.rate_cap : config_.aggregate_rate,
-               config_.burst_bytes, now);
-    ten.has_cap = capped;
+    Tenant ten;
     ten.band = spec.priority;
     ten.quantum = std::max<int64_t>(
         1, static_cast<int64_t>(spec.weight * kMtuBytes));
@@ -228,12 +224,9 @@ int SiteEgress::ServeTenant(size_t t, TimePoint now) {
     ten.deficit += ten.quantum;
   }
   int sent_total = 0;
-  bool tenant_blocked = false;  // cap bucket empty: siblings proceed
   // Visit each of the tenant's active bundles at most once (inner DRR).
   const size_t visits = ten.active_bundles.count;
-  for (size_t v = 0;
-       v < visits && !site_blocked_ && !tenant_blocked && ten.deficit > 0;
-       ++v) {
+  for (size_t v = 0; v < visits && !site_blocked_ && ten.deficit > 0; ++v) {
     const size_t b = ten.active_bundles.head;
     Bundle& bun = bundles_[b];
     if (bun.resuming) {
@@ -260,14 +253,6 @@ int SiteEgress::ServeTenant(size_t t, TimePoint now) {
           min_wait_ = wait;
         }
         site_blocked_ = true;  // nothing anywhere can send; stop the pump
-        break;
-      }
-      if (ten.has_cap && !ten.cap.CanSend(bytes, now)) {
-        const TimeDelta wait = ten.cap.TimeUntilAvailable(bytes, now);
-        if (wait < min_wait_) {
-          min_wait_ = wait;
-        }
-        tenant_blocked = true;
         break;
       }
       if (!bun.bucket.CanSend(bytes, now)) {
@@ -302,9 +287,6 @@ int SiteEgress::ServeTenant(size_t t, TimePoint now) {
       Packet pkt = std::move(*popped);
       const int64_t sent_bytes = pkt.size_bytes;
       site_bucket_.Consume(sent_bytes, now);
-      if (ten.has_cap) {
-        ten.cap.Consume(sent_bytes, now);
-      }
       bun.bucket.Consume(sent_bytes, now);
       bun.deficit -= sent_bytes;
       ten.deficit -= sent_bytes;

@@ -4,12 +4,12 @@
 //   site aggregate --> strict priority bands --> DRR over tenants
 //                                                  --> DRR over bundle queues
 //
-// with nested rate enforcement at every level (site aggregate bucket, an
-// optional per-tenant cap bucket, and a per-bundle bucket set by that
-// bundle's BundleController every control tick). This is the sendbox's one
-// data plane: controllers decide rates, SiteEgress is the one place that
-// moves packets. A single-bundle site (every paper figure) is the same
-// machinery with one tenant and one bundle.
+// with nested rate enforcement by two token buckets: the site aggregate
+// bucket, and a per-bundle bucket set by that bundle's BundleController
+// every control tick. This is the sendbox's one data plane: controllers
+// decide rates, SiteEgress is the one place that moves packets. A
+// single-bundle site (every paper figure) is the same machinery with one
+// tenant and one bundle.
 //
 // Invariants the tests pin down:
 //  - Zero allocations per datapath operation once warm: FIFO bundles queue
@@ -21,9 +21,9 @@
 //    byte-deficit fairness (quantum proportional to weight x MTU), and a
 //    blocked entity (empty bucket) rotates without consuming service. Equal
 //    declarations => byte-identical schedules.
-//  - Work conservation within the rate limits: a tenant or bundle without
-//    tokens never blocks its siblings; the pump sleeps exactly until the
-//    earliest blocked entity (or the site bucket) can next send.
+//  - Work conservation within the rate limits: a bundle without tokens
+//    never blocks its siblings; the pump sleeps exactly until the earliest
+//    blocked entity (or the site bucket) can next send.
 #ifndef SRC_BUNDLER_SITE_EGRESS_H_
 #define SRC_BUNDLER_SITE_EGRESS_H_
 
@@ -63,10 +63,8 @@ class SiteEgress {
 
   struct TenantSpec {
     std::string name;
-    int priority = 1;              // band, 0 = highest; served strictly first
-    double weight = 1.0;           // DRR share among same-band tenants
-    Rate rate_cap = Rate::Zero();  // aggregate cap over the tenant's bundles
-                                   // (zero = uncapped)
+    int priority = 1;     // band, 0 = highest; served strictly first
+    double weight = 1.0;  // DRR share among same-band tenants
   };
 
   struct BundleSpec {
@@ -139,8 +137,6 @@ class SiteEgress {
   };
 
   struct Tenant {
-    TokenBucket cap;  // only consulted when has_cap
-    bool has_cap = false;
     int band = 1;
     int64_t quantum = kMtuBytes;  // weight x MTU
     int64_t deficit = 0;
@@ -156,9 +152,6 @@ class SiteEgress {
     uint64_t* ctr_drop = nullptr;
     uint64_t* ctr_tx_pkts = nullptr;
     uint64_t* ctr_tx_bytes = nullptr;
-
-    Tenant(Rate cap_rate, int64_t burst, TimePoint now)
-        : cap(cap_rate, burst, now) {}
   };
 
   // Uniform queue views over FIFO and qdisc-backed bundles.

@@ -3,16 +3,21 @@
 #include <algorithm>
 
 namespace bundler {
+namespace {
 
-BasicDelay::BasicDelay(Rate initial_rate) : BasicDelay(initial_rate, Params()) {}
+constexpr double kBeta = 0.2;               // gain on the delay error term
+constexpr double kDelayTargetFrac = 0.125;  // d_T as a fraction of min RTT
+constexpr TimeDelta kMinDelayTarget = TimeDelta::Millis(2);
+constexpr TimeDelta kMuWindow = TimeDelta::Seconds(10);
 
-BasicDelay::BasicDelay(Rate initial_rate, const Params& params)
-    : params_(params),
-      initial_rate_(initial_rate),
+}  // namespace
+
+BasicDelay::BasicDelay(Rate initial_rate)
+    : initial_rate_(initial_rate),
       rate_(initial_rate),
       mu_(initial_rate),
       cross_(Rate::Zero()),
-      mu_filter_(params.mu_window) {}
+      mu_filter_(kMuWindow) {}
 
 void BasicDelay::Reset(TimePoint now, Rate seed_rate) {
   (void)now;
@@ -24,7 +29,7 @@ void BasicDelay::Reset(TimePoint now, Rate seed_rate) {
 }
 
 TimeDelta BasicDelay::delay_target(TimeDelta min_rtt) const {
-  return std::max(params_.min_delay_target, min_rtt * params_.delay_target_frac);
+  return std::max(kMinDelayTarget, min_rtt * kDelayTargetFrac);
 }
 
 void BasicDelay::OnMeasurement(const BundleMeasurement& m) {
@@ -48,7 +53,7 @@ void BasicDelay::OnMeasurement(const BundleMeasurement& m) {
 
   double available = mu_.bps() - cross_.bps();
   double correction =
-      params_.beta * mu_.bps() * (d_t - dq).ToSeconds() / d_t.ToSeconds();
+      kBeta * mu_.bps() * (d_t - dq).ToSeconds() / d_t.ToSeconds();
   double r = available + correction;
   // Keep within sane bounds: never stall completely, never exceed 2x the
   // observed capacity.

@@ -12,15 +12,7 @@ namespace bundler {
 
 class BasicDelay : public BundleCc {
  public:
-  struct Params {
-    double beta = 0.2;            // gain on the delay error term
-    double delay_target_frac = 0.125;  // d_T as a fraction of min RTT
-    TimeDelta min_delay_target = TimeDelta::Millis(2);
-    TimeDelta mu_window = TimeDelta::Seconds(10);
-  };
-
   explicit BasicDelay(Rate initial_rate);
-  BasicDelay(Rate initial_rate, const Params& params);
 
   void OnMeasurement(const BundleMeasurement& m) override;
   Rate TargetRate() const override { return rate_; }
@@ -32,7 +24,6 @@ class BasicDelay : public BundleCc {
   TimeDelta delay_target(TimeDelta min_rtt) const;
 
  private:
-  Params params_;
   Rate initial_rate_;
   Rate rate_;
   Rate mu_;

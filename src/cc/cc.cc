@@ -54,7 +54,7 @@ static_assert(kHostCcStorageBytes < std::max({sizeof(Cubic), sizeof(NewReno), si
                                               sizeof(ConstCwnd)}) +
                                         alignof(std::max_align_t));
 
-HostCc* MakeHostCcInPlace(HostCcStorage* storage, HostCcType type, double const_cwnd_pkts) {
+HostCc* MakeHostCcInPlace(HostCcStorage* storage, HostCcType type) {
   void* mem = storage->bytes;
   switch (type) {
     case HostCcType::kCubic:
@@ -64,7 +64,7 @@ HostCc* MakeHostCcInPlace(HostCcStorage* storage, HostCcType type, double const_
     case HostCcType::kBbr:
       return ::new (mem) BbrHost();
     case HostCcType::kConstCwnd:
-      return ::new (mem) ConstCwnd(const_cwnd_pkts);
+      return ::new (mem) ConstCwnd();
   }
   BUNDLER_CHECK(false);
   return nullptr;

@@ -102,8 +102,7 @@ struct HostCcStorage {
 
 // Constructs the controller inside `storage` and returns it. The caller owns
 // the lifetime: call the virtual destructor explicitly (`cc->~HostCc()`).
-HostCc* MakeHostCcInPlace(HostCcStorage* storage, HostCcType type,
-                          double const_cwnd_pkts = 450.0);
+HostCc* MakeHostCcInPlace(HostCcStorage* storage, HostCcType type);
 
 }  // namespace bundler
 

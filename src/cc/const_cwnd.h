@@ -1,6 +1,7 @@
 // Fixed congestion window, no reaction to the network. Used to emulate the
 // idealized TCP proxy of §7.5: endhosts hold a constant window slightly
-// above the path BDP, and the sendbox absorbs the excess.
+// above the path BDP (450 packets: the §7.1 path's 96 Mbit/s x 50 ms BDP is
+// ~400), and the sendbox absorbs the excess.
 #ifndef SRC_CC_CONST_CWND_H_
 #define SRC_CC_CONST_CWND_H_
 
@@ -10,15 +11,12 @@ namespace bundler {
 
 class ConstCwnd : public HostCc {
  public:
-  explicit ConstCwnd(double cwnd_pkts) : cwnd_(cwnd_pkts) {}
+  static constexpr double kCwndPkts = 450.0;
 
   void OnAck(const AckSample& ack) override { (void)ack; }
   void OnLoss(const LossSample& loss) override { (void)loss; }
-  double CwndPkts() const override { return cwnd_; }
+  double CwndPkts() const override { return kCwndPkts; }
   const char* name() const override { return "const_cwnd"; }
-
- private:
-  double cwnd_;
 };
 
 }  // namespace bundler

@@ -6,12 +6,21 @@
 #include "src/net/packet.h"
 
 namespace bundler {
+namespace {
 
-Copa::Copa(Rate initial_rate) : Copa(initial_rate, Params()) {}
+constexpr double kDelta = 0.5;
+constexpr double kMinCwndPkts = 4.0;
+constexpr double kMaxVelocity = 64.0;
+// Cap on cwnd relative to the measured delivery BDP (recv_rate * rtt).
+// The aggregate window is a virtual knob, not real in-flight data; without
+// this tie to observed throughput it can run away arbitrarily far above
+// the path and then take tens of seconds to walk back down.
+constexpr double kMaxCwndBdp = 2.0;
 
-Copa::Copa(Rate initial_rate, const Params& params)
-    : params_(params),
-      initial_rate_(initial_rate),
+}  // namespace
+
+Copa::Copa(Rate initial_rate)
+    : initial_rate_(initial_rate),
       seed_rate_(initial_rate),
       cwnd_pkts_(kInitialCwndPkts),
       standing_rtt_filter_(TimeDelta::Millis(50)) {}
@@ -38,7 +47,7 @@ void Copa::UpdateVelocity(TimePoint now, bool direction_up) {
     ++same_direction_rtts_;
     // Velocity doubles only after the direction has persisted for 3 RTTs.
     if (same_direction_rtts_ >= 3) {
-      velocity_ = std::min(velocity_ * 2.0, params_.max_velocity);
+      velocity_ = std::min(velocity_ * 2.0, kMaxVelocity);
     }
   } else {
     direction_up_ = direction_up;
@@ -47,7 +56,7 @@ void Copa::UpdateVelocity(TimePoint now, bool direction_up) {
   }
   // Cap so the window can change by at most ~2x per RTT (as in the reference
   // Copa implementation): one RTT's worth of acks applies ~v/delta packets.
-  velocity_ = std::min(velocity_, params_.delta * cwnd_pkts_);
+  velocity_ = std::min(velocity_, kDelta * cwnd_pkts_);
   velocity_ = std::max(velocity_, 1.0);
 }
 
@@ -91,13 +100,13 @@ void Copa::OnMeasurement(const BundleMeasurement& m) {
       cwnd_pkts_ += acked_pkts;  // 2x per RTT
     } else {
       UpdateVelocity(m.now, /*direction_up=*/true);
-      cwnd_pkts_ += velocity_ * acked_pkts / (params_.delta * cwnd_pkts_);
+      cwnd_pkts_ += velocity_ * acked_pkts / (kDelta * cwnd_pkts_);
     }
     ClampCwnd(m);
     return;
   }
 
-  double target_rate = 1.0 / (params_.delta * dq.ToSeconds());  // packets/sec
+  double target_rate = 1.0 / (kDelta * dq.ToSeconds());  // packets/sec
   if (in_slow_start_) {
     if (current_rate < target_rate) {
       cwnd_pkts_ += acked_pkts;
@@ -108,7 +117,7 @@ void Copa::OnMeasurement(const BundleMeasurement& m) {
   }
   bool up = current_rate < target_rate;
   UpdateVelocity(m.now, up);
-  double step = velocity_ * acked_pkts / (params_.delta * cwnd_pkts_);
+  double step = velocity_ * acked_pkts / (kDelta * cwnd_pkts_);
   cwnd_pkts_ += up ? step : -step;
   ClampCwnd(m);
 }
@@ -116,10 +125,10 @@ void Copa::OnMeasurement(const BundleMeasurement& m) {
 void Copa::ClampCwnd(const BundleMeasurement& m) {
   if (m.recv_rate.bps() > 0 && srtt_ > TimeDelta::Zero()) {
     double bdp_pkts = m.recv_rate.BytesPerSecond() * srtt_.ToSeconds() / kMssBytes;
-    double cap = std::max(params_.max_cwnd_bdp * bdp_pkts, kInitialCwndPkts);
+    double cap = std::max(kMaxCwndBdp * bdp_pkts, kInitialCwndPkts);
     cwnd_pkts_ = std::min(cwnd_pkts_, cap);
   }
-  cwnd_pkts_ = std::max(cwnd_pkts_, params_.min_cwnd_pkts);
+  cwnd_pkts_ = std::max(cwnd_pkts_, kMinCwndPkts);
 }
 
 Rate Copa::TargetRate() const {

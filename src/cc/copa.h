@@ -13,19 +13,7 @@ namespace bundler {
 
 class Copa : public BundleCc {
  public:
-  struct Params {
-    double delta = 0.5;
-    double min_cwnd_pkts = 4.0;
-    double max_velocity = 64.0;
-    // Cap on cwnd relative to the measured delivery BDP (recv_rate * rtt).
-    // The aggregate window is a virtual knob, not real in-flight data; without
-    // this tie to observed throughput it can run away arbitrarily far above
-    // the path and then take tens of seconds to walk back down.
-    double max_cwnd_bdp = 2.0;
-  };
-
   explicit Copa(Rate initial_rate);
-  Copa(Rate initial_rate, const Params& params);
 
   void OnMeasurement(const BundleMeasurement& m) override;
   Rate TargetRate() const override;
@@ -40,7 +28,6 @@ class Copa : public BundleCc {
   void UpdateVelocity(TimePoint now, bool direction_up);
   void ClampCwnd(const BundleMeasurement& m);
 
-  Params params_;
   Rate initial_rate_;
   Rate seed_rate_;  // window-seed basis; initial_rate_ unless Reset was warm
   double cwnd_pkts_;

@@ -9,9 +9,8 @@
 namespace bundler {
 
 MultipathLink::MultipathLink(Simulator* sim, std::string name,
-                             const std::vector<PathSpec>& paths, LoadBalanceMode mode,
-                             PacketHandler* dst)
-    : name_(std::move(name)), mode_(mode) {
+                             const std::vector<PathSpec>& paths, PacketHandler* dst)
+    : name_(std::move(name)) {
   BUNDLER_CHECK(!paths.empty());
   for (size_t i = 0; i < paths.size(); ++i) {
     // Construction-time only: paths are built once per topology.
@@ -22,12 +21,7 @@ MultipathLink::MultipathLink(Simulator* sim, std::string name,
   }
 }
 
-size_t MultipathLink::PathIndexFor(const Packet& pkt) {
-  if (mode_ == LoadBalanceMode::kPacketSpray) {
-    size_t idx = rr_next_;
-    rr_next_ = (rr_next_ + 1) % paths_.size();
-    return idx;
-  }
+size_t MultipathLink::PathIndexFor(const Packet& pkt) const {
   const uint64_t fields[] = {pkt.key.src,
                              pkt.key.dst,
                              static_cast<uint64_t>(pkt.key.src_port),

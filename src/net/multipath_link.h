@@ -1,7 +1,6 @@
 // Load-balanced bottleneck: N parallel sub-links, each with its own rate,
 // propagation delay, and queue. Models the in-network multipathing of §5.2:
-// per-flow ECMP (hash of the 5-tuple) keeps flows pinned to a path, packet
-// spraying round-robins every packet.
+// per-flow ECMP (hash of the 5-tuple) keeps each flow pinned to one path.
 #ifndef SRC_NET_MULTIPATH_LINK_H_
 #define SRC_NET_MULTIPATH_LINK_H_
 
@@ -16,11 +15,6 @@
 
 namespace bundler {
 
-enum class LoadBalanceMode {
-  kFlowHash,      // per-flow ECMP on the 5-tuple
-  kPacketSpray,   // per-packet round robin
-};
-
 class MultipathLink : public PacketHandler {
  public:
   struct PathSpec {
@@ -30,7 +24,7 @@ class MultipathLink : public PacketHandler {
   };
 
   MultipathLink(Simulator* sim, std::string name, const std::vector<PathSpec>& paths,
-                LoadBalanceMode mode, PacketHandler* dst);
+                PacketHandler* dst);
 
   void HandlePacket(Packet pkt) override;
 
@@ -43,14 +37,12 @@ class MultipathLink : public PacketHandler {
       path->set_dst(dst);
     }
   }
-  // Index the balancer would pick for this packet (exposed for tests).
-  size_t PathIndexFor(const Packet& pkt);
+  // Index the balancer picks for this packet (exposed for tests).
+  size_t PathIndexFor(const Packet& pkt) const;
 
  private:
   std::string name_;
   std::vector<std::unique_ptr<Link>> paths_;
-  LoadBalanceMode mode_;
-  size_t rr_next_ = 0;
 };
 
 }  // namespace bundler

@@ -119,8 +119,9 @@ bool ParseTraceCats(const std::string& spec, uint32_t* mask_out) {
 void Tracer::Enable(uint32_t mask, size_t capacity) {
   BUNDLER_CHECK(capacity > 0);
   mask_ = mask & kAllCats;
-  if (ring_.size() != capacity) {
-    ring_.assign(capacity, TraceRecord{});
+  if (capacity_ != capacity) {
+    ring_ = std::make_unique_for_overwrite<TraceRecord[]>(capacity);
+    capacity_ = capacity;
   }
   head_ = 0;
   size_ = 0;
@@ -130,9 +131,8 @@ void Tracer::Enable(uint32_t mask, size_t capacity) {
 std::vector<TraceRecord> Tracer::Snapshot() const {
   std::vector<TraceRecord> out;
   out.reserve(size_);
-  const size_t cap = ring_.size();
   for (size_t i = 0; i < size_; ++i) {
-    out.push_back(ring_[(head_ + i) % cap]);
+    out.push_back(ring_[(head_ + i) % capacity_]);
   }
   return out;
 }
@@ -142,9 +142,8 @@ void Tracer::WriteJsonl(std::string* out) const {
     AppendF(out, "{\"type\":\"component\",\"id\":%zu,\"kind\":\"%s\",\"name\":\"%s\"}\n",
             i, components_[i].kind.c_str(), components_[i].name.c_str());
   }
-  const size_t cap = ring_.size();
   for (size_t i = 0; i < size_; ++i) {
-    const TraceRecord& r = ring_[(head_ + i) % cap];
+    const TraceRecord& r = ring_[(head_ + i) % capacity_];
     AppendF(out,
             "{\"type\":\"record\",\"t_ns\":%" PRId64
             ",\"cat\":\"%s\",\"ev\":\"%s\",\"comp\":%" PRIu32 ",\"a\":%" PRIu64

@@ -9,7 +9,9 @@
 //
 // The ring holds the most recent `capacity` records; when full, the oldest
 // record is evicted and `dropped()` counts the loss (flight-recorder
-// semantics: the end of the run is what you usually need).
+// semantics: the end of the run is what you usually need). Enable() leaves
+// the ring's slots unwritten, so its memory becomes resident only as records
+// land: a large ring that keeps few records costs what it keeps.
 //
 // Record schema (see README "Observability" for the payload conventions):
 //   t_ns  int64   simulation time, nanoseconds
@@ -30,6 +32,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -171,7 +174,7 @@ class Tracer {
     return RegisterComponent(kind, name);
   }
 
-  // Arms the tracer: preallocates a ring of `capacity` records and enables
+  // Arms the tracer: allocates a ring of `capacity` records and enables
   // the categories in `mask`. May be called before components exist; the
   // component registry is independent of arming.
   void Enable(uint32_t mask, size_t capacity);
@@ -199,7 +202,7 @@ class Tracer {
   }
 
   size_t size() const { return size_; }
-  size_t capacity() const { return ring_.size(); }
+  size_t capacity() const { return capacity_; }
   uint64_t dropped() const { return dropped_; }
   const std::vector<Component>& components() const { return components_; }
 
@@ -213,19 +216,19 @@ class Tracer {
 
  private:
   TraceRecord& NextSlot() {
-    const size_t cap = ring_.size();
-    if (size_ < cap) {
-      return ring_[(head_ + size_++) % cap];
+    if (size_ < capacity_) {
+      return ring_[(head_ + size_++) % capacity_];
     }
     // Full: evict the oldest (flight-recorder semantics).
     TraceRecord& r = ring_[head_];
-    head_ = head_ + 1 == cap ? 0 : head_ + 1;
+    head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
     ++dropped_;
     return r;
   }
 
   uint32_t mask_ = 0;
-  std::vector<TraceRecord> ring_;
+  std::unique_ptr<TraceRecord[]> ring_;  // slots are written before read
+  size_t capacity_ = 0;
   size_t head_ = 0;  // index of the oldest live record
   size_t size_ = 0;
   uint64_t dropped_ = 0;

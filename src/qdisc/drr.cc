@@ -7,9 +7,8 @@
 
 namespace bundler {
 
-Drr::Drr(const Config& config) : config_(config) {
-  BUNDLER_CHECK(config_.limit_bytes > 0);
-  BUNDLER_CHECK(config_.quantum_bytes > 0);
+Drr::Drr(int64_t limit_bytes) : limit_bytes_(limit_bytes) {
+  BUNDLER_CHECK(limit_bytes_ > 0);
 }
 
 uint64_t Drr::FlowHash(const Packet& pkt) {
@@ -55,7 +54,7 @@ bool Drr::DoEnqueue(Packet pkt, TimePoint now) {
     fq.deficit = 0;
     IndexRingPushBack(slots_, rr_, slot);
   }
-  if (bytes_ > config_.limit_bytes) {
+  if (bytes_ > limit_bytes_) {
     DropFromLongest();
     return false;
   }
@@ -93,7 +92,7 @@ std::optional<Packet> Drr::DoDequeue(TimePoint now) {
       continue;
     }
     if (fq.deficit <= 0) {
-      fq.deficit += config_.quantum_bytes;
+      fq.deficit += kQuantumBytes;
       IndexRingRemove(slots_, rr_, slot);
       IndexRingPushBack(slots_, rr_, slot);
       continue;

@@ -19,12 +19,9 @@ namespace bundler {
 
 class Drr : public Qdisc {
  public:
-  struct Config {
-    int64_t limit_bytes = 4 * 1024 * 1024;
-    int64_t quantum_bytes = 1514;
-  };
+  static constexpr int64_t kQuantumBytes = 1514;
 
-  explicit Drr(const Config& config);
+  explicit Drr(int64_t limit_bytes);
 
   const Packet* Peek() const override;
   int64_t bytes() const override { return bytes_; }
@@ -54,7 +51,7 @@ class Drr : public Qdisc {
   void DropFromLongest();
   void ReleaseSlot(size_t slot);
 
-  Config config_;
+  int64_t limit_bytes_;
   PacketPool pool_;
   FlatMap64<size_t> flow_to_slot_;  // FlowHash -> slot + 1 (0 = absent)
   std::vector<FlowQueue> slots_;

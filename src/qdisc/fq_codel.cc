@@ -7,22 +7,20 @@
 
 namespace bundler {
 
-FqCodel::FqCodel(const Config& config) : config_(config), buckets_(config.num_buckets) {
-  BUNDLER_CHECK(config_.num_buckets > 0);
-  BUNDLER_CHECK(config_.limit_packets > 0);
-  for (Bucket& b : buckets_) {
-    b.codel = CodelState(config_.codel);
-  }
+FqCodel::FqCodel(int64_t limit_packets)
+    : limit_packets_(limit_packets), buckets_(kNumBuckets) {
+  BUNDLER_CHECK(limit_packets_ > 0);
 }
 
 size_t FqCodel::BucketFor(const Packet& pkt) const {
-  const uint64_t fields[] = {config_.perturbation,
+  // Zero hash seed, as in Sfq::BucketFor.
+  const uint64_t fields[] = {0,
                              pkt.key.src,
                              pkt.key.dst,
                              static_cast<uint64_t>(pkt.key.src_port),
                              static_cast<uint64_t>(pkt.key.dst_port),
                              static_cast<uint64_t>(pkt.key.protocol)};
-  return Mix64(Fnv1a64Combine(fields, 6)) % config_.num_buckets;
+  return Mix64(Fnv1a64Combine(fields, 6)) % kNumBuckets;
 }
 
 bool FqCodel::DoEnqueue(Packet pkt, TimePoint now) {
@@ -35,10 +33,10 @@ bool FqCodel::DoEnqueue(Packet pkt, TimePoint now) {
   ++packets_;
   if (b.list_state == Bucket::ListState::kNone) {
     b.list_state = Bucket::ListState::kNew;
-    b.deficit = config_.quantum_bytes;
+    b.deficit = kQuantumBytes;
     IndexRingPushBack(buckets_, new_flows_, idx);
   }
-  if (packets_ > config_.limit_packets) {
+  if (packets_ > limit_packets_) {
     DropFromFattest();
     return false;
   }
@@ -73,7 +71,7 @@ std::optional<Packet> FqCodel::DequeueFromList(IndexRing& list, bool is_new_list
     size_t idx = list.head;
     Bucket& b = buckets_[idx];
     if (b.deficit <= 0) {
-      b.deficit += config_.quantum_bytes;
+      b.deficit += kQuantumBytes;
       IndexRingRemove(buckets_, list, idx);
       b.list_state = Bucket::ListState::kOld;
       IndexRingPushBack(buckets_, old_flows_, idx);
@@ -105,7 +103,7 @@ std::optional<Packet> FqCodel::DequeueFromList(IndexRing& list, bool is_new_list
       // Quantum spent: rotate to the back of the old list now (equivalent to
       // the head-of-list refill at the next dequeue, but keeps Peek accurate
       // and lets a newly arriving sparse flow preempt immediately).
-      b.deficit += config_.quantum_bytes;
+      b.deficit += kQuantumBytes;
       IndexRingRemove(buckets_, list, idx);
       b.list_state = Bucket::ListState::kOld;
       IndexRingPushBack(buckets_, old_flows_, idx);

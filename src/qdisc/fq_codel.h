@@ -17,15 +17,11 @@ namespace bundler {
 
 class FqCodel : public Qdisc {
  public:
-  struct Config {
-    size_t num_buckets = 1024;
-    int64_t limit_packets = 10240;
-    int64_t quantum_bytes = kMtuBytes;  // one full-size packet per round
-    CodelParams codel;
-    uint64_t perturbation = 0;
-  };
+  static constexpr size_t kNumBuckets = 1024;
+  static constexpr int64_t kQuantumBytes = kMtuBytes;  // one full-size packet per round
 
-  explicit FqCodel(const Config& config);
+  // `limit_packets` bounds the total packets across buckets.
+  explicit FqCodel(int64_t limit_packets);
 
   const Packet* Peek() const override;
   int64_t bytes() const override { return bytes_; }
@@ -53,7 +49,7 @@ class FqCodel : public Qdisc {
   void DropFromFattest();
   std::optional<Packet> DequeueFromList(IndexRing& list, bool is_new_list, TimePoint now);
 
-  Config config_;
+  int64_t limit_packets_;
   PacketPool pool_;
   std::vector<Bucket> buckets_;
   IndexRing new_flows_;

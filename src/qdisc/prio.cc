@@ -1,26 +1,20 @@
 #include "src/qdisc/prio.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/util/check.h"
 
 namespace bundler {
 
-StrictPrio::StrictPrio(size_t num_bands, int64_t limit_bytes_per_band, Classifier classifier)
-    : bands_(num_bands),
-      limit_bytes_per_band_(limit_bytes_per_band),
-      classifier_(std::move(classifier)) {
-  BUNDLER_CHECK(num_bands >= 1);
+StrictPrio::StrictPrio(int64_t limit_bytes_per_band)
+    : limit_bytes_per_band_(limit_bytes_per_band) {
   BUNDLER_CHECK(limit_bytes_per_band_ > 0);
 }
 
 bool StrictPrio::DoEnqueue(Packet pkt, TimePoint now) {
   (void)now;
-  size_t band = classifier_ ? classifier_(pkt) : pkt.priority;
-  if (band >= bands_.size()) {
-    band = bands_.size() - 1;
-  }
-  Band& b = bands_[band];
+  Band& b = bands_[std::min<size_t>(pkt.priority, kNumBands - 1)];
   if (b.bytes + pkt.size_bytes > limit_bytes_per_band_) {
     CountDrop();
     return false;

@@ -1,25 +1,22 @@
-// Strict priority scheduling over a small number of bands; band 0 is served
-// first. §7.2 uses this to give one traffic class 65% lower median FCT.
-// The bands queue in one shared PacketPool.
+// Strict priority scheduling over three bands; band 0 is served first.
+// §7.2 uses this to give one traffic class 65% lower median FCT. A packet's
+// band is its `priority` field, clamped to the last band. The bands queue in
+// one shared PacketPool.
 #ifndef SRC_QDISC_PRIO_H_
 #define SRC_QDISC_PRIO_H_
 
-#include <vector>
+#include <array>
 
 #include "src/qdisc/packet_pool.h"
 #include "src/qdisc/qdisc.h"
-#include "src/sim/inline_function.h"
 
 namespace bundler {
 
 class StrictPrio : public Qdisc {
  public:
-  // Inline-stored (no heap allocation when a qdisc is built).
-  using Classifier = InlineFunction<size_t(const Packet&)>;
+  static constexpr size_t kNumBands = 3;
 
-  // `classifier` maps a packet to a band in [0, num_bands); by default the
-  // packet's `priority` field is used (clamped to the last band).
-  StrictPrio(size_t num_bands, int64_t limit_bytes_per_band, Classifier classifier = nullptr);
+  explicit StrictPrio(int64_t limit_bytes_per_band);
 
   const Packet* Peek() const override;
   int64_t bytes() const override { return bytes_; }
@@ -38,9 +35,8 @@ class StrictPrio : public Qdisc {
   };
 
   PacketPool pool_;
-  std::vector<Band> bands_;
+  std::array<Band, kNumBands> bands_;
   int64_t limit_bytes_per_band_;
-  Classifier classifier_;
   int64_t bytes_ = 0;
   int64_t packets_ = 0;
 };

@@ -42,14 +42,14 @@ class Qdisc {
   bool Enqueue(Packet pkt, TimePoint now) {
     const uint64_t flow = pkt.flow_id;
     const uint64_t size = pkt.size_bytes;
-    const uint64_t drops_before = drops_;
+    // Kept only to choose the trace record: CountDrop() does the counting.
+    const uint64_t drops_before = ctrs_.drop_pkts;
     const bool ok = DoEnqueue(std::move(pkt), now);
-    ctrs_.drop_pkts += drops_ - drops_before;
     if (ok) {
       ++ctrs_.enq_pkts;
     }
     if (tracer_ != nullptr && tracer_->enabled(obs::TraceCat::kQdisc)) {
-      if (drops_ != drops_before) {
+      if (ctrs_.drop_pkts != drops_before) {
         tracer_->Trace(obs::TraceCat::kQdisc, obs::TraceEv::kQdiscDropTail,
                        comp_, now, flow, size,
                        static_cast<uint64_t>(bytes()));
@@ -63,14 +63,13 @@ class Qdisc {
   }
 
   std::optional<Packet> Dequeue(TimePoint now) {
-    const uint64_t drops_before = drops_;
+    const uint64_t drops_before = ctrs_.drop_pkts;
     std::optional<Packet> pkt = DoDequeue(now);
-    const uint64_t aqm_drops = drops_ - drops_before;
-    ctrs_.drop_pkts += aqm_drops;
     if (pkt.has_value()) {
       ++ctrs_.deq_pkts;
     }
     if (tracer_ != nullptr && tracer_->enabled(obs::TraceCat::kQdisc)) {
+      const uint64_t aqm_drops = ctrs_.drop_pkts - drops_before;
       if (aqm_drops != 0) {
         tracer_->Trace(obs::TraceCat::kQdisc, obs::TraceEv::kQdiscDropAqm,
                        comp_, now, aqm_drops, static_cast<uint64_t>(bytes()),
@@ -93,7 +92,7 @@ class Qdisc {
   virtual int64_t packets() const = 0;
   bool Empty() const { return packets() == 0; }
 
-  uint64_t drops() const { return drops_; }
+  uint64_t drops() const { return ctrs_.drop_pkts; }
   const Counters& counters() const { return ctrs_; }
   virtual const char* name() const = 0;
 
@@ -106,10 +105,9 @@ class Qdisc {
  protected:
   virtual bool DoEnqueue(Packet pkt, TimePoint now) = 0;
   virtual std::optional<Packet> DoDequeue(TimePoint now) = 0;
-  void CountDrop() { ++drops_; }
+  void CountDrop() { ++ctrs_.drop_pkts; }
 
  private:
-  uint64_t drops_ = 0;
   Counters ctrs_;
   obs::Tracer* tracer_ = nullptr;
   uint32_t comp_ = 0;

@@ -7,20 +7,20 @@
 
 namespace bundler {
 
-Sfq::Sfq(const Config& config) : config_(config), buckets_(config.num_buckets) {
-  BUNDLER_CHECK(config_.num_buckets > 0);
-  BUNDLER_CHECK(config_.limit_packets > 0);
-  BUNDLER_CHECK(config_.quantum_bytes > 0);
+Sfq::Sfq(int64_t limit_packets) : limit_packets_(limit_packets), buckets_(kNumBuckets) {
+  BUNDLER_CHECK(limit_packets_ > 0);
 }
 
 size_t Sfq::BucketFor(const Packet& pkt) const {
-  const uint64_t fields[] = {config_.perturbation,
+  // A zero seed word leads the hash input: SFQ never perturbs its hash, and
+  // every flow's bucket depends on the word.
+  const uint64_t fields[] = {0,
                              pkt.key.src,
                              pkt.key.dst,
                              static_cast<uint64_t>(pkt.key.src_port),
                              static_cast<uint64_t>(pkt.key.dst_port),
                              static_cast<uint64_t>(pkt.key.protocol)};
-  return Mix64(Fnv1a64Combine(fields, 6)) % config_.num_buckets;
+  return Mix64(Fnv1a64Combine(fields, 6)) % kNumBuckets;
 }
 
 bool Sfq::DoEnqueue(Packet pkt, TimePoint now) {
@@ -36,7 +36,7 @@ bool Sfq::DoEnqueue(Packet pkt, TimePoint now) {
     b.deficit = 0;
     IndexRingPushBack(buckets_, rr_, idx);
   }
-  if (packets_ > config_.limit_packets) {
+  if (packets_ > limit_packets_) {
     DropFromLongest();
     return false;  // some packet (possibly this one) was dropped
   }
@@ -78,7 +78,7 @@ std::optional<Packet> Sfq::DoDequeue(TimePoint now) {
     }
     if (b.deficit <= 0) {
       // New round for this bucket: move to the back with a fresh quantum.
-      b.deficit += config_.quantum_bytes;
+      b.deficit += kQuantumBytes;
       IndexRingRemove(buckets_, rr_, idx);
       IndexRingPushBack(buckets_, rr_, idx);
       continue;

@@ -1,10 +1,10 @@
 // Stochastic Fairness Queueing (McKenney, INFOCOM 1990) — the paper's default
-// sendbox scheduling policy. Flows hash (with a perturbation seed) into a
-// fixed set of buckets; buckets are served round-robin with a byte quantum,
-// and overflow drops from the currently longest bucket, which is what bounds
-// any one flow's share of the buffer. Every bucket queues in one shared
-// PacketPool, so queue memory follows the packets held (at most the limit),
-// not the sum of each bucket's high-water mark.
+// sendbox scheduling policy. Flows hash (with a fixed zero seed, never
+// perturbed) into kNumBuckets buckets; buckets are served round-robin with a
+// byte quantum, and overflow drops from the currently longest bucket, which
+// is what bounds any one flow's share of the buffer. Every bucket queues in
+// one shared PacketPool, so queue memory follows the packets held (at most
+// the limit), not the sum of each bucket's high-water mark.
 #ifndef SRC_QDISC_SFQ_H_
 #define SRC_QDISC_SFQ_H_
 
@@ -19,14 +19,11 @@ namespace bundler {
 
 class Sfq : public Qdisc {
  public:
-  struct Config {
-    size_t num_buckets = 1024;
-    int64_t limit_packets = 4000;   // total packets across buckets
-    int64_t quantum_bytes = 1514;   // bytes a bucket may send per round
-    uint64_t perturbation = 0;      // hash seed
-  };
+  static constexpr size_t kNumBuckets = 1024;
+  static constexpr int64_t kQuantumBytes = 1514;  // bytes a bucket may send per round
 
-  explicit Sfq(const Config& config);
+  // `limit_packets` bounds the total packets across buckets.
+  explicit Sfq(int64_t limit_packets);
 
   const Packet* Peek() const override;
   int64_t bytes() const override { return bytes_; }
@@ -53,7 +50,7 @@ class Sfq : public Qdisc {
 
   void DropFromLongest();
 
-  Config config_;
+  int64_t limit_packets_;
   PacketPool pool_;
   std::vector<Bucket> buckets_;
   IndexRing rr_;  // round-robin order of non-empty buckets

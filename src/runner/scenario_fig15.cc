@@ -21,7 +21,6 @@ namespace bundler {
 namespace runner {
 namespace {
 
-constexpr double kProxyCwndPkts = 450.0;
 constexpr int64_t kProxyQueuePkts = 40000;
 
 TrialResult RunTrial(const TrialPoint& point, Simulator* sim) {
@@ -31,9 +30,8 @@ TrialResult RunTrial(const TrialPoint& point, Simulator* sim) {
                     "unknown fig15 variant '%s'", point.variant.c_str());
 
   ExperimentConfig cfg = PaperExperimentDefaults(bundler_on, point.seed);
-  cfg.const_cwnd_pkts = kProxyCwndPkts;
   if (proxy) {
-    cfg.host_cc = HostCcType::kConstCwnd;
+    cfg.host_cc = HostCcType::kConstCwnd;  // ConstCwnd::kCwndPkts = 450 packets
     // The proxy must absorb every pinned window at the sendbox (§7.5:
     // "increasing the buffering at the sendbox to hold these packets").
     cfg.net.sendbox.queue_limit_pkts = kProxyQueuePkts;

@@ -69,9 +69,7 @@ NetBuilder DumbbellBuilder(const DumbbellConfig& config, DumbbellGraph* graph) {
     bn.buffer_bytes = buffer_bytes;
     if (config.in_network_fq) {
       bn.qdisc_factory = [buffer_bytes]() -> std::unique_ptr<Qdisc> {
-        Drr::Config dc;
-        dc.limit_bytes = buffer_bytes;
-        return std::make_unique<Drr>(dc);
+        return std::make_unique<Drr>(buffer_bytes);
       };
     }
     g.bottleneck = b.AddLink(bottleneck_router, dst_router, bn, "bottleneck");
@@ -86,8 +84,7 @@ NetBuilder DumbbellBuilder(const DumbbellConfig& config, DumbbellGraph* graph) {
           std::max<int64_t>(buffer_bytes / config.num_paths, 4 * kMtuBytes);
       specs.push_back(spec);
     }
-    g.bottleneck = b.AddMultipathLink(bottleneck_router, dst_router, specs,
-                                      LoadBalanceMode::kFlowHash, "bottleneck");
+    g.bottleneck = b.AddMultipathLink(bottleneck_router, dst_router, specs, "bottleneck");
   }
 
   for (int i = 0; i < config.num_bundles; ++i) {

@@ -105,7 +105,7 @@ NetBuilder::EdgeId NetBuilder::AddWire(NodeId from, NodeId to) {
 
 NetBuilder::EdgeId NetBuilder::AddMultipathLink(
     NodeId from, NodeId to, const std::vector<MultipathLink::PathSpec>& paths,
-    LoadBalanceMode mode, std::string name) {
+    std::string name) {
   CheckNode(from, "AddMultipathLink(from)");
   CheckNode(to, "AddMultipathLink(to)");
   BUNDLER_CHECK_MSG(from != to, "multipath link '%s' connects node '%s' to itself",
@@ -124,7 +124,6 @@ NetBuilder::EdgeId NetBuilder::AddMultipathLink(
   decl.from = from;
   decl.to = to;
   decl.paths = paths;
-  decl.lb_mode = mode;
   edges_.push_back(std::move(decl));
   return static_cast<EdgeId>(edges_.size()) - 1;
 }
@@ -399,7 +398,7 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
                                               /*dst=*/nullptr);
     } else if (edge.kind == EdgeKind::kMultipath) {
       net->multipaths_[e] = std::make_unique<MultipathLink>(
-          sim_of(edge.from), edge.name, edge.paths, edge.lb_mode, /*dst=*/nullptr);
+          sim_of(edge.from), edge.name, edge.paths, /*dst=*/nullptr);
     }
   }
 

@@ -96,7 +96,7 @@ class NetBuilder {
   EdgeId AddWire(NodeId from, NodeId to);
   EdgeId AddMultipathLink(NodeId from, NodeId to,
                           const std::vector<MultipathLink::PathSpec>& paths,
-                          LoadBalanceMode mode, std::string name = "");
+                          std::string name = "");
 
   BundleId AddBundle(const BundleSpec& spec);
 
@@ -171,7 +171,6 @@ class NetBuilder {
     NodeId to = -1;
     LinkSpec link;                               // kLink only
     std::vector<MultipathLink::PathSpec> paths;  // kMultipath only
-    LoadBalanceMode lb_mode = LoadBalanceMode::kFlowHash;
   };
   enum class MonitorKind { kQueueDelay, kRateMeter };
   struct MonitorDecl {

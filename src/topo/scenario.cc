@@ -69,7 +69,6 @@ Experiment::Experiment(Simulator* sim, const ExperimentConfig& config)
       WebWorkloadConfig wc;
       wc.offered_load = loads[i];
       wc.host_cc = config_.host_cc;
-      wc.const_cwnd_pkts = config_.const_cwnd_pkts;
       workloads_.push_back(std::make_unique<PoissonWebWorkload>(
           sim_, net_->flows(), net_->server(i), net_->client(i), &kCdf, wc,
           config_.seed + static_cast<uint64_t>(i) * 7919, fcts_.back().get()));

@@ -38,7 +38,6 @@ struct ExperimentConfig {
   uint64_t seed = 1;
 
   HostCcType host_cc = HostCcType::kCubic;
-  double const_cwnd_pkts = 450.0;
 
   // Per-bundle web offered load; resized/truncated to num_bundles. An empty
   // vector means 84 Mbit/s on bundle 0 and zero elsewhere.

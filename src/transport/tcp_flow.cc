@@ -81,7 +81,7 @@ TimeDelta TcpSender::srtt() const { return conn_ != nullptr ? conn_->srtt_ : Tim
 TcpConnection::TcpConnection(TcpSender* flow) : flow_(flow) {
   // In the body, so the controller is built in a slot whose member
   // initialization is already done.
-  cc_ = MakeHostCcInPlace(&cc_storage_, flow_->params_.cc, flow_->params_.const_cwnd_pkts);
+  cc_ = MakeHostCcInPlace(&cc_storage_, flow_->params_.cc);
   flow_->host_->Register(flow_->flow_id_, this);
 }
 

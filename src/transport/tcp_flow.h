@@ -21,7 +21,6 @@ namespace bundler {
 struct TcpFlowParams {
   int64_t size_bytes = 0;  // < 0 means backlogged (never completes)
   HostCcType cc = HostCcType::kCubic;
-  double const_cwnd_pkts = 450.0;
   uint64_t request_id = 0;
   uint8_t priority = 0;
   TimePoint request_start;  // when the application issued the request

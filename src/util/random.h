@@ -1,6 +1,6 @@
 // Deterministic, seedable random number source. Every stochastic component
-// (workload arrivals, request sizes, SFQ perturbation, jitter) draws from an
-// explicitly passed `Rng`, so a run is fully reproducible from its seed.
+// (workload arrivals, request sizes, jitter) draws from an explicitly passed
+// `Rng`, so a run is fully reproducible from its seed.
 #ifndef SRC_UTIL_RANDOM_H_
 #define SRC_UTIL_RANDOM_H_
 

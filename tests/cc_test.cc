@@ -31,8 +31,7 @@ AckSample Ack(TimePoint now, TimeDelta rtt, int pkts = 1, double inflight = 10,
 // owner the way a flow destroys its own.
 class InPlaceHostCc {
  public:
-  explicit InPlaceHostCc(HostCcType type, double const_cwnd_pkts = 450.0)
-      : cc_(MakeHostCcInPlace(&storage_, type, const_cwnd_pkts)) {}
+  explicit InPlaceHostCc(HostCcType type) : cc_(MakeHostCcInPlace(&storage_, type)) {}
   ~InPlaceHostCc() { cc_->~HostCc(); }
   InPlaceHostCc(const InPlaceHostCc&) = delete;
   InPlaceHostCc& operator=(const InPlaceHostCc&) = delete;
@@ -230,14 +229,14 @@ TEST(BbrCoreTest, ResetClearsModel) {
 // --- ConstCwnd ---
 
 TEST(ConstCwndTest, NeverChanges) {
-  ConstCwnd cc(450);
+  ConstCwnd cc;
   TimePoint t;
   cc.OnAck(Ack(t, TimeDelta::Millis(1)));
   LossSample loss;
   loss.now = t;
   loss.is_timeout = true;
   cc.OnLoss(loss);
-  EXPECT_DOUBLE_EQ(cc.CwndPkts(), 450.0);
+  EXPECT_DOUBLE_EQ(cc.CwndPkts(), ConstCwnd::kCwndPkts);
 }
 
 // --- Copa (bundle) ---
@@ -399,8 +398,8 @@ TEST(FactoryTest, MakesEveryHostCc) {
   EXPECT_STREQ(InPlaceHostCc(HostCcType::kCubic)->name(), "cubic");
   EXPECT_STREQ(InPlaceHostCc(HostCcType::kNewReno)->name(), "newreno");
   EXPECT_STREQ(InPlaceHostCc(HostCcType::kBbr)->name(), "bbr");
-  EXPECT_STREQ(InPlaceHostCc(HostCcType::kConstCwnd, 123)->name(), "const_cwnd");
-  EXPECT_DOUBLE_EQ(InPlaceHostCc(HostCcType::kConstCwnd, 123)->CwndPkts(), 123.0);
+  EXPECT_STREQ(InPlaceHostCc(HostCcType::kConstCwnd)->name(), "const_cwnd");
+  EXPECT_DOUBLE_EQ(InPlaceHostCc(HostCcType::kConstCwnd)->CwndPkts(), ConstCwnd::kCwndPkts);
 }
 
 TEST(FactoryTest, MakesEveryBundleCc) {

@@ -122,11 +122,10 @@ TEST(MeasurementTest, IgnoresUnknownFeedbackHashes) {
 }
 
 TEST(MeasurementTest, ExpiresStaleRecordsAtCapacity) {
-  MeasurementEngine::Config cfg;
-  cfg.max_outstanding = 8;
-  MeasurementEngine eng(cfg);
+  MeasurementEngine eng;
   TimePoint t;
-  for (int i = 0; i < 20; ++i) {
+  const int boundaries = static_cast<int>(MeasurementEngine::kMaxOutstanding) + 12;
+  for (int i = 0; i < boundaries; ++i) {
     eng.OnBoundarySent(static_cast<uint64_t>(i + 1), t + TimeDelta::Millis(i), 1000 * i);
   }
   EXPECT_GT(eng.records_expired(), 0u);
@@ -151,20 +150,20 @@ TEST(MeasurementTest, MinRttTracksTheFloor) {
 }
 
 TEST(MeasurementTest, OutOfOrderFeedbackDetected) {
-  MeasurementEngine::Config cfg;
-  cfg.min_ooo_samples = 4;
-  MeasurementEngine eng(cfg);
+  MeasurementEngine eng;
   TimePoint t;
   // Two imbalanced paths: even-indexed boundaries take a 200 ms path, odd
   // ones a 100 ms path, so every adjacent pair's feedback arrives inverted
   // with a 40 ms send gap (well above the min_rtt/8 significance guard).
+  // More events than kMinOooSamples, so the fraction is read, not floored.
   struct Fb {
     uint64_t hash;
     int64_t bytes;
     TimePoint at;
   };
   std::vector<Fb> feedback;
-  for (int i = 0; i < 10; ++i) {
+  const int boundaries = static_cast<int>(MeasurementEngine::kMinOooSamples) + 4;
+  for (int i = 0; i < boundaries; ++i) {
     uint64_t h = static_cast<uint64_t>(i + 1);
     int64_t bytes = (i + 1) * kEpochBytes;
     TimePoint sent = t + TimeDelta::Millis(40 * i);
@@ -184,9 +183,7 @@ TEST(MeasurementTest, OutOfOrderFeedbackDetected) {
 }
 
 TEST(MeasurementTest, InOrderFeedbackReadsZero) {
-  MeasurementEngine::Config cfg;
-  cfg.min_ooo_samples = 4;
-  MeasurementEngine eng(cfg);
+  MeasurementEngine eng;
   FeedbackDriver d{&eng};
   TimePoint last_fb;
   for (int i = 0; i < 30; ++i) {
@@ -196,11 +193,9 @@ TEST(MeasurementTest, InOrderFeedbackReadsZero) {
 }
 
 TEST(MeasurementTest, OooFractionNeedsMinimumSamples) {
-  MeasurementEngine::Config cfg;
-  cfg.min_ooo_samples = 20;
-  MeasurementEngine eng(cfg);
+  MeasurementEngine eng;
   TimePoint t;
-  // Only 4 samples, 2 out of order: below min_ooo_samples, reads 0.
+  // Only 4 samples, 2 out of order: below kMinOooSamples, reads 0.
   eng.OnBoundarySent(1, t, kEpochBytes);
   eng.OnBoundarySent(2, t + TimeDelta::Millis(10), 2 * kEpochBytes);
   eng.OnBoundarySent(3, t + TimeDelta::Millis(20), 3 * kEpochBytes);
@@ -214,23 +209,21 @@ TEST(MeasurementTest, OooFractionNeedsMinimumSamples) {
 }
 
 TEST(MeasurementTest, OooWindowForgetsOldImbalance) {
-  MeasurementEngine::Config cfg;
-  cfg.min_ooo_samples = 4;
-  cfg.ooo_window = TimeDelta::Seconds(1);
-  MeasurementEngine eng(cfg);
+  MeasurementEngine eng;
   TimePoint t;
-  // Burst of out-of-order feedback at t=0, pair members sent 40 ms apart so
-  // the inversions clear the significance guard.
-  for (int i = 0; i < 10; i += 2) {
+  // Burst of out-of-order feedback at t=0 (kMinOooSamples events), pair
+  // members sent 40 ms apart so the inversions clear the significance guard.
+  const int events = static_cast<int>(MeasurementEngine::kMinOooSamples);
+  for (int i = 0; i < events; i += 2) {
     uint64_t h1 = static_cast<uint64_t>(i + 1), h2 = static_cast<uint64_t>(i + 2);
     eng.OnBoundarySent(h1, t + TimeDelta::Millis(60 * i), (i + 1) * kEpochBytes);
     eng.OnBoundarySent(h2, t + TimeDelta::Millis(60 * i + 40), (i + 2) * kEpochBytes);
     eng.OnFeedback(h2, (i + 2) * kEpochBytes, t + TimeDelta::Millis(60 * i + 90));
     eng.OnFeedback(h1, (i + 1) * kEpochBytes, t + TimeDelta::Millis(60 * i + 91));
   }
-  EXPECT_GT(eng.OutOfOrderFraction(t + TimeDelta::Millis(800)), 0.0);
-  // After the window passes with no new samples the fraction resets.
-  EXPECT_DOUBLE_EQ(eng.OutOfOrderFraction(t + TimeDelta::Seconds(3)), 0.0);
+  EXPECT_GT(eng.OutOfOrderFraction(t + TimeDelta::Millis(1200)), 0.0);
+  // After the 5 s window passes with no new samples the fraction resets.
+  EXPECT_DOUBLE_EQ(eng.OutOfOrderFraction(t + TimeDelta::Seconds(7)), 0.0);
 }
 
 // Feeds ordering events whose flags are known. InvertedPair logs one
@@ -259,47 +252,44 @@ struct OooFeed {
 };
 
 TEST(MeasurementTest, OooFractionIsExactAsTheWindowExpires) {
-  MeasurementEngine::Config cfg;
-  cfg.min_ooo_samples = 4;
-  cfg.ooo_window = TimeDelta::Seconds(1);
-  MeasurementEngine eng(cfg);
+  MeasurementEngine eng;
   OooFeed d{&eng};
   const TimePoint t0;
   // Events at 90/91, 150/151, 210/211, 270/271, 330/331 ms (the second of
-  // each pair flagged), then ten unflagged ones at 650..830 ms.
+  // each pair flagged), then twenty unflagged ones at 650..1030 ms: every
+  // read below sees at least kMinOooSamples events in the 5 s window.
   for (int i = 0; i < 5; ++i) {
     d.InvertedPair(t0 + TimeDelta::Millis(60 * i));
   }
-  for (int i = 0; i < 10; ++i) {
+  for (int i = 0; i < 20; ++i) {
     d.InOrder(t0 + TimeDelta::Millis(600 + 20 * i));
   }
-  EXPECT_DOUBLE_EQ(eng.OutOfOrderFraction(t0 + TimeDelta::Millis(950)), 5.0 / 20.0);
-  // Events older than 200 ms leave the window: 3 flagged of 16.
-  EXPECT_DOUBLE_EQ(eng.OutOfOrderFraction(t0 + TimeDelta::Millis(1200)), 3.0 / 16.0);
-  // Older than 280 ms: 1 flagged of 12.
-  EXPECT_DOUBLE_EQ(eng.OutOfOrderFraction(t0 + TimeDelta::Millis(1280)), 1.0 / 12.0);
-  // Only seven unflagged events remain.
-  EXPECT_DOUBLE_EQ(eng.OutOfOrderFraction(t0 + TimeDelta::Millis(1700)), 0.0);
+  EXPECT_DOUBLE_EQ(eng.OutOfOrderFraction(t0 + TimeDelta::Millis(1100)), 5.0 / 30.0);
+  // Events older than 200 ms leave the window: 3 flagged of 26.
+  EXPECT_DOUBLE_EQ(eng.OutOfOrderFraction(t0 + TimeDelta::Millis(5200)), 3.0 / 26.0);
+  // Older than 280 ms: 1 flagged of 22.
+  EXPECT_DOUBLE_EQ(eng.OutOfOrderFraction(t0 + TimeDelta::Millis(5280)), 1.0 / 22.0);
+  // Older than 400 ms: only the twenty unflagged events remain.
+  EXPECT_DOUBLE_EQ(eng.OutOfOrderFraction(t0 + TimeDelta::Millis(5400)), 0.0);
 }
 
 TEST(MeasurementTest, ResetOooHistoryCountsOnlyLaterEvents) {
-  MeasurementEngine::Config cfg;
-  cfg.min_ooo_samples = 4;
-  MeasurementEngine eng(cfg);
+  MeasurementEngine eng;
   OooFeed d{&eng};
   const TimePoint t0;
-  for (int i = 0; i < 5; ++i) {
+  // Ten inverted pairs: kMinOooSamples events, half of them flagged.
+  for (int i = 0; i < 10; ++i) {
     d.InvertedPair(t0 + TimeDelta::Millis(60 * i));
   }
-  EXPECT_DOUBLE_EQ(eng.OutOfOrderFraction(t0 + TimeDelta::Millis(400)), 0.5);
+  EXPECT_DOUBLE_EQ(eng.OutOfOrderFraction(t0 + TimeDelta::Millis(700)), 0.5);
   eng.ResetOooHistory();
-  EXPECT_DOUBLE_EQ(eng.OutOfOrderFraction(t0 + TimeDelta::Millis(400)), 0.0);
-  // Six unflagged events and one inverted pair after the reset: 1 of 8.
-  for (int i = 0; i < 6; ++i) {
-    d.InOrder(t0 + TimeDelta::Millis(400 + 20 * i));
+  EXPECT_DOUBLE_EQ(eng.OutOfOrderFraction(t0 + TimeDelta::Millis(700)), 0.0);
+  // Eighteen unflagged events and one inverted pair after the reset: 1 of 20.
+  for (int i = 0; i < 18; ++i) {
+    d.InOrder(t0 + TimeDelta::Millis(700 + 20 * i));
   }
-  d.InvertedPair(t0 + TimeDelta::Millis(600));
-  EXPECT_DOUBLE_EQ(eng.OutOfOrderFraction(t0 + TimeDelta::Millis(700)), 1.0 / 8.0);
+  d.InvertedPair(t0 + TimeDelta::Millis(1100));
+  EXPECT_DOUBLE_EQ(eng.OutOfOrderFraction(t0 + TimeDelta::Millis(1200)), 1.0 / 20.0);
 }
 
 TEST(MeasurementTest, SampleCallbackSeesEveryEpoch) {

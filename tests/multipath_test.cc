@@ -1,6 +1,5 @@
 // Tests for the load-balanced bottleneck (§5.2): per-flow ECMP stickiness,
-// packet spraying, hash dispersion across path counts, and delivery through
-// every path.
+// hash dispersion across path counts, and delivery through every path.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -36,7 +35,7 @@ std::vector<MultipathLink::PathSpec> Paths(int n) {
 TEST(MultipathLinkTest, FlowHashIsStickyPerFlow) {
   Simulator sim;
   SinkHandler sink;
-  MultipathLink mp(&sim, "mp", Paths(4), LoadBalanceMode::kFlowHash, &sink);
+  MultipathLink mp(&sim, "mp", Paths(4), &sink);
   for (uint16_t port = 1000; port < 1050; ++port) {
     Packet p = PacketFor(80, port);
     size_t first = mp.PathIndexFor(p);
@@ -50,7 +49,7 @@ TEST(MultipathLinkTest, FlowHashSpreadsAcrossPaths) {
   Simulator sim;
   SinkHandler sink;
   for (int paths : {2, 4, 8}) {
-    MultipathLink mp(&sim, "mp", Paths(paths), LoadBalanceMode::kFlowHash, &sink);
+    MultipathLink mp(&sim, "mp", Paths(paths), &sink);
     std::vector<int> counts(static_cast<size_t>(paths), 0);
     const int kFlows = 400;
     for (int f = 0; f < kFlows; ++f) {
@@ -71,7 +70,7 @@ TEST(MultipathLinkTest, LockstepPortPairsStillSpread) {
   // finalizer must break the correlation.
   Simulator sim;
   SinkHandler sink;
-  MultipathLink mp(&sim, "mp", Paths(4), LoadBalanceMode::kFlowHash, &sink);
+  MultipathLink mp(&sim, "mp", Paths(4), &sink);
   std::set<size_t> used;
   for (int f = 0; f < 24; ++f) {
     Packet p = PacketFor(static_cast<uint16_t>(1024 + f), static_cast<uint16_t>(1024 + f));
@@ -80,25 +79,21 @@ TEST(MultipathLinkTest, LockstepPortPairsStillSpread) {
   EXPECT_GE(used.size(), 3u);
 }
 
-TEST(MultipathLinkTest, PacketSprayRoundRobins) {
-  Simulator sim;
-  SinkHandler sink;
-  MultipathLink mp(&sim, "mp", Paths(3), LoadBalanceMode::kPacketSpray, &sink);
-  Packet p = PacketFor(80, 5555);
-  EXPECT_EQ(mp.PathIndexFor(p), 0u);
-  EXPECT_EQ(mp.PathIndexFor(p), 1u);
-  EXPECT_EQ(mp.PathIndexFor(p), 2u);
-  EXPECT_EQ(mp.PathIndexFor(p), 0u);
-}
-
 TEST(MultipathLinkTest, DeliversThroughEveryPath) {
   Simulator sim;
   SinkHandler sink;
-  MultipathLink mp(&sim, "mp", Paths(4), LoadBalanceMode::kPacketSpray, &sink);
-  for (int i = 0; i < 40; ++i) {
-    Packet p = PacketFor(80, 1234);
-    p.size_bytes = kMtuBytes;
-    mp.HandlePacket(std::move(p));
+  MultipathLink mp(&sim, "mp", Paths(4), &sink);
+  // One flow per path, picked through the balancer's own hash; 10 packets each.
+  for (size_t path = 0; path < mp.num_paths(); ++path) {
+    uint16_t port = 1024;
+    while (mp.PathIndexFor(PacketFor(80, port)) != path) {
+      ++port;
+    }
+    for (int i = 0; i < 10; ++i) {
+      Packet p = PacketFor(80, port);
+      p.size_bytes = kMtuBytes;
+      mp.HandlePacket(std::move(p));
+    }
   }
   sim.RunAll();
   EXPECT_EQ(sink.packets(), 40u);
@@ -115,7 +110,7 @@ TEST_P(MultipathDispersion, ChiSquaredWithinBound) {
   const int paths = GetParam();
   Simulator sim;
   SinkHandler sink;
-  MultipathLink mp(&sim, "mp", Paths(paths), LoadBalanceMode::kFlowHash, &sink);
+  MultipathLink mp(&sim, "mp", Paths(paths), &sink);
   std::vector<int> counts(static_cast<size_t>(paths), 0);
   const int kFlows = 2000;
   for (int f = 0; f < kFlows; ++f) {

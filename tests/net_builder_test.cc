@@ -349,7 +349,6 @@ TEST(NetBuilderTest, HandDeclaredDumbbellByteIdenticalToPreset) {
   WebWorkloadConfig wc;
   wc.offered_load = cfg.bundle_web_load[0];
   wc.host_cc = cfg.host_cc;
-  wc.const_cwnd_pkts = cfg.const_cwnd_pkts;
   PoissonWebWorkload web(&sim, net->flows(), net->host(srv), net->host(cli), &kCdf, wc,
                          cfg.seed, &fct);
   sim.RunUntil(TimePoint::Zero() + cfg.duration);

@@ -12,6 +12,9 @@
 namespace bundler {
 namespace {
 
+// The cadence every detector below is fed at: a 10 ms control tick.
+constexpr TimeDelta kTick = TimeDelta::Millis(10);
+
 TEST(FftTest, RecoversSingleTone) {
   const size_t n = 256;
   std::vector<double> signal(n);
@@ -56,7 +59,7 @@ TEST(FftTest, LinearityOfMagnitudes) {
 }
 
 TEST(NimbusPulseTest, UpPulseThenCompensation) {
-  NimbusDetector det;
+  NimbusDetector det(kTick);
   const Rate mu = Rate::Mbps(96);
   const TimeDelta period = det.pulse_period();
   // First quarter: positive half-sine peaking at mu/4.
@@ -70,7 +73,7 @@ TEST(NimbusPulseTest, UpPulseThenCompensation) {
 TEST(NimbusPulseTest, ZeroNetAreaOverOnePeriod) {
   // The asymmetric sinusoid must integrate to ~zero so pulsing does not bias
   // the average rate (§5.1).
-  NimbusDetector det;
+  NimbusDetector det(kTick);
   const Rate mu = Rate::Mbps(96);
   const TimeDelta period = det.pulse_period();
   const int kSteps = 20000;
@@ -84,7 +87,7 @@ TEST(NimbusPulseTest, ZeroNetAreaOverOnePeriod) {
 }
 
 TEST(NimbusPulseTest, PeriodicAcrossPeriods) {
-  NimbusDetector det;
+  NimbusDetector det(kTick);
   const Rate mu = Rate::Mbps(48);
   const TimeDelta period = det.pulse_period();
   TimePoint a = TimePoint::Zero() + period * 0.3;
@@ -100,7 +103,7 @@ TEST(NimbusPulseTest, PeriodicAcrossPeriods) {
 // share of the drain while the queue is busy.
 void DriveDetector(NimbusDetector& det, bool elastic_cross, double mu_mbps,
                    double cross_mbps, TimeDelta how_long) {
-  const TimeDelta tick = TimeDelta::Millis(10);
+  const TimeDelta tick = kTick;
   const double mu = mu_mbps * 1e6;
   const double kLagSecs = 0.1;  // elastic reaction time constant (~2 RTTs)
   TimePoint now;
@@ -129,27 +132,27 @@ void DriveDetector(NimbusDetector& det, bool elastic_cross, double mu_mbps,
 }
 
 TEST(NimbusDetectorTest, DetectsElasticCrossTraffic) {
-  NimbusDetector det;
+  NimbusDetector det(kTick);
   DriveDetector(det, /*elastic_cross=*/true, 96, 0, TimeDelta::Seconds(15));
   EXPECT_TRUE(det.IsElastic());
   EXPECT_GT(det.elasticity_metric(), 1.0);
 }
 
 TEST(NimbusDetectorTest, NoFalsePositiveWithoutCrossTraffic) {
-  NimbusDetector det;
+  NimbusDetector det(kTick);
   DriveDetector(det, /*elastic_cross=*/false, 96, 0, TimeDelta::Seconds(15));
   EXPECT_FALSE(det.IsElastic());
 }
 
 TEST(NimbusDetectorTest, NoFalsePositiveWithInelasticCross) {
-  NimbusDetector det;
+  NimbusDetector det(kTick);
   // A 30 Mbit/s paced stream (e.g. video) shares the link but does not react.
   DriveDetector(det, /*elastic_cross=*/false, 96, 30, TimeDelta::Seconds(15));
   EXPECT_FALSE(det.IsElastic());
 }
 
 TEST(NimbusDetectorTest, MuTracksObservedReceiveRate) {
-  NimbusDetector det;
+  NimbusDetector det(kTick);
   DriveDetector(det, false, 96, 0, TimeDelta::Seconds(5));
   // We sent ~half of mu, so the mu estimate reflects peak observed rout.
   EXPECT_GT(det.mu_estimate().Mbps(), 40.0);
@@ -157,7 +160,7 @@ TEST(NimbusDetectorTest, MuTracksObservedReceiveRate) {
 }
 
 TEST(NimbusDetectorTest, RecoversAfterCrossTrafficLeaves) {
-  NimbusDetector det;
+  NimbusDetector det(kTick);
   DriveDetector(det, true, 96, 0, TimeDelta::Seconds(15));
   ASSERT_TRUE(det.IsElastic());
   // Cross traffic departs; detector must flip back within the FFT window.
@@ -168,7 +171,7 @@ TEST(NimbusDetectorTest, RecoversAfterCrossTrafficLeaves) {
 }
 
 TEST(NimbusDetectorTest, ResetClearsVerdict) {
-  NimbusDetector det;
+  NimbusDetector det(kTick);
   DriveDetector(det, true, 96, 0, TimeDelta::Seconds(15));
   ASSERT_TRUE(det.IsElastic());
   det.Reset();
@@ -180,13 +183,13 @@ TEST(NimbusDetectorTest, ResetClearsVerdict) {
 class NimbusCapacitySweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(NimbusCapacitySweep, ElasticDetectedAtEveryCapacity) {
-  NimbusDetector det;
+  NimbusDetector det(kTick);
   DriveDetector(det, true, GetParam(), 0, TimeDelta::Seconds(15));
   EXPECT_TRUE(det.IsElastic()) << GetParam() << " Mbps";
 }
 
 TEST_P(NimbusCapacitySweep, QuietPathNotElasticAtEveryCapacity) {
-  NimbusDetector det;
+  NimbusDetector det(kTick);
   DriveDetector(det, false, GetParam(), 0, TimeDelta::Seconds(15));
   EXPECT_FALSE(det.IsElastic()) << GetParam() << " Mbps";
 }

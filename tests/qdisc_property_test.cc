@@ -38,25 +38,10 @@ struct QdiscCase {
 std::vector<QdiscCase> AllQdiscs() {
   return {
       {"droptail", [] { return std::make_unique<DropTailFifo>(int64_t{256} * kMtuBytes); }},
-      {"sfq",
-       [] {
-         Sfq::Config cfg;
-         cfg.limit_packets = 256;
-         return std::make_unique<Sfq>(cfg);
-       }},
-      {"drr",
-       [] {
-         Drr::Config cfg;
-         cfg.limit_bytes = int64_t{256} * kMtuBytes;
-         return std::make_unique<Drr>(cfg);
-       }},
-      {"fq_codel",
-       [] {
-         FqCodel::Config cfg;
-         cfg.limit_packets = 256;
-         return std::make_unique<FqCodel>(cfg);
-       }},
-      {"strict_prio", [] { return std::make_unique<StrictPrio>(3, int64_t{86} * kMtuBytes); }},
+      {"sfq", [] { return std::make_unique<Sfq>(256); }},
+      {"drr", [] { return std::make_unique<Drr>(int64_t{256} * kMtuBytes); }},
+      {"fq_codel", [] { return std::make_unique<FqCodel>(256); }},
+      {"strict_prio", [] { return std::make_unique<StrictPrio>(int64_t{86} * kMtuBytes); }},
   };
 }
 
@@ -189,18 +174,22 @@ INSTANTIATE_TEST_SUITE_P(AllQdiscs, QdiscPropertyTest,
 // step for step.
 
 // FqCodel exactly as it stood before the ring sweep (deque buckets, list
-// service order, lazily allocated per-bucket CodelState).
+// service order, lazily allocated per-bucket CodelState), with its own copy
+// of the bucket count and quantum.
 class RefFqCodel {
  public:
-  explicit RefFqCodel(const FqCodel::Config& config)
-      : config_(config), buckets_(config.num_buckets) {}
+  static constexpr size_t kNumBuckets = 1024;
+  static constexpr int64_t kQuantumBytes = kMtuBytes;
+
+  explicit RefFqCodel(int64_t limit_packets)
+      : limit_packets_(limit_packets), buckets_(kNumBuckets) {}
 
   bool Enqueue(Packet pkt, TimePoint now) {
     (void)now;
     size_t idx = BucketFor(pkt);
     Bucket& b = buckets_[idx];
     if (b.codel == nullptr) {
-      b.codel = std::make_unique<CodelState>(config_.codel);
+      b.codel = std::make_unique<CodelState>();
     }
     bytes_ += pkt.size_bytes;
     b.bytes += pkt.size_bytes;
@@ -208,10 +197,10 @@ class RefFqCodel {
     ++packets_;
     if (b.list_state == Bucket::ListState::kNone) {
       b.list_state = Bucket::ListState::kNew;
-      b.deficit = config_.quantum_bytes;
+      b.deficit = kQuantumBytes;
       new_flows_.push_back(idx);
     }
-    if (packets_ > config_.limit_packets) {
+    if (packets_ > limit_packets_) {
       DropFromFattest();
       return false;
     }
@@ -239,15 +228,15 @@ class RefFqCodel {
     enum class ListState { kNone, kNew, kOld } list_state = ListState::kNone;
   };
 
-  // Same hash as the real implementation (FqCodel::BucketFor).
+  // Same hash as the real implementation (FqCodel::BucketFor), zero seed first.
   size_t BucketFor(const Packet& pkt) const {
-    const uint64_t fields[] = {config_.perturbation,
+    const uint64_t fields[] = {0,
                                pkt.key.src,
                                pkt.key.dst,
                                static_cast<uint64_t>(pkt.key.src_port),
                                static_cast<uint64_t>(pkt.key.dst_port),
                                static_cast<uint64_t>(pkt.key.protocol)};
-    return Mix64(Fnv1a64Combine(fields, 6)) % config_.num_buckets;
+    return Mix64(Fnv1a64Combine(fields, 6)) % kNumBuckets;
   }
 
   void DropFromFattest() {
@@ -276,7 +265,7 @@ class RefFqCodel {
       size_t idx = list.front();
       Bucket& b = buckets_[idx];
       if (b.deficit <= 0) {
-        b.deficit += config_.quantum_bytes;
+        b.deficit += kQuantumBytes;
         list.pop_front();
         b.list_state = Bucket::ListState::kOld;
         old_flows_.push_back(idx);
@@ -304,7 +293,7 @@ class RefFqCodel {
       }
       b.deficit -= pkt.size_bytes;
       if (b.deficit <= 0) {
-        b.deficit += config_.quantum_bytes;
+        b.deficit += kQuantumBytes;
         list.pop_front();
         b.list_state = Bucket::ListState::kOld;
         old_flows_.push_back(idx);
@@ -314,7 +303,7 @@ class RefFqCodel {
     return std::nullopt;
   }
 
-  FqCodel::Config config_;
+  int64_t limit_packets_;
   std::vector<Bucket> buckets_;
   std::list<size_t> new_flows_;
   std::list<size_t> old_flows_;
@@ -370,11 +359,15 @@ class RefStrictPrio {
   uint64_t drops_ = 0;
 };
 
-// Sfq with a std::deque per bucket and std::list round-robin order.
+// Sfq with a std::deque per bucket and std::list round-robin order, with its
+// own copy of the bucket count and quantum.
 class RefSfq {
  public:
-  explicit RefSfq(const Sfq::Config& config)
-      : config_(config), buckets_(config.num_buckets) {}
+  static constexpr size_t kNumBuckets = 1024;
+  static constexpr int64_t kQuantumBytes = 1514;
+
+  explicit RefSfq(int64_t limit_packets)
+      : limit_packets_(limit_packets), buckets_(kNumBuckets) {}
 
   bool Enqueue(Packet pkt, TimePoint now) {
     (void)now;
@@ -389,7 +382,7 @@ class RefSfq {
       b.deficit = 0;
       rr_.push_back(idx);
     }
-    if (packets_ > config_.limit_packets) {
+    if (packets_ > limit_packets_) {
       DropFromLongest();
       return false;
     }
@@ -407,7 +400,7 @@ class RefSfq {
         continue;
       }
       if (b.deficit <= 0) {
-        b.deficit += config_.quantum_bytes;
+        b.deficit += kQuantumBytes;
         rr_.pop_front();
         rr_.push_back(idx);
         continue;
@@ -439,15 +432,15 @@ class RefSfq {
     bool active = false;
   };
 
-  // Same hash as the real implementation (Sfq::BucketFor).
+  // Same hash as the real implementation (Sfq::BucketFor), zero seed first.
   size_t BucketFor(const Packet& pkt) const {
-    const uint64_t fields[] = {config_.perturbation,
+    const uint64_t fields[] = {0,
                                pkt.key.src,
                                pkt.key.dst,
                                static_cast<uint64_t>(pkt.key.src_port),
                                static_cast<uint64_t>(pkt.key.dst_port),
                                static_cast<uint64_t>(pkt.key.protocol)};
-    return Mix64(Fnv1a64Combine(fields, 6)) % config_.num_buckets;
+    return Mix64(Fnv1a64Combine(fields, 6)) % kNumBuckets;
   }
 
   // The tail of the bucket holding the most bytes; the first in round-robin
@@ -471,7 +464,7 @@ class RefSfq {
     }
   }
 
-  Sfq::Config config_;
+  int64_t limit_packets_;
   std::vector<Bucket> buckets_;
   std::list<size_t> rr_;
   int64_t bytes_ = 0;
@@ -484,7 +477,9 @@ class RefSfq {
 // backlogged, as a released DRR slot does.
 class RefDrr {
  public:
-  explicit RefDrr(const Drr::Config& config) : config_(config) {}
+  static constexpr int64_t kQuantumBytes = 1514;
+
+  explicit RefDrr(int64_t limit_bytes) : limit_bytes_(limit_bytes) {}
 
   bool Enqueue(Packet pkt, TimePoint now) {
     (void)now;
@@ -497,7 +492,7 @@ class RefDrr {
     if (fq.queue.size() == 1) {
       rr_.push_back(flow);
     }
-    if (bytes_ > config_.limit_bytes) {
+    if (bytes_ > limit_bytes_) {
       DropFromLongest();
       return false;
     }
@@ -510,7 +505,7 @@ class RefDrr {
       const uint64_t flow = rr_.front();
       FlowQueue& fq = flows_.at(flow);
       if (fq.deficit <= 0) {
-        fq.deficit += config_.quantum_bytes;
+        fq.deficit += kQuantumBytes;
         rr_.pop_front();
         rr_.push_back(flow);
         continue;
@@ -571,7 +566,7 @@ class RefDrr {
     }
   }
 
-  Drr::Config config_;
+  int64_t limit_bytes_;
   std::unordered_map<uint64_t, FlowQueue> flows_;
   std::list<uint64_t> rr_;
   int64_t bytes_ = 0;
@@ -624,28 +619,23 @@ uint64_t MirrorChurn(Q& q, Ref& ref, uint64_t seed, uint64_t num_flows) {
 }
 
 TEST(QdiscByteIdentityTest, SfqMatchesDequeReference) {
-  // 16 buckets under 64 flows, so buckets hold several flows each; a
+  // 1,024 buckets under 4,096 flows, so buckets hold several flows each; a
   // 96-packet limit keeps the longest-bucket drop busy.
-  Sfq::Config cfg;
-  cfg.num_buckets = 16;
-  cfg.limit_packets = 96;
   for (uint64_t seed = 21; seed <= 23; ++seed) {
     SCOPED_TRACE(seed);
-    Sfq q(cfg);
-    RefSfq ref(cfg);
-    EXPECT_GT(MirrorChurn(q, ref, seed, 64), 0u) << "overflow drops engaged";
+    Sfq q(96);
+    RefSfq ref(96);
+    EXPECT_GT(MirrorChurn(q, ref, seed, 4096), 0u) << "overflow drops engaged";
   }
 }
 
 TEST(QdiscByteIdentityTest, DrrMatchesDequeReference) {
   // 200 flows behind a 64-MTU byte limit: flow slots are released and
   // reused constantly, and the longest-flow drop is busy.
-  Drr::Config cfg;
-  cfg.limit_bytes = int64_t{64} * kMtuBytes;
   for (uint64_t seed = 31; seed <= 33; ++seed) {
     SCOPED_TRACE(seed);
-    Drr q(cfg);
-    RefDrr ref(cfg);
+    Drr q(int64_t{64} * kMtuBytes);
+    RefDrr ref(int64_t{64} * kMtuBytes);
     EXPECT_GT(MirrorChurn(q, ref, seed, 200), 0u) << "overflow drops engaged";
   }
 }
@@ -655,11 +645,9 @@ TEST(QdiscByteIdentityTest, FqCodelMatchesDequeListReference) {
   // new/old list rotation, deficit refills, CoDel sojourn drops, and
   // overflow drops from the fattest flow. Every dequeue must produce the
   // same packet id and every drop counter must match, step for step.
-  FqCodel::Config cfg;
-  cfg.limit_packets = 192;
   for (uint64_t seed = 3; seed <= 5; ++seed) {
-    FqCodel q(cfg);
-    RefFqCodel ref(cfg);
+    FqCodel q(192);
+    RefFqCodel ref(192);
     Rng rng(seed);
     TimePoint now;
     for (int step = 0; step < 30000; ++step) {
@@ -689,7 +677,7 @@ TEST(QdiscByteIdentityTest, FqCodelMatchesDequeListReference) {
 
 TEST(QdiscByteIdentityTest, StrictPrioMatchesDequeReference) {
   for (uint64_t seed = 11; seed <= 13; ++seed) {
-    StrictPrio q(3, int64_t{48} * kMtuBytes);
+    StrictPrio q(int64_t{48} * kMtuBytes);
     RefStrictPrio ref(3, int64_t{48} * kMtuBytes);
     Rng rng(seed);
     TimePoint now;

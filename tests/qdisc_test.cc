@@ -63,9 +63,7 @@ TEST(DropTailFifoTest, ByteAccounting) {
 }
 
 TEST(SfqTest, RoundRobinsAcrossFlows) {
-  Sfq::Config cfg;
-  cfg.limit_packets = 1000;
-  Sfq q(cfg);
+  Sfq q(1000);
   TimePoint t;
   // Two flows: flow A enqueues 10, flow B enqueues 10. Dequeue order should
   // alternate (one MTU quantum each).
@@ -91,8 +89,7 @@ TEST(SfqTest, RoundRobinsAcrossFlows) {
 }
 
 TEST(SfqTest, ShortFlowNotStuckBehindLongFlow) {
-  Sfq::Config cfg;
-  Sfq q(cfg);
+  Sfq q(4000);
   TimePoint t;
   for (int i = 0; i < 100; ++i) {
     q.Enqueue(MakePkt(1000), t);
@@ -112,9 +109,7 @@ TEST(SfqTest, ShortFlowNotStuckBehindLongFlow) {
 }
 
 TEST(SfqTest, DropsFromLongestFlowOnOverflow) {
-  Sfq::Config cfg;
-  cfg.limit_packets = 20;
-  Sfq q(cfg);
+  Sfq q(20);
   TimePoint t;
   for (int i = 0; i < 18; ++i) {
     q.Enqueue(MakePkt(1000), t);
@@ -136,8 +131,7 @@ TEST(SfqTest, DropsFromLongestFlowOnOverflow) {
 }
 
 TEST(SfqTest, ByteAndPacketCountsConsistent) {
-  Sfq::Config cfg;
-  Sfq q(cfg);
+  Sfq q(4000);
   TimePoint t;
   q.Enqueue(MakePkt(1, 700), t);
   q.Enqueue(MakePkt(2, 800), t);
@@ -151,8 +145,7 @@ TEST(SfqTest, ByteAndPacketCountsConsistent) {
 }
 
 TEST(DrrTest, FairnessAcrossUnequalBacklogs) {
-  Drr::Config cfg;
-  Drr q(cfg);
+  Drr q(4 * 1024 * 1024);
   TimePoint t;
   for (int i = 0; i < 90; ++i) {
     q.Enqueue(MakePkt(1), t);
@@ -172,8 +165,7 @@ TEST(DrrTest, FairnessAcrossUnequalBacklogs) {
 }
 
 TEST(DrrTest, ReclaimsEmptyFlows) {
-  Drr::Config cfg;
-  Drr q(cfg);
+  Drr q(4 * 1024 * 1024);
   TimePoint t;
   for (uint16_t port = 1; port <= 50; ++port) {
     q.Enqueue(MakePkt(port), t);
@@ -185,9 +177,7 @@ TEST(DrrTest, ReclaimsEmptyFlows) {
 }
 
 TEST(DrrTest, DropsFromLongestOnOverflow) {
-  Drr::Config cfg;
-  cfg.limit_bytes = 10 * kMtuBytes;
-  Drr q(cfg);
+  Drr q(10 * kMtuBytes);
   TimePoint t;
   for (int i = 0; i < 9; ++i) {
     q.Enqueue(MakePkt(1), t);
@@ -203,7 +193,7 @@ TEST(DrrTest, DropsFromLongestOnOverflow) {
 }
 
 TEST(CodelTest, NoDropsBelowTarget) {
-  CodelState codel{CodelParams()};
+  CodelState codel;
   TimePoint t;
   for (int i = 0; i < 100; ++i) {
     // Each packet leaves 1 ms after it arrived: far below the 5 ms target.
@@ -214,7 +204,7 @@ TEST(CodelTest, NoDropsBelowTarget) {
 }
 
 TEST(CodelTest, DropsWhenSojournPersistsAboveTarget) {
-  CodelState codel{CodelParams()};
+  CodelState codel;
   const TimePoint t0;
   // Every packet has waited since t0: a standing delay of 50 ms and more,
   // dequeued every 4 ms for two simulated seconds.
@@ -241,8 +231,7 @@ TEST(CodelTest, DropsWhenSojournPersistsAboveTarget) {
 }
 
 TEST(FqCodelTest, NewFlowGetsPriority) {
-  FqCodel::Config cfg;
-  FqCodel q(cfg);
+  FqCodel q(10240);
   TimePoint t;
   for (int i = 0; i < 50; ++i) {
     q.Enqueue(MakePkt(1000), t);
@@ -259,9 +248,7 @@ TEST(FqCodelTest, NewFlowGetsPriority) {
 }
 
 TEST(FqCodelTest, LimitsTotalPackets) {
-  FqCodel::Config cfg;
-  cfg.limit_packets = 10;
-  FqCodel q(cfg);
+  FqCodel q(10);
   TimePoint t;
   for (int i = 0; i < 15; ++i) {
     q.Enqueue(MakePkt(1), t);
@@ -271,31 +258,27 @@ TEST(FqCodelTest, LimitsTotalPackets) {
 }
 
 TEST(StrictPrioTest, LowerBandAlwaysFirst) {
-  StrictPrio q(2, 1 << 20);
+  StrictPrio q(1 << 20);
   TimePoint t;
+  Packet last = MakePkt(3);
+  last.priority = StrictPrio::kNumBands;  // past the last band: clamped into it
   Packet low = MakePkt(1);
   low.priority = 1;
   Packet high = MakePkt(2);
   high.priority = 0;
+  q.Enqueue(std::move(last), t);
   q.Enqueue(std::move(low), t);
   q.Enqueue(std::move(high), t);
-  auto p = q.Dequeue(t);
-  ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(p->key.src_port, 2);
-}
-
-TEST(StrictPrioTest, CustomClassifier) {
-  StrictPrio q(2, 1 << 20, [](const Packet& p) { return p.size_bytes > 1000 ? 1u : 0u; });
-  TimePoint t;
-  q.Enqueue(MakePkt(1, kMtuBytes), t);  // big -> band 1
-  q.Enqueue(MakePkt(2, 100), t);        // small -> band 0
-  auto p = q.Dequeue(t);
-  ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(p->key.src_port, 2);
+  EXPECT_EQ(q.band_bytes(StrictPrio::kNumBands - 1), kMtuBytes);
+  for (int port : {2, 1, 3}) {
+    auto p = q.Dequeue(t);
+    ASSERT_TRUE(p.has_value());
+    EXPECT_EQ(p->key.src_port, port);
+  }
 }
 
 TEST(StrictPrioTest, PerBandLimit) {
-  StrictPrio q(2, 2 * kMtuBytes);
+  StrictPrio q(2 * kMtuBytes);
   TimePoint t;
   EXPECT_TRUE(q.Enqueue(MakePkt(1), t));
   EXPECT_TRUE(q.Enqueue(MakePkt(1), t));

@@ -9,7 +9,7 @@
 //  - a SiteEgress with 200 FIFO bundles of 512 packets allocates per bundle
 //    at set-up, not per packet slot;
 //  - steady enqueue/dequeue churn on DropTail's ring, each pooled scheduler
-//    and a rate-capped SiteEgress hierarchy allocates nothing.
+//    and a rate-limited SiteEgress hierarchy allocates nothing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -32,11 +32,13 @@
 namespace bundler {
 namespace {
 
-// A full-size packet of flow `flow` (distinct source ports).
+// A full-size packet of flow `flow` (distinct source ports; StrictPrio band
+// flow % 3).
 Packet FlowPacket(uint64_t flow, uint64_t id) {
   Packet p;
   p.id = id;
   p.flow_id = flow;
+  p.priority = static_cast<uint8_t>(flow % 3);
   p.key.src = MakeAddress(1, 1);
   p.key.dst = MakeAddress(2, 1);
   p.key.src_port = static_cast<uint16_t>(1 + flow % 60000);
@@ -90,13 +92,11 @@ uint64_t RotatingBurstAllocs(Qdisc& q, const std::vector<uint64_t>& flows, size_
 }
 
 TEST(QueueMemoryTest, SfqBurstsOverEveryBucketAllocateNothingOnceWarm) {
-  Sfq::Config cfg;
-  cfg.limit_packets = 1024;
-  Sfq q(cfg);
+  Sfq q(1024);
   // One flow per bucket, found through the scheduler's own hash.
-  std::vector<uint64_t> per_bucket(cfg.num_buckets, UINT64_MAX);
+  std::vector<uint64_t> per_bucket(Sfq::kNumBuckets, UINT64_MAX);
   size_t found = 0;
-  for (uint64_t f = 0; found < cfg.num_buckets; ++f) {
+  for (uint64_t f = 0; found < Sfq::kNumBuckets; ++f) {
     uint64_t& slot = per_bucket[q.BucketFor(FlowPacket(f, 0))];
     if (slot == UINT64_MAX) {
       slot = f;
@@ -113,21 +113,17 @@ TEST(QueueMemoryTest, SfqBurstsOverEveryBucketAllocateNothingOnceWarm) {
 }
 
 TEST(QueueMemoryTest, FqCodelBurstsOverEveryBucketAllocateNothingOnceWarm) {
-  FqCodel::Config cfg;
-  cfg.limit_packets = 1024;
-  FqCodel q(cfg);
+  FqCodel q(1024);
   // 8,192 flows hash onto all 1,024 buckets.
-  const std::vector<uint64_t> flows = FlowRange(0, 8192);
+  const std::vector<uint64_t> flows = FlowRange(0, 8 * FqCodel::kNumBuckets);
   WarmToLimit(q, flows);
   EXPECT_EQ(RotatingBurstAllocs(q, flows, 2, 64), 0u);
-  EXPECT_EQ(RotatingBurstAllocs(q, FlowRange(0, 1024), 4, 300), 0u);
+  EXPECT_EQ(RotatingBurstAllocs(q, FlowRange(0, FqCodel::kNumBuckets), 4, 300), 0u);
   EXPECT_GT(q.drops(), 1u);
 }
 
 TEST(QueueMemoryTest, DrrBurstsOverManyNewFlowsAllocateNothingOnceWarm) {
-  Drr::Config cfg;
-  cfg.limit_bytes = int64_t{256} * kMtuBytes;
-  Drr q(cfg);
+  Drr q(int64_t{256} * kMtuBytes);
   // The warm-up backlogs 257 flows at once, the most a 256-packet limit
   // ever holds; the rounds then bring 8,192 flows DRR has never seen.
   WarmToLimit(q, FlowRange(0, 4096));
@@ -144,7 +140,7 @@ TEST(QueueMemoryTest, SiteEgressSetUpAllocatesPerBundleNotPerSlot) {
   cfg.per_bundle_queue_pkts = 512;
   std::vector<SiteEgress::TenantSpec> tenants;
   for (int t = 0; t < 50; ++t) {
-    tenants.push_back({"t" + std::to_string(t), 1, 1.0, Rate::Zero()});
+    tenants.push_back({"t" + std::to_string(t), 1, 1.0});
   }
   std::vector<SiteEgress::BundleSpec> bundles;
   for (size_t b = 0; b < 200; ++b) {
@@ -191,28 +187,27 @@ void ExpectSteadyChurnAllocatesNothing(Qdisc& q) {
 TEST(QueueMemoryTest, SteadyChurnOnEveryQueueAllocatesNothing) {
   DropTailFifo droptail(int64_t{1} << 20);
   ExpectSteadyChurnAllocatesNothing(droptail);
-  Sfq sfq(Sfq::Config{});
+  Sfq sfq(4000);
   ExpectSteadyChurnAllocatesNothing(sfq);
-  FqCodel fq_codel(FqCodel::Config{});
+  FqCodel fq_codel(10240);
   ExpectSteadyChurnAllocatesNothing(fq_codel);
-  Drr drr(Drr::Config{});
+  Drr drr(4 * 1024 * 1024);
   ExpectSteadyChurnAllocatesNothing(drr);
-  StrictPrio prio(3, int64_t{1} << 20,
-                  [](const Packet& p) { return static_cast<size_t>(p.flow_id % 3); });
+  StrictPrio prio(int64_t{1} << 20);
   ExpectSteadyChurnAllocatesNothing(prio);
 }
 
 TEST(QueueMemoryTest, SteadyChurnOnSiteEgressFifoBundlesAllocatesNothing) {
-  // Four tenants over two priority bands, two of them rate-capped, and 8
-  // bundles of two class weights.
+  // Four tenants over two priority bands, and 8 bundles of two class
+  // weights.
   Simulator sim;
   SiteEgress::Config cfg;
   cfg.aggregate_rate = Rate::Gbps(24);
   std::vector<SiteEgress::TenantSpec> tenants;
-  tenants.push_back({"t0", 0, 1.0, Rate::Gbps(12)});
-  tenants.push_back({"t1", 1, 1.0, Rate::Zero()});
-  tenants.push_back({"t2", 1, 3.0, Rate::Zero()});
-  tenants.push_back({"t3", 1, 1.0, Rate::Gbps(6)});
+  tenants.push_back({"t0", 0, 1.0});
+  tenants.push_back({"t1", 1, 1.0});
+  tenants.push_back({"t2", 1, 3.0});
+  tenants.push_back({"t3", 1, 1.0});
   std::vector<SiteEgress::BundleSpec> bundles;
   for (size_t b = 0; b < 8; ++b) {
     SiteEgress::BundleSpec spec;

@@ -175,7 +175,7 @@ struct OneBundleEgress {
     config.bundle_qdisc_factory = [] {
       return std::make_unique<DropTailFifo>(1 << 24);
     };
-    std::vector<SiteEgress::TenantSpec> tenants = {{"t", 1, 1.0, Rate::Zero()}};
+    std::vector<SiteEgress::TenantSpec> tenants = {{"t", 1, 1.0}};
     std::vector<SiteEgress::BundleSpec> bundles = {{0, 1.0, rate}};
     egress = std::make_unique<SiteEgress>(
         &sim, config, tenants, bundles,
@@ -301,14 +301,14 @@ TEST(SiteEgressTest, NestedBucketsConformToReferenceModel) {
   SiteEgress::Config config;
   config.aggregate_rate = Rate::Mbps(50);
   config.per_bundle_queue_pkts = 4096;
-  // T0: capped below its bundle's rate, so the tenant cap is the binding
-  // constraint; T1: uncapped, its bundles bound by bundle rate and the site.
+  // T0: served strictly first, its one bundle bound by its own 20 Mbit/s
+  // rate; T1: its bundles bound by bundle rate and the site.
   std::vector<SiteEgress::TenantSpec> tenants = {
-      {"t0", /*priority=*/0, /*weight=*/1.0, Rate::Mbps(20)},
-      {"t1", /*priority=*/1, /*weight=*/1.0, Rate::Zero()},
+      {"t0", /*priority=*/0, /*weight=*/1.0},
+      {"t1", /*priority=*/1, /*weight=*/1.0},
   };
   std::vector<SiteEgress::BundleSpec> bundles = {
-      {0, 1.0, Rate::Mbps(30)},
+      {0, 1.0, Rate::Mbps(20)},
       {1, 1.0, Rate::Mbps(8)},
       {1, 1.0, Rate::Mbps(50)},
   };
@@ -339,28 +339,24 @@ TEST(SiteEgressTest, NestedBucketsConformToReferenceModel) {
   offer(2, 3000);
   sim.RunUntil(Sec(1.0));
 
-  // Replay: per-bundle buckets, the tenant-0 cap, and the site aggregate.
+  // Replay: per-bundle buckets and the site aggregate.
   std::vector<RefBucket> bundle_ref = {
-      {Rate::Mbps(30), config.burst_bytes},
+      {Rate::Mbps(20), config.burst_bytes},
       {Rate::Mbps(8), config.burst_bytes},
       {Rate::Mbps(50), config.burst_bytes},
   };
-  RefBucket t0_cap(Rate::Mbps(20), config.burst_bytes);
   RefBucket site(Rate::Mbps(50), config.burst_bytes);
   const double kSlack = 64.0;  // double-vs-double rounding across refills
   std::vector<int64_t> sent_bytes(3, 0);
   for (const Send& s : sends) {
     EXPECT_TRUE(site.Take(s.at_s, s.bytes, kSlack)) << "site @" << s.at_s;
-    if (s.bundle == 0) {
-      EXPECT_TRUE(t0_cap.Take(s.at_s, s.bytes, kSlack)) << "cap @" << s.at_s;
-    }
     EXPECT_TRUE(bundle_ref[s.bundle].Take(s.at_s, s.bytes, kSlack))
         << "bundle " << s.bundle << " @" << s.at_s;
     sent_bytes[s.bundle] += s.bytes;
   }
   // Work conservation: every level runs at its binding constraint.
-  // b0 = 20 Mbit/s (tenant cap), b1 = 8 Mbit/s (bundle rate), b2 = the
-  // site residual 22 Mbit/s; 5% tolerance for startup transients.
+  // b0 = 20 Mbit/s and b1 = 8 Mbit/s (bundle rates), b2 = the site
+  // residual 22 Mbit/s; 5% tolerance for startup transients.
   EXPECT_NEAR(static_cast<double>(sent_bytes[0]), 20e6 / 8, 0.05 * 20e6 / 8);
   EXPECT_NEAR(static_cast<double>(sent_bytes[1]), 8e6 / 8, 0.05 * 8e6 / 8);
   EXPECT_NEAR(static_cast<double>(sent_bytes[2]), 22e6 / 8, 0.05 * 22e6 / 8);
@@ -373,17 +369,18 @@ TEST(SiteEgressTest, DrrSharesByWeightAcrossAndWithinTenants) {
   SiteEgress::Config config;
   config.aggregate_rate = Rate::Mbps(50);
   config.per_bundle_queue_pkts = 4096;
-  // A capped high-priority tenant (it gets exactly its cap, strictly first)
-  // over two best-effort tenants splitting the residual 1:3; tenant t2's
-  // two bundles split its share 1:2 by class weight.
+  // A high-priority tenant whose one bundle is held to 10 Mbit/s (it gets
+  // exactly that, strictly first) over two best-effort tenants splitting the
+  // residual 1:3; tenant t2's two bundles split its share 1:2 by class
+  // weight.
   std::vector<SiteEgress::TenantSpec> tenants = {
-      {"t0", 0, 1.0, Rate::Mbps(10)},
-      {"t1", 1, 1.0, Rate::Zero()},
-      {"t2", 1, 3.0, Rate::Zero()},
+      {"t0", 0, 1.0},
+      {"t1", 1, 1.0},
+      {"t2", 1, 3.0},
   };
   const Rate unconstrained = Rate::Mbps(100);
   std::vector<SiteEgress::BundleSpec> bundles = {
-      {0, 1.0, unconstrained},
+      {0, 1.0, Rate::Mbps(10)},
       {1, 1.0, unconstrained},
       {2, 1.0, unconstrained},
       {2, 2.0, unconstrained},

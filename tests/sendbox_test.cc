@@ -166,15 +166,14 @@ TEST(SendboxTest, RateUpdatesTrackControlTicks) {
 
 TEST(SendboxTest, DetectorPulseFollowsControlInterval) {
   // The detector is fed once per control tick, so its pulse must sit on FFT
-  // bin `pulse_bin` of that cadence: period = interval * fft_size / pulse_bin.
+  // bin kPulseBin of that cadence: period = interval * kFftSize / kPulseBin.
   Simulator sim;
   DumbbellConfig cfg;
   cfg.sendbox.control_interval = TimeDelta::Millis(20);
   Dumbbell net(&sim, cfg);
-  const NimbusDetector::Config defaults;
   const TimeDelta expected =
-      TimeDelta::Millis(20) * (static_cast<double>(defaults.fft_size) /
-                               static_cast<double>(defaults.pulse_bin));
+      TimeDelta::Millis(20) * (static_cast<double>(NimbusDetector::kFftSize) /
+                               static_cast<double>(NimbusDetector::kPulseBin));
   EXPECT_EQ(net.controller()->detector().pulse_period().nanos(), expected.nanos());
 }
 

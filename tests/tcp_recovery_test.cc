@@ -208,7 +208,6 @@ TEST(TcpRecoveryTest, FullWindowRecoveryAllocatesNothingOnceWarm) {
   TcpFlowParams params;
   params.size_bytes = -1;
   params.cc = HostCcType::kConstCwnd;
-  params.const_cwnd_pkts = 450.0;
   TcpSender* snd = StartTcpFlow(&net.flows, net.a.get(), net.b.get(), params, nullptr);
   net.RunFor(2);  // warm-up
   const uint64_t before = HeapAllocs();
