@@ -124,7 +124,7 @@ echo "--- golden byte-identity: fig09/fig10/fig13 regression pins"
 # -> SiteEgress). They are regression pins: same seeds, same JSON and CSV, so
 # any behavior change shows up here first. Regenerate them ONLY for an
 # intentional, explained change, with scripts/repro.sh as the behavioral
-# guard. fig10 was last regenerated when every return to delay control
+# guard. fig10 was regenerated alone when every return to delay control
 # started reseeding the rate controller from the measured egress rate and the
 # separate warm-restart companion scenario was folded into fig10: its bundler
 # cell now equals the companion's warm-restart cell (phase-2 throughput
@@ -134,19 +134,31 @@ echo "--- golden byte-identity: fig09/fig10/fig13 regression pins"
 # (ctr.sendbox.*.mode_transitions reports it). Mid-run link rate changes
 # were deleted in an earlier regeneration of all three: every link lost its
 # always-zero ctr.link.*.{rate_changes,parks,unparks} lines. All three were
-# last regenerated when a link hop became one event (a link delivers
-# through its event lane and schedules a transmit-done only while a packet
-# waits). Only three kinds of line moved: ctr.link.*.tx_pkts, by +1 where a
-# link is serializing when the trial ends (a packet now counts when it starts
-# to serialize), sim.events_dispatched (fig09 status_quo 3,636,539 ->
-# 2,697,981) and sim.queue_max_heap, which counts lane entries.
+# regenerated when a link hop became one event (a link delivers through its
+# event lane and schedules a transmit-done only while a packet waits). Only
+# three kinds of line moved: ctr.link.*.tx_pkts, by +1 where a link is
+# serializing when the trial ends (a packet now counts when it starts to
+# serialize), sim.events_dispatched (fig09 status_quo 3,636,539 -> 2,697,981)
+# and sim.queue_max_heap, which counts lane entries. All three were last
+# regenerated when an arrival that SFQ, DRR or FQ-CoDel queues by dropping a
+# victim from a longer queue started to count as queued, and the never-bumped
+# mark_pkts counter went. Every ctr.qdisc.*.mark_pkts line is gone (18 in
+# fig09, 14 in fig10, 24 in fig13, per file). ctr.qdisc.*.enq_pkts of the
+# SFQ sendbox bundles and of fig09's DRR in_network bottleneck rose, with
+# ctr.tenant.*.enq_pkts of those bundles (fig13 bundler at load0_mbps=42,
+# s11-s101 124,079 -> 225,110; fig10 bundler 1,377,691 -> 1,462,258), and that
+# bottleneck's ctr.link.bottleneck.drops fell 7,736 -> 2,009 (its
+# enq_pkts 462,301 -> 468,028). Nothing else moved. The step prints every
+# moved line as a unified diff.
 for scenario in fig09_fct fig10_cross_traffic fig13_competing_bundles; do
   ./build/bundler_run --scenario "${scenario}" --trials 1 \
     --out build/smoke_golden --quiet > /dev/null
-  cmp <(stable "build/smoke_golden/${scenario}.json") \
-      <(stable "tests/golden/${scenario}.json")
-  cmp <(stable "build/smoke_golden/${scenario}.csv") \
-      <(stable "tests/golden/${scenario}.csv")
+  for ext in json csv; do
+    diff -u --label "tests/golden/${scenario}.${ext}" \
+      --label "build/smoke_golden/${scenario}.${ext}" \
+      <(stable "tests/golden/${scenario}.${ext}") \
+      <(stable "build/smoke_golden/${scenario}.${ext}")
+  done
   echo "  ${scenario}: golden OK"
 done
 

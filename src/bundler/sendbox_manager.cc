@@ -85,7 +85,6 @@ SendboxManager::SendboxManager(Simulator* sim, const Policy& policy,
     max_site = std::max(max_site, decl.control.remote_site);
 
     DeclState state;
-    state.tenant = decl.tenant;
     const double committed = tenants[decl.tenant].committed_rate.bps();
     if (admitted_specs.size() >= static_cast<size_t>(policy_.max_bundles)) {
       state.cause = RejectCause::kBundleCap;
@@ -148,7 +147,6 @@ SendboxManager::SendboxManager(Simulator* sim, const Policy& policy,
       reg.Expose(prefix + ".enq_pkts", &qc.enq_pkts);
       reg.Expose(prefix + ".deq_pkts", &qc.deq_pkts);
       reg.Expose(prefix + ".drop_pkts", &qc.drop_pkts);
-      reg.Expose(prefix + ".mark_pkts", &qc.mark_pkts);
     }
   }
 
@@ -238,11 +236,6 @@ Rate SendboxManager::bundle_rate(size_t bundle) const {
 int64_t SendboxManager::bundle_queue_bytes(size_t bundle) const {
   BUNDLER_CHECK(admitted(bundle));
   return egress_->bundle_queue_bytes(static_cast<size_t>(decls_[bundle].slot));
-}
-
-size_t SendboxManager::tenant_of(size_t bundle) const {
-  BUNDLER_CHECK(bundle < decls_.size());
-  return decls_[bundle].tenant;
 }
 
 }  // namespace bundler

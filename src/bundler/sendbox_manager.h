@@ -100,7 +100,6 @@ class SendboxManager : public PacketHandler {
   // Current enforced rate / backlog for an admitted bundle.
   Rate bundle_rate(size_t bundle) const;
   int64_t bundle_queue_bytes(size_t bundle) const;
-  size_t tenant_of(size_t bundle) const;
   const std::string& tenant_name(size_t tenant) const {
     return tenant_names_[tenant];
   }
@@ -116,7 +115,6 @@ class SendboxManager : public PacketHandler {
   struct DeclState {
     RejectCause cause = RejectCause::kNone;
     int32_t slot = -1;  // admitted slot, -1 when rejected
-    size_t tenant = 0;
   };
 
   int32_t SlotOfSite(SiteId site) const {

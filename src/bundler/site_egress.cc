@@ -124,9 +124,8 @@ void SiteEgress::Enqueue(size_t bundle, Packet pkt) {
     // Accepted may still victim-drop another packet (e.g. SFQ longest-queue
     // drop); reconcile backlog and drop counters from the qdisc's deltas.
     const bool accepted = bun.qdisc->Enqueue(std::move(pkt), sim_->now());
-    total_backlog_pkts_ += bun.qdisc->packets() - before_pkts;
+    qdisc_backlog_pkts_ += bun.qdisc->packets() - before_pkts;
     const uint64_t dropped = bun.qdisc->drops() - before_drops;
-    bun.drops += dropped;
     *ten.ctr_drop += dropped;
     if (accepted) {
       *ten.ctr_enq += 1;
@@ -145,15 +144,12 @@ void SiteEgress::Enqueue(size_t bundle, Packet pkt) {
     return;
   }
   if (static_cast<int64_t>(bun.queue.size()) == config_.per_bundle_queue_pkts) {
-    ++bun.drops;
     *ten.ctr_drop += 1;
     return;  // drop-tail; move-only Packet dies here
   }
   pkt.queue_enter = sim_->now();
   const bool was_backlogged = !bun.queue.empty();
-  bun.queue_bytes += pkt.size_bytes;
   pool_.PushBack(bun.queue, std::move(pkt));
-  ++total_backlog_pkts_;
   *ten.ctr_enq += 1;
   ActivateBundle(bundle);
   if (was_backlogged) {
@@ -185,17 +181,12 @@ Rate SiteEgress::bundle_rate(size_t bundle) const {
 int64_t SiteEgress::bundle_queue_bytes(size_t bundle) const {
   BUNDLER_CHECK(bundle < bundles_.size());
   const Bundle& bun = bundles_[bundle];
-  return bun.qdisc != nullptr ? bun.qdisc->bytes() : bun.queue_bytes;
+  return bun.qdisc != nullptr ? bun.qdisc->bytes() : bun.queue.bytes;
 }
 
 int64_t SiteEgress::bundle_queue_pkts(size_t bundle) const {
   BUNDLER_CHECK(bundle < bundles_.size());
   return BundleBacklogPkts(bundles_[bundle]);
-}
-
-uint64_t SiteEgress::bundle_drops(size_t bundle) const {
-  BUNDLER_CHECK(bundle < bundles_.size());
-  return bundles_[bundle].drops;
 }
 
 const Qdisc* SiteEgress::bundle_qdisc(size_t bundle) const {
@@ -206,11 +197,6 @@ const Qdisc* SiteEgress::bundle_qdisc(size_t bundle) const {
 uint64_t SiteEgress::tenant_tx_bytes(size_t tenant) const {
   BUNDLER_CHECK(tenant < tenants_.size());
   return *tenants_[tenant].ctr_tx_bytes;
-}
-
-uint64_t SiteEgress::tenant_tx_pkts(size_t tenant) const {
-  BUNDLER_CHECK(tenant < tenants_.size());
-  return *tenants_[tenant].ctr_tx_pkts;
 }
 
 int SiteEgress::ServeTenant(size_t t, TimePoint now) {
@@ -269,10 +255,8 @@ int SiteEgress::ServeTenant(size_t t, TimePoint now) {
         const int64_t before_pkts = bun.qdisc->packets();
         const uint64_t before_drops = bun.qdisc->drops();
         popped = bun.qdisc->Dequeue(now);
-        total_backlog_pkts_ -= before_pkts - bun.qdisc->packets();
-        const uint64_t aqm_drops = bun.qdisc->drops() - before_drops;
-        bun.drops += aqm_drops;
-        *ten.ctr_drop += aqm_drops;
+        qdisc_backlog_pkts_ -= before_pkts - bun.qdisc->packets();
+        *ten.ctr_drop += bun.qdisc->drops() - before_drops;
         if (!popped.has_value()) {
           if (bun.qdisc->packets() == before_pkts) {
             break;  // qdisc made no progress; avoid spinning
@@ -281,8 +265,6 @@ int SiteEgress::ServeTenant(size_t t, TimePoint now) {
         }
       } else {
         popped = pool_.PopFront(bun.queue);
-        bun.queue_bytes -= popped->size_bytes;
-        --total_backlog_pkts_;
       }
       Packet pkt = std::move(*popped);
       const int64_t sent_bytes = pkt.size_bytes;
@@ -343,7 +325,7 @@ void SiteEgress::Pump() {
   min_wait_ = TimeDelta::Infinite();
   site_blocked_ = false;
   deficit_pending_ = false;
-  while ((progress || deficit_pending_) && total_backlog_pkts_ > 0) {
+  while ((progress || deficit_pending_) && total_backlog_pkts() > 0) {
     progress = false;
     deficit_pending_ = false;
     // The final (no-progress) pass visits every blocked entity, so the
@@ -377,7 +359,7 @@ void SiteEgress::Pump() {
     pending_timer_ = kInvalidEventId;
     rearm_pending_ = false;
   }
-  if (total_backlog_pkts_ > 0 && !min_wait_.IsInfinite() &&
+  if (total_backlog_pkts() > 0 && !min_wait_.IsInfinite() &&
       pending_timer_ == kInvalidEventId) {
     pending_timer_ = sim_->Schedule(min_wait_, [this]() {
       pending_timer_ = kInvalidEventId;

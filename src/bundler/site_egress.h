@@ -104,18 +104,15 @@ class SiteEgress {
   Rate bundle_rate(size_t bundle) const;
   int64_t bundle_queue_bytes(size_t bundle) const;
   int64_t bundle_queue_pkts(size_t bundle) const;
-  uint64_t bundle_drops(size_t bundle) const;
   // The bundle's own qdisc; nullptr for FIFO bundles (no
   // Config::bundle_qdisc_factory).
   const Qdisc* bundle_qdisc(size_t bundle) const;
   uint64_t tenant_tx_bytes(size_t tenant) const;
-  uint64_t tenant_tx_pkts(size_t tenant) const;
-  int64_t total_backlog_pkts() const { return total_backlog_pkts_; }
+  int64_t total_backlog_pkts() const { return pool_.packets() + qdisc_backlog_pkts_; }
 
  private:
   struct Bundle {
     PacketPool::Queue queue;      // in pool_; used when qdisc is null
-    int64_t queue_bytes = 0;
     std::unique_ptr<Qdisc> qdisc; // used when Config::bundle_qdisc_factory set
     TokenBucket bucket;
     size_t tenant = 0;
@@ -130,7 +127,6 @@ class SiteEgress {
     // rotating — otherwise a binding site rate degrades DRR to unweighted
     // alternation (one packet per visit regardless of quantum).
     bool resuming = false;
-    uint64_t drops = 0;
 
     Bundle(Rate rate, int64_t burst, TimePoint now)
         : bucket(rate, burst, now) {}
@@ -174,7 +170,7 @@ class SiteEgress {
   IndexRing band_ring_[kNumBands];  // active tenants per priority band
   InlineFunction<void(size_t, Packet)> out_;
 
-  int64_t total_backlog_pkts_ = 0;
+  int64_t qdisc_backlog_pkts_ = 0;  // held by qdisc-backed bundles; pool_ counts the rest
 
   // Pump wakeup state: at most one armed timer. Kick sets rearm_pending_,
   // and its pass cancels the armed timer before arming the new deadline.

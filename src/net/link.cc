@@ -34,7 +34,6 @@ Link::Link(Simulator* sim, std::string name, Rate rate, TimeDelta prop_delay,
   reg.Expose(qprefix + "enq_pkts", &qc.enq_pkts);
   reg.Expose(qprefix + "deq_pkts", &qc.deq_pkts);
   reg.Expose(qprefix + "drop_pkts", &qc.drop_pkts);
-  reg.Expose(qprefix + "mark_pkts", &qc.mark_pkts);
   deliveries_ = sim_->AddLane([this]() { Deliver(); });
 }
 

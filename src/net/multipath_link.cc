@@ -22,12 +22,7 @@ MultipathLink::MultipathLink(Simulator* sim, std::string name,
 }
 
 size_t MultipathLink::PathIndexFor(const Packet& pkt) const {
-  const uint64_t fields[] = {pkt.key.src,
-                             pkt.key.dst,
-                             static_cast<uint64_t>(pkt.key.src_port),
-                             static_cast<uint64_t>(pkt.key.dst_port),
-                             static_cast<uint64_t>(pkt.key.protocol)};
-  return Mix64(Fnv1a64Combine(fields, 5)) % paths_.size();
+  return Mix64(FlowKeyHash(pkt.key)) % paths_.size();
 }
 
 void MultipathLink::HandlePacket(Packet pkt) {

@@ -40,6 +40,11 @@ Packet Packet::Clone() const {
   return p;
 }
 
+uint64_t FlowKeyHash(const FlowKey& key, uint64_t seed) {
+  const uint64_t fields[] = {key.src, key.dst, key.src_port, key.dst_port, key.protocol};
+  return Fnv1a64Combine(fields, 5, seed);
+}
+
 Packet MakeDataPacket(uint64_t flow_id, const FlowKey& key, int64_t seq, uint32_t size_bytes) {
   Packet p;
   p.flow_id = flow_id;

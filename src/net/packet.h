@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <string>
 
+#include "src/util/fnv.h"
 #include "src/util/time.h"
 
 namespace bundler {
@@ -43,6 +44,12 @@ struct FlowKey {
 
   bool operator==(const FlowKey&) const = default;
 };
+
+// FNV-1a (src/util/fnv.h) over the five-tuple, each field widened to 64 bits
+// and chained from `seed`: the one place the fields are listed for hashing.
+// DRR demultiplexes flows on it; a consumer that reduces it to a small index
+// (ECMP paths, hashed queue buckets) finalizes with Mix64 first.
+uint64_t FlowKeyHash(const FlowKey& key, uint64_t seed = kFnv64OffsetBasis);
 
 // Wire sizes.
 inline constexpr uint32_t kMtuBytes = 1500;       // full-size data segment on the wire

@@ -90,7 +90,8 @@ enum class TraceEv : uint16_t {
   // kQdisc
   kQdiscEnq,      // a=flow_id b=size_bytes c=backlog_bytes
   kQdiscDeq,      // a=flow_id b=size_bytes c=sojourn_ns
-  kQdiscDropTail, // a=flow_id b=size_bytes c=backlog_bytes (enqueue-time drop)
+  kQdiscDropTail, // a=flow_id b=size_bytes of the packet dropped at enqueue
+                  // (arriving or victim) c=backlog_bytes
   kQdiscDropAqm,  // a=drop_count b=backlog_bytes c=backlog_pkts
   // kTcp
   kTcpRetx,          // a=flow_id b=seq c=1 when RTO-driven
@@ -119,7 +120,8 @@ enum class TraceEv : uint16_t {
   // kFault
   kFaultDrop,  // a=cause(2=blackout) b=pkt_type c=size
   // kWatchdog
-  kWdDegrade,  // a=staleness_ns b=last_feedback_ns (entering degraded mode)
+  kWdDegrade,  // a=staleness_ns b=qdel_ns, the queue-delay estimate
+               // (entering degraded mode)
   kWdProbe,    // a=probe_seq b=next_backoff_ns (re-probe while degraded)
   kWdResync,   // a=degraded_ns b=rate_bps (feedback returned; warm re-seed)
   // kTenant

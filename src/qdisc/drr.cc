@@ -3,120 +3,98 @@
 #include <utility>
 
 #include "src/util/check.h"
-#include "src/util/fnv.h"
 
 namespace bundler {
 
-Drr::Drr(int64_t limit_bytes) : limit_bytes_(limit_bytes) {
-  BUNDLER_CHECK(limit_bytes_ > 0);
+size_t DrrQueues::AddClass() {
+  classes_.emplace_back();
+  return classes_.size() - 1;
 }
 
-uint64_t Drr::FlowHash(const Packet& pkt) {
-  const uint64_t fields[] = {pkt.key.src,
-                             pkt.key.dst,
-                             static_cast<uint64_t>(pkt.key.src_port),
-                             static_cast<uint64_t>(pkt.key.dst_port),
-                             static_cast<uint64_t>(pkt.key.protocol)};
-  return Fnv1a64Combine(fields, 5);
-}
-
-void Drr::ReleaseSlot(size_t slot) {
-  slots_[slot].active = false;
-  IndexRingRemove(slots_, rr_, slot);
-  flow_to_slot_.Erase(slots_[slot].flow);
-  free_slots_.push_back(slot);
-}
-
-bool Drr::DoEnqueue(Packet pkt, TimePoint now) {
-  (void)now;
-  const uint64_t flow = FlowHash(pkt);
-  size_t slot = flow_to_slot_.Find(flow);
-  if (slot == 0) {
-    if (!free_slots_.empty()) {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-    } else {
-      slot = slots_.size();
-      slots_.emplace_back();
-    }
-    flow_to_slot_.Insert(flow, slot + 1);
-    slots_[slot].flow = flow;
-  } else {
-    --slot;
+void DrrQueues::Push(size_t c, Packet pkt) {
+  Class& cls = classes_[c];
+  pool_.PushBack(cls.queue, std::move(pkt));
+  if (cls.queue.size() == 1) {
+    cls.deficit = 0;
+    IndexRingPushBack(classes_, round_, c);
   }
-  FlowQueue& fq = slots_[slot];
-  bytes_ += pkt.size_bytes;
-  fq.bytes += pkt.size_bytes;
-  pool_.PushBack(fq.queue, std::move(pkt));
-  ++packets_;
-  if (!fq.active) {
-    fq.active = true;
-    fq.deficit = 0;
-    IndexRingPushBack(slots_, rr_, slot);
-  }
-  if (bytes_ > limit_bytes_) {
-    DropFromLongest();
-    return false;
-  }
-  return true;
 }
 
-void Drr::DropFromLongest() {
-  size_t longest = 0;
-  int64_t longest_bytes = -1;
-  for (size_t slot = rr_.head; slot != kIndexRingNil; slot = slots_[slot].next) {
-    if (slots_[slot].bytes > longest_bytes) {
-      longest_bytes = slots_[slot].bytes;
-      longest = slot;
+void DrrQueues::Leave(size_t c) {
+  IndexRingRemove(classes_, round_, c);
+  OnIdle(c);
+}
+
+bool DrrQueues::DropFromLongest(size_t pushed, TimePoint now) {
+  // Linux SFQ drops from the tail of the longest (most bytes) queue.
+  BUNDLER_CHECK(!round_.empty());
+  size_t longest = round_.head;
+  for (size_t c = classes_[longest].next; c != kIndexRingNil; c = classes_[c].next) {
+    if (classes_[c].queue.bytes > classes_[longest].queue.bytes) {
+      longest = c;
     }
   }
-  BUNDLER_CHECK(longest_bytes >= 0);
-  FlowQueue& fq = slots_[longest];
-  Packet victim = pool_.PopBack(fq.queue);
-  fq.bytes -= victim.size_bytes;
-  bytes_ -= victim.size_bytes;
-  --packets_;
-  CountDrop();
-  if (fq.queue.empty()) {
-    ReleaseSlot(longest);
+  PacketPool::Queue& queue = classes_[longest].queue;
+  CountDrop(pool_.PopBack(queue), now);
+  if (queue.empty()) {
+    Leave(longest);
   }
+  return longest == pushed;
 }
 
-std::optional<Packet> Drr::DoDequeue(TimePoint now) {
+std::optional<Packet> DrrQueues::DoDequeue(TimePoint now) {
   (void)now;
-  while (!rr_.empty()) {
-    size_t slot = rr_.head;
-    FlowQueue& fq = slots_[slot];
-    if (fq.queue.empty()) {
-      ReleaseSlot(slot);
+  while (!round_.empty()) {
+    const size_t c = round_.head;
+    Class& cls = classes_[c];
+    if (cls.deficit <= 0) {
+      // New round for this class: move to the back with a fresh quantum.
+      cls.deficit += kQuantumBytes;
+      IndexRingRemove(classes_, round_, c);
+      IndexRingPushBack(classes_, round_, c);
       continue;
     }
-    if (fq.deficit <= 0) {
-      fq.deficit += kQuantumBytes;
-      IndexRingRemove(slots_, rr_, slot);
-      IndexRingPushBack(slots_, rr_, slot);
-      continue;
-    }
-    Packet pkt = pool_.PopFront(fq.queue);
-    fq.bytes -= pkt.size_bytes;
-    fq.deficit -= pkt.size_bytes;
-    bytes_ -= pkt.size_bytes;
-    --packets_;
-    if (fq.queue.empty()) {
-      ReleaseSlot(slot);
+    Packet pkt = pool_.PopFront(cls.queue);
+    cls.deficit -= pkt.size_bytes;
+    if (cls.queue.empty()) {
+      Leave(c);
     }
     return pkt;
   }
   return std::nullopt;
 }
 
-const Packet* Drr::Peek() const {
-  for (size_t slot = rr_.head; slot != kIndexRingNil; slot = slots_[slot].next) {
-    if (!slots_[slot].queue.empty()) {
-      return &pool_.Front(slots_[slot].queue);
+const Packet* DrrQueues::Peek() const {
+  return round_.empty() ? nullptr : &pool_.Front(classes_[round_.head].queue);
+}
+
+Drr::Drr(int64_t limit_bytes) : DrrQueues(0), limit_bytes_(limit_bytes) {
+  BUNDLER_CHECK(limit_bytes_ > 0);
+}
+
+bool Drr::DoEnqueue(Packet pkt, TimePoint now) {
+  const uint64_t flow = FlowKeyHash(pkt.key);
+  size_t c = class_of_flow_.Find(flow);
+  if (c != 0) {
+    --c;
+  } else {
+    if (free_classes_.empty()) {
+      c = AddClass();
+      flow_of_class_.push_back(flow);
+    } else {
+      c = free_classes_.back();
+      free_classes_.pop_back();
+      flow_of_class_[c] = flow;
     }
+    class_of_flow_.Insert(flow, c + 1);
   }
-  return nullptr;
+  Push(c, std::move(pkt));
+  return bytes() <= limit_bytes_ || !DropFromLongest(c, now);
+}
+
+void Drr::OnIdle(size_t c) {
+  class_of_flow_.Erase(flow_of_class_[c]);
+  free_classes_.push_back(c);
 }
 
 }  // namespace bundler

@@ -1,9 +1,18 @@
-// Deficit Round Robin with exact per-flow queues (Shreedhar & Varghese).
-// Used as the "In-Network" fair-queueing bottleneck baseline of §7.2 — the
-// configuration the paper argues is not deployable but bounds what Bundler
-// can achieve. Flow queues share one PacketPool and the flow -> slot demux is
-// an open-addressing FlatMap64, so a warm DRR allocates nothing per packet or
-// per new flow.
+// Deficit Round Robin (Shreedhar & Varghese, SIGCOMM 1995): one service loop
+// under two classifiers.
+//  - `DrrQueues` is the core. Its classes queue in one shared PacketPool, so
+//    queue memory follows the packets held, and the backlogged ones take
+//    turns in an intrusive round (src/util/index_ring.h), each sending up to
+//    a byte quantum per turn. An idle class joins the round at the tail with
+//    deficit 0 and leaves when its queue empties. Overflow drops the tail
+//    packet of the longest class (most bytes; the first in round order wins
+//    a tie), which is what bounds any one class's share of the buffer.
+//  - `Sfq` (src/qdisc/sfq.h) hashes flows into a fixed table of buckets.
+//  - `Drr` gives each flow a class of its own: the "In-Network" fair-queueing
+//    bottleneck baseline of §7.2, the configuration the paper argues is not
+//    deployable but bounds what Bundler can achieve. Its flow -> class demux
+//    is an open-addressing FlatMap64 and an idle class is reused by the next
+//    new flow, so a warm Drr allocates nothing per packet or per new flow.
 #ifndef SRC_QDISC_DRR_H_
 #define SRC_QDISC_DRR_H_
 
@@ -17,48 +26,62 @@
 
 namespace bundler {
 
-class Drr : public Qdisc {
+class DrrQueues : public Qdisc {
  public:
-  static constexpr int64_t kQuantumBytes = 1514;
-
-  explicit Drr(int64_t limit_bytes);
+  static constexpr int64_t kQuantumBytes = 1514;  // bytes a class may send per round
 
   const Packet* Peek() const override;
-  int64_t bytes() const override { return bytes_; }
-  int64_t packets() const override { return packets_; }
-  const char* name() const override { return "drr"; }
+  int64_t bytes() const override { return pool_.bytes(); }
+  int64_t packets() const override { return pool_.packets(); }
 
-  size_t active_flows() const { return rr_.size(); }
+  // Classes in the round, i.e. the backlogged ones.
+  size_t active_classes() const { return round_.size(); }
+
+ protected:
+  explicit DrrQueues(size_t num_classes) : classes_(num_classes) {}
+
+  // Appends an idle class and returns its index.
+  size_t AddClass();
+  // Queues `pkt` at the tail of class `c`.
+  void Push(size_t c, Packet pkt);
+  // Drops the tail packet of the longest class. Returns true when the victim
+  // was the packet just pushed to class `pushed`.
+  bool DropFromLongest(size_t pushed, TimePoint now);
+  // Called when class `c` goes idle and leaves the round.
+  virtual void OnIdle(size_t c) { (void)c; }
 
  private:
-  bool DoEnqueue(Packet pkt, TimePoint now) override;
   std::optional<Packet> DoDequeue(TimePoint now) override;
+  void Leave(size_t c);
 
-  // Flow queues link into an intrusive round-robin ring
-  // (src/util/index_ring.h); slot addresses are not held across Enqueue (the
-  // only growth point of slots_).
-  struct FlowQueue {
+  struct Class {
     PacketPool::Queue queue;
-    uint64_t flow = 0;  // FlowHash of the flow holding this slot
-    int64_t bytes = 0;
     int64_t deficit = 0;
-    bool active = false;
     size_t prev = kIndexRingNil;
     size_t next = kIndexRingNil;
   };
+  // SFQ keeps a table of 1,024 classes; each fits in 64 bytes.
+  static_assert(sizeof(Class) <= 64);
 
-  static uint64_t FlowHash(const Packet& pkt);
-  void DropFromLongest();
-  void ReleaseSlot(size_t slot);
+  PacketPool pool_;
+  std::vector<Class> classes_;
+  IndexRing round_;
+};
+
+class Drr : public DrrQueues {
+ public:
+  explicit Drr(int64_t limit_bytes);
+
+  const char* name() const override { return "drr"; }
+
+ private:
+  bool DoEnqueue(Packet pkt, TimePoint now) override;
+  void OnIdle(size_t c) override;
 
   int64_t limit_bytes_;
-  PacketPool pool_;
-  FlatMap64<size_t> flow_to_slot_;  // FlowHash -> slot + 1 (0 = absent)
-  std::vector<FlowQueue> slots_;
-  std::vector<size_t> free_slots_;
-  IndexRing rr_;
-  int64_t bytes_ = 0;
-  int64_t packets_ = 0;
+  FlatMap64<size_t> class_of_flow_;     // FlowKeyHash -> class + 1 (0 = absent)
+  std::vector<uint64_t> flow_of_class_;  // FlowKeyHash of the flow a class holds
+  std::vector<size_t> free_classes_;     // idle classes, reused first
 };
 
 }  // namespace bundler

@@ -11,9 +11,8 @@ DropTailFifo::DropTailFifo(int64_t limit_bytes) : limit_bytes_(limit_bytes) {
 }
 
 bool DropTailFifo::DoEnqueue(Packet pkt, TimePoint now) {
-  (void)now;
   if (bytes_ + pkt.size_bytes > limit_bytes_) {
-    CountDrop();
+    CountDrop(pkt, now);
     return false;
   }
   bytes_ += pkt.size_bytes;

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "src/util/check.h"
-#include "src/util/fnv.h"
 
 namespace bundler {
 
@@ -12,57 +11,36 @@ FqCodel::FqCodel(int64_t limit_packets)
   BUNDLER_CHECK(limit_packets_ > 0);
 }
 
-size_t FqCodel::BucketFor(const Packet& pkt) const {
-  // Zero hash seed, as in Sfq::BucketFor.
-  const uint64_t fields[] = {0,
-                             pkt.key.src,
-                             pkt.key.dst,
-                             static_cast<uint64_t>(pkt.key.src_port),
-                             static_cast<uint64_t>(pkt.key.dst_port),
-                             static_cast<uint64_t>(pkt.key.protocol)};
-  return Mix64(Fnv1a64Combine(fields, 6)) % kNumBuckets;
-}
-
 bool FqCodel::DoEnqueue(Packet pkt, TimePoint now) {
-  (void)now;
-  size_t idx = BucketFor(pkt);
+  const size_t idx = HashedBucket(pkt.key, kNumBuckets);
   Bucket& b = buckets_[idx];
-  bytes_ += pkt.size_bytes;
-  b.bytes += pkt.size_bytes;
   pool_.PushBack(b.queue, std::move(pkt));
-  ++packets_;
   if (b.list_state == Bucket::ListState::kNone) {
     b.list_state = Bucket::ListState::kNew;
     b.deficit = kQuantumBytes;
     IndexRingPushBack(buckets_, new_flows_, idx);
   }
-  if (packets_ > limit_packets_) {
-    DropFromFattest();
-    return false;
-  }
-  return true;
+  return packets() <= limit_packets_ || !DropFromFattest(idx, now);
 }
 
-void FqCodel::DropFromFattest() {
+bool FqCodel::DropFromFattest(size_t pushed, TimePoint now) {
   size_t fattest = 0;
   int64_t fattest_bytes = -1;
   for (const IndexRing* list : {&new_flows_, &old_flows_}) {
     for (size_t idx = list->head; idx != kIndexRingNil; idx = buckets_[idx].next) {
-      if (buckets_[idx].bytes > fattest_bytes) {
-        fattest_bytes = buckets_[idx].bytes;
+      if (buckets_[idx].queue.bytes > fattest_bytes) {
+        fattest_bytes = buckets_[idx].queue.bytes;
         fattest = idx;
       }
     }
   }
   BUNDLER_CHECK(fattest_bytes >= 0);
   Bucket& b = buckets_[fattest];
-  // RFC 8290 drops from the head of the fattest flow to signal earlier.
-  Packet victim = pool_.PopFront(b.queue);
-  b.bytes -= victim.size_bytes;
-  bytes_ -= victim.size_bytes;
-  --packets_;
-  CountDrop();
+  // RFC 8290 drops from the head of the fattest flow to signal earlier, so
+  // the packet just queued is the victim only when it was alone there.
+  CountDrop(pool_.PopFront(b.queue), now);
   // List membership is cleaned up lazily at dequeue time if empty.
+  return fattest == pushed && b.queue.empty();
 }
 
 std::optional<Packet> FqCodel::DequeueFromList(IndexRing& list, bool is_new_list,
@@ -90,9 +68,6 @@ std::optional<Packet> FqCodel::DequeueFromList(IndexRing& list, bool is_new_list
       continue;
     }
     Packet pkt = pool_.PopFront(b.queue);
-    b.bytes -= pkt.size_bytes;
-    bytes_ -= pkt.size_bytes;
-    --packets_;
     TimeDelta sojourn = now - pkt.queue_enter;
     if (b.codel.ShouldDrop(sojourn, now)) {
       CountDrop();

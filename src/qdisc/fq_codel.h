@@ -24,8 +24,8 @@ class FqCodel : public Qdisc {
   explicit FqCodel(int64_t limit_packets);
 
   const Packet* Peek() const override;
-  int64_t bytes() const override { return bytes_; }
-  int64_t packets() const override { return packets_; }
+  int64_t bytes() const override { return pool_.bytes(); }
+  int64_t packets() const override { return pool_.packets(); }
   const char* name() const override { return "fq_codel"; }
 
  private:
@@ -38,15 +38,14 @@ class FqCodel : public Qdisc {
   struct Bucket {
     PacketPool::Queue queue;
     CodelState codel;
-    int64_t bytes = 0;
     int64_t deficit = 0;
     enum class ListState { kNone, kNew, kOld } list_state = ListState::kNone;
     size_t prev = kIndexRingNil;
     size_t next = kIndexRingNil;
   };
 
-  size_t BucketFor(const Packet& pkt) const;
-  void DropFromFattest();
+  // Returns true when the victim was the packet just queued in `pushed`.
+  bool DropFromFattest(size_t pushed, TimePoint now);
   std::optional<Packet> DequeueFromList(IndexRing& list, bool is_new_list, TimePoint now);
 
   int64_t limit_packets_;
@@ -54,8 +53,6 @@ class FqCodel : public Qdisc {
   std::vector<Bucket> buckets_;
   IndexRing new_flows_;
   IndexRing old_flows_;
-  int64_t bytes_ = 0;
-  int64_t packets_ = 0;
 };
 
 }  // namespace bundler

@@ -1,13 +1,18 @@
-// One packet slab shared by every queue of a multi-queue scheduler: SFQ and
-// FQ-CoDel buckets, DRR flow slots, StrictPrio bands and SiteEgress's FIFO
-// bundles. Each queue is an IndexRing (src/util/index_ring.h) threaded
-// through the slab's {Packet, prev, next} nodes, so push-back, pop-front and
-// pop-back are O(1), and a popped node goes on a free list for the next
-// push. The slab therefore grows only to the scheduler's peak
-// *total* occupancy, as Linux sch_sfq bounds its queues with one shared slot
-// table; a ring per queue would keep every queue's own high-water mark for
-// the rest of the run. Growth reallocates the slab (amortized doubling), so
-// once a scheduler has seen its peak backlog, churn allocates nothing.
+// One packet slab shared by every queue of a multi-queue scheduler: the
+// classes of the DRR core (SFQ buckets and DRR flows, src/qdisc/drr.h),
+// FQ-CoDel buckets, StrictPrio bands and SiteEgress's FIFO bundles. Each
+// queue is an IndexRing (src/util/index_ring.h) threaded through the slab's
+// {Packet, prev, next} nodes, so push-back, pop-front and pop-back are O(1),
+// and a popped node goes on a free list for the next push. The slab therefore
+// grows only to the scheduler's peak *total* occupancy, as Linux sch_sfq
+// bounds its queues with one shared slot table; a ring per queue would keep
+// every queue's own high-water mark for the rest of the run. Growth
+// reallocates the slab (amortized doubling), so once a scheduler has seen its
+// peak backlog, churn allocates nothing.
+//
+// The pool is also the one place that counts: each queue carries its packet
+// and byte count, and the pool its totals, so a scheduler over a pool keeps
+// no backlog counters of its own.
 //
 // Queues hold only indices. A reference from Front() is valid until the next
 // PushBack on the same pool, which may move the slab.
@@ -15,6 +20,7 @@
 #define SRC_QDISC_PACKET_POOL_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -26,11 +32,17 @@ namespace bundler {
 
 class PacketPool {
  public:
-  // One FIFO over the pool: head, tail and packet count. Default-constructed
-  // empty; it owns nothing, so a scheduler may keep thousands of them.
-  using Queue = IndexRing;
+  // One FIFO over the pool: head, tail, packet count and byte count.
+  // Default-constructed empty; it owns nothing, so a scheduler may keep
+  // thousands of them.
+  struct Queue : IndexRing {
+    int64_t bytes = 0;
+  };
 
   void PushBack(Queue& q, Packet pkt) {
+    q.bytes += pkt.size_bytes;
+    bytes_ += pkt.size_bytes;
+    ++packets_;
     size_t idx = free_;
     if (idx != kIndexRingNil) {
       free_ = nodes_[idx].next;
@@ -58,6 +70,10 @@ class PacketPool {
     return nodes_[q.head].pkt;
   }
 
+  // Totals over every queue of the pool.
+  int64_t bytes() const { return bytes_; }
+  int64_t packets() const { return packets_; }
+
   // Nodes in the slab: the pool's peak total occupancy so far.
   size_t slab_nodes() const { return nodes_.size(); }
 
@@ -68,6 +84,9 @@ class PacketPool {
     Packet out = std::move(nodes_[idx].pkt);
     nodes_[idx].next = free_;
     free_ = idx;
+    q.bytes -= out.size_bytes;
+    bytes_ -= out.size_bytes;
+    --packets_;
     return out;
   }
 
@@ -79,6 +98,8 @@ class PacketPool {
 
   std::vector<Node> nodes_;
   size_t free_ = kIndexRingNil;
+  int64_t bytes_ = 0;
+  int64_t packets_ = 0;
 };
 
 }  // namespace bundler

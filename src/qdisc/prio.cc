@@ -13,37 +13,29 @@ StrictPrio::StrictPrio(int64_t limit_bytes_per_band)
 }
 
 bool StrictPrio::DoEnqueue(Packet pkt, TimePoint now) {
-  (void)now;
-  Band& b = bands_[std::min<size_t>(pkt.priority, kNumBands - 1)];
-  if (b.bytes + pkt.size_bytes > limit_bytes_per_band_) {
-    CountDrop();
+  PacketPool::Queue& band = bands_[std::min<size_t>(pkt.priority, kNumBands - 1)];
+  if (band.bytes + pkt.size_bytes > limit_bytes_per_band_) {
+    CountDrop(pkt, now);
     return false;
   }
-  b.bytes += pkt.size_bytes;
-  bytes_ += pkt.size_bytes;
-  pool_.PushBack(b.queue, std::move(pkt));
-  ++packets_;
+  pool_.PushBack(band, std::move(pkt));
   return true;
 }
 
 std::optional<Packet> StrictPrio::DoDequeue(TimePoint now) {
   (void)now;
-  for (Band& b : bands_) {
-    if (!b.queue.empty()) {
-      Packet pkt = pool_.PopFront(b.queue);
-      b.bytes -= pkt.size_bytes;
-      bytes_ -= pkt.size_bytes;
-      --packets_;
-      return pkt;
+  for (PacketPool::Queue& band : bands_) {
+    if (!band.empty()) {
+      return pool_.PopFront(band);
     }
   }
   return std::nullopt;
 }
 
 const Packet* StrictPrio::Peek() const {
-  for (const Band& b : bands_) {
-    if (!b.queue.empty()) {
-      return &pool_.Front(b.queue);
+  for (const PacketPool::Queue& band : bands_) {
+    if (!band.empty()) {
+      return &pool_.Front(band);
     }
   }
   return nullptr;

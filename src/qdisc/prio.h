@@ -1,7 +1,7 @@
 // Strict priority scheduling over three bands; band 0 is served first.
 // §7.2 uses this to give one traffic class 65% lower median FCT. A packet's
-// band is its `priority` field, clamped to the last band. The bands queue in
-// one shared PacketPool.
+// band is its `priority` field, clamped to the last band. Each band is a
+// queue of one shared PacketPool.
 #ifndef SRC_QDISC_PRIO_H_
 #define SRC_QDISC_PRIO_H_
 
@@ -19,8 +19,8 @@ class StrictPrio : public Qdisc {
   explicit StrictPrio(int64_t limit_bytes_per_band);
 
   const Packet* Peek() const override;
-  int64_t bytes() const override { return bytes_; }
-  int64_t packets() const override { return packets_; }
+  int64_t bytes() const override { return pool_.bytes(); }
+  int64_t packets() const override { return pool_.packets(); }
   const char* name() const override { return "strict_prio"; }
 
   int64_t band_bytes(size_t band) const { return bands_[band].bytes; }
@@ -29,16 +29,9 @@ class StrictPrio : public Qdisc {
   bool DoEnqueue(Packet pkt, TimePoint now) override;
   std::optional<Packet> DoDequeue(TimePoint now) override;
 
-  struct Band {
-    PacketPool::Queue queue;
-    int64_t bytes = 0;
-  };
-
   PacketPool pool_;
-  std::array<Band, kNumBands> bands_;
+  std::array<PacketPool::Queue, kNumBands> bands_;
   int64_t limit_bytes_per_band_;
-  int64_t bytes_ = 0;
-  int64_t packets_ = 0;
 };
 
 }  // namespace bundler

@@ -4,15 +4,19 @@
 // drops are internal, so `Dequeue` can return nullopt even when
 // `packets() > 0` was true before the call.
 //
-// Observability (PR 6): the public Enqueue/Dequeue are non-virtual template
-// methods that wrap the per-discipline DoEnqueue/DoDequeue with uniform
-// counters (pkts enqueued/dequeued/dropped) and kQdisc trace points, so all
-// six disciplines are instrumented in one place. Owners (Link, SiteEgress) call
-// BindObs to attach the qdisc to its simulator's tracer; unbound qdiscs
-// (unit tests) skip tracing but still count.
+// Observability: the public Enqueue/Dequeue are non-virtual template methods
+// that wrap the per-discipline DoEnqueue/DoDequeue with uniform counters
+// (packets enqueued, dequeued, dropped) and kQdisc trace points, so every
+// discipline is instrumented in one place; a discipline reports an
+// enqueue-time drop through CountDrop(dropped, now), which names the packet
+// it dropped. A drop counted by the plain CountDrop() during Enqueue, as a
+// forwarding decorator does, is named after the arrival. Owners (Link,
+// SiteEgress) call BindObs to attach the qdisc to its simulator's tracer;
+// unbound qdiscs (unit tests) skip tracing but still count.
 #ifndef SRC_QDISC_QDISC_H_
 #define SRC_QDISC_QDISC_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -30,29 +34,29 @@ class Qdisc {
   // Uniform per-qdisc counters, published into the counter registry by the
   // owning component (naming: qdisc.<instance>.<metric>).
   struct Counters {
-    uint64_t enq_pkts = 0;   // accepted enqueues
+    uint64_t enq_pkts = 0;   // arriving packets queued
     uint64_t deq_pkts = 0;   // packets handed out
     uint64_t drop_pkts = 0;  // tail + victim + AQM drops
-    uint64_t mark_pkts = 0;  // ECN-style marks (reserved; no discipline marks yet)
   };
 
-  // Returns false if the incoming packet was dropped instead of enqueued.
-  // (A true return may still have dropped a *different* packet to make room;
-  // that shows up in counters()/drops().)
+  // Returns whether `pkt` was queued. Making room for it may drop a packet
+  // already queued instead (a victim, in SFQ, DRR and FQ-CoDel); that shows
+  // up in counters()/drops() and in the kQdiscDropTail record naming it.
   bool Enqueue(Packet pkt, TimePoint now) {
     const uint64_t flow = pkt.flow_id;
     const uint64_t size = pkt.size_bytes;
-    // Kept only to choose the trace record: CountDrop() does the counting.
     const uint64_t drops_before = ctrs_.drop_pkts;
+    drop_traced_ = false;
     const bool ok = DoEnqueue(std::move(pkt), now);
     if (ok) {
       ++ctrs_.enq_pkts;
     }
     if (tracer_ != nullptr && tracer_->enabled(obs::TraceCat::kQdisc)) {
-      if (ctrs_.drop_pkts != drops_before) {
+      // A drop counted without naming its packet (a forwarding decorator's
+      // plain CountDrop()) is recorded against the arrival.
+      if (ctrs_.drop_pkts != drops_before && !drop_traced_) {
         tracer_->Trace(obs::TraceCat::kQdisc, obs::TraceEv::kQdiscDropTail,
-                       comp_, now, flow, size,
-                       static_cast<uint64_t>(bytes()));
+                       comp_, now, flow, size, static_cast<uint64_t>(bytes()));
       }
       if (ok) {
         tracer_->Trace(obs::TraceCat::kQdisc, obs::TraceEv::kQdiscEnq, comp_,
@@ -103,15 +107,34 @@ class Qdisc {
   }
 
  protected:
+  // Returns whether the arriving packet is queued.
   virtual bool DoEnqueue(Packet pkt, TimePoint now) = 0;
   virtual std::optional<Packet> DoDequeue(TimePoint now) = 0;
+  // Counts an enqueue-time drop, of the arriving packet or of a victim
+  // already queued, and traces it as kQdiscDropTail naming `dropped`.
+  void CountDrop(const Packet& dropped, TimePoint now) {
+    ++ctrs_.drop_pkts;
+    drop_traced_ = true;
+    if (tracer_ != nullptr && tracer_->enabled(obs::TraceCat::kQdisc)) {
+      tracer_->Trace(obs::TraceCat::kQdisc, obs::TraceEv::kQdiscDropTail, comp_,
+                     now, dropped.flow_id, dropped.size_bytes,
+                     static_cast<uint64_t>(bytes()));
+    }
+  }
+  // Counts a drop without naming it: the Dequeue wrapper traces AQM drops,
+  // and the Enqueue wrapper traces an enqueue-time one as the arrival's.
   void CountDrop() { ++ctrs_.drop_pkts; }
 
  private:
   Counters ctrs_;
   obs::Tracer* tracer_ = nullptr;
   uint32_t comp_ = 0;
+  bool drop_traced_ = false;  // CountDrop(dropped, now) ran in this Enqueue
 };
+
+// The bucket of `n` a stochastic fair queue (SFQ, FQ-CoDel) puts a flow in:
+// FlowKeyHash behind a zero seed word, finalized with Mix64.
+size_t HashedBucket(const FlowKey& key, size_t n);
 
 }  // namespace bundler
 

@@ -4,7 +4,7 @@
 //
 // `TokenBucket` is passive accounting only. The one component that drives
 // buckets inside the event loop is SiteEgress (src/bundler/site_egress.h),
-// which nests a site, a tenant-cap and a per-bundle bucket.
+// which nests a site and a per-bundle bucket.
 #ifndef SRC_QDISC_TOKEN_BUCKET_H_
 #define SRC_QDISC_TOKEN_BUCKET_H_
 
@@ -29,10 +29,6 @@ class TokenBucket {
   void Consume(int64_t bytes, TimePoint now);
 
   Rate rate() const { return rate_; }
-  double tokens_bytes(TimePoint now) {
-    Refill(now);
-    return tokens_;
-  }
 
  private:
   void Refill(TimePoint now);

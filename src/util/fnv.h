@@ -34,7 +34,9 @@ constexpr uint64_t Fnv1a64Value(T value, uint64_t seed = kFnv64OffsetBasis) {
   return hash;
 }
 
-uint64_t Fnv1a64Combine(const uint64_t* values, size_t count);
+// Folds `count` 64-bit values with Fnv1a64Value, chained from `seed`.
+uint64_t Fnv1a64Combine(const uint64_t* values, size_t count,
+                        uint64_t seed = kFnv64OffsetBasis);
 
 // SplitMix64 finalizer. FNV-1a's output has weak low-bit avalanche: fields
 // that differ in correlated ways (e.g. two port counters advancing in

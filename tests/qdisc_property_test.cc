@@ -201,8 +201,8 @@ class RefFqCodel {
       new_flows_.push_back(idx);
     }
     if (packets_ > limit_packets_) {
-      DropFromFattest();
-      return false;
+      // The head is the victim: the arrival is it only when alone there.
+      return DropFromFattest() != idx || !b.queue.empty();
     }
     return true;
   }
@@ -228,7 +228,7 @@ class RefFqCodel {
     enum class ListState { kNone, kNew, kOld } list_state = ListState::kNone;
   };
 
-  // Same hash as the real implementation (FqCodel::BucketFor), zero seed first.
+  // Same hash as the real implementation (HashedBucket), zero seed first.
   size_t BucketFor(const Packet& pkt) const {
     const uint64_t fields[] = {0,
                                pkt.key.src,
@@ -239,7 +239,8 @@ class RefFqCodel {
     return Mix64(Fnv1a64Combine(fields, 6)) % kNumBuckets;
   }
 
-  void DropFromFattest() {
+  // Returns the victim's bucket.
+  size_t DropFromFattest() {
     size_t fattest = 0;
     int64_t fattest_bytes = -1;
     for (const auto& list : {new_flows_, old_flows_}) {
@@ -257,6 +258,7 @@ class RefFqCodel {
     b.queue.pop_front();
     --packets_;
     ++drops_;
+    return fattest;
   }
 
   std::optional<Packet> DequeueFromList(std::list<size_t>& list, bool is_new_list,
@@ -383,8 +385,8 @@ class RefSfq {
       rr_.push_back(idx);
     }
     if (packets_ > limit_packets_) {
-      DropFromLongest();
-      return false;
+      // The tail is the victim: the arrival is it when its bucket is longest.
+      return DropFromLongest() != idx;
     }
     return true;
   }
@@ -432,7 +434,7 @@ class RefSfq {
     bool active = false;
   };
 
-  // Same hash as the real implementation (Sfq::BucketFor), zero seed first.
+  // Same hash as the real implementation (HashedBucket), zero seed first.
   size_t BucketFor(const Packet& pkt) const {
     const uint64_t fields[] = {0,
                                pkt.key.src,
@@ -443,16 +445,17 @@ class RefSfq {
     return Mix64(Fnv1a64Combine(fields, 6)) % kNumBuckets;
   }
 
-  // The tail of the bucket holding the most bytes; the first in round-robin
-  // order wins a tie.
-  void DropFromLongest() {
+  // Drops the tail of the bucket holding the most bytes (the first in
+  // round-robin order wins a tie) and returns that bucket.
+  size_t DropFromLongest() {
     auto longest = rr_.begin();
     for (auto it = rr_.begin(); it != rr_.end(); ++it) {
       if (buckets_[*it].bytes > buckets_[*longest].bytes) {
         longest = it;
       }
     }
-    Bucket& b = buckets_[*longest];
+    const size_t idx = *longest;
+    Bucket& b = buckets_[idx];
     b.bytes -= b.queue.back().size_bytes;
     bytes_ -= b.queue.back().size_bytes;
     b.queue.pop_back();
@@ -462,6 +465,7 @@ class RefSfq {
       b.active = false;
       rr_.erase(longest);
     }
+    return idx;
   }
 
   int64_t limit_packets_;
@@ -493,8 +497,8 @@ class RefDrr {
       rr_.push_back(flow);
     }
     if (bytes_ > limit_bytes_) {
-      DropFromLongest();
-      return false;
+      // The tail is the victim: the arrival is it when its flow is longest.
+      return DropFromLongest() != flow;
     }
     return true;
   }
@@ -536,7 +540,7 @@ class RefDrr {
     int64_t deficit = 0;
   };
 
-  // Same hash as the real implementation (Drr::FlowHash).
+  // Same hash as the real implementation (FlowKeyHash).
   static uint64_t FlowHash(const Packet& pkt) {
     const uint64_t fields[] = {pkt.key.src,
                                pkt.key.dst,
@@ -546,7 +550,8 @@ class RefDrr {
     return Fnv1a64Combine(fields, 5);
   }
 
-  void DropFromLongest() {
+  // Drops the tail of the longest flow and returns that flow.
+  uint64_t DropFromLongest() {
     auto longest = rr_.begin();
     for (auto it = rr_.begin(); it != rr_.end(); ++it) {
       if (flows_.at(*it).bytes > flows_.at(*longest).bytes) {
@@ -564,6 +569,7 @@ class RefDrr {
       rr_.erase(longest);
       flows_.erase(flow);
     }
+    return flow;
   }
 
   int64_t limit_bytes_;

@@ -2,8 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <optional>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "src/obs/trace.h"
 #include "src/qdisc/codel.h"
 #include "src/qdisc/drr.h"
 #include "src/qdisc/fifo.h"
@@ -22,6 +27,41 @@ Packet MakePkt(uint16_t src_port, uint32_t size = kMtuBytes, uint64_t flow = 1) 
   key.src_port = src_port;
   key.dst_port = 80;
   return MakeDataPacket(flow, key, 0, size);
+}
+
+// The overflow where the victim is not the arriving packet: flow 1 holds 18
+// packets of a 20-packet limit, flows 2 and 3 one each, and one more packet
+// of flow 2 arrives. The victim comes from flow 1, so the arrival is queued
+// and counted, and the one drop record names flow 1.
+void ExpectVictimDropChargedToVictim(Qdisc& q) {
+  const std::set<size_t> buckets = {HashedBucket(MakePkt(1000).key, Sfq::kNumBuckets),
+                                     HashedBucket(MakePkt(2000).key, Sfq::kNumBuckets),
+                                     HashedBucket(MakePkt(3000).key, Sfq::kNumBuckets)};
+  ASSERT_EQ(buckets.size(), 3u) << "the three flows must not share a bucket";
+  obs::Tracer tracer;
+  tracer.Enable(obs::CatBit(obs::TraceCat::kQdisc), 64);
+  q.BindObs(&tracer, tracer.RegisterComponent("qdisc", q.name()));
+  TimePoint t;
+  for (int i = 0; i < 18; ++i) {
+    ASSERT_TRUE(q.Enqueue(MakePkt(1000, kMtuBytes, 1), t));
+  }
+  ASSERT_TRUE(q.Enqueue(MakePkt(2000, kMtuBytes, 2), t));
+  ASSERT_TRUE(q.Enqueue(MakePkt(3000, kMtuBytes, 3), t));
+  EXPECT_TRUE(q.Enqueue(MakePkt(2000, kMtuBytes, 2), t));
+  EXPECT_EQ(q.counters().enq_pkts, 21u);
+  EXPECT_EQ(q.drops(), 1u);
+  std::map<uint64_t, int> got;
+  while (auto p = q.Dequeue(t)) {
+    ++got[p->flow_id];
+  }
+  EXPECT_EQ(got, (std::map<uint64_t, int>{{1, 17}, {2, 2}, {3, 1}}));
+  std::vector<uint64_t> dropped_flows;
+  for (const obs::TraceRecord& r : tracer.Snapshot()) {
+    if (r.ev == static_cast<uint16_t>(obs::TraceEv::kQdiscDropTail)) {
+      dropped_flows.push_back(r.a);
+    }
+  }
+  EXPECT_EQ(dropped_flows, std::vector<uint64_t>{1});
 }
 
 TEST(DropTailFifoTest, FifoOrderPreserved) {
@@ -50,6 +90,48 @@ TEST(DropTailFifoTest, DropsWhenFull) {
   EXPECT_FALSE(q.Enqueue(MakePkt(4), t));
   EXPECT_EQ(q.drops(), 1u);
   EXPECT_EQ(q.packets(), 3);
+}
+
+// A forwarding decorator of the kind that times a discipline: its inner qdisc
+// is unbound, and it mirrors the inner drops through the plain CountDrop().
+class ForwardingQdisc final : public Qdisc {
+ public:
+  explicit ForwardingQdisc(std::unique_ptr<Qdisc> inner) : inner_(std::move(inner)) {}
+  const Packet* Peek() const override { return inner_->Peek(); }
+  int64_t bytes() const override { return inner_->bytes(); }
+  int64_t packets() const override { return inner_->packets(); }
+  const char* name() const override { return inner_->name(); }
+
+ private:
+  bool DoEnqueue(Packet pkt, TimePoint now) override {
+    const uint64_t before = inner_->drops();
+    const bool ok = inner_->Enqueue(std::move(pkt), now);
+    for (uint64_t n = inner_->drops() - before; n > 0; --n) {
+      CountDrop();
+    }
+    return ok;
+  }
+  std::optional<Packet> DoDequeue(TimePoint now) override { return inner_->Dequeue(now); }
+
+  std::unique_ptr<Qdisc> inner_;
+};
+
+TEST(DropTailFifoTest, DecoratorDropIsTracedAsTheArrivals) {
+  ForwardingQdisc q(std::make_unique<DropTailFifo>(kMtuBytes));
+  obs::Tracer tracer;
+  tracer.Enable(obs::CatBit(obs::TraceCat::kQdisc), 64);
+  q.BindObs(&tracer, tracer.RegisterComponent("qdisc", q.name()));
+  TimePoint t;
+  EXPECT_TRUE(q.Enqueue(MakePkt(1000, kMtuBytes, 1), t));
+  EXPECT_FALSE(q.Enqueue(MakePkt(2000, 700, 2), t));
+  EXPECT_EQ(q.drops(), 1u);
+  std::vector<std::pair<uint64_t, uint64_t>> drops;  // (flow, size) per record
+  for (const obs::TraceRecord& r : tracer.Snapshot()) {
+    if (r.ev == static_cast<uint16_t>(obs::TraceEv::kQdiscDropTail)) {
+      drops.emplace_back(r.a, r.b);
+    }
+  }
+  EXPECT_EQ(drops, (std::vector<std::pair<uint64_t, uint64_t>>{{2, 700}}));
 }
 
 TEST(DropTailFifoTest, ByteAccounting) {
@@ -130,6 +212,11 @@ TEST(SfqTest, DropsFromLongestFlowOnOverflow) {
   EXPECT_EQ(got[3000], 1);
 }
 
+TEST(SfqTest, VictimDropIsChargedToTheVictim) {
+  Sfq q(20);
+  ExpectVictimDropChargedToVictim(q);
+}
+
 TEST(SfqTest, ByteAndPacketCountsConsistent) {
   Sfq q(4000);
   TimePoint t;
@@ -172,7 +259,7 @@ TEST(DrrTest, ReclaimsEmptyFlows) {
   }
   while (q.Dequeue(t).has_value()) {
   }
-  EXPECT_EQ(q.active_flows(), 0u);
+  EXPECT_EQ(q.active_classes(), 0u);
   EXPECT_EQ(q.bytes(), 0);
 }
 
@@ -183,13 +270,18 @@ TEST(DrrTest, DropsFromLongestOnOverflow) {
     q.Enqueue(MakePkt(1), t);
   }
   q.Enqueue(MakePkt(2), t);
-  EXPECT_FALSE(q.Enqueue(MakePkt(2), t));  // overflow; drop from flow 1
+  EXPECT_TRUE(q.Enqueue(MakePkt(2), t));  // overflow; drop from flow 1
   std::map<uint16_t, int> got;
   while (auto p = q.Dequeue(t)) {
     ++got[p->key.src_port];
   }
   EXPECT_EQ(got[1], 8);
   EXPECT_EQ(got[2], 2);
+}
+
+TEST(DrrTest, VictimDropIsChargedToTheVictim) {
+  Drr q(20 * kMtuBytes);
+  ExpectVictimDropChargedToVictim(q);
 }
 
 TEST(CodelTest, NoDropsBelowTarget) {
@@ -255,6 +347,11 @@ TEST(FqCodelTest, LimitsTotalPackets) {
   }
   EXPECT_EQ(q.packets(), 10);
   EXPECT_EQ(q.drops(), 5u);
+}
+
+TEST(FqCodelTest, VictimDropIsChargedToTheVictim) {
+  FqCodel q(20);
+  ExpectVictimDropChargedToVictim(q);
 }
 
 TEST(StrictPrioTest, LowerBandAlwaysFirst) {

@@ -10,6 +10,8 @@
 //    at set-up, not per packet slot;
 //  - steady enqueue/dequeue churn on DropTail's ring, each pooled scheduler
 //    and a rate-limited SiteEgress hierarchy allocates nothing.
+// The pool test also checks the byte and packet counts the pool keeps for
+// each queue and in total.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -97,7 +99,7 @@ TEST(QueueMemoryTest, SfqBurstsOverEveryBucketAllocateNothingOnceWarm) {
   std::vector<uint64_t> per_bucket(Sfq::kNumBuckets, UINT64_MAX);
   size_t found = 0;
   for (uint64_t f = 0; found < Sfq::kNumBuckets; ++f) {
-    uint64_t& slot = per_bucket[q.BucketFor(FlowPacket(f, 0))];
+    uint64_t& slot = per_bucket[HashedBucket(FlowPacket(f, 0).key, Sfq::kNumBuckets)];
     if (slot == UINT64_MAX) {
       slot = f;
       ++found;
@@ -257,6 +259,8 @@ TEST(QueueMemoryTest, PoolSlabTracksPeakTotalOccupancy) {
     }
   }
   EXPECT_EQ(pool.slab_nodes(), 50u) << "one queue's worth, not 100";
+  EXPECT_EQ(pool.packets(), 0);
+  EXPECT_EQ(pool.bytes(), 0);
   // Pop-back trims the tail; FIFO order of what remains is unchanged.
   for (uint64_t i = 0; i < 5; ++i) {
     pool.PushBack(queues[0], FlowPacket(0, i));
@@ -267,6 +271,11 @@ TEST(QueueMemoryTest, PoolSlabTracksPeakTotalOccupancy) {
   EXPECT_EQ(pool.PopFront(queues[1]).id, 10u);
   EXPECT_EQ(queues[0].size(), 4u);
   EXPECT_EQ(queues[1].size(), 4u);
+  EXPECT_EQ(queues[0].bytes, 4 * kMtuBytes);
+  EXPECT_EQ(queues[1].bytes, 4 * kMtuBytes);
+  EXPECT_EQ(queues[2].bytes, 0);
+  EXPECT_EQ(pool.packets(), 8);
+  EXPECT_EQ(pool.bytes(), 8 * kMtuBytes);
   EXPECT_EQ(pool.slab_nodes(), 50u);
 }
 

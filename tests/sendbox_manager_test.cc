@@ -254,7 +254,6 @@ TEST(SendboxManagerTest, BundleQdiscPublishesSendboxCounters) {
   EXPECT_EQ(ctr.at("qdisc.sendbox.s1-s10.enq_pkts"), 6.0);
   EXPECT_EQ(ctr.at("qdisc.sendbox.s1-s10.deq_pkts"), 2.0);
   EXPECT_EQ(ctr.at("qdisc.sendbox.s1-s10.drop_pkts"), 4.0);
-  EXPECT_EQ(ctr.at("qdisc.sendbox.s1-s10.mark_pkts"), 0.0);
   EXPECT_EQ(sink.pkts.size(), 2u);
 
   Simulator ring_sim;
