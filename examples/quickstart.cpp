@@ -23,7 +23,7 @@ struct RunOutput {
   const char* mode;
 };
 
-RunOutput RunOnce(bool with_bundler, TimeDelta duration, IdealFctCache* ideal) {
+RunOutput RunOnce(bool with_bundler, TimeDelta duration, const IdealFctFn& ideal) {
   ExperimentConfig cfg;
   cfg.net.bottleneck_rate = Rate::Mbps(96);
   cfg.net.rtt = TimeDelta::Millis(50);
@@ -39,7 +39,7 @@ RunOutput RunOnce(bool with_bundler, TimeDelta duration, IdealFctCache* ideal) {
   exp.Run();
 
   RequestFilter measured = exp.MeasuredRequests();
-  QuantileEstimator slowdowns = exp.fct()->Slowdowns(ideal->Fn(), measured);
+  QuantileEstimator slowdowns = exp.fct()->Slowdowns(ideal, measured);
   RequestFilter small = measured;
   small.max_size = kSmallFlowMaxBytes;
   QuantileEstimator small_fcts = exp.fct()->Fcts(small);
@@ -65,10 +65,10 @@ int main(int argc, char** argv) {
               "load, %.0fs per run\n\n",
               seconds);
 
-  IdealFctCache ideal(Rate::Mbps(96), TimeDelta::Millis(50), HostCcType::kCubic);
+  IdealFctFn ideal = IdealFct(Rate::Mbps(96), TimeDelta::Millis(50), HostCcType::kCubic);
 
-  RunOutput status_quo = RunOnce(/*with_bundler=*/false, duration, &ideal);
-  RunOutput bundled = RunOnce(/*with_bundler=*/true, duration, &ideal);
+  RunOutput status_quo = RunOnce(/*with_bundler=*/false, duration, ideal);
+  RunOutput bundled = RunOnce(/*with_bundler=*/true, duration, ideal);
 
   Table table({"config", "median slowdown", "p99 slowdown", "median small-flow FCT",
                "requests", "final mode"});

@@ -52,6 +52,10 @@ constexpr TimeDelta kWatchdogQdelBudget = TimeDelta::Millis(50);
 
 }  // namespace
 
+std::string BundleName(SiteId local_site, SiteId remote_site) {
+  return "s" + std::to_string(local_site) + "-s" + std::to_string(remote_site);
+}
+
 const char* BundlerModeName(BundlerMode mode) {
   switch (mode) {
     case BundlerMode::kDelayControl:
@@ -66,10 +70,12 @@ const char* BundlerModeName(BundlerMode mode) {
 
 BundleController::BundleController(Simulator* sim,
                                    const BundleControlConfig& config,
-                                   PacketHandler* ctl_out,
-                                   const std::string& obs_name)
+                                   SiteId local_site, SiteId remote_site,
+                                   PacketHandler* ctl_out)
     : sim_(sim),
       config_(config),
+      local_site_(local_site),
+      remote_site_(remote_site),
       ctl_out_(ctl_out),
       cc_(MakeBundleCc(config.cc, config.initial_rate)),
       // The detector is fed once per control tick, so its pulse must land on
@@ -85,9 +91,10 @@ BundleController::BundleController(Simulator* sim,
   mode_log_.emplace_back(sim_->now(), mode_);
   start_time_ = sim_->now();
 
-  // Observability wiring. `obs_name` names every component and counter this
-  // loop owns; the manager passes the bundle's site pair, so counter names
-  // collide exactly when two controllers genuinely are the same bundle.
+  // Observability wiring. The bundle's name keys every component and
+  // counter this loop owns, so counter names collide exactly when two
+  // controllers genuinely are the same bundle.
+  const std::string obs_name = BundleName(local_site_, remote_site_);
   obs::Tracer& tracer = sim_->trace();
   obs::CounterRegistry& reg = sim_->counters();
   comp_ = tracer.RegisterComponent("sendbox", obs_name);
@@ -415,8 +422,8 @@ void BundleController::SendEpochCtl() {
   Packet ctl;
   ctl.type = PacketType::kBundlerEpochCtl;
   ctl.size_bytes = kControlBytes;
-  ctl.key.src = config_.ctl_addr;
-  ctl.key.dst = config_.receivebox_ctl_addr;
+  ctl.key.src = CtlAddress(local_site_);
+  ctl.key.dst = CtlAddress(remote_site_);
   ctl.key.protocol = 17;
   ctl.epoch_size_pkts = epoch_pkts_;
   last_epoch_ctl_sent_ = sim_->now();

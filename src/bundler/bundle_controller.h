@@ -34,20 +34,22 @@ enum class BundlerMode {
 
 const char* BundlerModeName(BundlerMode mode);
 
-// Everything about the control loop a caller may vary. SendboxConfig
-// (sendbox.h) derives from this and adds the bundle queue's scheduler.
-// NetBuilder fills the four addresses; the mode machine's and the
-// watchdog's tuning values are constants in bundle_controller.cc, next to
-// the code that reads them. The measurement engine, the Nimbus detector and
-// the PI controller run on their own defaults, except that the detector
-// samples once per `control_interval` (its pulse sits on an FFT bin of that
-// cadence).
-struct BundleControlConfig {
-  SiteId local_site = 0;   // bundle = data packets from here...
-  SiteId remote_site = 0;  // ...to here
-  Address ctl_addr = 0;             // our control address (feedback arrives here)
-  Address receivebox_ctl_addr = 0;  // epoch-size updates go here
+// A bundle is the data from one site to another (§3). Its name,
+// "s<local>-s<remote>" (e.g. "s10-s100"), keys every trace component and
+// counter of its control loop and its sendbox queue, and names the one
+// tenant of a tenant-less bundle's site.
+std::string BundleName(SiteId local_site, SiteId remote_site);
 
+// Everything about the control loop a caller may vary. SendboxConfig
+// (sendbox.h) derives from this and adds the bundle queue's scheduler. The
+// bundle's site pair is not here: it is the controller's identity, given to
+// its constructor, and its control addresses derive from it (CtlAddress).
+// The mode machine's and the watchdog's tuning values are constants in
+// bundle_controller.cc, next to the code that reads them. The measurement
+// engine, the Nimbus detector and the PI controller run on their own
+// defaults, except that the detector samples once per `control_interval`
+// (its pulse sits on an FFT bin of that cadence).
+struct BundleControlConfig {
   BundleCcType cc = BundleCcType::kCopa;
   bool nimbus_detection = true;
   bool multipath_detection = true;
@@ -119,14 +121,16 @@ class BundleController {
   // Which trigger caused the current degradation (kNone when not degraded).
   enum class WatchdogCause { kNone, kStale, kDelay };
 
-  // Epoch ctl packets toward the receivebox go to `ctl_out`, bypassing the
-  // bundle's shaping queue. `obs_name` keys every trace component and
-  // counter this controller registers (the site pair, "s10-s100").
-  // Registration happens here, so the pointers below are never null
-  // afterwards. No events are scheduled: the owner calls ControlTick() every
+  // The bundle carries data from `local_site` to `remote_site`. Epoch ctl
+  // packets go from CtlAddress(local_site) to the receivebox at
+  // CtlAddress(remote_site) through `ctl_out`, bypassing the bundle's
+  // shaping queue. Every trace component and counter this controller
+  // registers is keyed by BundleName(local_site, remote_site); registration
+  // happens here, so the pointers below are never null afterwards. No events
+  // are scheduled: the owner calls ControlTick() every
   // config.control_interval.
   BundleController(Simulator* sim, const BundleControlConfig& config,
-                   PacketHandler* ctl_out, const std::string& obs_name);
+                   SiteId local_site, SiteId remote_site, PacketHandler* ctl_out);
   BundleController(const BundleController&) = delete;
   BundleController& operator=(const BundleController&) = delete;
 
@@ -174,6 +178,8 @@ class BundleController {
 
   Simulator* sim_;
   BundleControlConfig config_;
+  SiteId local_site_;
+  SiteId remote_site_;
   PacketHandler* ctl_out_;
   MeasurementEngine meas_;
   std::unique_ptr<BundleCc> cc_;

@@ -7,25 +7,27 @@
 
 namespace bundler {
 
-Receivebox::Receivebox(Simulator* sim, const Config& config, PacketHandler* forward,
+Receivebox::Receivebox(Simulator* sim, SiteId src_site, SiteId dst_site,
+                       uint32_t initial_epoch_pkts, PacketHandler* forward,
                        PacketHandler* reverse)
     : sim_(sim),
-      config_(config),
+      src_site_(src_site),
+      dst_site_(dst_site),
       forward_(forward),
       reverse_(reverse),
-      epoch_size_pkts_(config.initial_epoch_pkts) {
+      epoch_size_pkts_(initial_epoch_pkts) {
   BUNDLER_CHECK(sim_ != nullptr);
   BUNDLER_CHECK(epoch_size_pkts_ != 0 &&
                 (epoch_size_pkts_ & (epoch_size_pkts_ - 1)) == 0);
 }
 
 bool Receivebox::IsBundleData(const Packet& pkt) const {
-  return pkt.type == PacketType::kData && SiteOf(pkt.key.src) == config_.bundle_src_site &&
-         SiteOf(pkt.key.dst) == config_.bundle_dst_site;
+  return pkt.type == PacketType::kData && SiteOf(pkt.key.src) == src_site_ &&
+         SiteOf(pkt.key.dst) == dst_site_;
 }
 
 void Receivebox::HandlePacket(Packet pkt) {
-  if (pkt.type == PacketType::kBundlerEpochCtl && pkt.key.dst == config_.self_ctl_addr) {
+  if (pkt.type == PacketType::kBundlerEpochCtl && pkt.key.dst == CtlAddress(dst_site_)) {
     uint32_t n = pkt.epoch_size_pkts;
     if (!epoch_frozen_ && n != 0 && (n & (n - 1)) == 0) {
       epoch_size_pkts_ = n;
@@ -39,8 +41,8 @@ void Receivebox::HandlePacket(Packet pkt) {
       Packet fb;
       fb.type = PacketType::kBundlerFeedback;
       fb.size_bytes = kControlBytes;
-      fb.key.src = config_.self_ctl_addr;
-      fb.key.dst = config_.sendbox_ctl_addr;
+      fb.key.src = CtlAddress(dst_site_);
+      fb.key.dst = CtlAddress(src_site_);
       fb.key.protocol = 17;
       fb.boundary_hash = hash;
       fb.fb_bytes_received = bytes_received_;

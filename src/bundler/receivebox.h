@@ -2,7 +2,10 @@
 // (i) counts bundle bytes, (ii) identifies epoch boundary packets with the
 // same header-subset hash as the sendbox and answers each with an out-of-band
 // congestion ACK, and (iii) applies epoch-size updates sent by the sendbox.
-// Packets are forwarded unmodified; it keeps no per-flow state.
+// Packets are forwarded unmodified; it keeps no per-flow state. Both control
+// addresses derive from the bundle's site pair: epoch updates arrive at
+// CtlAddress(dst_site), and congestion ACKs go from there to the sendbox at
+// CtlAddress(src_site).
 #ifndef SRC_BUNDLER_RECEIVEBOX_H_
 #define SRC_BUNDLER_RECEIVEBOX_H_
 
@@ -15,17 +18,12 @@ namespace bundler {
 
 class Receivebox : public PacketHandler {
  public:
-  struct Config {
-    SiteId bundle_src_site = 0;  // traffic from this site...
-    SiteId bundle_dst_site = 0;  // ...to this site forms the bundle
-    Address self_ctl_addr = 0;       // epoch ctl messages addressed here
-    Address sendbox_ctl_addr = 0;    // where congestion ACKs are sent
-    uint32_t initial_epoch_pkts = 16;
-  };
-
+  // Data from `src_site` to `dst_site` forms the bundle; epochs start at
+  // `initial_epoch_pkts` (a power of two) until the sendbox's first update.
   // `forward` receives every non-control packet (the site-side next hop);
   // `reverse` carries congestion ACKs back toward the sendbox.
-  Receivebox(Simulator* sim, const Config& config, PacketHandler* forward,
+  Receivebox(Simulator* sim, SiteId src_site, SiteId dst_site,
+             uint32_t initial_epoch_pkts, PacketHandler* forward,
              PacketHandler* reverse);
 
   void HandlePacket(Packet pkt) override;
@@ -42,7 +40,8 @@ class Receivebox : public PacketHandler {
   bool IsBundleData(const Packet& pkt) const;
 
   Simulator* sim_;
-  Config config_;
+  SiteId src_site_;
+  SiteId dst_site_;
   PacketHandler* forward_;
   PacketHandler* reverse_;
   uint32_t epoch_size_pkts_;

@@ -8,29 +8,21 @@
 
 namespace bundler {
 
-namespace {
-std::string PairName(const BundleControlConfig& config) {
-  return "s" + std::to_string(config.local_site) + "-s" +
-         std::to_string(config.remote_site);
-}
-}  // namespace
-
 SendboxManager::SendboxManager(Simulator* sim, const Policy& policy,
                                std::vector<TenantPolicy> tenants,
                                std::vector<BundleDecl> bundles,
-                               SiteId local_site, Address ctl_addr,
-                               PacketHandler* egress,
-                               const std::string& obs_name)
+                               SiteId local_site, PacketHandler* egress)
     : sim_(sim),
-      policy_(policy),
       local_site_(local_site),
-      ctl_addr_(ctl_addr),
-      egress_handler_(egress) {
+      egress_handler_(egress),
+      tenants_(std::move(tenants)) {
   BUNDLER_CHECK(sim_ != nullptr);
   BUNDLER_CHECK(egress_handler_ != nullptr);
-  BUNDLER_CHECK(policy_.max_bundles > 0);
-  BUNDLER_CHECK(!tenants.empty());
+  BUNDLER_CHECK(policy.max_bundles > 0);
+  BUNDLER_CHECK(!tenants_.empty());
 
+  std::string obs_name = "s";
+  obs_name += std::to_string(local_site_);
   obs::Tracer& tracer = sim_->trace();
   obs::CounterRegistry& reg = sim_->counters();
   comp_ = tracer.RegisterComponent("sendbox_manager", obs_name);
@@ -40,15 +32,12 @@ SendboxManager::SendboxManager(Simulator* sim, const Policy& policy,
   ctr_orphan_feedback_ =
       reg.Counter("admit." + obs_name + ".orphan_feedback_pkts");
 
-  const Rate budget = policy_.admission_budget.IsZero()
-                          ? policy_.aggregate_rate
-                          : policy_.admission_budget;
+  const Rate budget = policy.admission_budget.IsZero()
+                          ? policy.aggregate_rate
+                          : policy.admission_budget;
 
   // --- Admission, in bundle declaration order ---
-  std::vector<SiteEgress::TenantSpec> tenant_specs;
-  tenant_specs.reserve(tenants.size());
-  tenant_names_.reserve(tenants.size());
-  for (const TenantPolicy& ten : tenants) {
+  for (const TenantPolicy& ten : tenants_) {
     BUNDLER_CHECK_MSG(!ten.name.empty(), "tenant policies must be named");
     BUNDLER_CHECK_MSG(
         ten.committed_rate.bps() <= budget.bps(),
@@ -56,9 +45,6 @@ SendboxManager::SendboxManager(Simulator* sim, const Policy& policy,
         "budget is only %.0f bps — no bundle of this tenant could ever be "
         "admitted",
         ten.name.c_str(), ten.committed_rate.bps(), budget.bps());
-    tenant_specs.push_back(
-        SiteEgress::TenantSpec{ten.name, ten.priority, ten.weight});
-    tenant_names_.push_back(ten.name);
   }
 
   double committed_bps = 0.0;
@@ -67,26 +53,19 @@ SendboxManager::SendboxManager(Simulator* sim, const Policy& policy,
   SiteId max_site = 0;
   for (size_t i = 0; i < bundles.size(); ++i) {
     const BundleDecl& decl = bundles[i];
-    BUNDLER_CHECK_MSG(decl.tenant < tenants.size(),
+    BUNDLER_CHECK_MSG(decl.tenant < tenants_.size(),
                       "bundle %zu references undeclared tenant %zu", i,
                       decl.tenant);
-    BUNDLER_CHECK_MSG(decl.control.local_site == local_site_,
-                      "bundle %zu: local site %u but manager owns site %u", i,
-                      decl.control.local_site, local_site_);
-    BUNDLER_CHECK_MSG(decl.control.ctl_addr == ctl_addr_,
-                      "bundle %zu: ctl address %u differs from the site's "
-                      "shared control address %u",
-                      i, decl.control.ctl_addr, ctl_addr_);
     BUNDLER_CHECK_MSG(
-        decl.control.control_interval == policy_.control_interval,
+        decl.control.control_interval == policy.control_interval,
         "bundle %zu: control interval differs from the site's shared tick "
         "(all bundles of a site ride one timer)",
         i);
-    max_site = std::max(max_site, decl.control.remote_site);
+    max_site = std::max(max_site, decl.remote_site);
 
     DeclState state;
-    const double committed = tenants[decl.tenant].committed_rate.bps();
-    if (admitted_specs.size() >= static_cast<size_t>(policy_.max_bundles)) {
+    const double committed = tenants_[decl.tenant].committed_rate.bps();
+    if (admitted_specs.size() >= static_cast<size_t>(policy.max_bundles)) {
       state.cause = RejectCause::kBundleCap;
       *ctr_rejected_cap_ += 1;
       tracer.Trace(obs::TraceCat::kTenant, obs::TraceEv::kTenantReject, comp_,
@@ -113,20 +92,15 @@ SendboxManager::SendboxManager(Simulator* sim, const Policy& policy,
   }
 
   // --- Shared data plane, then the controllers that steer it ---
-  SiteEgress::Config egress_config;
-  egress_config.aggregate_rate = policy_.aggregate_rate;
-  egress_config.burst_bytes = policy_.burst_bytes;
-  egress_config.per_bundle_queue_pkts = policy_.per_bundle_queue_pkts;
-  egress_config.bundle_qdisc_factory = policy_.bundle_qdisc_factory;
   egress_ = std::make_unique<SiteEgress>(
-      sim_, egress_config, std::move(tenant_specs), std::move(admitted_specs),
+      sim_, policy, tenants_, std::move(admitted_specs),
       [this](size_t slot, Packet pkt) { OnBundleEgress(slot, std::move(pkt)); },
       obs_name);
 
   slot_of_site_.assign(static_cast<size_t>(max_site) + 1, -1);
   for (size_t i = 0; i < bundles.size(); ++i) {
     const BundleDecl& decl = bundles[i];
-    const SiteId remote = decl.control.remote_site;
+    const SiteId remote = decl.remote_site;
     BUNDLER_CHECK_MSG(slot_of_site_[remote] == -1,
                       "two bundles of one site share destination site %u (the "
                       "receivebox ctl address would be ambiguous)",
@@ -135,15 +109,15 @@ SendboxManager::SendboxManager(Simulator* sim, const Policy& policy,
       continue;  // rejected: no controller, data passes through unshaped
     }
     slot_of_site_[remote] = decls_[i].slot;
-    const std::string pair = PairName(decl.control);
     // Epoch ctl is 40 bytes of control plane: straight to the uplink, never
     // shaped.
     controllers_.push_back(std::make_unique<BundleController>(
-        sim_, decl.control, egress_handler_, pair));
+        sim_, decl.control, local_site_, remote, egress_handler_));
     if (const Qdisc* q =
             egress_->bundle_qdisc(static_cast<size_t>(decls_[i].slot))) {
       const Qdisc::Counters& qc = q->counters();
-      const std::string prefix = "qdisc.sendbox." + pair;
+      const std::string prefix =
+          "qdisc.sendbox." + BundleName(local_site_, remote);
       reg.Expose(prefix + ".enq_pkts", &qc.enq_pkts);
       reg.Expose(prefix + ".deq_pkts", &qc.deq_pkts);
       reg.Expose(prefix + ".drop_pkts", &qc.drop_pkts);
@@ -152,8 +126,8 @@ SendboxManager::SendboxManager(Simulator* sim, const Policy& policy,
 
   // One shared periodic tick drives every admitted controller, in admission
   // order; rate updates batch into a single hierarchy kick.
-  tick_timer_ = sim_->SchedulePeriodic(policy_.control_interval,
-                                       policy_.control_interval,
+  tick_timer_ = sim_->SchedulePeriodic(policy.control_interval,
+                                       policy.control_interval,
                                        [this]() { ControlTick(); });
 }
 
@@ -182,8 +156,9 @@ void SendboxManager::OnBundleEgress(size_t slot, Packet pkt) {
 }
 
 void SendboxManager::HandlePacket(Packet pkt) {
-  if (pkt.type == PacketType::kBundlerFeedback && pkt.key.dst == ctl_addr_) {
-    // Feedback is sourced from (remote_site, ctl host): the source site IS
+  if (pkt.type == PacketType::kBundlerFeedback &&
+      pkt.key.dst == CtlAddress(local_site_)) {
+    // Feedback is sourced from CtlAddress(remote_site): the source site IS
     // the bundle key.
     const int32_t slot = SlotOfSite(SiteOf(pkt.key.src));
     if (slot >= 0) {

@@ -13,14 +13,17 @@
 // (b) the sum of admitted bundles' committed rates fits the admission
 // budget. Rejected bundles degrade gracefully — their data passes through
 // unshaped (status quo ante), their feedback is dropped and counted — and
-// every verdict is visible via admit.<site>.* counters and kTenant trace
+// every verdict is visible via admit.s<site>.* counters and kTenant trace
 // records. A bundle with its own qdisc (Policy::bundle_qdisc_factory)
-// publishes that qdisc's counters as qdisc.sendbox.<local>-<remote>.*.
+// publishes that qdisc's counters as qdisc.sendbox.<BundleName>.*.
 //
+// Everything the manager addresses derives from its site and each bundle's
+// remote site: feedback arrives at CtlAddress(local_site), and each
+// controller derives its bundle's name and control addresses from the pair.
 // Demultiplexing is allocation-free: every per-bundle lookup is a flat
 // remote-site -> slot table index (a bundle's destination site keys both its
 // outbound data and its returning feedback, since receivebox feedback is
-// sourced from (dst_site, kBundlerCtlHost)).
+// sourced from CtlAddress(dst_site)).
 #ifndef SRC_BUNDLER_SENDBOX_MANAGER_H_
 #define SRC_BUNDLER_SENDBOX_MANAGER_H_
 
@@ -37,50 +40,31 @@ namespace bundler {
 
 class SendboxManager : public PacketHandler {
  public:
-  // Site-level egress policy: the shared machinery every tenant rides.
-  struct Policy {
-    Rate aggregate_rate = Rate::Gbps(1);  // site uplink shaping budget
-    int max_bundles = 256;                // concurrent-bundle admission cap
-    // Aggregate committed-rate budget for admission; zero = aggregate_rate.
-    Rate admission_budget = Rate::Zero();
-    int64_t per_bundle_queue_pkts = 512;
-    int64_t burst_bytes = 2 * kMtuBytes;
-    // Optional per-bundle qdisc (forwarded to SiteEgress::Config): when set,
-    // each bundle schedules internally through its own instance (e.g. SFQ,
-    // the SendboxConfig default) instead of the shared-pool FIFO.
-    std::function<std::unique_ptr<Qdisc>()> bundle_qdisc_factory;
-    // The single shared control tick period. Every bundle's control config
-    // must agree (enforced with a readable CHECK).
-    TimeDelta control_interval = TimeDelta::Millis(10);
-  };
-
-  // Per-tenant sharing policy within the site hierarchy.
-  struct TenantPolicy {
-    std::string name;
-    int priority = 1;     // strict band, 0 = highest
-    double weight = 1.0;  // DRR share among same-band tenants
-    // Admission debit charged per bundle the tenant declares.
-    Rate committed_rate = Rate::Mbps(1);
-  };
+  // The site's egress and tenant policies, declared once in site_egress.h:
+  // the manager reads the admission caps, the tick and the tenants'
+  // commitments, and hands the rest to its SiteEgress.
+  using Policy = SitePolicy;
+  using TenantPolicy = ::bundler::TenantPolicy;
 
   // One declared bundle: which tenant it belongs to, its service-class DRR
-  // weight within that tenant, and the full per-bundle control-loop config
-  // (local/remote sites, ctl addresses, cc choice, watchdog, ...).
+  // weight within that tenant, the site its data goes to, and its control
+  // loop's config (cc choice, watchdog, ...).
   struct BundleDecl {
     size_t tenant = 0;  // index into the tenant table
     double class_weight = 1.0;
+    SiteId remote_site = 0;
     BundleControlConfig control;
   };
 
   enum class RejectCause { kNone = 0, kBundleCap, kRateBudget };
 
-  // `ctl_addr` is the site's shared control address (local_site, ctl host);
-  // every bundle's control config must carry the same one.
+  // The sendbox of `local_site`: bundle data leaves through `egress`, and
+  // feedback arrives at CtlAddress(local_site). Its trace component and
+  // admission counters are named "s<local_site>".
   SendboxManager(Simulator* sim, const Policy& policy,
                  std::vector<TenantPolicy> tenants,
                  std::vector<BundleDecl> bundles, SiteId local_site,
-                 Address ctl_addr, PacketHandler* egress,
-                 const std::string& obs_name);
+                 PacketHandler* egress);
   ~SendboxManager() override;
   SendboxManager(const SendboxManager&) = delete;
   SendboxManager& operator=(const SendboxManager&) = delete;
@@ -91,7 +75,7 @@ class SendboxManager : public PacketHandler {
 
   // --- Introspection (indices are bundle DECLARATION order) ---
   size_t num_bundles() const { return decls_.size(); }
-  size_t num_tenants() const { return tenant_names_.size(); }
+  size_t num_tenants() const { return tenants_.size(); }
   bool admitted(size_t bundle) const;
   RejectCause reject_cause(size_t bundle) const;
   // The bundle's control loop; nullptr when the bundle was rejected.
@@ -101,7 +85,7 @@ class SendboxManager : public PacketHandler {
   Rate bundle_rate(size_t bundle) const;
   int64_t bundle_queue_bytes(size_t bundle) const;
   const std::string& tenant_name(size_t tenant) const {
-    return tenant_names_[tenant];
+    return tenants_[tenant].name;
   }
 
   uint64_t admitted_count() const { return *ctr_admitted_; }
@@ -124,12 +108,10 @@ class SendboxManager : public PacketHandler {
   void OnBundleEgress(size_t slot, Packet pkt);
 
   Simulator* sim_;
-  Policy policy_;
   SiteId local_site_;
-  Address ctl_addr_;  // (local_site, kBundlerCtlHost), shared by all bundles
   PacketHandler* egress_handler_;
 
-  std::vector<std::string> tenant_names_;
+  std::vector<TenantPolicy> tenants_;
   std::vector<DeclState> decls_;
   std::unique_ptr<SiteEgress> egress_;
   // Admission order: a controller's slot is its bundle's egress index.
@@ -138,7 +120,7 @@ class SendboxManager : public PacketHandler {
 
   EventId tick_timer_ = kInvalidEventId;
 
-  uint32_t comp_ = 0;  // trace component ("sendbox_manager", obs_name)
+  uint32_t comp_ = 0;  // trace component ("sendbox_manager", "s<site>")
   uint64_t* ctr_admitted_ = nullptr;
   uint64_t* ctr_rejected_cap_ = nullptr;
   uint64_t* ctr_rejected_budget_ = nullptr;

@@ -8,19 +8,19 @@
 
 namespace bundler {
 
-SiteEgress::SiteEgress(Simulator* sim, const Config& config,
-                       std::vector<TenantSpec> tenants,
+SiteEgress::SiteEgress(Simulator* sim, const SitePolicy& policy,
+                       const std::vector<TenantPolicy>& tenants,
                        std::vector<BundleSpec> bundles,
                        InlineFunction<void(size_t, Packet)> out,
                        const std::string& obs_name)
     : sim_(sim),
-      config_(config),
-      site_bucket_(config.aggregate_rate, config.burst_bytes, sim->now()),
+      policy_(policy),
+      site_bucket_(policy.aggregate_rate, policy.burst_bytes, sim->now()),
       out_(std::move(out)) {
   BUNDLER_CHECK(sim_ != nullptr);
   BUNDLER_CHECK(static_cast<bool>(out_));
-  BUNDLER_CHECK(config_.per_bundle_queue_pkts > 0);
-  BUNDLER_CHECK(config_.burst_bytes >= kMtuBytes);
+  BUNDLER_CHECK(policy_.per_bundle_queue_pkts > 0);
+  BUNDLER_CHECK(policy_.burst_bytes >= kMtuBytes);
 
   obs::Tracer& tracer = sim_->trace();
   obs::CounterRegistry& reg = sim_->counters();
@@ -28,7 +28,7 @@ SiteEgress::SiteEgress(Simulator* sim, const Config& config,
 
   const TimePoint now = sim_->now();
   tenants_.reserve(tenants.size());
-  for (const TenantSpec& spec : tenants) {
+  for (const TenantPolicy& spec : tenants) {
     BUNDLER_CHECK_MSG(spec.priority >= 0 && spec.priority < kNumBands,
                       "tenant '%s': priority %d outside [0, %d)",
                       spec.name.c_str(), spec.priority, kNumBands);
@@ -53,12 +53,12 @@ SiteEgress::SiteEgress(Simulator* sim, const Config& config,
                       tenants_.size());
     BUNDLER_CHECK_MSG(spec.class_weight > 0.0,
                       "bundle class_weight must be positive");
-    Bundle bun(spec.initial_rate, config_.burst_bytes, now);
+    Bundle bun(spec.initial_rate, policy_.burst_bytes, now);
     bun.tenant = spec.tenant;
     bun.quantum = std::max<int64_t>(
         1, static_cast<int64_t>(spec.class_weight * kMtuBytes));
-    if (config_.bundle_qdisc_factory) {
-      bun.qdisc = config_.bundle_qdisc_factory();
+    if (policy_.bundle_qdisc_factory) {
+      bun.qdisc = policy_.bundle_qdisc_factory();
       BUNDLER_CHECK(bun.qdisc != nullptr);
       bun.qdisc->BindObs(
           &tracer, tracer.RegisterComponent(
@@ -143,7 +143,7 @@ void SiteEgress::Enqueue(size_t bundle, Packet pkt) {
     Pump();
     return;
   }
-  if (static_cast<int64_t>(bun.queue.size()) == config_.per_bundle_queue_pkts) {
+  if (static_cast<int64_t>(bun.queue.size()) == policy_.per_bundle_queue_pkts) {
     *ten.ctr_drop += 1;
     return;  // drop-tail; move-only Packet dies here
   }

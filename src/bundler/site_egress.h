@@ -9,7 +9,9 @@
 // every control tick. This is the sendbox's one data plane: controllers
 // decide rates, SiteEgress is the one place that moves packets. A
 // single-bundle site (every paper figure) is the same machinery with one
-// tenant and one bundle.
+// tenant and one bundle. The site's policy and its tenants' policies are
+// declared here, once (SitePolicy, TenantPolicy): SiteEgress reads their
+// shaping and sharing fields, and SendboxManager the admission ones.
 //
 // Invariants the tests pin down:
 //  - Zero allocations per datapath operation once warm: FIFO bundles queue
@@ -42,30 +44,43 @@
 
 namespace bundler {
 
+// A site's egress policy, declared once for the whole sendbox: SiteEgress
+// reads the four shaping fields, SendboxManager (as
+// SendboxManager::Policy) the admission caps and the control tick.
+struct SitePolicy {
+  Rate aggregate_rate = Rate::Gbps(1);  // site uplink shaping budget
+  int64_t burst_bytes = 2 * kMtuBytes;  // every bucket's burst allowance
+  int64_t per_bundle_queue_pkts = 512;  // drop-tail limit per FIFO bundle
+  // When set, each bundle queues through its own instance from this factory
+  // (operator-chosen scheduling *inside* the bundle, e.g. SFQ so short
+  // requests bypass bulk — the SendboxConfig default) instead of a drop-tail
+  // FIFO in the egress's shared packet pool. The FIFO stays the default: it
+  // is the zero-allocation datapath the scheduler-churn bench gates.
+  std::function<std::unique_ptr<Qdisc>()> bundle_qdisc_factory;
+
+  int max_bundles = 256;  // concurrent-bundle admission cap
+  // Aggregate committed-rate budget for admission; zero = aggregate_rate.
+  Rate admission_budget = Rate::Zero();
+  // The single shared control tick period. Every bundle's control config
+  // must agree (enforced with a readable CHECK).
+  TimeDelta control_interval = TimeDelta::Millis(10);
+};
+
+// A tenant's share of the site hierarchy (SendboxManager::TenantPolicy).
+// SiteEgress reads the first three fields, SendboxManager the commitment.
+struct TenantPolicy {
+  std::string name;
+  int priority = 1;     // band, 0 = highest; served strictly first
+  double weight = 1.0;  // DRR share among same-band tenants
+  // Admission debit charged per bundle the tenant declares.
+  Rate committed_rate = Rate::Mbps(1);
+};
+
 class SiteEgress {
  public:
   // Strict-priority bands available to tenant policies. Four covers the
   // classic interactive / standard / bulk / scavenger split.
   static constexpr int kNumBands = 4;
-
-  struct Config {
-    Rate aggregate_rate = Rate::Gbps(1);   // site uplink shaping budget
-    int64_t burst_bytes = 2 * kMtuBytes;   // every bucket's burst allowance
-    int64_t per_bundle_queue_pkts = 512;   // drop-tail limit per FIFO bundle
-    // When set, each bundle queues through its own instance from this
-    // factory (operator-chosen scheduling *inside* the bundle, e.g. SFQ so
-    // short requests bypass bulk — the SendboxConfig default) instead of a
-    // drop-tail FIFO in the egress's shared packet pool. The FIFO stays the
-    // default: it is the zero-allocation datapath the scheduler-churn bench
-    // gates.
-    std::function<std::unique_ptr<Qdisc>()> bundle_qdisc_factory;
-  };
-
-  struct TenantSpec {
-    std::string name;
-    int priority = 1;     // band, 0 = highest; served strictly first
-    double weight = 1.0;  // DRR share among same-band tenants
-  };
 
   struct BundleSpec {
     size_t tenant = 0;          // index into the tenant table
@@ -77,8 +92,9 @@ class SiteEgress {
   // `out(bundle, pkt)` receives every transmitted packet (the owner does
   // per-bundle egress accounting, then forwards to the site's uplink).
   // Registers tenant.<name>.* counters under `obs_name` scoping.
-  SiteEgress(Simulator* sim, const Config& config,
-             std::vector<TenantSpec> tenants, std::vector<BundleSpec> bundles,
+  SiteEgress(Simulator* sim, const SitePolicy& policy,
+             const std::vector<TenantPolicy>& tenants,
+             std::vector<BundleSpec> bundles,
              InlineFunction<void(size_t, Packet)> out,
              const std::string& obs_name);
   ~SiteEgress();
@@ -105,7 +121,7 @@ class SiteEgress {
   int64_t bundle_queue_bytes(size_t bundle) const;
   int64_t bundle_queue_pkts(size_t bundle) const;
   // The bundle's own qdisc; nullptr for FIFO bundles (no
-  // Config::bundle_qdisc_factory).
+  // SitePolicy::bundle_qdisc_factory).
   const Qdisc* bundle_qdisc(size_t bundle) const;
   uint64_t tenant_tx_bytes(size_t tenant) const;
   int64_t total_backlog_pkts() const { return pool_.packets() + qdisc_backlog_pkts_; }
@@ -113,7 +129,7 @@ class SiteEgress {
  private:
   struct Bundle {
     PacketPool::Queue queue;      // in pool_; used when qdisc is null
-    std::unique_ptr<Qdisc> qdisc; // used when Config::bundle_qdisc_factory set
+    std::unique_ptr<Qdisc> qdisc; // used when SitePolicy::bundle_qdisc_factory set
     TokenBucket bucket;
     size_t tenant = 0;
     int64_t quantum = kMtuBytes;  // class_weight x MTU
@@ -162,7 +178,7 @@ class SiteEgress {
   int ServeTenant(size_t t, TimePoint now);
 
   Simulator* sim_;
-  Config config_;
+  SitePolicy policy_;
   TokenBucket site_bucket_;
   std::vector<Tenant> tenants_;
   std::vector<Bundle> bundles_;

@@ -1,7 +1,7 @@
 // Flow-completion-time bookkeeping. Each web request is registered when the
 // application issues it and marked complete when the receiver has every byte.
 // "Slowdown" follows §7.2: completion time divided by the completion time the
-// same request would see on an unloaded network (supplied by IdealFctCache,
+// same request would see on an unloaded network (supplied by IdealFct,
 // which measures it by simulation so the convention matches exactly).
 #ifndef SRC_METRICS_FCT_H_
 #define SRC_METRICS_FCT_H_

@@ -28,6 +28,12 @@ constexpr Address MakeAddress(SiteId site, uint16_t host) {
 constexpr SiteId SiteOf(Address a) { return static_cast<SiteId>(a >> 16); }
 constexpr uint16_t HostOf(Address a) { return static_cast<uint16_t>(a & 0xffff); }
 
+// Host number of a site's Bundler box (§4.5). Sendbox and receivebox
+// exchange out-of-band control messages addressed to CtlAddress(site), so
+// both ends of a bundle derive every control address from its site pair.
+inline constexpr uint16_t kBundlerCtlHost = 0xFFFE;
+constexpr Address CtlAddress(SiteId site) { return MakeAddress(site, kBundlerCtlHost); }
+
 enum class PacketType : uint8_t {
   kData = 0,             // transport payload (TCP-like or UDP app)
   kAck = 1,              // transport cumulative ACK

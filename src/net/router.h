@@ -1,11 +1,15 @@
-// Static router: exact-address routes take precedence (used for Bundler's
-// out-of-band control addresses), then per-site routes; anything else is
-// counted as unroutable.
+// Static router with one route slot per site: a packet goes to its
+// destination site's route, except that a packet to CtlAddress(site) takes
+// the site's control route when one is set. NetBuilder sets one on every
+// router whose next hop is a bundle's source site, pointing at the site's
+// SendboxManager, so feedback skips the final edge into the site (over a
+// link, the controller's RTT loses that link's delay). A site without a
+// route, or a site id past the table, is counted as unroutable.
 #ifndef SRC_NET_ROUTER_H_
 #define SRC_NET_ROUTER_H_
 
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "src/net/node.h"
 
@@ -13,10 +17,12 @@ namespace bundler {
 
 class Router : public PacketHandler {
  public:
-  explicit Router(std::string name) : name_(std::move(name)) {}
+  // Site ids 0 .. num_sites-1 can be routed.
+  Router(std::string name, size_t num_sites)
+      : name_(std::move(name)), routes_(num_sites) {}
 
-  void AddAddressRoute(Address addr, PacketHandler* next);
   void AddSiteRoute(SiteId site, PacketHandler* next);
+  void AddCtlRoute(SiteId site, PacketHandler* next);
 
   void HandlePacket(Packet pkt) override;
 
@@ -24,9 +30,13 @@ class Router : public PacketHandler {
   const std::string& name() const { return name_; }
 
  private:
+  struct Routes {
+    PacketHandler* site = nullptr;
+    PacketHandler* ctl = nullptr;  // CtlAddress(site) only
+  };
+
   std::string name_;
-  std::unordered_map<Address, PacketHandler*> by_address_;
-  std::unordered_map<SiteId, PacketHandler*> by_site_;
+  std::vector<Routes> routes_;  // indexed by SiteId
   uint64_t unroutable_ = 0;
 };
 

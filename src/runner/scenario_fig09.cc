@@ -22,7 +22,6 @@
 
 #include "src/metrics/fct.h"
 #include "src/runner/builtin_scenarios.h"
-#include "src/runner/ideal_fct.h"
 #include "src/topo/scenario.h"
 #include "src/util/check.h"
 
@@ -49,7 +48,7 @@ TrialResult RunTrial(const FctVariant& var, const TrialPoint& point, Simulator* 
   e.Run();
 
   IdealFctFn ideal_fn =
-      SharedIdealFctFn(cfg.net.bottleneck_rate, cfg.net.rtt, HostCcType::kCubic);
+      IdealFct(cfg.net.bottleneck_rate, cfg.net.rtt, HostCcType::kCubic);
   TimePoint warmup_end = TimePoint::Zero() + cfg.warmup;
 
   const std::pair<const char*, RequestFilter> buckets[] = {

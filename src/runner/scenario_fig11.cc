@@ -7,7 +7,6 @@
 // (BasicDelay) rate control, at no long-term throughput cost.
 #include "src/metrics/fct.h"
 #include "src/runner/builtin_scenarios.h"
-#include "src/runner/ideal_fct.h"
 #include "src/topo/scenario.h"
 #include "src/util/check.h"
 
@@ -43,7 +42,7 @@ TrialResult RunTrial(const TrialPoint& point, Simulator* sim) {
   Experiment e(sim, cfg);
   e.Run();
 
-  IdealFctFn ideal_fn = SharedIdealFctFn(cfg.net.bottleneck_rate, cfg.net.rtt, cfg.host_cc);
+  IdealFctFn ideal_fn = IdealFct(cfg.net.bottleneck_rate, cfg.net.rtt, cfg.host_cc);
   QuantileEstimator q = e.fct()->Slowdowns(ideal_fn, e.MeasuredRequests());
 
   TrialResult r;

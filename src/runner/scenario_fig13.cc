@@ -8,7 +8,6 @@
 
 #include "src/metrics/fct.h"
 #include "src/runner/builtin_scenarios.h"
-#include "src/runner/ideal_fct.h"
 #include "src/topo/scenario.h"
 #include "src/util/check.h"
 
@@ -34,7 +33,7 @@ TrialResult RunTrial(const TrialPoint& point, Simulator* sim) {
   Experiment e(sim, cfg);
   e.Run();
 
-  IdealFctFn ideal_fn = SharedIdealFctFn(cfg.net.bottleneck_rate, cfg.net.rtt, cfg.host_cc);
+  IdealFctFn ideal_fn = IdealFct(cfg.net.bottleneck_rate, cfg.net.rtt, cfg.host_cc);
 
   TrialResult r;
   for (int b = 0; b < 2; ++b) {

@@ -13,7 +13,6 @@
 
 #include "src/metrics/fct.h"
 #include "src/runner/builtin_scenarios.h"
-#include "src/runner/ideal_fct.h"
 #include "src/topo/scenario.h"
 #include "src/util/check.h"
 
@@ -43,7 +42,7 @@ TrialResult RunTrial(const TrialPoint& point, Simulator* sim) {
   // paper: the proxy's pinned window changes the loaded run, not the
   // reference.
   IdealFctFn ideal_fn =
-      SharedIdealFctFn(cfg.net.bottleneck_rate, cfg.net.rtt, HostCcType::kCubic);
+      IdealFct(cfg.net.bottleneck_rate, cfg.net.rtt, HostCcType::kCubic);
   TimePoint warmup_end = TimePoint::Zero() + cfg.warmup;
 
   const std::pair<const char*, RequestFilter> buckets[] = {

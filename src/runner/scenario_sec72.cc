@@ -19,8 +19,8 @@
 #include "src/app/workload.h"
 #include "src/metrics/fct.h"
 #include "src/runner/builtin_scenarios.h"
-#include "src/runner/ideal_fct.h"
 #include "src/topo/dumbbell.h"
+#include "src/topo/scenario.h"
 #include "src/transport/udp_pingpong.h"
 #include "src/util/check.h"
 
@@ -87,7 +87,7 @@ TrialResult RunPriority(bool bundler_on, const TrialPoint& point, Simulator* sim
   StartTcpFlow(net.flows(), net.server(), net.client(), bulk, nullptr);
   sim->RunUntil(Sec(60));
 
-  IdealFctFn ideal = SharedIdealFctFn(kRate, kRtt, HostCcType::kCubic);
+  IdealFctFn ideal = IdealFct(kRate, kRtt, HostCcType::kCubic);
   RequestFilter measured;
   measured.min_start = Sec(10);
   QuantileEstimator high_q = high_fct.Slowdowns(ideal, measured);

@@ -1,5 +1,6 @@
 #include "src/topo/net_builder.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <deque>
 #include <unordered_map>
@@ -151,8 +152,8 @@ NetBuilder::BundleId NetBuilder::AddBundle(const BundleSpec& spec) {
                       "owns its site's sendbox; declare tenants on both to "
                       "multiplex them through one SendboxManager)",
                       nodes_[static_cast<size_t>(spec.src_site)].name.c_str());
-    // Control addresses are (site, kBundlerCtlHost): a shared destination
-    // site would give both receiveboxes the same self_ctl_addr, and the
+    // A receivebox's control address is CtlAddress(dst site): a shared
+    // destination site would give both receiveboxes the same one, and the
     // first on the path would consume the other bundle's epoch updates.
     BUNDLER_CHECK_MSG(other.dst_site != spec.dst_site,
                       "two bundles terminate at site '%s'; their receiveboxes would "
@@ -361,7 +362,14 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
 
   std::unique_ptr<Net> net(new Net(sims));
 
-  // --- Phase 1: nodes (passive). ---
+  // --- Phase 1: nodes (passive). Every router's route table spans the
+  // declared site ids. ---
+  size_t num_site_ids = 0;
+  for (const NodeDecl& node : nodes_) {
+    if (node.kind == NodeKind::kSite) {
+      num_site_ids = std::max(num_site_ids, static_cast<size_t>(node.site) + 1);
+    }
+  }
   net->hosts_.resize(nodes_.size());
   net->routers_.resize(nodes_.size());
   for (size_t n = 0; n < nodes_.size(); ++n) {
@@ -371,7 +379,7 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
                                               MakeAddress(node.site, kSiteHost),
                                               /*egress=*/nullptr);
     } else {
-      net->routers_[n] = std::make_unique<Router>(node.name);
+      net->routers_[n] = std::make_unique<Router>(node.name, num_site_ids);
     }
   }
   auto node_entry = [&](NodeId n) -> PacketHandler* {
@@ -440,19 +448,14 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
   }
   for (size_t b = bundles_.size(); b-- > 0;) {
     const BundleSpec& bundle = bundles_[b];
-    const NodeDecl& src = nodes_[static_cast<size_t>(bundle.src_site)];
-    const NodeDecl& dst = nodes_[static_cast<size_t>(bundle.dst_site)];
-    Receivebox::Config rc;
-    rc.bundle_src_site = src.site;
-    rc.bundle_dst_site = dst.site;
-    rc.self_ctl_addr = MakeAddress(dst.site, kBundlerCtlHost);
-    rc.sendbox_ctl_addr = MakeAddress(src.site, kBundlerCtlHost);
-    rc.initial_epoch_pkts = bundle.sendbox.initial_epoch_pkts;
     size_t e = static_cast<size_t>(bundle.ingress_edge);
     // The receivebox executes where its ingress edge delivers; the partition
     // keeps the whole bundle path in one group, so `from` == `to`'s group.
     net->receiveboxes_[b] = std::make_unique<Receivebox>(
-        sim_of(edges_[e].to), rc, /*forward=*/delivery[e], /*reverse=*/nullptr);
+        sim_of(edges_[e].to), nodes_[static_cast<size_t>(bundle.src_site)].site,
+        nodes_[static_cast<size_t>(bundle.dst_site)].site,
+        bundle.sendbox.initial_epoch_pkts, /*forward=*/delivery[e],
+        /*reverse=*/nullptr);
     delivery[e] = net->receiveboxes_[b].get();
   }
 
@@ -520,17 +523,6 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
   // order fixes the event-id assignment and with it byte-level determinism.
   // A site's FIRST bundle constructs the site's manager with every bundle the
   // site declares (all later ones are already covered). ---
-  // Completes the builder-filled fields of a bundle's control config.
-  auto control_config = [&](const BundleSpec& bundle) {
-    BundleControlConfig control = bundle.sendbox;
-    const NodeDecl& src = nodes_[static_cast<size_t>(bundle.src_site)];
-    const NodeDecl& dst = nodes_[static_cast<size_t>(bundle.dst_site)];
-    control.local_site = src.site;
-    control.remote_site = dst.site;
-    control.ctl_addr = MakeAddress(src.site, kBundlerCtlHost);
-    control.receivebox_ctl_addr = MakeAddress(dst.site, kBundlerCtlHost);
-    return control;
-  };
   auto build_manager = [&](NodeId site_node) {
     const NodeDecl& src = nodes_[static_cast<size_t>(site_node)];
     SendboxManager::Policy policy;
@@ -560,6 +552,7 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
       if (bundle.src_site != site_node) {
         continue;
       }
+      const SiteId remote = nodes_[static_cast<size_t>(bundle.dst_site)].site;
       if (bundle.tenant.empty()) {
         // The site's only bundle (validated): its sendbox config is the
         // whole site policy. The site bucket runs at max_rate, which the
@@ -575,16 +568,15 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
                     return MakeScheduler(type, limit);
                   };
         SendboxManager::TenantPolicy tenant;
-        tenant.name = "s" + std::to_string(src.site) + "-s" +
-                      std::to_string(
-                          nodes_[static_cast<size_t>(bundle.dst_site)].site);
+        tenant.name = BundleName(src.site, remote);
         tenant.committed_rate = Rate::Zero();  // always admitted
         site_tenants.push_back(tenant);
       }
       SendboxManager::BundleDecl decl;
       decl.tenant = bundle.tenant.empty() ? 0 : tenant_index(bundle.tenant);
       decl.class_weight = bundle.class_weight;
-      decl.control = control_config(bundle);
+      decl.remote_site = remote;
+      decl.control = bundle.sendbox;
       net->bundle_slot_[b] = {site_node, static_cast<int>(decls.size())};
       decls.push_back(std::move(decl));
     }
@@ -593,9 +585,7 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
         std::make_unique<SendboxManager>(
             sim_of(site_node), policy, std::move(site_tenants),
             std::move(decls), src.site,
-            MakeAddress(src.site, kBundlerCtlHost),
-            net->edge_entries_[static_cast<size_t>(egress)],
-            "s" + std::to_string(src.site));
+            net->edge_entries_[static_cast<size_t>(egress)]);
   };
   net->managers_.resize(nodes_.size());
   net->bundle_slot_.assign(bundles_.size(), {-1, -1});
@@ -720,11 +710,10 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
         "out-of-band feedback loop cannot close",
         b, dst.name.c_str(), src.name.c_str());
 
-    // Feedback addressed to the sendbox control address must reach the
-    // site's manager (which fans feedback out to the owning controller), not
-    // the source host: rewrite the final-hop routers. Bundles of one site
-    // share the address and the target, so re-registration is a no-op.
-    Address ctl = MakeAddress(src.site, kBundlerCtlHost);
+    // Feedback addressed to CtlAddress(src site) must reach the site's
+    // manager (which fans feedback out to the owning controller), not the
+    // source host: the final-hop routers hand it over (see net_builder.h).
+    // Bundles of one site share the target, so re-registration is a no-op.
     PacketHandler* ctl_sink =
         net->managers_[static_cast<size_t>(bundle.src_site)].get();
     for (size_t r = 0; r < nodes_.size(); ++r) {
@@ -733,7 +722,7 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
       }
       EdgeId e = first_hop[r][static_cast<size_t>(bundle.src_site)];
       if (e >= 0 && edges_[static_cast<size_t>(e)].to == bundle.src_site) {
-        net->routers_[r]->AddAddressRoute(ctl, ctl_sink);
+        net->routers_[r]->AddCtlRoute(src.site, ctl_sink);
       }
     }
 

@@ -5,10 +5,14 @@
 // validates the graph (dangling endpoints, duplicate sites, missing egress,
 // bundles whose feedback loop cannot close -> CHECK with a readable message)
 // and materializes hosts, routing tables, reverse paths, and per-bundle
-// plumbing. The paper's dumbbell (topo/dumbbell.h) and WAN paths
-// (topo/internet.h) are thin presets over this builder; new shapes
-// (asymmetric reverse paths, fat trees, ...) are a few declarations instead
-// of bespoke constructor plumbing.
+// plumbing. Routing is per destination site, except that every router
+// whose next hop is a bundle's source site hands CtlAddress(src) traffic
+// (the receivebox's feedback) straight to the site's SendboxManager: the
+// feedback skips the final edge into the site, which is free over a wire
+// but drops a link's delay from the controller's RTT. The paper's dumbbell
+// (topo/dumbbell.h) and WAN paths (topo/internet.h) are thin presets over
+// this builder; new shapes (asymmetric reverse paths, fat trees, ...) are a
+// few declarations instead of bespoke constructor plumbing.
 //
 // Determinism contract: Build materializes the only event-scheduling
 // components, the sendbox managers, in declaration order, so two builders
@@ -37,8 +41,6 @@
 
 namespace bundler {
 
-// Host number used for Bundler out-of-band control addresses within a site.
-inline constexpr uint16_t kBundlerCtlHost = 0xFFFE;
 // Host number of the one endpoint host a site node materializes.
 inline constexpr uint16_t kSiteHost = 1;
 
@@ -67,7 +69,8 @@ class NetBuilder {
   // A sendbox-receivebox pair. The sendbox (a SendboxManager) interposes on
   // `src_site`'s egress edge; the receivebox interposes at the delivery end
   // of `ingress_edge` (which must lie on the forward route from src to dst).
-  // Site and address fields of `sendbox` are filled in by the builder.
+  // Both boxes derive their control addresses and the bundle's name from the
+  // two sites (CtlAddress, BundleName).
   //
   // With `tenant` empty the site may originate only this one bundle and gets
   // a single-tenant manager built from `sendbox`: one tenant named by the

@@ -1,42 +1,51 @@
 #include "src/topo/scenario.h"
 
+#include <map>
+#include <mutex>
+#include <tuple>
 #include <utility>
 
 #include "src/util/check.h"
 
 namespace bundler {
 
-IdealFctCache::IdealFctCache(Rate bottleneck_rate, TimeDelta rtt, HostCcType host_cc)
-    : rate_(bottleneck_rate), rtt_(rtt), cc_(host_cc) {}
-
-TimeDelta IdealFctCache::Get(int64_t size_bytes) {
-  auto it = cache_.find(size_bytes);
-  if (it != cache_.end()) {
-    return it->second;
-  }
-  Simulator sim;
-  DumbbellConfig cfg;
-  cfg.bottleneck_rate = rate_;
-  cfg.rtt = rtt_;
-  cfg.bundler_enabled = false;
-  Dumbbell net(&sim, cfg);
-  FctRecorder fct;
-  IssueSingleRequest(&sim, net.flows(), net.server(), net.client(), size_bytes, cc_, &fct);
-  // An unloaded flow completes in well under (transfer + slow start) time;
-  // cap generously.
-  TimeDelta cap = rate_.TransmitTime(size_bytes * 2) + rtt_ * 200.0 + TimeDelta::Seconds(5);
-  sim.RunUntil(TimePoint::Zero() + cap);
-  BUNDLER_CHECK_MSG(fct.completed() == 1, "ideal FCT flow of %lld bytes did not complete",
-                    static_cast<long long>(size_bytes));
-  TimeDelta ideal = fct.Fcts().Quantile(0.5) > 0
-                        ? TimeDelta::SecondsF(fct.Fcts().Quantile(0.5))
-                        : TimeDelta::Millis(1);
-  cache_[size_bytes] = ideal;
-  return ideal;
-}
-
-IdealFctFn IdealFctCache::Fn() {
-  return [this](int64_t size) { return Get(size); };
+IdealFctFn IdealFct(Rate bottleneck_rate, TimeDelta rtt, HostCcType host_cc) {
+  return [bottleneck_rate, rtt, host_cc](int64_t size_bytes) {
+    using Key = std::tuple<double, int64_t, int, int64_t>;
+    // Function-local guard for the process-wide memo below; nothing to
+    // GUARDED_BY-annotate at namespace scope.
+    static std::mutex mu;  // lint:allow(raw-mutex)
+    static std::map<Key, TimeDelta>* memo = new std::map<Key, TimeDelta>();
+    const Key key{bottleneck_rate.bps(), rtt.nanos(), static_cast<int>(host_cc),
+                  size_bytes};
+    std::lock_guard<std::mutex> lock(mu);
+    auto it = memo->find(key);
+    if (it != memo->end()) {
+      return it->second;
+    }
+    Simulator sim;
+    DumbbellConfig cfg;
+    cfg.bottleneck_rate = bottleneck_rate;
+    cfg.rtt = rtt;
+    cfg.bundler_enabled = false;
+    Dumbbell net(&sim, cfg);
+    FctRecorder fct;
+    IssueSingleRequest(&sim, net.flows(), net.server(), net.client(), size_bytes,
+                       host_cc, &fct);
+    // An unloaded flow completes in well under (transfer + slow start) time;
+    // cap generously.
+    TimeDelta cap = bottleneck_rate.TransmitTime(size_bytes * 2) + rtt * 200.0 +
+                    TimeDelta::Seconds(5);
+    sim.RunUntil(TimePoint::Zero() + cap);
+    BUNDLER_CHECK_MSG(fct.completed() == 1,
+                      "ideal FCT flow of %lld bytes did not complete",
+                      static_cast<long long>(size_bytes));
+    TimeDelta ideal = fct.Fcts().Quantile(0.5) > 0
+                          ? TimeDelta::SecondsF(fct.Fcts().Quantile(0.5))
+                          : TimeDelta::Millis(1);
+    memo->emplace(key, ideal);
+    return ideal;
+  };
 }
 
 ExperimentConfig PaperExperimentDefaults(bool bundler_on, uint64_t seed) {

@@ -1,11 +1,10 @@
 // Experiment glue shared by runner scenarios, examples, and integration
 // tests: one run's dumbbell, workloads and FCT recording, built into a
-// caller's simulator, and the unloaded-network ideal FCT cache that slowdown
+// caller's simulator, and the unloaded-network ideal FCT that slowdown
 // metrics divide by.
 #ifndef SRC_TOPO_SCENARIO_H_
 #define SRC_TOPO_SCENARIO_H_
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -15,21 +14,14 @@
 
 namespace bundler {
 
-// Ideal (unloaded network) FCT per request size, measured by simulating a
-// single flow on an idle copy of the network with the Bundler disabled.
-class IdealFctCache {
- public:
-  IdealFctCache(Rate bottleneck_rate, TimeDelta rtt, HostCcType host_cc);
-
-  TimeDelta Get(int64_t size_bytes);
-  IdealFctFn Fn();
-
- private:
-  Rate rate_;
-  TimeDelta rtt_;
-  HostCcType cc_;
-  std::map<int64_t, TimeDelta> cache_;
-};
+// Ideal (unloaded network) FCT per request size on a dumbbell of
+// `bottleneck_rate` and `rtt`, measured by simulating a single `host_cc`
+// flow on an idle copy of the network with the Bundler disabled. One
+// process-wide memo keyed by (rate, rtt, host CC, size) holds every value,
+// so each is simulated once per process however many trials, threads or
+// functions ask; lookups serialize on one mutex, and since values are
+// deterministic, sharing them cannot change results.
+IdealFctFn IdealFct(Rate bottleneck_rate, TimeDelta rtt, HostCcType host_cc);
 
 struct ExperimentConfig {
   DumbbellConfig net;

@@ -34,12 +34,12 @@ ExperimentConfig BaseScenario(bool bundler_on) {
   return cfg;
 }
 
-double MedianSlowdown(Experiment& e, IdealFctCache& ideal) {
-  return e.fct()->Slowdowns(ideal.Fn(), e.MeasuredRequests()).Median();
+double MedianSlowdown(Experiment& e, const IdealFctFn& ideal) {
+  return e.fct()->Slowdowns(ideal, e.MeasuredRequests()).Median();
 }
 
 TEST(IntegrationTest, BundlerSfqBeatsStatusQuoMedianSlowdown) {
-  IdealFctCache ideal(Rate::Mbps(24), TimeDelta::Millis(50), HostCcType::kCubic);
+  IdealFctFn ideal = IdealFct(Rate::Mbps(24), TimeDelta::Millis(50), HostCcType::kCubic);
 
   Simulator status_quo_sim;
   Experiment status_quo(&status_quo_sim, BaseScenario(false));
@@ -60,7 +60,7 @@ TEST(IntegrationTest, BundlerSfqBeatsStatusQuoMedianSlowdown) {
 }
 
 TEST(IntegrationTest, InNetworkFqIsTheUpperBound) {
-  IdealFctCache ideal(Rate::Mbps(24), TimeDelta::Millis(50), HostCcType::kCubic);
+  IdealFctFn ideal = IdealFct(Rate::Mbps(24), TimeDelta::Millis(50), HostCcType::kCubic);
   ExperimentConfig cfg = BaseScenario(false);
   cfg.net.in_network_fq = true;
   Simulator in_network_sim;
@@ -78,7 +78,7 @@ TEST(IntegrationTest, InNetworkFqIsTheUpperBound) {
 }
 
 TEST(IntegrationTest, ShortFlowsGainTheMost) {
-  IdealFctCache ideal(Rate::Mbps(24), TimeDelta::Millis(50), HostCcType::kCubic);
+  IdealFctFn ideal = IdealFct(Rate::Mbps(24), TimeDelta::Millis(50), HostCcType::kCubic);
   Simulator status_quo_sim;
   Experiment status_quo(&status_quo_sim, BaseScenario(false));
   status_quo.Run();
@@ -88,8 +88,8 @@ TEST(IntegrationTest, ShortFlowsGainTheMost) {
 
   RequestFilter small = RequestFilter::SmallFlows();
   small.min_start = Sec(4);
-  double sq_small = status_quo.fct()->Slowdowns(ideal.Fn(), small).Median();
-  double bd_small = with_bundler.fct()->Slowdowns(ideal.Fn(), small).Median();
+  double sq_small = status_quo.fct()->Slowdowns(ideal, small).Median();
+  double bd_small = with_bundler.fct()->Slowdowns(ideal, small).Median();
   EXPECT_LT(bd_small, sq_small);
 }
 

@@ -3,11 +3,13 @@
 // plumbing on hand-declared graphs, byte-identity between a hand-declared
 // dumbbell and the Dumbbell preset on a fig09-style workload, a
 // parking-lot smoke test asserting per-hop queue monitors see the expected
-// bottleneck, and the site-pair packet filters monitors attach with.
+// bottleneck, the site-pair packet filters monitors attach with, and a
+// router's site and control routes.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/app/workload.h"
@@ -459,6 +461,42 @@ TEST(LinkMonitorTest, PacketFilterSelectsSitePairData) {
   EXPECT_EQ(from1_to2.total_bytes(), 1000);    // no site 3 destination
   EXPECT_EQ(delay_1_to_2.delay_ms().size(), 1u);
   EXPECT_EQ(delivered, 4);  // filters select what monitors see, not what flows
+}
+
+// A router forwards by destination site, sends CtlAddress(site) to the
+// site's control route when one is set, and counts what it cannot route.
+TEST(RouterTest, RoutesBySiteAndControlAddress) {
+  std::vector<Address> site_hops;
+  std::vector<Address> ctl_hops;
+  LambdaHandler site_next(
+      [&site_hops](Packet pkt) { site_hops.push_back(pkt.key.dst); });
+  LambdaHandler ctl_next(
+      [&ctl_hops](Packet pkt) { ctl_hops.push_back(pkt.key.dst); });
+  Router router("r", /*num_sites=*/8);
+  router.AddSiteRoute(2, &site_next);
+  router.AddSiteRoute(3, &site_next);
+  router.AddCtlRoute(2, &ctl_next);
+  auto to = [&router](Address dst) {
+    Packet pkt;
+    pkt.key.dst = dst;
+    router.HandlePacket(std::move(pkt));
+  };
+
+  to(MakeAddress(2, kSiteHost));  // a host: the site route
+  to(CtlAddress(2));              // the control route
+  to(CtlAddress(3));              // no control route: the site route
+  EXPECT_EQ(site_hops,
+            (std::vector<Address>{MakeAddress(2, kSiteHost), CtlAddress(3)}));
+  EXPECT_EQ(ctl_hops, std::vector<Address>{CtlAddress(2)});
+  EXPECT_EQ(router.unroutable(), 0u);
+
+  to(MakeAddress(5, kSiteHost));  // a site in the table without a route
+  to(CtlAddress(5));
+  to(MakeAddress(8, kSiteHost));  // site ids at and past the table size
+  to(CtlAddress(300));
+  EXPECT_EQ(router.unroutable(), 4u);
+  EXPECT_EQ(site_hops.size(), 2u);
+  EXPECT_EQ(ctl_hops.size(), 1u);
 }
 
 }  // namespace

@@ -137,10 +137,10 @@ TEST(QueueMemoryTest, DrrBurstsOverManyNewFlowsAllocateNothingOnceWarm) {
 
 TEST(QueueMemoryTest, SiteEgressSetUpAllocatesPerBundleNotPerSlot) {
   Simulator sim;
-  SiteEgress::Config cfg;
+  SitePolicy cfg;
   cfg.aggregate_rate = Rate::Mbps(200);
   cfg.per_bundle_queue_pkts = 512;
-  std::vector<SiteEgress::TenantSpec> tenants;
+  std::vector<TenantPolicy> tenants;
   for (int t = 0; t < 50; ++t) {
     tenants.push_back({"t" + std::to_string(t), 1, 1.0});
   }
@@ -203,9 +203,9 @@ TEST(QueueMemoryTest, SteadyChurnOnSiteEgressFifoBundlesAllocatesNothing) {
   // Four tenants over two priority bands, and 8 bundles of two class
   // weights.
   Simulator sim;
-  SiteEgress::Config cfg;
+  SitePolicy cfg;
   cfg.aggregate_rate = Rate::Gbps(24);
-  std::vector<SiteEgress::TenantSpec> tenants;
+  std::vector<TenantPolicy> tenants;
   tenants.push_back({"t0", 0, 1.0});
   tenants.push_back({"t1", 1, 1.0});
   tenants.push_back({"t2", 1, 3.0});

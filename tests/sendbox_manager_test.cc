@@ -31,20 +31,10 @@ struct Sink : PacketHandler {
   void HandlePacket(Packet pkt) override { pkts.push_back(std::move(pkt)); }
 };
 
-// A managed bundle's control config as NetBuilder would fill it in.
-BundleControlConfig ControlFor(SiteId local, SiteId remote) {
-  BundleControlConfig c;
-  c.local_site = local;
-  c.remote_site = remote;
-  c.ctl_addr = MakeAddress(local, kBundlerCtlHost);
-  c.receivebox_ctl_addr = MakeAddress(remote, kBundlerCtlHost);
-  return c;
-}
-
 SendboxManager::BundleDecl Decl(size_t tenant, SiteId remote) {
   SendboxManager::BundleDecl d;
   d.tenant = tenant;
-  d.control = ControlFor(/*local=*/1, remote);
+  d.remote_site = remote;
   return d;
 }
 
@@ -59,8 +49,7 @@ TEST(SendboxManagerTest, AdmitsUpToBundleCapThenRejects) {
   tenants[0].name = "t";
   std::vector<SendboxManager::BundleDecl> decls = {Decl(0, 10), Decl(0, 11),
                                                    Decl(0, 12)};
-  SendboxManager mgr(&sim, policy, tenants, decls, /*local_site=*/1,
-                     MakeAddress(1, kBundlerCtlHost), &sink, "mgr");
+  SendboxManager mgr(&sim, policy, tenants, decls, /*local_site=*/1, &sink);
 
   EXPECT_TRUE(mgr.admitted(0));
   EXPECT_TRUE(mgr.admitted(1));
@@ -71,9 +60,9 @@ TEST(SendboxManagerTest, AdmitsUpToBundleCapThenRejects) {
   EXPECT_NE(mgr.controller(0), nullptr);
   EXPECT_EQ(mgr.controller(2), nullptr);
   // The admission verdict is also visible through the counters registry.
-  EXPECT_EQ(*sim.counters().Counter("admit.mgr.admitted"), 2u);
-  EXPECT_EQ(*sim.counters().Counter("admit.mgr.rejected_cap"), 1u);
-  EXPECT_EQ(*sim.counters().Counter("admit.mgr.rejected_budget"), 0u);
+  EXPECT_EQ(*sim.counters().Counter("admit.s1.admitted"), 2u);
+  EXPECT_EQ(*sim.counters().Counter("admit.s1.rejected_cap"), 1u);
+  EXPECT_EQ(*sim.counters().Counter("admit.s1.rejected_budget"), 0u);
 }
 
 TEST(SendboxManagerTest, RejectsWhenCommittedRatesExceedBudget) {
@@ -88,14 +77,13 @@ TEST(SendboxManagerTest, RejectsWhenCommittedRatesExceedBudget) {
   // 4 + 4 fits the 10 Mbit/s budget; the third bundle would commit 12.
   std::vector<SendboxManager::BundleDecl> decls = {Decl(0, 10), Decl(0, 11),
                                                    Decl(0, 12)};
-  SendboxManager mgr(&sim, policy, tenants, decls, 1,
-                     MakeAddress(1, kBundlerCtlHost), &sink, "mgr");
+  SendboxManager mgr(&sim, policy, tenants, decls, 1, &sink);
 
   EXPECT_TRUE(mgr.admitted(0));
   EXPECT_TRUE(mgr.admitted(1));
   EXPECT_FALSE(mgr.admitted(2));
   EXPECT_EQ(mgr.reject_cause(2), SendboxManager::RejectCause::kRateBudget);
-  EXPECT_EQ(*sim.counters().Counter("admit.mgr.rejected_budget"), 1u);
+  EXPECT_EQ(*sim.counters().Counter("admit.s1.rejected_budget"), 1u);
 }
 
 TEST(SendboxManagerTest, AdmitsExactlyFullBudget) {
@@ -109,8 +97,7 @@ TEST(SendboxManagerTest, AdmitsExactlyFullBudget) {
   tenants[0].committed_rate = Rate::Mbps(4);
   std::vector<SendboxManager::BundleDecl> decls = {Decl(0, 10), Decl(0, 11),
                                                    Decl(0, 12)};
-  SendboxManager mgr(&sim, policy, tenants, decls, 1,
-                     MakeAddress(1, kBundlerCtlHost), &sink, "mgr");
+  SendboxManager mgr(&sim, policy, tenants, decls, 1, &sink);
   EXPECT_EQ(mgr.admitted_count(), 3u);
   EXPECT_EQ(mgr.rejected_count(), 0u);
 }
@@ -123,8 +110,7 @@ TEST(SendboxManagerTest, RejectedBundlePassesThroughUnshaped) {
   std::vector<SendboxManager::TenantPolicy> tenants(1);
   tenants[0].name = "t";
   std::vector<SendboxManager::BundleDecl> decls = {Decl(0, 10), Decl(0, 11)};
-  SendboxManager mgr(&sim, policy, tenants, decls, 1,
-                     MakeAddress(1, kBundlerCtlHost), &sink, "mgr");
+  SendboxManager mgr(&sim, policy, tenants, decls, 1, &sink);
   ASSERT_FALSE(mgr.admitted(1));
 
   auto send = [&](SiteId dst, int n) {
@@ -151,13 +137,13 @@ TEST(SendboxManagerTest, RejectedBundlePassesThroughUnshaped) {
   // drop (and count) it rather than misroute it to a live controller.
   Packet fb;
   fb.type = PacketType::kBundlerFeedback;
-  fb.key.src = MakeAddress(11, kBundlerCtlHost);
-  fb.key.dst = MakeAddress(1, kBundlerCtlHost);
+  fb.key.src = CtlAddress(11);
+  fb.key.dst = CtlAddress(1);
   fb.size_bytes = 40;
   size_t before = sink.pkts.size();
   mgr.HandlePacket(std::move(fb));
   EXPECT_EQ(sink.pkts.size(), before);
-  EXPECT_EQ(*sim.counters().Counter("admit.mgr.orphan_feedback_pkts"), 1u);
+  EXPECT_EQ(*sim.counters().Counter("admit.s1.orphan_feedback_pkts"), 1u);
 }
 
 // --- One tenant, one bundle: the sendbox of every paper figure ---
@@ -171,11 +157,11 @@ struct OneBundleEgress {
   std::unique_ptr<SiteEgress> egress;
 
   explicit OneBundleEgress(Rate rate) {
-    SiteEgress::Config config;
+    SitePolicy config;
     config.bundle_qdisc_factory = [] {
       return std::make_unique<DropTailFifo>(1 << 24);
     };
-    std::vector<SiteEgress::TenantSpec> tenants = {{"t", 1, 1.0}};
+    std::vector<TenantPolicy> tenants = {{"t", 1, 1.0}};
     std::vector<SiteEgress::BundleSpec> bundles = {{0, 1.0, rate}};
     egress = std::make_unique<SiteEgress>(
         &sim, config, tenants, bundles,
@@ -238,8 +224,7 @@ TEST(SendboxManagerTest, BundleQdiscPublishesSendboxCounters) {
   };
   std::vector<SendboxManager::TenantPolicy> tenants(1);
   tenants[0].name = "t";
-  SendboxManager mgr(&sim, policy, tenants, {Decl(0, 10)}, 1,
-                     MakeAddress(1, kBundlerCtlHost), &sink, "mgr");
+  SendboxManager mgr(&sim, policy, tenants, {Decl(0, 10)}, 1, &sink);
   // A burst past the token allowance: 2 leave at once, 4 queue, 4 drop.
   for (int i = 0; i < 10; ++i) {
     Packet pkt;
@@ -258,8 +243,7 @@ TEST(SendboxManagerTest, BundleQdiscPublishesSendboxCounters) {
 
   Simulator ring_sim;
   SendboxManager ring(&ring_sim, SendboxManager::Policy(), tenants,
-                      {Decl(0, 10)}, 1, MakeAddress(1, kBundlerCtlHost), &sink,
-                      "mgr");
+                      {Decl(0, 10)}, 1, &sink);
   std::map<std::string, double> ring_ctr;
   ring_sim.counters().DumpTo(&ring_ctr, "");
   for (const auto& [name, v] : ring_ctr) {
@@ -297,12 +281,12 @@ struct RefBucket {
 
 TEST(SiteEgressTest, NestedBucketsConformToReferenceModel) {
   Simulator sim;
-  SiteEgress::Config config;
+  SitePolicy config;
   config.aggregate_rate = Rate::Mbps(50);
   config.per_bundle_queue_pkts = 4096;
   // T0: served strictly first, its one bundle bound by its own 20 Mbit/s
   // rate; T1: its bundles bound by bundle rate and the site.
-  std::vector<SiteEgress::TenantSpec> tenants = {
+  std::vector<TenantPolicy> tenants = {
       {"t0", /*priority=*/0, /*weight=*/1.0},
       {"t1", /*priority=*/1, /*weight=*/1.0},
   };
@@ -365,14 +349,14 @@ TEST(SiteEgressTest, NestedBucketsConformToReferenceModel) {
 
 TEST(SiteEgressTest, DrrSharesByWeightAcrossAndWithinTenants) {
   Simulator sim;
-  SiteEgress::Config config;
+  SitePolicy config;
   config.aggregate_rate = Rate::Mbps(50);
   config.per_bundle_queue_pkts = 4096;
   // A high-priority tenant whose one bundle is held to 10 Mbit/s (it gets
   // exactly that, strictly first) over two best-effort tenants splitting the
   // residual 1:3; tenant t2's two bundles split its share 1:2 by class
   // weight.
-  std::vector<SiteEgress::TenantSpec> tenants = {
+  std::vector<TenantPolicy> tenants = {
       {"t0", 0, 1.0},
       {"t1", 1, 1.0},
       {"t2", 1, 3.0},

@@ -131,11 +131,11 @@ TEST(FctRecorderTest, IncompleteRequestsExcluded) {
   EXPECT_TRUE(rec.Slowdowns([](int64_t) { return TimeDelta::Millis(1); }).empty());
 }
 
-TEST(IdealFctCacheTest, LargerFlowsTakeLonger) {
-  IdealFctCache cache(Rate::Mbps(96), TimeDelta::Millis(50), HostCcType::kCubic);
-  TimeDelta f10k = cache.Get(10'000);
-  TimeDelta f1m = cache.Get(1'000'000);
-  TimeDelta f10m = cache.Get(10'000'000);
+TEST(IdealFctTest, LargerFlowsTakeLonger) {
+  IdealFctFn ideal = IdealFct(Rate::Mbps(96), TimeDelta::Millis(50), HostCcType::kCubic);
+  TimeDelta f10k = ideal(10'000);
+  TimeDelta f1m = ideal(1'000'000);
+  TimeDelta f10m = ideal(10'000'000);
   EXPECT_LT(f10k, f1m);
   EXPECT_LT(f1m, f10m);
   // Small flow: at least one RTT, at most a few.
@@ -143,19 +143,19 @@ TEST(IdealFctCacheTest, LargerFlowsTakeLonger) {
   EXPECT_LE(f10k.ToMillis(), 200.0);
 }
 
-TEST(IdealFctCacheTest, LargeFlowApproachesLineRate) {
-  IdealFctCache cache(Rate::Mbps(96), TimeDelta::Millis(50), HostCcType::kCubic);
+TEST(IdealFctTest, LargeFlowApproachesLineRate) {
+  IdealFctFn ideal = IdealFct(Rate::Mbps(96), TimeDelta::Millis(50), HostCcType::kCubic);
   // 50 MB at 96 Mbit/s: serialization floor is ~4.2 s; window growth adds
   // some, but the total should be within 2x of the floor.
-  TimeDelta fct = cache.Get(50'000'000);
+  TimeDelta fct = ideal(50'000'000);
   double floor_s = 50e6 * 8 / 96e6;
   EXPECT_GT(fct.ToSeconds(), floor_s);
   EXPECT_LT(fct.ToSeconds(), 2 * floor_s);
 }
 
-TEST(IdealFctCacheTest, CachesConsistently) {
-  IdealFctCache cache(Rate::Mbps(48), TimeDelta::Millis(20), HostCcType::kCubic);
-  EXPECT_EQ(cache.Get(123'456).nanos(), cache.Get(123'456).nanos());
+TEST(IdealFctTest, CachesConsistently) {
+  IdealFctFn ideal = IdealFct(Rate::Mbps(48), TimeDelta::Millis(20), HostCcType::kCubic);
+  EXPECT_EQ(ideal(123'456).nanos(), ideal(123'456).nanos());
 }
 
 TEST(PoissonWorkloadTest, OfferedLoadMatchesConfig) {
