@@ -16,9 +16,9 @@ check. This linter enforces the source-level discipline behind them:
                         nondeterminism; simulations must use the seeded
                         bundler RNG and the simulated clock.
   datapath-std-function std::function in datapath directories (src/sim,
-                        src/net, src/qdisc, src/transport) heap-allocates
-                        non-trivial captures; use InlineFunction (fixed
-                        inline storage).
+                        src/net, src/qdisc, src/transport, src/bundler)
+                        heap-allocates non-trivial captures; use
+                        InlineFunction (fixed inline storage).
   datapath-heap-alloc   new / make_unique / make_shared / malloc in datapath
                         directories. Construction-time allocation is fine but
                         must be visibly justified with lint:allow; placement
@@ -47,7 +47,7 @@ import os
 import re
 import sys
 
-DATAPATH_DIRS = ("src/sim", "src/net", "src/qdisc", "src/transport")
+DATAPATH_DIRS = ("src/sim", "src/net", "src/qdisc", "src/transport", "src/bundler")
 
 ALLOW_RE = re.compile(r"//\s*lint:allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 

@@ -10,9 +10,10 @@
 #define SRC_BUNDLER_MEASUREMENT_H_
 
 #include <deque>
-#include <functional>
+#include <utility>
 
 #include "src/cc/cc.h"
+#include "src/sim/inline_function.h"
 #include "src/util/rate.h"
 #include "src/util/ring_buffer.h"
 #include "src/util/time.h"
@@ -67,7 +68,7 @@ class MeasurementEngine {
   uint64_t records_expired() const { return records_expired_; }
 
   // Invoked for every raw epoch sample (in-order and out-of-order).
-  void SetSampleCallback(std::function<void(const EpochSample&)> cb) {
+  void SetSampleCallback(InlineFunction<void(const EpochSample&)> cb) {
     sample_callback_ = std::move(cb);
   }
 
@@ -120,7 +121,7 @@ class MeasurementEngine {
   uint64_t feedback_ignored_ = 0;
   uint64_t records_expired_ = 0;
 
-  std::function<void(const EpochSample&)> sample_callback_;
+  InlineFunction<void(const EpochSample&)> sample_callback_;
 };
 
 }  // namespace bundler

@@ -8,17 +8,18 @@
 
 namespace bundler {
 
+// Construction time only: a bundle's qdisc is made once, when its manager is.
 std::unique_ptr<Qdisc> MakeScheduler(SchedulerType type, int64_t limit_pkts) {
   switch (type) {
     case SchedulerType::kFifo:
-      return std::make_unique<DropTailFifo>(limit_pkts * kMtuBytes);
+      return std::make_unique<DropTailFifo>(limit_pkts * kMtuBytes);  // lint:allow(datapath-heap-alloc)
     case SchedulerType::kSfq:
-      return std::make_unique<Sfq>(limit_pkts);
+      return std::make_unique<Sfq>(limit_pkts);  // lint:allow(datapath-heap-alloc)
     case SchedulerType::kFqCodel:
-      return std::make_unique<FqCodel>(limit_pkts);
+      return std::make_unique<FqCodel>(limit_pkts);  // lint:allow(datapath-heap-alloc)
     case SchedulerType::kPrio:
-      return std::make_unique<StrictPrio>(limit_pkts * kMtuBytes /
-                                          static_cast<int64_t>(StrictPrio::kNumBands));
+      return std::make_unique<StrictPrio>(  // lint:allow(datapath-heap-alloc)
+          limit_pkts * kMtuBytes / static_cast<int64_t>(StrictPrio::kNumBands));
   }
   BUNDLER_CHECK(false);
   return nullptr;

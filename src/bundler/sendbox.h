@@ -28,7 +28,9 @@ struct SendboxConfig : BundleControlConfig {
   SchedulerType scheduler = SchedulerType::kSfq;
   int64_t queue_limit_pkts = 4000;
   // Overrides `scheduler` when set (e.g. a qdisc with its own byte limit).
-  std::function<std::unique_ptr<Qdisc>()> scheduler_factory;
+  // Called once, at construction; a copyable std::function because every
+  // copy of the config (NetBuilder::BundleSpec) carries it.
+  std::function<std::unique_ptr<Qdisc>()> scheduler_factory;  // lint:allow(datapath-std-function)
 };
 
 }  // namespace bundler

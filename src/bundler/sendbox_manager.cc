@@ -91,8 +91,9 @@ SendboxManager::SendboxManager(Simulator* sim, const Policy& policy,
     decls_.push_back(state);
   }
 
-  // --- Shared data plane, then the controllers that steer it ---
-  egress_ = std::make_unique<SiteEgress>(
+  // --- Shared data plane, then the controllers that steer it (construction
+  // time only) ---
+  egress_ = std::make_unique<SiteEgress>(  // lint:allow(datapath-heap-alloc)
       sim_, policy, tenants_, std::move(admitted_specs),
       [this](size_t slot, Packet pkt) { OnBundleEgress(slot, std::move(pkt)); },
       obs_name);
@@ -111,7 +112,7 @@ SendboxManager::SendboxManager(Simulator* sim, const Policy& policy,
     slot_of_site_[remote] = decls_[i].slot;
     // Epoch ctl is 40 bytes of control plane: straight to the uplink, never
     // shaped.
-    controllers_.push_back(std::make_unique<BundleController>(
+    controllers_.push_back(std::make_unique<BundleController>(  // lint:allow(datapath-heap-alloc)
         sim_, decl.control, local_site_, remote, egress_handler_));
     if (const Qdisc* q =
             egress_->bundle_qdisc(static_cast<size_t>(decls_[i].slot))) {

@@ -18,7 +18,9 @@
 // publishes that qdisc's counters as qdisc.sendbox.<BundleName>.*.
 //
 // Everything the manager addresses derives from its site and each bundle's
-// remote site: feedback arrives at CtlAddress(local_site), and each
+// remote site: feedback arrives at CtlAddress(local_site), routed like any
+// packet into the site, whose host hands it to the manager (NetBuilder sets
+// the manager as the host's control handler, Host::set_ctl), and each
 // controller derives its bundle's name and control addresses from the pair.
 // Demultiplexing is allocation-free: every per-bundle lookup is a flat
 // remote-site -> slot table index (a bundle's destination site keys both its
@@ -69,8 +71,9 @@ class SendboxManager : public PacketHandler {
   SendboxManager(const SendboxManager&) = delete;
   SendboxManager& operator=(const SendboxManager&) = delete;
 
-  // Site-side ingress: bundle data (queued into the hierarchy), returning
-  // feedback (demuxed to the owning controller), everything else forwarded.
+  // Site-side ingress, from the site's host: its outgoing bundle data
+  // (queued into the hierarchy), the feedback it received (demuxed to the
+  // owning controller), everything else forwarded.
   void HandlePacket(Packet pkt) override;
 
   // --- Introspection (indices are bundle DECLARATION order) ---

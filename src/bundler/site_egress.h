@@ -55,8 +55,10 @@ struct SitePolicy {
   // (operator-chosen scheduling *inside* the bundle, e.g. SFQ so short
   // requests bypass bulk — the SendboxConfig default) instead of a drop-tail
   // FIFO in the egress's shared packet pool. The FIFO stays the default: it
-  // is the zero-allocation datapath the scheduler-churn bench gates.
-  std::function<std::unique_ptr<Qdisc>()> bundle_qdisc_factory;
+  // is the zero-allocation datapath the scheduler-churn bench gates. Called
+  // once per bundle, at construction; a std::function because NetBuilder
+  // copies the declared policy into each manager it builds.
+  std::function<std::unique_ptr<Qdisc>()> bundle_qdisc_factory;  // lint:allow(datapath-std-function)
 
   int max_bundles = 256;  // concurrent-bundle admission cap
   // Aggregate committed-rate budget for admission; zero = aggregate_rate.

@@ -1,10 +1,7 @@
 // Static router with one route slot per site: a packet goes to its
-// destination site's route, except that a packet to CtlAddress(site) takes
-// the site's control route when one is set. NetBuilder sets one on every
-// router whose next hop is a bundle's source site, pointing at the site's
-// SendboxManager, so feedback skips the final edge into the site (over a
-// link, the controller's RTT loses that link's delay). A site without a
-// route, or a site id past the table, is counted as unroutable.
+// destination site's route, control traffic to CtlAddress(site) included. A
+// site without a route, or a site id past the table, is counted as
+// unroutable.
 #ifndef SRC_NET_ROUTER_H_
 #define SRC_NET_ROUTER_H_
 
@@ -22,7 +19,6 @@ class Router : public PacketHandler {
       : name_(std::move(name)), routes_(num_sites) {}
 
   void AddSiteRoute(SiteId site, PacketHandler* next);
-  void AddCtlRoute(SiteId site, PacketHandler* next);
 
   void HandlePacket(Packet pkt) override;
 
@@ -30,13 +26,8 @@ class Router : public PacketHandler {
   const std::string& name() const { return name_; }
 
  private:
-  struct Routes {
-    PacketHandler* site = nullptr;
-    PacketHandler* ctl = nullptr;  // CtlAddress(site) only
-  };
-
   std::string name_;
-  std::vector<Routes> routes_;  // indexed by SiteId
+  std::vector<PacketHandler*> routes_;  // indexed by SiteId
   uint64_t unroutable_ = 0;
 };
 

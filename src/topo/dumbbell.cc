@@ -60,7 +60,7 @@ NetBuilder DumbbellBuilder(const DumbbellConfig& config, DumbbellGraph* graph) {
                                      bottleneck_router, edge_spec,
                                      "edge" + std::to_string(i)));
   }
-  b.AddLink(g.cross_server, bottleneck_router, edge_spec, "cross_edge");
+  g.cross_edge = b.AddLink(g.cross_server, bottleneck_router, edge_spec, "cross_edge");
 
   if (config.num_paths == 1) {
     NetBuilder::LinkSpec bn;

@@ -61,6 +61,7 @@ struct DumbbellGraph {
   NetBuilder::NodeId cross_client = -1;
   NetBuilder::EdgeId bottleneck = -1;
   std::vector<NetBuilder::EdgeId> edge_links;  // per-bundle server -> bottleneck router
+  NetBuilder::EdgeId cross_edge = -1;          // cross server -> bottleneck router
   NetBuilder::NodeId reverse_agg = -1;  // entry router of the shared reverse path
   // The shared fat reverse link (ACKs + Bundler feedback). Fault scenarios
   // attach ctl-targeted profiles here via NetBuilder::AddFaultProfile.

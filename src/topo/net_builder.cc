@@ -450,7 +450,7 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
     const BundleSpec& bundle = bundles_[b];
     size_t e = static_cast<size_t>(bundle.ingress_edge);
     // The receivebox executes where its ingress edge delivers; the partition
-    // keeps the whole bundle path in one group, so `from` == `to`'s group.
+    // keeps both ends of that edge in one group, so `from` == `to`'s group.
     net->receiveboxes_[b] = std::make_unique<Receivebox>(
         sim_of(edges_[e].to), nodes_[static_cast<size_t>(bundle.src_site)].site,
         nodes_[static_cast<size_t>(bundle.dst_site)].site,
@@ -710,39 +710,25 @@ std::unique_ptr<Net> NetBuilder::BuildImpl(const std::vector<Simulator*>& sims,
         "out-of-band feedback loop cannot close",
         b, dst.name.c_str(), src.name.c_str());
 
-    // Feedback addressed to CtlAddress(src site) must reach the site's
-    // manager (which fans feedback out to the owning controller), not the
-    // source host: the final-hop routers hand it over (see net_builder.h).
-    // Bundles of one site share the target, so re-registration is a no-op.
-    PacketHandler* ctl_sink =
-        net->managers_[static_cast<size_t>(bundle.src_site)].get();
-    for (size_t r = 0; r < nodes_.size(); ++r) {
-      if (nodes_[r].kind != NodeKind::kRouter) {
-        continue;
-      }
-      EdgeId e = first_hop[r][static_cast<size_t>(bundle.src_site)];
-      if (e >= 0 && edges_[static_cast<size_t>(e)].to == bundle.src_site) {
-        net->routers_[r]->AddCtlRoute(src.site, ctl_sink);
-      }
-    }
-
     // Feedback is injected as if sent by the destination site.
     net->receiveboxes_[b]->set_reverse(
         net->edge_entries_[static_cast<size_t>(
             site_egress[static_cast<size_t>(bundle.dst_site)])]);
   }
 
-  // --- Phase 9: host egress (through the site's manager where one is
-  // attached). ---
+  // --- Phase 9: host egress and control. A site's manager, where one is
+  // attached, takes both the host's outgoing packets and the feedback that
+  // arrives at the host for CtlAddress(site). ---
   for (size_t n = 0; n < nodes_.size(); ++n) {
     if (nodes_[n].kind != NodeKind::kSite) {
       continue;
     }
-    PacketHandler* egress =
-        net->managers_[n] != nullptr
-            ? net->managers_[n].get()
-            : net->edge_entries_[static_cast<size_t>(site_egress[n])];
-    net->hosts_[n]->set_egress(egress);
+    SendboxManager* manager = net->managers_[n].get();
+    net->hosts_[n]->set_egress(
+        manager != nullptr
+            ? manager
+            : net->edge_entries_[static_cast<size_t>(site_egress[n])]);
+    net->hosts_[n]->set_ctl(manager);
   }
 
   return net;

@@ -5,11 +5,10 @@
 // validates the graph (dangling endpoints, duplicate sites, missing egress,
 // bundles whose feedback loop cannot close -> CHECK with a readable message)
 // and materializes hosts, routing tables, reverse paths, and per-bundle
-// plumbing. Routing is per destination site, except that every router
-// whose next hop is a bundle's source site hands CtlAddress(src) traffic
-// (the receivebox's feedback) straight to the site's SendboxManager: the
-// feedback skips the final edge into the site, which is free over a wire
-// but drops a link's delay from the controller's RTT. The paper's dumbbell
+// plumbing. Routing is per destination site, feedback included: the
+// receivebox's feedback to CtlAddress(src) crosses every edge back into the
+// source site, whose host hands it to the site's SendboxManager, so the
+// controller's RTT is the whole round trip. The paper's dumbbell
 // (topo/dumbbell.h) and WAN paths (topo/internet.h) are thin presets over
 // this builder; new shapes (asymmetric reverse paths, fat trees, ...) are a
 // few declarations instead of bespoke constructor plumbing.

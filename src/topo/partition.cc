@@ -120,25 +120,12 @@ PartitionPlan PartitionFromAssignment(const NetBuilder& b,
     const bool together = group(bundle.dst_site) == g &&
                           group(ingress.from) == g && group(ingress.to) == g;
     BUNDLER_CHECK_MSG(together,
-                      "bundle %zu spans shards: its control loop (sendbox at "
-                      "'%s', receivebox on '%s', feedback into '%s') is "
-                      "synchronous glue and must stay inside one shard",
+                      "bundle %zu spans shards: its sendbox at '%s', its "
+                      "receivebox on '%s' and its destination '%s' must stay "
+                      "inside one shard",
                       i, b.nodes_[static_cast<size_t>(bundle.src_site)].name.c_str(),
                       ingress.name.c_str(),
                       b.nodes_[static_cast<size_t>(bundle.dst_site)].name.c_str());
-    // Final-hop routers deliver sendbox control feedback with a direct call.
-    for (const NetBuilder::EdgeDecl& edge : b.edges_) {
-      if (edge.to == bundle.src_site) {
-        BUNDLER_CHECK_MSG(group(edge.from) == g,
-                          "bundle %zu: node '%s' has an edge into bundle src "
-                          "site '%s' but sits in shard %d (not %d); final-hop "
-                          "routers invoke the sendbox directly and must share "
-                          "its shard",
-                          i, b.nodes_[static_cast<size_t>(edge.from)].name.c_str(),
-                          b.nodes_[static_cast<size_t>(bundle.src_site)].name.c_str(),
-                          group(edge.from), g);
-      }
-    }
   }
 
   return plan;
@@ -162,18 +149,13 @@ PartitionPlan PartitionTopology(const NetBuilder& b) {
         break;
     }
   }
-  // The Bundler control loop couples the whole bundle path (see header).
+  // A bundle's two boxes and its destination share a shard (see header).
   for (const NetBuilder::BundleSpec& bundle : b.bundles_) {
     const NetBuilder::EdgeDecl& ingress =
         b.edges_[static_cast<size_t>(bundle.ingress_edge)];
     uf.Union(bundle.src_site, bundle.dst_site);
     uf.Union(bundle.src_site, ingress.from);
     uf.Union(bundle.src_site, ingress.to);
-    for (const NetBuilder::EdgeDecl& edge : b.edges_) {
-      if (edge.to == bundle.src_site) {
-        uf.Union(edge.from, bundle.src_site);
-      }
-    }
   }
 
   // Number groups by their lowest node id (the union-find root).

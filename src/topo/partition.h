@@ -16,10 +16,11 @@
 //     the peer's conservative lookahead, and zero lookahead cannot guarantee
 //     progress;
 //   - multipath edges: one component spanning both endpoints;
-//   - per bundle: src site, dst site, both endpoints of the ingress edge, and
-//     every node with an out-edge into the src site (final-hop routers invoke
-//     the sendbox handler directly for control feedback) — the Bundler
-//     control loop is synchronous glue spanning the whole bundle path.
+//   - per bundle: src site, dst site and both endpoints of the ingress edge.
+//     The receivebox hands its feedback straight to the dst site's egress
+//     edge, so it shares the dst site's shard; the rule keeps the sendbox
+//     there too. The feedback itself is a packet: on its way back into the
+//     src site it may cross shards like any other.
 // Everything else — plain links with positive delay — may become a shard
 // boundary; the link's propagation delay is the receiving shard's lookahead.
 #ifndef SRC_TOPO_PARTITION_H_

@@ -17,6 +17,10 @@ void Host::HandlePacket(Packet pkt) {
     handler->HandlePacket(std::move(pkt));
     return;
   }
+  if (ctl_ != nullptr && pkt.key.dst == CtlAddress(SiteOf(addr_))) {
+    ctl_->HandlePacket(std::move(pkt));
+    return;
+  }
   if (pkt.type == PacketType::kData && pkt.flow_total_pkts > 0) {
     // TIME_WAIT without per-flow state. CreateTcpFlow registers a receiver
     // before the flow's first data packet leaves, so finite-flow data with no

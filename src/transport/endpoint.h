@@ -1,5 +1,6 @@
 // End-host model. A `Host` demultiplexes incoming packets to per-flow
-// handlers and stamps outgoing packets (IP ID counter, ports). A `FlowTable`
+// handlers, hands its site's control traffic (CtlAddress) to a control
+// handler, and stamps outgoing packets (IP ID counter, ports). A `FlowTable`
 // owns the transport objects of every flow created during a scenario and
 // allocates flow ids.
 //
@@ -49,10 +50,13 @@ class Host : public PacketHandler {
  public:
   Host(Simulator* sim, Address addr, PacketHandler* egress);
 
-  // Incoming packets from the network: demux on flow id. A finite flow's
-  // data packet with no handler belongs to a completed receiver, and the host
-  // answers it with the final ACK (stateless TIME_WAIT: see endpoint.cc).
-  // Any other packet with no handler counts as unclaimed.
+  // Incoming packets from the network: demux on flow id. A packet no flow
+  // claims that is addressed to CtlAddress(this site) goes to the control
+  // handler (the site's SendboxManager, which takes its bundles' feedback);
+  // control packets carry flow id 0, and flow ids start at 1. A finite
+  // flow's data packet with no handler belongs to a completed receiver, and
+  // the host answers it with the final ACK (stateless TIME_WAIT: see
+  // endpoint.cc). Any other packet with no handler counts as unclaimed.
   void HandlePacket(Packet pkt) override;
 
   // Outgoing path: stamps the IPv4 ID (per-host counter, so retransmissions
@@ -76,11 +80,14 @@ class Host : public PacketHandler {
   Address address() const { return addr_; }
   uint64_t unclaimed_packets() const { return unclaimed_; }
   void set_egress(PacketHandler* egress) { egress_ = egress; }
+  // Null (the default) leaves control traffic unclaimed.
+  void set_ctl(PacketHandler* ctl) { ctl_ = ctl; }
 
  private:
   Simulator* sim_;
   Address addr_;
   PacketHandler* egress_;
+  PacketHandler* ctl_ = nullptr;
   FlatMap64<PacketHandler*> flows_;
   uint16_t next_port_ = 1024;
   uint16_t next_ip_id_ = 1;

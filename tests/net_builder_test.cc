@@ -1,14 +1,18 @@
 // Unit tests for the composable topology builder (src/topo/net_builder):
 // graph-validation failure cases (readable CHECK aborts), routing and bundle
-// plumbing on hand-declared graphs, byte-identity between a hand-declared
-// dumbbell and the Dumbbell preset on a fig09-style workload, a
-// parking-lot smoke test asserting per-hop queue monitors see the expected
-// bottleneck, the site-pair packet filters monitors attach with, and a
-// router's site and control routes.
+// plumbing on hand-declared graphs, feedback that crosses the link into its
+// source site, packet conservation on every link over a run, byte-identity
+// between a hand-declared dumbbell and the Dumbbell preset on a fig09-style
+// workload, a parking-lot smoke test asserting per-hop queue monitors see
+// the expected bottleneck, the site-pair packet filters monitors attach
+// with, and a router's site routes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -227,6 +231,111 @@ TEST(NetBuilderTest, RoutesAcrossTwoRoutersAndBundlePlumbingWorks) {
   EXPECT_GT(net->bundle_controller(0)->bytes_sent(), 200000);
   EXPECT_GT(net->receivebox(0)->bytes_received(), 200000);
   EXPECT_GT(net->receivebox(0)->feedback_sent(), 0u);
+}
+
+// Every packet offered to a link is queued by its qdisc or turned away, every
+// queued packet leaves by dequeue or drop or is still queued, and every
+// dequeued packet is transmitted: per link,
+//   qdisc.L.enq_pkts + link.L.drops
+//       == qdisc.L.deq_pkts + qdisc.L.drop_pkts + queued packets,
+//   link.L.tx_pkts == qdisc.L.deq_pkts.
+// `links` must be every plain link the run published counters for.
+void ExpectLinksConservePackets(Simulator* sim, Net* net,
+                                const std::vector<NetBuilder::EdgeId>& links) {
+  std::map<std::string, double> ctr;
+  sim->counters().DumpTo(&ctr, "");
+  auto value = [&ctr](const std::string& name) {
+    auto it = ctr.find(name);
+    EXPECT_NE(it, ctr.end()) << name;
+    return it == ctr.end() ? uint64_t{0} : static_cast<uint64_t>(it->second);
+  };
+  constexpr std::string_view kPrefix = "link.";
+  constexpr std::string_view kSuffix = ".tx_pkts";
+  std::vector<std::string> published;
+  for (const auto& [name, count] : ctr) {
+    if (name.starts_with(kPrefix) && name.ends_with(kSuffix)) {
+      published.push_back(
+          name.substr(kPrefix.size(), name.size() - kPrefix.size() - kSuffix.size()));
+    }
+  }
+  std::vector<std::string> checked;
+  for (NetBuilder::EdgeId e : links) {
+    Link* link = net->link(e);
+    const std::string& l = link->name();
+    checked.push_back(l);
+    const uint64_t enq = value("qdisc." + l + ".enq_pkts");
+    const uint64_t deq = value("qdisc." + l + ".deq_pkts");
+    EXPECT_GT(deq, 0u) << l << " carried nothing";
+    EXPECT_EQ(enq + value("link." + l + ".drops"),
+              deq + value("qdisc." + l + ".drop_pkts") +
+                  static_cast<uint64_t>(link->queue()->packets()))
+        << l;
+    EXPECT_EQ(value("link." + l + ".tx_pkts"), deq) << l;
+  }
+  std::sort(checked.begin(), checked.end());
+  EXPECT_EQ(checked, published);  // std::map iterates in name order
+}
+
+// A bundle's feedback crosses every edge back into its source site, so the
+// controller's RTT is the whole round trip. Here the reverse path ends in a
+// 5 ms link into the source site: src -> 0 ms access -> r1 -> 10 ms
+// bottleneck -> r2 -> wire -> dst -> 10 ms reverse -> r3 -> 5 ms -> src, a
+// 25 ms base RTT. Feedback that skipped that last link would read 20 ms.
+TEST(NetBuilderTest, FeedbackCrossesTheLinkIntoItsSourceSite) {
+  NetBuilder b;
+  NetBuilder::NodeId src = b.AddSite("src", 10);
+  NetBuilder::NodeId dst = b.AddSite("dst", 100);
+  NetBuilder::NodeId r1 = b.AddRouter("r1");
+  NetBuilder::NodeId r2 = b.AddRouter("r2");
+  NetBuilder::NodeId r3 = b.AddRouter("r3");
+  NetBuilder::EdgeId access = b.AddLink(src, r1, {}, "access");
+  NetBuilder::LinkSpec bottleneck_spec;
+  bottleneck_spec.rate = Rate::Mbps(96);
+  bottleneck_spec.delay = TimeDelta::Millis(10);
+  NetBuilder::EdgeId bottleneck = b.AddLink(r1, r2, bottleneck_spec, "bottleneck");
+  b.AddWire(r2, dst);
+  NetBuilder::LinkSpec reverse_spec;
+  reverse_spec.delay = TimeDelta::Millis(10);
+  NetBuilder::EdgeId reverse = b.AddLink(dst, r3, reverse_spec, "reverse");
+  NetBuilder::LinkSpec last_spec;
+  last_spec.delay = TimeDelta::Millis(5);
+  NetBuilder::EdgeId into_src = b.AddLink(r3, src, last_spec, "into_src");
+  NetBuilder::BundleSpec bundle;
+  bundle.src_site = src;
+  bundle.dst_site = dst;
+  bundle.ingress_edge = bottleneck;
+  b.AddBundle(bundle);
+
+  Simulator sim;
+  std::unique_ptr<Net> net = b.Build(&sim);
+  StartBulkFlows(&sim, net->flows(), net->host(src), net->host(dst), 2,
+                 HostCcType::kCubic, TimePoint::Zero());
+  sim.RunUntil(TimePoint::Zero() + TimeDelta::Seconds(3));
+
+  MeasurementEngine& meas = net->bundle_controller(0)->measurement();
+  EXPECT_GT(meas.feedback_matched(), 0u);
+  ASSERT_TRUE(meas.has_min_rtt());
+  EXPECT_GE(meas.min_rtt().ToMillis(), 25.0);
+  EXPECT_EQ(net->host(src)->unclaimed_packets(), 0u);
+  // The feedback is counted on the link into the source site too.
+  ExpectLinksConservePackets(&sim, net.get(), {access, bottleneck, reverse, into_src});
+}
+
+// Packets are conserved on every link of a bundled dumbbell that also
+// carries cross traffic.
+TEST(NetBuilderTest, EveryLinkConservesPacketsOverATrial) {
+  DumbbellConfig cfg;
+  DumbbellGraph g;
+  NetBuilder b = DumbbellBuilder(cfg, &g);
+  Simulator sim;
+  std::unique_ptr<Net> net = b.Build(&sim);
+  StartBulkFlows(&sim, net->flows(), net->host(g.servers[0]), net->host(g.clients[0]), 2,
+                 HostCcType::kCubic, TimePoint::Zero());
+  StartBulkFlows(&sim, net->flows(), net->host(g.cross_server),
+                 net->host(g.cross_client), 2, HostCcType::kCubic, TimePoint::Zero());
+  sim.RunUntil(TimePoint::Zero() + TimeDelta::Seconds(5));
+  ExpectLinksConservePackets(&sim, net.get(),
+                             {g.edge_links[0], g.cross_edge, g.bottleneck, g.reverse_link});
 }
 
 // A tenant-less bundle's sendbox is a single-tenant SendboxManager on its
@@ -463,31 +572,27 @@ TEST(LinkMonitorTest, PacketFilterSelectsSitePairData) {
   EXPECT_EQ(delivered, 4);  // filters select what monitors see, not what flows
 }
 
-// A router forwards by destination site, sends CtlAddress(site) to the
-// site's control route when one is set, and counts what it cannot route.
-TEST(RouterTest, RoutesBySiteAndControlAddress) {
-  std::vector<Address> site_hops;
-  std::vector<Address> ctl_hops;
-  LambdaHandler site_next(
-      [&site_hops](Packet pkt) { site_hops.push_back(pkt.key.dst); });
-  LambdaHandler ctl_next(
-      [&ctl_hops](Packet pkt) { ctl_hops.push_back(pkt.key.dst); });
+// A router forwards every packet by its destination site, control traffic
+// to CtlAddress(site) included, and counts what it cannot route.
+TEST(RouterTest, RoutesBySite) {
+  std::vector<Address> to_2;
+  std::vector<Address> to_3;
+  LambdaHandler next_2([&to_2](Packet pkt) { to_2.push_back(pkt.key.dst); });
+  LambdaHandler next_3([&to_3](Packet pkt) { to_3.push_back(pkt.key.dst); });
   Router router("r", /*num_sites=*/8);
-  router.AddSiteRoute(2, &site_next);
-  router.AddSiteRoute(3, &site_next);
-  router.AddCtlRoute(2, &ctl_next);
+  router.AddSiteRoute(2, &next_2);
+  router.AddSiteRoute(3, &next_3);
   auto to = [&router](Address dst) {
     Packet pkt;
     pkt.key.dst = dst;
     router.HandlePacket(std::move(pkt));
   };
 
-  to(MakeAddress(2, kSiteHost));  // a host: the site route
-  to(CtlAddress(2));              // the control route
-  to(CtlAddress(3));              // no control route: the site route
-  EXPECT_EQ(site_hops,
-            (std::vector<Address>{MakeAddress(2, kSiteHost), CtlAddress(3)}));
-  EXPECT_EQ(ctl_hops, std::vector<Address>{CtlAddress(2)});
+  to(MakeAddress(2, kSiteHost));
+  to(CtlAddress(2));  // control traffic takes its site's route
+  to(CtlAddress(3));
+  EXPECT_EQ(to_2, (std::vector<Address>{MakeAddress(2, kSiteHost), CtlAddress(2)}));
+  EXPECT_EQ(to_3, std::vector<Address>{CtlAddress(3)});
   EXPECT_EQ(router.unroutable(), 0u);
 
   to(MakeAddress(5, kSiteHost));  // a site in the table without a route
@@ -495,8 +600,8 @@ TEST(RouterTest, RoutesBySiteAndControlAddress) {
   to(MakeAddress(8, kSiteHost));  // site ids at and past the table size
   to(CtlAddress(300));
   EXPECT_EQ(router.unroutable(), 4u);
-  EXPECT_EQ(site_hops.size(), 2u);
-  EXPECT_EQ(ctl_hops.size(), 1u);
+  EXPECT_EQ(to_2.size(), 2u);
+  EXPECT_EQ(to_3.size(), 1u);
 }
 
 }  // namespace

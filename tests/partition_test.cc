@@ -153,23 +153,5 @@ TEST(PartitionDeathTest, BundleSpanningShardsDies) {
   EXPECT_DEATH(PartitionFromAssignment(b, {0, 1, 0}), "spans shards");
 }
 
-TEST(PartitionDeathTest, FinalHopRouterOutsideBundleShardDies) {
-  NetBuilder b;
-  NetBuilder::NodeId a = b.AddSite("a", 10);
-  NetBuilder::NodeId z = b.AddSite("z", 11);
-  NetBuilder::NodeId r = b.AddRouter("r");
-  NetBuilder::NodeId back = b.AddRouter("back");
-  b.AddLink(a, r, DelayedLink(), "a_r");
-  NetBuilder::EdgeId ingress = b.AddLink(r, z, DelayedLink(), "r_z");
-  b.AddLink(back, a, DelayedLink(), "back_a");  // final hop into the src site
-  NetBuilder::BundleSpec bundle;
-  bundle.src_site = a;
-  bundle.dst_site = z;
-  bundle.ingress_edge = ingress;
-  b.AddBundle(bundle);
-  EXPECT_DEATH(PartitionFromAssignment(b, {0, 0, 0, 1}),
-               "must share its shard");
-}
-
 }  // namespace
 }  // namespace bundler

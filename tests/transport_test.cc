@@ -1,10 +1,12 @@
 // Tests for the TCP-like transport: completion, throughput limits,
 // retransmission under loss and reordering, RTO behavior, backlogged flows,
-// and the UDP ping-pong application.
+// a host's hand-off of its site's control traffic, and the UDP ping-pong
+// application.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "src/app/workload.h"
 #include "src/net/link.h"
@@ -246,6 +248,51 @@ TEST(TcpFlowTest, IpIdsIncrementPerTransmission) {
   net.sim.RunUntil(TimePoint::Zero() + TimeDelta::Seconds(10));
   ASSERT_GE(ids_for_seq30.size(), 2u);
   EXPECT_NE(ids_for_seq30[0], ids_for_seq30[1]);
+}
+
+// A packet no flow claims that is addressed to CtlAddress(the host's site)
+// goes to the control handler, and counts as unclaimed while there is none.
+// A flow's packets never reach the control handler.
+TEST(HostTest, HandsItsSiteControlTrafficToTheControlHandler) {
+  Simulator sim;
+  Host host(&sim, MakeAddress(1, 1), nullptr);
+  std::vector<Address> ctl_from;
+  std::vector<Address> flow_from;
+  LambdaHandler ctl([&ctl_from](Packet pkt) { ctl_from.push_back(pkt.key.src); });
+  LambdaHandler flow([&flow_from](Packet pkt) { flow_from.push_back(pkt.key.src); });
+  auto feedback = [](Address dst) {
+    Packet pkt;
+    pkt.type = PacketType::kBundlerFeedback;
+    pkt.key.src = CtlAddress(2);
+    pkt.key.dst = dst;
+    return pkt;
+  };
+
+  host.HandlePacket(feedback(CtlAddress(1)));  // no control handler yet
+  EXPECT_EQ(host.unclaimed_packets(), 1u);
+
+  host.set_ctl(&ctl);
+  host.HandlePacket(feedback(CtlAddress(1)));
+  host.HandlePacket(feedback(CtlAddress(3)));  // another site's: unclaimed
+  EXPECT_EQ(ctl_from, std::vector<Address>{CtlAddress(2)});
+  EXPECT_EQ(host.unclaimed_packets(), 2u);
+
+  // Flow 7's packets reach the flow, even one to the control address; an
+  // ACK for a flow the host no longer has is unclaimed.
+  host.Register(7, &flow);
+  FlowKey key;
+  key.src = MakeAddress(2, 1);
+  key.dst = MakeAddress(1, 1);
+  host.HandlePacket(MakeDataPacket(/*flow_id=*/7, key, /*seq=*/0, 1000));
+  Packet to_ctl = feedback(CtlAddress(1));
+  to_ctl.flow_id = 7;
+  host.HandlePacket(std::move(to_ctl));
+  Packet stale_ack = MakeAckPacket(MakeDataPacket(/*flow_id=*/9, key, 0, 1000),
+                                   MakeAddress(2, 1), MakeAddress(1, 1));
+  host.HandlePacket(std::move(stale_ack));
+  EXPECT_EQ(flow_from, (std::vector<Address>{MakeAddress(2, 1), CtlAddress(2)}));
+  EXPECT_EQ(ctl_from.size(), 1u);
+  EXPECT_EQ(host.unclaimed_packets(), 3u);
 }
 
 TEST(UdpPingPongTest, MeasuresBaseRtt) {
